@@ -7,7 +7,7 @@ RACE_PKGS = ./internal/core ./internal/lockfusion ./internal/bufferfusion \
 
 .PHONY: all build test test-full race vet smoke brownout-smoke proto-smoke \
         pmfs-smoke cc-smoke elastic-smoke crash-smoke wire-fuzz check \
-        bench-snapshot ab-compare alloc-budget trace-smoke
+        bench-snapshot ab-compare alloc-budget rt-budget trace-smoke
 
 all: check
 
@@ -95,7 +95,15 @@ cc-smoke:
 	$(GO) run ./cmd/mpchaos -plan brownout -seed 7 -ops 60 -cc occ
 	$(GO) run ./cmd/mpchaos -plan pmfsfailover -seed 7 -ops 400 -cc occ
 
-check: build vet test race smoke brownout-smoke pmfs-smoke cc-smoke proto-smoke elastic-smoke crash-smoke
+check: build vet test race rt-budget smoke brownout-smoke pmfs-smoke cc-smoke proto-smoke elastic-smoke crash-smoke
+
+# Satellite round-trip budget: on a JoinRemote satellite every fabric verb is
+# a blocking socket round trip to the seed, so a private read-write
+# transaction (10 Get + 2 GetForUpdate + 2 Update + Commit) must cost at most
+# 4 of them — the TSO fetch-add and the fused redo append+sync, plus headroom.
+# A TSO read per statement or an RPC per redo record trips it.
+rt-budget:
+	$(GO) test ./internal/core -run TestSatelliteRoundTripBudget -count=1 -v
 
 # Disabled-tracer alloc budget: the commit hot path's tracer hooks must stay
 # at 0 allocs/op when tracing is off (asserted by TestNilTracerZeroAllocs;

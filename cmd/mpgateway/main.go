@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -494,9 +495,10 @@ func (gw *gateway) serve(client net.Conn) {
 // transaction open and no response outstanding is preceded by a silent
 // re-handshake against a healthier backend.
 func (s *session) requestLoop() {
+	br := bufio.NewReader(s.client) // one read(2) per frame, not one per prefix and body
 	var rbuf, wbuf []byte
 	for {
-		f, buf, err := wire.ReadFrame(s.client, rbuf)
+		f, buf, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				s.gw.nc.CodecError()
@@ -711,9 +713,10 @@ func (s *session) migrate() {
 // request's op, so no request/response correlation state is needed.
 func (s *session) pump(upstream net.Conn, done chan struct{}, gen int) {
 	defer close(done)
+	br := bufio.NewReader(upstream) // one read(2) per frame, not one per prefix and body
 	var rbuf, wbuf []byte
 	for {
-		f, buf, err := wire.ReadFrame(upstream, rbuf)
+		f, buf, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
 			if s.migrating.Load() {
 				return // cutover: requestLoop owns the client now

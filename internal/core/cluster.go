@@ -58,7 +58,7 @@ type Config struct {
 
 	// Ablation switches (all default off = paper design).
 	DisableLazyPLock bool // §4.3.1 lazy release off
-	DisableLamport   bool // §4.1 Linear Lamport timestamp reuse off
+	DisableLamport   bool // §4.1 Linear Lamport timestamp reuse off, and with it the lazy RC read view: one TSO fetch per statement
 	DisableCTSStamp  bool // §4.1 commit-time row CTS stamping off
 	// DisableCommitPipeline turns off pipelined group commit (§14): the
 	// background sync launcher that keeps staggered log-sync rounds in

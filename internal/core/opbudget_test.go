@@ -87,3 +87,71 @@ func TestCommitFabricOpBudget(t *testing.T) {
 		t.Errorf("rpcs/commit = %.2f, budget 3 (prepare-push/pushed batches + lock headroom)", rpcs)
 	}
 }
+
+// TestSatelliteRoundTripBudget locks down what a satellite process pays the
+// socket fabric for a private read-write transaction. On a satellite every
+// fabric verb is a blocking round trip to the seed, so per-statement verbs
+// dominate the transaction; the lazy read view and the redo tail shipped with
+// the sync exist to leave only the commit's own: one TSO fetch-add and one
+// storage RPC (append + sync). A change that puts a verb back on Get,
+// GetForUpdate or Update — a TSO read per statement, an RPC per redo record —
+// trips this test.
+//
+// Measured: 2.0 round trips per transaction. The budget of 4 leaves room for
+// the fenced-flag refresh (one RPC per 100 ms TTL) and a TIT lookup.
+func TestSatelliteRoundTripBudget(t *testing.T) {
+	_, sats := multiProcess(t, Config{RecycleInterval: -1}, 1)
+	sat := sats[0]
+	n := sat.Nodes()[0]
+	sp, err := sat.CreateSpace("private")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 64
+	key := func(i int) []byte { return []byte(fmt.Sprintf("row%03d", i)) }
+	for i := 0; i < rows; i++ {
+		put(t, n, sp, string(key(i)), "0")
+	}
+
+	rw := func(i int) {
+		tx, err := n.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 10; j++ {
+			if _, err := tx.Get(sp, key((i*7+j*5)%rows)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k1, k2 := key(i%rows), key((i+rows/2)%rows)
+		for _, k := range [][]byte{k1, k2} {
+			if _, err := tx.GetForUpdate(sp, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range [][]byte{k1, k2} {
+			if err := tx.Update(sp, k, []byte(fmt.Sprintf("%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+	}
+	for i := 0; i < 4; i++ {
+		rw(i) // warm: PLocks retained, frames resident, view bound set
+	}
+
+	const txs = 16
+	frames := func() int64 {
+		reads, writes, atomics, rpcs, _, _ := sat.Fabric().Stats().Snapshot()
+		return reads + writes + atomics + rpcs
+	}
+	before := frames()
+	for i := 0; i < txs; i++ {
+		rw(100 + i)
+	}
+	per := float64(frames()-before) / txs
+	t.Logf("satellite round trips per transaction (10 Get + 2 GetForUpdate + 2 Update + Commit): %.2f", per)
+	if per > 4 {
+		t.Errorf("%.2f fabric round trips per satellite transaction, budget 4 (TSO fetch-add + fused redo append/sync + headroom)", per)
+	}
+}

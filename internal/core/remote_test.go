@@ -309,3 +309,49 @@ func TestRemoteElasticity(t *testing.T) {
 		t.Fatalf("seed read after rejoin: %q, %v", v, err)
 	}
 }
+
+// A satellite's redo sits in its storage client's tail until the commit's
+// sync. If the stream is fenced in between (a survivor began taking the node
+// over), the sync reports the tail refused, the writer closes, and Commit
+// fails on its durability gate: the un-acked write is published nowhere and
+// the commit acked before the fence is still there.
+func TestJoinRemoteCommitFencedWithBufferedTail(t *testing.T) {
+	seed, sats := multiProcess(t, Config{RecycleInterval: -1}, 1)
+	n := sats[0].Nodes()[0]
+	sp, err := sats[0].CreateSpace("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(t, n, sp, "k", "acked")
+	durable := seed.store.LogDurableLSN(n.ID())
+
+	tx, err := n.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(sp, []byte("k"), []byte("unacked")); err != nil {
+		t.Fatal(err)
+	}
+	seed.store.FenceLog(n.ID())
+	err = tx.Commit()
+	if !errors.Is(err, common.ErrNodeDown) && !errors.Is(err, common.ErrStaleEpoch) {
+		t.Fatalf("commit over a fenced stream: %v, want ErrNodeDown or ErrStaleEpoch", err)
+	}
+	if d := seed.store.LogDurableLSN(n.ID()); d != durable {
+		t.Fatalf("fenced stream's durable LSN moved %d -> %d", durable, d)
+	}
+	if v, err := get(t, seed.Nodes()[0], sp, "k"); err != nil || v != "acked" {
+		t.Fatalf("seed reads k = %q (%v), want the commit acked before the fence", v, err)
+	}
+	// The writer is closed for good: later commits fail the same way.
+	if tx, err = n.Begin(); err == nil {
+		if err = tx.Update(sp, []byte("k"), []byte("zombie")); err == nil {
+			err = tx.Commit()
+		} else {
+			_ = tx.Rollback()
+		}
+	}
+	if err == nil {
+		t.Fatal("a commit succeeded on a fenced stream")
+	}
+}

@@ -210,16 +210,31 @@ func (tx *Tx) checkDeadline() error {
 }
 
 // statementView returns the read view for one statement and a release func.
-func (tx *Tx) statementView() (common.CSN, func(), error) {
+//
+// A read-committed point read (point=true) gets a lazy view: the node's view
+// bound — the largest value it has seen the TSO return or grant — stands in
+// for a fresh TSO read, and lazy=true tells visibleValue to fetch the real
+// timestamp only if the row cannot be decided without it. The bound is
+// registered like any view, so it holds the global minimum view back. Scans
+// and snapshot isolation read many rows under one timestamp and keep the
+// fetched one; so does a node with no bound (see txfusion.Client.ViewBound).
+func (tx *Tx) statementView(point bool) (view common.CSN, lazy bool, release func(), err error) {
 	if tx.iso == SnapshotIsolation {
-		return tx.view, func() {}, nil
+		return tx.view, false, func() {}, nil
 	}
-	csn, err := tx.n.tf.CurrentReadCSN()
-	if err != nil {
-		return 0, nil, err
+	tf := tx.n.tf
+	var v common.CSN
+	if point {
+		v = tf.ViewBound()
+		lazy = v != 0
 	}
-	v := tx.n.tf.OpenView(csn)
-	return v, func() { tx.n.tf.CloseView(v) }, nil
+	if !lazy {
+		if v, err = tf.CurrentReadCSN(); err != nil {
+			return 0, false, nil, err
+		}
+	}
+	tf.OpenView(v)
+	return v, lazy, func() { tf.CloseView(v) }, nil
 }
 
 // visibleValue walks a version chain and returns the value visible to view
@@ -227,21 +242,49 @@ func (tx *Tx) statementView() (common.CSN, func(), error) {
 // is visible or the visible version is a tombstone. resolve maps a version
 // to its effective CTS — n.resolveCTS for point lookups, a page-scoped
 // batch resolver for scans.
-func (tx *Tx) visibleValue(row *page.Row, view common.CSN, resolve func(*page.Version) common.CSN) ([]byte, bool) {
+//
+// With lazy set, view is a lower bound on the TSO rather than a value read
+// from it for this statement. The chain is read under the leaf's S PLock, so
+// it holds every version committed so far: one committed at or below the
+// bound is visible under whatever the TSO would return now, an own version is
+// visible regardless, and a still-active one (CSNMax) is visible to nobody.
+// Only a foreign version committed above the bound needs the real timestamp,
+// which is fetched then, once; it is the sole source of an error.
+func (tx *Tx) visibleValue(row *page.Row, view common.CSN, lazy bool, resolve func(*page.Version) common.CSN) ([]byte, bool, error) {
 	if row == nil {
-		return nil, false
+		return nil, false, nil
 	}
+	// A transaction's versions of one row are adjacent and share one fate, so
+	// it is resolved once per walk: were its commit published between two
+	// lookups, its newest version would be skipped as in flight and an older
+	// one of its own — an intermediate write — returned as committed.
+	var memoTrx common.GTrxID
+	var memoCTS common.CSN
 	for i := range row.Versions {
 		v := &row.Versions[i]
-		if v.Trx != tx.g && resolve(v) > view {
-			continue
+		if v.Trx != tx.g {
+			cts := memoCTS
+			if v.Trx.Zero() || v.Trx != memoTrx {
+				cts = resolve(v)
+				memoTrx, memoCTS = v.Trx, cts
+			}
+			if lazy && cts > view && cts != common.CSNMax {
+				var err error
+				if view, err = tx.n.tf.CurrentReadCSN(); err != nil {
+					return nil, false, err
+				}
+				lazy = false
+			}
+			if cts > view {
+				continue
+			}
 		}
 		if v.Deleted {
-			return nil, false
+			return nil, false, nil
 		}
-		return append([]byte(nil), v.Value...), true
+		return append([]byte(nil), v.Value...), true, nil
 	}
-	return nil, false
+	return nil, false, nil
 }
 
 // Get returns the value of key under the transaction's isolation level, or
@@ -261,7 +304,7 @@ func (tx *Tx) Get(space common.SpaceID, key []byte) ([]byte, error) {
 		}
 		return val, nil
 	}
-	view, release, err := tx.statementView()
+	view, lazy, release, err := tx.statementView(true)
 	if err != nil {
 		return nil, err
 	}
@@ -274,8 +317,11 @@ func (tx *Tx) Get(space common.SpaceID, key []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	val, ok := tx.visibleValue(ref.Page.Find(key), view, tx.n.resolveCTS)
+	val, ok, err := tx.visibleValue(ref.Page.Find(key), view, lazy, tx.n.resolveCTS)
 	tx.n.releasePager(ref)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
 		return nil, fmt.Errorf("core: key %q: %w", key, common.ErrNotFound)
 	}
@@ -314,7 +360,7 @@ func (tx *Tx) Scan(space common.SpaceID, from, to []byte, limit int) ([]KV, erro
 	if err := tx.checkDeadline(); err != nil {
 		return nil, err
 	}
-	view, release, err := tx.statementView()
+	view, _, release, err := tx.statementView(false)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +394,7 @@ func (tx *Tx) Scan(space common.SpaceID, from, to []byte, limit int) ([]KV, erro
 				tx.n.releasePager(ref)
 				return mergeStaged(out, staged, limit), nil
 			}
-			if val, ok := tx.visibleValue(row, view, resolve); ok {
+			if val, ok, _ := tx.visibleValue(row, view, false, resolve); ok {
 				out = append(out, KV{Key: append([]byte(nil), row.Key...), Value: val})
 				if pageLimit > 0 && len(out) >= pageLimit {
 					tx.n.releasePager(ref)

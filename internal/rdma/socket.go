@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -230,9 +231,10 @@ func (l *peerLink) alive() bool {
 
 // readLoop demultiplexes incoming frames until the connection dies.
 func (l *peerLink) readLoop() {
+	br := bufio.NewReader(l.c) // one read(2) per frame, not one per prefix and body
 	var buf []byte
 	for {
-		fr, b, err := wire.ReadFrame(l.c, buf)
+		fr, b, err := wire.ReadFrame(br, buf)
 		if err != nil {
 			if errors.Is(err, wire.ErrBadFrame) || errors.Is(err, wire.ErrFrameTooLarge) {
 				l.nc.CodecError()

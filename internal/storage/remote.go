@@ -3,17 +3,26 @@
 // service, the way a PolarDB-MP primary talks to PolarStore over the network
 // rather than hosting the store itself.
 //
-// The one protocol subtlety is the redo log. wal.Writer assumes LogAppend is
-// applied exactly once at the stream end it tracks (it panics on any other
-// offset unless the stream is fenced). A retried RPC could otherwise append
-// twice, so the wire op is append-AT: the client sends the end LSN it
-// expects, and the server applies only if the stream still ends there —
-// observing end == expect+len(data) instead means the lost reply's append
-// DID land and the retry is acknowledged without re-applying. Every
-// append/sync response piggybacks the stream's fenced flag so the writer's
-// LogFenced check sees fencing promptly without an extra RPC; if the uplink
-// dies for good, LogFenced fails safe to true, which makes wal.Writer close
-// itself instead of panicking or spinning.
+// The one protocol subtlety is the redo log. A record is not durable until
+// LogSync, so shipping it any earlier buys nothing: LogAppend places it in a
+// client-side tail at the stream end the client tracks and returns, and
+// LogSync ships the tail and forces it in ONE round trip — a commit costs one
+// storage RPC however many records it wrote. The tail is the stream's
+// un-synced suffix, so whatever may drop that suffix (LogCrashVolatile,
+// FenceLog) drops the tail, and whatever else moves the stream (LogTruncate,
+// LogShip) ships it first; a tail past maxLogTail ships early, unforced.
+//
+// wal.Writer assumes an append is applied exactly once at the stream end it
+// tracks. A retried RPC could otherwise append twice, so the tail ships
+// append-AT: the client sends the end LSN it expects, and the server applies
+// only if the stream still ends there — observing end == expect+len(data)
+// instead means the lost reply's append DID land and the retry is
+// acknowledged without re-applying. Every ship/sync response piggybacks the
+// stream's fenced flag so the writer's LogFenced check sees fencing without
+// an extra RPC; a tail the server refused (the stream was fenced, or moved,
+// under it) and an uplink that died for good both fail LogFenced safe to
+// true, which makes wal.Writer close itself — its Durable() never reaches the
+// refused records, so no commit in them is acknowledged.
 package storage
 
 import (
@@ -134,10 +143,21 @@ func serveOp(s API, req []byte) ([]byte, error) {
 		}
 		return serveLogAppendAt(s, node, expect, data), nil
 	case sopLogSync:
+		// [node] forces the stream; [node][expect][tail] first appends the
+		// client's buffered tail at expect. Response: [durable u64][fenced
+		// u8][applied u8].
 		node := common.NodeID(rd.U16())
-		lsn := s.LogSync(node)
-		out := wire.AppendU64(nil, uint64(lsn))
-		return appendFenced(out, s, node), nil
+		applied := true
+		if len(rd.Rest()) > 0 {
+			expect := common.LSN(rd.U64())
+			data := rd.Bytes()
+			if err := rd.Err(); err != nil {
+				return nil, err
+			}
+			_, applied = logAppendAt(s, node, expect, data)
+		}
+		out := wire.AppendU64(nil, uint64(s.LogSync(node)))
+		return appendFlags(out, s.LogFenced(node), applied), nil
 	case sopLogEnd:
 		return wire.AppendU64(nil, uint64(s.LogEndLSN(common.NodeID(rd.U16())))), nil
 	case sopLogDurable:
@@ -198,47 +218,60 @@ func serveOp(s API, req []byte) ([]byte, error) {
 	}
 }
 
-// serveLogAppendAt implements idempotent append-at-expected-LSN. Response:
-// [placed u64][end u64][fenced u8][applied u8].
-func serveLogAppendAt(s API, node common.NodeID, expect common.LSN, data []byte) []byte {
-	end := s.LogEndLSN(node)
-	placed := end
-	applied := byte(0)
+// logAppendAt implements idempotent append-at-expected-LSN: data is applied
+// only if node's stream ends at expect. It returns the stream end afterwards
+// and whether data is in the stream at expect.
+func logAppendAt(s API, node common.NodeID, expect common.LSN, data []byte) (end common.LSN, applied bool) {
+	end = s.LogEndLSN(node)
 	switch {
 	case end == expect:
-		placed = s.LogAppend(node, data)
+		placed := s.LogAppend(node, data)
 		end = s.LogEndLSN(node)
-		if placed == expect && end == expect+common.LSN(len(data)) {
-			applied = 1
-		}
-	case end == expect+common.LSN(len(data)) && len(data) > 0:
+		applied = placed == expect && end == expect+common.LSN(len(data))
+	case end == expect+common.LSN(len(data)):
 		// The previous attempt's reply was lost but its append landed:
 		// acknowledge without re-applying.
-		placed = expect
-		applied = 1
+		applied = true
 	}
-	out := wire.AppendU64(nil, uint64(placed))
-	out = wire.AppendU64(out, uint64(end))
-	fencedByte := byte(0)
-	if s.LogFenced(node) {
-		fencedByte = 1
-	}
-	return append(out, fencedByte, applied)
+	return end, applied
 }
 
-func appendFenced(out []byte, s API, node common.NodeID) []byte {
-	if s.LogFenced(node) {
-		return append(out, 1)
-	}
-	return append(out, 0)
+// serveLogAppendAt answers sopLogAppendAt: [end u64][fenced u8][applied u8].
+func serveLogAppendAt(s API, node common.NodeID, expect common.LSN, data []byte) []byte {
+	end, applied := logAppendAt(s, node, expect, data)
+	return appendFlags(wire.AppendU64(nil, uint64(end)), s.LogFenced(node), applied)
 }
 
-// remoteStream is the client-side shadow of one log stream: the expected end
-// LSN (for idempotent appends) and the fenced cache.
+func appendFlags(out []byte, flags ...bool) []byte {
+	for _, f := range flags {
+		if f {
+			out = append(out, 1)
+		} else {
+			out = append(out, 0)
+		}
+	}
+	return out
+}
+
+// maxLogTail bounds a stream's client-side tail: a bulk load that appends
+// this much without a sync ships it early (unforced), so neither the tail nor
+// the request that carries it outgrows one modest frame.
+const maxLogTail = 256 << 10
+
+// remoteStream is the client-side shadow of one log stream: its end LSN, the
+// un-shipped tail ending there, and the fenced cache.
 type remoteStream struct {
+	// shipMu serializes ships of the tail (at most one append-at in flight
+	// per stream, so expected LSNs stay contiguous) and guards req. It is
+	// taken before mu and held across the RPC; mu is not, so appends proceed
+	// while a ship is in flight.
+	shipMu sync.Mutex
+	req    []byte // reused request buffer
+
 	mu       sync.Mutex
-	end      common.LSN
+	end      common.LSN // LSN the next append lands at (valid when endKnown)
 	endKnown bool
+	tail     []byte // appended but not yet shipped: the bytes [end-len(tail), end)
 	fenced   bool
 	fencedAt time.Time
 }
@@ -427,66 +460,110 @@ func (r *Remote) MetaKeys() []string {
 	return keys
 }
 
-// LogAppend appends to node's stream via append-at: idempotent under RPC
-// retries, and fencing surfaces through the piggybacked flag rather than a
-// misplaced LSN.
+// LogAppend places data in node's client-side tail at the tracked stream end
+// and returns that LSN; nothing reaches the seed before the next LogSync
+// unless the tail outgrows maxLogTail. A stream known to be fenced drops the
+// append, as the store itself would.
 func (r *Remote) LogAppend(node common.NodeID, data []byte) common.LSN {
 	st := r.stream(node)
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if !st.endKnown {
 		out, err := r.call(reqNode(sopLogEnd, node))
 		if err != nil {
+			// Uplink gone: report the stream fenced so wal.Writer closes
+			// cleanly; nothing was durably acknowledged.
 			st.markFencedLocked()
-			return st.end
+		} else {
+			st.end = common.LSN(wire.NewReader(out).U64())
+			st.endKnown = true
 		}
-		st.end = common.LSN(wire.NewReader(out).U64())
-		st.endKnown = true
 	}
-	req := reqNode(sopLogAppendAt, node)
-	req = wire.AppendU64(req, uint64(st.end))
-	req = wire.AppendBytes(req, data)
-	out, err := r.call(req)
-	if err != nil {
-		// Uplink gone: report the stream fenced so wal.Writer closes
-		// cleanly; nothing was durably acknowledged.
-		st.markFencedLocked()
-		return st.end
-	}
-	rd := wire.NewReader(out)
-	placed := common.LSN(rd.U64())
-	end := common.LSN(rd.U64())
-	fenced := rd.U8() == 1
-	st.end = end
-	st.fenced = fenced
-	st.fencedAt = time.Now()
-	return placed
-}
-
-// LogSync makes the stream durable at the seed.
-func (r *Remote) LogSync(node common.NodeID) common.LSN {
-	r.stats.LogSyncs.Inc()
-	st := r.stream(node)
-	out, err := r.call(reqNode(sopLogSync, node))
-	if err != nil {
-		st.mu.Lock()
-		st.markFencedLocked()
-		lsn := st.end
+	lsn := st.end
+	if st.fenced {
 		st.mu.Unlock()
 		return lsn
 	}
-	rd := wire.NewReader(out)
-	lsn := common.LSN(rd.U64())
-	fenced := rd.U8() == 1
-	st.mu.Lock()
-	st.fenced = fenced
-	st.fencedAt = time.Now()
+	st.tail = append(st.tail, data...)
+	st.end += common.LSN(len(data))
+	full := len(st.tail) >= maxLogTail
 	st.mu.Unlock()
+	if full {
+		r.ship(node, sopLogAppendAt)
+	}
 	return lsn
 }
 
-// markFencedLocked fails the stream safe after a dead uplink: the writer
-// sees fenced and closes instead of panicking on a misplaced LSN.
+// LogSync ships node's tail and makes the stream durable at the seed in one
+// round trip, returning the durable LSN. That LSN covers the tail as it stood
+// when the call began — a record appended while the RPC was in flight is past
+// it, and its committer's wal.Writer.Sync runs another round.
+func (r *Remote) LogSync(node common.NodeID) common.LSN {
+	r.stats.LogSyncs.Inc()
+	return r.ship(node, sopLogSync)
+}
+
+// ship sends node's tail to the seed as one idempotent append-at-expected-LSN,
+// op being sopLogAppendAt (append only) or sopLogSync (append and force; with
+// no tail, a plain force). For a sync it returns the durable LSN, or 0 —
+// nothing newly durable — when the tail did not make it into the stream.
+func (r *Remote) ship(node common.NodeID, op uint8) common.LSN {
+	st := r.stream(node)
+	st.shipMu.Lock()
+	defer st.shipMu.Unlock()
+	st.mu.Lock()
+	n := len(st.tail)
+	if n == 0 && op == sopLogAppendAt {
+		st.mu.Unlock()
+		return 0
+	}
+	req := append(st.req[:0], op)
+	req = wire.AppendU16(req, uint16(node))
+	if n > 0 {
+		req = wire.AppendU64(req, uint64(st.end)-uint64(n))
+		req = wire.AppendBytes(req, st.tail)
+		st.tail = st.tail[:0]
+	}
+	st.req = req
+	st.mu.Unlock()
+	out, err := r.call(req)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err != nil {
+		// Uplink gone: report the stream fenced so wal.Writer closes
+		// cleanly; nothing in the tail was durably acknowledged.
+		st.markFencedLocked()
+		return 0
+	}
+	rd := wire.NewReader(out)
+	lsn := common.LSN(rd.U64())
+	st.fenced = rd.U8() == 1
+	st.fencedAt = time.Now()
+	if applied := rd.U8() == 1; !applied {
+		// The seed refused the tail: the stream was fenced, or no longer
+		// ends where this client tracked it. The records are gone, and the
+		// seed's durable LSN may cover another incarnation's: this one's
+		// writer must stop, and must not take that LSN for its own.
+		st.markFencedLocked()
+		return 0
+	}
+	return lsn
+}
+
+// dropTail discards node's un-shipped tail (after any ship in flight) and
+// forgets the tracked end.
+func (r *Remote) dropTail(node common.NodeID) {
+	st := r.stream(node)
+	st.shipMu.Lock()
+	st.mu.Lock()
+	st.tail = st.tail[:0]
+	st.endKnown = false
+	st.mu.Unlock()
+	st.shipMu.Unlock()
+}
+
+// markFencedLocked fails the stream safe after a dead uplink or a refused
+// tail: the writer sees fenced and closes instead of panicking on a misplaced
+// LSN.
 func (st *remoteStream) markFencedLocked() {
 	st.fenced = true
 	st.fencedAt = time.Now().Add(time.Hour) // sticky: no TTL refresh
@@ -497,8 +574,18 @@ func (r *Remote) logLSN(op uint8, node common.NodeID) common.LSN {
 	return common.LSN(wire.NewReader(out).U64())
 }
 
-// LogEndLSN returns the stream's append frontier.
-func (r *Remote) LogEndLSN(node common.NodeID) common.LSN { return r.logLSN(sopLogEnd, node) }
+// LogEndLSN returns the stream's append frontier: for a stream this client
+// appends to, the end it tracks (the un-shipped tail included).
+func (r *Remote) LogEndLSN(node common.NodeID) common.LSN {
+	st := r.stream(node)
+	st.mu.Lock()
+	end, known := st.end, st.endKnown
+	st.mu.Unlock()
+	if known {
+		return end
+	}
+	return r.logLSN(sopLogEnd, node)
+}
 
 // LogDurableLSN returns the durable frontier.
 func (r *Remote) LogDurableLSN(node common.NodeID) common.LSN { return r.logLSN(sopLogDurable, node) }
@@ -519,14 +606,16 @@ func (r *Remote) LogRead(node common.NodeID, lsn common.LSN, buf []byte) (int, e
 	return copy(buf, out), nil
 }
 
-// LogCrashVolatile discards the un-synced tail.
+// LogCrashVolatile discards the un-synced tail, here and at the seed.
 func (r *Remote) LogCrashVolatile(node common.NodeID) {
+	r.dropTail(node)
 	r.mustCall("log crash", reqNode(sopLogCrash, node))
-	r.invalidateEnd(node)
 }
 
-// FenceLog fences node's stream.
+// FenceLog fences node's stream; an un-shipped tail is dropped, as the fenced
+// store would drop it.
 func (r *Remote) FenceLog(node common.NodeID) {
+	r.dropTail(node)
 	r.mustCall("fence", reqNode(sopLogFence, node))
 	st := r.stream(node)
 	st.mu.Lock()
@@ -569,14 +658,16 @@ func (r *Remote) LogFenced(node common.NodeID) bool {
 	return fenced
 }
 
-// LogTruncate discards the stream prefix below lsn.
+// LogTruncate discards the stream prefix below lsn. The tail ships first, so
+// the seed truncates the stream this client sees; the end does not move.
 func (r *Remote) LogTruncate(node common.NodeID, lsn common.LSN) {
+	r.ship(node, sopLogAppendAt)
 	r.mustCall("truncate", wire.AppendU64(reqNode(sopLogTruncate, node), uint64(lsn)))
-	r.invalidateEnd(node)
 }
 
 // LogShip appends shipped bytes at an explicit LSN.
 func (r *Remote) LogShip(node common.NodeID, at common.LSN, data []byte) error {
+	r.ship(node, sopLogAppendAt)
 	req := reqNode(sopLogShip, node)
 	req = wire.AppendU64(req, uint64(at))
 	req = wire.AppendBytes(req, data)
@@ -597,8 +688,8 @@ func (r *Remote) LogNodes() []common.NodeID {
 	return ids
 }
 
-// invalidateEnd drops the cached append frontier after ops that move it
-// outside the append path.
+// invalidateEnd drops the tracked append frontier after LogShip, which moves
+// it outside the append path.
 func (r *Remote) invalidateEnd(node common.NodeID) {
 	st := r.stream(node)
 	st.mu.Lock()

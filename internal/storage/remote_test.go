@@ -97,6 +97,11 @@ func TestRemotePageAndMetaOps(t *testing.T) {
 	}
 }
 
+// rpcs returns how many fabric RPCs the satellite side has completed.
+func (h *remoteHarness) rpcs() int64 { return h.fb.Stats().RPCs.Load() }
+
+// Appends are buffered at the satellite and reach the seed with the sync, in
+// one RPC; the own stream's end is answered from the tracked end.
 func TestRemoteLogRoundTrip(t *testing.T) {
 	h := newRemoteHarness(t)
 	r := h.rem
@@ -105,17 +110,31 @@ func TestRemoteLogRoundTrip(t *testing.T) {
 	if got := r.LogAppend(node, []byte("first-rec")); got != 0 {
 		t.Fatalf("first append placed at %d", got)
 	}
+	before := h.rpcs() // the first append learned the stream end; no more RPCs until the sync
 	if got := r.LogAppend(node, []byte("second")); got != 9 {
 		t.Fatalf("second append placed at %d", got)
 	}
 	if end := r.LogEndLSN(node); end != 15 {
 		t.Fatalf("end %d", end)
 	}
+	if n := h.rpcs() - before; n != 0 {
+		t.Fatalf("append + own-stream LogEndLSN issued %d RPCs, want 0", n)
+	}
+	if end := h.seed.LogEndLSN(node); end != 0 {
+		t.Fatalf("seed stream end %d before the sync: the tail was shipped early", end)
+	}
 	if d := r.LogDurableLSN(node); d != 0 {
 		t.Fatalf("durable before sync %d", d)
 	}
+	before = h.rpcs()
 	if d := r.LogSync(node); d != 15 {
 		t.Fatalf("sync %d", d)
+	}
+	if n := h.rpcs() - before; n != 1 {
+		t.Fatalf("sync of a 2-record tail issued %d RPCs, want 1", n)
+	}
+	if n := r.Stats().LogSyncs.Load(); n != 1 {
+		t.Fatalf("client counted %d log syncs, want 1", n)
 	}
 	buf := make([]byte, 64)
 	n, err := r.LogRead(node, 0, buf)
@@ -132,20 +151,31 @@ func TestRemoteLogRoundTrip(t *testing.T) {
 	if d := h.seed.LogDurableLSN(node); d != 15 {
 		t.Fatalf("seed durable %d", d)
 	}
+	// A sync with nothing buffered is a plain force, and a foreign stream's
+	// end still comes from the seed.
+	if d := r.LogSync(node); d != 15 {
+		t.Fatalf("empty sync %d", d)
+	}
+	h.seed.LogAppend(42, []byte("xyz"))
+	if end := r.LogEndLSN(42); end != 3 {
+		t.Fatalf("foreign stream end %d, want 3", end)
+	}
 }
 
-func TestRemoteAppendRetryIdempotent(t *testing.T) {
+// A lost reply of the fused append+sync is retried, and the retry is
+// acknowledged, not applied twice.
+func TestRemoteSyncRetryIdempotent(t *testing.T) {
 	h := newRemoteHarness(t)
 	r := h.rem
 	const node = common.NodeID(4)
 
-	if got := r.LogAppend(node, []byte("aaaa")); got != 0 {
-		t.Fatalf("seed append placed at %d", got)
+	r.LogAppend(node, []byte("aaaa"))
+	if d := r.LogSync(node); d != 4 {
+		t.Fatalf("first sync %d", d)
 	}
 
-	// Drop exactly one RPC reply at the satellite's fabric: the append lands
-	// at the seed but the satellite must retry — and the retry must be
-	// acknowledged, not applied twice.
+	// Drop exactly one RPC reply at the satellite's fabric: the tail lands at
+	// the seed but the satellite must retry.
 	var mu sync.Mutex
 	dropped := false
 	h.fb.SetInjector(func(op common.FaultOp) common.FaultDecision {
@@ -158,8 +188,12 @@ func TestRemoteAppendRetryIdempotent(t *testing.T) {
 		return common.FaultDecision{}
 	})
 	if got := r.LogAppend(node, []byte("bbbb")); got != 4 {
-		t.Fatalf("retried append placed at %d", got)
+		t.Fatalf("append placed at %d", got)
 	}
+	if got := r.LogAppend(node, []byte("cc")); got != 8 {
+		t.Fatalf("append placed at %d", got)
+	}
+	d := r.LogSync(node)
 	h.fb.SetInjector(nil)
 
 	mu.Lock()
@@ -167,36 +201,59 @@ func TestRemoteAppendRetryIdempotent(t *testing.T) {
 		t.Fatal("injector never fired")
 	}
 	mu.Unlock()
-	if end := h.seed.LogEndLSN(node); end != 8 {
+	if d != 10 {
+		t.Fatalf("retried sync returned durable %d, want 10", d)
+	}
+	if r.LogFenced(node) {
+		t.Fatal("a retried sync must not fence the stream")
+	}
+	if end := h.seed.LogEndLSN(node); end != 10 {
 		t.Fatalf("stream end %d: duplicate append applied", end)
 	}
-	r.LogSync(node)
 	buf := make([]byte, 16)
 	n, _ := r.LogRead(node, 0, buf)
-	if string(buf[:n]) != "aaaabbbb" {
+	if string(buf[:n]) != "aaaabbbbcc" {
 		t.Fatalf("stream contents %q", buf[:n])
 	}
 }
 
+// A stream fenced while a tail is buffered: the sync reports fenced, the
+// refused tail becomes durable nowhere, and the durable LSN the sync returns
+// does not cover it.
 func TestRemoteFencedPiggyback(t *testing.T) {
 	h := newRemoteHarness(t)
 	r := h.rem
 	const node = common.NodeID(5)
 
 	r.LogAppend(node, []byte("live"))
+	if d := r.LogSync(node); d != 4 {
+		t.Fatalf("sync %d", d)
+	}
 	if r.LogFenced(node) {
 		t.Fatal("fenced before fence")
 	}
-	// Another process fences the stream at the seed. The next append's
-	// response carries the flag, so the satellite's cached view flips
-	// without waiting out the TTL or issuing a LogFenced RPC.
-	h.seed.FenceLog(node)
+	// Another process fences the stream at the seed while the satellite holds
+	// an un-shipped tail. The sync's response carries the flag, so the
+	// satellite's cached view flips without waiting out the TTL or issuing a
+	// LogFenced RPC.
 	r.LogAppend(node, []byte("dropped"))
+	h.seed.FenceLog(node)
+	before := h.rpcs()
+	if d := r.LogSync(node); d >= 11 {
+		t.Fatalf("sync of a refused tail returned durable %d, covering it", d)
+	}
 	if !r.LogFenced(node) {
-		t.Fatal("fenced flag did not piggyback on the append response")
+		t.Fatal("fenced flag did not piggyback on the sync response")
+	}
+	if n := h.rpcs() - before; n != 1 {
+		t.Fatalf("sync + LogFenced issued %d RPCs, want 1", n)
 	}
 	if end := h.seed.LogEndLSN(node); end != 4 {
 		t.Fatalf("fenced append mutated the stream: end %d", end)
+	}
+	// Known fenced, the stream drops appends like the store does.
+	if got := r.LogAppend(node, []byte("zombie")); got != r.LogAppend(node, []byte("zombie")) {
+		t.Fatal("append to a fenced stream advanced the end")
 	}
 
 	// Fence/unfence through the proxy round-trips too.
@@ -207,6 +264,122 @@ func TestRemoteFencedPiggyback(t *testing.T) {
 	r.FenceLog(node)
 	if !h.seed.LogFenced(node) {
 		t.Fatal("fence did not reach the seed")
+	}
+}
+
+// Whatever drops the stream's un-synced suffix drops the tail; whatever else
+// moves the stream ships it first. Either way the next append lands where the
+// seed's stream ends.
+func TestRemoteTailFollowsStreamOps(t *testing.T) {
+	h := newRemoteHarness(t)
+	r := h.rem
+
+	t.Run("crash-drops", func(t *testing.T) {
+		const node = common.NodeID(11)
+		r.LogAppend(node, []byte("kept"))
+		r.LogSync(node)
+		r.LogAppend(node, []byte("lost"))
+		r.LogCrashVolatile(node)
+		if got := r.LogAppend(node, []byte("next")); got != 4 {
+			t.Fatalf("append after crash placed at %d, want 4", got)
+		}
+		if d := r.LogSync(node); d != 8 {
+			t.Fatalf("sync after crash: durable %d, want 8", d)
+		}
+		buf := make([]byte, 16)
+		n, _ := r.LogRead(node, 0, buf)
+		if string(buf[:n]) != "keptnext" {
+			t.Fatalf("stream contents %q", buf[:n])
+		}
+	})
+	t.Run("fence-drops", func(t *testing.T) {
+		const node = common.NodeID(12)
+		r.LogAppend(node, []byte("kept"))
+		r.LogSync(node)
+		r.LogAppend(node, []byte("lost"))
+		r.FenceLog(node)
+		r.UnfenceLog(node)
+		if end := h.seed.LogEndLSN(node); end != 4 {
+			t.Fatalf("fence shipped the tail: seed end %d", end)
+		}
+		if got := r.LogAppend(node, []byte("next")); got != 4 {
+			t.Fatalf("append after fence/unfence placed at %d, want 4", got)
+		}
+		if d := r.LogSync(node); d != 8 {
+			t.Fatalf("sync: durable %d, want 8", d)
+		}
+	})
+	t.Run("truncate-ships", func(t *testing.T) {
+		const node = common.NodeID(13)
+		r.LogAppend(node, []byte("aaaa"))
+		r.LogSync(node)
+		r.LogAppend(node, []byte("bbbb"))
+		r.LogTruncate(node, 4)
+		if start, end := h.seed.LogStartLSN(node), h.seed.LogEndLSN(node); start != 4 || end != 8 {
+			t.Fatalf("after truncate: seed stream [%d,%d), want [4,8)", start, end)
+		}
+		if got := r.LogAppend(node, []byte("cc")); got != 8 {
+			t.Fatalf("append after truncate placed at %d, want 8", got)
+		}
+		if d := r.LogSync(node); d != 10 {
+			t.Fatalf("sync: durable %d, want 10", d)
+		}
+	})
+	t.Run("logship-ships", func(t *testing.T) {
+		const node = common.NodeID(14)
+		r.LogAppend(node, []byte("aaaa"))
+		if err := r.LogShip(node, 4, []byte("ssss")); err != nil {
+			t.Fatalf("ship behind a buffered tail: %v", err)
+		}
+		if got := r.LogAppend(node, []byte("cc")); got != 8 {
+			t.Fatalf("append after ship placed at %d, want 8", got)
+		}
+		if d := r.LogSync(node); d != 10 {
+			t.Fatalf("sync: durable %d, want 10", d)
+		}
+		buf := make([]byte, 16)
+		n, _ := r.LogRead(node, 0, buf)
+		if string(buf[:n]) != "aaaasssscc" {
+			t.Fatalf("stream contents %q", buf[:n])
+		}
+	})
+}
+
+// A tail past the 256 KiB cap ships early, unforced, and the stream stays
+// contiguous: every record is at the LSN the append returned.
+func TestRemoteTailOverflowContiguous(t *testing.T) {
+	h := newRemoteHarness(t)
+	r := h.rem
+	const node = common.NodeID(15)
+
+	rec := bytes.Repeat([]byte{'r'}, 10_000)
+	var want common.LSN
+	for i := 0; i < 60; i++ { // 600 kB: two overflow ships and a remainder
+		rec[0] = byte('A' + i)
+		if got := r.LogAppend(node, rec); got != want {
+			t.Fatalf("append %d placed at %d, want %d", i, got, want)
+		}
+		want += common.LSN(len(rec))
+	}
+	shipped := h.seed.LogEndLSN(node)
+	if shipped < 512<<10 || shipped >= want {
+		t.Fatalf("seed end %d before the sync, want two overflow ships of >= 256 KiB and a buffered rest (< %d)", shipped, want)
+	}
+	if d := h.seed.LogDurableLSN(node); d != 0 {
+		t.Fatalf("overflow ship forced the log: durable %d", d)
+	}
+	if d := r.LogSync(node); d != want {
+		t.Fatalf("sync %d want %d", d, want)
+	}
+	buf := make([]byte, want)
+	n, err := h.seed.LogRead(node, 0, buf)
+	if err != nil || common.LSN(n) != want {
+		t.Fatalf("read back %d bytes: %v", n, err)
+	}
+	for i := 0; i < 60; i++ {
+		if buf[i*len(rec)] != byte('A'+i) {
+			t.Fatalf("record %d is not at its LSN", i)
+		}
 	}
 }
 
@@ -244,13 +417,74 @@ func TestRemoteWalWriter(t *testing.T) {
 		t.Fatalf("replayed %d records", count)
 	}
 
-	// Fencing mid-flight closes the writer instead of panicking.
-	h.seed.FenceLog(node)
+	// Fencing with records still in the tail: the sync reports fenced and
+	// the refused records never count as durable — the gate Commit fails on
+	// — and the writer closes instead of panicking or spinning.
 	w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: 11})
-	w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: 12})
-	w.Sync(end + 1)
+	h.seed.FenceLog(node)
+	lost := w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: 12})
+	w.Sync(lost)
+	if d := w.Durable(); d >= lost || d != end {
+		t.Fatalf("writer durable %d after a fenced sync, want %d (< %d)", d, end, lost)
+	}
 	if d := h.seed.LogDurableLSN(node); d != end {
 		t.Fatalf("fenced stream advanced to %d", d)
+	}
+	if got := w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: 13}); got != w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: 14}) {
+		t.Fatal("writer still appending after its stream was fenced")
+	}
+}
+
+// Concurrent committers share sync rounds, and a round that shipped an older
+// tail never acknowledges a younger record: Sync returns only once the
+// caller's own record is durable at the seed.
+func TestRemoteWalWriterGroupCommit(t *testing.T) {
+	h := newRemoteHarness(t)
+	const node = common.NodeID(16)
+	const committers, each = 8, 40
+
+	w := wal.NewWriter(h.rem, node)
+	var wg sync.WaitGroup
+	for g := 0; g < committers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				end := w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: common.LLSN(g*each + i + 1)})
+				w.Sync(end)
+				if d := h.seed.LogDurableLSN(node); d < end {
+					t.Errorf("Sync(%d) returned with the seed durable only to %d", end, d)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if d, end := h.seed.LogDurableLSN(node), w.End(); d != end {
+		t.Fatalf("durable %d, writer end %d", d, end)
+	}
+	syncs := h.rem.Stats().LogSyncs.Load()
+	if syncs >= committers*each {
+		t.Errorf("%d sync rounds for %d commits: committers no longer share rounds", syncs, committers*each)
+	}
+	// Every record is in the stream exactly once, whichever round shipped it.
+	rd := wal.NewStreamReader(h.seed, node, 0, 0)
+	seen := make(map[common.LLSN]bool)
+	for {
+		rec, err := rd.Next()
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if rec == nil {
+			break
+		}
+		if seen[rec.LLSN] {
+			t.Fatalf("record %d shipped twice", rec.LLSN)
+		}
+		seen[rec.LLSN] = true
+	}
+	if len(seen) != committers*each {
+		t.Fatalf("replayed %d records, want %d", len(seen), committers*each)
 	}
 }
 
@@ -266,8 +500,9 @@ func TestRemoteRidesOutUplinkBlip(t *testing.T) {
 	r := h.rem
 	const node = common.NodeID(9)
 
-	if got := r.LogAppend(node, []byte("pre!")); got != 0 {
-		t.Fatalf("seed append placed at %d", got)
+	r.LogAppend(node, []byte("pre!"))
+	if d := r.LogSync(node); d != 4 {
+		t.Fatalf("sync %d", d)
 	}
 
 	// Fail every RPC until healed: the fabric conn looks dead for ~150ms,
@@ -284,16 +519,16 @@ func TestRemoteRidesOutUplinkBlip(t *testing.T) {
 
 	start := time.Now()
 	if got := r.LogAppend(node, []byte("blip")); got != 4 {
-		t.Fatalf("append through blip placed at %d", got)
+		t.Fatalf("append placed at %d", got)
+	}
+	if d := r.LogSync(node); d != 8 {
+		t.Fatalf("sync through blip: durable %d", d)
 	}
 	if time.Since(start) < 100*time.Millisecond {
-		t.Fatal("append returned before the blip healed")
+		t.Fatal("sync returned before the blip healed")
 	}
 	if r.LogFenced(node) {
 		t.Fatal("transient outage must not fence the stream")
-	}
-	if d := r.LogSync(node); d != 8 {
-		t.Fatalf("sync after blip: durable %d", d)
 	}
 	if end := h.seed.LogEndLSN(node); end != 8 {
 		t.Fatalf("stream end %d after blip", end)

@@ -122,8 +122,16 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 				return nil, err
 			}
 		}
-		gmv := s.report(node, csn)
-		return binary.LittleEndian.AppendUint64(nil, uint64(gmv)), nil
+		// The oracle is read here, on its host: it stands in for a reporter
+		// that holds no view (an idle node's minimum is "now"), sparing it a
+		// round trip, and rides the reply so the reporter's view bound is
+		// never staler than one report tick.
+		tso := s.CurrentTSO()
+		if csn == common.CSNMax {
+			csn = tso
+		}
+		out := binary.LittleEndian.AppendUint64(nil, uint64(s.report(node, csn)))
+		return binary.LittleEndian.AppendUint64(out, uint64(tso)), nil
 	case opRemoveNode:
 		if len(req) < 3 {
 			return nil, common.ErrShortBuffer
@@ -188,8 +196,9 @@ type Config struct {
 	// TITSlots is the slot-array size (default 4096).
 	TITSlots int
 	// LamportReuse enables the Linear Lamport timestamp optimization for
-	// read-snapshot fetches (§4.1, PolarDB-SCC). Default on; the ablation
-	// bench turns it off.
+	// read-snapshot fetches (§4.1, PolarDB-SCC) and the view bound behind
+	// the lazy read view (ViewBound). Default on; the ablation bench turns
+	// it off.
 	LamportReuse bool
 	// CTSCacheSize bounds the committed-CTS lookaside cache (0 disables).
 	CTSCacheSize int
@@ -937,6 +946,21 @@ func (c *Client) noteTS(ts common.CSN) {
 	c.tsMu.Unlock()
 }
 
+// ViewBound returns the largest timestamp this node has seen the TSO return
+// or grant (every TSO read and every own commit CSN feeds it), which is a
+// lower bound on anything the TSO returns from now on: a version committed at
+// or below it is visible to a read view taken at any later moment. Zero means
+// no bound is available — nothing observed yet, or Lamport reuse is off (the
+// ablation fetches a timestamp per statement).
+func (c *Client) ViewBound() common.CSN {
+	if !c.cfg.LamportReuse {
+		return 0
+	}
+	c.tsMu.Lock()
+	defer c.tsMu.Unlock()
+	return c.cachedTS
+}
+
 // --- read views & recycling ----------------------------------------------
 
 // OpenView registers an active read view at snapshot csn (for min-view
@@ -959,58 +983,45 @@ func (c *Client) CloseView(csn common.CSN) {
 	c.mu.Unlock()
 }
 
-// MinLocalView returns the smallest snapshot any local view holds, or the
-// current TSO value when the node is idle.
-func (c *Client) MinLocalView() (common.CSN, error) {
+// MinLocalView returns the smallest snapshot any local view holds, or CSNMax
+// when the node holds none.
+func (c *Client) MinLocalView() common.CSN {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	min := common.CSNMax
 	for v := range c.views {
 		if v < min {
 			min = v
 		}
 	}
-	c.mu.Unlock()
-	if min != common.CSNMax {
-		return min, nil
-	}
-	var v uint64
-	err := common.Retry(c.retry, func() (e error) {
-		v, e = c.fabric.Read64(common.PMFSNode, RegionTSO, 0)
-		return e
-	})
-	if err != nil {
-		return 0, err
-	}
-	return common.CSN(v), nil
+	return min
 }
 
-// ReportMinView sends the node's minimum view to Transaction Fusion,
-// receives the global minimum, recycles eligible TIT slots, and returns the
-// global minimum (the background thread of §4.1 "TIT recycle").
+// ReportMinView sends the node's minimum view to Transaction Fusion — CSNMax
+// when it holds none, for which the server substitutes the TSO's current
+// value — receives the global minimum, recycles eligible TIT slots, and
+// returns the global minimum (the background thread of §4.1 "TIT recycle").
 func (c *Client) ReportMinView() (common.CSN, error) {
-	min, err := c.MinLocalView()
-	if err != nil {
-		return 0, err
-	}
 	req := make([]byte, 11)
 	req[0] = opReportMinView
 	binary.LittleEndian.PutUint16(req[1:], uint16(c.node))
-	binary.LittleEndian.PutUint64(req[3:], uint64(min))
+	binary.LittleEndian.PutUint64(req[3:], uint64(c.MinLocalView()))
 	req = c.stamp.Stamp(req)
 	// Min-view reports are idempotent (the server folds an absolute value),
 	// so lost responses are safely retried.
 	var resp []byte
-	err = common.Retry(c.retry, func() (e error) {
+	err := common.Retry(c.retry, func() (e error) {
 		resp, e = c.fabric.Call(common.PMFSNode, ServiceTxF, req)
 		return e
 	})
 	if err != nil {
 		return 0, err
 	}
-	if len(resp) < 8 {
+	if len(resp) < 16 {
 		return 0, common.ErrShortBuffer
 	}
 	gmv := common.CSN(binary.LittleEndian.Uint64(resp))
+	c.noteTS(common.CSN(binary.LittleEndian.Uint64(resp[8:])))
 	c.mu.Lock()
 	if gmv > c.lastGMV {
 		c.lastGMV = gmv

@@ -231,20 +231,59 @@ func TestMinViewAggregation(t *testing.T) {
 	_ = srv
 }
 
+// An idle node's report tick is one round trip: it carries "no local view",
+// the server substitutes the oracle's value, and that value rides the reply
+// into the reporter's view bound.
+func TestIdleMinViewReportIsOneOp(t *testing.T) {
+	srv, cs := harness(t, 2, Config{LamportReuse: true})
+	for i := 0; i < 5; i++ {
+		if _, err := cs[1].NextCommitCSN(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tso := srv.CurrentTSO()
+	if b := cs[0].ViewBound(); b != 0 {
+		t.Fatalf("fresh client's view bound = %d, want none", b)
+	}
+	ss := cs[0].fabric.Fabric().SrcStats(cs[0].Node())
+	r0, w0, a0, rpc0, _, _ := ss.Snapshot()
+	gmv, err := cs[0].ReportMinView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, w1, a1, rpc1, _, _ := ss.Snapshot()
+	if r1 != r0 || w1 != w0 || a1 != a0 || rpc1 != rpc0+1 {
+		t.Fatalf("idle report cost reads=%d writes=%d atomics=%d rpcs=%d, want exactly one RPC",
+			r1-r0, w1-w0, a1-a0, rpc1-rpc0)
+	}
+	if gmv != tso {
+		t.Fatalf("gmv = %d with both nodes idle, want the TSO value %d", gmv, tso)
+	}
+	if b := cs[0].ViewBound(); b != tso {
+		t.Fatalf("view bound after the report = %d, want the TSO value %d", b, tso)
+	}
+	// Ablation: with Lamport reuse off there is no bound to be lazy about.
+	_, off := harness(t, 1, Config{})
+	if _, err := off[0].NextCommitCSN(); err != nil {
+		t.Fatal(err)
+	}
+	if b := off[0].ViewBound(); b != 0 {
+		t.Fatalf("view bound with Lamport reuse off = %d, want 0", b)
+	}
+}
+
 func TestViewRefCounting(t *testing.T) {
 	_, cs := harness(t, 1, Config{})
 	c := cs[0]
 	c.OpenView(5)
 	c.OpenView(5)
 	c.CloseView(5)
-	min, err := c.MinLocalView()
-	if err != nil || min != 5 {
-		t.Fatalf("min = %d err = %v (second view at 5 still open)", min, err)
+	if min := c.MinLocalView(); min != 5 {
+		t.Fatalf("min = %d (second view at 5 still open)", min)
 	}
 	c.CloseView(5)
-	min, _ = c.MinLocalView()
-	if min == 5 {
-		t.Fatal("view multiset leaked")
+	if min := c.MinLocalView(); min != common.CSNMax {
+		t.Fatalf("min = %d with no view open, want CSNMax: view multiset leaked", min)
 	}
 }
 

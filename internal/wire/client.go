@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -526,9 +527,10 @@ func (sc *sessionConn) callEx(op uint8, payload []byte) (out []byte, err error, 
 }
 
 func (sc *sessionConn) readLoop() {
+	br := bufio.NewReader(sc.conn) // one read(2) per frame, not one per prefix and body
 	var rbuf []byte
 	for {
-		f, buf, err := ReadFrame(sc.conn, rbuf)
+		f, buf, err := ReadFrame(br, rbuf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				sc.nc.CodecError()

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -124,9 +125,10 @@ func (ss *session) run() {
 	if err := ss.handshake(); err != nil {
 		return
 	}
+	br := bufio.NewReader(ss.conn) // one read(2) per frame, not one per prefix and body
 	var rbuf []byte
 	for {
-		f, buf, err := ReadFrame(ss.conn, rbuf)
+		f, buf, err := ReadFrame(br, rbuf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				ss.srv.nc.CodecError()
