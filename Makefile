@@ -7,7 +7,7 @@ RACE_PKGS = ./internal/core ./internal/lockfusion ./internal/bufferfusion \
 
 .PHONY: all build test test-full race vet smoke brownout-smoke proto-smoke \
         pmfs-smoke cc-smoke elastic-smoke crash-smoke wire-fuzz check \
-        bench-snapshot ab-compare alloc-budget rt-budget trace-smoke
+        bench-snapshot alloc-budget rt-budget trace-smoke
 
 all: check
 
@@ -125,10 +125,3 @@ trace-smoke:
 # Each cell runs 3 times; the JSON records the median with min/max spread.
 bench-snapshot:
 	$(GO) run ./cmd/mpbench -snapshot BENCH_pr10.json -dur 2s -threads 3 -repeats 3
-
-# Interleaved A/B compare: the pre-PR commit path (pipeline/spec-CTS/adaptive
-# TSO off) and the new engine alternate slice by slice inside one process, so
-# per-cell gains are paired and clear the ±10% run-to-run noise band noted in
-# ROADMAP (median gain with min/max spread over 3 paired slices per cell).
-ab-compare:
-	$(GO) run ./cmd/mpbench -ab AB_pr8.json -dur 2s -threads 3 -repeats 3

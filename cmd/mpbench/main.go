@@ -39,7 +39,6 @@ func main() {
 	cc := flag.String("cc", "", "concurrency-control engine: 2pl (default) or occ")
 	repeats := flag.Int("repeats", 0, "with -snapshot: measurements per cell, median reported (default 3)")
 	snapshot := flag.String("snapshot", "", "run the Fig7 read-write sweep + micro benches and write a JSON snapshot (with per-commit fabric op counts and the pre-batching baseline) to this path")
-	ab := flag.String("ab", "", "run the interleaved A/B commit-path compare (old vs pipelined commit path alternating per time slice in one process) and write per-cell gain with spread as JSON to this path")
 	tracePath := flag.String("trace", "", "run the rw/50 cell with the commit-path tracer on and write the per-stage latency/fabric-op decomposition as JSON to this path (honors -nodes; default 8)")
 	slowTx := flag.Duration("slowtx", 0, "with -trace: also log transactions slower than this into the snapshot")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
@@ -109,16 +108,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("[trace done in %v]\n", time.Since(start).Round(time.Second))
-		return
-	}
-
-	if *ab != "" {
-		start := time.Now()
-		if _, err := figures.ABCompare(o, *ab); err != nil {
-			fmt.Fprintf(os.Stderr, "ab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[ab done in %v]\n", time.Since(start).Round(time.Second))
 		return
 	}
 

@@ -60,19 +60,6 @@ type Config struct {
 	DisableLazyPLock bool // §4.3.1 lazy release off
 	DisableLamport   bool // §4.1 Linear Lamport timestamp reuse off, and with it the lazy RC read view: one TSO fetch per statement
 	DisableCTSStamp  bool // §4.1 commit-time row CTS stamping off
-	// DisableCommitPipeline turns off pipelined group commit (§14): the
-	// background sync launcher that keeps staggered log-sync rounds in
-	// flight so committers pay only the residual wait to the next round
-	// completion instead of a full storage round.
-	DisableCommitPipeline bool
-	// DisableSpecCTS turns off speculative CTS resolution (§14): readers
-	// then always take the one-sided TIT read for unstamped rows instead
-	// of first consulting the writer's recycle floor.
-	DisableSpecCTS bool
-	// DisableAdaptiveTSO pins TSO allocation to the flat-combining path
-	// (§14): solo fast-path fetch-add on an uncontended grant queue is
-	// then never taken.
-	DisableAdaptiveTSO bool
 	// StoragePageSync replaces Buffer Fusion's DBP transfer with the
 	// page-store + log-replay synchronization of Taurus-MM (§2.3): the
 	// log-ship baseline and the DBP ablation.

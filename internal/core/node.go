@@ -103,11 +103,9 @@ func (c *Cluster) newNode(id common.NodeID, recovering bool) (*Node, error) {
 		stopBG: make(chan struct{}),
 	}
 	n.tf = txfusion.NewClient(ep, c.fabric, txfusion.Config{
-		TITSlots:           c.cfg.TITSlots,
-		LamportReuse:       !c.cfg.DisableLamport,
-		CTSCacheSize:       1 << 14,
-		DisableSpecCTS:     c.cfg.DisableSpecCTS,
-		DisableAdaptiveTSO: c.cfg.DisableAdaptiveTSO,
+		TITSlots:     c.cfg.TITSlots,
+		LamportReuse: !c.cfg.DisableLamport,
+		CTSCacheSize: 1 << 14,
 	})
 	if recovering {
 		n.tf.SetRecovering(true)

@@ -40,13 +40,9 @@ const (
 )
 
 // startLogPipeline launches the cluster's group-commit syncer. It stays off
-// when disabled by config, when the store cannot report its round latency
-// (remote satellite stores), or when rounds are cheaper than the scheduling
-// cost of riding one.
+// when the store cannot report its round latency (remote satellite stores)
+// or when rounds are cheaper than the scheduling cost of riding one.
 func (c *Cluster) startLogPipeline() {
-	if c.cfg.DisableCommitPipeline {
-		return
-	}
 	type syncLatency interface{ SyncLatency() time.Duration }
 	sl, ok := c.store.(syncLatency)
 	if !ok || sl.SyncLatency() < pipeFastRound {

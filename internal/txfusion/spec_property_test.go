@@ -15,14 +15,15 @@ import (
 // answer differently from the real TIT read. A writer churns transactions —
 // commit, abort, recycle under a growing GMV — while a spec-enabled reader
 // resolves random ids; every time the reader's spec counter ticks, the same
-// id is re-resolved through a DisableSpecCTS client whose only source is the
-// TIT itself, and both must say CSNMin ("finished, visible to all").
+// id is re-resolved through a client that has forgotten every snooped floor,
+// so its only source is the TIT itself, and both must say CSNMin ("finished,
+// visible to all").
 func TestPropertySpecCTSMatchesTITGroundTruth(t *testing.T) {
 	fabric := rdma.NewFabric(rdma.Latency{})
 	NewServer(fabric.Register(common.PMFSNode), fabric)
 	writer := NewClient(fabric.Register(common.NodeID(1)), fabric, Config{})
 	reader := NewClient(fabric.Register(common.NodeID(2)), fabric, Config{})
-	ground := NewClient(fabric.Register(common.NodeID(3)), fabric, Config{DisableSpecCTS: true})
+	ground := NewClient(fabric.Register(common.NodeID(3)), fabric, Config{})
 	writer.InitTrxFloor(0)
 
 	const churn = 400
@@ -80,6 +81,9 @@ func TestPropertySpecCTSMatchesTITGroundTruth(t *testing.T) {
 		}
 		// The floor proved g finished; the TIT itself must agree, and the
 		// answer is immutable from here on.
+		ground.floorMu.Lock()
+		clear(ground.peerFloor)
+		ground.floorMu.Unlock()
 		gt, err := ground.GetTrxCTS(g)
 		if err != nil {
 			t.Fatal(err)

@@ -202,12 +202,6 @@ type Config struct {
 	LamportReuse bool
 	// CTSCacheSize bounds the committed-CTS lookaside cache (0 disables).
 	CTSCacheSize int
-	// DisableSpecCTS turns off speculative CTS resolution from peer recycle
-	// floors (ablation; see hdrSpecFloor).
-	DisableSpecCTS bool
-	// DisableAdaptiveTSO forces every commit-CSN allocation through the
-	// flat-combining path even when the grant queue is empty (ablation).
-	DisableAdaptiveTSO bool
 }
 
 func (c *Config) fill() {
@@ -347,9 +341,7 @@ func (c *Client) InitTrxFloor(hw common.TrxID) {
 	c.specMu.Lock()
 	c.specNext = hw + 1
 	c.specMu.Unlock()
-	if !c.cfg.DisableSpecCTS {
-		must(c.tit.LocalWrite64(hdrSpecFloor, uint64(hw)))
-	}
+	must(c.tit.LocalWrite64(hdrSpecFloor, uint64(hw)))
 }
 
 // markFinished records that local transaction trx can never again resolve to
@@ -377,15 +369,13 @@ func (c *Client) markFinished(trx common.TrxID) {
 	}
 	floor := c.specNext - 1
 	c.specMu.Unlock()
-	if !c.cfg.DisableSpecCTS {
-		must(c.tit.LocalWrite64(hdrSpecFloor, uint64(floor)))
-	}
+	must(c.tit.LocalWrite64(hdrSpecFloor, uint64(floor)))
 }
 
 // noteFloor folds a peer's floor observed on a one-sided header read into the
 // reader-side cache. Floors only grow (monotone trx ids across incarnations).
 func (c *Client) noteFloor(node common.NodeID, floor common.TrxID) {
-	if floor == 0 || c.cfg.DisableSpecCTS {
+	if floor == 0 {
 		return
 	}
 	c.floorMu.Lock()
@@ -399,7 +389,7 @@ func (c *Client) noteFloor(node common.NodeID, floor common.TrxID) {
 // is proven finished (committed below the GMV, or aborted) without touching
 // the fabric. Hit/read counters feed ClusterStats.
 func (c *Client) specCTS(g common.GTrxID) (common.CSN, bool) {
-	if c.cfg.DisableSpecCTS || g.Node == c.node {
+	if g.Node == c.node {
 		return 0, false
 	}
 	c.specReads.Add(1)
@@ -825,31 +815,27 @@ const tsoSoloLimit = 2
 // commit still costs exactly one PMFS atomic.
 func (c *Client) NextCommitCSNEx() (common.CSN, bool, error) {
 	tok := c.tr.Start()
-	if !c.cfg.DisableAdaptiveTSO {
-		c.tsoMu.Lock()
-		if !c.tsoLeader && len(c.tsoWaiters) == 0 && c.tsoSolos < tsoSoloLimit {
-			c.tsoSolos++
-			c.tsoMu.Unlock()
-			var prev uint64
-			err := common.Retry(c.retry, func() (e error) {
-				prev, e = c.fabric.FetchAdd64(common.PMFSNode, RegionTSO, 0, 1)
-				return e
-			})
-			c.tsoMu.Lock()
-			c.tsoSolos--
-			c.tsoMu.Unlock()
-			if err != nil {
-				return 0, false, err
-			}
-			cts := common.CSN(prev + 1)
-			c.noteTS(cts)
-			c.tr.Observe(trace.StageTSOSolo, tok)
-			return cts, false, nil
-		}
+	c.tsoMu.Lock()
+	if !c.tsoLeader && len(c.tsoWaiters) == 0 && c.tsoSolos < tsoSoloLimit {
+		c.tsoSolos++
 		c.tsoMu.Unlock()
+		var prev uint64
+		err := common.Retry(c.retry, func() (e error) {
+			prev, e = c.fabric.FetchAdd64(common.PMFSNode, RegionTSO, 0, 1)
+			return e
+		})
+		c.tsoMu.Lock()
+		c.tsoSolos--
+		c.tsoMu.Unlock()
+		if err != nil {
+			return 0, false, err
+		}
+		cts := common.CSN(prev + 1)
+		c.noteTS(cts)
+		c.tr.Observe(trace.StageTSOSolo, tok)
+		return cts, false, nil
 	}
 	ch := make(chan tsoGrant, 1)
-	c.tsoMu.Lock()
 	c.tsoWaiters = append(c.tsoWaiters, ch)
 	if c.tsoLeader {
 		c.tsoMu.Unlock()
