@@ -148,7 +148,7 @@ type backend struct {
 	lastErr  string
 	// node is the backend's node id (from OpJoinInfo; 0 until learned) and
 	// state its topology state ("active", "draining", "drained", ...; empty
-	// against a v1 backend, which predates the admin ops).
+	// against a backend without the admin ops).
 	node  int
 	state string
 }
@@ -211,9 +211,9 @@ func (gw *gateway) probeLoop(b *backend, interval time.Duration) {
 					slow = len(doc.Membership.SlowPeers) > 0
 				}
 			}
-			// Topology probe (v2 admin ops): which node does this backend
-			// front, and is it draining? A v1 backend answers ErrNoService
-			// and simply never gets a topology state.
+			// Topology probe (admin ops): which node does this backend
+			// front, and is it draining? A backend without them answers
+			// ErrNoService and simply never gets a topology state.
 			b.mu.Lock()
 			node := b.node
 			b.mu.Unlock()

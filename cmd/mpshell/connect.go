@@ -16,7 +16,7 @@ import (
 
 // runRemote is the -connect shell: the same data commands as the in-process
 // shell, executed over the wire session protocol against a live mpserver or
-// mpgateway, plus the v2 admin surface — topology to see the cluster and
+// mpgateway, plus the admin surface — topology to see the cluster and
 // drain to take a node out gracefully. Crash orchestration
 // (crash/restart/checkpoint) stays a deliberate non-feature here: injecting
 // failures is the server operator's control, not a network client's; elastic
@@ -76,8 +76,7 @@ func (s *remoteShell) exec(line string) error {
   topology json            raw topology JSON
   drain <node>             gracefully drain a node (also: \drain <node>)
   exit
-admin commands need a v2 server (this session: v%d)
-`, s.cl.ProtoVersion())
+`)
 		return nil
 	case "use":
 		if len(args) != 1 {

@@ -53,7 +53,7 @@ var (
 )
 
 // TxStatus resolves a transaction's outcome from its global id
-// (wire.StatusBackend; protocol v3's OpTxStatus). The resolution chain —
+// (wire.StatusBackend; OpTxStatus). The resolution chain —
 // journal, TIT, owner fabric call, membership fate rule — lives in core.
 func (b *Backend) TxStatus(g common.GTrxID) (uint8, uint64, error) {
 	out, cts, err := b.c.TxStatus(g)
@@ -172,6 +172,6 @@ func (t *netTx) Scan(space uint32, from, to []byte, limit int) ([]wire.KV, error
 func (t *netTx) Commit() error   { return t.tx().Commit() }
 func (t *netTx) Rollback() error { return t.tx().Rollback() }
 
-// GTrxID exposes the engine's global transaction id (wire.GlobalTx): a v3
+// GTrxID exposes the engine's global transaction id (wire.GlobalTx): the
 // OpBegin response carries it so the client can resolve ambiguous commits.
 func (t *netTx) GTrxID() common.GTrxID { return t.tx().GTrxID() }

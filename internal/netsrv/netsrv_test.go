@@ -279,27 +279,48 @@ func TestSessionGoroutineLeakUnderChaos(t *testing.T) {
 	}
 }
 
-// TestSessionProtoNegotiation covers the v1/v2 hello negotiation matrix: a
-// current client gets the full admin surface, a v1 client keeps its whole
-// transactional surface and is refused only the admin ops, and a client from
-// the future is refused at connect time.
-func TestSessionProtoNegotiation(t *testing.T) {
+// TestSessionHandshake: there is one session protocol version. A hello
+// carrying it is accepted and the session has the whole surface, admin ops
+// included; a hello carrying any other version is refused at connect time
+// with the typed ErrCorrupt, not mid-workload.
+func TestSessionHandshake(t *testing.T) {
 	c, _, addr := sessionServer(t, core.Config{RecycleInterval: -1})
 	if _, err := c.AddNode(); err != nil { // a second node so drain keeps quorum of one
 		t.Fatal(err)
 	}
 
-	// Current client: negotiates the newest version; topology, join info,
-	// and drain all work.
-	v2, err := wire.DialSession(addr, wire.SessionConfig{Name: "v2"})
+	for _, version := range []uint16{0, 1, 2, 3, 4} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := wire.Frame{Kind: wire.KindControl, Op: wire.SessHello,
+			Payload: wire.AppendHello(nil, version, "raw")}
+		if _, err := wire.WriteFrame(conn, nil, hello); err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := wire.ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		err = wire.DecodeStatus(wire.NewReader(f.Payload))
+		if version == wire.SessionProtoVersion {
+			if err != nil {
+				t.Fatalf("hello v%d refused: %v", version, err)
+			}
+		} else if !errors.Is(err, common.ErrCorrupt) {
+			t.Fatalf("hello v%d: %v, want ErrCorrupt", version, err)
+		}
+	}
+
+	// The client: topology, join info, and drain all work.
+	cl, err := wire.DialSession(addr, wire.SessionConfig{Name: "admin"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	if got := v2.ProtoVersion(); got != wire.SessionProtoVersion {
-		t.Fatalf("negotiated v%d, want v%d", got, wire.SessionProtoVersion)
-	}
-	raw, err := v2.TopologyJSON()
+	defer cl.Close()
+	raw, err := cl.TopologyJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +331,7 @@ func TestSessionProtoNegotiation(t *testing.T) {
 	if len(top.Nodes) != 2 {
 		t.Fatalf("topology nodes = %d, want 2", len(top.Nodes))
 	}
-	ji, err := v2.JoinInfoJSON()
+	ji, err := cl.JoinInfoJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,43 +343,12 @@ func TestSessionProtoNegotiation(t *testing.T) {
 		t.Fatalf("join info = %+v, want node 1 on a seed", info)
 	}
 
-	// v1 client against the v2 server: the session is negotiated down, the
-	// transactional surface is untouched, the admin ops answer ErrNoService.
-	v1, err := wire.DialSession(addr, wire.SessionConfig{Name: "v1", ProtoCeiling: wire.SessionProtoV1})
-	if err != nil {
-		t.Fatalf("v1 client refused by v2 server: %v", err)
-	}
-	defer v1.Close()
-	if got := v1.ProtoVersion(); got != wire.SessionProtoV1 {
-		t.Fatalf("negotiated v%d, want v%d", got, wire.SessionProtoV1)
-	}
-	space, err := v1.CreateSpace("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := v1.Begin(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Upsert(space, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v1.TopologyJSON(); !errors.Is(err, common.ErrNoService) {
-		t.Fatalf("v1 topology: %v, want ErrNoService", err)
-	}
-	if err := v1.Drain(2); !errors.Is(err, common.ErrNoService) {
-		t.Fatalf("v1 drain: %v, want ErrNoService", err)
-	}
-
-	// Drain over the wire (v2): node 2 leaves gracefully; the topology
-	// reflects it on both a fresh snapshot and the v1-invisible epoch bump.
-	if err := v2.Drain(2); err != nil {
+	// Drain over the wire: node 2 leaves gracefully and a fresh topology
+	// snapshot reflects it under an advanced epoch.
+	if err := cl.Drain(2); err != nil {
 		t.Fatalf("drain over the wire: %v", err)
 	}
-	raw2, err := v2.TopologyJSON()
+	raw2, err := cl.TopologyJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,29 +368,8 @@ func TestSessionProtoNegotiation(t *testing.T) {
 	if state != core.NodeDrained {
 		t.Fatalf("node 2 state over the wire = %q, want drained", state)
 	}
-	if err := v2.Drain(99); !errors.Is(err, common.ErrUnknownNode) {
+	if err := cl.Drain(99); !errors.Is(err, common.ErrUnknownNode) {
 		t.Fatalf("drain unknown node: %v, want ErrUnknownNode (typed across the wire)", err)
-	}
-
-	// A client claiming a version newer than the server is refused at
-	// connect time, not mid-workload. (The config cap clamps ProtoCeiling,
-	// so speak the hello by hand.)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := wire.Frame{Kind: wire.KindControl, Op: wire.SessHello,
-		Payload: wire.AppendHello(nil, wire.SessionProtoVersion+1, "future")}
-	if _, err := wire.WriteFrame(conn, nil, hello); err != nil {
-		t.Fatal(err)
-	}
-	f, _, err := wire.ReadFrame(conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.DecodeStatus(wire.NewReader(f.Payload)); err == nil {
-		t.Fatal("server accepted a session version from the future")
 	}
 }
 

@@ -36,10 +36,6 @@ type SessionConfig struct {
 	Counters *NetCounters
 	// DialTimeout bounds each connection attempt (default 3s).
 	DialTimeout time.Duration
-	// ProtoCeiling caps the protocol version offered in the hello (0 = the
-	// newest this build speaks). Tests use it to act as an old client; the
-	// server then negotiates the session down to it.
-	ProtoCeiling uint16
 }
 
 func (c *SessionConfig) fill() {
@@ -51,9 +47,6 @@ func (c *SessionConfig) fill() {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 3 * time.Second
-	}
-	if c.ProtoCeiling == 0 || c.ProtoCeiling > SessionProtoVersion {
-		c.ProtoCeiling = SessionProtoVersion
 	}
 }
 
@@ -81,17 +74,6 @@ func (c *Client) ServerName() string {
 		return ""
 	}
 	return c.conns[0].serverName
-}
-
-// ProtoVersion returns the negotiated session protocol version (zero before
-// any connection handshook).
-func (c *Client) ProtoVersion() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.conns) == 0 {
-		return 0
-	}
-	return c.conns[0].proto
 }
 
 // Close tears down every pooled connection. In-flight calls fail with
@@ -146,7 +128,7 @@ func (c *Client) dialOne() (*sessionConn, error) {
 		return nil, fmt.Errorf("wire: dial %s: %v: %w", c.addr, err, common.ErrUnreachable)
 	}
 	sc := &sessionConn{conn: conn, nc: c.cfg.Counters, pending: make(map[uint64]chan callResult)}
-	if err := sc.handshake(c.cfg.Name, c.cfg.ProtoCeiling, c.cfg.DialTimeout); err != nil {
+	if err := sc.handshake(c.cfg.Name, c.cfg.DialTimeout); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -175,27 +157,27 @@ func (c *Client) StatsJSON() ([]byte, error) {
 	return c.call(OpStats, nil)
 }
 
-// TopologyJSON fetches the cluster topology snapshot (protocol v2; a v1
-// session or a server without an admin backend answers ErrNoService).
+// TopologyJSON fetches the cluster topology snapshot (a server without an
+// admin backend answers ErrNoService).
 func (c *Client) TopologyJSON() ([]byte, error) {
 	return c.call(OpTopology, nil)
 }
 
-// Drain gracefully drains a node through the server (protocol v2). The call
-// blocks until the drain finished or the server's drain timeout expired.
+// Drain gracefully drains a node through the server. The call blocks until
+// the drain finished or the server's drain timeout expired.
 func (c *Client) Drain(node uint16) error {
 	_, err := c.call(OpDrain, AppendU16(nil, node))
 	return err
 }
 
-// JoinInfoJSON fetches the server's cluster-join coordinates (protocol v2).
+// JoinInfoJSON fetches the server's cluster-join coordinates.
 func (c *Client) JoinInfoJSON() ([]byte, error) {
 	return c.call(OpJoinInfo, nil)
 }
 
-// TxStatus resolves the outcome of a transaction from its global id
-// (protocol v3). Returns one of the TxStatus* outcomes and, for committed
-// transactions, the commit timestamp.
+// TxStatus resolves the outcome of a transaction from its global id. Returns
+// one of the TxStatus* outcomes and, for committed transactions, the commit
+// timestamp.
 func (c *Client) TxStatus(g common.GTrxID) (outcome uint8, cts uint64, err error) {
 	out, err := c.call(OpTxStatus, g.Marshal(nil))
 	if err != nil {
@@ -216,7 +198,7 @@ func (c *Client) TxStatus(g common.GTrxID) (outcome uint8, cts uint64, err error
 // treat the transaction as unresolved, not as aborted.
 func (c *Client) ResolveTx(g common.GTrxID, timeout time.Duration) (outcome uint8, cts uint64, err error) {
 	if g.Zero() {
-		return TxStatusUnknown, 0, fmt.Errorf("wire: resolve tx: zero global id (protocol < v3?)")
+		return TxStatusUnknown, 0, fmt.Errorf("wire: resolve tx: zero global id (backend without global ids?)")
 	}
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -279,12 +261,10 @@ func (c *Client) Begin(iso uint8, budget time.Duration) (*ClientTx, error) {
 	}
 	rd := NewReader(out)
 	tx := &ClientTx{sc: sc, id: rd.U64()}
-	if sc.proto >= SessionProtoV3 {
-		// v3: the response carries the engine's global transaction id — the
-		// token an ambiguous commit is later resolved with.
-		if g, _, err := common.UnmarshalGTrxID(rd.Rest()); err == nil {
-			tx.gtrx = g
-		}
+	// The response carries the engine's global transaction id — the token
+	// an ambiguous commit is later resolved with.
+	if g, _, err := common.UnmarshalGTrxID(rd.Rest()); err == nil {
+		tx.gtrx = g
 	}
 	return tx, nil
 }
@@ -293,11 +273,11 @@ func (c *Client) Begin(iso uint8, budget time.Duration) (*ClientTx, error) {
 type ClientTx struct {
 	sc   *sessionConn
 	id   uint64
-	gtrx common.GTrxID // global id (zero below protocol v3)
+	gtrx common.GTrxID // global id (zero when the backend has none)
 }
 
-// GTrx returns the transaction's global id (zero when the session protocol
-// predates v3 or the backend has no global ids).
+// GTrx returns the transaction's global id (zero when the backend has no
+// global ids).
 func (tx *ClientTx) GTrx() common.GTrxID { return tx.gtrx }
 
 func (tx *ClientTx) keyReq(space uint32, key []byte) []byte {
@@ -431,7 +411,6 @@ type sessionConn struct {
 	conn       net.Conn
 	nc         *NetCounters
 	serverName string
-	proto      uint16 // negotiated protocol version
 
 	wmu  sync.Mutex
 	wbuf []byte
@@ -450,8 +429,8 @@ func (sc *sessionConn) alive() bool {
 
 // handshake runs the hello exchange synchronously before the read loop owns
 // the connection.
-func (sc *sessionConn) handshake(name string, version uint16, timeout time.Duration) error {
-	hello := Frame{Kind: KindControl, Op: SessHello, Payload: AppendHello(nil, version, name)}
+func (sc *sessionConn) handshake(name string, timeout time.Duration) error {
+	hello := Frame{Kind: KindControl, Op: SessHello, Payload: AppendHello(nil, SessionProtoVersion, name)}
 	_ = sc.conn.SetDeadline(time.Now().Add(timeout))
 	defer sc.conn.SetDeadline(time.Time{})
 	wbuf, err := WriteFrame(sc.conn, nil, hello)
@@ -472,9 +451,8 @@ func (sc *sessionConn) handshake(name string, version uint16, timeout time.Durat
 	if err := DecodeStatus(rd); err != nil {
 		return fmt.Errorf("wire: server refused session: %w", err)
 	}
-	if ver, name, err := DecodeHello(rd.Rest()); err == nil {
+	if _, name, err := DecodeHello(rd.Rest()); err == nil {
 		sc.serverName = name
-		sc.proto = ver
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -447,5 +450,69 @@ func TestResolveTxRejectsZeroID(t *testing.T) {
 	defer cl.Close()
 	if _, _, err := cl.ResolveTx(common.GTrxID{}, time.Second); err == nil {
 		t.Fatal("ResolveTx of the zero id succeeded")
+	}
+}
+
+// TestSessionGoldenFrames pins the session handshake and the OpBegin
+// response byte for byte: the client's hello, the server's hello-ack and the
+// [tx][gtrx] begin response are what every deployed binary exchanges, so a
+// refactor of the session code must not move a single byte of them.
+func TestSessionGoldenFrames(t *testing.T) {
+	const (
+		helloHex = "1600000003010000000000000000030006000000676f6c64656e"
+		ackHex   = "1a0000000302000000000000000000000000000003000400000073747562"
+		beginHex = "2a000000020109000000000000000000000000000100000000000000010001000000000000000100000001000000"
+	)
+	readRaw := func(conn net.Conn) string {
+		t.Helper()
+		var raw bytes.Buffer
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, _, err := ReadFrame(io.TeeReader(conn, &raw), nil); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(raw.Bytes())
+	}
+
+	// The client's hello, as a listener sees it.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		if cl, err := DialSession(lis.Addr().String(), SessionConfig{Name: "golden", DialTimeout: time.Second}); err == nil {
+			cl.Close()
+		}
+	}()
+	conn, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := readRaw(conn)
+	conn.Close() // the dial fails; only its hello mattered
+	if hello != helloHex {
+		t.Fatalf("hello frame\n got %s\nwant %s", hello, helloHex)
+	}
+
+	// The server's answers to that hello and to an OpBegin.
+	_, addr := serveStub(t, newStubBackend())
+	conn, err = net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	raw, _ := hex.DecodeString(hello)
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if ack := readRaw(conn); ack != ackHex {
+		t.Fatalf("hello-ack frame\n got %s\nwant %s", ack, ackHex)
+	}
+	begin := Frame{Kind: KindRequest, Op: OpBegin, ID: 9, Payload: AppendU64([]byte{0}, 0)}
+	if _, err := WriteFrame(conn, nil, begin); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readRaw(conn); resp != beginHex {
+		t.Fatalf("OpBegin response frame\n got %s\nwant %s", resp, beginHex)
 	}
 }

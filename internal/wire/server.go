@@ -97,9 +97,6 @@ func (s *Server) dropSession(sess *session) {
 type session struct {
 	srv  *Server
 	conn net.Conn
-	// proto is the negotiated protocol version: min(client, server), fixed
-	// at handshake. Ops newer than it are refused for this session.
-	proto uint16
 
 	wmu  sync.Mutex
 	wbuf []byte
@@ -190,22 +187,19 @@ func (ss *session) handshake() error {
 		ss.srv.nc.CodecError()
 		return fmt.Errorf("wire: session opened with frame kind %d op %d: %w", f.Kind, f.Op, ErrBadFrame)
 	}
-	version, _, err := DecodeHello(f.Payload)
-	var status error
+	version, _, status := DecodeHello(f.Payload)
+	var acked uint16 // a refusal acks version 0
 	switch {
-	case err != nil:
-		status = err
-	case version == 0 || version > SessionProtoVersion:
-		// A client from the future (or garbage): this server cannot promise
-		// the semantics the client expects, so refuse at connect time.
-		status = fmt.Errorf("wire: session version %d, server speaks <= %d: %w", version, SessionProtoVersion, common.ErrCorrupt)
+	case status != nil:
+	case version != SessionProtoVersion:
+		// This server cannot promise the semantics another version's client
+		// expects, so refuse at connect time.
+		status = fmt.Errorf("wire: session version %d, server speaks %d: %w", version, SessionProtoVersion, common.ErrCorrupt)
 	default:
-		// Negotiate down: the session runs at the client's version, which
-		// this server fully speaks. The ack carries the negotiated version.
-		ss.proto = version
+		acked = version
 	}
 	ack := AppendStatus(nil, status)
-	ack = AppendHello(ack, ss.proto, ss.srv.name)
+	ack = AppendHello(ack, acked, ss.srv.name)
 	ss.send(Frame{Kind: KindControl, Op: SessHelloAck, ID: f.ID, Payload: ack})
 	return status
 }
@@ -278,19 +272,15 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp := AppendU64(nil, ss.registerTx(tx))
-		if ss.proto >= SessionProtoV3 {
-			// v3 responses carry the engine's global transaction id so the
-			// client can resolve an ambiguous commit. A backend without
-			// global ids sends the zero id (the client then cannot resolve,
-			// only report ambiguity).
-			var g common.GTrxID
-			if gt, ok := tx.(GlobalTx); ok {
-				g = gt.GTrxID()
-			}
-			resp = g.Marshal(resp)
+		// The response carries the engine's global transaction id so the
+		// client can resolve an ambiguous commit. A backend without global
+		// ids sends the zero id (the client then cannot resolve, only report
+		// ambiguity).
+		var g common.GTrxID
+		if gt, ok := tx.(GlobalTx); ok {
+			g = gt.GTrxID()
 		}
-		return resp, nil
+		return g.Marshal(AppendU64(nil, ss.registerTx(tx))), nil
 	case OpGet, OpGetForUpdate:
 		id, space, key := rd.U64(), rd.U32(), rd.Bytes()
 		if err := rd.Err(); err != nil {
@@ -397,9 +387,6 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 	case OpPing:
 		return nil, nil
 	case OpTopology, OpDrain, OpJoinInfo:
-		if ss.proto < SessionProtoV2 {
-			return nil, fmt.Errorf("wire: session op %d needs protocol v2 (negotiated v%d): %w", op, ss.proto, common.ErrNoService)
-		}
 		ab, ok := ss.srv.be.(AdminBackend)
 		if !ok {
 			return nil, fmt.Errorf("wire: session op %d: no admin backend: %w", op, common.ErrNoService)
@@ -417,9 +404,6 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 			return nil, ab.Drain(node)
 		}
 	case OpTxStatus:
-		if ss.proto < SessionProtoV3 {
-			return nil, fmt.Errorf("wire: session op %d needs protocol v3 (negotiated v%d): %w", op, ss.proto, common.ErrNoService)
-		}
 		sb, ok := ss.srv.be.(StatusBackend)
 		if !ok {
 			return nil, fmt.Errorf("wire: session op %d: no status backend: %w", op, common.ErrNoService)

@@ -6,23 +6,10 @@ import (
 	"polardbmp/internal/common"
 )
 
-// Session protocol versions, carried in the hello exchange. The server
-// negotiates down: a session runs at min(client, server), so an old client
-// keeps working against a new server and only loses the ops its version
-// never had. A client version the server predates (or zero) is refused, so
-// incompatible binaries fail at connect time instead of mid-workload.
-//
-//   - v1: the transactional surface (OpBegin..OpPing).
-//   - v2: adds the admin ops — OpTopology, OpDrain, OpJoinInfo.
-//   - v3: adds commit-ambiguity resolution — OpBegin's response carries the
-//     engine's global transaction id, and OpTxStatus resolves a transaction's
-//     outcome after a lost connection (ErrCommitAmbiguous, ResolveTx).
-const (
-	SessionProtoV1      = 1
-	SessionProtoV2      = 2
-	SessionProtoV3      = 3
-	SessionProtoVersion = SessionProtoV3
-)
+// SessionProtoVersion is the one session protocol version, carried in the
+// hello exchange. A hello with any other version is refused, so incompatible
+// binaries fail at connect time instead of mid-workload.
+const SessionProtoVersion = 3
 
 // Session control ops (KindControl frames; the handshake).
 const (
@@ -33,7 +20,7 @@ const (
 // Session request ops (KindRequest frames; the response echoes op and id
 // with payload [status][result]).
 const (
-	OpBegin        uint8 = 1  // [iso u8][budget micros u64] -> [tx u64]
+	OpBegin        uint8 = 1  // [iso u8][budget micros u64] -> [tx u64][gtrx]
 	OpGet          uint8 = 2  // [tx u64][space u32][key bytes] -> [val bytes]
 	OpGetForUpdate uint8 = 3  // as OpGet
 	OpInsert       uint8 = 4  // [tx u64][space u32][key bytes][val bytes] -> []
@@ -48,16 +35,14 @@ const (
 	OpStats        uint8 = 13 // [] -> [stats JSON bytes]
 	OpPing         uint8 = 14 // [] -> []
 
-	// v2 admin ops. Refused (ErrNoService) on sessions negotiated at v1 and
-	// on backends without the admin surface.
+	// Admin ops. Refused (ErrNoService) on backends without the admin surface.
 	OpTopology uint8 = 15 // [] -> [topology JSON bytes]
 	OpDrain    uint8 = 16 // [node u16] -> []
 	OpJoinInfo uint8 = 17 // [] -> [join-info JSON bytes]
 
-	// v3: resolve a transaction's outcome from its global id (the token a v3
-	// OpBegin response carries). Refused (ErrNoService) below v3 and on
-	// backends without the status surface. Note the v3 OpBegin response is
-	// [tx u64][gtrx], not [tx u64].
+	// Resolve a transaction's outcome from its global id (the token the
+	// OpBegin response carries). Refused (ErrNoService) on backends without
+	// the status surface.
 	OpTxStatus uint8 = 18 // [gtrx] -> [outcome u8][cts u64]
 )
 
@@ -99,8 +84,8 @@ type Backend interface {
 	StatsJSON() ([]byte, error)
 }
 
-// AdminBackend is the optional cluster-administration surface behind the v2
-// session ops. A Backend that also implements it serves topology snapshots,
+// AdminBackend is the optional cluster-administration surface behind the
+// admin session ops. A Backend that also implements it serves topology snapshots,
 // graceful drains, and join info; one that does not answers the admin ops
 // with ErrNoService. Kept separate from Backend so existing adapters stay
 // source-compatible.
@@ -115,7 +100,7 @@ type AdminBackend interface {
 	JoinInfoJSON() ([]byte, error)
 }
 
-// StatusBackend is the optional transaction-status surface behind the v3
+// StatusBackend is the optional transaction-status surface behind the
 // OpTxStatus op: resolve the outcome of a (possibly foreign) transaction
 // from its global id. Backends without it answer OpTxStatus with
 // ErrNoService.
@@ -126,7 +111,7 @@ type StatusBackend interface {
 }
 
 // GlobalTx is the optional Tx extension exposing the engine's global
-// transaction id. When the backend's transactions implement it, a v3 OpBegin
+// transaction id. When the backend's transactions implement it, the OpBegin
 // response carries the id so the client can resolve an ambiguous commit.
 type GlobalTx interface {
 	GTrxID() common.GTrxID
