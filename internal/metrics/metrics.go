@@ -4,9 +4,7 @@
 package metrics
 
 import (
-	"fmt"
-	"math"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,116 +25,110 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // Reset sets the counter to zero.
 func (c *Counter) Reset() { c.v.Store(0) }
 
-// Histogram is a concurrency-safe latency histogram with logarithmic buckets
-// (~7% relative error), good enough for P50/P95/P99 figure reproduction.
+// Histogram is a lock-free, mergeable latency histogram. Buckets are
+// log-linear: every power-of-two octave [2^e, 2^(e+1)) ns is split into
+// histSub equal sub-buckets, so a bucket is at most 1/histSub of its lower
+// bound wide and a quantile, reported at the bucket midpoint, lies within
+// 1/(2·histSub) ≈ 6% of the sample it stands for. Observe is one bits.Len64
+// and a few atomic adds; Merge is bucket-wise addition — exactly associative
+// and commutative, which is what lets per-node histograms fold into
+// cluster-wide ones in any order. The zero value is ready to use; a
+// Histogram must not be copied after first use.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets [nBuckets]int64
-	count   int64
-	sum     int64 // nanoseconds
-	max     int64
+	buckets [histBuckets]atomic.Int64
+	count   atomic.Int64
+	sum     atomic.Int64 // nanoseconds
+	max     atomic.Int64 // nanoseconds
 }
 
 const (
-	nBuckets = 256
-	// bucketBase: bucket i covers [base^i, base^(i+1)) ns.
-	bucketBase = 1.1
+	histSubBits = 3
+	histSub     = 1 << histSubBits
+	// Values below histSub get an exact bucket each (they fill what would be
+	// octaves 0..histSubBits-1); octaves histSubBits..62 cover the rest of
+	// the non-negative int64 range.
+	histBuckets = (64 - histSubBits) * histSub
 )
 
 func bucketFor(ns int64) int {
-	if ns < 1 {
-		ns = 1
+	if ns < histSub {
+		return int(ns)
 	}
-	i := int(math.Log(float64(ns)) / math.Log(bucketBase))
-	if i >= nBuckets {
-		i = nBuckets - 1
-	}
-	return i
+	shift := bits.Len64(uint64(ns)) - 1 - histSubBits
+	return (shift+1)<<histSubBits | int(ns>>shift)&(histSub-1)
 }
 
-func bucketLow(i int) int64 { return int64(math.Pow(bucketBase, float64(i))) }
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	i := bucketFor(ns)
-	h.mu.Lock()
-	h.buckets[i]++
-	h.count++
-	h.sum += ns
-	if ns > h.max {
-		h.max = ns
+// bucketMid returns the midpoint of bucket i's value range.
+func bucketMid(i int) int64 {
+	if i < 2*histSub {
+		return int64(i) // width-1 buckets
 	}
-	h.mu.Unlock()
+	shift := i>>histSubBits - 1
+	return int64(histSub|i&(histSub-1))<<shift + 1<<(shift-1)
+}
+
+// Observe records one duration (negative durations count as zero).
+func (h *Histogram) Observe(d time.Duration) {
+	ns := max(d.Nanoseconds(), 0)
+	h.buckets[bucketFor(ns)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(ns)
+	h.raiseMax(ns)
+}
+
+func (h *Histogram) raiseMax(ns int64) {
+	for {
+		cur := h.max.Load()
+		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
+			return
+		}
+	}
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Sum returns the total of all observed durations.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
+
+// Max returns the largest observed duration.
+func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Mean returns the mean observed duration.
 func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	n := h.count.Load()
+	if n == 0 {
 		return 0
 	}
-	return time.Duration(h.sum / h.count)
+	return time.Duration(h.sum.Load() / n)
 }
 
-// Quantile returns the q-quantile (0 < q <= 1) of the observations.
+// Quantile returns the q-quantile (0 < q <= 1) of the observations: the
+// midpoint of the bucket the quantile lands in, clamped to the observed
+// maximum.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.count))
-	if target >= h.count {
-		return time.Duration(h.max)
-	}
+	n := h.count.Load()
+	target := int64(q * float64(n))
 	var seen int64
-	for i := 0; i < nBuckets; i++ {
-		seen += h.buckets[i]
+	for i := 0; i < histBuckets && target < n; i++ {
+		seen += h.buckets[i].Load()
 		if seen > target {
-			return time.Duration(bucketLow(i))
+			return min(time.Duration(bucketMid(i)), h.Max())
 		}
 	}
-	return time.Duration(h.max)
-}
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	*h = Histogram{}
-	h.mu.Unlock()
+	return h.Max()
 }
 
 // Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	b := other.buckets
-	c, s, m := other.count, other.sum, other.max
-	other.mu.Unlock()
-	h.mu.Lock()
-	for i := range b {
-		h.buckets[i] += b[i]
+	for i := range h.buckets {
+		if n := other.buckets[i].Load(); n != 0 {
+			h.buckets[i].Add(n)
+		}
 	}
-	h.count += c
-	h.sum += s
-	if m > h.max {
-		h.max = m
-	}
-	h.mu.Unlock()
-}
-
-// String summarizes the histogram.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
+	h.count.Add(other.count.Load())
+	h.sum.Add(other.sum.Load())
+	h.raiseMax(other.max.Load())
 }
 
 // Timeline records per-interval event counts so harnesses can plot
@@ -184,44 +176,4 @@ func (t *Timeline) Rates() []float64 {
 		out[i] = float64(v) / t.interval.Seconds()
 	}
 	return out
-}
-
-// Summary aggregates a harness run: throughput plus latency percentiles.
-type Summary struct {
-	Name       string
-	Ops        int64
-	Errors     int64
-	Aborts     int64
-	Elapsed    time.Duration
-	Latency    *Histogram
-	ExtraNotes string
-}
-
-// TPS returns operations per second.
-func (s Summary) TPS() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Ops) / s.Elapsed.Seconds()
-}
-
-func (s Summary) String() string {
-	lat := ""
-	if s.Latency != nil && s.Latency.Count() > 0 {
-		lat = " " + s.Latency.String()
-	}
-	return fmt.Sprintf("%s: %.0f tps (%d ops, %d aborts, %d errors, %v)%s",
-		s.Name, s.TPS(), s.Ops, s.Aborts, s.Errors, s.Elapsed.Round(time.Millisecond), lat)
-}
-
-// SortedKeys returns the keys of m in sorted order (small harness helper).
-func SortedKeys[K interface {
-	~int | ~int64 | ~uint64 | ~string | ~float64
-}, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

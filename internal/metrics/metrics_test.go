@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -28,28 +32,50 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantiles is the accuracy property: over log-uniform samples
+// spanning 1 ns–10 s, p50 and p99 land within 10% of the exact sample
+// quantile, and the summary fields are exact.
 func TestHistogramQuantiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
 	var h Histogram
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
+	samples := make([]int64, 20000)
+	var sum int64
+	for i := range samples {
+		samples[i] = int64(math.Exp(rng.Float64() * math.Log(10e9)))
+		sum += samples[i]
+		h.Observe(time.Duration(samples[i]))
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	for _, q := range []float64{0.50, 0.99} {
+		exact := float64(samples[int(q*float64(len(samples)))])
+		got := float64(h.Quantile(q))
+		if math.Abs(got-exact) > 0.10*exact {
+			t.Errorf("q%.2f = %v, exact sample quantile %v: off by more than 10%%", q, time.Duration(got), time.Duration(exact))
+		}
 	}
-	p50 := h.Quantile(0.5)
-	if p50 < 350*time.Microsecond || p50 > 700*time.Microsecond {
-		t.Fatalf("p50 = %v, want ~500µs", p50)
+	last := samples[len(samples)-1]
+	if h.Count() != int64(len(samples)) || int64(h.Sum()) != sum || int64(h.Max()) != last {
+		t.Fatalf("count=%d sum=%d max=%d, want %d %d %d", h.Count(), h.Sum(), h.Max(), len(samples), sum, last)
 	}
-	p99 := h.Quantile(0.99)
-	if p99 < 800*time.Microsecond || p99 > 1200*time.Microsecond {
-		t.Fatalf("p99 = %v, want ~990µs", p99)
+	if h.Quantile(1.0) != h.Max() || h.Mean() != time.Duration(sum/int64(len(samples))) {
+		t.Fatalf("q1.0=%v max=%v mean=%v", h.Quantile(1.0), h.Max(), h.Mean())
 	}
-	if h.Quantile(1.0) < p99 {
-		t.Fatal("max below p99")
-	}
-	mean := h.Mean()
-	if mean < 400*time.Microsecond || mean > 600*time.Microsecond {
-		t.Fatalf("mean = %v, want ~500µs", mean)
+}
+
+// TestHistogramBuckets: every value maps into the bucket whose midpoint is
+// within 1/(2·histSub) of it, bucket indexes grow with the value, and the
+// largest int64 still has a bucket.
+func TestHistogramBuckets(t *testing.T) {
+	prev := -1
+	for _, ns := range []int64{0, 1, 7, 8, 15, 16, 18, 1000, 1 << 20, 1<<20 + 1<<17, 1 << 40, math.MaxInt64} {
+		i := bucketFor(ns)
+		if i <= prev || i >= histBuckets {
+			t.Fatalf("bucketFor(%d) = %d after %d (of %d)", ns, i, prev, histBuckets)
+		}
+		prev = i
+		if mid := bucketMid(i); math.Abs(float64(mid-ns)) > float64(ns)/(2*histSub) {
+			t.Fatalf("bucketMid(bucketFor(%d)) = %d: further than 1/%d away", ns, mid, 2*histSub)
+		}
 	}
 }
 
@@ -60,16 +86,88 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	b.Observe(3 * time.Millisecond)
-	a.Merge(&b)
-	if a.Count() != 2 {
-		t.Fatalf("merged count = %d", a.Count())
+// TestHistogramClampsToMax: a quantile never exceeds the observed maximum,
+// and negative durations count as zero.
+func TestHistogramClampsToMax(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 1000; i++ {
+		h.Observe(time.Millisecond)
 	}
-	if a.Quantile(1.0) < 2*time.Millisecond {
-		t.Fatalf("merged max = %v", a.Quantile(1.0))
+	h.Observe(100 * time.Millisecond)
+	h.Observe(-time.Second)
+	if p50 := h.Quantile(0.5); p50 < 900*time.Microsecond || p50 > 1100*time.Microsecond {
+		t.Fatalf("p50 = %v, want ~1ms", p50)
+	}
+	if h.Max() != 100*time.Millisecond || h.Quantile(1.0) > h.Max() {
+		t.Fatalf("max = %v, q1.0 = %v", h.Max(), h.Quantile(1.0))
+	}
+	var one Histogram
+	one.Observe(1025 * time.Nanosecond) // bucket [1024, 1152): midpoint above the sample
+	if one.Quantile(0.5) != 1025 {
+		t.Fatalf("single-sample p50 = %v, want the max 1025ns", one.Quantile(0.5))
+	}
+}
+
+// TestHistogramMerge checks the property the cluster-wide stage merge relies
+// on: histograms merge associatively and commutatively, field for field.
+func TestHistogramMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	hs := make([]*Histogram, 3)
+	for i := range hs {
+		hs[i] = &Histogram{}
+		for j := 0; j < 500; j++ {
+			hs[i].Observe(time.Duration(rng.Int63n(int64(200 * time.Millisecond))))
+		}
+	}
+	merged := func(parts ...*Histogram) *Histogram {
+		var h Histogram
+		for _, p := range parts {
+			h.Merge(p)
+		}
+		return &h
+	}
+	a, b, c := hs[0], hs[1], hs[2]
+	left := merged(merged(a, b), c)
+	right := merged(a, merged(b, c))
+	if !reflect.DeepEqual(left, right) {
+		t.Fatalf("merge not associative:\n left=%+v\nright=%+v", left, right)
+	}
+	if !reflect.DeepEqual(merged(a, b), merged(b, a)) {
+		t.Fatalf("merge not commutative")
+	}
+	if left.Count() != a.Count()+b.Count()+c.Count() {
+		t.Fatalf("merged count %d want %d", left.Count(), a.Count()+b.Count()+c.Count())
+	}
+	if want := max(a.Max(), b.Max(), c.Max()); left.Max() != want {
+		t.Fatalf("merged max %v want %v", left.Max(), want)
+	}
+}
+
+// TestHistogramConcurrent hammers Observe from several goroutines while a
+// reader takes quantiles and merges (run under -race); nothing is lost.
+func TestHistogramConcurrent(t *testing.T) {
+	var h Histogram
+	const goroutines, per = 8, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= per; i++ {
+				h.Observe(time.Duration(g*per+i) * time.Microsecond)
+			}
+		}(g)
+	}
+	for i := 0; i < 100; i++ {
+		var snap Histogram
+		snap.Merge(&h)
+		if snap.Quantile(0.99) > snap.Max() {
+			t.Error("quantile above max in a concurrent snapshot")
+		}
+	}
+	wg.Wait()
+	if h.Count() != goroutines*per || h.Max() != goroutines*per*time.Microsecond {
+		t.Fatalf("count=%d max=%v", h.Count(), h.Max())
 	}
 }
 
@@ -95,23 +193,5 @@ func TestTimeline(t *testing.T) {
 	rates := tl.Rates()
 	if rates[0] != 500 {
 		t.Fatalf("rate 0 = %f, want 500/s", rates[0])
-	}
-}
-
-func TestSummaryTPS(t *testing.T) {
-	s := Summary{Name: "x", Ops: 1000, Elapsed: 2 * time.Second}
-	if s.TPS() != 500 {
-		t.Fatalf("tps = %f", s.TPS())
-	}
-	if (Summary{}).TPS() != 0 {
-		t.Fatal("zero-elapsed TPS should be 0")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != 1 || keys[1] != 2 || keys[2] != 3 {
-		t.Fatalf("keys = %v", keys)
 	}
 }

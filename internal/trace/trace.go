@@ -27,12 +27,12 @@
 package trace
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"polardbmp/internal/common"
+	"polardbmp/internal/metrics"
 	"polardbmp/internal/rdma"
 )
 
@@ -163,113 +163,6 @@ func (o *OpCounts) Add(b OpCounts) {
 // Total returns the verb count (ops, not bytes).
 func (o OpCounts) Total() int64 { return o.Reads + o.Writes + o.Atomics + o.RPCs }
 
-// histBuckets is the histogram resolution: power-of-two latency buckets,
-// bucket i holding durations with bits.Len64(ns) == i, i.e. [2^(i-1), 2^i).
-// 64 buckets cover every possible int64 nanosecond value, observation is a
-// single atomic add, and merging is bucket-wise addition — exactly
-// associative and commutative, which is what lets per-node histograms fold
-// into cluster-wide ones in any order.
-const histBuckets = 64
-
-// Histogram is a lock-free latency histogram with power-of-two buckets.
-type Histogram struct {
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	h.buckets[bits.Len64(uint64(ns))&(histBuckets-1)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	for {
-		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-}
-
-// Snapshot captures the histogram into its mergeable value form.
-func (h *Histogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
-	return s
-}
-
-// HistSnapshot is a point-in-time histogram value. Merge is associative and
-// commutative: (a⊕b)⊕c == a⊕(b⊕c) field-for-field.
-type HistSnapshot struct {
-	Buckets [histBuckets]int64
-	Count   int64
-	Sum     int64 // nanoseconds
-	Max     int64 // nanoseconds
-}
-
-// Merge folds o into s.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-}
-
-// Mean returns the average observed duration.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Sum / s.Count)
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1):
-// the geometric midpoint of the bucket the quantile lands in, clamped to
-// the observed maximum.
-func (s HistSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(s.Count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, b := range s.Buckets {
-		cum += b
-		if cum >= rank {
-			var mid int64
-			switch {
-			case i == 0:
-				mid = 0
-			case i == 1:
-				mid = 1
-			default:
-				mid = 3 << (i - 2) // midpoint of [2^(i-1), 2^i)
-			}
-			if mid > s.Max {
-				mid = s.Max
-			}
-			return time.Duration(mid)
-		}
-	}
-	return time.Duration(s.Max)
-}
-
 // Config tunes a node's tracer. The zero value gives the defaults.
 type Config struct {
 	// RingSize bounds the per-node ring of recent transaction traces
@@ -294,7 +187,7 @@ func (c *Config) fill() {
 // stageAgg is one stage's node-level aggregate: a latency histogram plus
 // the fabric ops attributed to the stage.
 type stageAgg struct {
-	hist Histogram
+	hist metrics.Histogram
 	ops  [6]atomic.Int64 // reads, writes, atomics, rpcs, bytesR, bytesW
 }
 
@@ -527,7 +420,7 @@ func (t *Tracer) FinishTx(tt *TxTrace, cts common.CSN, committed bool) {
 
 // StageData is one stage's mergeable aggregate.
 type StageData struct {
-	Hist HistSnapshot
+	Hist metrics.Histogram
 	Ops  OpCounts
 }
 
@@ -542,7 +435,7 @@ func (d *StagesDump) Merge(o *StagesDump) {
 		return
 	}
 	for i := range d.Stages {
-		d.Stages[i].Hist.Merge(o.Stages[i].Hist)
+		d.Stages[i].Hist.Merge(&o.Stages[i].Hist)
 		d.Stages[i].Ops.Add(o.Stages[i].Ops)
 	}
 }
@@ -555,7 +448,7 @@ func (t *Tracer) Dump() *StagesDump {
 	var d StagesDump
 	for i := range t.stages {
 		agg := &t.stages[i]
-		d.Stages[i].Hist = agg.hist.Snapshot()
+		d.Stages[i].Hist.Merge(&agg.hist)
 		d.Stages[i].Ops = OpCounts{
 			Reads: agg.ops[0].Load(), Writes: agg.ops[1].Load(),
 			Atomics: agg.ops[2].Load(), RPCs: agg.ops[3].Load(),
@@ -586,19 +479,19 @@ func (d *StagesDump) Snapshots() []StageSnapshot {
 	}
 	var out []StageSnapshot
 	for i := range d.Stages {
-		h := d.Stages[i].Hist
-		if h.Count == 0 {
+		h := &d.Stages[i].Hist
+		if h.Count() == 0 {
 			continue
 		}
 		out = append(out, StageSnapshot{
 			Stage:   Stage(i).String(),
-			Count:   h.Count,
-			TotalNS: h.Sum,
+			Count:   h.Count(),
+			TotalNS: int64(h.Sum()),
 			Mean:    h.Mean(),
 			P50:     h.Quantile(0.50),
 			P95:     h.Quantile(0.95),
 			P99:     h.Quantile(0.99),
-			Max:     time.Duration(h.Max),
+			Max:     h.Max(),
 			Ops:     d.Stages[i].Ops,
 		})
 	}

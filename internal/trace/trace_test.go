@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,63 +8,6 @@ import (
 	"polardbmp/internal/common"
 	"polardbmp/internal/rdma"
 )
-
-// TestHistogramMergeAssociativity checks the property the cluster-wide
-// stage merge relies on: snapshots merge associatively and commutatively,
-// field for field.
-func TestHistogramMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	hs := make([]*Histogram, 3)
-	for i := range hs {
-		hs[i] = &Histogram{}
-		for j := 0; j < 500; j++ {
-			hs[i].Observe(time.Duration(rng.Int63n(int64(200 * time.Millisecond))))
-		}
-	}
-	a, b, c := hs[0].Snapshot(), hs[1].Snapshot(), hs[2].Snapshot()
-
-	left := a // (a ⊕ b) ⊕ c
-	left.Merge(b)
-	left.Merge(c)
-
-	bc := b // a ⊕ (b ⊕ c)
-	bc.Merge(c)
-	right := a
-	right.Merge(bc)
-
-	if !reflect.DeepEqual(left, right) {
-		t.Fatalf("merge not associative:\n left=%+v\nright=%+v", left, right)
-	}
-
-	ba := b // commutativity: b ⊕ a == a ⊕ b
-	ba.Merge(a)
-	ab := a
-	ab.Merge(b)
-	if !reflect.DeepEqual(ab, ba) {
-		t.Fatalf("merge not commutative")
-	}
-	if left.Count != a.Count+b.Count+c.Count {
-		t.Fatalf("merged count %d want %d", left.Count, a.Count+b.Count+c.Count)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := &Histogram{}
-	for i := 0; i < 1000; i++ {
-		h.Observe(1 * time.Millisecond)
-	}
-	h.Observe(100 * time.Millisecond)
-	s := h.Snapshot()
-	if p50 := s.Quantile(0.5); p50 < 512*time.Microsecond || p50 > 2*time.Millisecond {
-		t.Fatalf("p50 = %v, want ~1ms", p50)
-	}
-	if max := time.Duration(s.Max); max != 100*time.Millisecond {
-		t.Fatalf("max = %v", max)
-	}
-	if s.Quantile(1.0) > 100*time.Millisecond {
-		t.Fatalf("q1.0 exceeds observed max")
-	}
-}
 
 // TestRingWraparound hammers FinishTx from several goroutines (run under
 // -race) and checks the recent ring stays bounded, newest-first, and
