@@ -180,7 +180,7 @@ func (c *Client) SetEpochStamp(s *common.EpochStamp) { c.stamp = s }
 // buffer pool) or StageFrameStorage; LBP hits as StageFrameLocal.
 func (c *Client) SetTracer(t *trace.Tracer) { c.tr = t }
 
-// FetchKind classifies where GetEx found the page.
+// FetchKind classifies where GetDeadlineEx found the page.
 type FetchKind uint8
 
 const (
@@ -204,31 +204,17 @@ func (c *Client) SetStorageMode(on bool) { c.storageMode = on }
 // ordering is what makes the valid-flag check race-free (a writer cannot
 // push a new version while we hold S).
 func (c *Client) Get(pg common.PageID) (*Frame, error) {
-	f, _, err := c.GetEx(pg)
+	f, _, err := c.GetDeadlineEx(pg, common.Deadline{})
 	return f, err
 }
 
-// GetEx is Get plus classification of where the page came from.
-func (c *Client) GetEx(pg common.PageID) (*Frame, FetchKind, error) {
-	return c.getEx(pg, common.Deadline{})
-}
-
-// GetDeadline is Get bounded by the caller's transaction budget: the fetch
-// refuses to start once dl has expired and its fabric verbs, retry backoff,
-// and storage reads all stop at the budget with ErrDeadlineExceeded. A
-// concurrent fetch of the same page by another caller is awaited without a
-// bound — it runs under that caller's own budget.
-func (c *Client) GetDeadline(pg common.PageID, dl common.Deadline) (*Frame, error) {
-	f, _, err := c.getEx(pg, dl)
-	return f, err
-}
-
-// GetDeadlineEx is GetDeadline plus fetch classification.
+// GetDeadlineEx is Get bounded by the caller's transaction budget, plus
+// classification of where the page came from: the fetch refuses to start
+// once dl has expired and its fabric verbs, retry backoff, and storage reads
+// all stop at the budget with ErrDeadlineExceeded. A concurrent fetch of the
+// same page by another caller is awaited without a bound — it runs under
+// that caller's own budget. A zero deadline is unbounded.
 func (c *Client) GetDeadlineEx(pg common.PageID, dl common.Deadline) (*Frame, FetchKind, error) {
-	return c.getEx(pg, dl)
-}
-
-func (c *Client) getEx(pg common.PageID, dl common.Deadline) (*Frame, FetchKind, error) {
 	if err := dl.Err(); err != nil {
 		return nil, FetchHit, err
 	}

@@ -39,7 +39,7 @@ func TestHedgedFetchStorageFallback(t *testing.T) {
 	delayDBPReads(c, 50*time.Millisecond)
 	c.lbp[1].SetHedgeDelayFloor(2 * time.Millisecond)
 	start := time.Now()
-	f2, kind, err := c.lbp[1].GetEx(1)
+	f2, kind, err := c.lbp[1].GetDeadlineEx(1, common.Deadline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestGetDeadline(t *testing.T) {
 	storePage(t, c.store, makePage(1, "v0"))
 
 	// Expired before starting: no storage I/O at all.
-	_, err := c.lbp[0].GetDeadline(1, common.DeadlineAt(time.Now().Add(-time.Millisecond)))
+	_, _, err := c.lbp[0].GetDeadlineEx(1, common.DeadlineAt(time.Now().Add(-time.Millisecond)))
 	if !errors.Is(err, common.ErrDeadlineExceeded) {
 		t.Fatalf("expired GetDeadline err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -169,7 +169,7 @@ func TestGetDeadline(t *testing.T) {
 	c.lbp[1].SetHedgeDelayFloor(0) // isolate the deadline path
 	c.lbp[1].SetRetryPolicy(common.RetryPolicy{MaxAttempts: 1000, BaseDelay: 5 * time.Millisecond, MaxDelay: 5 * time.Millisecond})
 	start := time.Now()
-	_, err = c.lbp[1].GetDeadline(1, common.DeadlineAfter(30*time.Millisecond))
+	_, _, err = c.lbp[1].GetDeadlineEx(1, common.DeadlineAfter(30*time.Millisecond))
 	if !errors.Is(err, common.ErrDeadlineExceeded) {
 		t.Fatalf("budgeted fetch err = %v, want ErrDeadlineExceeded", err)
 	}

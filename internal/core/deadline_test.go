@@ -78,7 +78,7 @@ func TestBeginDeadlineExpired(t *testing.T) {
 
 // TestDeadlineTxUsesPrivateTrees pins the routing invariant the zero-cost
 // claim rests on: an unbounded untraced transaction walks the node's shared
-// trees, while a deadline-bounded one builds private trees over tracePager
+// trees, while a deadline-bounded one builds private trees over its own pager
 // so the budget rides into PLock acquires and page fetches.
 func TestDeadlineTxUsesPrivateTrees(t *testing.T) {
 	c, sp := testCluster(t, 1)

@@ -359,7 +359,7 @@ func (n *Node) tree(space common.SpaceID) (*btree.Tree, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: space %d: %w", space, common.ErrNotFound)
 	}
-	t = btree.New((*pager)(n), space, si.Anchor)
+	t = btree.New(&pager{n: n}, space, si.Anchor)
 	n.treeMu.Lock()
 	n.trees[space] = t
 	n.treeMu.Unlock()
@@ -368,12 +368,12 @@ func (n *Node) tree(space common.SpaceID) (*btree.Tree, error) {
 
 // createTree builds a fresh B-tree for a new space and returns its anchor.
 func (n *Node) createTree(space common.SpaceID) (common.PageID, error) {
-	anchor, err := btree.Create((*pager)(n), space)
+	anchor, err := btree.Create(&pager{n: n}, space)
 	if err != nil {
 		return 0, err
 	}
 	n.treeMu.Lock()
-	n.trees[space] = btree.New((*pager)(n), space, anchor)
+	n.trees[space] = btree.New(&pager{n: n}, space, anchor)
 	n.treeMu.Unlock()
 	return anchor, nil
 }

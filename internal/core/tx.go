@@ -175,7 +175,7 @@ func (tx *Tx) Info() TxInfo {
 }
 
 // tree returns the B-tree handle this transaction walks space through: the
-// node's shared tree normally, a private tree over the traced pager (same
+// node's shared tree normally, a private tree over a pager of its own (same
 // anchor, span recording on page access) when the transaction is traced or
 // carries a deadline (the private pager threads the budget into PLock
 // acquires and page fetches). Unbounded untraced transactions — the hot
@@ -188,7 +188,7 @@ func (tx *Tx) tree(space common.SpaceID) (*btree.Tree, error) {
 	if pt := tx.trees[space]; pt != nil {
 		return pt, nil
 	}
-	pt := btree.New(&tracePager{n: tx.n, tt: tx.tr, dl: tx.deadline}, space, t.Anchor())
+	pt := btree.New(&pager{n: tx.n, tt: tx.tr, dl: tx.deadline}, space, t.Anchor())
 	if tx.trees == nil {
 		tx.trees = make(map[common.SpaceID]*btree.Tree)
 	}
@@ -459,9 +459,6 @@ func mergeStaged(rows []KV, staged []stagedKV, limit int) []KV {
 	}
 	return out
 }
-
-// releasePager releases a btree ref through the node's pager.
-func (n *Node) releasePager(ref *btree.Ref) { (*pager)(n).Release(ref) }
 
 // writeOp discriminates the three mutations.
 type writeOp uint8

@@ -824,21 +824,17 @@ func (c *PLockClient) handleRevoke(req []byte) ([]byte, error) {
 // The fast path grants locally when the node already holds a covering mode
 // and no negotiation is pending (§4.3.1); otherwise it RPCs Lock Fusion.
 func (c *PLockClient) Acquire(pg common.PageID, mode Mode) error {
-	_, err := c.AcquireEx(pg, mode)
+	_, err := c.AcquireDeadlineEx(pg, mode, common.Deadline{})
 	return err
 }
 
-// AcquireEx is Acquire plus classification: remote reports whether the
-// grant needed a Lock Fusion RPC (slow path) rather than lazy retention.
-func (c *PLockClient) AcquireEx(pg common.PageID, mode Mode) (remote bool, err error) {
-	return c.AcquireDeadlineEx(pg, mode, common.Deadline{})
-}
-
-// AcquireDeadlineEx is AcquireEx bounded by the caller's deadline: the
-// remaining budget rides the acquire RPC so the SERVER caps the queue wait
-// (returning ErrDeadlineExceeded on expiry), and the retry loop around the
-// RPC stops at the budget too. The local fast path is unaffected — a lock
-// the node already holds costs no wait. A zero deadline is unbounded.
+// AcquireDeadlineEx is Acquire plus classification — remote reports whether
+// the grant needed a Lock Fusion RPC (slow path) rather than lazy retention
+// — bounded by the caller's deadline: the remaining budget rides the acquire
+// RPC so the SERVER caps the queue wait (returning ErrDeadlineExceeded on
+// expiry), and the retry loop around the RPC stops at the budget too. The
+// local fast path is unaffected — a lock the node already holds costs no
+// wait. A zero deadline is unbounded.
 func (c *PLockClient) AcquireDeadlineEx(pg common.PageID, mode Mode, dl common.Deadline) (remote bool, err error) {
 	if c.closed.Load() {
 		return false, fmt.Errorf("plock: node %d client: %w", c.node, common.ErrClosed)
