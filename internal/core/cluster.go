@@ -312,12 +312,6 @@ func (c *Cluster) Store() storage.API { return c.store }
 // Fabric exposes the RDMA fabric (harness/inspection).
 func (c *Cluster) Fabric() *rdma.Fabric { return c.fabric }
 
-// BufferServer exposes Buffer Fusion stats (harness/inspection).
-func (c *Cluster) BufferServer() *bufferfusion.Server { return c.bufSrv }
-
-// LockServer exposes Lock Fusion stats (harness/inspection).
-func (c *Cluster) LockServer() *lockfusion.Server { return c.lockSrv }
-
 // Members exposes the membership table (harness/inspection).
 func (c *Cluster) Members() *membership.Table { return c.members }
 

@@ -501,9 +501,6 @@ func (r *Region) fetchAdd64(off int, delta uint64) (uint64, error) {
 // touching its own registered memory.
 func (r *Region) LocalRead(off int, dst []byte) error { return r.read(off, dst) }
 
-// LocalWrite writes to the region without fabric accounting.
-func (r *Region) LocalWrite(off int, src []byte) error { return r.write(off, src) }
-
 // LocalCAS64 CASes a word in the owner's own region.
 func (r *Region) LocalCAS64(off int, old, new uint64) (uint64, error) {
 	return r.cas64(off, old, new)

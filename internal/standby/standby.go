@@ -51,9 +51,6 @@ func New(src storage.API) *Standby {
 	}
 }
 
-// LocalStore exposes the standby replica (inspection/tests).
-func (s *Standby) LocalStore() *storage.Store { return s.local }
-
 // Sync ships everything new: log bytes per stream, page images, metadata.
 // It is safe to call concurrently with primary traffic; each call captures
 // a consistent durable prefix.

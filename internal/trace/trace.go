@@ -233,9 +233,6 @@ func (t *Tracer) Node() common.NodeID {
 	return t.node
 }
 
-// Enabled reports whether tracing is on.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SlowTxThreshold returns the configured slow-transaction threshold.
 func (t *Tracer) SlowTxThreshold() time.Duration {
 	if t == nil {

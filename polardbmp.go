@@ -285,13 +285,6 @@ func (c *Cluster) CreateTable(name string) (Table, error) {
 	return Table{space: sp, name: name}, nil
 }
 
-// NodeCount returns the number of live primaries.
-//
-// Deprecated: use Topology, which distinguishes active, joining, draining,
-// drained, and crashed nodes instead of flattening membership to one count.
-// Kept as a thin alias for one release.
-func (c *Cluster) NodeCount() int { return len(c.c.Nodes()) }
-
 // Node returns a handle on the i-th (1-based) primary.
 func (c *Cluster) Node(i int) *Node {
 	return &Node{c: c.c, id: common.NodeID(i)}

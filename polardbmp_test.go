@@ -196,8 +196,8 @@ func TestPublicAPIAddNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.NodeCount() != 2 {
-		t.Fatalf("node count = %d", db.NodeCount())
+	if top, err := db.Topology(); err != nil || len(top.Nodes) != 2 {
+		t.Fatalf("topology after AddNode = %+v, %v; want 2 nodes", top, err)
 	}
 	tx2, err := n2.Begin()
 	if err != nil {
