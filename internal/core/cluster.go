@@ -666,7 +666,7 @@ type MembershipStats struct {
 	FalseSuspicions int64         `json:"false_suspicions"` // evictions refused by a racing renewal
 	LeaseRenewals   int64         `json:"lease_renewals"`   // heartbeat writes by live nodes
 	Takeovers       int64         `json:"takeovers"`        // completed surviving-node takeovers
-	TakeoverFails   int64         `json:"takeover_fails"`   // takeover attempts abandoned by a recovery error
+	TakeoverFails   int64         `json:"takeover_fails"`   // takeover attempts abandoned: recovery error or wedged takeover lock
 	TakeoverErr     string        `json:"takeover_err,omitempty"` // last failed-takeover diagnostic
 	TakeoverMean    time.Duration `json:"takeover_mean_ns"` // mean takeover duration
 	// FailSlowSuspicions counts fail-slow marks raised across all agents: a

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -244,13 +245,17 @@ func TestZombieCommitRejected(t *testing.T) {
 		t.Fatal("could not win the eviction")
 	}
 
-	// The zombie's agent latches its eviction on its next renewal tick.
+	// The zombie's agent latches its eviction on its next renewal tick —
+	// unless node 1's detector sweeps the fenced slot first and the
+	// takeover's STONITH stops the agent before that tick; then wait the
+	// takeover out (a commit racing its log fence is a different test).
+	zombieOut := func() bool { return n2.agent.Evicted() || c.takeovers.Load() > 0 }
 	deadline := time.Now().Add(5 * time.Second)
-	for !n2.agent.Evicted() && time.Now().Before(deadline) {
+	for !zombieOut() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if !n2.agent.Evicted() {
-		t.Fatal("agent never observed its own eviction")
+	if !zombieOut() {
+		t.Fatal("zombie neither observed its own eviction nor was taken over")
 	}
 
 	// The zombie is rejected either by the epoch gate (ErrStaleEpoch, before
@@ -272,6 +277,34 @@ func TestZombieCommitRejected(t *testing.T) {
 	c.takeover(2, evictEpoch, c.Node(1))
 	if _, err := get(t, c.Node(1), sp, "zombie"); !errors.Is(err, common.ErrNotFound) {
 		t.Fatalf("zombie write published: %v", err)
+	}
+}
+
+// TestTakeoverLockWaitBounded: a survivor that cannot get the takeover lock
+// gives up after a bounded number of lease timeouts and leaves the reason in
+// the stats, instead of polling a wedged holder forever.
+func TestTakeoverLockWaitBounded(t *testing.T) {
+	c := NewCluster(Config{RecycleInterval: -1, LeaseTimeout: 5 * time.Millisecond})
+	t.Cleanup(c.Close)
+	n1, err := c.AddNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.takeoverMu.Lock() // the wedged holder
+	defer c.takeoverMu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.takeover(2, 0, n1)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("takeover still waiting for the lock after 10s (bound is 32 x 5ms)")
+	}
+	m := c.Stats().Membership
+	if m.TakeoverFails != 1 || !strings.Contains(m.TakeoverErr, "abandoned") {
+		t.Fatalf("takeover_fails=%d takeover_err=%q, want 1 and an abandon reason", m.TakeoverFails, m.TakeoverErr)
 	}
 }
 

@@ -33,6 +33,10 @@ type peerTrx struct {
 	cts      common.CSN // logged commit timestamp; 0 for aborted
 }
 
+// takeoverLockLeases bounds a survivor's wait for the takeover lock, in lease
+// timeouts (2.9s at the default 90ms lease).
+const takeoverLockLeases = 32
+
 // takeover is the surviving-node recovery pipeline (the paper's §4.4 crash
 // recovery run online by a peer instead of the restarted node): after the
 // membership table fenced dead under a new cluster epoch, the winning
@@ -44,9 +48,19 @@ func (c *Cluster) takeover(dead common.NodeID, epoch common.Epoch, survivor *Nod
 	// across successive epochs, and the mutex holder's STONITH of this
 	// survivor waits (via agent.Stop) for this very goroutine. Poll with
 	// TryLock and abandon the takeover once this survivor is no longer
-	// live — the winner that fenced us owns any remaining repair.
+	// live — the winner that fenced us owns any remaining repair. The wait
+	// is bounded in lease timeouts: a holder that long over is wedged, not
+	// working, and the detectors' fenced-slot sweep re-runs the takeover
+	// for as long as the slot stays Fenced, so abandoning loses nothing.
+	wait := takeoverLockLeases * c.cfg.LeaseTimeout
+	giveUp := time.Now().Add(wait)
 	for !c.takeoverMu.TryLock() {
 		if !survivor.Live() {
+			return
+		}
+		if time.Now().After(giveUp) {
+			c.takeoverFails.Inc()
+			c.noteTakeoverErr(dead, fmt.Errorf("abandoned by node %d: takeover lock busy for %v", survivor.id, wait))
 			return
 		}
 		time.Sleep(time.Millisecond)

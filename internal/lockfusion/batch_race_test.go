@@ -20,12 +20,12 @@ func TestPLockStripedInterleavedStress(t *testing.T) {
 	const nodes = 8
 	tc := newTestCluster(t, nodes, Config{})
 	const pages = 4 * plockStripes // every stripe holds several entries
-	var counters [pages]int64
+	var holders [pages]xHolders
 	var wg sync.WaitGroup
 	for n := 0; n < nodes; n++ {
 		for th := 0; th < 2; th++ {
 			wg.Add(1)
-			go func(c *PLockClient, seed int) {
+			go func(c *PLockClient, n, seed int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(seed)))
 				for i := 0; i < 150; i++ {
@@ -35,26 +35,22 @@ func TestPLockStripedInterleavedStress(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if v := atomic.LoadInt64(&counters[pg-1]); v != 0 {
-							t.Errorf("page %d: S granted with %d X holders", pg, v)
-						}
+						holders[pg-1].checkOthers(t, pg, n, "S")
 						c.Release(pg)
 					} else {
 						if err := c.Acquire(pg, ModeX); err != nil {
 							t.Error(err)
 							return
 						}
-						if v := atomic.AddInt64(&counters[pg-1], 1); v != 1 {
-							t.Errorf("page %d: %d concurrent X holders", pg, v)
-						}
-						atomic.AddInt64(&counters[pg-1], -1)
+						holders[pg-1].enterX(t, pg, n)
+						holders[pg-1].leaveX(n)
 						c.Release(pg)
 					}
 					if rng.Intn(40) == 0 {
 						c.ReleaseAll() // batched release races in-flight revokes
 					}
 				}
-			}(tc.pl[n], n*131+th*17)
+			}(tc.pl[n], n, n*131+th*17)
 		}
 	}
 	wg.Wait()

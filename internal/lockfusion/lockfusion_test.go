@@ -270,15 +270,37 @@ func TestPLockFIFONoStarvation(t *testing.T) {
 	}
 }
 
+// xHolders counts, per node, the local threads inside a page's X section. A
+// PLock is node-granular: threads of ONE node legitimately share its X (the
+// frame latch orders them), so exclusivity is across nodes only.
+type xHolders [8]int64
+
+// enterX records node n's thread entering and fails if another node is inside.
+func (h *xHolders) enterX(t *testing.T, pg common.PageID, n int) {
+	atomic.AddInt64(&h[n], 1)
+	h.checkOthers(t, pg, n, "X")
+}
+
+func (h *xHolders) leaveX(n int) { atomic.AddInt64(&h[n], -1) }
+
+// checkOthers fails if any node other than n has a thread inside X.
+func (h *xHolders) checkOthers(t *testing.T, pg common.PageID, n int, mode string) {
+	for m := range h {
+		if v := atomic.LoadInt64(&h[m]); m != n && v != 0 {
+			t.Errorf("page %d: node %d granted %s with %d X holders on node %d", pg, n+1, mode, v, m+1)
+		}
+	}
+}
+
 func TestPLockConcurrentStress(t *testing.T) {
 	tc := newTestCluster(t, 4, Config{})
 	const pages = 8
-	var counters [pages]int64
+	var holders [pages]xHolders
 	var wg sync.WaitGroup
 	for n := 0; n < 4; n++ {
 		for th := 0; th < 4; th++ {
 			wg.Add(1)
-			go func(c *PLockClient, seed int) {
+			go func(c *PLockClient, n, seed int) {
 				defer wg.Done()
 				for i := 0; i < 100; i++ {
 					pg := common.PageID((seed+i)%pages + 1)
@@ -286,15 +308,11 @@ func TestPLockConcurrentStress(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					// X must be exclusive across the cluster.
-					v := atomic.AddInt64(&counters[pg-1], 1)
-					if v != 1 {
-						t.Errorf("page %d: %d concurrent X holders", pg, v)
-					}
-					atomic.AddInt64(&counters[pg-1], -1)
+					holders[pg-1].enterX(t, pg, n)
+					holders[pg-1].leaveX(n)
 					c.Release(pg)
 				}
-			}(tc.pl[n], n*31+th*7)
+			}(tc.pl[n], n, n*31+th*7)
 		}
 	}
 	wg.Wait()

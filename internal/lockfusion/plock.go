@@ -1048,12 +1048,16 @@ func (c *PLockClient) releaseToServerN(pages []relPage) {
 }
 
 // ReleaseAll force-releases every retained lock (shutdown / ablation /
-// cache-drop) in one batched RPC. Locks with live references are skipped.
+// cache-drop) in one batched RPC. Locks with live references are skipped,
+// and so are entries a local thread is mid-acquisition on: that thread holds
+// the entry and takes its reference on it when the grant lands, so dropping
+// it here would orphan the reference (its Release then finds no entry) and
+// race a release against the in-flight grant.
 func (c *PLockClient) ReleaseAll() {
 	c.mu.Lock()
 	var idle []relPage
 	for pg, l := range c.locks {
-		if l.refs == 0 {
+		if l.refs == 0 && !l.acquiring {
 			idle = append(idle, relPage{pg, l.mode})
 			delete(c.locks, pg)
 			c.releasing[pg] = true

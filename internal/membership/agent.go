@@ -355,8 +355,11 @@ func (a *Agent) detectLoop() {
 				// a callback finishes the job — the core pipeline is
 				// idempotent under its takeover lock, and a per-node
 				// cooldown keeps a persistently failing recovery from
-				// being retried every tick.
-				if state == StateFenced && a.onTakeover != nil &&
+				// being retried every tick. Never this agent's own slot:
+				// an evicted node cannot repair itself, and the pipeline's
+				// STONITH of the dead node would stop this agent from
+				// inside its own detector goroutine — a wait on itself.
+				if state == StateFenced && n != a.node && a.onTakeover != nil &&
 					now.Sub(fenced[n]) > a.cfg.LeaseTimeout {
 					fenced[n] = now
 					a.onTakeover(n, epoch)

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -182,6 +183,46 @@ func TestAgentDetectsSilentPeer(t *testing.T) {
 	}
 	if !a2.Evicted() {
 		t.Fatal("CheckValid did not latch the evicted flag")
+	}
+}
+
+// TestEvictedAgentLeavesOwnSlotAlone: a still-running agent whose slot was
+// fenced (a zombie) must not run the takeover callback on itself — the
+// pipeline's STONITH would stop the agent from inside its own detector. The
+// fenced-slot sweep is for the survivors.
+func TestEvictedAgentLeavesOwnSlotAlone(t *testing.T) {
+	fab, tbl := newTestTable(t)
+	cfg := Config{RenewInterval: 2 * time.Millisecond, LeaseTimeout: 20 * time.Millisecond}
+	a2 := NewAgent(2, common.PMFSNode, fab, nil, cfg)
+	var self atomic.Bool
+	a2.SetOnTakeover(func(n common.NodeID, _ common.Epoch) {
+		if n == 2 {
+			self.Store(true)
+		}
+	})
+	if err := a2.Join(); err != nil {
+		t.Fatal(err)
+	}
+	a2.Start()
+	defer a2.Stop()
+	conn := fab.From(1)
+	won := false
+	for i := 0; i < 10000 && !won; i++ { // the heartbeat may move under us: retry
+		var slot [24]byte
+		if err := conn.Read(common.PMFSNode, Region, SlotOff(2), slot[:]); err != nil {
+			t.Fatal(err)
+		}
+		won, _ = tbl.Evict(1, 2, binary.LittleEndian.Uint64(slot[8:16]), tbl.CurrentEpoch())
+	}
+	if !won {
+		t.Fatal("could not win the eviction")
+	}
+	time.Sleep(3 * cfg.LeaseTimeout) // several sweep cooldowns
+	if self.Load() {
+		t.Fatal("evicted agent ran the takeover callback on its own slot")
+	}
+	if tbl.State(2) != StateFenced {
+		t.Fatalf("state = %s, want fenced", StateName(tbl.State(2)))
 	}
 }
 

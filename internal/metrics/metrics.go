@@ -109,8 +109,11 @@ func (h *Histogram) Mean() time.Duration {
 func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.count.Load()
 	target := int64(q * float64(n))
+	if target >= n { // q = 1, or nothing observed
+		return h.Max()
+	}
 	var seen int64
-	for i := 0; i < histBuckets && target < n; i++ {
+	for i := range h.buckets {
 		seen += h.buckets[i].Load()
 		if seen > target {
 			return min(time.Duration(bucketMid(i)), h.Max())

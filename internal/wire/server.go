@@ -188,15 +188,14 @@ func (ss *session) handshake() error {
 		return fmt.Errorf("wire: session opened with frame kind %d op %d: %w", f.Kind, f.Op, ErrBadFrame)
 	}
 	version, _, status := DecodeHello(f.Payload)
-	var acked uint16 // a refusal acks version 0
-	switch {
-	case status != nil:
-	case version != SessionProtoVersion:
+	if status == nil && version != SessionProtoVersion {
 		// This server cannot promise the semantics another version's client
 		// expects, so refuse at connect time.
 		status = fmt.Errorf("wire: session version %d, server speaks %d: %w", version, SessionProtoVersion, common.ErrCorrupt)
-	default:
-		acked = version
+	}
+	var acked uint16 // a refusal acks version 0
+	if status == nil {
+		acked = SessionProtoVersion
 	}
 	ack := AppendStatus(nil, status)
 	ack = AppendHello(ack, acked, ss.srv.name)
