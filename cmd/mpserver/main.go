@@ -41,9 +41,7 @@ func main() {
 	data := flag.String("data", "", "data directory (seed mode; empty = in-memory)")
 	httpAddr := flag.String("http", "", "HTTP listener serving GET /stats (ClusterStats JSON)")
 	name := flag.String("name", "", "server name echoed in handshakes (default mpserver-<pid>)")
-	pmfsReplicas := flag.Int("pmfs-replicas", 0, "shared-memory replication factor (seed mode; 0 = default 3, <2 disables)")
 	cc := flag.String("cc", "", "concurrency-control engine: 2pl (default) or occ")
-	fenceTTL := flag.Duration("fence-ttl", 0, "fenced-piggyback cache TTL for the storage uplink (satellite mode; 0 = default 100ms)")
 	selfHeal := flag.Bool("selfheal", false, "lease-based failure detection: survivors fence and take over a silent node")
 	leaseRenew := flag.Duration("lease-renew", 0, "membership heartbeat cadence under -selfheal (0 = default 15ms)")
 	leaseTimeout := flag.Duration("lease-timeout", 0, "silence before peers declare a node dead under -selfheal (0 = default 90ms)")
@@ -62,8 +60,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := core.Config{
-		PmfsReplicas:       *pmfsReplicas,
-		FenceTTL:           *fenceTTL,
 		CC:                 *cc,
 		SelfHeal:           *selfHeal,
 		LeaseRenewInterval: *leaseRenew,

@@ -70,17 +70,6 @@ type Config struct {
 	// Crash fences, deadlocks and timeouts always fail fast either way.
 	DisableRetry bool
 
-	// AdmitPerStripe overrides the fusion servers' admission bound: the
-	// number of concurrently admitted requests per PLock/Buffer directory
-	// stripe before new work is shed with the retryable ErrOverloaded.
-	// Zero keeps the server defaults; negative disables shedding.
-	AdmitPerStripe int
-	// HedgeDelayFloor overrides the minimum delay before a slow DBP frame
-	// read is hedged with a fallback read (see bufferfusion; the effective
-	// delay is max(floor, 8x the node's read-latency EWMA)). Zero keeps
-	// the default (1ms); negative disables hedging.
-	HedgeDelayFloor time.Duration
-
 	// SelfHeal enables online crash recovery: every node heartbeats a
 	// lease into the PMFS membership table and watches its peers; when a
 	// lease expires a survivor fences the dead node under a new cluster
@@ -95,28 +84,19 @@ type Config struct {
 	// suspect the node. Default 90ms (six renew intervals).
 	LeaseTimeout time.Duration
 
-	// PmfsReplicas is the replication factor of the shared-memory tier:
-	// every verb against a PMFS region is mirrored across K replicas with
-	// quorum (K/2+1) acknowledgement before it returns. Default 3; values
-	// below 2 (including negative) disable replication — the single-copy
-	// PMFS of the earlier PRs. Zero means "use the default".
-	PmfsReplicas int
-	// FenceTTL bounds how long a satellite's storage client keeps treating
-	// a node as fenced after the seed's fenced-piggyback notification, so
-	// log appends fail fast during takeover. Zero keeps the storage-layer
-	// default (100ms); slow-fabric tests raise it to stop racing takeover.
-	FenceTTL time.Duration
-
-	// DrainTimeout bounds how long DrainNode waits for the victim's
-	// in-flight transactions to finish before giving up with
-	// ErrDeadlineExceeded (the node stays draining; the drain may be
-	// retried). Default 30s.
-	DrainTimeout time.Duration
-
 	// Trace enables the commit-path span tracer on every node (nil = off;
 	// the disabled hooks cost one pointer check and zero allocations).
 	Trace *trace.Config
 }
+
+// pmfsReplicas is the replication factor of the shared-memory tier: every
+// verb against a PMFS region is mirrored across K replicas with quorum
+// (K/2+1) acknowledgement before it returns. drainTimeout bounds how long
+// DrainNode waits for the victim's in-flight transactions.
+const (
+	pmfsReplicas = 3
+	drainTimeout = 30 * time.Second
+)
 
 // retryPolicy resolves the transient-fault retry policy for this config.
 func (c *Config) retryPolicy() common.RetryPolicy {
@@ -152,12 +132,6 @@ func (c *Config) fill() {
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 90 * time.Millisecond
 	}
-	if c.PmfsReplicas == 0 {
-		c.PmfsReplicas = 3
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
-	}
 	if c.CC == "" {
 		c.CC = CC2PL
 	}
@@ -185,9 +159,9 @@ type Cluster struct {
 	bufSrv  *bufferfusion.Server
 	members *membership.Table
 
-	// pmfsRep replicates the shared-memory tier (nil when PmfsReplicas < 2
-	// or in a satellite). pmfsTracers is the replication observer's lock-free
-	// node→tracer snapshot, rebuilt whenever a node comes up.
+	// pmfsRep replicates the shared-memory tier K ways (nil in a satellite).
+	// pmfsTracers is the replication observer's lock-free node→tracer
+	// snapshot, rebuilt whenever a node comes up.
 	pmfsRep     *pmfsrep.Replicator
 	pmfsTracers atomic.Value // map[common.NodeID]*trace.Tracer
 
@@ -272,38 +246,32 @@ func (c *Cluster) startPMFS() {
 	rp := c.cfg.retryPolicy()
 	c.lockSrv.SetRetryPolicy(rp)
 	c.bufSrv.SetRetryPolicy(rp)
-	if c.cfg.AdmitPerStripe != 0 {
-		c.lockSrv.PLock.SetAdmissionLimit(c.cfg.AdmitPerStripe)
-		c.bufSrv.SetAdmissionLimit(c.cfg.AdmitPerStripe)
-	}
 	// Remote-process services: satellite nodes reach the shared store and
 	// cluster administration through these endpoints.
 	storage.Serve(ep, c.store)
 	ep.Serve(ServiceCluster, c.handleAdmin)
 
-	if c.cfg.PmfsReplicas > 1 {
-		rep := pmfsrep.New(c.fabric, common.PMFSNode, c.cfg.PmfsReplicas)
-		rep.AddRegion(txfusion.RegionTSO, 8, false)
-		rep.AddRegion(txfusion.RegionGMV, 8, false)
-		// The membership table is the lease/fate oracle: quorum reads so a
-		// survivor's fate query never trusts a single stale copy.
-		rep.AddRegion(membership.Region, membership.RegionSize, true)
-		rep.AddRegion(bufferfusion.RegionDBP, c.cfg.DBPFrames*page.FrameSize, false)
-		rep.OnFailover(func(uint64) {
-			// Join/Evict serialize through the Table and mirror with local
-			// writes that bypass the replicated path; re-seed the promoted
-			// copy from what the Table actually holds.
-			c.members.Remirror()
+	rep := pmfsrep.New(c.fabric, common.PMFSNode, pmfsReplicas)
+	rep.AddRegion(txfusion.RegionTSO, 8, false)
+	rep.AddRegion(txfusion.RegionGMV, 8, false)
+	// The membership table is the lease/fate oracle: quorum reads so a
+	// survivor's fate query never trusts a single stale copy.
+	rep.AddRegion(membership.Region, membership.RegionSize, true)
+	rep.AddRegion(bufferfusion.RegionDBP, c.cfg.DBPFrames*page.FrameSize, false)
+	rep.OnFailover(func(uint64) {
+		// Join/Evict serialize through the Table and mirror with local
+		// writes that bypass the replicated path; re-seed the promoted
+		// copy from what the Table actually holds.
+		c.members.Remirror()
+	})
+	if c.cfg.Trace != nil {
+		rep.SetObserver(func(src common.NodeID, d time.Duration) {
+			m, _ := c.pmfsTracers.Load().(map[common.NodeID]*trace.Tracer)
+			m[src].ObserveStage(trace.StagePmfsReplicate, d)
 		})
-		if c.cfg.Trace != nil {
-			rep.SetObserver(func(src common.NodeID, d time.Duration) {
-				m, _ := c.pmfsTracers.Load().(map[common.NodeID]*trace.Tracer)
-				m[src].ObserveStage(trace.StagePmfsReplicate, d)
-			})
-		}
-		rep.Attach(c.fabric)
-		c.pmfsRep = rep
 	}
+	rep.Attach(c.fabric)
+	c.pmfsRep = rep
 }
 
 // Store exposes the shared storage (harness/inspection).
@@ -483,13 +451,25 @@ func (c *Cluster) CrashNode(id common.NodeID) error {
 	if n == nil {
 		return fmt.Errorf("core: crash node %d: %w", id, common.ErrNodeDown)
 	}
-	n.crash()
+	c.nodeDied(n, id)
+	return nil
+}
+
+// nodeDied is the one dead-node cleanup, run for a declared crash, by the
+// takeover of an undeclared one, and per node by a full-cluster crash: kill
+// the process (n is nil when it is already gone), discard the un-synced log
+// tail, keep the node's PLocks up as the §4.4 fence, clear its row-lock wait
+// edges so blocked peers retry, drop its DBP registrations and unblock the
+// min view.
+func (c *Cluster) nodeDied(n *Node, id common.NodeID) {
+	if n != nil {
+		n.crash()
+	}
 	c.store.LogCrashVolatile(id)
 	c.lockSrv.PLock.MarkDead(id)
 	c.lockSrv.DropNodeRLock(uint16(id))
 	c.bufSrv.DropNode(uint16(id))
 	c.removeMinView(id)
-	return nil
 }
 
 // KillNode is an undeclared fail-stop: the node's volatile state is lost and
@@ -567,9 +547,6 @@ func (c *Cluster) KillPMFSReplica(id int) error {
 	if c.remote {
 		return ErrNotHosted
 	}
-	if c.pmfsRep == nil {
-		return errors.New("core: pmfs replication disabled")
-	}
 	return c.pmfsRep.KillReplica(id)
 }
 
@@ -579,7 +556,7 @@ func (c *Cluster) PmfsReplicator() *pmfsrep.Replicator { return c.pmfsRep }
 
 // CrashAll simulates a full-cluster failure including PMFS: every node's
 // volatile state and the disaggregated memory (DBP, TSO, lock tables) are
-// lost; only shared storage survives. Use RecoverCluster + AddNode to come
+// lost; only shared storage survives. Use RecoverAll + AddNode to come
 // back.
 func (c *Cluster) CrashAll() {
 	if c.remote {
@@ -594,22 +571,19 @@ func (c *Cluster) CrashAll() {
 	c.nextNode = 1
 	c.mu.Unlock()
 	for _, n := range nodes {
-		n.crash()
-		c.store.LogCrashVolatile(n.id)
+		c.nodeDied(n, n.id)
 	}
-	// PMFS dies too: rebuild it empty over the same fabric ids.
+	// PMFS dies too: rebuild it empty over the same fabric ids — with it go
+	// the PLock fences nodeDied left up.
 	c.bufSrv.Reset()
 	c.members.Reset()
 	for _, n := range nodes {
-		c.lockSrv.DropNode(uint16(n.id))
-		c.removeMinView(n.id)
+		c.lockSrv.DropNodePLock(uint16(n.id))
 	}
 	c.txSrv.SetTSO(common.CSNMin)
-	if c.pmfsRep != nil {
-		// The resets above mutate regions through local writes; re-baseline
-		// the follower mirrors so they track the rebuilt leader copy.
-		c.pmfsRep.Resync()
-	}
+	// The resets above mutate regions through local writes; re-baseline the
+	// follower mirrors so they track the rebuilt leader copy.
+	c.pmfsRep.Resync()
 }
 
 // FabricStats is a snapshot of RDMA fabric verb and byte counters.

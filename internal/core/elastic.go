@@ -127,11 +127,11 @@ func (c *Cluster) overlayHosted(t *Topology) {
 }
 
 // DrainNode gracefully removes node id from the cluster: it stops admitting
-// new transactions, waits out the in-flight ones (bounded by
-// Config.DrainTimeout), flushes every dirty page it owns, releases its
-// lazily-retained page locks, makes its log durable, and fences its
-// incarnation cleanly. No takeover runs and no redo is replayed — the slot
-// it held becomes reusable by a future AddNode.
+// new transactions, waits out the in-flight ones (bounded by drainTimeout,
+// 30s), flushes every dirty page it owns, releases its lazily-retained page
+// locks, makes its log durable, and fences its incarnation cleanly. No
+// takeover runs and no redo is replayed — the slot it held becomes reusable
+// by a future AddNode.
 //
 // Under load the invariant is: zero transactions abort for membership
 // reasons. In-flight work admitted before the drain keeps committing
@@ -140,7 +140,7 @@ func (c *Cluster) overlayHosted(t *Topology) {
 //
 // A process can only drain nodes it hosts (ErrNotHosted otherwise; drive the
 // drain through the hosting daemon's admin API instead). If the in-flight
-// work does not finish within DrainTimeout, DrainNode returns
+// work does not finish within that bound, DrainNode returns
 // ErrDeadlineExceeded with the node left draining: admission stays closed
 // and the drain may be retried.
 func (c *Cluster) DrainNode(id common.NodeID) error {
@@ -158,7 +158,7 @@ func (c *Cluster) DrainNode(id common.NodeID) error {
 	}
 
 	// Close admission. The CAS is deliberately not a guard: a drain retried
-	// after a DrainTimeout failure finds the flag already set and proceeds.
+	// after a timed-out drain finds the flag already set and proceeds.
 	// Begin's handshake (tx.go) guarantees that once the flag is visible no
 	// new transaction slips in: Begin increments activeTx before loading the
 	// flag, we set the flag before loading activeTx, so a transaction our
@@ -171,7 +171,7 @@ func (c *Cluster) DrainNode(id common.NodeID) error {
 	// Wait out the in-flight transactions. Their commits keep working: a
 	// draining incarnation still passes the epoch gate and the lease
 	// self-check.
-	deadline := time.Now().Add(c.cfg.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for n.activeTx.Load() != 0 {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("core: drain node %d: %d transactions still in flight: %w",
@@ -219,12 +219,7 @@ func (c *Cluster) DrainNode(id common.NodeID) error {
 		return fmt.Errorf("core: drain node %d: cleanup: %w", id, err)
 	}
 
-	// Local teardown, same fencing as crash() but after the orderly part.
-	n.tf.Close()
-	n.pl.Close()
-	n.lbp.Close()
-	n.wal.Close()
-	n.ep.Deregister()
+	n.teardown()
 
 	c.mu.Lock()
 	delete(c.nodes, id)

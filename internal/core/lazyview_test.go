@@ -277,8 +277,9 @@ func TestLazyViewTSOReadCounts(t *testing.T) {
 // like a fetched view would, and lets go when it ends.
 func TestLazyViewHoldsMinView(t *testing.T) {
 	// No hedged DBP reads: the test parks node 1's one read of the page.
-	c, sp := lazyViewCluster(t, Config{RecycleInterval: -1, HedgeDelayFloor: -1})
+	c, sp := lazyViewCluster(t, Config{RecycleInterval: -1})
 	n1, n2 := c.Node(1), c.Node(2)
+	n1.LBP().SetHedgeDelayFloor(-1)
 	put(t, n1, sp, "k", "old")
 	// Node 2 takes the page and moves the TSO well past node 1's bound.
 	for i := 0; i < 5; i++ {

@@ -118,9 +118,6 @@ func (c *Cluster) newNode(id common.NodeID, recovering bool) (*Node, error) {
 	n.rl = lockfusion.NewRLockClient(ep, c.fabric, n.tf, lcfg)
 	n.lbp = bufferfusion.NewClient(ep, c.fabric, c.store, c.cfg.LBPFrames)
 	n.lbp.SetStorageMode(c.cfg.StoragePageSync)
-	if c.cfg.HedgeDelayFloor != 0 {
-		n.lbp.SetHedgeDelayFloor(c.cfg.HedgeDelayFloor)
-	}
 	rp := c.cfg.retryPolicy()
 	n.tf.SetRetryPolicy(rp)
 	n.pl.SetRetryPolicy(rp)
@@ -324,12 +321,18 @@ func (n *Node) stopBackground() {
 	n.bgDone.Wait()
 }
 
-// crash kills the node: fences all its clients so zombie goroutines cannot
-// touch shared state, and deregisters it from the fabric.
+// crash kills the node: stops its workers and tears it down.
 func (n *Node) crash() {
 	n.live.Store(false)
 	n.agent.Stop()
 	n.stopBackground()
+	n.teardown()
+}
+
+// teardown is the one local teardown (crash, and the last step of a drain):
+// fences all the node's clients so zombie goroutines cannot touch shared
+// state, and deregisters it from the fabric.
+func (n *Node) teardown() {
 	n.tf.Close()
 	n.pl.Close()
 	n.lbp.Close()
@@ -395,12 +398,19 @@ func (n *Node) resolveCTS(v *page.Version) common.CSN {
 	}
 	cts, err := n.tf.GetTrxCTS(v.Trx)
 	if err != nil {
-		if n.c.recoveredPeer(v.Trx.Node) {
-			return common.CSNMin
-		}
-		return common.CSNMax
+		return n.unreachableCTS(v.Trx.Node)
 	}
 	return cts
+}
+
+// unreachableCTS is the fate of an unstamped version whose owner's TIT cannot
+// be read: still active until the owner's recovery has finished, visible to
+// all after.
+func (n *Node) unreachableCTS(owner common.NodeID) common.CSN {
+	if n.c.recoveredPeer(owner) {
+		return common.CSNMin
+	}
+	return common.CSNMax
 }
 
 // batchResolver returns a version-resolution function equivalent to
@@ -435,12 +445,8 @@ func (n *Node) batchResolver(pg *page.Page) func(*page.Version) common.CSN {
 		if cts, ok := m[v.Trx]; ok {
 			return cts
 		}
-		// The owner was unreachable during the batch: resolve by fate,
-		// exactly like resolveCTS's error path.
-		if n.c.recoveredPeer(v.Trx.Node) {
-			return common.CSNMin
-		}
-		return common.CSNMax
+		// The owner was unreachable during the batch.
+		return n.unreachableCTS(v.Trx.Node)
 	}
 }
 

@@ -4,149 +4,159 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"polardbmp/internal/common"
 	"polardbmp/internal/lockfusion"
 	"polardbmp/internal/page"
 	"polardbmp/internal/storage"
-	"polardbmp/internal/txfusion"
 	"polardbmp/internal/wal"
 )
 
-// recoverSelf is the single-node restart path (§5.5): with the TIT recovery
+// One recovery (§4.4; §5.5 is the same rule run against DBP-warm pages). A
+// crashed node's redo stream is read once: every page record is redone by the
+// LLSN rule, and the transaction table folded from the same pass decides what
+// each version the node left unstamped is worth. Restart, takeover and cold
+// start differ only in where they replay (through PLock + LBP, or onto
+// storage images) and in what "compensate" means there (DESIGN.md §17).
+
+// trxFate is one transaction of a crashed node as its redo describes it.
+type trxFate struct {
+	g        common.GTrxID
+	undo     []undoEntry // one per logged insert; compensate drains it
+	finished bool        // a commit or abort record survived
+	cts      common.CSN  // logged commit timestamp; 0 unless committed
+}
+
+// analysis is the transaction table of the crashed node whose stream was
+// folded (node 0: every node, a cold start folds all streams).
+type analysis struct {
+	node    common.NodeID
+	trxs    map[common.GTrxID]*trxFate
+	order   []*trxFate // first-record order
+	maxCTS  common.CSN
+	maxLLSN common.LLSN
+}
+
+func newAnalysis(node common.NodeID) *analysis {
+	return &analysis{node: node, trxs: make(map[common.GTrxID]*trxFate)}
+}
+
+// owns reports whether the folded redo speaks for node's transactions.
+func (a *analysis) owns(node common.NodeID) bool { return a.node == 0 || a.node == node }
+
+// fold reads next (a StreamReader's or MergeReader's Next) to the end of the
+// durable redo, entering each record in the transaction table and then
+// handing page records to redo. The table is entered first: redo may ask for
+// the fate of the very version the record inserts.
+func (a *analysis) fold(next func() (*wal.Record, error), redo func(*wal.Record) error) error {
+	for {
+		rec, err := next()
+		if err != nil || rec == nil {
+			return err
+		}
+		a.maxLLSN = max(a.maxLLSN, rec.LLSN)
+		if !rec.Trx.Zero() && a.owns(rec.Trx.Node) {
+			t := a.trxs[rec.Trx]
+			if t == nil {
+				t = &trxFate{g: rec.Trx}
+				a.trxs[rec.Trx] = t
+				a.order = append(a.order, t)
+			}
+			switch rec.Type {
+			case wal.RecInsert:
+				t.undo = append(t.undo, undoEntry{space: rec.Space, key: rec.Key})
+			case wal.RecCommit:
+				t.finished, t.cts = true, rec.CTS
+				a.maxCTS = max(a.maxCTS, rec.CTS)
+			case wal.RecAbort:
+				t.finished = true
+			}
+		}
+		switch rec.Type {
+		case wal.RecInsert, wal.RecRollback, wal.RecPageImage:
+			if err := redo(rec); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// fate is the one rule for a version its crashed writer g left unstamped:
+// committed, it is worth its logged CTS; unfinished (or aborted with the
+// compensation cut short), it is invisible — CSNMax — and must be
+// compensated; absent from the retained log, g finished before the last
+// checkpoint and the version is visible to all.
+func (a *analysis) fate(g common.GTrxID) common.CSN {
+	switch t := a.trxs[g]; {
+	case t == nil:
+		return common.CSNMin
+	case t.cts != 0:
+		return t.cts
+	default:
+		return common.CSNMax
+	}
+}
+
+// unfinished lists the transactions left to compensate, in log order.
+func (a *analysis) unfinished() []*trxFate {
+	var out []*trxFate
+	for _, t := range a.order {
+		if !t.finished {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// trim applies the live path's purge to a page replay has grown past the
+// split threshold: live purges are not logged, so redo onto an older base
+// image can rebuild version chains longer than the page ever held. resolver
+// builds the page's CTS resolver, only if the page needs trimming.
+func trim(pg *page.Page, horizon common.CSN, resolver func(*page.Page) func(*page.Version) common.CSN) bool {
+	return pg.SizeEstimate() > page.SplitThreshold && pg.Purge(horizon, resolver(pg)) > 0
+}
+
+// recoverSelf is the single-node restart driver (§5.5): with the TIT recovery
 // fence up and the node's pre-crash PLocks still fencing its pages, replay
 // the node's own redo stream — most pages are still in the DBP, so this
 // rarely touches storage — roll back its uncommitted transactions, then
 // lift the fences and start serving.
 func (n *Node) recoverSelf() error {
-	type trxState struct {
-		undo     []undoEntry
-		finished bool
-		cts      common.CSN // commit timestamp, if committed
-	}
-	trxs := make(map[common.GTrxID]*trxState)
-	var order []common.GTrxID
-
-	// Pass 1: scan the stream for transaction outcomes, so the replay pass
-	// can resolve this node's own pre-crash versions without the TIT
-	// (whose fence deliberately reports them as active to peers).
-	sr := wal.NewStreamReader(n.c.store, n.id, n.c.store.LogStartLSN(n.id), 0)
-	for {
-		rec, err := sr.Next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			break
-		}
-		n.llsn.Observe(rec.LLSN)
-		if uint64(rec.Trx.Trx) >= n.trxCtr.Load() && rec.Trx.Node == n.id {
-			// Defensive: the persisted watermark must already cover
-			// every logged id.
-			n.trxCtr.Store(uint64(rec.Trx.Trx) + 1)
-		}
-		switch rec.Type {
-		case wal.RecInsert:
-			st := trxs[rec.Trx]
-			if st == nil {
-				st = &trxState{}
-				trxs[rec.Trx] = st
-				order = append(order, rec.Trx)
-			}
-			st.undo = append(st.undo, undoEntry{space: rec.Space, key: rec.Key})
-		case wal.RecCommit, wal.RecAbort:
-			st := trxs[rec.Trx]
-			if st == nil {
-				st = &trxState{}
-				trxs[rec.Trx] = st
-			}
-			st.finished = true
-			if rec.Type == wal.RecCommit {
-				st.cts = rec.CTS
-			}
-		}
-	}
-
-	// resolve is replay's CTS oracle: own pre-crash commits come from the
-	// log; everything else goes through the normal path.
-	resolve := func(v *page.Version) common.CSN {
-		if v.Trx.Node == n.id {
-			if st := trxs[v.Trx]; st != nil {
-				if st.cts != 0 {
-					return st.cts
-				}
-				return common.CSNMax // uncommitted: rolled back below
-			}
-			// Not in the retained log: finished before the last
-			// checkpoint, so visible to all.
-			if v.CTS != common.CSNInit {
-				return v.CTS
-			}
-			return common.CSNMin
-		}
-		return n.resolveCTS(v)
-	}
-
 	// Refresh the global minimum view so replay-time purges have a real
 	// bound (a fresh client still holds the initial sentinel).
 	if _, err := n.tf.ReportMinView(); err != nil {
 		return err
 	}
-
-	// Pass 2: replay page changes in LSN order.
-	sr = wal.NewStreamReader(n.c.store, n.id, n.c.store.LogStartLSN(n.id), 0)
-	for {
-		rec, err := sr.Next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			break
-		}
-		switch rec.Type {
-		case wal.RecInsert, wal.RecRollback, wal.RecPageImage:
-			if err := n.replayPage(rec, resolve); err != nil {
-				return err
-			}
+	a := newAnalysis(n.id)
+	sr := wal.NewStreamReader(n.c.store, n.id, n.c.store.LogStartLSN(n.id), 0)
+	if err := a.fold(sr.Next, func(rec *wal.Record) error { return n.replayPage(rec, a) }); err != nil {
+		return err
+	}
+	n.llsn.Observe(a.maxLLSN)
+	for _, t := range a.order {
+		// Defensive: the persisted watermark must already cover every
+		// logged id.
+		if uint64(t.g.Trx) >= n.trxCtr.Load() {
+			n.trxCtr.Store(uint64(t.g.Trx) + 1)
 		}
 	}
-
 	// Publish every recovered page before peers regain access.
 	if err := n.lbp.FlushAll(); err != nil {
 		return err
 	}
 
-	// Roll back uncommitted pre-crash transactions through the normal
-	// engine path (their rows may have migrated to other pages since).
-	// Rows on pages fenced by ANOTHER crashed node cannot be reached yet;
-	// those rollbacks are deferred until that node's recovery lifts its
-	// fence, and our TIT fence stays up so the affected transactions keep
-	// resolving as active in the meantime.
-	type deferred struct {
-		g    common.GTrxID
-		undo []undoEntry
-	}
-	var pending []deferred
-	for _, g := range order {
-		st := trxs[g]
-		if st.finished {
-			continue
-		}
-		rest := n.rollbackEntries(g, st.undo)
-		if len(rest) > 0 {
-			pending = append(pending, deferred{g, rest})
-			continue
-		}
-		n.wal.Append(&wal.Record{Type: wal.RecAbort, Node: n.id, LLSN: n.llsn.Next(), Trx: g})
-	}
+	// Compensate through the normal engine path (rows may have migrated to
+	// other pages since). Rows on pages fenced by ANOTHER crashed node cannot
+	// be reached yet; they are retried in the background once the page
+	// fences are down, and our TIT fence stays up so the affected
+	// transactions keep resolving as active in the meantime.
+	left := n.compensate(a.unfinished())
 	n.wal.Sync(n.wal.End())
 	if err := n.lbp.FlushAll(); err != nil {
 		return err
 	}
 
-	// Lift the page fences (our pages are consistent and published); the
-	// TIT fence lifts with them unless rollbacks were deferred.
+	// Lift the page fences (our pages are consistent and published).
 	n.pl.ReleaseAll()
 	n.c.lockSrv.DropNodePLock(uint16(n.id))
 	n.c.lockSrv.PLock.ClearDead(n.id)
@@ -154,50 +164,24 @@ func (n *Node) recoverSelf() error {
 	// past the persisted watermark: pre-crash ids below the counter are all
 	// resolved by this recovery and would otherwise pin the floor forever.
 	n.tf.InitTrxFloor(common.TrxID(n.trxCtr.Load()))
-	if len(pending) == 0 {
+	n.deferredRollbacks.Store(true)
+	n.whenDrained(left, func() {
+		n.wal.Sync(n.wal.End())
 		n.tf.SetRecovering(false)
-	} else {
-		n.deferredRollbacks.Store(true)
-		n.bgDone.Add(1)
-		go func() {
-			defer n.bgDone.Done()
-			for len(pending) > 0 && n.live.Load() {
-				kept := pending[:0]
-				for _, d := range pending {
-					rest := n.rollbackEntries(d.g, d.undo)
-					if len(rest) > 0 {
-						kept = append(kept, deferred{d.g, rest})
-						continue
-					}
-					n.wal.Append(&wal.Record{Type: wal.RecAbort, Node: n.id, LLSN: n.llsn.Next(), Trx: d.g})
-				}
-				pending = kept
-				if len(pending) > 0 {
-					time.Sleep(20 * time.Millisecond)
-				}
-			}
-			if n.live.Load() {
-				n.wal.Sync(n.wal.End())
-				n.tf.SetRecovering(false)
-				n.deferredRollbacks.Store(false)
-			}
-		}()
-	}
+		n.deferredRollbacks.Store(false)
+	})
 	n.startBackground()
 	return nil
 }
 
-// replayPage applies one redo record to its page if the page's LLSN shows
-// the change is missing. Pages are reached through the normal PLock + LBP
-// path: the crashed incarnation's PLocks are idempotently re-granted to us,
-// preserving the fence against other nodes.
-func (n *Node) replayPage(rec *wal.Record, resolve func(*page.Version) common.CSN) error {
-	// X is required only when the record actually applies, and then the
-	// page is one the crashed incarnation held X on — so the grant is an
-	// instant reclaim. Everywhere else S suffices, which avoids waiting
-	// behind live nodes' S holds during recovery.
-	mode := lockfusion.ModeX
-	if err := n.pl.Acquire(rec.Page, mode); err != nil {
+// replayPage is the restart replay target: rec is applied to its page if the
+// page's LLSN shows the change is missing. Pages are reached through the
+// normal PLock + LBP path: the crashed incarnation's PLocks are idempotently
+// re-granted to us, preserving the fence against other nodes.
+func (n *Node) replayPage(rec *wal.Record, a *analysis) error {
+	// A record that applies is on a page the crashed incarnation held X
+	// on — so the grant is an instant reclaim.
+	if err := n.pl.Acquire(rec.Page, lockfusion.ModeX); err != nil {
 		if errors.Is(err, common.ErrFenced) {
 			// The page is fenced by ANOTHER crashed node, so our own
 			// incarnation did not hold it at crash time — which means
@@ -229,25 +213,27 @@ func (n *Node) replayPage(rec *wal.Record, resolve func(*page.Version) common.CS
 	defer n.lbp.Unpin(f)
 	f.Mu.Lock()
 	defer f.Mu.Unlock()
-	applyRecord(f.Pg, rec, &f.Dirty)
-	// Live purges are not logged, so replay onto an older base image can
-	// rebuild version chains longer than the page ever held; trim them
-	// the same way the live path would, resolving this node's own
-	// pre-crash commits from the log outcomes.
-	if f.Pg.SizeEstimate() > page.SplitThreshold {
-		// Foreign versions go through the page-scoped vectored resolver;
-		// our own pre-crash commits still resolve from the log outcomes.
-		batch := n.batchResolver(f.Pg)
-		res := func(v *page.Version) common.CSN {
-			if v.Trx.Node == n.id {
-				return resolve(v)
+	var applied bool
+	if applyRecord(f.Pg, rec, &applied); !applied {
+		return nil
+	}
+	f.Dirty = true
+	// Foreign versions go through the page-scoped vectored resolver; our own
+	// pre-crash ones take their fate from the table folded so far. Every own
+	// version on a page this record applies to was inserted by a record
+	// earlier in the stream (the page left and re-entered this node under X
+	// PLocks in between), so its writer is in the table unless it predates
+	// the retained log; an outcome still ahead in the stream reads as
+	// unfinished, which only keeps more history.
+	trim(f.Pg, n.tf.LastGMV(), func(pg *page.Page) func(*page.Version) common.CSN {
+		batch := n.batchResolver(pg)
+		return func(v *page.Version) common.CSN {
+			if v.Trx.Node == n.id && v.CTS == common.CSNInit && !v.Trx.Zero() {
+				return a.fate(v.Trx)
 			}
 			return batch(v)
 		}
-		if f.Pg.Purge(n.tf.LastGMV(), res) > 0 {
-			f.Dirty = true
-		}
-	}
+	})
 	return nil
 }
 
@@ -280,249 +266,148 @@ func applyRecord(pg *page.Page, rec *wal.Record, dirty *bool) {
 	*dirty = true
 }
 
-// RecoverCluster rebuilds the database from shared storage alone after a
-// full-cluster crash (CrashAll): every node's redo stream is merged in
-// LLSN_bound order (§4.4), redo is applied to the storage page images,
-// uncommitted transactions are rolled back using the logged versions, the
-// TSO is reseeded above the largest durable CTS, and the logs are
-// truncated. Nodes are then re-added fresh by the caller.
-func RecoverCluster(store storage.API, txSrv *txfusion.Server) error {
-	r := &clusterRecovery{
-		store: store,
-		pages: make(map[common.PageID]*page.Page),
-		dirty: make(map[common.PageID]bool),
-	}
-	return r.run(txSrv)
-}
-
-// RecoverAll is the cluster-level convenience wrapper.
-func (c *Cluster) RecoverAll() error {
-	err := RecoverCluster(c.store, c.txSrv)
-	if c.pmfsRep != nil {
-		// Recovery reseeds the TSO with a local write that bypasses the
-		// replicated path; re-baseline the follower mirrors on the result.
-		c.pmfsRep.Resync()
-	}
-	return err
-}
-
-type clusterRecovery struct {
+// pageImages is the storage replay target, for pages no live buffer pool can
+// hold: a dead peer's fence set (takeover) or every page (cold start). Images
+// are loaded from storage on first touch, redone in memory, settled by the
+// fate rule and written back if they changed.
+type pageImages struct {
 	store storage.API
 	pages map[common.PageID]*page.Page
 	dirty map[common.PageID]bool
 }
 
-func (r *clusterRecovery) page(id common.PageID) (*page.Page, error) {
-	if pg, ok := r.pages[id]; ok {
+func newPageImages(store storage.API) *pageImages {
+	return &pageImages{store: store, pages: make(map[common.PageID]*page.Page), dirty: make(map[common.PageID]bool)}
+}
+
+// load returns id's image; with create set a page storage has never seen
+// starts empty (its first record is the creation image).
+func (s *pageImages) load(id common.PageID, space common.SpaceID, create bool) (*page.Page, error) {
+	if pg, ok := s.pages[id]; ok {
 		return pg, nil
 	}
-	img, err := r.store.ReadPage(id)
-	if err != nil {
+	var pg *page.Page
+	img, err := s.store.ReadPage(id)
+	switch {
+	case err == nil:
+		if pg, err = page.Unmarshal(img); err != nil {
+			return nil, err
+		}
+	case create && errors.Is(err, common.ErrNotFound):
+		pg = page.New(id, space, page.TypeLeaf)
+	default:
 		return nil, err
 	}
-	pg, err := page.Unmarshal(img)
-	if err != nil {
-		return nil, err
-	}
-	r.pages[id] = pg
+	s.pages[id] = pg
 	return pg, nil
 }
 
-func (r *clusterRecovery) run(txSrv *txfusion.Server) error {
-	var readers []*wal.StreamReader
-	for _, node := range r.store.LogNodes() {
-		readers = append(readers, wal.NewStreamReader(r.store, node, r.store.LogStartLSN(node), 0))
+// redo applies one page record to its image by the LLSN rule.
+func (s *pageImages) redo(rec *wal.Record) error {
+	pg, err := s.load(rec.Page, rec.Space, rec.Type == wal.RecPageImage)
+	if err != nil {
+		return fmt.Errorf("recovery: page %d for record LLSN %d: %w", rec.Page, rec.LLSN, err)
 	}
-	merge := wal.NewMergeReader(readers...)
+	d := s.dirty[rec.Page]
+	applyRecord(pg, rec, &d)
+	s.dirty[rec.Page] = d
+	return nil
+}
 
-	type trxState struct {
-		inserts  []*wal.Record
-		finished bool
-	}
-	trxs := make(map[common.GTrxID]*trxState)
-	commitCTS := make(map[common.GTrxID]common.CSN)
-	var order []common.GTrxID
-	var maxCTS common.CSN
-
-	for {
-		rec, err := merge.Next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			break
-		}
-		switch rec.Type {
-		case wal.RecInsert, wal.RecRollback:
-			pg, err := r.page(rec.Page)
-			if err != nil {
-				return fmt.Errorf("recovery: page %d for record LLSN %d: %w", rec.Page, rec.LLSN, err)
-			}
-			d := r.dirty[rec.Page]
-			applyRecord(pg, rec, &d)
-			r.dirty[rec.Page] = d
-			if rec.Type == wal.RecInsert {
-				st := trxs[rec.Trx]
-				if st == nil {
-					st = &trxState{}
-					trxs[rec.Trx] = st
-					order = append(order, rec.Trx)
-				}
-				st.inserts = append(st.inserts, rec)
-			}
-		case wal.RecPageImage:
-			pg := r.pages[rec.Page]
-			if pg == nil {
-				// May exist only in storage, or be brand new.
-				img, err := r.store.ReadPage(rec.Page)
-				if err == nil {
-					if pg, err = page.Unmarshal(img); err != nil {
-						return err
-					}
-				} else {
-					pg = page.New(rec.Page, rec.Space, page.TypeLeaf)
-				}
-				r.pages[rec.Page] = pg
-			}
-			d := r.dirty[rec.Page]
-			applyRecord(pg, rec, &d)
-			r.dirty[rec.Page] = d
-		case wal.RecCommit, wal.RecAbort:
-			st := trxs[rec.Trx]
-			if st == nil {
-				st = &trxState{}
-				trxs[rec.Trx] = st
-			}
-			st.finished = true
-			if rec.Type == wal.RecCommit {
-				commitCTS[rec.Trx] = rec.CTS
-			}
-			if rec.CTS > maxCTS {
-				maxCTS = rec.CTS
-			}
-		}
-	}
-
-	// Undo pass: roll back uncommitted transactions. Rows may have moved
-	// across pages via SMOs, so locate each key by descending the
-	// recovered tree.
-	for _, g := range order {
-		st := trxs[g]
-		if st.finished {
-			continue
-		}
-		for i := len(st.inserts) - 1; i >= 0; i-- {
-			rec := st.inserts[i]
-			leaf, err := r.findLeaf(rec.Space, rec.Key)
-			if err != nil {
-				return fmt.Errorf("recovery: rollback %v key %q: %w", g, rec.Key, err)
-			}
-			if leaf != nil && leaf.RollbackVersion(rec.Key, g) {
-				r.dirty[leaf.ID] = true
-			}
-		}
-	}
-
-	// Visibility finalization: every version that survived the undo pass
-	// was written by a committed transaction, but its CTS may be
-	// unstamped and its writer's TIT is gone. Stamp it now — with the
-	// logged commit timestamp, or CSNMin when even the commit record was
-	// checkpointed away — so recovered rows resolve without any TIT.
-	ctsFor := func(g common.GTrxID) common.CSN {
-		if st := trxs[g]; st != nil {
-			// Rolled-back writers left no versions; finished ones
-			// here are committed.
-			if c, ok := commitCTS[g]; ok {
-				return c
-			}
-		}
-		return common.CSNMin
-	}
-	for _, id := range r.store.PageIDs() {
-		if _, loaded := r.pages[id]; !loaded {
-			if _, err := r.page(id); err != nil {
-				return err
-			}
-		}
-	}
-	for id, pg := range r.pages {
+// settle gives every unstamped version the analysis speaks for its fate, in
+// the image: stamped with the logged CTS or CSNMin, or — unfinished — removed,
+// which on an image nobody else can reach is the whole compensation. Chains
+// replay over-grew are then trimmed at horizon.
+func (s *pageImages) settle(a *analysis, horizon common.CSN, resolver func(*page.Page) func(*page.Version) common.CSN) {
+	for id, pg := range s.pages {
+		rows := pg.Rows[:0]
 		for ri := range pg.Rows {
-			for vi := range pg.Rows[ri].Versions {
-				v := &pg.Rows[ri].Versions[vi]
-				if v.CTS == common.CSNInit && !v.Trx.Zero() {
-					v.CTS = ctsFor(v.Trx)
-					r.dirty[id] = true
+			r := &pg.Rows[ri]
+			keep := r.Versions[:0]
+			for _, v := range r.Versions {
+				if v.CTS == common.CSNInit && !v.Trx.Zero() && a.owns(v.Trx.Node) {
+					s.dirty[id] = true
+					if v.CTS = a.fate(v.Trx); v.CTS == common.CSNMax {
+						continue
+					}
 				}
+				keep = append(keep, v)
+			}
+			if r.Versions = keep; len(keep) > 0 {
+				rows = append(rows, *r)
 			}
 		}
-		// With every version stamped, trim the chains replay may have
-		// over-grown (live purges are unlogged): at this point there
-		// are no active transactions, so only each row's newest
-		// committed version is reachable.
-		if pg.SizeEstimate() > page.SplitThreshold {
-			if pg.Purge(maxCTS, func(v *page.Version) common.CSN { return v.CTS }) > 0 {
-				r.dirty[id] = true
-			}
+		pg.Rows = rows
+		if trim(pg, horizon, resolver) {
+			s.dirty[id] = true
 		}
 	}
+}
 
-	// Write back every changed page, reseed the TSO, truncate the logs.
-	for id, pg := range r.pages {
-		if !r.dirty[id] {
+// writeBack stores every image that changed.
+func (s *pageImages) writeBack() error {
+	for id, pg := range s.pages {
+		if !s.dirty[id] {
 			continue
 		}
 		img, err := pg.Marshal()
 		if err != nil {
 			return err
 		}
-		if err := r.store.WritePage(id, img); err != nil {
+		if err := s.store.WritePage(id, img); err != nil {
 			return err
 		}
-	}
-	if txSrv != nil {
-		if maxCTS < common.CSNMin {
-			maxCTS = common.CSNMin
-		}
-		txSrv.SetTSO(maxCTS)
-	}
-	for _, node := range r.store.LogNodes() {
-		r.store.LogTruncate(node, r.store.LogDurableLSN(node))
 	}
 	return nil
 }
 
-// findLeaf descends the recovered tree for space to the leaf owning key,
-// using the anchor from the space directory. Returns nil if the space is
-// unknown (orphaned records from an unfinished CreateSpace).
-func (r *clusterRecovery) findLeaf(space common.SpaceID, key []byte) (*page.Page, error) {
-	dir := decodeSpaceDir(r.store.GetMeta(spaceDirKey))
-	var anchor common.PageID
-	for _, si := range dir {
-		if si.Space == space {
-			anchor = si.Anchor
-			break
+// RecoverAll is the cold-start driver: it rebuilds the database from shared
+// storage alone after a full-cluster crash (CrashAll). Every node's redo
+// stream is merged in LLSN_bound order (§4.4) and applied to the storage page
+// images; then every page is settled — with no node left, removing an
+// unfinished transaction's versions wherever they sit is its rollback — the
+// TSO is reseeded above the largest durable CTS, and the logs are truncated.
+// Nodes are then re-added fresh by the caller.
+func (c *Cluster) RecoverAll() error {
+	if c.remote {
+		return ErrNotHosted
+	}
+	err := c.recoverAll()
+	// Recovery reseeds the TSO with a local write that bypasses the
+	// replicated path; re-baseline the follower mirrors on the result.
+	c.pmfsRep.Resync()
+	return err
+}
+
+func (c *Cluster) recoverAll() error {
+	var readers []*wal.StreamReader
+	for _, node := range c.store.LogNodes() {
+		readers = append(readers, wal.NewStreamReader(c.store, node, c.store.LogStartLSN(node), 0))
+	}
+	a, imgs := newAnalysis(0), newPageImages(c.store)
+	if err := a.fold(wal.NewMergeReader(readers...).Next, imgs.redo); err != nil {
+		return err
+	}
+	// Unstamped versions outlive the log records that wrote them, on pages
+	// this log never touched; settle those too, so recovered rows resolve
+	// without any TIT.
+	for _, id := range c.store.PageIDs() {
+		if _, err := imgs.load(id, 0, false); err != nil {
+			return err
 		}
 	}
-	if anchor == common.InvalidPageID {
-		return nil, nil
+	// With every version stamped and no transaction active, only each row's
+	// newest committed version is reachable.
+	stamped := func(v *page.Version) common.CSN { return v.CTS }
+	imgs.settle(a, a.maxCTS, func(*page.Page) func(*page.Version) common.CSN { return stamped })
+	if err := imgs.writeBack(); err != nil {
+		return err
 	}
-	cur, err := r.page(anchor)
-	if err != nil {
-		return nil, err
+	c.txSrv.SetTSO(max(a.maxCTS, common.CSNMin))
+	for _, node := range c.store.LogNodes() {
+		c.store.LogTruncate(node, c.store.LogDurableLSN(node))
 	}
-	for depth := 0; depth < 64; depth++ {
-		if cur.Type == page.TypeLeaf {
-			return cur, nil
-		}
-		child := cur.ChildFor(key)
-		if child == common.InvalidPageID {
-			return nil, fmt.Errorf("recovery: space %d: no route for key: %w", space, common.ErrCorrupt)
-		}
-		if cur, err = r.page(child); err != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("recovery: space %d: descent too deep: %w", space, common.ErrCorrupt)
+	return nil
 }
 
 // VerifyTree walks a space's recovered tree in storage and checks ordering

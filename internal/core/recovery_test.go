@@ -255,6 +255,35 @@ func TestFullClusterRecoveryWithSplits(t *testing.T) {
 	}
 }
 
+// fuzzHistory runs ops seeded single-key upsert transactions against random
+// nodes of c — one in ten rolled back — over keys distinct keys, values padded
+// by pad bytes, and records every acknowledged commit in expect. Given the
+// same rng state it issues the same history on any cluster.
+func fuzzHistory(t *testing.T, c *Cluster, sp common.SpaceID, rng *rand.Rand, tag string, ops, keys, pad int, expect map[string]string) {
+	t.Helper()
+	nodes := len(c.Nodes())
+	for i := 0; i < ops; i++ {
+		n := c.Node(1 + rng.Intn(nodes))
+		key := fmt.Sprintf("k%03d", rng.Intn(keys))
+		val := fmt.Sprintf("%s%d%*s", tag, i, pad, "")
+		tx, err := n.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Upsert(sp, []byte(key), []byte(val)); err != nil {
+			tx.Rollback()
+			continue
+		}
+		if rng.Intn(10) == 0 {
+			tx.Rollback()
+			continue
+		}
+		if err := tx.Commit(); err == nil {
+			expect[key] = val
+		}
+	}
+}
+
 func TestRecoveryFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz-style test skipped in -short")
@@ -262,29 +291,9 @@ func TestRecoveryFuzz(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
 			c, sp := testCluster(t, 2)
 			expect := map[string]string{}
-			for i := 0; i < 200; i++ {
-				n := c.Node(1 + rng.Intn(2))
-				key := fmt.Sprintf("k%03d", rng.Intn(60))
-				val := fmt.Sprintf("v%d", i)
-				tx, err := n.Begin()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := tx.Upsert(sp, []byte(key), []byte(val)); err != nil {
-					tx.Rollback()
-					continue
-				}
-				if rng.Intn(10) == 0 {
-					tx.Rollback()
-					continue
-				}
-				if err := tx.Commit(); err == nil {
-					expect[key] = val
-				}
-			}
+			fuzzHistory(t, c, sp, rand.New(rand.NewSource(seed)), "v", 200, 60, 0, expect)
 			c.CrashAll()
 			if err := c.RecoverAll(); err != nil {
 				t.Fatal(err)

@@ -222,9 +222,6 @@ func JoinRemote(cfg Config, addr string, nc *wire.NetCounters) (*Cluster, *Node,
 		return fail(fmt.Errorf("core: join %s: %w", addr, err))
 	}
 	rs := storage.NewRemote(c.fabric.From(id))
-	if cfg.FenceTTL > 0 {
-		rs.SetFenceTTL(cfg.FenceTTL)
-	}
 	c.store = rs
 	c.view = membership.NewRemoteView(c.fabric.From(id))
 

@@ -8,7 +8,6 @@ import (
 	"polardbmp/internal/common"
 	"polardbmp/internal/lockfusion"
 	"polardbmp/internal/membership"
-	"polardbmp/internal/page"
 	"polardbmp/internal/wal"
 )
 
@@ -22,15 +21,6 @@ func (c *Cluster) noteTakeoverErr(dead common.NodeID, err error) {
 		return
 	}
 	c.takeoverErr = fmt.Sprintf("node %d: %v", dead, err)
-}
-
-// peerTrx is one of a dead node's transactions as reconstructed from its
-// durable redo stream by the takeover scan.
-type peerTrx struct {
-	g        common.GTrxID
-	undo     []undoEntry
-	finished bool
-	cts      common.CSN // logged commit timestamp; 0 for aborted
 }
 
 // takeoverLockLeases bounds a survivor's wait for the takeover lock, in lease
@@ -74,31 +64,18 @@ func (c *Cluster) takeover(dead common.NodeID, epoch common.Epoch, survivor *Nod
 	}
 	start := time.Now()
 
-	// STONITH: the "dead" node may be merely slow; kill its process first
-	// so no zombie thread extends the log or publishes state mid-takeover.
-	// (Its fabric requests are already rejected by the epoch gate.)
+	// Fence the redo stream — its durable prefix is now immutable and owned by
+	// this takeover — then STONITH: the "dead" node may be merely slow, so
+	// kill its process before anything is repaired (its fabric requests are
+	// already rejected by the epoch gate) and run the dead-node cleanup.
 	c.mu.Lock()
 	n := c.nodes[dead]
 	delete(c.nodes, dead)
 	c.mu.Unlock()
-	if n != nil {
-		n.crash()
-	}
-
-	// Fence the redo stream and discard its un-synced tail: the durable
-	// prefix is now immutable and owned by this takeover.
 	c.store.FenceLog(dead)
-	c.store.LogCrashVolatile(dead)
+	c.nodeDied(n, dead)
 
-	// Declared-crash cleanup (what CrashNode does for an operator): keep
-	// the PLock fence up, clear the dead node's wait edges so blocked
-	// peers retry, drop its DBP registrations, unblock the min view.
-	c.lockSrv.PLock.MarkDead(dead)
-	c.lockSrv.DropNodeRLock(uint16(dead))
-	c.bufSrv.DropNode(uint16(dead))
-	c.removeMinView(dead)
-
-	trxs, err := survivor.recoverPeer(dead)
+	a, err := survivor.recoverPeer(dead)
 	if err != nil {
 		// Fail safe: the PLock fence stays up (the dead node's X pages
 		// remain unreachable) and the slot stays Fenced. Re-open the log
@@ -117,7 +94,30 @@ func (c *Cluster) takeover(dead common.NodeID, epoch common.Epoch, survivor *Nod
 	c.lockSrv.DropNodePLock(uint16(dead))
 	c.lockSrv.PLock.ClearDead(dead)
 
-	survivor.finishPeerRecovery(trxs)
+	// Settle the dead node's transactions outside the fence set through the
+	// normal engine paths (rows may have migrated across pages since they
+	// were written): committed-but-unstamped versions get their CTS so
+	// readers stop treating them as active, unfinished ones one compensation
+	// pass. Entries behind a second crashed node's fence stay pending: the
+	// slot stays Fenced — the dead node's versions keep resolving as active —
+	// and the stream untruncated, and the detectors' fenced-slot sweep
+	// re-runs this takeover (replay is idempotent by the LLSN rule) once that
+	// fence has lifted, which may need takeoverMu.
+	for _, t := range a.order {
+		if t.cts != 0 {
+			survivor.stampPeerCTS(t)
+		}
+	}
+	left := survivor.compensate(a.unfinished())
+	survivor.wal.Sync(survivor.wal.End())
+	if len(left) > 0 {
+		entries := 0
+		for _, t := range left {
+			entries += len(t.undo)
+		}
+		c.noteTakeoverErr(dead, fmt.Errorf("compensation pending: %d entries", entries))
+		return
+	}
 
 	// Journal every reconstructed fate BEFORE marking the node recovered:
 	// the commit-ambiguity protocol polls "active" until recovery completes,
@@ -125,17 +125,13 @@ func (c *Cluster) takeover(dead common.NodeID, epoch common.Epoch, survivor *Nod
 	// unfinished transaction was rolled back above — for its client the
 	// commit record never became durable, so "aborted" is the truth, not a
 	// guess.
-	for _, st := range trxs {
-		if st.finished && st.cts != 0 {
-			c.txlog.record(st.g, st.cts)
-		} else {
-			c.txlog.record(st.g, 0)
-		}
+	for _, t := range a.order {
+		c.txlog.record(t.g, t.cts)
 	}
 
-	// Only now may readers resolve the dead node's remaining unstamped
-	// versions as checkpoint-old (CSNMin): everything younger was stamped
-	// or removed above.
+	// Only now — every undo list empty — may readers resolve the dead node's
+	// remaining unstamped versions as checkpoint-old (CSNMin): everything
+	// younger was stamped or removed above.
 	c.members.MarkRecovered(dead)
 	c.store.LogTruncate(dead, c.store.LogDurableLSN(dead))
 	c.store.UnfenceLog(dead)
@@ -144,197 +140,53 @@ func (c *Cluster) takeover(dead common.NodeID, epoch common.Epoch, survivor *Nod
 	c.takeoverDur.Observe(time.Since(start))
 }
 
-// recoverPeer replays a fenced dead node's durable redo stream while its
-// PLock fence is still up. The fence set — pages the dead node held X PLocks
-// on — is exactly where its latest changes may exist only in its log
-// (flush-before-release pushed every released page), so those pages are
-// rebuilt in storage: stale DBP frames reclaimed, redo applied, and the dead
-// node's own versions resolved in-image (committed stamped with the logged
-// CTS, in-doubt removed). Returns the reconstructed transaction outcomes for
-// the engine-path finish.
-func (n *Node) recoverPeer(dead common.NodeID) ([]*peerTrx, error) {
+// recoverPeer is the takeover replay: a fenced dead node's durable redo
+// stream is folded while its PLock fence is still up. The fence set — pages
+// the dead node held X PLocks on — is exactly where its latest changes may
+// exist only in its log (flush-before-release pushed every released page), so
+// those pages are rebuilt as storage images: stale DBP frames reclaimed, redo
+// applied, the dead node's own versions settled by the fate rule. Returns the
+// analysis for the engine-path finish.
+func (n *Node) recoverPeer(dead common.NodeID) (*analysis, error) {
 	c := n.c
-
-	// Pass 1: scan the stream for transaction outcomes, retaining the page
-	// mutations for replay. Folding the dead node's LLSNs into our counter
-	// keeps our future records ordered after everything we replay.
-	trxs := make(map[common.GTrxID]*peerTrx)
-	var order []*peerTrx
-	var recs []*wal.Record
-	sr := wal.NewStreamReader(c.store, dead, c.store.LogStartLSN(dead), 0)
-	for {
-		rec, err := sr.Next()
-		if err != nil {
-			return nil, err
-		}
-		if rec == nil {
-			break
-		}
-		n.llsn.Observe(rec.LLSN)
-		switch rec.Type {
-		case wal.RecInsert, wal.RecRollback, wal.RecPageImage:
-			recs = append(recs, rec)
-		}
-		if rec.Trx.Zero() || rec.Trx.Node != dead {
-			continue
-		}
-		st := trxs[rec.Trx]
-		if st == nil {
-			st = &peerTrx{g: rec.Trx}
-			trxs[rec.Trx] = st
-			order = append(order, st)
-		}
-		switch rec.Type {
-		case wal.RecInsert:
-			st.undo = append(st.undo, undoEntry{space: rec.Space, key: rec.Key})
-		case wal.RecCommit:
-			st.finished = true
-			st.cts = rec.CTS
-		case wal.RecAbort:
-			st.finished = true
-		}
-	}
-
-	fenced := c.lockSrv.PLock.HeldBy(dead)
+	var fence []common.PageID
 	inFence := make(map[common.PageID]bool)
-	var fencedX []common.PageID
-	for pg, mode := range fenced {
+	for pg, mode := range c.lockSrv.PLock.HeldBy(dead) {
 		if mode == lockfusion.ModeX {
 			inFence[pg] = true
-			fencedX = append(fencedX, pg)
+			fence = append(fence, pg)
 		}
 	}
-
 	// Reclaim the fenced pages' DBP frames (flushing non-stale dirty state)
 	// so the storage image is the single base the replay builds on.
-	c.bufSrv.Reclaim(fencedX)
+	c.bufSrv.Reclaim(fence)
 
-	// Pass 2: replay the retained records onto the fenced pages' storage
-	// images in log order; applyRecord's LLSN rule keeps this idempotent
-	// against changes already pushed before the crash.
-	images := make(map[common.PageID]*page.Page)
-	for _, rec := range recs {
+	a, imgs := newAnalysis(dead), newPageImages(c.store)
+	sr := wal.NewStreamReader(c.store, dead, c.store.LogStartLSN(dead), 0)
+	if err := a.fold(sr.Next, func(rec *wal.Record) error {
 		if !inFence[rec.Page] {
-			continue
+			return nil
 		}
-		pg := images[rec.Page]
-		if pg == nil {
-			img, err := c.store.ReadPage(rec.Page)
-			if err == nil {
-				if pg, err = page.Unmarshal(img); err != nil {
-					return nil, err
-				}
-			} else if rec.Type == wal.RecPageImage {
-				// Created after the last checkpoint: the creation image
-				// is the first record for the page.
-				pg = page.New(rec.Page, rec.Space, page.TypeLeaf)
-			} else {
-				// A mutation record must follow the page's creation (in
-				// the log or a checkpoint); nothing to apply it to.
-				continue
-			}
-			images[rec.Page] = pg
-		}
-		var dirty bool
-		applyRecord(pg, rec, &dirty)
+		return imgs.redo(rec)
+	}); err != nil {
+		return nil, err
 	}
+	// Folding the dead node's LLSNs into our counter keeps our future
+	// records ordered after everything we replayed.
+	n.llsn.Observe(a.maxLLSN)
 
-	// Resolve the dead node's versions in-image and publish the repaired
-	// pages; peers fault them in from storage once the fence lifts. The
-	// replay accumulated one version per logged insert — under a hot-key
-	// workload that is far more history than any snapshot can reach — so
-	// apply the engine's Purge rule at the cluster's min view, exactly as
-	// the live write path would have, before marshaling into a frame.
-	gmv := n.tf.LastGMV()
-	for _, pg := range images {
-		resolvePeerVersions(pg, dead, trxs)
-		pg.Purge(gmv, n.batchResolver(pg))
+	// Publish the repaired pages; peers fault them in from storage once the
+	// fence lifts.
+	imgs.settle(a, n.tf.LastGMV(), n.batchResolver)
+	if err := imgs.writeBack(); err != nil {
+		return nil, err
 	}
-	for id, pg := range images {
-		img, err := pg.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		if err := c.store.WritePage(id, img); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
-}
-
-// resolvePeerVersions settles every version the dead node wrote on a
-// replayed page: committed versions get their logged CTS, in-doubt versions
-// (no commit record survived, so the client never got an acknowledgement)
-// are removed, aborted leftovers are removed, and versions from before the
-// retained log finished under an earlier checkpoint — visible to all.
-func resolvePeerVersions(pg *page.Page, dead common.NodeID, trxs map[common.GTrxID]*peerTrx) {
-	rows := pg.Rows[:0]
-	for ri := range pg.Rows {
-		r := &pg.Rows[ri]
-		keep := r.Versions[:0]
-		for vi := range r.Versions {
-			v := r.Versions[vi]
-			if v.Trx.Zero() || v.Trx.Node != dead || v.CTS != common.CSNInit {
-				keep = append(keep, v)
-				continue
-			}
-			st := trxs[v.Trx]
-			switch {
-			case st == nil:
-				v.CTS = common.CSNMin // pre-checkpoint commit
-				keep = append(keep, v)
-			case !st.finished:
-				// in-doubt: drop the version (rollback)
-			case st.cts != 0:
-				v.CTS = st.cts
-				keep = append(keep, v)
-			default:
-				// aborted: its compensation record should already have
-				// removed this; drop the leftover either way
-			}
-		}
-		r.Versions = keep
-		if len(r.Versions) > 0 {
-			rows = append(rows, *r)
-		}
-	}
-	pg.Rows = rows
-}
-
-// finishPeerRecovery settles the dead node's transactions on pages outside
-// the fence set through the normal engine paths (rows may have migrated
-// across pages since they were written): in-doubt versions are rolled back
-// with compensation records, committed-but-unstamped versions get their CTS
-// so readers stop treating them as active. Entries behind a second crashed
-// node's fence are retried for a bounded time; leftovers resolve through the
-// membership fate rule once that node recovers too.
-func (n *Node) finishPeerRecovery(trxs []*peerTrx) {
-	deadline := time.Now().Add(10 * time.Second)
-	for _, st := range trxs {
-		if st.finished {
-			if st.cts != 0 {
-				n.stampPeerCTS(st)
-			}
-			continue
-		}
-		undo := st.undo
-		for len(undo) > 0 {
-			rest := n.rollbackEntries(st.g, undo)
-			if len(rest) == len(undo) && time.Now().After(deadline) {
-				break
-			}
-			undo = rest
-			if len(undo) > 0 {
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
-	}
-	n.wal.Sync(n.wal.End())
+	return a, nil
 }
 
 // stampPeerCTS stamps a committed transaction's surviving versions wherever
 // its rows live now.
-func (n *Node) stampPeerCTS(st *peerTrx) {
+func (n *Node) stampPeerCTS(st *trxFate) {
 	seen := make(map[string]bool, len(st.undo))
 	for _, e := range st.undo {
 		k := fmt.Sprintf("%d/%s", e.space, e.key)

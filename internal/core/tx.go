@@ -743,63 +743,80 @@ func (tx *Tx) rollbackLocked() {
 	// Journal before the TIT slot is freed: once Finish recycles it, the
 	// journal is the only witness that this was an abort, not a commit.
 	n.c.txlog.record(tx.g, 0)
-	left := n.rollbackEntries(tx.g, tx.undo)
+	left := n.compensate([]*trxFate{{g: tx.g, undo: tx.undo}})
 	if len(left) > 0 {
 		// Some pages were unreachable (a peer's crash fence or a network
 		// partition): their versions are still on the pages, uncompensated.
-		// The TIT slot must stay active until every one is removed — a
-		// recycled slot resolves CSNMin ("committed, visible to all"), so
-		// freeing it now would publish the rolled-back writes as committed
-		// the moment the fault heals. RecAbort is likewise withheld: after
-		// a crash the log must show this transaction as unfinished so
-		// restart recovery redoes the compensation itself.
-		n.deferLiveRollback(tx.g, left)
-		n.Aborts.Inc()
-		n.tracer.FinishTx(tx.tr, 0, false)
-		return
+		// Writers that hit them wait on the still-active TIT slot and
+		// readers resolve them CSNMax (invisible), so finishing in the
+		// background is safe — just slow for those rows until the fault
+		// heals.
+		n.DeferredAborts.Inc()
 	}
-	n.wal.Append(&wal.Record{Type: wal.RecAbort, Node: n.id, LLSN: n.llsn.Next(), Trx: tx.g})
-	waiters := n.tf.Finish(tx.g)
-	if waiters {
-		n.rl.NotifyCommitted(tx.g)
-	}
+	n.whenDrained(left, func() {
+		if n.tf.Finish(tx.g) {
+			n.rl.NotifyCommitted(tx.g)
+		}
+	})
 	n.Aborts.Inc()
 	n.tracer.FinishTx(tx.tr, 0, false)
 }
 
-// deferLiveRollback keeps retrying the compensation of undo entries whose
-// pages were unreachable when a live transaction rolled back. Writers that
-// hit the leaked versions wait on the still-active TIT slot, and readers
-// resolve them CSNMax (invisible), so the deferral is safe — just slow for
-// the affected rows until the fault heals. Only once every entry is undone
-// are the abort record logged and the slot freed.
-func (n *Node) deferLiveRollback(g common.GTrxID, undo []undoEntry) {
-	n.DeferredAborts.Inc()
+// rollbackRetry paces the background compensation of entries whose pages were
+// unreachable.
+const rollbackRetry = 20 * time.Millisecond
+
+// compensate is one pass of the one compensation loop: it removes what each
+// unfinished transaction in txs left on the pages it can reach, logs the
+// RecAbort of every transaction whose undo list drained, and returns the
+// rest. A transaction is finished only when nothing is left: until then its
+// RecAbort is withheld — after a crash the log must show it as unfinished so
+// the next recovery redoes the compensation itself — and whatever makes its
+// versions invisible (the TIT slot, the recovery fence, the Fenced
+// membership slot) must stay up, because the released state resolves CSNMin
+// and would publish the rolled-back writes the moment the fault heals.
+func (n *Node) compensate(txs []*trxFate) []*trxFate {
+	var left []*trxFate
+	for _, t := range txs {
+		if t.undo = n.rollbackEntries(t.g, t.undo); len(t.undo) > 0 {
+			left = append(left, t)
+			continue
+		}
+		n.wal.Append(&wal.Record{Type: wal.RecAbort, Node: n.id, LLSN: n.llsn.Next(), Trx: t.g})
+	}
+	return left
+}
+
+// whenDrained calls release once every transaction in left is compensated:
+// at once when left is empty, otherwise from a background retry that stops
+// with the node (release then never runs: the crash recovery that follows
+// starts over from the log).
+func (n *Node) whenDrained(left []*trxFate, release func()) {
+	if len(left) == 0 {
+		release()
+		return
+	}
 	n.bgDone.Add(1)
 	go func() {
 		defer n.bgDone.Done()
 		for n.live.Load() {
-			undo = n.rollbackEntries(g, undo)
-			if len(undo) == 0 {
-				n.wal.Append(&wal.Record{Type: wal.RecAbort, Node: n.id, LLSN: n.llsn.Next(), Trx: g})
-				if waiters := n.tf.Finish(g); waiters {
-					n.rl.NotifyCommitted(g)
-				}
+			if left = n.compensate(left); len(left) == 0 {
+				release()
 				return
 			}
 			select {
 			case <-n.stopBG:
 				return
-			case <-time.After(20 * time.Millisecond):
+			case <-time.After(rollbackRetry):
 			}
 		}
 	}()
 }
 
 // rollbackEntries removes g's newest versions for the given undo entries in
-// reverse order, logging compensation records. Shared by live rollback and
-// node-restart recovery. Entries whose pages are currently unreachable
-// (fenced by another crashed node) are returned for deferred retry.
+// reverse order, logging compensation records. Entries whose pages are
+// currently unreachable (fenced by another crashed node, partitioned away)
+// are returned for retry.
 func (n *Node) rollbackEntries(g common.GTrxID, undo []undoEntry) []undoEntry {
 	var unreachable []undoEntry
 	for i := len(undo) - 1; i >= 0; i-- {

@@ -65,10 +65,9 @@ const (
 	sopLogNodes
 )
 
-// defaultFenceTTL bounds how stale a cached fenced=false may get before
-// LogFenced re-asks the seed. Append/sync responses refresh the cache for
-// free. Overridable per client with SetFenceTTL.
-const defaultFenceTTL = 100 * time.Millisecond
+// fenceTTL bounds how stale a cached fenced=false may get before LogFenced
+// re-asks the seed. Append/sync responses refresh the cache for free.
+const fenceTTL = 100 * time.Millisecond
 
 // Serve registers the storage RPC service for s on ep (the seed does this on
 // the PMFS endpoint). Responses are [status][result]; all integers LE.
@@ -283,9 +282,6 @@ type Remote struct {
 	conn  rdma.Conn
 	stats Stats
 	rp    common.RetryPolicy
-	// fenceTTL is the freshness bound of the cached fenced flag (set once at
-	// construction time via SetFenceTTL, before the client is shared).
-	fenceTTL time.Duration
 
 	mu      sync.Mutex
 	streams map[common.NodeID]*remoteStream
@@ -309,9 +305,8 @@ func NewRemote(conn rdma.Conn) *Remote {
 		// ever again. If retries DO exhaust, the uplink has been dead far
 		// longer than any lease, the seed has evicted us, and the sticky
 		// fence below converges with the server-side truth.
-		rp:       common.RetryPolicy{MaxAttempts: 40, BaseDelay: time.Millisecond, MaxDelay: 400 * time.Millisecond},
-		fenceTTL: defaultFenceTTL,
-		streams:  make(map[common.NodeID]*remoteStream),
+		rp:      common.RetryPolicy{MaxAttempts: 40, BaseDelay: time.Millisecond, MaxDelay: 400 * time.Millisecond},
+		streams: make(map[common.NodeID]*remoteStream),
 	}
 }
 
@@ -320,16 +315,6 @@ var _ API = (*Remote)(nil)
 // SetRetryPolicy replaces the uplink retry policy (tests and operators that
 // want faster failure detection than the ride-out default).
 func (r *Remote) SetRetryPolicy(p common.RetryPolicy) { r.rp = p }
-
-// SetFenceTTL replaces the fenced-piggyback cache TTL. A slow or lossy
-// fabric can stretch the takeover window past the default; raising the TTL
-// keeps LogFenced answering from cache instead of racing the takeover with
-// fresh RPCs. Non-positive values are ignored.
-func (r *Remote) SetFenceTTL(ttl time.Duration) {
-	if ttl > 0 {
-		r.fenceTTL = ttl
-	}
-}
 
 // Stats exposes client-side op counters (reads/writes/syncs this process
 // issued, not the seed's totals).
@@ -640,7 +625,7 @@ func (r *Remote) UnfenceLog(node common.NodeID) {
 func (r *Remote) LogFenced(node common.NodeID) bool {
 	st := r.stream(node)
 	st.mu.Lock()
-	if st.fenced || time.Since(st.fencedAt) < r.fenceTTL {
+	if st.fenced || time.Since(st.fencedAt) < fenceTTL {
 		f := st.fenced
 		st.mu.Unlock()
 		return f

@@ -286,18 +286,21 @@ func NewWriter(store storage.API, node common.NodeID) *Writer {
 func (w *Writer) SetTracer(t *trace.Tracer) { w.tr = t }
 
 // Append encodes and appends rec (setting rec.LSN), returning the LSN just
-// past the record; the record is durable only after Sync reaches it.
+// past the record; the record is durable only after Sync reaches it. A closed
+// or fenced writer drops the record and returns the end it would have had
+// without advancing, an LSN Durable() never reaches: a caller gating on
+// Durable() < end sees a dropped record as not durable.
 func (w *Writer) Append(rec *Record) common.LSN {
 	tok := w.tr.Start()
 	buf := rec.Marshal(nil)
 	w.mu.Lock()
+	dropped := w.nextLSN + common.LSN(len(buf))
 	if w.closed {
 		// A zombie thread of a crashed node: its stream now belongs to
 		// the restarted incarnation; drop the record (the crash already
 		// lost this transaction).
-		end := w.nextLSN
 		w.mu.Unlock()
-		return end
+		return dropped
 	}
 	rec.LSN = w.nextLSN
 	lsn := w.store.LogAppend(w.node, buf)
@@ -307,9 +310,8 @@ func (w *Writer) Append(rec *Record) common.LSN {
 			// dropped at the storage layer (or raced LogCrashVolatile).
 			// This writer belongs to an evicted incarnation — close it.
 			w.closed = true
-			end := w.nextLSN
 			w.mu.Unlock()
-			return end
+			return dropped
 		}
 		w.mu.Unlock()
 		panic(fmt.Sprintf("wal: writer lost track of stream offset: have %d want %d", lsn, w.nextLSN))
@@ -366,17 +368,20 @@ func (w *Writer) Sync(lsn common.LSN) {
 		w.inflight++
 		w.syncMu.Unlock()
 		durable := w.store.LogSync(w.node)
-		fenced := w.store.LogFenced(w.node)
+		fenced, closed := w.store.LogFenced(w.node), w.isClosed()
 		w.syncMu.Lock()
 		w.inflight--
-		if durable > w.synced {
+		if durable > w.synced && !closed {
 			w.synced = durable
 		}
 		w.syncCond.Broadcast()
-		if fenced {
-			// The stream was fenced for takeover mid-sync: the durable
-			// frontier will never advance again; don't spin. Callers must
-			// re-check Durable() before treating the commit as durable.
+		if fenced || closed {
+			// The stream was fenced for takeover, or the node crashed,
+			// mid-sync: this writer's durable frontier will never advance
+			// again (after a crash the stream's next bytes belong to the
+			// next incarnation, so they must not count either); don't spin.
+			// Callers must re-check Durable() before treating the commit
+			// as durable.
 			break
 		}
 	}

@@ -161,6 +161,34 @@ func TestWriterGroupCommit(t *testing.T) {
 	}
 }
 
+// TestAppendDroppedNeverDurable: a record dropped by a closed or fenced
+// writer must come back with an end LSN the durable frontier never reaches,
+// so a committer gating on Durable() < end refuses the commit even when
+// everything before the record was already synced.
+func TestAppendDroppedNeverDurable(t *testing.T) {
+	commit := &Record{Type: RecCommit, Node: 1, LLSN: 2, Trx: g(1, 1), CTS: 5}
+	for name, kill := range map[string]func(*storage.Store, *Writer){
+		"closed": func(_ *storage.Store, w *Writer) { w.Close() },
+		"fenced": func(s *storage.Store, _ *Writer) { s.FenceLog(1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := storage.New(storage.Latency{})
+			w := NewWriter(store, 1)
+			w.Sync(w.Append(&Record{Type: RecInsert, Node: 1, LLSN: 1, Trx: g(1, 1), Page: 1, Space: 1, Key: []byte("k")}))
+			durable := w.Durable()
+			kill(store, w)
+			end := w.Append(commit)
+			w.Sync(end)
+			if end <= durable || w.Durable() >= end {
+				t.Fatalf("dropped append returned end %d with durable %d (before the drop: %d); it must stay out of reach", end, w.Durable(), durable)
+			}
+			if w.End() != durable {
+				t.Fatalf("dropped append advanced the stream end to %d, want %d", w.End(), durable)
+			}
+		})
+	}
+}
+
 // TestMergeReaderOrder builds two streams whose records interleave LLSNs and
 // checks the merge respects global LLSN order (stronger than the per-page
 // requirement).

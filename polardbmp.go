@@ -91,7 +91,11 @@ type Options struct {
 	// SharedBufferPages is the distributed buffer pool size in pages
 	// (default 8192).
 	SharedBufferPages int
-	// LockWaitTimeout bounds row-lock waits (default 2s).
+	// LockWaitTimeout bounds row-lock waits (default 2s). It is a backstop:
+	// deadlocks are caught by cycle detection at wait registration, so an
+	// expiry (ErrLockTimeout, retryable) only fires on genuinely slow
+	// holders. A transaction begun with BeginWithDeadline waits at most
+	// min(LockWaitTimeout, its remaining budget).
 	LockWaitTimeout time.Duration
 	// RealisticStorageLatency injects cloud-storage I/O delays (~100µs),
 	// as the benchmark harnesses do. Off by default for tests.
@@ -114,13 +118,8 @@ type Options struct {
 type Option func(*openConfig)
 
 type openConfig struct {
-	trace           *trace.Config
-	lockWaitTimeout time.Duration
-	admitPerStripe  int
-	hedgeFloor      time.Duration
-	fenceTTL        time.Duration
-	pmfsReplicas    int
-	cc              string
+	trace *trace.Config
+	cc    string
 }
 
 func (o *openConfig) tracing() *trace.Config {
@@ -144,46 +143,6 @@ func WithSlowTxThreshold(d time.Duration) Option {
 	return func(o *openConfig) { o.tracing().SlowTxThreshold = d }
 }
 
-// WithLockWaitTimeout bounds how long a transaction parks waiting for
-// another transaction's row lock (default 2s). This is a backstop, not the
-// primary contention control: deadlocks are caught by cycle detection at
-// wait registration, before any timer runs, so a WaitTimeout expiry
-// (ErrLockTimeout, retryable) only fires on genuinely slow holders. A
-// transaction begun with BeginWithDeadline waits at most
-// min(LockWaitTimeout, its remaining budget) — the budget expiry surfaces
-// as the non-retryable ErrDeadlineExceeded instead.
-func WithLockWaitTimeout(d time.Duration) Option {
-	return func(o *openConfig) { o.lockWaitTimeout = d }
-}
-
-// WithAdmissionLimit bounds concurrently admitted requests per fusion-server
-// stripe (Lock Fusion page-lock stripes and Buffer Fusion directory
-// stripes). Over-limit requests are shed with the retryable ErrOverloaded
-// instead of queuing without bound, keeping server queue time — and thus
-// every caller's latency — bounded under overload. n < 0 disables shedding;
-// 0 (or omitting the option) keeps the server defaults.
-func WithAdmissionLimit(n int) Option {
-	return func(o *openConfig) { o.admitPerStripe = n }
-}
-
-// WithHedgeDelayFloor sets the minimum delay before a slow shared-memory
-// page read is hedged with a fallback read (fail-slow mitigation; the
-// effective delay is max(floor, 8x the node's observed read latency)).
-// d < 0 disables hedging; 0 keeps the default (1ms).
-func WithHedgeDelayFloor(d time.Duration) Option {
-	return func(o *openConfig) { o.hedgeFloor = d }
-}
-
-// WithFenceTTL sets how long a remote (satellite) storage client trusts its
-// cached "not fenced" answer before re-asking the seed (default 100ms).
-// Raise it on slow or lossy fabrics so log appends during a takeover keep
-// failing fast from cache instead of racing the takeover with fresh RPCs.
-// Non-positive values keep the default. In-process clusters have no remote
-// storage client; the option is then a no-op.
-func WithFenceTTL(d time.Duration) Option {
-	return func(o *openConfig) { o.fenceTTL = d }
-}
-
 // WithCC selects the concurrency-control engine: "2pl" (default — the
 // paper's pessimistic design, statement-time row claims with commit-time
 // CTS stamping) or "occ" (optimistic — statements stage writes locally and
@@ -193,15 +152,6 @@ func WithFenceTTL(d time.Duration) Option {
 // publish). Unknown names fail Open.
 func WithCC(name string) Option {
 	return func(o *openConfig) { o.cc = name }
-}
-
-// WithPmfsReplicas sets the replication factor of the shared-memory tier
-// (default 3): every PMFS mutation is mirrored across K replicas with
-// quorum acknowledgement, and a replica fail-stop is absorbed by epoch-
-// fenced failover instead of losing the tier. Values below 2 disable
-// replication; 0 keeps the default.
-func WithPmfsReplicas(k int) Option {
-	return func(o *openConfig) { o.pmfsReplicas = k }
 }
 
 // Cluster is a PolarDB-MP deployment: N primary nodes over shared memory
@@ -229,13 +179,6 @@ func Open(opts Options, extra ...Option) (*Cluster, error) {
 		LockWaitTimeout: opts.LockWaitTimeout,
 		SelfHeal:        opts.SelfHealing,
 		Trace:           oc.trace,
-		AdmitPerStripe:  oc.admitPerStripe,
-		HedgeDelayFloor: oc.hedgeFloor,
-		FenceTTL:        oc.fenceTTL,
-		PmfsReplicas:    oc.pmfsReplicas,
-	}
-	if oc.lockWaitTimeout != 0 {
-		cfg.LockWaitTimeout = oc.lockWaitTimeout
 	}
 	if opts.RealisticStorageLatency {
 		cfg.StorageLatency = core.DefaultConfig().StorageLatency
