@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"polardbmp"
-	"polardbmp/internal/adapter"
 	"polardbmp/internal/core"
 	"polardbmp/internal/figures"
+	"polardbmp/internal/netsrv"
 	"polardbmp/internal/workload"
 )
 
@@ -159,9 +159,9 @@ func BenchmarkAblations(b *testing.B) {
 // --- micro-benchmarks: the §4.1/§4.2 fast paths, unscaled ------------------
 
 // microCluster builds a latency-free 2-node cluster for per-op benches.
-func microCluster(b *testing.B) *adapter.PolarDB {
+func microCluster(b *testing.B) *netsrv.DB {
 	b.Helper()
-	db, err := adapter.NewPolarDB(core.Config{RecycleInterval: 10 * time.Millisecond}, 2)
+	db, err := netsrv.NewDB(core.Config{RecycleInterval: 10 * time.Millisecond}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func BenchmarkMicroLazyPLockLocalGrant(b *testing.B) {
 func BenchmarkMicroRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		db, err := adapter.NewPolarDB(core.Config{}, 2)
+		db, err := netsrv.NewDB(core.Config{}, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func BenchmarkMicroRecovery(b *testing.B) {
 // BenchmarkMicroWorkloadThroughput is a plain (unscaled) sanity benchmark:
 // raw engine throughput on the TATP mix, two nodes.
 func BenchmarkMicroWorkloadThroughput(b *testing.B) {
-	db, err := adapter.NewPolarDB(core.Config{}, 2)
+	db, err := netsrv.NewDB(core.Config{}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

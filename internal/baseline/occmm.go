@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"polardbmp/internal/common"
-	"polardbmp/internal/workload"
+	"polardbmp/internal/wire"
 )
 
 // occBuckets is the default page-conflict granularity: keys hash into
@@ -66,7 +66,8 @@ type OCCMM struct {
 	Buckets int
 
 	mu     sync.Mutex
-	tables map[string]*occTable
+	tables map[string]uint32
+	byID   []*occTable // append-only; a table's space id is its index
 
 	// Conflicts counts commit-time aborts (the "deadlock errors").
 	Conflicts int64
@@ -98,7 +99,7 @@ type occCached struct {
 
 // NewOCCMM builds an n-node Aurora-MM-like cluster.
 func NewOCCMM(n int, latency OCCLatency) *OCCMM {
-	o := &OCCMM{nodes: n, latency: latency, tables: make(map[string]*occTable)}
+	o := &OCCMM{nodes: n, latency: latency, tables: make(map[string]uint32)}
 	for i := 0; i < n; i++ {
 		o.caches = append(o.caches, &occCache{rows: make(map[string]occCached)})
 	}
@@ -109,25 +110,21 @@ func NewOCCMM(n int, latency OCCLatency) *OCCMM {
 func (o *OCCMM) NodeCount() int { return o.nodes }
 
 // CreateTable implements workload.DB.
-func (o *OCCMM) CreateTable(name string) (workload.Table, error) {
+func (o *OCCMM) CreateTable(name string) (uint32, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	t := o.tables[name]
-	if t == nil {
+	id, ok := o.tables[name]
+	if !ok {
 		buckets := o.Buckets
 		if buckets <= 0 {
 			buckets = occBuckets
 		}
-		t = &occTable{name: name, rows: make(map[string][]byte), ver: make([]uint64, buckets)}
-		o.tables[name] = t
+		id = uint32(len(o.byID))
+		o.byID = append(o.byID, &occTable{name: name, rows: make(map[string][]byte), ver: make([]uint64, buckets)})
+		o.tables[name] = id
 	}
-	return occTableRef{t}, nil
+	return id, nil
 }
-
-type occTableRef struct{ t *occTable }
-
-// Space implements workload.Table (synthetic id; unused by this engine).
-func (r occTableRef) Space() common.SpaceID { return 0 }
 
 func bucketOf(key []byte, buckets int) int {
 	h := fnv.New32a()
@@ -136,11 +133,14 @@ func bucketOf(key []byte, buckets int) int {
 }
 
 // Begin implements workload.DB.
-func (o *OCCMM) Begin(node int) (workload.Tx, error) {
+func (o *OCCMM) Begin(node int) (wire.Tx, error) {
 	if node < 0 || node >= o.nodes {
 		return nil, fmt.Errorf("occmm: node %d out of range", node)
 	}
-	return &occTx{db: o, node: node, writes: make(map[*occTable]map[string]occWrite)}, nil
+	o.mu.Lock()
+	tabs := o.byID
+	o.mu.Unlock()
+	return &occTx{db: o, tabs: tabs, node: node, writes: make(map[*occTable]map[string]occWrite)}, nil
 }
 
 type occWrite struct {
@@ -152,6 +152,7 @@ type occWrite struct {
 
 type occTx struct {
 	db     *OCCMM
+	tabs   []*occTable // the tables that existed at Begin, by space id
 	node   int
 	writes map[*occTable]map[string]occWrite
 	done   bool
@@ -204,11 +205,11 @@ func (t *occTx) read(tab *occTable, key []byte) ([]byte, bool) {
 	return cp, ok
 }
 
-func (t *occTx) stage(tab workload.Table, key []byte, val []byte, deleted, insert bool) error {
+func (t *occTx) stage(space uint32, key []byte, val []byte, deleted, insert bool) error {
 	if t.done {
 		return common.ErrTxDone
 	}
-	ot := tab.(occTableRef).t
+	ot := t.tabs[space]
 	m := t.writes[ot]
 	if m == nil {
 		m = make(map[string]occWrite)
@@ -226,11 +227,11 @@ func (t *occTx) stage(tab workload.Table, key []byte, val []byte, deleted, inser
 	return nil
 }
 
-func (t *occTx) Get(tab workload.Table, key []byte) ([]byte, error) {
+func (t *occTx) Get(space uint32, key []byte) ([]byte, error) {
 	if t.done {
 		return nil, common.ErrTxDone
 	}
-	val, ok := t.read(tab.(occTableRef).t, key)
+	val, ok := t.read(t.tabs[space], key)
 	if !ok {
 		return nil, fmt.Errorf("occmm: %w", common.ErrNotFound)
 	}
@@ -239,53 +240,59 @@ func (t *occTx) Get(tab workload.Table, key []byte) ([]byte, error) {
 
 // GetForUpdate has no locking under OCC; it is a plain read (the conflict is
 // detected at commit).
-func (t *occTx) GetForUpdate(tab workload.Table, key []byte) ([]byte, error) {
-	val, err := t.Get(tab, key)
+func (t *occTx) GetForUpdate(space uint32, key []byte) ([]byte, error) {
+	val, err := t.Get(space, key)
 	if err != nil {
 		return nil, err
 	}
 	// Stage an identity write so the bucket participates in validation,
 	// approximating first-updater-wins on the page.
-	if err := t.stage(tab, key, val, false, false); err != nil {
+	if err := t.stage(space, key, val, false, false); err != nil {
 		return nil, err
 	}
 	return val, nil
 }
 
-func (t *occTx) Insert(tab workload.Table, key, value []byte) error {
-	if _, ok := t.read(tab.(occTableRef).t, key); ok {
+func (t *occTx) Insert(space uint32, key, value []byte) error {
+	if _, ok := t.read(t.tabs[space], key); ok {
 		return fmt.Errorf("occmm: %w", common.ErrKeyExists)
 	}
-	return t.stage(tab, key, value, false, true)
+	return t.stage(space, key, value, false, true)
 }
 
-func (t *occTx) Update(tab workload.Table, key, value []byte) error {
-	if _, ok := t.read(tab.(occTableRef).t, key); !ok {
+func (t *occTx) Update(space uint32, key, value []byte) error {
+	if _, ok := t.read(t.tabs[space], key); !ok {
 		return fmt.Errorf("occmm: %w", common.ErrNotFound)
 	}
-	return t.stage(tab, key, value, false, false)
+	return t.stage(space, key, value, false, false)
 }
 
-func (t *occTx) Delete(tab workload.Table, key []byte) error {
-	if _, ok := t.read(tab.(occTableRef).t, key); !ok {
+// Upsert completes wire.Tx; no generator run against the baselines calls it.
+func (t *occTx) Upsert(space uint32, key, value []byte) error {
+	_, ok := t.read(t.tabs[space], key)
+	return t.stage(space, key, value, false, !ok)
+}
+
+func (t *occTx) Delete(space uint32, key []byte) error {
+	if _, ok := t.read(t.tabs[space], key); !ok {
 		return fmt.Errorf("occmm: %w", common.ErrNotFound)
 	}
-	return t.stage(tab, key, nil, true, false)
+	return t.stage(space, key, nil, true, false)
 }
 
 // Scan reads directly from storage (scans bypass the cache in this model).
-func (t *occTx) Scan(tab workload.Table, from, to []byte, limit int) ([]workload.KV, error) {
+func (t *occTx) Scan(space uint32, from, to []byte, limit int) ([]wire.KV, error) {
 	if t.done {
 		return nil, common.ErrTxDone
 	}
 	lsleep(t.db.latency.StorageRead)
-	ot := tab.(occTableRef).t
+	ot := t.tabs[space]
 	ot.mu.RLock()
 	defer ot.mu.RUnlock()
-	var out []workload.KV
+	var out []wire.KV
 	for k, v := range ot.rows {
 		if (from == nil || k >= string(from)) && (to == nil || k < string(to)) {
-			out = append(out, workload.KV{Key: []byte(k), Value: append([]byte(nil), v...)})
+			out = append(out, wire.KV{Key: []byte(k), Value: append([]byte(nil), v...)})
 			if limit > 0 && len(out) >= limit {
 				break
 			}

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"polardbmp/internal/common"
-	"polardbmp/internal/workload"
+	"polardbmp/internal/wire"
 )
 
 // ShardedLatency configures the shared-nothing baseline's injected costs.
@@ -37,7 +37,8 @@ type Sharded struct {
 	latency ShardedLatency
 
 	mu     sync.Mutex
-	tables map[string]*shardedTable
+	tables map[string]uint32
+	byID   []*shardedTable // append-only; a table's space id is its index
 
 	// TwoPhaseCommits / OnePhaseCommits split the commit traffic.
 	TwoPhaseCommits int64
@@ -57,7 +58,7 @@ type partition struct {
 
 // NewSharded builds an n-node shared-nothing cluster.
 func NewSharded(n int, latency ShardedLatency) *Sharded {
-	return &Sharded{nodes: n, latency: latency, tables: make(map[string]*shardedTable)}
+	return &Sharded{nodes: n, latency: latency, tables: make(map[string]uint32)}
 }
 
 // NodeCount implements workload.DB.
@@ -66,27 +67,24 @@ func (s *Sharded) NodeCount() int { return s.nodes }
 // CreateTable implements workload.DB; each table (including each secondary
 // index, which callers model as its own table) is partitioned over all
 // nodes.
-func (s *Sharded) CreateTable(name string) (workload.Table, error) {
+func (s *Sharded) CreateTable(name string) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.tables[name]
-	if t == nil {
-		t = &shardedTable{name: name}
+	id, ok := s.tables[name]
+	if !ok {
+		t := &shardedTable{name: name}
 		for i := 0; i < s.nodes; i++ {
 			t.parts = append(t.parts, &partition{
 				rows:  make(map[string][]byte),
 				locks: make(map[string]uint64),
 			})
 		}
-		s.tables[name] = t
+		id = uint32(len(s.byID))
+		s.byID = append(s.byID, t)
+		s.tables[name] = id
 	}
-	return shardedRef{t}, nil
+	return id, nil
 }
-
-type shardedRef struct{ t *shardedTable }
-
-// Space implements workload.Table (synthetic; unused by this engine).
-func (r shardedRef) Space() common.SpaceID { return 0 }
 
 func (s *Sharded) partOf(key []byte) int {
 	h := fnv.New32a()
@@ -105,12 +103,16 @@ func nextShardedTx() uint64 {
 }
 
 // Begin implements workload.DB; node is the coordinator.
-func (s *Sharded) Begin(node int) (workload.Tx, error) {
+func (s *Sharded) Begin(node int) (wire.Tx, error) {
 	if node < 0 || node >= s.nodes {
 		return nil, fmt.Errorf("sharded: node %d out of range", node)
 	}
+	s.mu.Lock()
+	tabs := s.byID
+	s.mu.Unlock()
 	return &shardedTx{
 		db:     s,
+		tabs:   tabs,
 		node:   node,
 		id:     nextShardedTx(),
 		writes: make(map[*shardedTable]map[string]shardedWrite),
@@ -132,6 +134,7 @@ type lockKey struct {
 
 type shardedTx struct {
 	db     *Sharded
+	tabs   []*shardedTable // the tables that existed at Begin, by space id
 	node   int
 	id     uint64
 	writes map[*shardedTable]map[string]shardedWrite
@@ -167,11 +170,11 @@ func (t *shardedTx) lockRow(tab *shardedTable, part int, key string) error {
 	return nil
 }
 
-func (t *shardedTx) Get(tab workload.Table, key []byte) ([]byte, error) {
+func (t *shardedTx) Get(space uint32, key []byte) ([]byte, error) {
 	if t.done {
 		return nil, common.ErrTxDone
 	}
-	st := tab.(shardedRef).t
+	st := t.tabs[space]
 	part := t.db.partOf(key)
 	t.chargeHop(part)
 	if w, ok := t.writes[st][string(key)]; ok {
@@ -190,21 +193,21 @@ func (t *shardedTx) Get(tab workload.Table, key []byte) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
-func (t *shardedTx) GetForUpdate(tab workload.Table, key []byte) ([]byte, error) {
-	st := tab.(shardedRef).t
+func (t *shardedTx) GetForUpdate(space uint32, key []byte) ([]byte, error) {
+	st := t.tabs[space]
 	part := t.db.partOf(key)
 	t.chargeHop(part)
 	if err := t.lockRow(st, part, string(key)); err != nil {
 		return nil, err
 	}
-	return t.Get(tab, key)
+	return t.Get(space, key)
 }
 
-func (t *shardedTx) stage(tab workload.Table, key, val []byte, deleted, insert bool) error {
+func (t *shardedTx) stage(space uint32, key, val []byte, deleted, insert bool) error {
 	if t.done {
 		return common.ErrTxDone
 	}
-	st := tab.(shardedRef).t
+	st := t.tabs[space]
 	part := t.db.partOf(key)
 	t.chargeHop(part)
 	if err := t.lockRow(st, part, string(key)); err != nil {
@@ -223,45 +226,50 @@ func (t *shardedTx) stage(tab workload.Table, key, val []byte, deleted, insert b
 	return nil
 }
 
-func (t *shardedTx) exists(tab workload.Table, key []byte) bool {
-	_, err := t.Get(tab, key)
+func (t *shardedTx) exists(space uint32, key []byte) bool {
+	_, err := t.Get(space, key)
 	return err == nil
 }
 
-func (t *shardedTx) Insert(tab workload.Table, key, value []byte) error {
-	if t.exists(tab, key) {
+func (t *shardedTx) Insert(space uint32, key, value []byte) error {
+	if t.exists(space, key) {
 		return fmt.Errorf("sharded: %w", common.ErrKeyExists)
 	}
-	return t.stage(tab, key, value, false, true)
+	return t.stage(space, key, value, false, true)
 }
 
-func (t *shardedTx) Update(tab workload.Table, key, value []byte) error {
-	if !t.exists(tab, key) {
+func (t *shardedTx) Update(space uint32, key, value []byte) error {
+	if !t.exists(space, key) {
 		return fmt.Errorf("sharded: %w", common.ErrNotFound)
 	}
-	return t.stage(tab, key, value, false, false)
+	return t.stage(space, key, value, false, false)
 }
 
-func (t *shardedTx) Delete(tab workload.Table, key []byte) error {
-	if !t.exists(tab, key) {
+// Upsert completes wire.Tx; no generator run against the baselines calls it.
+func (t *shardedTx) Upsert(space uint32, key, value []byte) error {
+	return t.stage(space, key, value, false, !t.exists(space, key))
+}
+
+func (t *shardedTx) Delete(space uint32, key []byte) error {
+	if !t.exists(space, key) {
 		return fmt.Errorf("sharded: %w", common.ErrNotFound)
 	}
-	return t.stage(tab, key, nil, true, false)
+	return t.stage(space, key, nil, true, false)
 }
 
 // Scan gathers from every partition (scatter-gather).
-func (t *shardedTx) Scan(tab workload.Table, from, to []byte, limit int) ([]workload.KV, error) {
+func (t *shardedTx) Scan(space uint32, from, to []byte, limit int) ([]wire.KV, error) {
 	if t.done {
 		return nil, common.ErrTxDone
 	}
-	st := tab.(shardedRef).t
-	var out []workload.KV
+	st := t.tabs[space]
+	var out []wire.KV
 	for i, p := range st.parts {
 		t.chargeHop(i)
 		p.mu.Lock()
 		for k, v := range p.rows {
 			if (from == nil || k >= string(from)) && (to == nil || k < string(to)) {
-				out = append(out, workload.KV{Key: []byte(k), Value: append([]byte(nil), v...)})
+				out = append(out, wire.KV{Key: []byte(k), Value: append([]byte(nil), v...)})
 			}
 		}
 		p.mu.Unlock()

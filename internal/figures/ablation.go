@@ -3,8 +3,8 @@ package figures
 import (
 	"time"
 
-	"polardbmp/internal/adapter"
 	"polardbmp/internal/core"
+	"polardbmp/internal/netsrv"
 	"polardbmp/internal/workload"
 )
 
@@ -30,12 +30,12 @@ func Ablations(o Options) []AblationResult {
 	o.header("Ablations: §4 design choices on vs off (sysbench rw, 50% shared, 4 nodes)")
 	nodes := 4
 
-	run := func(mutate func(*core.Config)) (float64, *adapter.PolarDB) {
+	run := func(mutate func(*core.Config)) (float64, *netsrv.DB) {
 		cfg := o.clusterConfig()
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		db, err := adapter.NewPolarDB(cfg, nodes)
+		db, err := netsrv.NewDB(cfg, nodes)
 		if err != nil {
 			panic(err)
 		}
@@ -98,7 +98,7 @@ func Ablations(o Options) []AblationResult {
 	return out
 }
 
-func sumRemoteAcquires(db *adapter.PolarDB) int64 {
+func sumRemoteAcquires(db *netsrv.DB) int64 {
 	var total int64
 	for _, n := range db.Cluster.Nodes() {
 		total += n.PLocks().RemoteAcquires.Load()
@@ -139,7 +139,7 @@ func itoa(n int64) string {
 func Micro(o Options) (tsoFetch, titRead time.Duration) {
 	o.fill()
 	o.header("Micro: TSO fetch and remote TIT read (real in-process verb cost)")
-	db, err := adapter.NewPolarDB(core.Config{}, 2)
+	db, err := netsrv.NewDB(core.Config{}, 2)
 	if err != nil {
 		panic(err)
 	}

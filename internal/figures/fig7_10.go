@@ -5,8 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"polardbmp/internal/adapter"
 	"polardbmp/internal/metrics"
+	"polardbmp/internal/netsrv"
 	"polardbmp/internal/workload"
 )
 
@@ -48,7 +48,7 @@ func Fig7(o Options) []SweepPoint {
 
 // runSysbench builds, loads and measures one sysbench configuration.
 func (o Options) runSysbench(system string, kind workload.SysbenchKind, shared, n int,
-	build func(int) (*adapter.PolarDB, error)) (float64, workload.Result) {
+	build func(int) (*netsrv.DB, error)) (float64, workload.Result) {
 	db, err := build(n)
 	if err != nil {
 		panic(err)

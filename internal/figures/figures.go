@@ -30,8 +30,8 @@ import (
 	"os"
 	"time"
 
-	"polardbmp/internal/adapter"
 	"polardbmp/internal/core"
+	"polardbmp/internal/netsrv"
 	"polardbmp/internal/storage"
 	"polardbmp/internal/trace"
 	"polardbmp/internal/workload"
@@ -135,16 +135,16 @@ func (o Options) clusterConfig() core.Config {
 }
 
 // newMP builds an n-node PolarDB-MP under the scaled latency model.
-func (o Options) newMP(n int) (*adapter.PolarDB, error) {
-	return adapter.NewPolarDB(o.clusterConfig(), n)
+func (o Options) newMP(n int) (*netsrv.DB, error) {
+	return netsrv.NewDB(o.clusterConfig(), n)
 }
 
 // newLogShip builds the Taurus-MM-like baseline: identical engine, but page
 // synchronization through the page store + log replay instead of the DBP.
-func (o Options) newLogShip(n int) (*adapter.PolarDB, error) {
+func (o Options) newLogShip(n int) (*netsrv.DB, error) {
 	cfg := o.clusterConfig()
 	cfg.StoragePageSync = true
-	return adapter.NewPolarDB(cfg, n)
+	return netsrv.NewDB(cfg, n)
 }
 
 func (o Options) runner() workload.Runner {

@@ -8,6 +8,7 @@ package netsrv
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"polardbmp/internal/common"
@@ -175,3 +176,40 @@ func (t *netTx) Rollback() error { return t.tx().Rollback() }
 // GTrxID exposes the engine's global transaction id (wire.GlobalTx): the
 // OpBegin response carries it so the client can resolve ambiguous commits.
 func (t *netTx) GTrxID() common.GTrxID { return t.tx().GTrxID() }
+
+// DB is an in-process cluster as the workload generators drive it
+// (workload.DB): node i's transactions are the same wire.Tx the session
+// server hands a remote client.
+type DB struct {
+	Cluster *core.Cluster
+}
+
+// NewDB builds a cluster with n nodes.
+func NewDB(cfg core.Config, n int) (*DB, error) {
+	c := core.NewCluster(cfg)
+	for i := 0; i < n; i++ {
+		if _, err := c.AddNode(); err != nil {
+			return nil, err
+		}
+	}
+	return &DB{Cluster: c}, nil
+}
+
+// NodeCount returns the number of live primaries.
+func (d *DB) NodeCount() int { return len(d.Cluster.Nodes()) }
+
+// CreateTable creates (or opens) a named tablespace.
+func (d *DB) CreateTable(name string) (uint32, error) {
+	sp, err := d.Cluster.CreateSpace(name)
+	return uint32(sp), err
+}
+
+// Begin starts a read-committed transaction on the i-th (0-based) primary.
+// The node is resolved per call: a restart replaces the *core.Node mid-run.
+func (d *DB) Begin(node int) (wire.Tx, error) {
+	n := d.Cluster.Node(node + 1)
+	if n == nil {
+		return nil, fmt.Errorf("netsrv: node %d: %w", node+1, common.ErrNodeDown)
+	}
+	return New(d.Cluster, n).Begin(uint8(core.ReadCommitted), 0)
+}

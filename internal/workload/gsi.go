@@ -24,8 +24,8 @@ type GSI struct {
 	// Pacer injects per-statement service time (figure harness).
 	Pacer
 
-	primary Table
-	indexes []Table
+	primary uint32
+	indexes []uint32
 	seq     [64]atomic.Uint64
 }
 

@@ -23,7 +23,7 @@ type ProdMix struct {
 	// Pacer injects per-statement service time (figure harness).
 	Pacer
 
-	table  Table
+	table  uint32
 	nextID [64]atomic.Uint64 // per-node insert sequence
 }
 

@@ -54,7 +54,7 @@ type Sysbench struct {
 	// Pacer injects per-statement service time (figure harness).
 	Pacer
 
-	tables map[string]Table
+	tables map[string]uint32
 }
 
 // DefaultSysbench returns a paper-shaped configuration scaled to one box.
@@ -95,7 +95,7 @@ func sbValue(rng *rand.Rand, size int) []byte {
 // nodes. Call once before Run.
 func (s *Sysbench) Load(db DB) error {
 	if s.tables == nil {
-		s.tables = make(map[string]Table)
+		s.tables = make(map[string]uint32)
 	}
 	rng := rand.New(rand.NewSource(42))
 	for group := 0; group <= s.Nodes; group++ {
@@ -134,7 +134,7 @@ func (s *Sysbench) Load(db DB) error {
 
 // pickTable chooses the table for the next query: SharedPct% from the
 // shared group, the rest from the node's private group.
-func (s *Sysbench) pickTable(rng *rand.Rand, node int) Table {
+func (s *Sysbench) pickTable(rng *rand.Rand, node int) uint32 {
 	group := node % s.Nodes
 	if rng.Intn(100) < s.SharedPct {
 		group = s.sharedGroup()

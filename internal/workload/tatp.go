@@ -19,7 +19,7 @@ type TATP struct {
 	// Pacer injects per-statement service time (figure harness).
 	Pacer
 
-	subscriber, accessInfo, specialFacility, callForwarding Table
+	subscriber, accessInfo, specialFacility, callForwarding uint32
 }
 
 // DefaultTATP returns a box-scale configuration.
@@ -38,11 +38,11 @@ func subKey(id int) []byte {
 // Load creates and populates the four TATP tables through their home nodes.
 func (t *TATP) Load(db DB) error {
 	var err error
-	mk := func(name string) Table {
+	mk := func(name string) uint32 {
 		if err != nil {
-			return nil
+			return 0
 		}
-		var tab Table
+		var tab uint32
 		tab, err = db.CreateTable("tatp_" + name)
 		return tab
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
+
+	"polardbmp/internal/wire"
 )
 
 // TPCC implements the TPC-C benchmark (§5.2 "TPC-C performance within a
@@ -32,7 +34,7 @@ type TPCC struct {
 	// numerator of Figure 9).
 	NewOrderCommits atomic.Int64
 
-	warehouse, district, customer, stock, item, orders, orderLine, newOrder, history Table
+	warehouse, district, customer, stock, item, orders, orderLine, newOrder, history uint32
 }
 
 // DefaultTPCC returns a box-scale configuration.
@@ -127,11 +129,11 @@ type olRow struct {
 // Load creates and populates the nine TPC-C tables.
 func (t *TPCC) Load(db DB) error {
 	var err error
-	mk := func(name string) Table {
+	mk := func(name string) uint32 {
 		if err != nil {
-			return nil
+			return 0
 		}
-		var tab Table
+		var tab uint32
 		tab, err = db.CreateTable("tpcc_" + name)
 		return tab
 	}
@@ -151,7 +153,7 @@ func (t *TPCC) Load(db DB) error {
 	rng := rand.New(rand.NewSource(7))
 	// Items are global; load through node 0.
 	const batch = 200
-	loadBatched := func(node, count int, put func(tx Tx, i int) error) error {
+	loadBatched := func(node, count int, put func(tx wire.Tx, i int) error) error {
 		for base := 0; base < count; base += batch {
 			tx, err := db.Begin(node)
 			if err != nil {
@@ -169,33 +171,33 @@ func (t *TPCC) Load(db DB) error {
 		}
 		return nil
 	}
-	if err := loadBatched(0, t.Items, func(tx Tx, i int) error {
+	if err := loadBatched(0, t.Items, func(tx wire.Tx, i int) error {
 		return tx.Insert(t.item, u64key(uint64(i)), jsonVal(iRow{Name: fmt.Sprintf("item-%d", i), Price: 1 + rng.Float64()*99}))
 	}); err != nil {
 		return err
 	}
 	for w := 0; w < t.Warehouses; w++ {
 		node := t.homeNode(w, db.NodeCount())
-		if err := loadBatched(node, 1, func(tx Tx, _ int) error {
+		if err := loadBatched(node, 1, func(tx wire.Tx, _ int) error {
 			return tx.Insert(t.warehouse, u64key(uint64(w)), jsonVal(wRow{Name: fmt.Sprintf("w%d", w), Tax: 0.05, Pad: pad(1800)}))
 		}); err != nil {
 			return err
 		}
-		if err := loadBatched(node, t.Districts, func(tx Tx, d int) error {
+		if err := loadBatched(node, t.Districts, func(tx wire.Tx, d int) error {
 			return tx.Insert(t.district, u64key(uint64(w), uint64(d)), jsonVal(dRow{Name: fmt.Sprintf("d%d", d), Tax: 0.05, NextOID: 1, Pad: pad(900)}))
 		}); err != nil {
 			return err
 		}
 		for d := 0; d < t.Districts; d++ {
 			d := d
-			if err := loadBatched(node, t.Customers, func(tx Tx, c int) error {
+			if err := loadBatched(node, t.Customers, func(tx wire.Tx, c int) error {
 				return tx.Insert(t.customer, u64key(uint64(w), uint64(d), uint64(c)),
 					jsonVal(cRow{Name: fmt.Sprintf("c%d", c), Credit: "GC", Balance: -10, Pad: pad(300)}))
 			}); err != nil {
 				return err
 			}
 		}
-		if err := loadBatched(node, t.Items, func(tx Tx, i int) error {
+		if err := loadBatched(node, t.Items, func(tx wire.Tx, i int) error {
 			return tx.Insert(t.stock, u64key(uint64(w), uint64(i)), jsonVal(sRow{Quantity: 50 + rng.Intn(50), Pad: pad(150)}))
 		}); err != nil {
 			return err

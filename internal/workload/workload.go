@@ -12,41 +12,39 @@ import (
 
 	"polardbmp/internal/common"
 	"polardbmp/internal/metrics"
+	"polardbmp/internal/wire"
 )
 
-// DB is the engine-neutral surface a workload drives. PolarDB-MP and each
-// baseline provide an adapter.
+// DB is the engine-neutral surface a workload drives, in the session
+// protocol's own types: netsrv.DB (in-process cluster), Remote (deployed
+// cluster) and the two baselines implement it, and every transaction any of
+// them hands out is a wire.Tx.
 type DB interface {
 	// NodeCount returns the number of live primaries.
 	NodeCount() int
 	// Begin starts a transaction on the i-th (0-based) primary.
-	Begin(node int) (Tx, error)
-	// CreateTable creates (or opens) a named table and returns its handle.
-	CreateTable(name string) (Table, error)
+	Begin(node int) (wire.Tx, error)
+	// CreateTable creates (or opens) a named table and returns its space id.
+	CreateTable(name string) (uint32, error)
 }
 
-// Table identifies a table to the engine.
-type Table interface {
-	Space() common.SpaceID
-}
+// Remote is a deployed cluster as a DB: one session client per primary (or
+// per gateway — the gateway then picks the primary).
+type Remote []*wire.Client
 
-// Tx is an engine-neutral transaction.
-type Tx interface {
-	Get(t Table, key []byte) ([]byte, error)
-	// GetForUpdate is a locking read (SELECT ... FOR UPDATE).
-	GetForUpdate(t Table, key []byte) ([]byte, error)
-	Insert(t Table, key, value []byte) error
-	Update(t Table, key, value []byte) error
-	Delete(t Table, key []byte) error
-	Scan(t Table, from, to []byte, limit int) ([]KV, error)
-	Commit() error
-	Rollback() error
-}
+// NodeCount implements DB.
+func (r Remote) NodeCount() int { return len(r) }
 
-// KV mirrors core.KV without importing it.
-type KV struct {
-	Key   []byte
-	Value []byte
+// CreateTable implements DB.
+func (r Remote) CreateTable(name string) (uint32, error) { return r[0].CreateSpace(name) }
+
+// Begin implements DB.
+func (r Remote) Begin(node int) (wire.Tx, error) {
+	tx, err := r[node].Begin(0, 0)
+	if err != nil {
+		return nil, err
+	}
+	return tx, nil
 }
 
 // Runner executes a workload's transaction mix against a DB.

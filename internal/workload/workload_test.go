@@ -4,14 +4,14 @@ import (
 	"testing"
 	"time"
 
-	"polardbmp/internal/adapter"
 	"polardbmp/internal/core"
+	"polardbmp/internal/netsrv"
 	"polardbmp/internal/workload"
 )
 
-func newDB(t testing.TB, nodes int) *adapter.PolarDB {
+func newDB(t testing.TB, nodes int) *netsrv.DB {
 	t.Helper()
-	db, err := adapter.NewPolarDB(core.Config{RecycleInterval: 10 * time.Millisecond}, nodes)
+	db, err := netsrv.NewDB(core.Config{RecycleInterval: 10 * time.Millisecond}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
