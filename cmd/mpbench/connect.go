@@ -1,26 +1,22 @@
 package main
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"os"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"polardbmp/internal/common"
 	"polardbmp/internal/wire"
+	"polardbmp/internal/workload"
 )
 
-// runConnect drives a bank-transfer workload against a session-protocol
-// endpoint (an mpserver or an mpgateway fronting several) and verifies the
+// runConnect drives the bank workload against a session-protocol endpoint
+// (an mpserver or an mpgateway fronting several) and verifies the
 // money-conservation invariant: concurrent random transfers between N
 // accounts must never change the total balance, observed both by periodic
 // snapshot-isolation sums while transfers are in flight and by a final sum
-// after the last commit. Returns a non-zero exit code on any violation, so
-// the proto-smoke harness can gate on it.
+// after the last commit. Returns a non-zero exit code on any violation — a
+// worker that never got its session included — so the proto-smoke harness
+// can gate on it.
 func runConnect(addr string, dur time.Duration, threads int) int {
 	if dur <= 0 {
 		dur = 3 * time.Second
@@ -28,180 +24,66 @@ func runConnect(addr string, dur time.Duration, threads int) int {
 	if threads <= 0 {
 		threads = 4
 	}
-	const accounts = 64
-	const seed = 100
-	want := accounts * seed
+	bank := &workload.Bank{Accounts: 64, Seed: 100}
+	want := bank.Accounts * bank.Seed
 
 	setup, err := wire.DialSession(addr, wire.SessionConfig{Name: "mpbench-setup"})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "connect %s: %v\n", addr, err)
 		return 1
 	}
+	defer setup.Close()
 	fmt.Printf("connected to %s (%s), %d threads for %v\n", addr, setup.ServerName(), threads, dur)
-	space, err := setup.CreateSpace("bank")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "create space: %v\n", err)
+	if err := bank.Load(workload.Remote{setup}); err != nil {
+		fmt.Fprintf(os.Stderr, "loading the bank: %v\n", err)
 		return 1
 	}
-	tx, err := setup.Begin(0, 0)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "begin: %v\n", err)
-		return 1
-	}
-	for i := 0; i < accounts; i++ {
-		if err := tx.Upsert(space, acctKey(i), []byte(strconv.Itoa(seed))); err != nil {
-			fmt.Fprintf(os.Stderr, "seed account: %v\n", err)
-			return 1
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		fmt.Fprintf(os.Stderr, "seed commit: %v\n", err)
-		return 1
-	}
-
-	var commits, aborts, checks, violations atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
 
 	// Transfer workers: each its own client, so a gateway spreads them
 	// across backends and the workload is genuinely multi-primary.
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl, err := wire.DialSession(addr, wire.SessionConfig{Name: fmt.Sprintf("mpbench-%d", w)})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "worker dial: %v\n", err)
-				return
-			}
-			defer cl.Close()
-			rng := rand.New(rand.NewSource(int64(w)*7919 + 1))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if transfer(cl, space, rng) == nil {
-					commits.Add(1)
-				} else {
-					aborts.Add(1)
-				}
-			}
-		}(w)
-	}
+	run := bank.Start(threads, 1, false, func(w int) (wire.Backend, error) {
+		cl, err := wire.DialSession(addr, wire.SessionConfig{Name: fmt.Sprintf("mpbench-%d", w)})
+		return wire.ClientBackend{Client: cl}, err
+	})
 
-	// Checker: snapshot-isolation sums while transfers are in flight.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(200 * time.Millisecond):
-			}
-			got, err := sumBalances(setup, space)
-			if err != nil {
-				continue // transient (e.g. backend restart); final check decides
-			}
-			checks.Add(1)
-			if got != want {
-				violations.Add(1)
-				fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: mid-run balance sum %d, want %d\n", got, want)
-			}
+	checks, violations := 0, 0
+	sum := func(when string) error {
+		tx, err := setup.Begin(1, 0)
+		if err != nil {
+			return err
 		}
-	}()
-
-	time.Sleep(dur)
-	close(stop)
-	wg.Wait()
-
-	got, err := sumBalances(setup, space)
-	if err != nil {
+		got, _, err := bank.Sum(tx)
+		if err != nil {
+			return err
+		}
+		checks++
+		if got != want {
+			violations++
+			fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: %s balance sum %d, want %d\n", when, got, want)
+		}
+		return nil
+	}
+	for end := time.Now().Add(dur); time.Now().Before(end); time.Sleep(200 * time.Millisecond) {
+		_ = sum("mid-run") // transient (e.g. backend restart); the final check decides
+	}
+	run.Stop()
+	if err := sum("final"); err != nil {
 		fmt.Fprintf(os.Stderr, "final sum: %v\n", err)
 		return 1
 	}
-	checks.Add(1)
-	if got != want {
-		violations.Add(1)
-		fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: final balance sum %d, want %d\n", got, want)
-	}
-	setup.Close()
 
-	c, a := commits.Load(), aborts.Load()
+	c := run.Commits()
 	fmt.Printf("commits=%d aborts=%d sum-checks=%d violations=%d (%.0f tx/s)\n",
-		c, a, checks.Load(), violations.Load(), float64(c)/dur.Seconds())
-	if violations.Load() > 0 {
-		return 1
+		c, int64(run.Attempts)-c, checks, violations, float64(c)/dur.Seconds())
+	for _, err := range run.Unconnected {
+		fmt.Fprintf(os.Stderr, "never connected: %v\n", err)
 	}
-	if c == 0 {
+	switch {
+	case violations > 0 || len(run.Unconnected) > 0:
+		return 1
+	case c == 0:
 		fmt.Fprintln(os.Stderr, "no transaction ever committed")
 		return 1
 	}
 	return 0
-}
-
-func acctKey(i int) []byte { return []byte(fmt.Sprintf("acct-%03d", i)) }
-
-// transfer moves a random amount between two random accounts, locking rows
-// in key order so transfers never deadlock each other.
-func transfer(cl *wire.Client, space uint32, rng *rand.Rand) error {
-	i, j := rng.Intn(64), rng.Intn(64)
-	for i == j {
-		j = rng.Intn(64)
-	}
-	if i > j {
-		i, j = j, i
-	}
-	tx, err := cl.Begin(0, 2*time.Second)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error { _ = tx.Rollback(); return err }
-	vi, err := tx.GetForUpdate(space, acctKey(i))
-	if err != nil {
-		return fail(err)
-	}
-	vj, err := tx.GetForUpdate(space, acctKey(j))
-	if err != nil {
-		return fail(err)
-	}
-	bi, _ := strconv.Atoi(string(vi))
-	bj, _ := strconv.Atoi(string(vj))
-	amt := rng.Intn(10) + 1
-	if err := tx.Update(space, acctKey(i), []byte(strconv.Itoa(bi-amt))); err != nil {
-		return fail(err)
-	}
-	if err := tx.Update(space, acctKey(j), []byte(strconv.Itoa(bj+amt))); err != nil {
-		return fail(err)
-	}
-	return tx.Commit()
-}
-
-// sumBalances scans all accounts under snapshot isolation and returns the
-// total; transfers committed before the read view are fully visible, so the
-// sum is exact at any moment.
-func sumBalances(cl *wire.Client, space uint32) (int, error) {
-	tx, err := cl.Begin(1, 0)
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Rollback()
-	kvs, err := tx.Scan(space, nil, nil, 0)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0
-	for _, kv := range kvs {
-		n, err := strconv.Atoi(string(kv.Value))
-		if err != nil {
-			return 0, fmt.Errorf("account %s holds %q: %w", kv.Key, kv.Value, common.ErrCorrupt)
-		}
-		sum += n
-	}
-	if err := tx.Commit(); err != nil && !errors.Is(err, common.ErrTxDone) {
-		return 0, err
-	}
-	return sum, nil
 }

@@ -22,7 +22,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -35,14 +34,12 @@ import (
 	"sync"
 	"time"
 
-	"polardbmp/internal/common"
 	"polardbmp/internal/wire"
+	"polardbmp/internal/workload"
 )
 
 const (
-	procAccounts = 32
-	procSeedBal  = 100
-	procWorkers  = 6
+	procWorkers = 6
 
 	// Lease cadence for the spawned daemons: long enough that the injected
 	// 500ms partition (plus redial backoff) never costs the partitioned
@@ -187,24 +184,9 @@ func (h *procHarness) run(binDir string, seed int64) int {
 		return 2
 	}
 	defer setup.Close()
-	space, err := setup.CreateSpace("bank")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "create space:", err)
-		return 2
-	}
-	stx, err := setup.Begin(0, 0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	for i := 0; i < procAccounts; i++ {
-		if err := stx.Upsert(space, procAcctKey(i), []byte(strconv.Itoa(procSeedBal))); err != nil {
-			fmt.Fprintln(os.Stderr, "seed balance:", err)
-			return 2
-		}
-	}
-	if err := stx.Commit(); err != nil {
-		fmt.Fprintln(os.Stderr, "seed commit:", err)
+	bank := &workload.Bank{Accounts: 32, Seed: 100}
+	if err := bank.Load(workload.Remote{setup}); err != nil {
+		fmt.Fprintln(os.Stderr, "loading the bank:", err)
 		return 2
 	}
 
@@ -218,8 +200,10 @@ func (h *procHarness) run(binDir string, seed int64) int {
 	lastEpoch := epoch0
 
 	// Workload: procWorkers independent sessions through the gateway.
-	w := newProcWorkload(addr(gwSess), space)
-	w.start(procWorkers, seed)
+	w := bank.Start(procWorkers, seed, true, func(id int) (wire.Backend, error) {
+		cl, err := wire.DialSession(addr(gwSess), wire.SessionConfig{Name: fmt.Sprintf("proc-worker-%d", id)})
+		return wire.ClientBackend{Client: cl}, err
+	})
 
 	// Snapshot-sum checker rides along; every successful sum is an
 	// invariant check, and epochs observed on the way must be monotone.
@@ -235,14 +219,18 @@ func (h *procHarness) run(binDir string, seed int64) int {
 				return
 			case <-time.After(200 * time.Millisecond):
 			}
-			got, detail, err := procSumBalances(setup, space)
+			tx, err := setup.Begin(1, 0)
 			if err != nil {
 				continue // transient mid-chaos; the final sum decides
 			}
+			got, detail, err := bank.Sum(tx)
+			if err != nil {
+				continue
+			}
 			sumChecks++
-			if got != procAccounts*procSeedBal {
+			if want := bank.Accounts * bank.Seed; got != want {
 				sumViolations++
-				h.fail("snapshot sum %d, want %d", got, procAccounts*procSeedBal)
+				h.fail("snapshot sum %d, want %d", got, want)
 				fmt.Printf("    accounts: %s\n", detail)
 			}
 			if m := h.seedMembership(seedHTTP); m.Epoch != 0 {
@@ -256,7 +244,7 @@ func (h *procHarness) run(binDir string, seed int64) int {
 
 	// Phase 1: warm-up under load.
 	time.Sleep(1500 * time.Millisecond)
-	preKill := w.commits()
+	preKill := w.Commits()
 
 	// Phase 2: SIGKILL sat1 mid-load — in-flight commits through the
 	// gateway to it become the ambiguous cohort.
@@ -301,12 +289,12 @@ func (h *procHarness) run(binDir string, seed int64) int {
 
 	// Progress gate: commits must keep flowing after the heal.
 	healWait := time.Now().Add(10 * time.Second)
-	healBase := w.commits()
-	for w.commits() < healBase+20 {
+	healBase := w.Commits()
+	for w.Commits() < healBase+20 {
 		if time.Now().After(healWait) {
-			h.fail("workload made no progress after the partition healed (%d commits since)", w.commits()-healBase)
+			h.fail("workload made no progress after the partition healed (%d commits since)", w.Commits()-healBase)
 			fmt.Println("  recent workload errors:")
-			w.dumpErrs()
+			w.DumpErrs()
 			h.dumpRawStats(gwHTTP, "gateway")
 			h.dumpRawStats(seedHTTP, "seed")
 			h.dumpRawStats(sat2HTTP, "sat2")
@@ -338,13 +326,15 @@ func (h *procHarness) run(binDir string, seed int64) int {
 
 	// Phase 5: let the full-strength cluster carry load again, then stop.
 	time.Sleep(1500 * time.Millisecond)
-	w.stop()
+	w.Stop()
 	close(checkerStop)
 	checkerWG.Wait()
+	for _, err := range w.Unconnected {
+		h.fail("the workload ran short of a client: %v", err)
+	}
 
-	acked, ambiguous, failed, attempts := w.results()
 	fmt.Printf("workload: %d attempts, %d acked commits (%d before the kill), %d ambiguous, %d failed\n",
-		attempts, len(acked), preKill, len(ambiguous), len(failed))
+		w.Attempts, len(w.Acked), preKill, len(w.Ambiguous), len(w.Failed))
 
 	// Resolution: every ambiguous commit is settled through the wire
 	// protocol — OpTxStatus via ResolveTx — never guessed.
@@ -352,26 +342,25 @@ func (h *procHarness) run(binDir string, seed int64) int {
 	if err != nil {
 		h.fail("dialing resolver: %v", err)
 	}
-	var mustPresent, mustAbsent []string
-	mustPresent = append(mustPresent, acked...)
+	mustPresent, mustAbsent := w.Acked, w.Failed
 	resolvedC, resolvedA := 0, 0
-	for _, amb := range ambiguous {
+	for _, amb := range w.Ambiguous {
 		if resolver == nil {
-			h.fail("ambiguous commit %v unresolvable: no resolver session", amb.g)
+			h.fail("ambiguous commit %v unresolvable: no resolver session", amb.G)
 			continue
 		}
-		outcome, _, err := resolver.ResolveTx(amb.g, 15*time.Second)
+		outcome, _, err := resolver.ResolveTx(amb.G, 15*time.Second)
 		switch {
 		case err != nil:
-			h.fail("ambiguous commit %v unresolved: %v", amb.g, err)
+			h.fail("ambiguous commit %v unresolved: %v", amb.G, err)
 		case outcome == wire.TxStatusCommitted:
 			resolvedC++
-			mustPresent = append(mustPresent, amb.marker)
+			mustPresent = append(mustPresent, amb.Marker)
 		case outcome == wire.TxStatusAborted:
 			resolvedA++
-			mustAbsent = append(mustAbsent, amb.marker)
+			mustAbsent = append(mustAbsent, amb.Marker)
 		default:
-			h.fail("ambiguous commit %v resolved to unexpected outcome %d", amb.g, outcome)
+			h.fail("ambiguous commit %v resolved to unexpected outcome %d", amb.G, outcome)
 		}
 	}
 	if resolver != nil {
@@ -379,82 +368,25 @@ func (h *procHarness) run(binDir string, seed int64) int {
 	}
 	fmt.Printf("ambiguity: %d resolved committed, %d resolved aborted, 0 guessed\n", resolvedC, resolvedA)
 
-	// Final account: one snapshot covering balances and markers, so the
-	// forensics below reason about a single consistent state.
-	balances, markers, err := procFinalState(setup, space)
+	// Final account: one snapshot covering balances and markers, audited
+	// for the sum, each marker's fate, and the per-account replay.
+	finalState := func() (map[int]int, map[string]string, error) {
+		tx, err := setup.Begin(1, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		return bank.FinalState(tx)
+	}
+	balances, markers, err := finalState()
 	for retry := 0; err != nil && retry < 50; retry++ {
 		time.Sleep(100 * time.Millisecond)
-		balances, markers, err = procFinalState(setup, space)
+		balances, markers, err = finalState()
 	}
 	if err != nil {
 		h.fail("final state unreadable: %v", err)
-	}
-
-	final := 0
-	for _, b := range balances {
-		final += b
-	}
-	if err == nil && final != procAccounts*procSeedBal {
-		h.fail("final sum %d, want %d", final, procAccounts*procSeedBal)
-	}
-
-	// Marker fate: every acked or resolved-committed marker present, every
-	// resolved-aborted or definitively-failed marker absent.
-	lost, leaked := 0, 0
-	for _, mk := range mustPresent {
-		if _, ok := markers[mk]; !ok {
-			lost++
-			if lost <= 5 {
-				h.fail("committed transaction lost: marker %s absent", mk)
-			}
-		}
-	}
-	mustAbsent = append(mustAbsent, failed...)
-	for _, mk := range mustAbsent {
-		if _, ok := markers[mk]; ok {
-			leaked++
-			if leaked <= 5 {
-				h.fail("rolled-back transaction published: marker %s present (value %s)", mk, markers[mk])
-			}
-		}
-	}
-	if lost > 5 || leaked > 5 {
-		h.fail("…and %d more lost / %d more leaked markers", max(0, lost-5), max(0, leaked-5))
-	}
-
-	// Forensic replay: each marker's value encodes its transfer
-	// (from:to:amount), so the present markers fully determine what every
-	// balance should be. A mismatch pinpoints a half-applied transaction —
-	// one leg visible without the other — which a total-sum check alone
-	// could hide.
-	if err == nil {
-		expect := make(map[int]int, procAccounts)
-		for i := 0; i < procAccounts; i++ {
-			expect[i] = procSeedBal
-		}
-		replayOK := true
-		for mk, val := range markers {
-			var from, to, amt int
-			if _, err := fmt.Sscanf(val, "%d:%d:%d", &from, &to, &amt); err != nil {
-				h.fail("marker %s carries malformed transfer %q", mk, val)
-				replayOK = false
-				continue
-			}
-			expect[from] -= amt
-			expect[to] += amt
-		}
-		if replayOK {
-			for i := 0; i < procAccounts; i++ {
-				got, ok := balances[i]
-				if !ok {
-					h.fail("account %03d missing from the final snapshot", i)
-					continue
-				}
-				if got != expect[i] {
-					h.fail("account %03d holds %d but the %d present markers replay to %d (drift %+d)",
-						i, got, len(markers), expect[i], got-expect[i])
-				}
-			}
+	} else {
+		for _, v := range bank.Audit(balances, markers, mustPresent, mustAbsent) {
+			h.fail("%s", v)
 		}
 	}
 	fmt.Printf("durability: %d markers checked present, %d checked absent, %d snapshot sums (%d violations)\n",
@@ -463,7 +395,6 @@ func (h *procHarness) run(binDir string, seed int64) int {
 	// Leak gate: with every workload session closed, the survivors'
 	// goroutine counts must settle back near their pre-workload baselines,
 	// and the gateway must report zero active sessions.
-	w.closeClients()
 	h.leakGate("seed", seedHTTP, baseSeedG)
 	h.leakGate("sat2", sat2HTTP, baseSat2G)
 	h.leakGate("gateway", gwHTTP, baseGwG)
@@ -707,265 +638,4 @@ func waitSession(addr string, timeout time.Duration) error {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-}
-
-// --- workload ----------------------------------------------------------------
-
-type ambCommit struct {
-	g      common.GTrxID
-	marker string
-}
-
-type procWorkload struct {
-	addr  string
-	space uint32
-
-	stopCh chan struct{}
-	wg     sync.WaitGroup
-
-	mu        sync.Mutex
-	clients   []*wire.Client
-	acked     []string
-	ambiguous []ambCommit
-	failed    []string
-	attempts  int
-	nCommits  int64
-	errCounts map[string]int
-}
-
-// noteErr tallies failed-attempt causes for stall diagnostics.
-func (w *procWorkload) noteErr(err error) {
-	msg := err.Error()
-	if len(msg) > 120 {
-		msg = msg[:120]
-	}
-	w.mu.Lock()
-	if w.errCounts == nil {
-		w.errCounts = make(map[string]int)
-	}
-	if len(w.errCounts) < 50 {
-		w.errCounts[msg]++
-	}
-	w.mu.Unlock()
-}
-
-func (w *procWorkload) dumpErrs() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for msg, n := range w.errCounts {
-		fmt.Printf("    %5dx %s\n", n, msg)
-	}
-}
-
-func newProcWorkload(addr string, space uint32) *procWorkload {
-	return &procWorkload{addr: addr, space: space, stopCh: make(chan struct{})}
-}
-
-func (w *procWorkload) commits() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nCommits
-}
-
-func (w *procWorkload) results() (acked []string, ambiguous []ambCommit, failed []string, attempts int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.acked, w.ambiguous, w.failed, w.attempts
-}
-
-func (w *procWorkload) start(workers int, seed int64) {
-	for i := 0; i < workers; i++ {
-		w.wg.Add(1)
-		go w.worker(i, seed)
-	}
-}
-
-func (w *procWorkload) stop() {
-	close(w.stopCh)
-	w.wg.Wait()
-}
-
-func (w *procWorkload) closeClients() {
-	w.mu.Lock()
-	clients := w.clients
-	w.clients = nil
-	w.mu.Unlock()
-	for _, cl := range clients {
-		cl.Close()
-	}
-}
-
-func (w *procWorkload) worker(id int, seed int64) {
-	defer w.wg.Done()
-	cl, err := wire.DialSession(w.addr, wire.SessionConfig{Name: fmt.Sprintf("proc-worker-%d", id)})
-	if err != nil {
-		return
-	}
-	w.mu.Lock()
-	w.clients = append(w.clients, cl)
-	w.mu.Unlock()
-
-	rng := newProcRng(seed + int64(id)*7919)
-	for seq := 0; ; seq++ {
-		select {
-		case <-w.stopCh:
-			return
-		default:
-		}
-		marker := fmt.Sprintf("mark:%d:%d", id, seq)
-		w.mu.Lock()
-		w.attempts++
-		w.mu.Unlock()
-		err := w.oneTransfer(cl, rng, marker)
-		switch {
-		case err == nil:
-			w.mu.Lock()
-			w.acked = append(w.acked, marker)
-			w.nCommits++
-			w.mu.Unlock()
-		case errors.Is(err, common.ErrCommitAmbiguous):
-			var amb *wire.AmbiguousCommitError
-			if errors.As(err, &amb) && !amb.GTrx.Zero() {
-				w.mu.Lock()
-				w.ambiguous = append(w.ambiguous, ambCommit{g: amb.GTrx, marker: marker})
-				w.mu.Unlock()
-			}
-		default:
-			// Rolled back (conflict, transient fault, failover): the
-			// marker must never surface. Brief pause keeps retry storms
-			// off a mid-failover gateway.
-			w.mu.Lock()
-			w.failed = append(w.failed, marker)
-			w.mu.Unlock()
-			w.noteErr(err)
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-}
-
-// oneTransfer moves a random amount between two accounts and inserts the
-// attempt's unique marker row, all in one transaction. Row locks are taken
-// in key order so transfers cannot deadlock each other.
-func (w *procWorkload) oneTransfer(cl *wire.Client, rng *procRng, marker string) error {
-	i, j := rng.intn(procAccounts), rng.intn(procAccounts)
-	for i == j {
-		j = rng.intn(procAccounts)
-	}
-	if i > j {
-		i, j = j, i
-	}
-	tx, err := cl.Begin(0, 2*time.Second)
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error { _ = tx.Rollback(); return err }
-	vi, err := tx.GetForUpdate(w.space, procAcctKey(i))
-	if err != nil {
-		return abort(err)
-	}
-	vj, err := tx.GetForUpdate(w.space, procAcctKey(j))
-	if err != nil {
-		return abort(err)
-	}
-	bi, _ := strconv.Atoi(string(vi))
-	bj, _ := strconv.Atoi(string(vj))
-	amt := rng.intn(10) + 1
-	if err := tx.Update(w.space, procAcctKey(i), []byte(strconv.Itoa(bi-amt))); err != nil {
-		return abort(err)
-	}
-	if err := tx.Update(w.space, procAcctKey(j), []byte(strconv.Itoa(bj+amt))); err != nil {
-		return abort(err)
-	}
-	// The marker's value records the transfer itself, so a post-run replay
-	// of the present markers can re-derive every expected balance.
-	transfer := fmt.Sprintf("%d:%d:%d", i, j, amt)
-	if err := tx.Insert(w.space, []byte(marker), []byte(transfer)); err != nil {
-		return abort(err)
-	}
-	return tx.Commit()
-}
-
-func procAcctKey(i int) []byte { return []byte(fmt.Sprintf("acct-%03d", i)) }
-
-// procSumBalances sums every account under one snapshot; detail carries the
-// per-account balances for violation dumps.
-func procSumBalances(cl *wire.Client, space uint32) (sum int, detail string, err error) {
-	tx, err := cl.Begin(1, 0)
-	if err != nil {
-		return 0, "", err
-	}
-	defer tx.Rollback()
-	kvs, err := tx.Scan(space, []byte("acct-"), []byte("acct-\xff"), 0)
-	if err != nil {
-		return 0, "", err
-	}
-	var sb strings.Builder
-	for _, kv := range kvs {
-		n, err := strconv.Atoi(string(kv.Value))
-		if err != nil {
-			return 0, "", fmt.Errorf("account %s holds %q: %w", kv.Key, kv.Value, common.ErrCorrupt)
-		}
-		sum += n
-		fmt.Fprintf(&sb, "%s=%d ", kv.Key, n)
-	}
-	if len(kvs) != procAccounts {
-		return 0, sb.String(), fmt.Errorf("scan saw %d accounts, want %d: %w", len(kvs), procAccounts, common.ErrCorrupt)
-	}
-	if err := tx.Commit(); err != nil && !errors.Is(err, common.ErrTxDone) {
-		return 0, "", err
-	}
-	return sum, sb.String(), nil
-}
-
-// procFinalState reads every account balance and every marker row under ONE
-// snapshot, so the forensic replay compares mutually consistent data.
-func procFinalState(cl *wire.Client, space uint32) (map[int]int, map[string]string, error) {
-	tx, err := cl.Begin(1, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer tx.Rollback()
-	accts, err := tx.Scan(space, []byte("acct-"), []byte("acct-\xff"), 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	marks, err := tx.Scan(space, []byte("mark:"), []byte("mark:\xff"), 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	balances := make(map[int]int, len(accts))
-	for _, kv := range accts {
-		var i int
-		if _, err := fmt.Sscanf(string(kv.Key), "acct-%d", &i); err != nil {
-			return nil, nil, fmt.Errorf("unparseable account key %q: %w", kv.Key, common.ErrCorrupt)
-		}
-		n, err := strconv.Atoi(string(kv.Value))
-		if err != nil {
-			return nil, nil, fmt.Errorf("account %s holds %q: %w", kv.Key, kv.Value, common.ErrCorrupt)
-		}
-		balances[i] = n
-	}
-	markers := make(map[string]string, len(marks))
-	for _, kv := range marks {
-		markers[string(kv.Key)] = string(kv.Value)
-	}
-	return balances, markers, nil
-}
-
-// procRng is a tiny deterministic PRNG (xorshift64*) so the workload shape
-// is reproducible from -seed without sharing math/rand state across workers.
-type procRng struct{ s uint64 }
-
-func newProcRng(seed int64) *procRng {
-	if seed == 0 {
-		seed = 1
-	}
-	return &procRng{s: uint64(seed)}
-}
-
-func (r *procRng) intn(n int) int {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return int((r.s * 2685821657736338717) % uint64(n))
 }

@@ -1,6 +1,7 @@
 // Command mpshell is a small interactive shell over a PolarDB-MP cluster:
-// open (optionally persistent) storage, run reads and writes against any
-// primary, crash and recover nodes, and inspect engine statistics.
+// open (optionally persistent) storage or connect to a live daemon, run reads
+// and writes against any primary, inspect topology and statistics, drain
+// nodes, and — in-process — crash and recover them.
 //
 //	$ go run ./cmd/mpshell -nodes 2 -data /tmp/mpdata
 //	$ go run ./cmd/mpshell -connect host:7090   # against a live mpserver/mpgateway
@@ -15,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -25,6 +27,8 @@ import (
 	"time"
 
 	"polardbmp"
+	"polardbmp/internal/netsrv"
+	"polardbmp/internal/wire"
 )
 
 func main() {
@@ -35,32 +39,44 @@ func main() {
 	connect := flag.String("connect", "", "session address of a live mpserver/mpgateway; run as a network client instead of opening an in-process cluster")
 	flag.Parse()
 
+	sh := &shell{node: 1}
 	if *connect != "" {
-		os.Exit(runRemote(*connect))
-	}
-
-	var extra []polardbmp.Option
-	if *traced {
-		extra = append(extra, polardbmp.WithTracer())
-	}
-	if *slowTx > 0 {
-		extra = append(extra, polardbmp.WithSlowTxThreshold(*slowTx))
-	}
-	db, err := polardbmp.Open(polardbmp.Options{Nodes: *nodes, DataDir: *data}, extra...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer db.Close()
-	sh := &shell{db: db, node: 1}
-	fmt.Printf("polardbmp shell — %d primaries", *nodes)
-	if *data != "" {
-		fmt.Printf(", data dir %s", *data)
+		cl, err := wire.DialSession(*connect, wire.SessionConfig{Name: "mpshell"})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		defer cl.Close()
+		sh.remote = cl
+		fmt.Printf("polardbmp shell — connected to %s (%s)", *connect, cl.ServerName())
+	} else {
+		var extra []polardbmp.Option
+		if *traced {
+			extra = append(extra, polardbmp.WithTracer())
+		}
+		if *slowTx > 0 {
+			extra = append(extra, polardbmp.WithSlowTxThreshold(*slowTx))
+		}
+		db, err := polardbmp.Open(polardbmp.Options{Nodes: *nodes, DataDir: *data}, extra...)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		defer db.Close()
+		sh.db = db
+		fmt.Printf("polardbmp shell — %d primaries", *nodes)
+		if *data != "" {
+			fmt.Printf(", data dir %s", *data)
+		}
 	}
 	fmt.Println("\ntype 'help' for commands")
 	sc := bufio.NewScanner(os.Stdin)
 	for {
-		fmt.Printf("mp:%d> ", sh.node)
+		if sh.db != nil {
+			fmt.Printf("mp:%d> ", sh.node)
+		} else {
+			fmt.Print("mp> ")
+		}
 		if !sc.Scan() {
 			return
 		}
@@ -77,30 +93,57 @@ func main() {
 	}
 }
 
+// shell runs every data and admin command against a wire.Backend: the
+// session client under -connect, or the in-process backend of the selected
+// node. Exactly one of db and remote is set.
 type shell struct {
-	db    *polardbmp.Cluster
-	node  int
-	table *polardbmp.Table
+	db     *polardbmp.Cluster
+	remote *wire.Client
+	node   int // in-process: the primary commands run on
+
+	space uint32
+	named bool
+}
+
+// backend resolves the node per command, so crash, restart and `on N` take
+// effect on the next one.
+func (s *shell) backend() (wire.Backend, error) {
+	if s.remote != nil {
+		return wire.ClientBackend{Client: s.remote}, nil
+	}
+	c := s.db.Internal()
+	n := c.Node(s.node)
+	if n == nil {
+		return nil, fmt.Errorf("node %d: %w", s.node, polardbmp.ErrNodeDown)
+	}
+	return netsrv.New(c, n), nil
+}
+
+func nodeArg(cmd string, args []string) (int, error) {
+	if len(args) != 1 {
+		return 0, fmt.Errorf("usage: %s <node>", cmd)
+	}
+	n, err := strconv.Atoi(args[0])
+	if err != nil || n <= 0 || n > 1<<16-1 {
+		return 0, fmt.Errorf("bad node id %q", args[0])
+	}
+	return n, nil
+}
+
+func printJSON(raw []byte) error {
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, raw, "", "  "); err != nil {
+		return err
+	}
+	fmt.Println(pretty.String())
+	return nil
 }
 
 func (s *shell) exec(line string) error {
 	fields := strings.Fields(line)
-	cmd, args := fields[0], fields[1:]
-
-	// "on N <cmd...>" runs one command against primary N.
-	if cmd == "on" {
-		if len(args) < 2 {
-			return errors.New("usage: on <node> <command...>")
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil {
-			return err
-		}
-		saved := s.node
-		s.node = n
-		defer func() { s.node = saved }()
-		return s.exec(strings.Join(args[1:], " "))
-	}
+	// Accept the \command spelling (`\topology`, `\drain 2`) alongside the
+	// bare words.
+	cmd, args := strings.TrimPrefix(fields[0], `\`), fields[1:]
 
 	switch cmd {
 	case "help":
@@ -110,37 +153,114 @@ func (s *shell) exec(line string) error {
   get <key>                read a row
   del <key>                delete a row
   scan [prefix] [limit]    list rows
+  stats                    engine counters (+ per-stage trace breakdown when traced)
+  stats json               full ClusterStats snapshot as JSON
+  topology [json]          cluster membership snapshot (also: \topology)
+  drain <node>             gracefully drain a node (also: \drain <node>)
+  exit
+in-process only:
   on <node> <cmd...>       run one command on another primary
   node <n>                 switch the current primary
   addnode                  scale out by one primary
   crash <n> | restart <n>  fail-stop / recover a node
   checkpoint               flush buffers + truncate logs (quiesced)
-  stats                    engine counters (+ per-stage trace breakdown with -trace)
-  stats json               full ClusterStats snapshot as JSON
-  exit
+with -connect only:
+  ping                     round-trip a no-op request
 `)
 		return nil
+	case "ping":
+		if s.remote == nil {
+			return errors.New("ping needs -connect")
+		}
+		return s.remote.Ping()
+	case "on", "node", "addnode", "crash", "restart", "checkpoint":
+		// Injecting failures is the server operator's control, not a network
+		// client's; elastic topology changes are what the admin ops are for.
+		if s.db == nil {
+			return fmt.Errorf("%s is in-process only", cmd)
+		}
+		return s.local(cmd, args)
+	}
+
+	be, err := s.backend()
+	if err != nil {
+		return err
+	}
+	switch cmd {
 	case "use":
 		if len(args) != 1 {
 			return errors.New("usage: use <table>")
 		}
-		t, err := s.db.CreateTable(args[0])
+		sp, err := be.CreateSpace(args[0])
 		if err != nil {
 			return err
 		}
-		s.table = &t
+		s.space, s.named = sp, true
 		fmt.Println("using table", args[0])
 		return nil
-	case "node":
-		if len(args) != 1 {
-			return errors.New("usage: node <n>")
-		}
-		n, err := strconv.Atoi(args[0])
+	case "stats":
+		raw, err := be.StatsJSON()
 		if err != nil {
 			return err
 		}
-		s.node = n
+		if len(args) == 1 && args[0] == "json" {
+			return printJSON(raw)
+		}
+		return printStats(raw)
+	case "topology":
+		raw, err := be.(wire.AdminBackend).TopologyJSON()
+		if err != nil {
+			return err
+		}
+		if len(args) == 1 && args[0] == "json" {
+			return printJSON(raw)
+		}
+		var top polardbmp.Topology
+		if err := json.Unmarshal(raw, &top); err != nil {
+			return err
+		}
+		fmt.Printf("epoch %d, %d nodes\n", top.Epoch, len(top.Nodes))
+		fmt.Printf("%-6s %-10s %12s %10s %s\n", "node", "state", "incarnation", "sessions", "")
+		for _, n := range top.Nodes {
+			hosted := ""
+			if n.Hosted {
+				hosted = "hosted here"
+			}
+			fmt.Printf("%-6d %-10s %12d %10d %s\n", n.ID, n.State, n.Incarnation, n.Sessions, hosted)
+		}
 		return nil
+	case "drain":
+		n, err := nodeArg(cmd, args)
+		if err != nil {
+			return err
+		}
+		if err := be.(wire.AdminBackend).Drain(uint16(n)); err != nil {
+			return err
+		}
+		fmt.Printf("node %d drained\n", n)
+		return nil
+	case "put", "get", "del", "scan":
+		return s.dataOp(be, cmd, args)
+	default:
+		return fmt.Errorf("unknown command %q (try 'help')", cmd)
+	}
+}
+
+// local runs the commands that reach into the in-process cluster.
+func (s *shell) local(cmd string, args []string) error {
+	switch cmd {
+	case "on": // "on N <cmd...>" runs one command against primary N
+		if len(args) < 2 {
+			return errors.New("usage: on <node> <command...>")
+		}
+		n, err := nodeArg(cmd, args[:1])
+		if err != nil {
+			return err
+		}
+		saved := s.node
+		s.node = n
+		defer func() { s.node = saved }()
+		return s.exec(strings.Join(args[1:], " "))
 	case "addnode":
 		n, err := s.db.AddNode()
 		if err != nil {
@@ -148,102 +268,91 @@ func (s *shell) exec(line string) error {
 		}
 		fmt.Println("added node", n.ID())
 		return nil
-	case "crash":
-		if len(args) != 1 {
-			return errors.New("usage: crash <n>")
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil {
-			return err
-		}
-		s.db.CrashNode(n)
-		fmt.Println("crashed node", n)
-		return nil
-	case "restart":
-		if len(args) != 1 {
-			return errors.New("usage: restart <n>")
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil {
-			return err
-		}
-		if _, err := s.db.RestartNode(n); err != nil {
-			return err
-		}
-		fmt.Println("node", n, "recovered")
-		return nil
 	case "checkpoint":
 		if err := s.db.Checkpoint(); err != nil {
 			return err
 		}
 		fmt.Println("checkpointed")
 		return nil
-	case "stats":
-		st := s.db.Stats()
-		if len(args) == 1 && args[0] == "json" {
-			out, err := json.MarshalIndent(st, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(out))
-			return nil
-		}
-		fmt.Printf("commits=%d aborts=%d deadlocks=%d\n", st.Commits, st.Aborts, st.Deadlocks)
-		fmt.Printf("fabric: reads=%d writes=%d atomics=%d rpcs=%d\n",
-			st.Fabric.Reads, st.Fabric.Writes, st.Fabric.Atomics, st.Fabric.RPCs)
-		fmt.Printf("storage: page-reads=%d log-syncs=%d | DBP pages=%d\n",
-			st.Storage.PageReads, st.Storage.LogSyncs, st.DBPResident)
-		fmt.Printf("locks: plock-negotiations=%d rlock-waits=%d rlock-deadlocks=%d\n",
-			st.Locks.PLockNegotiations, st.Locks.RLockWaits, st.Locks.RLockDeadlocks)
-		if len(st.Stages) > 0 {
-			fmt.Printf("%-14s %10s %12s %12s %12s %8s\n",
-				"stage", "count", "mean", "p95", "p99", "rpcs")
-			for _, sg := range st.Stages {
-				fmt.Printf("%-14s %10d %12v %12v %12v %8d\n",
-					sg.Stage, sg.Count,
-					time.Duration(sg.Mean).Round(time.Nanosecond),
-					sg.P95.Round(time.Nanosecond),
-					sg.P99.Round(time.Nanosecond),
-					sg.Ops.RPCs)
-			}
-		}
-		if len(st.SlowTxs) > 0 {
-			fmt.Printf("slow txs (%d):\n", len(st.SlowTxs))
-			for _, tx := range st.SlowTxs {
-				fmt.Printf("  %s node=%d total=%v spans=%d\n",
-					tx.GTrx, tx.Node, time.Duration(tx.TotalNS), len(tx.Spans))
-			}
-		}
-		return nil
-	case "put", "get", "del", "scan":
-		return s.dataOp(cmd, args)
-	default:
-		return fmt.Errorf("unknown command %q (try 'help')", cmd)
 	}
-}
-
-func (s *shell) dataOp(cmd string, args []string) error {
-	if s.table == nil {
-		return errors.New("no table selected: use <table>")
-	}
-	tx, err := s.db.Node(s.node).Begin()
+	n, err := nodeArg(cmd, args)
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error { tx.Rollback(); return err }
+	switch cmd {
+	case "node":
+		s.node = n
+	case "crash":
+		if err := s.db.CrashNode(n); err != nil {
+			return err
+		}
+		fmt.Println("crashed node", n)
+	case "restart":
+		if _, err := s.db.RestartNode(n); err != nil {
+			return err
+		}
+		fmt.Println("node", n, "recovered")
+	}
+	return nil
+}
+
+// printStats renders the stats document both modes serve. Stages are
+// decoded by name, so one a newer server adds still shows up.
+func printStats(raw []byte) error {
+	var st polardbmp.ClusterStats
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return err
+	}
+	fmt.Printf("commits=%d aborts=%d deadlocks=%d\n", st.Commits, st.Aborts, st.Deadlocks)
+	fmt.Printf("fabric: reads=%d writes=%d atomics=%d rpcs=%d\n",
+		st.Fabric.Reads, st.Fabric.Writes, st.Fabric.Atomics, st.Fabric.RPCs)
+	fmt.Printf("storage: page-reads=%d log-syncs=%d | DBP pages=%d\n",
+		st.Storage.PageReads, st.Storage.LogSyncs, st.DBPResident)
+	fmt.Printf("locks: plock-negotiations=%d rlock-waits=%d rlock-deadlocks=%d\n",
+		st.Locks.PLockNegotiations, st.Locks.RLockWaits, st.Locks.RLockDeadlocks)
+	if st.Net != nil {
+		fmt.Printf("net: conns=%d frames in=%d out=%d\n", st.Net.ConnsOpen, st.Net.FramesIn, st.Net.FramesOut)
+	}
+	if len(st.Stages) > 0 {
+		fmt.Printf("%-14s %10s %12s %12s %12s %8s\n",
+			"stage", "count", "mean", "p95", "p99", "rpcs")
+		for _, sg := range st.Stages {
+			fmt.Printf("%-14s %10d %12v %12v %12v %8d\n",
+				sg.Stage, sg.Count, sg.Mean.Round(time.Nanosecond),
+				sg.P95.Round(time.Nanosecond), sg.P99.Round(time.Nanosecond), sg.Ops.RPCs)
+		}
+	}
+	if len(st.SlowTxs) > 0 {
+		fmt.Printf("slow txs (%d):\n", len(st.SlowTxs))
+		for _, tx := range st.SlowTxs {
+			fmt.Printf("  %s node=%d total=%v spans=%d\n", tx.GTrx, tx.Node, tx.TotalNS, len(tx.Spans))
+		}
+	}
+	return nil
+}
+
+func (s *shell) dataOp(be wire.Backend, cmd string, args []string) error {
+	if !s.named {
+		return errors.New("no table selected: use <table>")
+	}
+	tx, err := be.Begin(0, 0)
+	if err != nil {
+		return err
+	}
+	fail := func(err error) error { _ = tx.Rollback(); return err }
 	switch cmd {
 	case "put":
 		if len(args) < 2 {
 			return fail(errors.New("usage: put <key> <value>"))
 		}
-		if err := tx.Upsert(*s.table, []byte(args[0]), []byte(strings.Join(args[1:], " "))); err != nil {
+		if err := tx.Upsert(s.space, []byte(args[0]), []byte(strings.Join(args[1:], " "))); err != nil {
 			return fail(err)
 		}
 	case "get":
 		if len(args) != 1 {
 			return fail(errors.New("usage: get <key>"))
 		}
-		v, err := tx.Get(*s.table, []byte(args[0]))
+		v, err := tx.Get(s.space, []byte(args[0]))
 		if err != nil {
 			return fail(err)
 		}
@@ -252,7 +361,7 @@ func (s *shell) dataOp(cmd string, args []string) error {
 		if len(args) != 1 {
 			return fail(errors.New("usage: del <key>"))
 		}
-		if err := tx.Delete(*s.table, []byte(args[0])); err != nil {
+		if err := tx.Delete(s.space, []byte(args[0])); err != nil {
 			return fail(err)
 		}
 	case "scan":
@@ -267,7 +376,7 @@ func (s *shell) dataOp(cmd string, args []string) error {
 				limit = n
 			}
 		}
-		kvs, err := tx.Scan(*s.table, from, to, limit)
+		kvs, err := tx.Scan(s.space, from, to, limit)
 		if err != nil {
 			return fail(err)
 		}

@@ -269,6 +269,20 @@ func (c *Client) Begin(iso uint8, budget time.Duration) (*ClientTx, error) {
 	return tx, nil
 }
 
+// ClientBackend presents a Client as a Backend and an AdminBackend, so code
+// written against those interfaces runs unchanged over the network. Every
+// method is the Client's own; Begin alone needs its result widened to Tx.
+type ClientBackend struct{ *Client }
+
+// Begin is Client.Begin returning the interface type.
+func (c ClientBackend) Begin(iso uint8, budget time.Duration) (Tx, error) {
+	tx, err := c.Client.Begin(iso, budget)
+	if err != nil {
+		return nil, err
+	}
+	return tx, nil
+}
+
 // ClientTx is a transaction handle; safe for one goroutine (like sql.Tx).
 type ClientTx struct {
 	sc   *sessionConn

@@ -40,11 +40,7 @@ func (r Remote) CreateTable(name string) (uint32, error) { return r[0].CreateSpa
 
 // Begin implements DB.
 func (r Remote) Begin(node int) (wire.Tx, error) {
-	tx, err := r[node].Begin(0, 0)
-	if err != nil {
-		return nil, err
-	}
-	return tx, nil
+	return wire.ClientBackend{Client: r[node]}.Begin(0, 0)
 }
 
 // Runner executes a workload's transaction mix against a DB.
