@@ -25,7 +25,6 @@ type API interface {
 	// Metadata area.
 	PutMeta(key string, val []byte)
 	GetMeta(key string) []byte
-	MetaKeys() []string
 
 	// Per-node append-only log streams.
 	LogAppend(node common.NodeID, data []byte) common.LSN
@@ -39,7 +38,6 @@ type API interface {
 	UnfenceLog(node common.NodeID)
 	LogFenced(node common.NodeID) bool
 	LogTruncate(node common.NodeID, lsn common.LSN)
-	LogShip(node common.NodeID, at common.LSN, data []byte) error
 	LogNodes() []common.NodeID
 }
 

@@ -200,11 +200,6 @@ func (p *persister) persistLog(node common.NodeID, ls *logStream) {
 	if len(tail) == 0 {
 		return
 	}
-	// First persist of a stream with a non-zero base (a shipped standby
-	// stream): record the base so reopen restores the right LSNs.
-	if from == base && base != 0 {
-		_ = writeAtomic(p.basePath(node), []byte(strconv.FormatUint(uint64(base), 10)))
-	}
 	f, err := os.OpenFile(p.logPath(node), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return

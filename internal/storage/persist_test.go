@@ -3,8 +3,6 @@ package storage
 import (
 	"bytes"
 	"testing"
-
-	"polardbmp/internal/common"
 )
 
 func TestPersistPagesLogsMeta(t *testing.T) {
@@ -70,30 +68,5 @@ func TestPersistTruncateSurvivesReopen(t *testing.T) {
 	// Appends continue at the right LSN.
 	if lsn := s2.LogAppend(2, []byte("ab")); lsn != 10 {
 		t.Fatalf("append lsn after reopen = %d", lsn)
-	}
-}
-
-func TestPersistShipAndIncrementalAppend(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDir(dir, Latency{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LogShip(3, 100, []byte("shipped")); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenDir(dir, Latency{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shipped streams start at a non-zero base; the first persist records
-	// it so reopen restores real LSNs.
-	if base := s2.LogStartLSN(3); base != 100 {
-		t.Fatalf("shipped base after reopen = %d, want 100", base)
-	}
-	buf := make([]byte, 16)
-	n, err := s2.LogRead(3, common.LSN(100), buf)
-	if err != nil || string(buf[:n]) != "shipped" {
-		t.Fatalf("shipped data after reopen: %q, %v", buf[:n], err)
 	}
 }

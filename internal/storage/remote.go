@@ -9,8 +9,8 @@
 // LogSync ships the tail and forces it in ONE round trip — a commit costs one
 // storage RPC however many records it wrote. The tail is the stream's
 // un-synced suffix, so whatever may drop that suffix (LogCrashVolatile,
-// FenceLog) drops the tail, and whatever else moves the stream (LogTruncate,
-// LogShip) ships it first; a tail past maxLogTail ships early, unforced.
+// FenceLog) drops the tail, and what else moves the stream (LogTruncate) ships
+// it first; a tail past maxLogTail ships early, unforced.
 //
 // wal.Writer assumes an append is applied exactly once at the stream end it
 // tracks. A retried RPC could otherwise append twice, so the tail ships
@@ -49,7 +49,6 @@ const (
 	sopPageCount
 	sopPutMeta
 	sopGetMeta
-	sopMetaKeys
 	sopLogAppendAt
 	sopLogSync
 	sopLogEnd
@@ -61,7 +60,6 @@ const (
 	sopLogUnfence
 	sopLogFenced
 	sopLogTruncate
-	sopLogShip
 	sopLogNodes
 )
 
@@ -126,13 +124,6 @@ func serveOp(s API, req []byte) ([]byte, error) {
 			return []byte{0}, nil
 		}
 		return append([]byte{1}, v...), nil
-	case sopMetaKeys:
-		keys := s.MetaKeys()
-		out := wire.AppendU32(nil, uint32(len(keys)))
-		for _, k := range keys {
-			out = wire.AppendString(out, k)
-		}
-		return out, nil
 	case sopLogAppendAt:
 		node := common.NodeID(rd.U16())
 		expect := common.LSN(rd.U64())
@@ -197,14 +188,6 @@ func serveOp(s API, req []byte) ([]byte, error) {
 		node := common.NodeID(rd.U16())
 		s.LogTruncate(node, common.LSN(rd.U64()))
 		return nil, nil
-	case sopLogShip:
-		node := common.NodeID(rd.U16())
-		at := common.LSN(rd.U64())
-		data := rd.Bytes()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		return nil, s.LogShip(node, at, data)
 	case sopLogNodes:
 		ids := s.LogNodes()
 		out := wire.AppendU32(nil, uint32(len(ids)))
@@ -433,18 +416,6 @@ func (r *Remote) GetMeta(key string) []byte {
 	return out[1:]
 }
 
-// MetaKeys lists metadata keys.
-func (r *Remote) MetaKeys() []string {
-	out := r.mustCall("meta keys", reqOp(sopMetaKeys))
-	rd := wire.NewReader(out)
-	k := int(rd.U32())
-	keys := make([]string, 0, k)
-	for i := 0; i < k; i++ {
-		keys = append(keys, rd.Str())
-	}
-	return keys
-}
-
 // LogAppend places data in node's client-side tail at the tracked stream end
 // and returns that LSN; nothing reaches the seed before the next LogSync
 // unless the tail outgrows maxLogTail. A stream known to be fenced drops the
@@ -650,17 +621,6 @@ func (r *Remote) LogTruncate(node common.NodeID, lsn common.LSN) {
 	r.mustCall("truncate", wire.AppendU64(reqNode(sopLogTruncate, node), uint64(lsn)))
 }
 
-// LogShip appends shipped bytes at an explicit LSN.
-func (r *Remote) LogShip(node common.NodeID, at common.LSN, data []byte) error {
-	r.ship(node, sopLogAppendAt)
-	req := reqNode(sopLogShip, node)
-	req = wire.AppendU64(req, uint64(at))
-	req = wire.AppendBytes(req, data)
-	_, err := r.call(req)
-	r.invalidateEnd(node)
-	return err
-}
-
 // LogNodes lists streams known at the seed.
 func (r *Remote) LogNodes() []common.NodeID {
 	out := r.mustCall("log nodes", reqOp(sopLogNodes))
@@ -671,13 +631,4 @@ func (r *Remote) LogNodes() []common.NodeID {
 		ids = append(ids, common.NodeID(rd.U16()))
 	}
 	return ids
-}
-
-// invalidateEnd drops the tracked append frontier after LogShip, which moves
-// it outside the append path.
-func (r *Remote) invalidateEnd(node common.NodeID) {
-	st := r.stream(node)
-	st.mu.Lock()
-	st.endKnown = false
-	st.mu.Unlock()
 }

@@ -92,9 +92,6 @@ func TestRemotePageAndMetaOps(t *testing.T) {
 	if v := r.GetMeta("empty"); v == nil || len(v) != 0 {
 		t.Fatalf("empty meta came back %v", v)
 	}
-	if keys := r.MetaKeys(); len(keys) != 2 {
-		t.Fatalf("meta keys %v", keys)
-	}
 }
 
 // rpcs returns how many fabric RPCs the satellite side has completed.
@@ -323,24 +320,6 @@ func TestRemoteTailFollowsStreamOps(t *testing.T) {
 		}
 		if d := r.LogSync(node); d != 10 {
 			t.Fatalf("sync: durable %d, want 10", d)
-		}
-	})
-	t.Run("logship-ships", func(t *testing.T) {
-		const node = common.NodeID(14)
-		r.LogAppend(node, []byte("aaaa"))
-		if err := r.LogShip(node, 4, []byte("ssss")); err != nil {
-			t.Fatalf("ship behind a buffered tail: %v", err)
-		}
-		if got := r.LogAppend(node, []byte("cc")); got != 8 {
-			t.Fatalf("append after ship placed at %d, want 8", got)
-		}
-		if d := r.LogSync(node); d != 10 {
-			t.Fatalf("sync: durable %d, want 10", d)
-		}
-		buf := make([]byte, 16)
-		n, _ := r.LogRead(node, 0, buf)
-		if string(buf[:n]) != "aaaasssscc" {
-			t.Fatalf("stream contents %q", buf[:n])
 		}
 	})
 }

@@ -422,43 +422,6 @@ func (s *Store) LogTruncate(node common.NodeID, lsn common.LSN) {
 	}
 }
 
-// LogShip appends shipped bytes to node's stream at the given LSN, for
-// standby replication: the first shipment may start anywhere (it sets the
-// stream base); later shipments must be contiguous. Shipped data is durable
-// immediately (the standby's own store writes it down).
-func (s *Store) LogShip(node common.NodeID, at common.LSN, data []byte) error {
-	ls := s.stream(node)
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	end := ls.base + common.LSN(len(ls.buf))
-	if len(ls.buf) == 0 && ls.base == 0 {
-		ls.base = at
-		end = at
-	}
-	if at != end {
-		return fmt.Errorf("storage: log ship at %d, stream end %d: %w", at, end, common.ErrCorrupt)
-	}
-	ls.buf = append(ls.buf, data...)
-	ls.durable = len(ls.buf)
-	ls.mu.Unlock()
-	if s.persist != nil {
-		s.persist.persistLog(node, ls)
-	}
-	ls.mu.Lock() // re-acquire for the deferred unlock
-	return nil
-}
-
-// MetaKeys lists the metadata keys (replication support).
-func (s *Store) MetaKeys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.meta))
-	for k := range s.meta {
-		out = append(out, k)
-	}
-	return out
-}
-
 // LogNodes lists every node id that has a log stream (used by full-cluster
 // recovery to discover all log files).
 func (s *Store) LogNodes() []common.NodeID {

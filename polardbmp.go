@@ -29,7 +29,6 @@ import (
 
 	"polardbmp/internal/common"
 	"polardbmp/internal/core"
-	"polardbmp/internal/standby"
 	"polardbmp/internal/storage"
 	"polardbmp/internal/trace"
 )
@@ -341,41 +340,6 @@ type TxInfo = core.TxInfo
 
 // Stats aggregates engine counters across nodes and PMFS.
 func (c *Cluster) Stats() ClusterStats { return c.c.Stats() }
-
-// Standby is a cross-region replica of the cluster, kept warm by shipping
-// the write-ahead logs (§3). Promote turns it into a fresh primary cluster
-// after a regional failure.
-type Standby struct {
-	sb *standby.Standby
-}
-
-// NewStandby attaches a standby region to the cluster's shared storage.
-// Call Sync (or Run for continuous shipping) to replicate.
-func (c *Cluster) NewStandby() *Standby {
-	return &Standby{sb: standby.New(c.c.Store())}
-}
-
-// Sync ships everything durable since the last call.
-func (s *Standby) Sync() error { return s.sb.Sync() }
-
-// Run ships continuously at the given interval until Stop or Promote.
-func (s *Standby) Run(interval time.Duration) { s.sb.Run(interval) }
-
-// Stop halts continuous shipping.
-func (s *Standby) Stop() { s.sb.Stop() }
-
-// Lag returns the shipped-log deficit in bytes.
-func (s *Standby) Lag() int64 { return s.sb.Lag() }
-
-// Promote recovers the shipped state into a brand-new cluster (committed
-// transactions durable, uncommitted rolled back). Add nodes to serve.
-func (s *Standby) Promote() (*Cluster, error) {
-	c, err := s.sb.Promote(core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{c: c}, nil
-}
 
 // Node is a handle on one primary. All handles to the same id observe the
 // node's current incarnation, so a handle survives Crash/Restart cycles.
