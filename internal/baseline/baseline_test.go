@@ -239,3 +239,28 @@ func TestShardedConcurrentStress(t *testing.T) {
 		t.Fatalf("commits = %d, want 400", commits)
 	}
 }
+
+// Upsert completes wire.Tx on both models: insert when absent, overwrite
+// when present.
+func TestBaselineUpsert(t *testing.T) {
+	for name, db := range map[string]workload.DB{
+		"occmm":   NewOCCMM(2, OCCLatency{}),
+		"sharded": NewSharded(2, ShardedLatency{}),
+	} {
+		tab, _ := db.CreateTable("t")
+		for _, want := range []string{"v1", "v2"} {
+			tx, _ := db.Begin(0)
+			if err := tx.Upsert(tab, []byte("k"), []byte(want)); err != nil {
+				t.Fatalf("%s: upsert %s: %v", name, want, err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("%s: commit: %v", name, err)
+			}
+			rd, _ := db.Begin(1)
+			if v, err := rd.Get(tab, []byte("k")); err != nil || string(v) != want {
+				t.Fatalf("%s: get = %q, %v; want %q", name, v, err, want)
+			}
+			rd.Rollback()
+		}
+	}
+}

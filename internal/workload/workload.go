@@ -6,6 +6,7 @@ package workload
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,9 @@ func (r Remote) CreateTable(name string) (uint32, error) { return r[0].CreateSpa
 
 // Begin implements DB.
 func (r Remote) Begin(node int) (wire.Tx, error) {
+	if node < 0 || node >= len(r) {
+		return nil, fmt.Errorf("workload: no session for node %d: %w", node+1, common.ErrNodeDown)
+	}
 	return wire.ClientBackend{Client: r[node]}.Begin(0, 0)
 }
 

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,6 +27,25 @@ func TestSysbenchLoadAndRun(t *testing.T) {
 	sb.RowsPerTable = 200
 	if err := sb.Load(db); err != nil {
 		t.Fatal(err)
+	}
+	// Loaded through every primary, every row visible from every primary.
+	for group := 0; group <= 2; group++ {
+		tab, err := db.CreateTable(fmt.Sprintf("sbtest_g%d_t0", group))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for node := 0; node < 2; node++ {
+			tx, err := db.Begin(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kvs, err := tx.Scan(tab, nil, nil, 0); err != nil || len(kvs) != sb.RowsPerTable {
+				t.Fatalf("node %d sees %d rows of group %d (%v), want %d", node+1, len(kvs), group, err, sb.RowsPerTable)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	var firstErr error
 	r := workload.Runner{
