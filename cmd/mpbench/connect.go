@@ -74,7 +74,7 @@ func runConnect(addr string, dur time.Duration, threads int) int {
 
 	c := run.Commits()
 	fmt.Printf("commits=%d aborts=%d sum-checks=%d violations=%d (%.0f tx/s)\n",
-		c, int64(run.Attempts)-c, checks, violations, float64(c)/dur.Seconds())
+		c, len(run.Failed), checks, violations, float64(c)/dur.Seconds())
 	for _, err := range run.Unconnected {
 		fmt.Fprintf(os.Stderr, "never connected: %v\n", err)
 	}

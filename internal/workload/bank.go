@@ -232,8 +232,8 @@ type AmbiguousTransfer struct {
 // The exported fields are the run's ledger; read them after Stop.
 type BankRun struct {
 	// Attempts counts transfers begun; Acked, Ambiguous and Failed hold the
-	// markers of those that were acknowledged, left in doubt, or rolled
-	// back (a marker-less run only counts).
+	// markers ("" in a marker-less run) of those that were acknowledged,
+	// left in doubt, or rolled back.
 	Attempts  int
 	Acked     []string
 	Ambiguous []AmbiguousTransfer
@@ -245,7 +245,6 @@ type BankRun struct {
 	bank    *Bank
 	markers bool
 	mu      sync.Mutex
-	commits int64
 	errs    map[string]int // failed-attempt causes, for stall diagnostics
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -272,7 +271,7 @@ func (r *BankRun) Stop() {
 func (r *BankRun) Commits() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.commits
+	return int64(len(r.Acked))
 }
 
 // DumpErrs prints the failed-attempt causes seen so far (safe mid-run).
@@ -315,10 +314,7 @@ func (r *BankRun) worker(id int, seed int64, connect func(int) (wire.Backend, er
 		r.Attempts++
 		switch {
 		case err == nil:
-			r.commits++
-			if r.markers {
-				r.Acked = append(r.Acked, marker)
-			}
+			r.Acked = append(r.Acked, marker)
 		case errors.Is(err, common.ErrCommitAmbiguous):
 			// In doubt; resolvable only through the global id.
 			var amb *wire.AmbiguousCommitError
@@ -329,9 +325,7 @@ func (r *BankRun) worker(id int, seed int64, connect func(int) (wire.Backend, er
 		default:
 			// Rolled back (conflict, transient fault, failover): the
 			// marker must never surface.
-			if r.markers {
-				r.Failed = append(r.Failed, marker)
-			}
+			r.Failed = append(r.Failed, marker)
 			if msg := err.Error(); len(r.errs) < 50 {
 				r.errs[msg[:min(len(msg), 120)]]++
 			}
