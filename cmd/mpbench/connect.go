@@ -48,11 +48,7 @@ func runConnect(addr string, dur time.Duration, threads int) int {
 
 	checks, violations := 0, 0
 	sum := func(when string) error {
-		tx, err := setup.Begin(1, 0)
-		if err != nil {
-			return err
-		}
-		got, _, err := bank.Sum(tx)
+		got, _, err := bank.Sum(wire.ClientBackend{Client: setup})
 		if err != nil {
 			return err
 		}

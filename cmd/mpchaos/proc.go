@@ -219,13 +219,9 @@ func (h *procHarness) run(binDir string, seed int64) int {
 				return
 			case <-time.After(200 * time.Millisecond):
 			}
-			tx, err := setup.Begin(1, 0)
+			got, detail, err := bank.Sum(wire.ClientBackend{Client: setup})
 			if err != nil {
 				continue // transient mid-chaos; the final sum decides
-			}
-			got, detail, err := bank.Sum(tx)
-			if err != nil {
-				continue
 			}
 			sumChecks++
 			if want := bank.Accounts * bank.Seed; got != want {
@@ -370,17 +366,10 @@ func (h *procHarness) run(binDir string, seed int64) int {
 
 	// Final account: one snapshot covering balances and markers, audited
 	// for the sum, each marker's fate, and the per-account replay.
-	finalState := func() (map[int]int, map[string]string, error) {
-		tx, err := setup.Begin(1, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		return bank.FinalState(tx)
-	}
-	balances, markers, err := finalState()
+	balances, markers, err := bank.FinalState(wire.ClientBackend{Client: setup})
 	for retry := 0; err != nil && retry < 50; retry++ {
 		time.Sleep(100 * time.Millisecond)
-		balances, markers, err = finalState()
+		balances, markers, err = bank.FinalState(wire.ClientBackend{Client: setup})
 	}
 	if err != nil {
 		h.fail("final state unreadable: %v", err)

@@ -211,5 +211,9 @@ func (d *DB) Begin(node int) (wire.Tx, error) {
 	if n == nil {
 		return nil, fmt.Errorf("netsrv: node %d: %w", node+1, common.ErrNodeDown)
 	}
-	return New(d.Cluster, n).Begin(uint8(core.ReadCommitted), 0)
+	tx, err := n.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return (*netTx)(tx), nil
 }

@@ -101,20 +101,30 @@ func (b *Bank) balances(tx wire.Tx) (map[int]int, error) {
 	return balances, nil
 }
 
-// endRead commits a read-only transaction (a rollback would count as an
-// abort in the engine's statistics).
-func endRead(tx wire.Tx) error {
-	if err := tx.Commit(); err != nil && !errors.Is(err, common.ErrTxDone) {
-		return err
+// snapshot begins the read-only transaction Sum and FinalState read through:
+// at snapshot isolation (wire iso 1), so transfers committed before its read
+// view are fully visible and what it reads is exact at any moment. done ends
+// it — with a commit, since a rollback counts as an abort in the engine's
+// statistics.
+func snapshot(be wire.Backend) (tx wire.Tx, done func() error, err error) {
+	if tx, err = be.Begin(1, 0); err != nil {
+		return nil, nil, err
 	}
-	return nil
+	return tx, func() error {
+		if err := tx.Commit(); err != nil && !errors.Is(err, common.ErrTxDone) {
+			return err
+		}
+		return nil
+	}, nil
 }
 
-// Sum is the conservation probe: tx must have been begun at snapshot
-// isolation, so transfers committed before its read view are fully visible
-// and the total is exact at any moment. detail carries the per-account
-// balances for a violation dump. Sum ends tx.
-func (b *Bank) Sum(tx wire.Tx) (sum int, detail string, err error) {
+// Sum is the conservation probe: the total of all balances under one
+// snapshot, with the per-account detail for a violation dump.
+func (b *Bank) Sum(be wire.Backend) (sum int, detail string, err error) {
+	tx, done, err := snapshot(be)
+	if err != nil {
+		return 0, "", err
+	}
 	defer tx.Rollback()
 	balances, err := b.balances(tx)
 	if err != nil {
@@ -128,12 +138,16 @@ func (b *Bank) Sum(tx wire.Tx) (sum int, detail string, err error) {
 		sum += balances[i]
 		fmt.Fprintf(&sb, "%s=%d ", acctKey(i), balances[i])
 	}
-	return sum, sb.String(), endRead(tx)
+	return sum, sb.String(), done()
 }
 
-// FinalState reads every balance and every marker row under tx's ONE
-// snapshot, so Audit compares mutually consistent data. It ends tx.
-func (b *Bank) FinalState(tx wire.Tx) (balances map[int]int, markers map[string]string, err error) {
+// FinalState reads every balance and every marker row under ONE snapshot,
+// so Audit compares mutually consistent data.
+func (b *Bank) FinalState(be wire.Backend) (balances map[int]int, markers map[string]string, err error) {
+	tx, done, err := snapshot(be)
+	if err != nil {
+		return nil, nil, err
+	}
 	defer tx.Rollback()
 	if balances, err = b.balances(tx); err != nil {
 		return nil, nil, err
@@ -146,7 +160,7 @@ func (b *Bank) FinalState(tx wire.Tx) (balances map[int]int, markers map[string]
 	for _, kv := range marks {
 		markers[string(kv.Key)] = string(kv.Value)
 	}
-	return balances, markers, endRead(tx)
+	return balances, markers, done()
 }
 
 // Audit is the verdict on a final state: the violations, in the words the

@@ -171,17 +171,10 @@ func TestOneSurface(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snapshot := func() wire.Tx {
-				tx, err := reader.Begin(1, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tx
-			}
 			var res workload.Result
 			want, sums, suspect := bank.Accounts*bank.Seed, 0, false
 			for done := false; !done || sums < 20; sums++ {
-				got, detail, err := bank.Sum(snapshot())
+				got, detail, err := bank.Sum(reader)
 				switch {
 				case err == nil && got == want:
 					suspect = false
@@ -208,7 +201,7 @@ func TestOneSurface(t *testing.T) {
 			if run.Attempts != len(run.Acked)+len(run.Failed) {
 				t.Fatalf("ledger: %d attempts, %d acked, %d failed", run.Attempts, len(run.Acked), len(run.Failed))
 			}
-			balances, markers, err := bank.FinalState(snapshot())
+			balances, markers, err := bank.FinalState(reader)
 			if err != nil {
 				t.Fatal(err)
 			}
