@@ -11,6 +11,7 @@ import (
 
 	"polardbmp/internal/common"
 	"polardbmp/internal/membership"
+	"polardbmp/internal/txfusion"
 )
 
 // TestDrainBasics walks one graceful drain end to end: admission closes, an
@@ -94,6 +95,46 @@ func TestDrainBasics(t *testing.T) {
 		t.Fatalf("rejoined node: inflight = %q, %v", v, err)
 	}
 	put(t, n, sp, "after-rejoin", "ok")
+}
+
+// TestDrainWaitsForCommitInFlight: admitted means counted until Commit
+// returns. A commit parked between its entry and its log append (its TSO
+// grant is delayed on the fabric) must hold the drain off; releasing activeTx
+// at Commit's entry let the drain tear the node down under it and the commit
+// came back "node is down".
+func TestDrainWaitsForCommitInFlight(t *testing.T) {
+	c, sp := testCluster(t, 2)
+	tx, err := c.Node(2).Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Upsert(sp, []byte("inflight"), []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	c.Fabric().SetInjector(func(op common.FaultOp) common.FaultDecision {
+		if op.Class == common.FaultAtomic && op.Name == txfusion.RegionTSO && op.Src == 2 {
+			return common.FaultDecision{Delay: 60 * time.Millisecond}
+		}
+		return common.FaultDecision{}
+	})
+	committed := make(chan error, 1)
+	go func() { committed <- tx.Commit() }()
+	time.Sleep(10 * time.Millisecond) // Commit is now inside the delayed grant
+	if err := c.DrainNode(2); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatalf("commit admitted before the drain: %v", err)
+		}
+	default:
+		t.Fatal("DrainNode returned while a commit was still in flight")
+	}
+	c.Fabric().SetInjector(nil)
+	if v, err := get(t, c.Node(1), sp, "inflight"); err != nil || v != "ok" {
+		t.Fatalf("node 1: inflight = %q, %v", v, err)
+	}
 }
 
 // TestRemoveNodeFreesSlot: RemoveNode drains a live node and frees its slot;

@@ -448,8 +448,13 @@ func TestPurgeShrinksTree(t *testing.T) {
 		}
 		mustCommit(t, tx)
 	}
-	if _, err := n.tf.ReportMinView(); err != nil {
-		t.Fatal(err)
+	// GMV is the minimum over every node's LAST report: idle node 2's may
+	// predate the deletes (its 5ms tick starves on a loaded host), holding every
+	// tombstone unpurgeable. Refresh it before node 1 reports and purges.
+	for _, nd := range []*Node{c.Node(2), n} {
+		if _, err := nd.tf.ReportMinView(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := n.PurgeSpace(sp); err != nil {
 		t.Fatal(err)

@@ -556,6 +556,7 @@ func (tx *Tx) Commit() error {
 		return common.ErrTxDone
 	}
 	tx.finish()
+	defer tx.n.activeTx.Add(-1)
 	n := tx.n
 	if !tx.writes {
 		// Journal the trivial commit too: a client resolving an ambiguous
@@ -726,13 +727,18 @@ func (tx *Tx) Rollback() error {
 		return common.ErrTxDone
 	}
 	tx.finish()
+	defer tx.n.activeTx.Add(-1)
 	tx.rollbackLocked()
 	return nil
 }
 
+// finish closes the transaction to further calls at the entry of Commit or
+// Rollback. It does not release activeTx: admitted means counted until
+// Commit/Rollback returns, because DrainNode and Checkpoint read the count to
+// decide the node is quiet, and a commit between its entry and its TIT
+// publish is not.
 func (tx *Tx) finish() {
 	tx.done = true
-	tx.n.activeTx.Add(-1)
 	if tx.iso == SnapshotIsolation {
 		tx.n.tf.CloseView(tx.view)
 	}
