@@ -1,716 +1,49 @@
 // Command mpchaos runs a multi-node read-write workload under a seeded
 // fault-injection plan and verifies the cluster's crash-consistency
 // invariants: committed data stays durable and visible from every node,
-// rolled-back data disappears, and the cluster converges once faults stop
-// (including after a network partition heals). Fault decisions are
-// deterministic in the seed: for a given -plan and -seed, the i-th
-// occurrence of each operation stream always draws the same verdict, so a
-// failure found under one seed can be replayed by rerunning with it (the
-// exact timeline varies only as far as goroutine scheduling reorders the
-// workload's own operations).
-//
-// With -retries=false the hardened transport retry layer is disabled; fault
-// plans that drop ops then leak transient errors to the application (or,
-// for write-dropping plans, break the flush-before-release protocol
-// outright), demonstrating why the retry layer exists. The verdict is
-// printed and the exit code is non-zero on any invariant violation.
+// rolled-back data disappears, the cluster converges once faults stop. With
+// -proc it kills and partitions real mpserver/mpgateway processes instead;
+// with -retries=false the transport retry layer is off and dropped ops leak
+// to the application, which is why the layer exists. The workload, the plans
+// and every verdict live in internal/chaos/harness (DESIGN.md §7); this file
+// parses flags and turns violations into the exit code: 0 PASS, 1 invariant
+// violated, 2 flag or setup error.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
-	"polardbmp/internal/chaos"
-	"polardbmp/internal/common"
-	"polardbmp/internal/core"
+	"polardbmp/internal/chaos/harness"
 )
 
 func main() {
-	planName := flag.String("plan", "smoke", "fault plan: smoke, drop, lossy, slownode, stalledstorage, partition, crashnode, brownout, pmfsfailover, elastic, none")
-	seed := flag.Int64("seed", 1, "chaos seed (same seed + plan => same fault timeline)")
-	nodes := flag.Int("nodes", 3, "primary nodes")
-	ops := flag.Int("ops", 150, "transactions per node")
-	retries := flag.Bool("retries", true, "transient-fault retries in the fusion client paths")
-	cc := flag.String("cc", "", "concurrency-control engine: 2pl (default) or occ")
-	verbose := flag.Bool("v", false, "print the full fault timeline")
-	timeout := flag.Duration("timeout", 60*time.Second, "workload watchdog (a wedged run is an invariant violation)")
-	proc := flag.Bool("proc", false, "process-level chaos: spawn real mpserver/mpgateway processes and kill/partition them (ignores -plan)")
-	binDir := flag.String("bin", "", "with -proc: directory holding prebuilt mpserver/mpgateway (empty = go build them)")
+	var o harness.Options
+	flag.StringVar(&o.Plan, "plan", "smoke", "fault plan: smoke, drop, lossy, slownode, stalledstorage, partition, crashnode, brownout, pmfsfailover, elastic, none")
+	flag.Int64Var(&o.Seed, "seed", 1, "chaos seed (same seed + plan => same fault timeline)")
+	flag.IntVar(&o.Nodes, "nodes", 3, "primary nodes")
+	flag.IntVar(&o.Ops, "ops", 150, "transactions per node")
+	flag.BoolVar(&o.Retries, "retries", true, "transient-fault retries in the fusion client paths")
+	flag.StringVar(&o.CC, "cc", "", "concurrency-control engine: 2pl (default) or occ")
+	flag.BoolVar(&o.Verbose, "v", false, "print the full fault timeline")
+	flag.DurationVar(&o.Timeout, "timeout", 60*time.Second, "workload watchdog (a wedged run is an invariant violation)")
+	flag.BoolVar(&o.Proc, "proc", false, "process-level chaos: spawn real mpserver/mpgateway processes and kill/partition them (ignores -plan)")
+	flag.StringVar(&o.BinDir, "bin", "", "with -proc: directory holding prebuilt mpserver/mpgateway (empty = go build them)")
 	flag.Parse()
 
-	if *proc {
-		os.Exit(runProc(*binDir, *seed, *timeout, *verbose))
-	}
-
-	plan, err := resolvePlan(*planName, *nodes, *ops)
+	violations, err := harness.Run(os.Stdout, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	eng, err := chaos.New(*seed, plan)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	for _, v := range violations {
+		fmt.Printf("  INVARIANT VIOLATED: %s\n", v)
 	}
-
-	if *cc != "" && !core.ValidCC(*cc) {
-		fmt.Fprintln(os.Stderr, "mpchaos: unknown -cc engine", *cc)
-		os.Exit(2)
-	}
-	cfg := core.Config{
-		CC:              *cc,
-		LockWaitTimeout: 5 * time.Second,
-		DisableRetry:    !*retries,
-	}
-	if *planName == "partition" {
-		// The simulated topology is a star through PMFS; the only direct
-		// node↔node traffic is one-sided TIT reads resolving another
-		// node's commit timestamp. CTS stamping short-circuits most of
-		// those, so turn it off to give the partition something to cut.
-		cfg.DisableCTSStamp = true
-	}
-	if *planName == "crashnode" {
-		// The crash is undeclared: the harness never calls CrashNode. The
-		// cluster's own lease-based detection must notice the silence,
-		// fence the victim under a new epoch, and take over.
-		cfg.SelfHeal = true
-	}
-	if *planName == "brownout" {
-		// Graceful-degradation scenario: everything slows, nothing dies.
-		// SelfHeal arms the lease detector so fail-slow suspicion runs; the
-		// tight renew cadence lets the slow node's stretched heartbeat gap
-		// (~3x the cadence under the 10ms link delay) trip the EWMA while
-		// staying far under the lease timeout — suspected, never evicted.
-		cfg.SelfHeal = true
-		cfg.LeaseRenewInterval = 10 * time.Millisecond
-		cfg.LeaseTimeout = 200 * time.Millisecond
-	}
-	c := core.NewCluster(cfg)
-	defer c.Close()
-	for i := 0; i < *nodes; i++ {
-		if _, err := c.AddNode(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	sp, err := c.CreateSpace("t")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	fmt.Printf("mpchaos: plan=%s seed=%d nodes=%d ops=%d retries=%v\n",
-		plan.Name, *seed, *nodes, *ops, *retries)
-	// ActCrashNode rules fail-stop their victim via KillNode — a silent
-	// kill, with none of CrashNode's declared-failure cleanup. A rule naming
-	// the PMFS pseudo-node instead fail-stops a shared-memory replica: the
-	// current leader, so the kill also exercises follower promotion.
-	eng.SetCrashHandler(func(id common.NodeID) {
-		if id == common.PMFSNode {
-			if rep := c.PmfsReplicator(); rep != nil {
-				_ = c.KillPMFSReplica(rep.Leader())
-			}
-			return
-		}
-		_ = c.KillNode(id)
-	})
-	epoch0 := c.Stats().Membership.Epoch
-	pmfsEpoch0 := c.Stats().Pmfs.Epoch
-	eng.Install(c.Fabric(), c.Store())
-	start := time.Now()
-	// Watchdog: without retries, a single lost lock-service message can
-	// strand every waiter behind the server's wait backstop — a wedged
-	// workload IS an invariant violation, so report it instead of hanging.
-	resCh := make(chan *result, 1)
-	var bres *brownoutMetrics
-	var eres *elasticMetrics
-	go func() {
-		switch *planName {
-		case "brownout":
-			r, b := runBrownout(c, sp, *nodes, *ops)
-			bres = b // written before the send, read after the receive
-			resCh <- r
-		case "elastic":
-			r, e := runElastic(c, sp, *nodes, *ops)
-			eres = e
-			resCh <- r
-		default:
-			resCh <- runWorkload(c, sp, *nodes, *ops)
-		}
-	}()
-	var res *result
-	select {
-	case res = <-resCh:
-	case <-time.After(*timeout):
-		printFaultSummary(eng, *verbose)
-		fmt.Printf("  INVARIANT VIOLATED: workload wedged (no progress within %v)\n", *timeout)
-		fmt.Println("verdict: FAIL")
-		os.Exit(1)
-	}
-	elapsed := time.Since(start)
-	// Faults off for verification: the invariants are about what the run
-	// left behind once the network behaves again (e.g. after a partition
-	// heals).
-	chaos.Uninstall(c.Fabric(), c.Store())
-
-	// Crash plans: give the survivors' failure detector time to finish the
-	// takeover it started (or to start it, if the kill landed late in the
-	// run). The harness only waits — it never intervenes.
-	if crashVictims(plan) != nil {
-		deadline := time.Now().Add(15 * time.Second)
-		for c.Stats().Membership.Takeovers == 0 && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	printFaultSummary(eng, *verbose)
-	fmt.Printf("workload: %v, %d committed, %d rolled back, %d aborted-retryable, %d severed\n",
-		elapsed.Round(time.Millisecond), len(res.committed), len(res.rolledBack), res.retryable, res.severed)
-
-	ok := verify(c, sp, *nodes, res, plan, epoch0, pmfsEpoch0)
-	if bres != nil && !verifyBrownout(c, bres) {
-		ok = false
-	}
-	if eres != nil && !verifyElastic(c, eres, epoch0) {
-		ok = false
-	}
-	if !ok {
+	if len(violations) > 0 {
 		fmt.Println("verdict: FAIL")
 		os.Exit(1)
 	}
 	fmt.Println("verdict: PASS")
-}
-
-// resolvePlan maps -plan to a chaos.Plan. "partition" and "crashnode" are
-// built here (they need the node set): partition cuts node 1 off from the
-// rest for a mid-run op window; crashnode fail-stops the last node a third
-// of the way through the workload.
-func resolvePlan(name string, nodes, ops int) (chaos.Plan, error) {
-	// Rough scale: each transaction costs 10-20 fabric ops; the estimated
-	// run length positions mid-run fault windows.
-	window := uint64(nodes * ops * 12)
-	switch name {
-	case "partition":
-		var a, b []common.NodeID
-		a = append(a, 1)
-		for i := 2; i <= nodes; i++ {
-			b = append(b, common.NodeID(i))
-		}
-		return chaos.PartitionPlan(a, b, window/3, 2*window/3), nil
-	case "crashnode":
-		if nodes < 2 {
-			return chaos.Plan{}, fmt.Errorf("mpchaos: crashnode needs at least 2 nodes (use -nodes)")
-		}
-		return chaos.CrashNodePlan(common.NodeID(nodes), window/3), nil
-	case "pmfsfailover":
-		// Kill a shared-memory replica a third of the way in, while the
-		// workload keeps committing through the replicated tier.
-		return chaos.PmfsFailoverPlan(window / 3), nil
-	case "brownout":
-		if nodes < 2 {
-			return chaos.Plan{}, fmt.Errorf("mpchaos: brownout needs at least 2 nodes (use -nodes)")
-		}
-		// Last node gets the degraded link; 20% of storage I/O stalls 2ms;
-		// 5% of one-sided DBP frame reads stall 10ms (the hedgeable tail).
-		return chaos.BrownoutPlan(common.NodeID(nodes),
-			10*time.Millisecond, 2*time.Millisecond, 10*time.Millisecond), nil
-	case "elastic":
-		if nodes < 2 {
-			return chaos.Plan{}, fmt.Errorf("mpchaos: elastic needs at least 2 nodes (use -nodes)")
-		}
-		return chaos.ElasticPlan(), nil
-	}
-	return chaos.PresetPlan(name)
-}
-
-// crashVictims lists the database nodes a plan fail-stops (nil for
-// fault-only plans). ActCrashNode rules on the PMFS pseudo-node kill a
-// shared-memory replica, not a database node — see pmfsKills.
-func crashVictims(plan chaos.Plan) map[common.NodeID]bool {
-	var victims map[common.NodeID]bool
-	for _, r := range plan.Rules {
-		if r.Action.Kind == chaos.ActCrashNode && r.Action.Node != common.PMFSNode {
-			if victims == nil {
-				victims = make(map[common.NodeID]bool)
-			}
-			victims[r.Action.Node] = true
-		}
-	}
-	return victims
-}
-
-// pmfsKills counts the shared-memory replica fail-stops a plan fires.
-func pmfsKills(plan chaos.Plan) int64 {
-	var n int64
-	for _, r := range plan.Rules {
-		if r.Action.Kind == chaos.ActCrashNode && r.Action.Node == common.PMFSNode {
-			n++
-		}
-	}
-	return n
-}
-
-type result struct {
-	mu         sync.Mutex
-	committed  map[string]string
-	csns       []uint64 // commit timestamps of successful writes
-	rolledBack []string
-	leaked     []error
-	retryable  int
-	severed    int // errors from talking to a fail-stopped node
-}
-
-// severedErr reports an error a client sees when its node (or its peer) has
-// been fail-stopped or fenced: expected under crash plans, a leak otherwise.
-func severedErr(err error) bool {
-	return errors.Is(err, common.ErrNodeDown) ||
-		errors.Is(err, common.ErrClosed) ||
-		errors.Is(err, common.ErrStaleEpoch)
-}
-
-// runWorkload drives ops transactions per node concurrently: 2/3 committed
-// upserts (each read back from a peer node), 1/3 rolled-back inserts. Keys
-// are disjoint per node; shared B-tree pages still exercise Lock Fusion and
-// Buffer Fusion across nodes.
-func runWorkload(c *core.Cluster, sp common.SpaceID, nodes, ops int) *result {
-	res := &result{committed: make(map[string]string)}
-	classify := func(err error) {
-		res.mu.Lock()
-		defer res.mu.Unlock()
-		switch {
-		case common.IsRetryable(err):
-			res.retryable++
-		case severedErr(err):
-			res.severed++
-		default:
-			res.leaked = append(res.leaked, err)
-		}
-	}
-	var wg sync.WaitGroup
-	for ni := 1; ni <= nodes; ni++ {
-		ni := ni
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < ops; i++ {
-				// Re-resolve the handle each round: a crash plan may
-				// fail-stop this node mid-run.
-				n := c.Node(ni)
-				if n == nil {
-					res.mu.Lock()
-					res.severed++
-					res.mu.Unlock()
-					continue
-				}
-				key := fmt.Sprintf("n%d-k%05d", ni, i)
-				tx, err := n.Begin()
-				if err != nil {
-					classify(err)
-					continue
-				}
-				if i%3 == 2 {
-					rbKey := "rb-" + key
-					if err := tx.Insert(sp, []byte(rbKey), []byte("junk")); err != nil {
-						classify(err)
-						_ = tx.Rollback()
-						continue
-					}
-					if err := tx.Rollback(); err != nil {
-						classify(err)
-						continue
-					}
-					res.mu.Lock()
-					res.rolledBack = append(res.rolledBack, rbKey)
-					res.mu.Unlock()
-					continue
-				}
-				val := fmt.Sprintf("v%d-%d", ni, i)
-				if err := tx.Upsert(sp, []byte(key), []byte(val)); err != nil {
-					classify(err)
-					_ = tx.Rollback()
-					continue
-				}
-				if err := tx.Commit(); err != nil {
-					classify(err)
-					continue
-				}
-				res.mu.Lock()
-				res.committed[key] = val
-				res.csns = append(res.csns, tx.Info().CTS)
-				res.mu.Unlock()
-
-				peer := c.Node(ni%nodes + 1)
-				if peer == nil {
-					res.mu.Lock()
-					res.severed++
-					res.mu.Unlock()
-					continue
-				}
-				rtx, err := peer.Begin()
-				if err != nil {
-					classify(err)
-					continue
-				}
-				if _, err := rtx.Get(sp, []byte(key)); err != nil && !errors.Is(err, common.ErrNotFound) {
-					classify(err)
-				}
-				_ = rtx.Commit()
-			}
-		}()
-	}
-	wg.Wait()
-	return res
-}
-
-func printFaultSummary(eng *chaos.Engine, verbose bool) {
-	events := eng.Events()
-	byRule := map[string]int{}
-	for _, ev := range events {
-		byRule[ev.Rule+"/"+ev.Action]++
-	}
-	keys := make([]string, 0, len(byRule))
-	for k := range byRule {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Printf("faults: %d injected over %d fabric/storage ops (log fingerprint %016x)\n",
-		len(events), eng.OpCount(), eng.Fingerprint())
-	for _, k := range keys {
-		fmt.Printf("  %-32s %d\n", k, byRule[k])
-	}
-	if verbose {
-		fmt.Print(eng.Timeline())
-	}
-}
-
-// verify checks the crash-consistency invariants from every surviving node,
-// on a quiet fabric.
-func verify(c *core.Cluster, sp common.SpaceID, nodes int, res *result, plan chaos.Plan, epoch0, pmfsEpoch0 uint64) bool {
-	ok := true
-	fail := func(format string, args ...any) {
-		ok = false
-		fmt.Printf("  INVARIANT VIOLATED: "+format+"\n", args...)
-	}
-
-	// Invariant 0: faults never leak past the retry layer as non-retryable
-	// application errors. Under a partition plan, unreachable windows are
-	// expected to surface (retries cannot outwait a partition); under a
-	// crash plan, severed-connection errors from the dead node are the
-	// point. Everything else must be absorbed.
-	partitioned := len(plan.Partitions) > 0
-	victims := crashVictims(plan)
-	var unexpected []error
-	for _, err := range res.leaked {
-		if partitioned && errors.Is(err, common.ErrUnreachable) {
-			continue
-		}
-		unexpected = append(unexpected, err)
-	}
-	if n := len(res.leaked) - len(unexpected); n > 0 {
-		fmt.Printf("  tolerated %d unreachable errors during the partition window\n", n)
-	}
-	if len(unexpected) > 0 {
-		fail("%d faults leaked to the application; first: %v", len(unexpected), unexpected[0])
-	}
-	if res.severed > 0 && victims == nil {
-		fail("%d severed-node errors surfaced but the plan crashes nobody", res.severed)
-	}
-
-	// Invariant 4 (crash plans): the harness made zero CrashNode calls, so
-	// any recovery happened through the cluster's own failure detection —
-	// the lease table must show a fenced epoch bump and a finished takeover.
-	if victims != nil {
-		st := c.Stats()
-		if st.Membership.Takeovers < int64(len(victims)) {
-			fail("survivors finished %d takeovers, want %d (failure detection never completed)",
-				st.Membership.Takeovers, len(victims))
-		}
-		if st.Membership.Epoch <= epoch0 {
-			fail("cluster epoch %d never advanced past pre-crash epoch %d", st.Membership.Epoch, epoch0)
-		}
-		fmt.Printf("self-healing: %d takeover(s) at epoch %d (mean %v), %d lease renewals, 0 harness CrashNode calls\n",
-			st.Membership.Takeovers, st.Membership.Epoch, st.Membership.TakeoverMean.Round(time.Microsecond), st.Membership.LeaseRenewals)
-	}
-
-	// Invariant 5: the TSO never hands out the same timestamp twice — a
-	// replayed or double-advanced grant (duplicate fabric delivery, replica
-	// failover promoting a stale copy) would reissue commit CSNs.
-	seenCSN := make(map[uint64]bool, len(res.csns))
-	dupCSNs := 0
-	for _, csn := range res.csns {
-		if csn == 0 {
-			continue
-		}
-		if seenCSN[csn] {
-			dupCSNs++
-		}
-		seenCSN[csn] = true
-	}
-	if dupCSNs > 0 {
-		fail("%d duplicate commit CSNs — the TSO double-advanced or regressed", dupCSNs)
-	}
-
-	// Invariant 6 (pmfs failover plans): the replica kill was absorbed by
-	// the replicated shared-memory tier — every kill became exactly one
-	// failover, and the pmfs epoch advanced exactly once per kill.
-	if kills := pmfsKills(plan); kills > 0 {
-		st := c.Stats()
-		if st.Pmfs.Failovers != kills {
-			fail("pmfs tier absorbed %d failovers, want %d (replica kill not handled)",
-				st.Pmfs.Failovers, kills)
-		}
-		if st.Pmfs.Epoch != pmfsEpoch0+uint64(kills) {
-			fail("pmfs epoch %d, want exactly %d (pre-kill %d + %d kill(s)) — epoch must advance exactly once per failover",
-				st.Pmfs.Epoch, pmfsEpoch0+uint64(kills), pmfsEpoch0, kills)
-		}
-		fmt.Printf("pmfs: %d/%d replicas live at epoch %d after %d failover(s), leader=%d, %d quorum ops (p99 %v), %d read repairs, %d dup-suppressed\n",
-			st.Pmfs.Live, st.Pmfs.Replicas, st.Pmfs.Epoch, st.Pmfs.Failovers, st.Pmfs.Leader,
-			st.Pmfs.QuorumOps, st.Pmfs.QuorumP99.Round(time.Microsecond),
-			st.Pmfs.ReadRepairs, st.Pmfs.DupSuppressed)
-	}
-
-	// Invariants 1-3: committed rows durable and identical from every
-	// surviving node (convergence after faults stop / partition heals);
-	// rolled-back rows gone. Crashed nodes are skipped — their committed
-	// rows must still be visible from everyone else.
-	verified := 0
-	for ni := 1; ni <= nodes; ni++ {
-		nd := c.Node(ni)
-		if nd == nil || !nd.Live() {
-			if victims[common.NodeID(ni)] {
-				continue
-			}
-			fail("node %d is down but the plan never crashed it", ni)
-			continue
-		}
-		verified++
-		tx, err := nd.Begin()
-		if err != nil {
-			fail("node %d cannot open verify transaction: %v", ni, err)
-			continue
-		}
-		lost, wrong, resurfaced := 0, 0, 0
-		for key, want := range res.committed {
-			got, err := tx.Get(sp, []byte(key))
-			switch {
-			case err != nil:
-				lost++
-			case string(got) != want:
-				wrong++
-			}
-		}
-		for _, key := range res.rolledBack {
-			if _, err := tx.Get(sp, []byte(key)); !errors.Is(err, common.ErrNotFound) {
-				resurfaced++
-			}
-		}
-		_ = tx.Commit()
-		if lost > 0 {
-			fail("node %d: %d committed rows lost", ni, lost)
-		}
-		if wrong > 0 {
-			fail("node %d: %d committed rows with wrong values", ni, wrong)
-		}
-		if resurfaced > 0 {
-			fail("node %d: %d rolled-back rows resurfaced", ni, resurfaced)
-		}
-	}
-	if ok {
-		fmt.Printf("invariants: durable=%d rows visible from all %d surviving nodes, rollback=%d rows absent, converged\n",
-			len(res.committed), verified, len(res.rolledBack))
-	}
-	return ok
-}
-
-// --- brownout: graceful degradation under gray failure ----------------------
-
-// Brownout workload tuning. Every transaction carries a fresh deadline
-// budget; grace is the slack allowed past the budget for work a transaction
-// finishes after its last checkpoint (commit publication, rollback). The
-// invariants assert graceful degradation, not full speed: a goodput floor,
-// a bounded tail, zero transactions outliving budget+grace, and zero
-// transactions permanently rejected with ErrOverloaded after backoff.
-const (
-	brownoutBudget     = 400 * time.Millisecond
-	brownoutGrace      = 600 * time.Millisecond
-	brownoutMaxRetries = 8
-	brownoutGoodputPct = 40
-	brownoutP99Bound   = 2 * time.Second
-)
-
-type brownoutMetrics struct {
-	mu             sync.Mutex
-	attempts       int             // logical write transactions attempted
-	deadlineAborts int             // ended with ErrDeadlineExceeded
-	overloadFinal  int             // still ErrOverloaded after all backoff rounds
-	overruns       int             // single attempts that ran past budget+grace
-	worstOverrun   time.Duration   // max(elapsed - budget) across attempts
-	lats           []time.Duration // wall time per logical op (incl. retries)
-}
-
-// runBrownout drives the same disjoint-key upsert/rollback mix as
-// runWorkload, but every transaction carries a deadline budget and retryable
-// failures (ErrOverloaded shed, lock timeouts, conflicts) are retried with
-// exponential backoff — the contract the admission controller's "retryable"
-// promise makes to well-behaved clients.
-func runBrownout(c *core.Cluster, sp common.SpaceID, nodes, ops int) (*result, *brownoutMetrics) {
-	res := &result{committed: make(map[string]string)}
-	bm := &brownoutMetrics{}
-
-	// attempt runs body in one bounded transaction and reports the outcome
-	// plus the attempt's wall time (its budget is fresh, so elapsed compares
-	// directly against brownoutBudget).
-	attempt := func(n *core.Node, body func(tx *core.Tx) error) (time.Duration, error) {
-		start := time.Now()
-		tx, err := n.BeginDeadline(core.ReadCommitted, common.DeadlineAfter(brownoutBudget))
-		if err != nil {
-			return time.Since(start), err
-		}
-		if err := body(tx); err != nil {
-			_ = tx.Rollback()
-			return time.Since(start), err
-		}
-		return time.Since(start), nil
-	}
-
-	var wg sync.WaitGroup
-	for ni := 1; ni <= nodes; ni++ {
-		ni := ni
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n := c.Node(ni)
-			for i := 0; i < ops; i++ {
-				key := fmt.Sprintf("n%d-k%05d", ni, i)
-				rollback := i%3 == 2
-				opStart := time.Now()
-				bm.mu.Lock()
-				bm.attempts++
-				bm.mu.Unlock()
-
-				var lastErr error
-				for try := 0; try <= brownoutMaxRetries; try++ {
-					if try > 0 {
-						// Jittered exponential backoff; the jitter source is
-						// the (node, op, try) triple so runs stay seeded.
-						backoff := time.Millisecond << uint(min(try-1, 4))
-						backoff += time.Duration((ni*7919+i*104729+try*1299721)%1000) * time.Microsecond
-						time.Sleep(backoff)
-					}
-					var elapsed time.Duration
-					elapsed, lastErr = attempt(n, func(tx *core.Tx) error {
-						if rollback {
-							if err := tx.Insert(sp, []byte("rb-"+key), []byte("junk")); err != nil {
-								return err
-							}
-							return tx.Rollback()
-						}
-						if err := tx.Upsert(sp, []byte(key), []byte(fmt.Sprintf("v%d-%d", ni, i))); err != nil {
-							return err
-						}
-						return tx.Commit()
-					})
-					if over := elapsed - brownoutBudget; over > brownoutGrace {
-						bm.mu.Lock()
-						bm.overruns++
-						if over > bm.worstOverrun {
-							bm.worstOverrun = over
-						}
-						bm.mu.Unlock()
-					} else if over > 0 {
-						bm.mu.Lock()
-						if over > bm.worstOverrun {
-							bm.worstOverrun = over
-						}
-						bm.mu.Unlock()
-					}
-					if lastErr == nil || !common.IsRetryable(lastErr) {
-						break
-					}
-				}
-
-				bm.mu.Lock()
-				bm.lats = append(bm.lats, time.Since(opStart))
-				bm.mu.Unlock()
-				res.mu.Lock()
-				switch {
-				case lastErr == nil && rollback:
-					res.rolledBack = append(res.rolledBack, "rb-"+key)
-				case lastErr == nil:
-					res.committed[key] = fmt.Sprintf("v%d-%d", ni, i)
-				case errors.Is(lastErr, common.ErrDeadlineExceeded):
-					bm.mu.Lock()
-					bm.deadlineAborts++
-					bm.mu.Unlock()
-				case errors.Is(lastErr, common.ErrOverloaded):
-					bm.mu.Lock()
-					bm.overloadFinal++
-					bm.mu.Unlock()
-				case common.IsRetryable(lastErr):
-					res.retryable++
-				case severedErr(lastErr):
-					res.severed++
-				default:
-					res.leaked = append(res.leaked, lastErr)
-				}
-				res.mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return res, bm
-}
-
-// verifyBrownout checks the graceful-degradation invariants and prints the
-// overload/hedge/fail-slow observability the run produced.
-func verifyBrownout(c *core.Cluster, bm *brownoutMetrics) bool {
-	ok := true
-	fail := func(format string, args ...any) {
-		ok = false
-		fmt.Printf("  INVARIANT VIOLATED: "+format+"\n", args...)
-	}
-
-	sort.Slice(bm.lats, func(i, j int) bool { return bm.lats[i] < bm.lats[j] })
-	q := func(p float64) time.Duration {
-		if len(bm.lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(bm.lats)-1))
-		return bm.lats[i]
-	}
-	st := c.Stats()
-	goodput := 0.0
-	done := bm.attempts - bm.deadlineAborts - bm.overloadFinal
-	if bm.attempts > 0 {
-		goodput = 100 * float64(done) / float64(bm.attempts)
-	}
-	fmt.Printf("brownout: goodput %.1f%% (%d/%d), p50 %v, p99 %v, %d deadline aborts (worst overrun %v)\n",
-		goodput, done, bm.attempts, q(0.50).Round(time.Millisecond), q(0.99).Round(time.Millisecond),
-		bm.deadlineAborts, bm.worstOverrun.Round(time.Millisecond))
-	fmt.Printf("overload: plock sheds=%d buf sheds=%d hedges fired=%d won=%d deadline aborts=%d\n",
-		st.Overload.PLockSheds, st.Overload.BufSheds,
-		st.Overload.HedgesFired, st.Overload.HedgeWins, st.Overload.DeadlineAborts)
-	fmt.Printf("fail-slow: %d suspicions, slow peers %v\n",
-		st.Membership.FailSlowSuspicions, st.Membership.SlowPeers)
-
-	if goodput < brownoutGoodputPct {
-		fail("goodput %.1f%% under the %d%% floor — degradation is not graceful", goodput, brownoutGoodputPct)
-	}
-	if p99 := q(0.99); p99 > brownoutP99Bound {
-		fail("p99 %v exceeds the %v bound", p99.Round(time.Millisecond), brownoutP99Bound)
-	}
-	if bm.overruns > 0 {
-		fail("%d transactions outlived budget+grace (worst overrun %v) — deadlines did not bound the work",
-			bm.overruns, bm.worstOverrun.Round(time.Millisecond))
-	}
-	if bm.overloadFinal > 0 {
-		fail("%d transactions still ErrOverloaded after %d backoff rounds — shedding must be transient",
-			bm.overloadFinal, brownoutMaxRetries)
-	}
-	return ok
 }

@@ -2,156 +2,38 @@ package chaos_test
 
 import (
 	"errors"
-	"fmt"
+	"io"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"polardbmp/internal/chaos"
+	"polardbmp/internal/chaos/harness"
 	"polardbmp/internal/common"
 	"polardbmp/internal/core"
 )
 
-// workloadResult is what one run of the multi-node read-write workload
-// produced: the rows each node committed, the rows it rolled back, and any
-// errors that were neither app-retryable (deadlock/conflict/timeout) nor
-// handled by the transport retries — i.e. faults that leaked to the app.
-type workloadResult struct {
-	committed  map[string]string
-	rolledBack []string
-	leaked     []error
-}
-
-// runWorkload drives txPerNode transactions on each node concurrently:
-// 2/3 committed upserts, 1/3 inserts that are rolled back. Nodes write
-// disjoint key ranges (shared B-tree pages still force Buffer/Lock Fusion
-// traffic) and read back a peer's keys each round to generate cross-node
-// one-sided reads.
-func runWorkload(t *testing.T, c *core.Cluster, sp common.SpaceID, nodes, txPerNode int) workloadResult {
+// runPlan drives mpchaos's workload (harness.Spec: txPerNode transactions on
+// each of three nodes, two committed upserts read back through a peer for
+// every rolled-back insert) under plan, and fails the test unless the plan
+// was exercised and the durability / rollback / convergence invariants hold
+// on the quiet fabric afterwards. Leaked faults are the caller's to judge.
+func runPlan(t *testing.T, cfg core.Config, plan chaos.Plan, seed int64, txPerNode int) harness.Result {
 	t.Helper()
-	var mu sync.Mutex
-	res := workloadResult{committed: make(map[string]string)}
-	leak := func(err error) {
-		mu.Lock()
-		res.leaked = append(res.leaked, err)
-		mu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	for ni := 1; ni <= nodes; ni++ {
-		ni := ni
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n := c.Node(ni)
-			for i := 0; i < txPerNode; i++ {
-				key := fmt.Sprintf("n%d-k%04d", ni, i)
-				val := fmt.Sprintf("v%d-%d", ni, i)
-				tx, err := n.Begin()
-				if err != nil {
-					leak(err)
-					continue
-				}
-				if i%3 == 2 {
-					// Uncommitted leg: insert then roll back.
-					rbKey := "rb-" + key
-					if err := tx.Insert(sp, []byte(rbKey), []byte("junk")); err != nil {
-						if !common.IsRetryable(err) {
-							leak(err)
-						}
-						_ = tx.Rollback()
-						continue
-					}
-					if err := tx.Rollback(); err != nil {
-						leak(err)
-						continue
-					}
-					mu.Lock()
-					res.rolledBack = append(res.rolledBack, rbKey)
-					mu.Unlock()
-					continue
-				}
-				if err := tx.Upsert(sp, []byte(key), []byte(val)); err != nil {
-					if !common.IsRetryable(err) {
-						leak(err)
-					}
-					_ = tx.Rollback()
-					continue
-				}
-				if err := tx.Commit(); err != nil {
-					if !common.IsRetryable(err) {
-						leak(err)
-					}
-					continue
-				}
-				mu.Lock()
-				res.committed[key] = val
-				mu.Unlock()
-
-				// Cross-node read of a peer's latest row.
-				peer := c.Node(ni%nodes + 1)
-				rtx, err := peer.Begin()
-				if err != nil {
-					leak(err)
-					continue
-				}
-				pk := fmt.Sprintf("n%d-k%04d", ni, i)
-				if _, err := rtx.Get(sp, []byte(pk)); err != nil &&
-					!errors.Is(err, common.ErrNotFound) && !common.IsRetryable(err) {
-					leak(err)
-				}
-				_ = rtx.Commit()
-			}
-		}()
-	}
-	wg.Wait()
-	return res
-}
-
-// checkInvariants verifies, from every node, that committed rows are
-// visible with their final values and rolled-back rows are absent.
-func checkInvariants(t *testing.T, c *core.Cluster, sp common.SpaceID, nodes int, res workloadResult) {
-	t.Helper()
-	for ni := 1; ni <= nodes; ni++ {
-		n := c.Node(ni)
-		tx, err := n.Begin()
-		if err != nil {
-			t.Fatalf("node %d: begin verify tx: %v", ni, err)
-		}
-		for key, want := range res.committed {
-			got, err := tx.Get(sp, []byte(key))
-			if err != nil {
-				t.Fatalf("node %d: committed key %q lost: %v", ni, key, err)
-			}
-			if string(got) != want {
-				t.Fatalf("node %d: key %q = %q, want %q", ni, key, got, want)
-			}
-		}
-		for _, key := range res.rolledBack {
-			if _, err := tx.Get(sp, []byte(key)); !errors.Is(err, common.ErrNotFound) {
-				t.Fatalf("node %d: rolled-back key %q resurfaced (err=%v)", ni, key, err)
-			}
-		}
-		_ = tx.Commit()
-	}
-}
-
-func chaosCluster(t *testing.T, nodes int, cfg core.Config) (*core.Cluster, common.SpaceID) {
-	t.Helper()
-	cfg.LockWaitTimeout = 5 * time.Second
-	c := core.NewCluster(cfg)
-	t.Cleanup(c.Close)
-	for i := 0; i < nodes; i++ {
-		if _, err := c.AddNode(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sp, err := c.CreateSpace("t")
+	res, err := harness.Spec{Config: cfg, Faults: plan, Seed: seed, Nodes: 3, Ops: txPerNode}.Run(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, sp
+	if res.Committed == 0 || res.RolledBack == 0 {
+		t.Fatalf("degenerate workload: %d committed, %d rolled back", res.Committed, res.RolledBack)
+	}
+	if res.FabricOps == 0 || res.Faults == 0 {
+		t.Fatalf("chaos engine saw %d ops, injected %d faults — plan not exercised", res.FabricOps, res.Faults)
+	}
+	if len(res.Leaked) == 0 && len(res.Violations) > 0 {
+		t.Fatalf("invariants violated: %q", res.Violations)
+	}
+	return res
 }
 
 // TestWorkloadUnderSmokePlan is the headline integration test: a 3-node
@@ -159,31 +41,14 @@ func chaosCluster(t *testing.T, nodes int, cfg core.Config) (*core.Cluster, comm
 // With the default retry policy no fault may leak to the application, and
 // the durability / rollback / convergence invariants must hold.
 func TestWorkloadUnderSmokePlan(t *testing.T) {
-	const nodes = 3
 	txPerNode := 120
 	if testing.Short() {
 		txPerNode = 40
 	}
-	c, sp := chaosCluster(t, nodes, core.Config{})
-	eng := chaos.MustNew(1234, chaos.SmokePlan())
-	eng.Install(c.Fabric(), c.Store())
-
-	res := runWorkload(t, c, sp, nodes, txPerNode)
-
-	// Verify on a quiet fabric: the invariants are about what the faults
-	// left behind, not about racing further injection.
-	chaos.Uninstall(c.Fabric(), c.Store())
-	if len(res.leaked) > 0 {
-		t.Fatalf("%d faults leaked through the retry layer; first: %v", len(res.leaked), res.leaked[0])
+	res := runPlan(t, core.Config{}, chaos.SmokePlan(), 1234, txPerNode)
+	if len(res.Leaked) > 0 {
+		t.Fatalf("%d faults leaked through the retry layer; first: %v", len(res.Leaked), res.Leaked[0])
 	}
-	if len(res.committed) == 0 || len(res.rolledBack) == 0 {
-		t.Fatalf("degenerate workload: %d committed, %d rolled back", len(res.committed), len(res.rolledBack))
-	}
-	if eng.OpCount() == 0 || len(eng.Events()) == 0 {
-		t.Fatalf("chaos engine saw %d ops, injected %d faults — plan not exercised",
-			eng.OpCount(), len(eng.Events()))
-	}
-	checkInvariants(t, c, sp, nodes, res)
 }
 
 // TestRetriesDisabledLeaksFaults is the ablation that justifies the retry
@@ -196,7 +61,6 @@ func TestWorkloadUnderSmokePlan(t *testing.T) {
 // process-killing coherence panic, not a leaked error (demonstrated by
 // cmd/mpchaos, not asserted here).
 func TestRetriesDisabledLeaksFaults(t *testing.T) {
-	const nodes = 3
 	txPerNode := 80
 	if testing.Short() {
 		txPerNode = 30
@@ -209,29 +73,19 @@ func TestRetriesDisabledLeaksFaults(t *testing.T) {
 				Prob:    0.05, Action: chaos.Action{Kind: chaos.ActDrop}},
 		},
 	}
-
-	run := func(disable bool) workloadResult {
-		cfg := core.Config{DisableRetry: disable}
-		c, sp := chaosCluster(t, nodes, cfg)
-		eng := chaos.MustNew(99, plan)
-		eng.Install(c.Fabric(), c.Store())
-		res := runWorkload(t, c, sp, nodes, txPerNode)
-		chaos.Uninstall(c.Fabric(), c.Store())
-		if eng.OpCount() == 0 || len(eng.Events()) == 0 {
-			t.Fatalf("plan not exercised (%d ops, %d events)", eng.OpCount(), len(eng.Events()))
-		}
-		return res
+	if res := runPlan(t, core.Config{}, plan, 99, txPerNode); len(res.Leaked) > 0 {
+		t.Fatalf("with retries enabled %d faults leaked; first: %v", len(res.Leaked), res.Leaked[0])
 	}
-
-	if res := run(false); len(res.leaked) > 0 {
-		t.Fatalf("with retries enabled %d faults leaked; first: %v", len(res.leaked), res.leaked[0])
-	}
-	res := run(true)
-	if len(res.leaked) == 0 {
+	res := runPlan(t, core.Config{DisableRetry: true}, plan, 99, txPerNode)
+	if len(res.Leaked) == 0 {
 		t.Fatal("with retries disabled no fault leaked — the retry layer is not what absorbs them")
 	}
-	for _, err := range res.leaked {
-		if !common.IsTransient(err) {
+	for _, err := range res.Leaked {
+		// A dropped DBP frame read has a second shape: the fetch falls back to
+		// shared storage, which holds no copy of a page that was never
+		// flushed, and the drop surfaces as the store's not-found (1 run in 30
+		// on a loaded host).
+		if !common.IsTransient(err) && !errors.Is(err, common.ErrNotFound) {
 			t.Fatalf("leaked error is not the injected transient class: %v", err)
 		}
 	}
@@ -244,68 +98,32 @@ func TestWorkloadUnderLossyPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lossy plan run covered by the smoke plan in -short mode")
 	}
-	const nodes = 3
-	c, sp := chaosCluster(t, nodes, core.Config{})
-	eng := chaos.MustNew(7, chaos.LossyPlan(0.03))
-	eng.Install(c.Fabric(), nil)
-
-	res := runWorkload(t, c, sp, nodes, 100)
-	chaos.Uninstall(c.Fabric(), nil)
-	if len(res.leaked) > 0 {
-		t.Fatalf("%d faults leaked; first: %v", len(res.leaked), res.leaked[0])
+	if res := runPlan(t, core.Config{}, chaos.LossyPlan(0.03), 7, 100); len(res.Leaked) > 0 {
+		t.Fatalf("%d faults leaked; first: %v", len(res.Leaked), res.Leaked[0])
 	}
-	checkInvariants(t, c, sp, nodes, res)
 }
 
 // TestWorkloadUnderFailSlowPlans exercises the two fail-slow presets end to
-// end (previously only reachable through cmd/mpchaos): a crawling node and a
-// browning-out store. Nothing crashes, so nothing may leak to the app; the
-// cluster must converge once the faults stop; and closing the cluster must
-// release every goroutine the degraded run parked (hedge losers, retry
-// sleepers, lease loops) — a fail-slow window must not strand workers.
+// end: a crawling node and a browning-out store. Nothing crashes, so nothing
+// may leak to the app; the cluster must converge once the faults stop; and
+// closing the cluster (Spec.Run does) must release every goroutine the
+// degraded run parked (hedge losers, retry sleepers, lease loops) — a
+// fail-slow window must not strand workers.
 func TestWorkloadUnderFailSlowPlans(t *testing.T) {
-	const nodes = 3
 	txPerNode := 60
 	if testing.Short() {
 		txPerNode = 25
 	}
-	cases := []struct {
-		name  string
-		plan  chaos.Plan
-		store bool // install on the storage layer too
-	}{
-		{"slownode", chaos.SlowNodePlan(1, 300*time.Microsecond), false},
-		{"stalledstorage", chaos.StalledStoragePlan(200*time.Microsecond, 0.02), true},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	for _, plan := range []chaos.Plan{
+		chaos.SlowNodePlan(1, 300*time.Microsecond),
+		chaos.StalledStoragePlan(200*time.Microsecond, 0.02),
+	} {
+		plan := plan
+		t.Run(plan.Name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			c, sp := chaosCluster(t, nodes, core.Config{})
-			eng := chaos.MustNew(42, tc.plan)
-			if tc.store {
-				eng.Install(c.Fabric(), c.Store())
-			} else {
-				eng.Install(c.Fabric(), nil)
+			if res := runPlan(t, core.Config{}, plan, 42, txPerNode); len(res.Leaked) > 0 {
+				t.Fatalf("%d faults leaked; first: %v", len(res.Leaked), res.Leaked[0])
 			}
-
-			res := runWorkload(t, c, sp, nodes, txPerNode)
-
-			chaos.Uninstall(c.Fabric(), c.Store())
-			if len(res.leaked) > 0 {
-				t.Fatalf("%d faults leaked; first: %v", len(res.leaked), res.leaked[0])
-			}
-			if len(res.committed) == 0 || len(res.rolledBack) == 0 {
-				t.Fatalf("degenerate workload: %d committed, %d rolled back",
-					len(res.committed), len(res.rolledBack))
-			}
-			if eng.OpCount() == 0 || len(eng.Events()) == 0 {
-				t.Fatalf("plan not exercised (%d ops, %d events)", eng.OpCount(), len(eng.Events()))
-			}
-			checkInvariants(t, c, sp, nodes, res)
-
-			// Close is idempotent, so the chaosCluster cleanup stays a no-op.
-			c.Close()
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)

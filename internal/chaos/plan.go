@@ -378,8 +378,6 @@ func PresetPlan(name string) (Plan, error) {
 		return SlowNodePlan(1, 500*time.Microsecond), nil
 	case "stalledstorage":
 		return StalledStoragePlan(300*time.Microsecond, 0.02), nil
-	case "brownout":
-		return BrownoutPlan(1, 10*time.Millisecond, 2*time.Millisecond, 10*time.Millisecond), nil
 	case "elastic":
 		return ElasticPlan(), nil
 	case "none":
