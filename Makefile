@@ -1,7 +1,7 @@
 GO ?= go
 
 RACE_PKGS = ./internal/core ./internal/lockfusion ./internal/bufferfusion \
-            ./internal/txfusion ./internal/chaos ./internal/rdma \
+            ./internal/txfusion ./internal/chaos ./internal/chaos/harness ./internal/rdma \
             ./internal/membership ./internal/trace ./internal/wire \
             ./internal/netsrv ./internal/storage ./internal/pmfsrep \
             ./internal/metrics ./internal/workload
@@ -42,7 +42,7 @@ smoke:
 # storage stalls, a crawling node, and a stalled-DBP-read tail must keep
 # goodput above the floor, p99 bounded, zero transactions past budget+grace,
 # and zero transactions permanently shed with ErrOverloaded (see DESIGN.md
-# §11; non-zero exit on violation).
+# §7; non-zero exit on violation).
 brownout-smoke:
 	$(GO) run ./cmd/mpchaos -plan brownout -seed 7 -ops 60
 
@@ -129,6 +129,6 @@ bench-snapshot:
 
 # Non-test, non-bench Go source lines: the number every diet PR quotes
 # (29,271 before PR 13, 28,743 after it, 28,398 after PR 14, 27,632 after
-# PR 16; CI fails above that).
+# PR 16, 27,381 after PR 22; CI fails above that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
