@@ -12,6 +12,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
@@ -23,8 +24,8 @@ import (
 	"polardbmp/internal/netsrv"
 )
 
-// Options are cmd/mpchaos's flags; -seed, -nodes, -ops, -timeout and -v are
-// the Spec's.
+// Options are cmd/mpchaos's flags. -seed, -nodes, -ops, -timeout and -v are the
+// Spec's; its Config and Faults are Run's to derive from Plan, CC and Retries.
 type Options struct {
 	Plan, CC      string
 	Retries, Proc bool
@@ -75,8 +76,7 @@ var plans = map[string]planRow{
 	// Everything slows, nothing dies: the last node's link crawls, 20% of
 	// storage I/O stalls 2ms, 5% of DBP frame reads stall 10ms (the hedgeable
 	// tail). SelfHeal arms fail-slow suspicion; the tight renew cadence trips
-	// the EWMA far under the lease timeout — suspected, never evicted (reading
-	// commits back through the crawling node costs it that lease 1 run in 40).
+	// the EWMA far under the lease timeout — suspected, never evicted.
 	"brownout": {
 		minNodes: 2,
 		faults: func(nodes int, _ uint64) chaos.Plan {
@@ -85,7 +85,7 @@ var plans = map[string]planRow{
 		tune: func(c *core.Config) {
 			c.SelfHeal, c.LeaseRenewInterval, c.LeaseTimeout = true, 10*time.Millisecond, 200*time.Millisecond
 		},
-		policy: policy{budget: 400 * time.Millisecond, tries: 9, backoff: true, noReads: true},
+		policy: policy{budget: 400 * time.Millisecond, tries: 9},
 	},
 	// Topology churn under light fabric noise.
 	"elastic": {minNodes: 2, policy: policy{tries: 10, cycles: 3}},
@@ -111,10 +111,9 @@ func Run(w io.Writer, o Options) ([]string, error) {
 	if row.tune != nil {
 		row.tune(&s.Config)
 	}
+	s.Faults, _ = chaos.PresetPlan(o.Plan) // a row without faults is named after a preset (TestTraitsOf)
 	if row.faults != nil {
 		s.Faults = row.faults(o.Nodes, uint64(o.Nodes*o.Ops*12))
-	} else {
-		s.Faults, _ = chaos.PresetPlan(o.Plan) // a row without faults is named after a preset (TestTraitsOf)
 	}
 	fmt.Fprintf(w, "mpchaos: plan=%s seed=%d nodes=%d ops=%d retries=%v\n", o.Plan, o.Seed, o.Nodes, o.Ops, o.Retries)
 	res, err := s.Run(w)
@@ -125,7 +124,7 @@ func Run(w io.Writer, o Options) ([]string, error) {
 // of Nodes nodes, under Faults drawn from Seed. The client policy belongs to
 // the plan table; a Spec built outside this package runs the plain loop.
 type Spec struct {
-	Config     core.Config
+	Config     core.Config // a zero LockWaitTimeout means 5s
 	Faults     chaos.Plan
 	Seed       int64
 	Nodes, Ops int
@@ -140,9 +139,9 @@ type Result struct {
 	// Leaked are the errors that reached a worker and are neither retryable,
 	// nor from a node the plan killed, nor inside a partition window.
 	Leaked     []error
-	FabricOps  uint64 // operations the fault engine inspected
-	Faults     int    // faults it injected
-	Violations []string
+	FabricOps  uint64   // operations the fault engine inspected
+	Faults     int      // faults it injected
+	Violations []string // the invariants that did not hold; all of Leaked together are one
 }
 
 // Run builds the cluster, runs the workload under the faults, verifies on a
@@ -152,7 +151,7 @@ func (s Spec) Run(w io.Writer) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	s.Config.LockWaitTimeout = 5 * time.Second
+	s.Config.LockWaitTimeout = cmp.Or(s.Config.LockWaitTimeout, 5*time.Second)
 	db, err := netsrv.NewDB(s.Config, s.Nodes)
 	if err != nil {
 		return Result{}, err

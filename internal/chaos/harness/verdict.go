@@ -66,7 +66,7 @@ func (o *observations) tally(tr traits) tally {
 			t.deadline++
 		case common.IsRetryable(f.err):
 			t.retryable++
-			if f.final && tr.backoff && errors.Is(f.err, common.ErrOverloaded) {
+			if f.final && tr.budget > 0 && errors.Is(f.err, common.ErrOverloaded) {
 				t.overloadFinal++
 			}
 		case severed:

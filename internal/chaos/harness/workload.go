@@ -16,13 +16,12 @@ import (
 // the plain loop: one attempt per transaction, no deadline, every worker
 // pinned to its node.
 type policy struct {
-	budget  time.Duration // each transaction's deadline, through Begin(iso, budget); > 0 turns the degradation floors on
-	tries   int           // attempts a logical transaction gets while its error IsRetryable (0 means 1)
-	backoff bool          // jittered exponential pause between attempts; turns the permanent-ErrOverloaded rule on
-	noReads bool          // commits are not read back through a peer (the floors are over write transactions)
-	// cycles is the number of graceful drain/rejoin cycles of the last node
-	// run beside the workers; > 0 also reroutes a refused Begin to the next
-	// primary and turns the elasticity rules on.
+	// budget is each transaction's deadline, through Begin(iso, budget); > 0 also
+	// backs off between attempts, reads no commit back and turns the floors on.
+	budget time.Duration
+	tries  int // attempts a logical transaction gets while its error IsRetryable (0 means 1)
+	// cycles graceful drain/rejoin cycles of the last node run beside the workers;
+	// > 0 also reroutes a refused Begin and turns the elasticity rules on.
 	cycles int
 }
 
@@ -137,7 +136,9 @@ func (r *run) worker(ni int) {
 				o.failures = append(o.failures, failure{fmt.Errorf("acked commit %v resolves to outcome %d: %v", g, out, err), true})
 			}
 			return nil
-		}) || r.noReads {
+		}) || r.budget > 0 {
+			// The floors are over writes: read back through the crawling node, the
+			// commits quadruple its traffic and cost it its lease in 2 runs of 41.
 			continue
 		}
 		peer := ni%r.Nodes + 1
@@ -156,8 +157,8 @@ func (r *run) worker(ni int) {
 func (r *run) transact(at *int, salt int, body func(wire.Backend, wire.Tx) error) (ok bool) {
 	o, opStart := r.obs, time.Now()
 	for try, tries := 0, max(r.tries, 1); try < tries; try++ {
-		if try > 0 && r.backoff {
-			// The jitter source is the (node, op, try) triple, so runs stay seeded.
+		if try > 0 && r.budget > 0 {
+			// Exponential backoff; the jitter is seeded by the (node, op, try) triple.
 			time.Sleep(time.Millisecond<<min(try-1, 4) + time.Duration((salt+try*1299721)%1000)*time.Microsecond)
 		}
 		start := time.Now()

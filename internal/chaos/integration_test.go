@@ -1,7 +1,6 @@
 package chaos_test
 
 import (
-	"errors"
 	"io"
 	"runtime"
 	"testing"
@@ -17,7 +16,9 @@ import (
 // each of three nodes, two committed upserts read back through a peer for
 // every rolled-back insert) under plan, and fails the test unless the plan
 // was exercised and the durability / rollback / convergence invariants hold
-// on the quiet fabric afterwards. Leaked faults are the caller's to judge.
+// on the quiet fabric afterwards. Leaked faults are the caller's to judge:
+// together they are one violation, and any beyond it — a severed connection,
+// a lost or resurfaced row — fails here, with retries or without.
 func runPlan(t *testing.T, cfg core.Config, plan chaos.Plan, seed int64, txPerNode int) harness.Result {
 	t.Helper()
 	res, err := harness.Spec{Config: cfg, Faults: plan, Seed: seed, Nodes: 3, Ops: txPerNode}.Run(io.Discard)
@@ -30,7 +31,7 @@ func runPlan(t *testing.T, cfg core.Config, plan chaos.Plan, seed int64, txPerNo
 	if res.FabricOps == 0 || res.Faults == 0 {
 		t.Fatalf("chaos engine saw %d ops, injected %d faults — plan not exercised", res.FabricOps, res.Faults)
 	}
-	if len(res.Leaked) == 0 && len(res.Violations) > 0 {
+	if len(res.Violations) > min(len(res.Leaked), 1) {
 		t.Fatalf("invariants violated: %q", res.Violations)
 	}
 	return res
@@ -81,11 +82,7 @@ func TestRetriesDisabledLeaksFaults(t *testing.T) {
 		t.Fatal("with retries disabled no fault leaked — the retry layer is not what absorbs them")
 	}
 	for _, err := range res.Leaked {
-		// A dropped DBP frame read has a second shape: the fetch falls back to
-		// shared storage, which holds no copy of a page that was never
-		// flushed, and the drop surfaces as the store's not-found (1 run in 30
-		// on a loaded host).
-		if !common.IsTransient(err) && !errors.Is(err, common.ErrNotFound) {
+		if !common.IsTransient(err) {
 			t.Fatalf("leaked error is not the injected transient class: %v", err)
 		}
 	}
