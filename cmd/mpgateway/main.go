@@ -24,7 +24,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -147,21 +146,23 @@ type backend struct {
 	sessions uint64
 	lastErr  string
 	// node is the backend's node id (from OpJoinInfo; 0 until learned) and
-	// state its topology state ("active", "draining", "drained", ...; empty
-	// against a backend without the admin ops).
+	// state its topology state (empty against a backend without the admin
+	// ops).
 	node  int
-	state string
+	state core.NodeState
 }
 
 // routable reports whether new sessions may be pinned to the backend: a
 // drained node is gone for good and never receives another session.
 // Caller holds b.mu.
-func (b *backend) routableLocked() bool { return b.state != "drained" }
+func (b *backend) routableLocked() bool { return b.state != core.NodeDrained }
 
 // drainingLocked reports a backend whose node is leaving: existing sessions
 // should migrate off it and new ones prefer anywhere else.
 // Caller holds b.mu.
-func (b *backend) drainingLocked() bool { return b.state == "draining" || b.state == "drained" }
+func (b *backend) drainingLocked() bool {
+	return b.state == core.NodeDraining || b.state == core.NodeDrained
+}
 
 // fail records one observed failure (probe or session dial).
 // Caller holds b.mu.
@@ -199,14 +200,10 @@ func (gw *gateway) probeLoop(b *backend, interval time.Duration) {
 			err = cl.Ping()
 		}
 		slow := false
-		state := ""
+		var state core.NodeState
 		if err == nil && tick%5 == 0 {
 			if raw, serr := cl.StatsJSON(); serr == nil {
-				var doc struct {
-					Membership struct {
-						SlowPeers []int `json:"slow_peers"`
-					} `json:"membership"`
-				}
+				var doc core.ClusterStats
 				if json.Unmarshal(raw, &doc) == nil {
 					slow = len(doc.Membership.SlowPeers) > 0
 				}
@@ -219,9 +216,7 @@ func (gw *gateway) probeLoop(b *backend, interval time.Duration) {
 			b.mu.Unlock()
 			if node == 0 {
 				if raw, jerr := cl.JoinInfoJSON(); jerr == nil {
-					var ji struct {
-						Node int `json:"node"`
-					}
+					var ji netsrv.JoinInfo
 					if json.Unmarshal(raw, &ji) == nil {
 						node = ji.Node
 					}
@@ -229,14 +224,9 @@ func (gw *gateway) probeLoop(b *backend, interval time.Duration) {
 			}
 			if node != 0 {
 				if raw, terr := cl.TopologyJSON(); terr == nil {
-					var top struct {
-						Nodes []struct {
-							ID    int    `json:"id"`
-							State string `json:"state"`
-						} `json:"nodes"`
-					}
+					var top core.Topology
 					if json.Unmarshal(raw, &top) == nil {
-						state = "drained" // a node absent from the topology is gone
+						state = core.NodeDrained // a node absent from the topology is gone
 						for _, n := range top.Nodes {
 							if n.ID == node {
 								state = n.State
@@ -400,34 +390,29 @@ func decClamped(a *atomic.Int64) {
 	}
 }
 
+// backendTimeout bounds a backend dial and, separately, its hello exchange.
+const backendTimeout = 3 * time.Second
+
 // dialBackend dials b and runs the session handshake with the given client
-// hello payload, returning the open conn and the backend's hello-ack frame
-// payload (copied). The ack's status is the backend's verdict; a refused
-// handshake is returned as an error.
+// hello payload, returning the open conn and the backend's hello-ack payload
+// (the backend's verdict; a refused handshake is returned as an error). Dial
+// and handshake are each bounded, so a backend that accepts and then says
+// nothing costs a timeout, not the session.
 func (gw *gateway) dialBackend(b *backend, hello []byte) (net.Conn, []byte, error) {
-	conn, err := net.DialTimeout("tcp", b.addr, 3*time.Second)
+	conn, err := net.DialTimeout("tcp", b.addr, backendTimeout)
 	if err != nil {
 		b.mu.Lock()
 		b.failLocked(err)
 		b.mu.Unlock()
 		return nil, nil, err
 	}
-	_, err = wire.WriteFrame(conn, nil, wire.Frame{Kind: wire.KindControl, Op: wire.SessHello, Payload: hello})
-	var ack wire.Frame
-	if err == nil {
-		ack, _, err = wire.ReadFrame(conn, nil)
-	}
-	if err == nil && (ack.Kind != wire.KindControl || ack.Op != wire.SessHelloAck) {
-		err = errors.New("mpgateway: backend handshake: unexpected frame")
-	}
-	if err == nil {
-		err = wire.DecodeStatus(wire.NewReader(ack.Payload))
-	}
+	hf := wire.Frame{Kind: wire.KindControl, Op: wire.SessHello, Payload: hello}
+	ack, _, err := wire.Hello(conn, nil, hf, wire.SessHelloAck, backendTimeout)
 	if err != nil {
 		_ = conn.Close()
 		return nil, nil, err
 	}
-	return conn, append([]byte(nil), ack.Payload...), nil
+	return conn, ack, nil
 }
 
 // serve pins one client session to one backend and proxies frames both ways
@@ -500,7 +485,7 @@ func (s *session) requestLoop() {
 	for {
 		f, buf, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			if wire.IsCodecError(err) {
 				s.gw.nc.CodecError()
 			}
 			return
@@ -721,7 +706,7 @@ func (s *session) pump(upstream net.Conn, done chan struct{}, gen int) {
 			if s.migrating.Load() {
 				return // cutover: requestLoop owns the client now
 			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			if wire.IsCodecError(err) {
 				s.gw.nc.CodecError()
 			}
 			// The backend died for real. Hand the death to failover from a
@@ -778,21 +763,21 @@ func (s *session) pump(upstream net.Conn, done chan struct{}, gen int) {
 // backend's health as the prober sees it.
 func (gw *gateway) stats() any {
 	type backendStats struct {
-		Addr     string  `json:"addr"`
-		Healthy  bool    `json:"healthy"`
-		Node     int     `json:"node,omitempty"`
-		State    string  `json:"state,omitempty"`
-		Slow     bool    `json:"slow,omitempty"`
-		FailEWMA float64 `json:"fail_ewma,omitempty"`
-		Active   int     `json:"active_sessions"`
-		Sessions uint64  `json:"total_sessions"`
-		LastErr  string  `json:"last_err,omitempty"`
+		Addr     string         `json:"addr"`
+		Healthy  bool           `json:"healthy"`
+		Node     int            `json:"node,omitempty"`
+		State    core.NodeState `json:"state,omitempty"`
+		Slow     bool           `json:"slow,omitempty"`
+		FailEWMA float64        `json:"fail_ewma,omitempty"`
+		Active   int            `json:"active_sessions"`
+		Sessions uint64         `json:"total_sessions"`
+		LastErr  string         `json:"last_err,omitempty"`
 	}
 	doc := struct {
 		Version  string         `json:"version"`
 		Backends []backendStats `json:"backends"`
 		Net      core.NetStats  `json:"net"`
-	}{Version: polardbmp.Version, Net: netsrv.NetStats(gw.nc)}
+	}{Version: polardbmp.Version, Net: gw.nc.Snapshot()}
 	for _, b := range gw.backends {
 		b.mu.Lock()
 		doc.Backends = append(doc.Backends, backendStats{

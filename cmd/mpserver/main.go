@@ -113,7 +113,7 @@ func run(listen, fabricAddr, join, data, httpAddr, name string, cfg core.Config)
 		}
 	}
 	defer c.Close()
-	c.SetNetStats(func() core.NetStats { return netsrv.NetStats(nc) })
+	c.SetNetStats(nc.Snapshot)
 
 	if fabricAddr != "" {
 		flis, err := net.Listen("tcp", fabricAddr)

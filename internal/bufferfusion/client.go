@@ -377,11 +377,14 @@ func (c *Client) fetch(pg common.PageID, invalIdx uint32, dl common.Deadline) (*
 			c.tr.Observe(trace.StageFrameDBP, tok)
 			return p, frame, FetchDBP, nil
 		}
-		if errors.Is(err, common.ErrDeadlineExceeded) {
+		if err != nil && !errors.Is(err, common.ErrNotFound) {
+			// The read itself failed: the frame may well hold the newest
+			// image, and storage only an older one (or none).
 			return nil, -1, FetchDBP, err
 		}
-		// The frame was recycled between lookup and read; retry once
-		// via storage (the eviction wrote the page there).
+		// The read succeeded and the frame holds another page or none: it
+		// was recycled between lookup and read; retry once via storage
+		// (the eviction wrote the page there).
 	}
 	c.StorageReads.Inc()
 	p, err := c.readPageFromStorage(pg, dl)

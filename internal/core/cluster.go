@@ -24,6 +24,7 @@ import (
 	"polardbmp/internal/storage"
 	"polardbmp/internal/trace"
 	"polardbmp/internal/txfusion"
+	"polardbmp/internal/wire"
 )
 
 // Config tunes a cluster. The zero value is a sensible test-scale cluster;
@@ -651,36 +652,10 @@ type MembershipStats struct {
 	SlowPeers          []int `json:"slow_peers,omitempty"`
 }
 
-// PmfsStats is a snapshot of the replicated shared-memory tier: replica
-// census, the pmfs epoch, quorum-ack latency, and the replication-protocol
-// counters. With replication disabled the section reports a single live copy
-// and zeros elsewhere.
-type PmfsStats struct {
-	Replicas int    `json:"replicas"`
-	Live     int    `json:"live"`
-	Leader   int    `json:"leader"`
-	Epoch    uint64 `json:"epoch"`
-	// Failovers counts replica fail-stops absorbed (each advances Epoch
-	// exactly once).
-	Failovers int64 `json:"failovers"`
-	// Grants counts replicated atomic post-images (TSO grants, CAS
-	// publishes); MirroredWrites/MirroredBytes count replicated one-sided
-	// writes.
-	Grants         int64 `json:"grants"`
-	MirroredWrites int64 `json:"mirrored_writes"`
-	MirroredBytes  int64 `json:"mirrored_bytes"`
-	// ReadRepairs counts divergent version words healed on quorum reads;
-	// DupSuppressed counts duplicate records the seq gate refused to
-	// re-apply; DegradedOps counts ops acknowledged below quorum.
-	ReadRepairs   int64 `json:"read_repairs"`
-	DupSuppressed int64 `json:"dup_suppressed"`
-	DegradedOps   int64 `json:"degraded_ops"`
-	// Quorum-ack latency (leader op + mirror applies, one doorbell batch).
-	QuorumOps  int64         `json:"quorum_ops"`
-	QuorumMean time.Duration `json:"quorum_mean_ns"`
-	QuorumP50  time.Duration `json:"quorum_p50_ns"`
-	QuorumP99  time.Duration `json:"quorum_p99_ns"`
-}
+// PmfsStats is the replicated shared-memory tier's section of the stats
+// JSON, encoded by the type that counts it. With replication disabled the
+// section reports a single live copy and zeros elsewhere.
+type PmfsStats = pmfsrep.Stats
 
 // NodeStats is one node's slice of the cluster snapshot: engine counters,
 // transaction latency quantiles, the fabric ops this node issued, and (with
@@ -707,25 +682,12 @@ type NodeStats struct {
 	Stages []trace.StageSnapshot `json:"stages,omitempty"`
 }
 
-// NetStats is the network-layer section of the stats JSON: frame and
-// connection counters for every socket this process speaks the wire
-// protocol on (fabric peer links and client sessions combined).
-type NetStats struct {
-	ConnsOpen     int64 `json:"conns_open"`
-	ConnsAccepted int64 `json:"conns_accepted"`
-	ConnsDialed   int64 `json:"conns_dialed"`
-	FramesIn      int64 `json:"frames_in"`
-	FramesOut     int64 `json:"frames_out"`
-	BytesIn       int64 `json:"bytes_in"`
-	BytesOut      int64 `json:"bytes_out"`
-	CodecErrors   int64 `json:"codec_errors"`
-	// PipelineDepth is the high watermark of concurrently in-flight
-	// requests — the observable showing pipelining actually happens.
-	PipelineDepth int64 `json:"pipeline_depth"`
-}
+// NetStats is the network-layer section of the stats JSON, encoded by the
+// type that counts it.
+type NetStats = wire.NetSnapshot
 
 // SetNetStats installs the provider of the NetStats stats section (nil
-// removes it). The daemons wire this to their wire.NetCounters; in-process
+// removes it). The daemons pass their wire.NetCounters' Snapshot; in-process
 // clusters have no network layer and leave it unset.
 func (c *Cluster) SetNetStats(fn func() NetStats) { c.netStats = fn }
 
@@ -859,24 +821,7 @@ func (c *Cluster) Stats() ClusterStats {
 		s.Membership.FalseSuspicions = c.members.FalseSuspicions.Load()
 	}
 	if c.pmfsRep != nil {
-		ps := c.pmfsRep.Snapshot()
-		s.Pmfs = PmfsStats{
-			Replicas:       ps.Replicas,
-			Live:           ps.Live,
-			Leader:         ps.Leader,
-			Epoch:          ps.Epoch,
-			Failovers:      ps.Failovers,
-			Grants:         ps.Grants,
-			MirroredWrites: ps.MirroredWrites,
-			MirroredBytes:  ps.MirroredBytes,
-			ReadRepairs:    ps.ReadRepairs,
-			DupSuppressed:  ps.DupSuppressed,
-			DegradedOps:    ps.DegradedOps,
-			QuorumOps:      ps.QuorumOps,
-			QuorumMean:     ps.QuorumMean,
-			QuorumP50:      ps.QuorumP50,
-			QuorumP99:      ps.QuorumP99,
-		}
+		s.Pmfs = c.pmfsRep.Snapshot()
 	} else if !c.remote {
 		s.Pmfs = PmfsStats{Replicas: 1, Live: 1}
 	}

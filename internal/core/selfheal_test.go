@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"polardbmp/internal/bufferfusion"
 	"polardbmp/internal/chaos"
 	"polardbmp/internal/common"
 	"polardbmp/internal/membership"
@@ -390,5 +391,51 @@ func TestCrashRestartTypedErrors(t *testing.T) {
 	}
 	if _, err := c.RestartNode(2); err == nil {
 		t.Fatal("RestartNode on a live node succeeded")
+	}
+}
+
+// TestDroppedDBPReadIsNotARecycledFrame: a DBP frame read the fabric dropped
+// is a transient fault of the read, not "the frame was recycled, the page is
+// in storage". Storage holds the page only as of the last eviction or
+// checkpoint — an older image, or none — and fetch used to serve that and
+// push it into the DBP as clean, losing the newer committed version for
+// every node (ROADMAP 0(l)).
+func TestDroppedDBPReadIsNotARecycledFrame(t *testing.T) {
+	for _, checkpoint := range []bool{true, false} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			c := NewCluster(Config{LockWaitTimeout: 2 * time.Second, RecycleInterval: -1, DisableRetry: true})
+			t.Cleanup(c.Close)
+			for i := 0; i < 2; i++ {
+				if _, err := c.AddNode(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sp, err := c.CreateSpace("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(t, c.Node(1), sp, "k", "v")
+			if checkpoint {
+				if err := c.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put(t, c.Node(1), sp, "k", "v2")
+
+			chaos.MustNew(1, chaos.Plan{Name: "drop-dbp-reads", Rules: []chaos.Rule{{
+				Name: "drop", Layer: common.FaultLayerRDMA, Classes: []string{common.FaultRead},
+				Src: []common.NodeID{2}, Target: bufferfusion.RegionDBP, Prob: 1,
+				Action: chaos.Action{Kind: chaos.ActDrop},
+			}}}).Install(c.Fabric(), nil)
+			if v, err := get(t, c.Node(2), sp, "k"); !common.IsTransient(err) {
+				t.Fatalf("node 2 read through a dropped DBP read = %q, %v; want the transient fault", v, err)
+			}
+			chaos.Uninstall(c.Fabric(), nil)
+			for ni := 1; ni <= 2; ni++ {
+				if v, err := get(t, c.Node(ni), sp, "k"); err != nil || v != "v2" {
+					t.Fatalf("node %d on the quiet fabric reads %q, %v; want v2", ni, v, err)
+				}
+			}
+		})
 	}
 }

@@ -16,24 +16,6 @@ import (
 	"polardbmp/internal/wire"
 )
 
-// NetStats converts a process's wire counters into the NetStats section of
-// the stats JSON; daemons install it with cluster.SetNetStats(func()
-// core.NetStats { return netsrv.NetStats(nc) }).
-func NetStats(nc *wire.NetCounters) core.NetStats {
-	s := nc.Snapshot()
-	return core.NetStats{
-		ConnsOpen:     s.ConnsOpen,
-		ConnsAccepted: s.ConnsAccepted,
-		ConnsDialed:   s.ConnsDialed,
-		FramesIn:      s.FramesIn,
-		FramesOut:     s.FramesOut,
-		BytesIn:       s.BytesIn,
-		BytesOut:      s.BytesOut,
-		CodecErrors:   s.CodecErrors,
-		PipelineDepth: s.PipelineDepth,
-	}
-}
-
 // Backend serves one node of a cluster (in-process or satellite) over the
 // session protocol.
 type Backend struct {

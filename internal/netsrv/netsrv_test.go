@@ -27,7 +27,7 @@ func sessionServer(t *testing.T, cfg core.Config) (*core.Cluster, *wire.Server, 
 		t.Fatal(err)
 	}
 	nc := &wire.NetCounters{}
-	c.SetNetStats(func() core.NetStats { return netsrv.NetStats(nc) })
+	c.SetNetStats(nc.Snapshot)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -545,23 +545,34 @@ func (r *Replicator) Resync() {
 
 // --- stats ------------------------------------------------------------------
 
-// Stats is a point-in-time snapshot of the replication tier.
+// Stats is a point-in-time snapshot of the replication tier, and as it
+// stands the pmfs section of the stats JSON: replica census, the pmfs epoch,
+// the replication-protocol counters and quorum-ack latency.
 type Stats struct {
-	Replicas       int
-	Live           int
-	Leader         int
-	Epoch          uint64
-	Failovers      int64
-	Grants         int64
-	MirroredWrites int64
-	MirroredBytes  int64
-	ReadRepairs    int64
-	DupSuppressed  int64
-	DegradedOps    int64
-	QuorumOps      int64
-	QuorumMean     time.Duration
-	QuorumP50      time.Duration
-	QuorumP99      time.Duration
+	Replicas int    `json:"replicas"`
+	Live     int    `json:"live"`
+	Leader   int    `json:"leader"`
+	Epoch    uint64 `json:"epoch"`
+	// Failovers counts replica fail-stops absorbed (each advances Epoch
+	// exactly once).
+	Failovers int64 `json:"failovers"`
+	// Grants counts replicated atomic post-images (TSO grants, CAS
+	// publishes); MirroredWrites/MirroredBytes count replicated one-sided
+	// writes.
+	Grants         int64 `json:"grants"`
+	MirroredWrites int64 `json:"mirrored_writes"`
+	MirroredBytes  int64 `json:"mirrored_bytes"`
+	// ReadRepairs counts divergent version words healed on quorum reads;
+	// DupSuppressed counts duplicate records the seq gate refused to
+	// re-apply; DegradedOps counts ops acknowledged below quorum.
+	ReadRepairs   int64 `json:"read_repairs"`
+	DupSuppressed int64 `json:"dup_suppressed"`
+	DegradedOps   int64 `json:"degraded_ops"`
+	// Quorum-ack latency (leader op + mirror applies, one doorbell batch).
+	QuorumOps  int64         `json:"quorum_ops"`
+	QuorumMean time.Duration `json:"quorum_mean_ns"`
+	QuorumP50  time.Duration `json:"quorum_p50_ns"`
+	QuorumP99  time.Duration `json:"quorum_p99_ns"`
 }
 
 // Snapshot returns the tier's current stats.

@@ -63,8 +63,8 @@ func (r *linkFaultRule) matches(detail string) bool {
 // plus the set of live socket links they apply to. The zero value is ready;
 // the hot-path checks are one atomic load while no rule is installed.
 type LinkFaults struct {
-	// active counts installed (possibly expired) rules so send/readLoop pay
-	// one atomic load when chaos is off.
+	// active counts installed (possibly expired) rules so a link's admit
+	// hook pays one atomic load per frame when chaos is off.
 	active atomic.Int64
 
 	mu    sync.Mutex
@@ -93,7 +93,7 @@ func (lf *LinkFaults) register(l *peerLink) {
 	kill := lf.active.Load() > 0 && lf.matchLocked(l.name, FaultPartition, time.Now())
 	lf.mu.Unlock()
 	if kill {
-		go l.fail(errPeerUnreachable(l.name + " (injected partition)"))
+		go l.Fail(errPeerUnreachable(l.name + " (injected partition)"))
 	}
 }
 
@@ -135,7 +135,7 @@ func (lf *LinkFaults) Set(peer, mode string, d time.Duration) error {
 	victims := lf.victimsLocked(peer, mode)
 	lf.mu.Unlock()
 	for _, l := range victims {
-		l.fail(errPeerUnreachable(l.name + " (injected " + mode + ")"))
+		l.Fail(errPeerUnreachable(l.name + " (injected " + mode + ")"))
 	}
 	if mode == FaultFlap && !replaced {
 		go lf.flapLoop(peer, now.Add(d))
@@ -239,7 +239,7 @@ func (lf *LinkFaults) flapLoop(peer string, until time.Time) {
 			return
 		}
 		for _, l := range victims {
-			l.fail(errPeerUnreachable(l.name + " (injected flap)"))
+			l.Fail(errPeerUnreachable(l.name + " (injected flap)"))
 		}
 	}
 }

@@ -94,12 +94,11 @@ func DialPeer(f *Fabric, addr string, cfg PeerConfig) (*Peer, error) {
 	}
 	p.netTransport = netTransport{links: p, fstats: &f.stats}
 	p.mu.Lock()
-	l, err := p.dialSlotLocked(0)
+	_, err := p.dialSlotLocked(0)
 	p.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	_ = l
 	return p, nil
 }
 
@@ -126,15 +125,14 @@ func (p *Peer) dialSlotLocked(i int) (*peerLink, error) {
 	if err != nil {
 		return nil, errPeerUnreachable(p.addr + ": " + err.Error())
 	}
-	l := newPeerLink(p.f, c, p.cfg.Counters)
-	l.name = p.addr
-	if err := p.handshake(l); err != nil {
+	name, err := p.handshake(c)
+	if err != nil {
 		_ = c.Close()
 		return nil, err
 	}
 	p.backoff[i] = 0
 	p.notUntil[i] = time.Time{}
-	p.cfg.Counters.ConnOpened(false)
+	l := newPeerLink(p.f, c, p.cfg.Counters, false, name)
 	p.links[i] = l
 	l.start()
 	return l, nil
@@ -146,9 +144,9 @@ func (p *Peer) armBackoffLocked(i int) {
 	p.notUntil[i] = time.Now().Add(jittered(p.backoff[i]))
 }
 
-// handshake sends hello and validates the ack, all before the read loop
-// starts (the connection is private to this goroutine here).
-func (p *Peer) handshake(l *peerLink) error {
+// handshake runs the dialer's hello exchange and returns the link's name:
+// the address plus what the remote called itself.
+func (p *Peer) handshake(c net.Conn) (string, error) {
 	hello := wire.AppendU16(nil, FabricProtoVersion)
 	hello = wire.AppendU64(hello, p.id)
 	hello = wire.AppendString(hello, p.cfg.Name)
@@ -156,27 +154,15 @@ func (p *Peer) handshake(l *peerLink) error {
 	for _, n := range p.hosted {
 		hello = wire.AppendU16(hello, uint16(n))
 	}
-	_ = l.c.SetDeadline(time.Now().Add(dialTimeout))
-	defer l.c.SetDeadline(time.Time{})
-	if err := l.send(wire.Frame{Kind: wire.KindControl, Op: copHello, Payload: hello}); err != nil {
-		return errPeerUnreachable(p.addr + ": hello: " + err.Error())
-	}
-	fr, _, err := wire.ReadFrame(l.c, nil)
+	_, body, err := wire.Hello(c, p.cfg.Counters, wire.Frame{Kind: wire.KindControl, Op: copHello, Payload: hello}, copHelloAck, dialTimeout)
 	if err != nil {
-		return errPeerUnreachable(p.addr + ": hello ack: " + err.Error())
+		return "", fmt.Errorf("rdma: peer %s: %w", p.addr, err)
 	}
-	if fr.Kind != wire.KindControl || fr.Op != copHelloAck {
-		return fmt.Errorf("rdma: peer %s: unexpected handshake frame kind=%d op=%d", p.addr, fr.Kind, fr.Op)
-	}
-	rd := wire.NewReader(fr.Payload)
-	if err := wire.DecodeStatus(rd); err != nil {
-		return fmt.Errorf("rdma: peer %s refused handshake: %w", p.addr, err)
-	}
+	rd := wire.NewReader(body)
 	if v := rd.U16(); v != FabricProtoVersion {
-		return fmt.Errorf("rdma: peer %s speaks protocol v%d, want v%d", p.addr, v, FabricProtoVersion)
+		return "", fmt.Errorf("rdma: peer %s speaks protocol v%d, want v%d", p.addr, v, FabricProtoVersion)
 	}
-	l.name = p.addr + "/" + rd.Str()
-	return rd.Err()
+	return p.addr + "/" + rd.Str(), rd.Err()
 }
 
 // pick returns a live link, redialing one slot if the pool is empty.
@@ -186,7 +172,7 @@ func (p *Peer) pick() (*peerLink, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for off := uint32(0); off < n; off++ {
-		if l := p.links[(start+off)%n]; l != nil && l.alive() {
+		if l := p.links[(start+off)%n]; l != nil && l.Alive() {
 			return l, nil
 		}
 	}
@@ -207,10 +193,10 @@ func (p *Peer) Announce(nodes ...common.NodeID) error {
 	}
 	sent := false
 	for _, l := range links {
-		if l == nil || !l.alive() {
+		if l == nil || !l.Alive() {
 			continue
 		}
-		if err := l.send(wire.Frame{Kind: wire.KindControl, Op: copAnnounce, Payload: payload}); err == nil {
+		if err := l.Send(wire.Frame{Kind: wire.KindControl, Op: copAnnounce, Payload: payload}); err == nil {
 			sent = true
 		}
 	}
@@ -228,7 +214,7 @@ func (p *Peer) Close() error {
 	p.mu.Unlock()
 	for _, l := range links {
 		if l != nil {
-			l.fail(errPeerUnreachable(p.addr + " (peer closed)"))
+			l.Fail(errPeerUnreachable(p.addr + " (peer closed)"))
 		}
 	}
 	return nil
@@ -257,11 +243,15 @@ func (rp *remotePeer) detail() string { return rp.name }
 func (rp *remotePeer) pick() (*peerLink, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	n := len(rp.links)
-	if n == 0 {
-		return nil, errPeerUnreachable(rp.name + " (no live connections)")
+	// A dead link leaves the group a moment after it fails (its keepalive
+	// loop drops it), so skip any that are still listed.
+	start := int(rp.rr.Add(1))
+	for off := range rp.links {
+		if l := rp.links[(start+off)%len(rp.links)]; l.Alive() {
+			return l, nil
+		}
 	}
-	return rp.links[int(rp.rr.Add(1))%n], nil
+	return nil, errPeerUnreachable(rp.name + " (no live connections)")
 }
 
 // addNode routes verbs for node through this peer group.
@@ -340,7 +330,6 @@ func (s *FabricServer) acceptLoop() {
 // handshake validates a dialer's hello, joins the link to its peer group and
 // starts serving it.
 func (s *FabricServer) handshake(c net.Conn) {
-	l := newPeerLink(s.f, c, s.nc)
 	_ = c.SetDeadline(time.Now().Add(dialTimeout))
 	fr, _, err := wire.ReadFrame(c, nil)
 	if err != nil || fr.Kind != wire.KindControl || fr.Op != copHello {
@@ -369,10 +358,12 @@ func (s *FabricServer) handshake(c net.Conn) {
 	ack := wire.AppendStatus(nil, hsErr)
 	ack = wire.AppendU16(ack, FabricProtoVersion)
 	ack = wire.AppendString(ack, s.name)
-	if err := l.send(wire.Frame{Kind: wire.KindControl, Op: copHelloAck, Payload: ack}); err != nil || hsErr != nil {
+	af := wire.Frame{Kind: wire.KindControl, Op: copHelloAck, Payload: ack}
+	if _, err := wire.WriteFrame(c, nil, af); err != nil || hsErr != nil {
 		_ = c.Close()
 		return
 	}
+	s.nc.FrameOut(af.WireSize())
 	_ = c.SetDeadline(time.Time{})
 
 	s.mu.Lock()
@@ -387,10 +378,10 @@ func (s *FabricServer) handshake(c net.Conn) {
 		rp.netTransport = netTransport{links: rp, fstats: &s.f.stats}
 		s.peers[peerID] = rp
 	}
+	l := newPeerLink(s.f, c, s.nc, true, peerName)
 	s.conns[l] = struct{}{}
 	s.mu.Unlock()
 
-	l.name = peerName
 	l.rp = rp
 	l.onClose = func(dead *peerLink) {
 		rp.dropLink(dead)
@@ -402,7 +393,6 @@ func (s *FabricServer) handshake(c net.Conn) {
 	for _, n := range nodes {
 		rp.addNode(n)
 	}
-	s.nc.ConnOpened(true)
 	l.start()
 }
 
@@ -424,7 +414,7 @@ func (s *FabricServer) Close() {
 	s.mu.Unlock()
 	_ = s.lis.Close()
 	for _, l := range conns {
-		l.fail(errPeerUnreachable("server closed"))
+		l.Fail(errPeerUnreachable("server closed"))
 	}
 	for _, rp := range peers {
 		rp.mu.Lock()

@@ -1,11 +1,8 @@
 package rdma
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,10 +24,9 @@ import (
 // after dialing (a satellite learns its id from the seed) are announced late
 // via an announce control frame.
 //
-// Requests are pipelined: every frame carries a correlation id, each request
-// is served in its own goroutine, and responses are matched to waiters by
-// id, so one connection sustains many in-flight verbs like a QP with a deep
-// send queue.
+// Requests are pipelined by wire.Link — a correlation id on every frame, a
+// goroutine per request served, waiters matched by id — so one connection
+// sustains many in-flight verbs like a QP with a deep send queue.
 
 // FabricProtoVersion is the peer-link protocol version. The handshake
 // refuses mismatched peers so frame-format changes fail loudly at connect
@@ -79,32 +75,17 @@ func errPeerUnreachable(detail string) error {
 	return fmt.Errorf("rdma: peer %s: %w", detail, common.ErrUnreachable)
 }
 
-// linkResp is one matched response: the status+result payload (owned by the
-// receiver) or the connection error that killed the wait.
-type linkResp struct {
-	payload []byte
-	err     error
-}
-
-// peerLink is one framed TCP connection. Both ends run the same read loop:
-// responses wake the matching waiter, requests execute against the local
-// fabric in their own goroutine.
+// peerLink is one fabric connection: a wire.Link (framing, pipelining, the
+// read loop, fail-once) plus what is the fabric's own — the verb codec in
+// execute, keepalive and idle detection, the injected black hole, announce
+// handling and registration with the fabric's LinkFaults.
 type peerLink struct {
+	*wire.Link
 	f    *Fabric
-	c    net.Conn
-	nc   *wire.NetCounters
-	name string // remote's advertised name, for error detail
+	name string // remote's advertised name: error detail and fault-rule match
 
-	wmu  sync.Mutex
-	wbuf []byte
-
-	nextID  atomic.Uint64
-	pmu     sync.Mutex
-	pending map[uint64]chan linkResp
-	closed  bool
-
-	// lastRecv is the unix-nano arrival time of the last frame (any kind);
-	// the keepalive loop fails the link when it goes stale.
+	// lastRecv is the unix-nano arrival time of the last admitted frame
+	// (any kind); the keepalive loop fails the link when it goes stale.
 	lastRecv atomic.Int64
 
 	// rp is the acceptor-side connection group this link belongs to (nil on
@@ -113,200 +94,93 @@ type peerLink struct {
 	onClose func(*peerLink)
 }
 
-func newPeerLink(f *Fabric, c net.Conn, nc *wire.NetCounters) *peerLink {
+// newPeerLink wraps a connection whose handshake is done.
+func newPeerLink(f *Fabric, c net.Conn, nc *wire.NetCounters, accepted bool, name string) *peerLink {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetKeepAlive(true)
 		_ = tc.SetKeepAlivePeriod(15 * time.Second)
 	}
-	l := &peerLink{f: f, c: c, nc: nc, pending: make(map[uint64]chan linkResp)}
+	l := &peerLink{Link: wire.NewLink(c, nc, accepted), f: f, name: name}
+	l.Serve, l.Control, l.Admit = l.execute, l.control, l.admit
 	l.lastRecv.Store(time.Now().UnixNano())
 	return l
 }
 
 // start registers the link with the fabric's fault registry and runs its
-// read and keepalive loops. Called once per link, after the handshake.
+// read and keepalive loops. Called once per link, by the owner that has it
+// in its pool.
 func (l *peerLink) start() {
 	l.f.faults.register(l)
-	go l.readLoop()
+	go l.Run()
 	go l.keepaliveLoop()
 }
 
 // keepaliveLoop pings the remote and enforces the idle bound until the link
-// dies. The interval and miss budget are captured once at start.
+// dies, then takes it out of the fault registry and its owner's pool. The
+// interval and miss budget are captured once at start.
 func (l *peerLink) keepaliveLoop() {
 	interval := time.Duration(keepaliveIntervalNs.Load())
 	misses := int(keepaliveMisses.Load())
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	for range t.C {
-		if !l.alive() {
-			return
+	defer func() {
+		l.f.faults.deregister(l)
+		if l.onClose != nil {
+			l.onClose(l)
 		}
-		idle := time.Since(time.Unix(0, l.lastRecv.Load()))
-		if idle > time.Duration(misses)*interval {
-			l.fail(fmt.Errorf("rdma: link %s: no frames for %v (half-open)", l.name, idle.Round(time.Millisecond)))
-			return
-		}
-		if err := l.send(wire.Frame{Kind: wire.KindControl, Op: copPing}); err != nil {
-			l.fail(err)
-			return
-		}
-	}
-}
-
-// send writes one frame (serialized against concurrent senders). A
-// black-holed link reports success without writing — exactly what a
-// half-open TCP connection does until its send buffer fills.
-func (l *peerLink) send(fr wire.Frame) error {
-	if l.f.faults.drop(l.name) {
-		return nil
-	}
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	var err error
-	l.wbuf, err = wire.WriteFrame(l.c, l.wbuf, fr)
-	if err != nil {
-		return err
-	}
-	l.nc.FrameOut(fr.WireSize())
-	return nil
-}
-
-// call issues one request and blocks for its response payload.
-func (l *peerLink) call(op uint8, payload []byte) ([]byte, error) {
-	id := l.nextID.Add(1)
-	ch := make(chan linkResp, 1)
-	l.pmu.Lock()
-	if l.closed {
-		l.pmu.Unlock()
-		return nil, errPeerUnreachable(l.name + " (link closed)")
-	}
-	l.pending[id] = ch
-	l.pmu.Unlock()
-	if err := l.send(wire.Frame{Kind: wire.KindRequest, Op: op, ID: id, Payload: payload}); err != nil {
-		l.pmu.Lock()
-		delete(l.pending, id)
-		l.pmu.Unlock()
-		l.fail(err)
-		return nil, errPeerUnreachable(l.name + ": " + err.Error())
-	}
-	r := <-ch
-	if r.err != nil {
-		return nil, errPeerUnreachable(l.name + ": " + r.err.Error())
-	}
-	rd := wire.NewReader(r.payload)
-	if err := wire.DecodeStatus(rd); err != nil {
-		return nil, err
-	}
-	return rd.Rest(), nil
-}
-
-// fail tears the link down and wakes every waiter with err.
-func (l *peerLink) fail(err error) {
-	l.pmu.Lock()
-	if l.closed {
-		l.pmu.Unlock()
-		return
-	}
-	l.closed = true
-	waiters := l.pending
-	l.pending = nil
-	l.pmu.Unlock()
-	_ = l.c.Close()
-	l.f.faults.deregister(l)
-	for _, ch := range waiters {
-		ch <- linkResp{err: err}
-	}
-	l.nc.ConnClosed()
-	if l.onClose != nil {
-		l.onClose(l)
-	}
-}
-
-func (l *peerLink) alive() bool {
-	l.pmu.Lock()
-	defer l.pmu.Unlock()
-	return !l.closed
-}
-
-// readLoop demultiplexes incoming frames until the connection dies.
-func (l *peerLink) readLoop() {
-	br := bufio.NewReader(l.c) // one read(2) per frame, not one per prefix and body
-	var buf []byte
+	}()
 	for {
-		fr, b, err := wire.ReadFrame(br, buf)
-		if err != nil {
-			if errors.Is(err, wire.ErrBadFrame) || errors.Is(err, wire.ErrFrameTooLarge) {
-				l.nc.CodecError()
-			}
-			l.fail(err)
+		select {
+		case <-l.Done():
 			return
+		case <-t.C:
 		}
-		buf = b
-		if l.f.faults.drop(l.name) {
-			// Black hole: the frame arrived but the chaos rule says this link
-			// is dead to the world — discard it without refreshing lastRecv,
-			// so idle detection fires here too.
-			continue
-		}
-		l.lastRecv.Store(time.Now().UnixNano())
-		l.nc.FrameIn(fr.WireSize())
-		switch fr.Kind {
-		case wire.KindResponse:
-			l.pmu.Lock()
-			ch := l.pending[fr.ID]
-			delete(l.pending, fr.ID)
-			l.pmu.Unlock()
-			if ch != nil {
-				cp := make([]byte, len(fr.Payload))
-				copy(cp, fr.Payload)
-				ch <- linkResp{payload: cp}
-			}
-		case wire.KindRequest:
-			cp := make([]byte, len(fr.Payload))
-			copy(cp, fr.Payload)
-			go l.serveRequest(fr.Op, fr.ID, cp)
-		case wire.KindControl:
-			switch fr.Op {
-			case copAnnounce:
-				l.handleAnnounce(fr.Payload)
-			case copPing:
-				// Receiving it already refreshed lastRecv; nothing to answer —
-				// the remote runs its own ping loop.
-			}
-		default:
-			l.nc.CodecError()
-			l.fail(fmt.Errorf("wire: unknown frame kind %d", fr.Kind))
-			return
+		if idle := time.Since(time.Unix(0, l.lastRecv.Load())); idle > time.Duration(misses)*interval {
+			l.Fail(fmt.Errorf("rdma: link %s: no frames for %v (half-open)", l.name, idle.Round(time.Millisecond)))
+		} else {
+			_ = l.Send(wire.Frame{Kind: wire.KindControl, Op: copPing})
 		}
 	}
 }
 
-// handleAnnounce attaches routes for nodes the remote registered after the
-// handshake (a satellite announcing its freshly allocated node id).
-func (l *peerLink) handleAnnounce(payload []byte) {
-	if l.rp == nil {
+// admit is the link's frame filter. A black-holed link reports a send as
+// done without writing — exactly what a half-open TCP connection does until
+// its send buffer fills — and discards what arrives without refreshing
+// lastRecv, so idle detection fires on both ends.
+func (l *peerLink) admit(recv bool) bool {
+	if l.f.faults.drop(l.name) {
+		return false
+	}
+	if recv {
+		l.lastRecv.Store(time.Now().UnixNano())
+	}
+	return true
+}
+
+// control takes the post-handshake control frames: an announce attaches
+// routes for nodes the remote registered after the handshake (a satellite
+// announcing its freshly allocated node id); a ping needs no answer — its
+// arrival refreshed lastRecv and the remote runs its own ping loop.
+func (l *peerLink) control(fr wire.Frame) {
+	if fr.Op != copAnnounce || l.rp == nil {
 		return
 	}
-	rd := wire.NewReader(payload)
+	rd := wire.NewReader(fr.Payload)
 	k := int(rd.U16())
 	for i := 0; i < k && rd.Err() == nil; i++ {
 		l.rp.addNode(common.NodeID(rd.U16()))
 	}
 }
 
-// serveRequest executes one incoming verb against the local fabric and sends
-// the response. Injection, latency and stats apply at this fabric exactly as
-// for a locally issued verb, with the op attributed to the original source.
-func (l *peerLink) serveRequest(op uint8, id uint64, payload []byte) {
-	l.nc.EnterOp()
-	result, err := l.execute(op, payload)
-	l.nc.LeaveOp()
-	resp := wire.AppendStatus(nil, err)
-	resp = append(resp, result...)
-	if serr := l.send(wire.Frame{Kind: wire.KindResponse, Op: op, ID: id, Payload: resp}); serr != nil {
-		l.fail(serr)
+// call issues one verb. A link that died under it (or before it) is the
+// transient ErrUnreachable, named; a status the remote answered is returned
+// as it is.
+func (l *peerLink) call(op uint8, payload []byte) ([]byte, error) {
+	out, responded, err := l.Call(op, payload)
+	if err != nil && !responded {
+		return nil, fmt.Errorf("rdma: peer %s: %w", l.name, err)
 	}
+	return out, err
 }
 
 func (l *peerLink) srcStats(src common.NodeID) *Stats {
@@ -316,6 +190,9 @@ func (l *peerLink) srcStats(src common.NodeID) *Stats {
 	return l.f.SrcStats(src)
 }
 
+// execute runs one incoming verb against the local fabric. Injection,
+// latency and stats apply at this fabric exactly as for a locally issued
+// verb, with the op attributed to the original source.
 func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 	rd := wire.NewReader(payload)
 	src := common.NodeID(rd.U16())

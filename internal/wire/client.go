@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -85,7 +83,7 @@ func (c *Client) Close() {
 	c.conns = nil
 	c.mu.Unlock()
 	for _, sc := range conns {
-		sc.fail(errSessionClosed(c.addr))
+		sc.Fail(errSessionClosed(c.addr))
 	}
 }
 
@@ -104,7 +102,7 @@ func (c *Client) pick() (*sessionConn, error) {
 	for range c.conns {
 		sc := c.conns[c.next%len(c.conns)]
 		c.next++
-		if sc.alive() {
+		if sc.Alive() {
 			return sc, nil
 		}
 	}
@@ -127,13 +125,17 @@ func (c *Client) dialOne() (*sessionConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %v: %w", c.addr, err, common.ErrUnreachable)
 	}
-	sc := &sessionConn{conn: conn, nc: c.cfg.Counters, pending: make(map[uint64]chan callResult)}
-	if err := sc.handshake(c.cfg.Name, c.cfg.DialTimeout); err != nil {
+	hello := Frame{Kind: KindControl, Op: SessHello, Payload: AppendHello(nil, SessionProtoVersion, c.cfg.Name)}
+	_, body, err := Hello(conn, c.cfg.Counters, hello, SessHelloAck, c.cfg.DialTimeout)
+	if err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
-	c.cfg.Counters.ConnOpened(false)
-	go sc.readLoop()
+	sc := &sessionConn{Link: NewLink(conn, c.cfg.Counters, false)}
+	if _, name, err := DecodeHello(body); err == nil {
+		sc.serverName = name
+	}
+	go sc.Run()
 	return sc, nil
 }
 
@@ -397,7 +399,7 @@ func (e *AmbiguousCommitError) Is(target error) bool {
 // resolve it with Client.ResolveTx. Errors the server itself reported are
 // definitive and returned as-is.
 func (tx *ClientTx) Commit() error {
-	_, err, responded := tx.sc.callEx(OpCommit, AppendU64(nil, tx.id))
+	_, responded, err := tx.sc.Call(OpCommit, AppendU64(nil, tx.id))
 	if err == nil {
 		return nil
 	}
@@ -413,152 +415,13 @@ func (tx *ClientTx) Rollback() error {
 	return err
 }
 
-// callResult carries one response out of the read loop.
-type callResult struct {
-	payload []byte
-	err     error
-}
-
-// sessionConn is one framed connection with pipelined request/response
-// correlation.
+// sessionConn is one pooled connection: a Link plus what the hello learned.
 type sessionConn struct {
-	conn       net.Conn
-	nc         *NetCounters
+	*Link
 	serverName string
-
-	wmu  sync.Mutex
-	wbuf []byte
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan callResult
-	dead    error
-}
-
-func (sc *sessionConn) alive() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.dead == nil
-}
-
-// handshake runs the hello exchange synchronously before the read loop owns
-// the connection.
-func (sc *sessionConn) handshake(name string, timeout time.Duration) error {
-	hello := Frame{Kind: KindControl, Op: SessHello, Payload: AppendHello(nil, SessionProtoVersion, name)}
-	_ = sc.conn.SetDeadline(time.Now().Add(timeout))
-	defer sc.conn.SetDeadline(time.Time{})
-	wbuf, err := WriteFrame(sc.conn, nil, hello)
-	if err != nil {
-		return fmt.Errorf("wire: hello: %v: %w", err, common.ErrUnreachable)
-	}
-	sc.wbuf = wbuf[:0]
-	sc.nc.FrameOut(hello.WireSize())
-	f, _, err := ReadFrame(sc.conn, nil)
-	if err != nil {
-		return fmt.Errorf("wire: hello ack: %v: %w", err, common.ErrUnreachable)
-	}
-	sc.nc.FrameIn(f.WireSize())
-	if f.Kind != KindControl || f.Op != SessHelloAck {
-		return fmt.Errorf("wire: hello ack kind %d op %d: %w", f.Kind, f.Op, ErrBadFrame)
-	}
-	rd := NewReader(f.Payload)
-	if err := DecodeStatus(rd); err != nil {
-		return fmt.Errorf("wire: server refused session: %w", err)
-	}
-	if _, name, err := DecodeHello(rd.Rest()); err == nil {
-		sc.serverName = name
-	}
-	return nil
 }
 
 func (sc *sessionConn) call(op uint8, payload []byte) ([]byte, error) {
-	out, err, _ := sc.callEx(op, payload)
+	out, _, err := sc.Call(op, payload)
 	return out, err
-}
-
-// callEx is call plus the ambiguity bit: responded reports whether a
-// response frame actually came back. A false responded with a non-nil error
-// means the connection died with the request in flight — for mutating ops
-// (commit) the outcome on the server is unknown.
-func (sc *sessionConn) callEx(op uint8, payload []byte) (out []byte, err error, responded bool) {
-	ch := make(chan callResult, 1)
-	sc.mu.Lock()
-	if sc.dead != nil {
-		deadErr := sc.dead
-		sc.mu.Unlock()
-		return nil, deadErr, false
-	}
-	sc.nextID++
-	id := sc.nextID
-	sc.pending[id] = ch
-	sc.mu.Unlock()
-
-	f := Frame{Kind: KindRequest, Op: op, ID: id, Payload: payload}
-	sc.nc.EnterOp()
-	defer sc.nc.LeaveOp()
-	sc.wmu.Lock()
-	wbuf, werr := WriteFrame(sc.conn, sc.wbuf, f)
-	sc.wbuf = wbuf
-	sc.wmu.Unlock()
-	if werr != nil {
-		// fail (or a racing readLoop delivery) resolves our channel exactly
-		// once; if the response actually made it, use it.
-		sc.fail(fmt.Errorf("wire: send: %v: %w", werr, common.ErrUnreachable))
-	} else {
-		sc.nc.FrameOut(f.WireSize())
-	}
-	res := <-ch
-	if res.err != nil {
-		return nil, res.err, false
-	}
-	rd := NewReader(res.payload)
-	if err := DecodeStatus(rd); err != nil {
-		return nil, err, true
-	}
-	return rd.Rest(), nil, true
-}
-
-func (sc *sessionConn) readLoop() {
-	br := bufio.NewReader(sc.conn) // one read(2) per frame, not one per prefix and body
-	var rbuf []byte
-	for {
-		f, buf, err := ReadFrame(br, rbuf)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				sc.nc.CodecError()
-			}
-			sc.fail(fmt.Errorf("wire: connection lost: %v: %w", err, common.ErrUnreachable))
-			return
-		}
-		rbuf = buf
-		sc.nc.FrameIn(f.WireSize())
-		if f.Kind != KindResponse {
-			continue
-		}
-		sc.mu.Lock()
-		ch := sc.pending[f.ID]
-		delete(sc.pending, f.ID)
-		sc.mu.Unlock()
-		if ch != nil {
-			ch <- callResult{payload: append([]byte(nil), f.Payload...)}
-		}
-	}
-}
-
-// fail marks the connection dead and resolves every pending call with err.
-func (sc *sessionConn) fail(err error) {
-	sc.mu.Lock()
-	if sc.dead != nil {
-		sc.mu.Unlock()
-		return
-	}
-	sc.dead = err
-	pending := sc.pending
-	sc.pending = make(map[uint64]chan callResult)
-	sc.mu.Unlock()
-	_ = sc.conn.Close()
-	sc.nc.ConnClosed()
-	for _, ch := range pending {
-		ch <- callResult{err: err}
-	}
 }

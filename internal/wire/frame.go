@@ -2,8 +2,9 @@
 // component: the socket fabric transport (rdma), the client session protocol
 // (mpserver/mpshell/mpbench) and the gateway proxy. It is a deliberately
 // tiny codec — length-prefixed frames with a kind/op/id header — over which
-// each protocol defines its own op vocabulary, plus the typed error mapping
-// that lets errors.Is semantics survive a process boundary.
+// each protocol defines its own op vocabulary, plus Link, the one pipelined
+// connection both protocols run on, and the typed error mapping that lets
+// errors.Is semantics survive a process boundary.
 //
 // Frame layout on the wire (all integers little-endian):
 //

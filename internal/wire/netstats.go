@@ -8,7 +8,7 @@ import (
 
 // NetCounters aggregates network-layer observability for one process: every
 // framed connection (fabric peer links and client sessions) feeds the same
-// instance, and the snapshot becomes the NetStats section of the stats JSON.
+// instance, and its Snapshot is the net section of the stats JSON.
 // All methods are nil-safe so instrumentation points need no guards.
 type NetCounters struct {
 	ConnsAccepted metrics.Counter
@@ -90,17 +90,22 @@ func (n *NetCounters) LeaveOp() {
 	}
 }
 
-// NetSnapshot is a point-in-time copy of the counters.
+// NetSnapshot is a point-in-time copy of the counters, and as it stands the
+// network-layer section of the stats JSON: frame and connection counters for
+// every socket this process speaks the wire protocol on (fabric peer links
+// and client sessions combined).
 type NetSnapshot struct {
-	ConnsOpen     int64
-	ConnsAccepted int64
-	ConnsDialed   int64
-	FramesIn      int64
-	FramesOut     int64
-	BytesIn       int64
-	BytesOut      int64
-	CodecErrors   int64
-	PipelineDepth int64 // high watermark of in-flight requests
+	ConnsOpen     int64 `json:"conns_open"`
+	ConnsAccepted int64 `json:"conns_accepted"`
+	ConnsDialed   int64 `json:"conns_dialed"`
+	FramesIn      int64 `json:"frames_in"`
+	FramesOut     int64 `json:"frames_out"`
+	BytesIn       int64 `json:"bytes_in"`
+	BytesOut      int64 `json:"bytes_out"`
+	CodecErrors   int64 `json:"codec_errors"`
+	// PipelineDepth is the high watermark of concurrently in-flight
+	// requests — the observable showing pipelining actually happens.
+	PipelineDepth int64 `json:"pipeline_depth"`
 }
 
 // Snapshot returns the current counter values (zero value if n is nil).

@@ -1,10 +1,7 @@
 package wire
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -80,7 +77,6 @@ func (s *Server) acceptLoop() {
 		}
 		s.sessions[sess] = struct{}{}
 		s.mu.Unlock()
-		s.nc.ConnOpened(true)
 		s.wg.Add(1)
 		go sess.run()
 	}
@@ -90,22 +86,17 @@ func (s *Server) dropSession(sess *session) {
 	s.mu.Lock()
 	delete(s.sessions, sess)
 	s.mu.Unlock()
-	s.nc.ConnClosed()
 }
 
-// session is one accepted client connection.
+// session is one accepted client connection: the transactions it has open.
+// The framed link under it is run, not kept — conn is here for Close.
 type session struct {
 	srv  *Server
 	conn net.Conn
 
-	wmu  sync.Mutex
-	wbuf []byte
-
 	txMu   sync.Mutex
 	txs    map[uint64]*sessionTx
 	nextTx uint64
-
-	reqWG sync.WaitGroup
 }
 
 // sessionTx wraps one open transaction; mu serializes pipelined requests
@@ -116,47 +107,24 @@ type sessionTx struct {
 	done bool
 }
 
+// run serves the session until its connection dies. Link.Run returns only
+// after every request in flight has answered, so the rollback that follows
+// races none of them.
 func (ss *session) run() {
 	defer ss.srv.wg.Done()
-	defer ss.teardown()
+	defer ss.srv.dropSession(ss)
 	if err := ss.handshake(); err != nil {
+		_ = ss.conn.Close()
 		return
 	}
-	br := bufio.NewReader(ss.conn) // one read(2) per frame, not one per prefix and body
-	var rbuf []byte
-	for {
-		f, buf, err := ReadFrame(br, rbuf)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				ss.srv.nc.CodecError()
-			}
-			return
-		}
-		rbuf = buf
-		ss.srv.nc.FrameIn(f.WireSize())
-		if f.Kind != KindRequest {
-			ss.srv.nc.CodecError()
-			return
-		}
-		payload := append([]byte(nil), f.Payload...)
-		ss.srv.nc.EnterOp()
-		ss.reqWG.Add(1)
-		go func(op uint8, id uint64, payload []byte) {
-			defer ss.reqWG.Done()
-			defer ss.srv.nc.LeaveOp()
-			result, err := ss.serve(op, payload)
-			resp := AppendStatus(nil, err)
-			resp = append(resp, result...)
-			ss.send(Frame{Kind: KindResponse, Op: op, ID: id, Payload: resp})
-		}(f.Op, f.ID, payload)
-	}
+	link := NewLink(ss.conn, ss.srv.nc, true)
+	link.Serve = ss.serve
+	link.Run()
+	ss.rollbackOpen()
 }
 
-// teardown runs when the read loop exits for any reason: wait out in-flight
-// requests, roll back whatever transactions are still open, unregister.
-func (ss *session) teardown() {
-	_ = ss.conn.Close()
-	ss.reqWG.Wait()
+// rollbackOpen rolls back whatever transactions the client left open.
+func (ss *session) rollbackOpen() {
 	ss.txMu.Lock()
 	open := make([]*sessionTx, 0, len(ss.txs))
 	for _, st := range ss.txs {
@@ -172,7 +140,6 @@ func (ss *session) teardown() {
 		}
 		st.mu.Unlock()
 	}
-	ss.srv.dropSession(ss)
 }
 
 func (ss *session) handshake() error {
@@ -197,20 +164,12 @@ func (ss *session) handshake() error {
 	if status == nil {
 		acked = SessionProtoVersion
 	}
-	ack := AppendStatus(nil, status)
-	ack = AppendHello(ack, acked, ss.srv.name)
-	ss.send(Frame{Kind: KindControl, Op: SessHelloAck, ID: f.ID, Payload: ack})
-	return status
-}
-
-func (ss *session) send(f Frame) {
-	ss.wmu.Lock()
-	defer ss.wmu.Unlock()
-	buf, err := WriteFrame(ss.conn, ss.wbuf, f)
-	ss.wbuf = buf
-	if err == nil {
-		ss.srv.nc.FrameOut(f.WireSize())
+	ack := Frame{Kind: KindControl, Op: SessHelloAck, ID: f.ID, Payload: AppendHello(AppendStatus(nil, status), acked, ss.srv.name)}
+	if _, err := WriteFrame(ss.conn, nil, ack); err != nil {
+		return err
 	}
+	ss.srv.nc.FrameOut(ack.WireSize())
+	return status
 }
 
 // registerTx assigns a session-scoped tx id.
