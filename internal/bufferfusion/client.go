@@ -65,8 +65,6 @@ func (f *Frame) ID() common.PageID { return f.id }
 type Client struct {
 	node        common.NodeID
 	fabric      rdma.Conn
-	retry       common.RetryPolicy
-	stamp       *common.EpochStamp
 	inval       *rdma.Region
 	store       storage.API
 	capacity    int
@@ -106,7 +104,6 @@ func NewClient(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, capaci
 	c := &Client{
 		node:     ep.Node(),
 		fabric:   fabric.From(ep.Node()),
-		retry:    common.DefaultRetryPolicy(),
 		inval:    ep.RegisterRegion(RegionInval, capacity*8),
 		store:    store,
 		capacity: capacity,
@@ -167,13 +164,8 @@ func (c *Client) noteDBPRead(d time.Duration) {
 // node serves traffic).
 func (c *Client) SetForceLog(f ForceLogFunc) { c.forceLog = f }
 
-// SetRetryPolicy overrides the transient-fault retry policy (chaos
-// ablations disable it).
-func (c *Client) SetRetryPolicy(p common.RetryPolicy) { c.retry = p }
-
-// SetEpochStamp makes the client stamp requests with the node's incarnation
-// epoch so PMFS can fence evicted incarnations.
-func (c *Client) SetEpochStamp(s *common.EpochStamp) { c.stamp = s }
+// SetRetryPolicy rebinds the client's Conn to retry under p.
+func (c *Client) SetRetryPolicy(p common.RetryPolicy) { c.fabric = c.fabric.WithRetry(p) }
 
 // SetTracer attaches the node's commit-path tracer (nil disables). Page
 // fills are observed as StageFrameDBP (one-sided read from the distributed
@@ -352,16 +344,11 @@ func (c *Client) freeIdxLocked() uint32 {
 // dl bounds every verb, retry backoff, and storage read.
 func (c *Client) fetch(pg common.PageID, invalIdx uint32, dl common.Deadline) (*page.Page, int, FetchKind, error) {
 	tok := c.tr.Start()
-	fab := c.fabric.WithDeadline(dl)
 	// Lookup is idempotent (re-registering the same copy holder is a
 	// no-op), so transient faults retry safely. A shed lookup
 	// (ErrOverloaded) is also transient: the retry backoff is the client's
 	// contribution to draining the overload.
-	var resp []byte
-	err := common.RetryDeadline(c.retry, dl, func() (e error) {
-		resp, e = fab.Call(common.PMFSNode, ServiceBuf, c.stamp.Stamp(bufReq(opLookup, c.node, pg, 0, invalIdx)))
-		return e
-	})
+	resp, err := c.fabric.WithDeadline(dl).Call(common.PMFSNode, ServiceBuf, bufReq(opLookup, c.node, pg, 0, invalIdx))
 	if err != nil {
 		return nil, -1, FetchDBP, err
 	}
@@ -423,11 +410,8 @@ func (c *Client) readDBPFrame(frame int, dl common.Deadline) (*page.Page, error)
 	bp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(bp)
 	buf := (*bp)[:page.FrameSize]
-	fab := c.fabric.WithDeadline(dl)
 	start := time.Now()
-	if err := common.RetryDeadline(c.retry, dl, func() error {
-		return fab.Read(common.PMFSNode, RegionDBP, frame*page.FrameSize, buf)
-	}); err != nil {
+	if err := c.fabric.WithDeadline(dl).Read(common.PMFSNode, RegionDBP, frame*page.FrameSize, buf); err != nil {
 		return nil, err
 	}
 	c.noteDBPRead(time.Since(start))
@@ -442,7 +426,8 @@ func (c *Client) readDBPFrame(frame int, dl common.Deadline) (*page.Page, error)
 // bounded by dl.
 func (c *Client) readPageFromStorage(pg common.PageID, dl common.Deadline) (*page.Page, error) {
 	var img []byte
-	if err := common.RetryDeadline(c.retry, dl, func() (e error) {
+	// storage.API is no fabric verb: retried here, under the Conn's policy.
+	if err := common.RetryDeadline(c.fabric.RetryPolicy(), dl, func() (e error) {
 		img, e = c.store.ReadPage(pg)
 		return e
 	}); err != nil {
@@ -536,7 +521,8 @@ func (c *Client) pushImage(p *page.Page, invalIdx uint32, clean bool) (int, erro
 	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
 	img := buf[4:]
 	if c.storageMode {
-		if err := common.Retry(c.retry, func() error {
+		// A storage.API call, retried here under the Conn's policy.
+		if err := common.Retry(c.fabric.RetryPolicy(), func() error {
 			return c.store.WritePage(p.ID, img)
 		}); err != nil {
 			return -1, err
@@ -549,14 +535,10 @@ func (c *Client) pushImage(p *page.Page, invalIdx uint32, clean bool) (int, erro
 		}
 		return storagePseudoFrame, nil
 	}
-	// A dropped prepare-push never reached the server; the server treats a
-	// repeated prepare for the same (node, page) as a fresh pin of the same
-	// push, so the retry converges instead of leaking frames.
-	var resp []byte
-	err = common.Retry(c.retry, func() (e error) {
-		resp, e = c.fabric.Call(common.PMFSNode, ServiceBuf, c.stamp.Stamp(bufReq(opPreparePush, c.node, p.ID, 0, invalIdx)))
-		return e
-	})
+	// A repeated prepare for the same (node, page) re-pins the same push (the
+	// server keeps one pin per node), so a retry converges instead of leaking
+	// frames.
+	resp, err := c.fabric.Call(common.PMFSNode, ServiceBuf, bufReq(opPreparePush, c.node, p.ID, 0, invalIdx))
 	if err != nil {
 		return -1, err
 	}
@@ -564,9 +546,7 @@ func (c *Client) pushImage(p *page.Page, invalIdx uint32, clean bool) (int, erro
 		return -1, fmt.Errorf("bufferfusion: prepare-push of page %d failed", p.ID)
 	}
 	frame := int(binary.LittleEndian.Uint32(resp[1:]))
-	if err := common.Retry(c.retry, func() error {
-		return c.fabric.Write(common.PMFSNode, RegionDBP, frame*page.FrameSize, buf)
-	}); err != nil {
+	if err := c.fabric.Write(common.PMFSNode, RegionDBP, frame*page.FrameSize, buf); err != nil {
 		return -1, err
 	}
 	if err := c.callBuf(bufReq(opPushed, c.node, p.ID, uint32(frame), cleanAux)); err != nil {
@@ -575,14 +555,10 @@ func (c *Client) pushImage(p *page.Page, invalIdx uint32, clean bool) (int, erro
 	return frame, nil
 }
 
-// callBuf sends one Buffer Fusion RPC with transient-fault retries,
-// discarding the response. The request is epoch-stamped here.
+// callBuf sends one Buffer Fusion RPC, discarding the response.
 func (c *Client) callBuf(req []byte) error {
-	req = c.stamp.Stamp(req)
-	return common.Retry(c.retry, func() error {
-		_, err := c.fabric.Call(common.PMFSNode, ServiceBuf, req)
-		return err
-	})
+	_, err := c.fabric.Call(common.PMFSNode, ServiceBuf, req)
+	return err
 }
 
 // NewPage installs a freshly allocated page (engine-created, under X PLock)
@@ -735,13 +711,9 @@ func (c *Client) PushMany(ids []common.PageID) error {
 	// Phase 1: one batched prepare-push pins every target frame.
 	reqs := make([][]byte, len(dirty))
 	for i, f := range dirty {
-		reqs[i] = c.stamp.Stamp(bufReq(opPreparePush, c.node, f.id, 0, f.idx))
+		reqs[i] = bufReq(opPreparePush, c.node, f.id, 0, f.idx)
 	}
-	var resps [][]byte
-	err := common.Retry(c.retry, func() (e error) {
-		resps, e = c.fabric.CallBatch(common.PMFSNode, ServiceBuf, reqs)
-		return e
-	})
+	resps, err := c.fabric.CallBatch(common.PMFSNode, ServiceBuf, reqs)
 	if err != nil {
 		// One page's failure (e.g. all frames pinned) fails a whole batch;
 		// give each page an independent chance on the per-page path.
@@ -780,9 +752,7 @@ func (c *Client) PushMany(ids []common.PageID) error {
 		segs[i] = rdma.Seg{Off: frameNos[i] * page.FrameSize, Buf: buf}
 	}
 	if werr == nil {
-		werr = common.Retry(c.retry, func() error {
-			return c.fabric.WriteV(common.PMFSNode, RegionDBP, segs)
-		})
+		werr = c.fabric.WriteV(common.PMFSNode, RegionDBP, segs)
 	}
 	for _, bp := range bufs {
 		frameBufPool.Put(bp)
@@ -795,12 +765,9 @@ func (c *Client) PushMany(ids []common.PageID) error {
 	preqs := make([][]byte, len(dirty))
 	for i, f := range dirty {
 		// aux=0: batched pushes carry modified images, never clean ones.
-		preqs[i] = c.stamp.Stamp(bufReq(opPushed, c.node, f.id, uint32(frameNos[i]), 0))
+		preqs[i] = bufReq(opPushed, c.node, f.id, uint32(frameNos[i]), 0)
 	}
-	perr := common.Retry(c.retry, func() error {
-		_, e := c.fabric.CallBatch(common.PMFSNode, ServiceBuf, preqs)
-		return e
-	})
+	_, perr := c.fabric.CallBatch(common.PMFSNode, ServiceBuf, preqs)
 	if werr == nil && perr == nil {
 		for i, f := range dirty {
 			f.dbpFrame = frameNos[i]

@@ -14,6 +14,7 @@ package bufferfusion
 import (
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,6 @@ const (
 // different nodes only contend when they touch the same stripe.
 type Server struct {
 	fabric      rdma.Conn
-	retry       common.RetryPolicy
 	gate        common.EpochGate
 	dbp         *rdma.Region
 	store       storage.API
@@ -118,8 +118,12 @@ func (s *Server) stripeFor(pg common.PageID) *bufStripe {
 type dirEntry struct {
 	page  common.PageID
 	frame int
-	pins  int
-	dirty bool // newer than the storage image
+	// pinned holds the nodes with a push in flight (prepare-push done,
+	// completion not yet): one pin per node, so a retried prepare or a
+	// retried completion neither leaks nor steals a pin. A pinned frame is
+	// never evicted.
+	pinned map[common.NodeID]struct{}
+	dirty  bool // newer than the storage image
 	// copies: node -> invalid-flag index in that node's RegionInval.
 	copies map[common.NodeID]uint32
 	lruEl  *list.Element
@@ -144,7 +148,6 @@ func NewServer(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, frames
 	}
 	s := &Server{
 		fabric: fabric.From(ep.Node()),
-		retry:  common.DefaultRetryPolicy(),
 		dbp:    ep.RegisterRegion(RegionDBP, frames*page.FrameSize),
 		store:  store,
 		frames: frames,
@@ -179,10 +182,6 @@ func (s *Server) initStripes() {
 		base += count
 	}
 }
-
-// SetRetryPolicy overrides the transient-fault retry policy for the
-// server's invalidation writes (chaos ablations disable it).
-func (s *Server) SetRetryPolicy(p common.RetryPolicy) { s.retry = p }
 
 // SetEpochGate installs the membership epoch gate: stamped requests from
 // evicted incarnations are rejected with ErrStaleEpoch before they can
@@ -253,8 +252,7 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 		binary.LittleEndian.PutUint32(resp[1:], uint32(fr))
 		return resp, nil
 	case opPushed:
-		s.pushed(node, pg, int(frame), aux == 1)
-		return nil, nil
+		return nil, s.pushed(node, pg, int(frame), aux == 1)
 	case opUnregister:
 		s.unregister(node, pg)
 		return nil, nil
@@ -310,7 +308,7 @@ func (s *Server) preparePush(node common.NodeID, pg common.PageID, invalIdx uint
 			e.lruEl = st.lru.PushBack(e)
 			st.dir[pg] = e
 		}
-		e.pins++
+		e.pin(node)
 		e.copies[node] = invalIdx
 		return storagePseudoFrame, nil
 	}
@@ -324,10 +322,17 @@ func (s *Server) preparePush(node common.NodeID, pg common.PageID, invalIdx uint
 		st.dir[pg] = e
 		st.byFr[fr-st.base] = e
 	}
-	e.pins++
+	e.pin(node)
 	e.copies[node] = invalIdx
 	st.lru.MoveToBack(e.lruEl)
 	return e.frame, nil
+}
+
+func (e *dirEntry) pin(node common.NodeID) {
+	if e.pinned == nil {
+		e.pinned = make(map[common.NodeID]struct{})
+	}
+	e.pinned[node] = struct{}{}
 }
 
 // pushed completes a push: unpin, mark dirty, and remotely invalidate every
@@ -335,17 +340,15 @@ func (s *Server) preparePush(node common.NodeID, pg common.PageID, invalIdx uint
 // a push whose image was just read from storage (a fetch registering the
 // page in the DBP): it never downgrades an already-dirty entry — it only
 // refrains from dirtying one, keeping the storage-hedge bit conservative.
-func (s *Server) pushed(node common.NodeID, pg common.PageID, frame int, clean bool) {
+func (s *Server) pushed(node common.NodeID, pg common.PageID, frame int, clean bool) error {
 	st := s.stripeFor(pg)
 	st.mu.Lock()
 	e := st.dir[pg]
 	if e == nil || (!s.storageMode && e.frame != frame) {
 		st.mu.Unlock()
-		return
+		return nil
 	}
-	if e.pins > 0 {
-		e.pins--
-	}
+	delete(e.pinned, node)
 	if !s.storageMode && !clean {
 		e.dirty = true
 	}
@@ -362,20 +365,28 @@ func (s *Server) pushed(node common.NodeID, pg common.PageID, frame int, clean b
 	st.mu.Unlock()
 	s.Pushes.Inc()
 	// The invalidation write is the coherence-critical op of §4.2: a copy
-	// holder that misses it would keep serving the stale image. Retried
-	// until delivered (the write is idempotent) — only a crashed holder,
-	// whose cache dies with it, is allowed to miss one.
+	// holder's only validity check is its local flag. The Conn retries the
+	// idempotent write; if it is still undelivered the push fails, so the
+	// pusher keeps the page dirty and its PLock (flush before release) until
+	// a revoke resend retries the push: no node is granted the page while its
+	// copy is stale. Only a holder whose cache died with it (down, or dropped
+	// from the copy set the retry reads) may miss one; a clean push changed
+	// no content.
+	var undelivered error
 	for _, t := range targets {
 		s.Invalidations.Inc()
-		s.writeInval(t.node, t.idx, flagStale)
+		err := s.writeInval(t.node, t.idx, flagStale)
+		if err != nil && !clean && undelivered == nil && !errors.Is(err, common.ErrNodeDown) {
+			// %v, not %w: the push is retried, not this completion.
+			undelivered = fmt.Errorf("bufferfusion: page %d: invalidation of node %d undelivered: %v", pg, t.node, err)
+		}
 	}
+	return undelivered
 }
 
-// writeInval sets a copy holder's invalid flag, retrying transient faults.
-func (s *Server) writeInval(node common.NodeID, idx uint32, flag uint64) {
-	_ = common.Retry(s.retry, func() error {
-		return s.fabric.Write64(node, RegionInval, int(idx)*8, flag)
-	})
+// writeInval sets a copy holder's invalid flag.
+func (s *Server) writeInval(node common.NodeID, idx uint32, flag uint64) error {
+	return s.fabric.Write64(node, RegionInval, int(idx)*8, flag)
 }
 
 func (s *Server) unregister(node common.NodeID, pg common.PageID) {
@@ -398,7 +409,7 @@ func (s *Server) allocFrameLocked(st *bufStripe) (int, error) {
 	}
 	for el := st.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*dirEntry)
-		if e.pins > 0 {
+		if len(e.pinned) > 0 {
 			continue
 		}
 		s.evictLocked(st, e)
@@ -420,7 +431,7 @@ func (s *Server) evictLocked(st *bufStripe, e *dirEntry) {
 		}
 	}
 	for n, idx := range e.copies {
-		s.writeInval(n, idx, flagDropped)
+		_ = s.writeInval(n, idx, flagDropped)
 	}
 	delete(st.dir, e.page)
 	st.byFr[e.frame-st.base] = nil
@@ -505,10 +516,10 @@ func (s *Server) Reclaim(pages []common.PageID) {
 			st.mu.Unlock()
 			continue
 		}
-		e.pins = 0
+		e.pinned = nil
 		if s.storageMode {
 			for n, idx := range e.copies {
-				s.writeInval(n, idx, flagDropped)
+				_ = s.writeInval(n, idx, flagDropped)
 			}
 			delete(st.dir, pg)
 			st.lru.Remove(e.lruEl)

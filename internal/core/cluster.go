@@ -99,14 +99,6 @@ const (
 	drainTimeout = 30 * time.Second
 )
 
-// retryPolicy resolves the transient-fault retry policy for this config.
-func (c *Config) retryPolicy() common.RetryPolicy {
-	if c.DisableRetry {
-		return common.NoRetryPolicy()
-	}
-	return common.DefaultRetryPolicy()
-}
-
 func (c *Config) fill() {
 	if c.LBPFrames <= 0 {
 		c.LBPFrames = 2048
@@ -222,7 +214,7 @@ func NewClusterWithStore(cfg Config, store storage.API) *Cluster {
 	cfg.fill()
 	c := &Cluster{
 		cfg:      cfg,
-		fabric:   rdma.NewFabric(cfg.FabricLatency),
+		fabric:   newFabric(cfg),
 		nodes:    make(map[common.NodeID]*Node),
 		nextNode: 1,
 	}
@@ -231,6 +223,17 @@ func NewClusterWithStore(cfg Config, store storage.API) *Cluster {
 	c.startPMFS()
 	c.startLogPipeline()
 	return c
+}
+
+// newFabric builds the process's fabric. This is where the config picks the
+// one retry policy every Conn its components build starts with: the default,
+// or none under DisableRetry.
+func newFabric(cfg Config) *rdma.Fabric {
+	f := rdma.NewFabric(cfg.FabricLatency)
+	if cfg.DisableRetry {
+		f.SetConnRetry(common.NoRetryPolicy())
+	}
+	return f
 }
 
 // startPMFS registers the PMFS endpoint and its three fusion services.
@@ -244,9 +247,6 @@ func (c *Cluster) startPMFS() {
 	c.txSrv.SetEpochGate(gate)
 	c.lockSrv.SetEpochGate(gate)
 	c.bufSrv.SetEpochGate(gate)
-	rp := c.cfg.retryPolicy()
-	c.lockSrv.SetRetryPolicy(rp)
-	c.bufSrv.SetRetryPolicy(rp)
 	// Remote-process services: satellite nodes reach the shared store and
 	// cluster administration through these endpoints.
 	storage.Serve(ep, c.store)
@@ -493,15 +493,13 @@ func (c *Cluster) KillNode(id common.NodeID) error {
 
 // removeMinView drops a crashed node from the min-view aggregation. The
 // removal must land even on a faulty fabric or the global min view stalls
-// forever, so it retries transient faults (removal is idempotent).
+// forever, so it retries transient faults (removal is idempotent). It is
+// issued unbound (AnyNode), as cluster housekeeping.
 func (c *Cluster) removeMinView(id common.NodeID) {
 	req := make([]byte, 3)
 	req[0] = 2 // opRemoveNode
 	binary.LittleEndian.PutUint16(req[1:], uint16(id))
-	_ = common.Retry(c.cfg.retryPolicy(), func() error {
-		_, err := c.fabric.Call(common.PMFSNode, txfusion.ServiceTxF, req)
-		return err
-	})
+	_, _ = c.fabric.From(common.AnyNode).Call(common.PMFSNode, txfusion.ServiceTxF, req)
 }
 
 // RestartNode brings a crashed node back: it replays its own redo log
@@ -542,7 +540,7 @@ func (c *Cluster) RestartNode(id common.NodeID) (*Node, error) {
 // tier: the replica is fenced, the pmfs epoch advances exactly once, and if
 // the leader died the most-advanced follower is promoted. In-flight verbs
 // caught in the failover window fail with a typed-transient error the
-// common.Retry paths absorb. Returns an error when replication is disabled,
+// issuing Conns' retry absorbs. Returns an error when replication is disabled,
 // the replica is already fenced, or it is the last live copy.
 func (c *Cluster) KillPMFSReplica(id int) error {
 	if c.remote {
@@ -587,23 +585,10 @@ func (c *Cluster) CrashAll() {
 	c.pmfsRep.Resync()
 }
 
-// FabricStats is a snapshot of RDMA fabric verb and byte counters.
-// Vectored (doorbell-batched) verbs count as one op; bytes accumulate every
-// segment.
-type FabricStats struct {
-	Reads      int64 `json:"reads"`
-	Writes     int64 `json:"writes"`
-	Atomics    int64 `json:"atomics"`
-	RPCs       int64 `json:"rpcs"`
-	BytesRead  int64 `json:"bytes_read"`
-	BytesWrite int64 `json:"bytes_write"`
-}
-
-func fabricStats(s *rdma.Stats) FabricStats {
-	var f FabricStats
-	f.Reads, f.Writes, f.Atomics, f.RPCs, f.BytesRead, f.BytesWrite = s.Snapshot()
-	return f
-}
+// FabricStats is a snapshot of RDMA fabric verb and byte counters, encoded by
+// the type that counts them. Vectored (doorbell-batched) verbs count as one
+// op; bytes accumulate every segment.
+type FabricStats = rdma.OpCounts
 
 // StorageStats is a snapshot of shared-storage I/O counters.
 type StorageStats struct {
@@ -763,7 +748,7 @@ func (c *Cluster) Stats() ClusterStats {
 			HedgeWins:      n.lbp.HedgeWins.Load(),
 			TxP50:          n.TxLatency.Quantile(0.50),
 			TxP99:          n.TxLatency.Quantile(0.99),
-			Fabric:         fabricStats(c.fabric.SrcStats(n.id)),
+			Fabric:         c.fabric.SrcStats(n.id).Snapshot(),
 		}
 		if n.tracer != nil {
 			traced = true
@@ -800,7 +785,7 @@ func (c *Cluster) Stats() ClusterStats {
 	if traced {
 		s.Stages = merged.Snapshots()
 	}
-	s.Fabric = fabricStats(c.fabric.Stats())
+	s.Fabric = c.fabric.Stats().Snapshot()
 	s.Storage.PageReads = c.store.Stats().PageReads.Load()
 	s.Storage.LogSyncs = c.store.Stats().LogSyncs.Load()
 	// A satellite hosts no PMFS: the fusion-server and membership-table
@@ -839,8 +824,9 @@ func (c *Cluster) Stats() ClusterStats {
 }
 
 // Checkpoint flushes every LBP and the DBP to shared storage and truncates
-// all redo streams. The cluster must be quiesced (no active transactions):
-// truncation would otherwise discard undo information of in-flight work.
+// all redo streams. The cluster must be quiesced (no active transactions, no
+// rollback still compensating in the background): truncation would otherwise
+// discard undo information of in-flight work.
 func (c *Cluster) Checkpoint() error {
 	if c.remote {
 		return fmt.Errorf("core: checkpoint: %w", ErrNotHosted)
@@ -848,6 +834,9 @@ func (c *Cluster) Checkpoint() error {
 	for _, n := range c.Nodes() {
 		if a := n.activeTx.Load(); a != 0 {
 			return fmt.Errorf("core: checkpoint with %d active transactions on node %d", a, n.id)
+		}
+		if p := n.compensating.Load(); p != 0 {
+			return fmt.Errorf("core: checkpoint with %d pending compensations on node %d", p, n.id)
 		}
 	}
 	for _, n := range c.Nodes() {

@@ -42,9 +42,7 @@ type Node struct {
 	wal  *wal.Writer
 	llsn wal.LLSNCounter
 
-	// stamp carries the node's incarnation epoch onto every fusion-service
-	// request; agent is the node's lease/failure-detection worker.
-	stamp *common.EpochStamp
+	// agent is the node's lease/failure-detection worker.
 	agent *membership.Agent
 
 	// tracer is the node's commit-path span tracer; nil (the default)
@@ -61,6 +59,9 @@ type Node struct {
 	// crashed node's fence; TIT recycling pauses so the fence semantics
 	// stay sound for new transactions.
 	deferredRollbacks atomic.Bool
+	// compensating counts background compensation loops (whenDrained) still
+	// running: their undo lives only in the log, so Checkpoint refuses.
+	compensating atomic.Int64
 
 	treeMu sync.Mutex
 	trees  map[common.SpaceID]*btree.Tree
@@ -102,6 +103,10 @@ func (c *Cluster) newNode(id common.NodeID, recovering bool) (*Node, error) {
 		trees:  make(map[common.SpaceID]*btree.Tree),
 		stopBG: make(chan struct{}),
 	}
+	// Every fusion request this incarnation's clients send carries its
+	// epoch: bound before they build their Conns, stored by the agent's Join.
+	stamp := &common.EpochStamp{}
+	c.fabric.BindStamp(id, stamp)
 	n.tf = txfusion.NewClient(ep, c.fabric, txfusion.Config{
 		TITSlots:     c.cfg.TITSlots,
 		LamportReuse: !c.cfg.DisableLamport,
@@ -118,11 +123,6 @@ func (c *Cluster) newNode(id common.NodeID, recovering bool) (*Node, error) {
 	n.rl = lockfusion.NewRLockClient(ep, c.fabric, n.tf, lcfg)
 	n.lbp = bufferfusion.NewClient(ep, c.fabric, c.store, c.cfg.LBPFrames)
 	n.lbp.SetStorageMode(c.cfg.StoragePageSync)
-	rp := c.cfg.retryPolicy()
-	n.tf.SetRetryPolicy(rp)
-	n.pl.SetRetryPolicy(rp)
-	n.rl.SetRetryPolicy(rp)
-	n.lbp.SetRetryPolicy(rp)
 	n.wal = wal.NewWriter(c.store, id)
 	if c.pipeWake != nil {
 		n.wal.AttachPipeline(c.pipeWake)
@@ -139,20 +139,14 @@ func (c *Cluster) newNode(id common.NodeID, recovering bool) (*Node, error) {
 		n.wal.SetTracer(n.tracer)
 	}
 
-	// Membership: stamp every fusion request with the incarnation epoch and
-	// join the lease table. The agent's renew/detect loops run only under
-	// SelfHeal; joining and stamping are unconditional so the epoch gate
-	// always sees current incarnations.
-	n.stamp = &common.EpochStamp{}
-	n.tf.SetEpochStamp(n.stamp)
-	n.pl.SetEpochStamp(n.stamp)
-	n.rl.SetEpochStamp(n.stamp)
-	n.lbp.SetEpochStamp(n.stamp)
-	n.agent = membership.NewAgent(id, common.PMFSNode, c.fabric, n.stamp, membership.Config{
+	// Membership: join the lease table, which sets the stamp's epoch. The
+	// agent's renew/detect loops run only under SelfHeal; joining and
+	// stamping are unconditional so the epoch gate always sees current
+	// incarnations.
+	n.agent = membership.NewAgent(id, common.PMFSNode, c.fabric, stamp, membership.Config{
 		RenewInterval: c.cfg.LeaseRenewInterval,
 		LeaseTimeout:  c.cfg.LeaseTimeout,
 	})
-	n.agent.SetRetryPolicy(rp)
 	if !c.remote {
 		// The takeover pipeline drives the fusion servers directly; a
 		// satellite can detect and evict a dead peer but a seed-side

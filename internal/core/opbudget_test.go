@@ -142,8 +142,7 @@ func TestSatelliteRoundTripBudget(t *testing.T) {
 
 	const txs = 16
 	frames := func() int64 {
-		reads, writes, atomics, rpcs, _, _ := sat.Fabric().Stats().Snapshot()
-		return reads + writes + atomics + rpcs
+		return sat.Fabric().Stats().Snapshot().Total()
 	}
 	before := frames()
 	for i := 0; i < txs; i++ {

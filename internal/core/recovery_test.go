@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -446,7 +447,52 @@ func TestCrashStorm(t *testing.T) {
 // version stays invisible), and finish the compensation in the background
 // once the page is reachable again.
 func TestRollbackDeferredWhenPageUnreachable(t *testing.T) {
-	c, sp := testCluster(t, 2)
+	c, sp, heal := deferRollback(t)
+	n1, n2 := c.Node(1), c.Node(2)
+	// The slot is still active, so the leaked "bad" version stays invisible.
+	if v, err := get(t, n2, sp, "k"); err != nil || v != "orig" {
+		t.Fatalf("read during deferred rollback = %q, %v; want orig (aborted version leaked)", v, err)
+	}
+
+	// Heal. The background compensation must remove the version and free
+	// the slot; a writer parked on the row's active version then proceeds.
+	heal()
+	put(t, n2, sp, "k", "after")
+	if v, err := get(t, n2, sp, "k"); err != nil || v != "after" {
+		t.Fatalf("read after heal = %q, %v; want after", v, err)
+	}
+	if v, err := get(t, n1, sp, "k"); err != nil || v != "after" {
+		t.Fatalf("read after heal via node 1 = %q, %v; want after", v, err)
+	}
+}
+
+// TestCheckpointRefusesDeferredRollback is ROADMAP 0(g): a rollback whose
+// compensation finishes in the background has returned and released its
+// activeTx count, but its undo exists only in the log — a Checkpoint then
+// would truncate it. Checkpoint refuses while the compensation is pending
+// and succeeds once the heal drains it.
+func TestCheckpointRefusesDeferredRollback(t *testing.T) {
+	c, _, heal := deferRollback(t)
+	if err := c.Checkpoint(); err == nil || !strings.Contains(err.Error(), "pending compensations on node 1") {
+		t.Fatalf("Checkpoint during a deferred rollback = %v; want the pending-compensation refusal", err)
+	}
+	heal()
+	deadline := time.Now().Add(5 * time.Second)
+	for err := c.Checkpoint(); err != nil; err = c.Checkpoint() {
+		if time.Now().After(deadline) {
+			t.Fatalf("Checkpoint after the heal: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// deferRollback leaves node 1 with a rollback whose page it cannot reach:
+// node 1 updates k, node 2 steals the page, then every fabric op node 1
+// issues and every storage page read fails while node 1 rolls back. heal
+// lifts the partition.
+func deferRollback(t *testing.T) (c *Cluster, sp common.SpaceID, heal func()) {
+	t.Helper()
+	c, sp = testCluster(t, 2)
 	n1, n2 := c.Node(1), c.Node(2)
 	put(t, n1, sp, "k", "orig")
 
@@ -488,19 +534,5 @@ func TestRollbackDeferredWhenPageUnreachable(t *testing.T) {
 	if got := n1.DeferredAborts.Load(); got != 1 {
 		t.Fatalf("DeferredAborts = %d, want 1 (rollback with an unreachable page must defer)", got)
 	}
-	// The slot is still active, so the leaked "bad" version stays invisible.
-	if v, err := get(t, n2, sp, "k"); err != nil || v != "orig" {
-		t.Fatalf("read during deferred rollback = %q, %v; want orig (aborted version leaked)", v, err)
-	}
-
-	// Heal. The background compensation must remove the version and free
-	// the slot; a writer parked on the row's active version then proceeds.
-	blocked.Store(false)
-	put(t, n2, sp, "k", "after")
-	if v, err := get(t, n2, sp, "k"); err != nil || v != "after" {
-		t.Fatalf("read after heal = %q, %v; want after", v, err)
-	}
-	if v, err := get(t, n1, sp, "k"); err != nil || v != "after" {
-		t.Fatalf("read after heal via node 1 = %q, %v; want after", v, err)
-	}
+	return c, sp, func() { blocked.Store(false) }
 }

@@ -98,12 +98,20 @@ func (c *Cluster) adminOp(req []byte) ([]byte, error) {
 	}
 }
 
-// adminCall performs one admin RPC from a satellite, retrying transient
-// fabric faults and decoding the status header.
+// adminCall performs one admin RPC from a satellite.
 func (c *Cluster) adminCall(req []byte) ([]byte, error) {
+	return c.statusCall(common.PMFSNode, ServiceCluster, req)
+}
+
+// statusCall performs one unbound RPC answered [status][result], retrying
+// transient fabric faults and transient statuses. The loop is ours, around a
+// single-shot Conn, because the status is decoded inside an attempt.
+func (c *Cluster) statusCall(node common.NodeID, service string, req []byte) ([]byte, error) {
+	conn := c.fabric.From(common.AnyNode)
+	one := conn.WithRetry(common.NoRetryPolicy())
 	var result []byte
-	err := common.Retry(c.cfg.retryPolicy(), func() error {
-		resp, err := c.fabric.Call(common.PMFSNode, ServiceCluster, req)
+	err := common.Retry(conn.RetryPolicy(), func() error {
+		resp, err := one.Call(node, service, req)
 		if err != nil {
 			return err
 		}
@@ -201,7 +209,7 @@ func JoinRemote(cfg Config, addr string, nc *wire.NetCounters) (*Cluster, *Node,
 	cfg.fill()
 	c := &Cluster{
 		cfg:    cfg,
-		fabric: rdma.NewFabric(cfg.FabricLatency),
+		fabric: newFabric(cfg),
 		nodes:  make(map[common.NodeID]*Node),
 		remote: true,
 	}

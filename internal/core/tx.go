@@ -803,8 +803,10 @@ func (n *Node) whenDrained(left []*trxFate, release func()) {
 		return
 	}
 	n.bgDone.Add(1)
+	n.compensating.Add(1)
 	go func() {
 		defer n.bgDone.Done()
+		defer n.compensating.Add(-1)
 		for n.live.Load() {
 			if left = n.compensate(left); len(left) == 0 {
 				release()

@@ -209,26 +209,11 @@ func (n *Node) handleTxStatus(req []byte) ([]byte, error) {
 
 // txStatusRemote asks the owning node's process over the fabric.
 func (c *Cluster) txStatusRemote(g common.GTrxID) (TxOutcome, common.CSN, error) {
-	req := g.Marshal(nil)
-	var out TxOutcome
-	var cts common.CSN
-	err := common.Retry(c.cfg.retryPolicy(), func() error {
-		resp, err := c.fabric.Call(g.Node, ServiceTxStatus, req)
-		if err != nil {
-			return err
-		}
-		rd := wire.NewReader(resp)
-		if err := wire.DecodeStatus(rd); err != nil {
-			return err
-		}
-		out = TxOutcome(rd.U8())
-		cts = common.CSN(rd.U64())
-		return rd.Err()
-	})
+	out, err := c.statusCall(g.Node, ServiceTxStatus, g.Marshal(nil))
 	if err != nil {
 		return TxOutcomeUnknown, 0, err
 	}
-	return out, cts, nil
+	return decodeTxStatus(out)
 }
 
 // txStatusSeed asks the seed's admin service (satellite-side leg of step 5:
@@ -239,6 +224,11 @@ func (c *Cluster) txStatusSeed(g common.GTrxID) (TxOutcome, common.CSN, error) {
 	if err != nil {
 		return TxOutcomeUnknown, 0, fmt.Errorf("core: tx status %v at seed: %w", g, err)
 	}
+	return decodeTxStatus(out)
+}
+
+// decodeTxStatus decodes a tx-status result: [outcome u8][cts u64].
+func decodeTxStatus(out []byte) (TxOutcome, common.CSN, error) {
 	rd := wire.NewReader(out)
 	outcome := TxOutcome(rd.U8())
 	cts := common.CSN(rd.U64())

@@ -91,13 +91,6 @@ func NewServer(ep *rdma.Endpoint, fabric *rdma.Fabric) *Server {
 	}
 }
 
-// SetRetryPolicy overrides the transient-fault retry policy for both
-// server-initiated message paths (revokes and wakeups).
-func (s *Server) SetRetryPolicy(p common.RetryPolicy) {
-	s.PLock.SetRetryPolicy(p)
-	s.RLock.SetRetryPolicy(p)
-}
-
 // SetEpochGate installs the membership epoch gate on both lock services.
 func (s *Server) SetEpochGate(g common.EpochGate) {
 	s.PLock.SetEpochGate(g)

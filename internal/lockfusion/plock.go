@@ -117,7 +117,6 @@ const plockStripes = 16
 // striped so unrelated pages never contend on one mutex.
 type PLockServer struct {
 	fabric rdma.Conn
-	retry  common.RetryPolicy
 	gate   common.EpochGate
 
 	stripes [plockStripes]plockStripe
@@ -185,7 +184,6 @@ const plockAdmitDefault = 64
 func newPLockServer(ep *rdma.Endpoint, fabric *rdma.Fabric) *PLockServer {
 	s := &PLockServer{
 		fabric: fabric.From(ep.Node()),
-		retry:  common.DefaultRetryPolicy(),
 		dead:   make(map[common.NodeID]bool),
 	}
 	s.admit.Store(plockAdmitDefault)
@@ -210,10 +208,6 @@ func (s *PLockServer) isDead(node common.NodeID) bool {
 	s.deadMu.RUnlock()
 	return d
 }
-
-// SetRetryPolicy overrides the transient-fault retry policy for revoke
-// delivery (chaos ablations disable it).
-func (s *PLockServer) SetRetryPolicy(p common.RetryPolicy) { s.retry = p }
 
 // SetEpochGate installs the membership epoch gate: stamped requests from
 // evicted incarnations are rejected with ErrStaleEpoch before they can
@@ -478,11 +472,7 @@ func (s *PLockServer) sendRevokes(pending []pendingRevokes) {
 		} else {
 			req = revokeNBuf(items)
 		}
-		holder := holder
-		_ = common.Retry(s.retry, func() error {
-			_, err := s.fabric.Call(holder, ServiceRevoke, req)
-			return err
-		})
+		_, _ = s.fabric.Call(holder, ServiceRevoke, req)
 	}
 }
 
@@ -695,10 +685,12 @@ func (s *PLockServer) HolderCount() int {
 // logs first) before the lock leaves the node (§4.2/§4.3.1). It runs before
 // the release RPC is sent. A non-nil error vetoes the release of that page:
 // the hold is retained server-side, because handing the lock to a peer whose
-// DBP image is missing the flush would fork the page's lineage. The one
-// non-transient source of flush failure is this node crashing mid-revoke —
-// retaining the hold is then exactly what keeps the page fenced until the
-// restarted incarnation replays it.
+// DBP image is missing the flush — or a peer whose cached copy's invalidation
+// is still undelivered — would fork the page's lineage. A live node keeps the
+// lock and the next revoke resend retries the flush; the one non-transient
+// source of flush failure is this node crashing mid-revoke — retaining the
+// hold is then exactly what keeps the page fenced until the restarted
+// incarnation replays it.
 type RevokeFunc func(pg common.PageID, held Mode) error
 
 // PLockClient is a node's PLock manager: it tracks locks the node holds,
@@ -707,8 +699,6 @@ type PLockClient struct {
 	node   common.NodeID
 	fabric rdma.Conn
 	cfg    Config
-	retry  common.RetryPolicy
-	stamp  *common.EpochStamp
 
 	onRevoke RevokeFunc
 	closed   atomic.Bool
@@ -743,7 +733,6 @@ func NewPLockClient(ep *rdma.Endpoint, fabric *rdma.Fabric, cfg Config) *PLockCl
 	c := &PLockClient{
 		node:      ep.Node(),
 		fabric:    fabric.From(ep.Node()),
-		retry:     common.DefaultRetryPolicy(),
 		cfg:       cfg,
 		locks:     make(map[common.PageID]*localPLock),
 		releasing: make(map[common.PageID]bool),
@@ -756,14 +745,6 @@ func NewPLockClient(ep *rdma.Endpoint, fabric *rdma.Fabric, cfg Config) *PLockCl
 // SetRevokeHandler installs the engine's flush-before-release hook. Must be
 // called before the node serves traffic.
 func (c *PLockClient) SetRevokeHandler(f RevokeFunc) { c.onRevoke = f }
-
-// SetRetryPolicy overrides the transient-fault retry policy (chaos
-// ablations disable it).
-func (c *PLockClient) SetRetryPolicy(p common.RetryPolicy) { c.retry = p }
-
-// SetEpochStamp makes the client stamp requests with the node's incarnation
-// epoch so PMFS can fence evicted incarnations.
-func (c *PLockClient) SetEpochStamp(s *common.EpochStamp) { c.stamp = s }
 
 // SetTracer attaches the node's commit-path tracer (nil disables). Every
 // successful acquire is observed as StagePLockLocal (lazy-retention grant)
@@ -904,12 +885,12 @@ func (c *PLockClient) AcquireDeadlineEx(pg common.PageID, mode Mode, dl common.D
 		c.RemoteAcquires.Inc()
 		// The server's acquire path is idempotent (a holder re-acquiring is
 		// re-granted), so lost requests and lost responses both retry safely.
-		// The wait budget is re-derived per attempt: a retry after backoff
-		// must tell the server how much budget is actually left.
-		fab := c.fabric.WithDeadline(dl)
-		err := common.RetryDeadline(c.retry, dl, func() error {
-			_, e := fab.Call(common.PMFSNode, ServicePLock,
-				c.stamp.Stamp(plockAcquireReqBuf(c.node, pg, mode, deadlineBudgetMicros(dl))))
+		// The loop is ours, around a single-shot Conn, because the wait
+		// budget is re-derived per attempt: a retry after backoff must tell
+		// the server how much budget is actually left.
+		one := c.fabric.WithDeadline(dl).WithRetry(common.NoRetryPolicy())
+		err := common.RetryDeadline(c.fabric.RetryPolicy(), dl, func() error {
+			_, e := one.Call(common.PMFSNode, ServicePLock, plockAcquireReqBuf(c.node, pg, mode, deadlineBudgetMicros(dl)))
 			return e
 		})
 		c.mu.Lock()
@@ -1014,6 +995,11 @@ func (c *PLockClient) releaseToServerN(pages []relPage) {
 			c.mu.Lock()
 			for _, p := range vetoed {
 				delete(c.releasing, p.pg)
+				// The hold is still ours: track it again, so the server's
+				// revoke resend finds it and retries the flush.
+				if c.locks[p.pg] == nil {
+					c.locks[p.pg] = &localPLock{mode: p.mode, cond: sync.NewCond(&c.mu)}
+				}
 			}
 			c.relCond.Broadcast()
 			c.mu.Unlock()
@@ -1032,10 +1018,7 @@ func (c *PLockClient) releaseToServerN(pages []relPage) {
 	} else {
 		req = plockReleaseNBuf(c.node, pages)
 	}
-	_ = common.Retry(c.retry, func() error {
-		_, err := c.fabric.Call(common.PMFSNode, ServicePLock, c.stamp.Stamp(req))
-		return err
-	})
+	_, _ = c.fabric.Call(common.PMFSNode, ServicePLock, req)
 	c.mu.Lock()
 	for _, p := range pages {
 		delete(c.releasing, p.pg)

@@ -24,7 +24,6 @@ const (
 // the rows.
 type RLockServer struct {
 	fabric rdma.Conn
-	retry  common.RetryPolicy
 	gate   common.EpochGate
 
 	mu sync.Mutex
@@ -43,17 +42,12 @@ type RLockServer struct {
 func newRLockServer(ep *rdma.Endpoint, fabric *rdma.Fabric) *RLockServer {
 	s := &RLockServer{
 		fabric:  fabric.From(ep.Node()),
-		retry:   common.DefaultRetryPolicy(),
 		edges:   make(map[common.GTrxID]common.GTrxID),
 		waiters: make(map[common.GTrxID][]common.GTrxID),
 	}
 	ep.Serve(ServiceRLock, s.handle)
 	return s
 }
-
-// SetRetryPolicy overrides the transient-fault retry policy for wakeup
-// delivery (chaos ablations disable it).
-func (s *RLockServer) SetRetryPolicy(p common.RetryPolicy) { s.retry = p }
 
 // SetEpochGate installs the membership epoch gate; stamped requests from
 // evicted incarnations are rejected with ErrStaleEpoch.
@@ -162,11 +156,7 @@ func (s *RLockServer) committed(holder common.GTrxID) {
 	// until its timeout. Re-delivery is idempotent (waking an absent waiter
 	// is a no-op).
 	for _, w := range list {
-		req := marshalTwoG(opWake, w, holder)
-		_ = common.Retry(s.retry, func() error {
-			_, err := s.fabric.Call(w.Node, ServiceWake, req)
-			return err
-		})
+		_, _ = s.fabric.Call(w.Node, ServiceWake, marshalTwoG(opWake, w, holder))
 	}
 }
 
@@ -200,11 +190,7 @@ func (s *RLockServer) dropNode(node uint16) {
 	}
 	s.mu.Unlock()
 	for _, w := range wake {
-		req := marshalTwoG(opWake, w, common.GTrxID{})
-		_ = common.Retry(s.retry, func() error {
-			_, err := s.fabric.Call(w.Node, ServiceWake, req)
-			return err
-		})
+		_, _ = s.fabric.Call(w.Node, ServiceWake, marshalTwoG(opWake, w, common.GTrxID{}))
 	}
 }
 
@@ -224,8 +210,6 @@ type RLockClient struct {
 	fabric rdma.Conn
 	tf     *txfusion.Client
 	cfg    Config
-	retry  common.RetryPolicy
-	stamp  *common.EpochStamp
 
 	mu     sync.Mutex
 	parked map[common.GTrxID]chan struct{}
@@ -241,7 +225,6 @@ func NewRLockClient(ep *rdma.Endpoint, fabric *rdma.Fabric, tf *txfusion.Client,
 	c := &RLockClient{
 		node:   ep.Node(),
 		fabric: fabric.From(ep.Node()),
-		retry:  common.DefaultRetryPolicy(),
 		tf:     tf,
 		cfg:    cfg,
 		parked: make(map[common.GTrxID]chan struct{}),
@@ -249,14 +232,6 @@ func NewRLockClient(ep *rdma.Endpoint, fabric *rdma.Fabric, tf *txfusion.Client,
 	ep.Serve(ServiceWake, c.handleWake)
 	return c
 }
-
-// SetRetryPolicy overrides the transient-fault retry policy (chaos
-// ablations disable it).
-func (c *RLockClient) SetRetryPolicy(p common.RetryPolicy) { c.retry = p }
-
-// SetEpochStamp makes the client stamp requests with the node's incarnation
-// epoch so PMFS can fence evicted incarnations.
-func (c *RLockClient) SetEpochStamp(s *common.EpochStamp) { c.stamp = s }
 
 func (c *RLockClient) handleWake(req []byte) ([]byte, error) {
 	if len(req) < 1+common.GTrxIDSize {
@@ -318,11 +293,7 @@ func (c *RLockClient) WaitForDeadline(waiter, holder common.GTrxID, dl common.De
 
 	// Step 2: register the wait-for edge. Dropped requests never reached
 	// the server, so retrying cannot double-register.
-	var resp []byte
-	err = common.RetryDeadline(c.retry, dl, func() (e error) {
-		resp, e = c.fabric.Call(common.PMFSNode, ServiceRLock, c.stamp.Stamp(marshalTwoG(opWaitFor, waiter, holder)))
-		return e
-	})
+	resp, err := c.fabric.WithDeadline(dl).Call(common.PMFSNode, ServiceRLock, marshalTwoG(opWaitFor, waiter, holder))
 	if err != nil {
 		cleanup()
 		return err
@@ -369,18 +340,12 @@ func (c *RLockClient) WaitForDeadline(waiter, holder common.GTrxID, dl common.De
 // cancelWait retracts a wait edge; losing it would leak the edge until the
 // holder commits, so transient faults are retried (cancel is idempotent).
 func (c *RLockClient) cancelWait(waiter, holder common.GTrxID) {
-	_ = common.Retry(c.retry, func() error {
-		_, err := c.fabric.Call(common.PMFSNode, ServiceRLock, c.stamp.Stamp(marshalTwoG(opCancelWait, waiter, holder)))
-		return err
-	})
+	_, _ = c.fabric.Call(common.PMFSNode, ServiceRLock, marshalTwoG(opCancelWait, waiter, holder))
 }
 
 // NotifyCommitted tells Lock Fusion that holder finished; called by the
 // engine when commit/abort observes the TIT ref flag set. A lost
 // notification parks every waiter until timeout, so it is retried.
 func (c *RLockClient) NotifyCommitted(holder common.GTrxID) {
-	_ = common.Retry(c.retry, func() error {
-		_, err := c.fabric.Call(common.PMFSNode, ServiceRLock, c.stamp.Stamp(marshalTwoG(opCommitted, holder, common.GTrxID{})))
-		return err
-	})
+	_, _ = c.fabric.Call(common.PMFSNode, ServiceRLock, marshalTwoG(opCommitted, holder, common.GTrxID{}))
 }

@@ -37,12 +37,16 @@ func (c *Config) fill() {
 // takeover callback. Renewals and detection run on separate goroutines so
 // a long takeover cannot starve the survivor's own lease.
 type Agent struct {
-	node  common.NodeID
-	pmfs  common.NodeID
+	node common.NodeID
+	pmfs common.NodeID
+	// conn carries the membership RPCs (join, drain, evict): idempotent
+	// table transitions, retried by the Conn. lease carries the heartbeat
+	// write and the slot and table reads single-shot: the renew and detect
+	// loops' next tick is their retry.
 	conn  rdma.Conn
+	lease rdma.Conn
 	cfg   Config
 	stamp *common.EpochStamp
-	retry common.RetryPolicy
 
 	// Renewals counts successful lease renewals.
 	Renewals metrics.Counter
@@ -128,19 +132,18 @@ func (a *Agent) clearSlow(n common.NodeID) {
 // so the node's fusion clients stamp their requests with it.
 func NewAgent(node, pmfs common.NodeID, fabric *rdma.Fabric, stamp *common.EpochStamp, cfg Config) *Agent {
 	cfg.fill()
+	// Membership requests are never epoch-stamped: the table itself decides
+	// incarnations.
+	conn := fabric.From(node).WithStamp(nil)
 	return &Agent{
 		node:  node,
 		pmfs:  pmfs,
-		conn:  fabric.From(node),
+		conn:  conn,
+		lease: conn.WithRetry(common.NoRetryPolicy()),
 		cfg:   cfg,
 		stamp: stamp,
-		retry: common.DefaultRetryPolicy(),
 	}
 }
-
-// SetRetryPolicy overrides the transient-fault retry policy for the join
-// and eviction RPCs.
-func (a *Agent) SetRetryPolicy(p common.RetryPolicy) { a.retry = p }
 
 // SetOnTakeover installs the callback run (on the detector goroutine) when
 // this agent wins a peer's eviction.
@@ -153,12 +156,7 @@ func (a *Agent) Join() error {
 	req := make([]byte, 3)
 	req[0] = opJoin
 	binary.LittleEndian.PutUint16(req[1:3], uint16(a.node))
-	var resp []byte
-	err := common.Retry(a.retry, func() error {
-		var err error
-		resp, err = a.conn.Call(a.pmfs, Service, req)
-		return err
-	})
+	resp, err := a.conn.Call(a.pmfs, Service, req)
 	if err != nil {
 		return fmt.Errorf("membership: node %d join: %w", a.node, err)
 	}
@@ -239,7 +237,7 @@ func (a *Agent) CheckValid() error {
 // flag.
 func (a *Agent) verifySlot() (bool, error) {
 	var slot [slotSize]byte
-	if err := a.conn.Read(a.pmfs, Region, SlotOff(a.node), slot[:]); err != nil {
+	if err := a.lease.Read(a.pmfs, Region, SlotOff(a.node), slot[:]); err != nil {
 		return false, err
 	}
 	inc := binary.LittleEndian.Uint64(slot[offEpoch:])
@@ -271,11 +269,7 @@ func (a *Agent) drainOp(op byte) error {
 	req := make([]byte, 3)
 	req[0] = op
 	binary.LittleEndian.PutUint16(req[1:3], uint16(a.node))
-	err := common.Retry(a.retry, func() error {
-		_, err := a.conn.Call(a.pmfs, Service, req)
-		return err
-	})
-	if err != nil {
+	if _, err := a.conn.Call(a.pmfs, Service, req); err != nil {
 		return fmt.Errorf("membership: node %d drain op %d: %w", a.node, op, err)
 	}
 	return nil
@@ -302,7 +296,7 @@ func (a *Agent) renewLoop() {
 			return // fenced out; stop renewing, CheckValid now fails fast
 		}
 		hb := a.hb.Add(1)
-		if err := a.conn.Write64(a.pmfs, Region, HBOff(a.node), hb); err != nil {
+		if err := a.lease.Write64(a.pmfs, Region, HBOff(a.node), hb); err != nil {
 			a.hb.Add(^uint64(0)) // undo; re-derive from the slot next tick
 			continue
 		}
@@ -335,7 +329,7 @@ func (a *Agent) detectLoop() {
 			return
 		case <-t.C:
 		}
-		if err := a.conn.Read(a.pmfs, Region, 0, buf); err != nil {
+		if err := a.lease.Read(a.pmfs, Region, 0, buf); err != nil {
 			continue
 		}
 		epoch := common.Epoch(binary.LittleEndian.Uint64(buf[0:8]))
@@ -405,12 +399,7 @@ func (a *Agent) evict(suspect common.NodeID, observedHB uint64, from common.Epoc
 	binary.LittleEndian.PutUint16(req[3:5], uint16(suspect))
 	binary.LittleEndian.PutUint64(req[5:13], observedHB)
 	binary.LittleEndian.PutUint64(req[13:21], uint64(from))
-	var resp []byte
-	err := common.Retry(a.retry, func() error {
-		var err error
-		resp, err = a.conn.Call(a.pmfs, Service, req)
-		return err
-	})
+	resp, err := a.conn.Call(a.pmfs, Service, req)
 	if err != nil || len(resp) < 9 {
 		return false, 0
 	}

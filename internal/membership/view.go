@@ -18,9 +18,10 @@ type RemoteView struct {
 }
 
 // NewRemoteView returns a view reading the membership region on the PMFS
-// endpoint reachable through conn.
+// endpoint reachable through conn. Its reads are single-shot: an unreachable
+// table already reads as the conservative answer.
 func NewRemoteView(conn rdma.Conn) *RemoteView {
-	return &RemoteView{conn: conn}
+	return &RemoteView{conn: conn.WithRetry(common.NoRetryPolicy())}
 }
 
 // Recovered mirrors Table.Recovered across the fabric: true once node's

@@ -14,7 +14,7 @@
 // fences the dead copy, CAS-advances the pmfs epoch exactly once, promotes
 // the most-advanced follower if the leader died, and re-seeds the survivors.
 // In-flight verbs during the failover window surface as typed-transient
-// errors absorbed by the existing common.Retry paths.
+// errors absorbed by the issuing Conns' retry.
 package pmfsrep
 
 import (

@@ -13,7 +13,7 @@ import (
 )
 
 // errFailover is the typed-transient error verbs see while a replica
-// failover holds the tier: common.Retry absorbs it like any other transient
+// failover holds the tier: the issuing Conn retries it like any other transient
 // fabric fault, so in-flight transactions ride out the promotion.
 var errFailover = fmt.Errorf("pmfsrep: replica failover in progress: %w", common.ErrUnreachable)
 
@@ -425,7 +425,7 @@ var _ rdma.Transport = (*Replicator)(nil)
 // KillReplica fail-stops replica id: the survivors fence it, CAS the pmfs
 // epoch forward exactly once, promote the most-advanced follower if the
 // leader died, and re-seed the remaining mirrors. Verbs arriving during the
-// window bounce with a typed-transient error (absorbed by common.Retry);
+// window bounce with a typed-transient error (the Conn's retry absorbs it);
 // verbs already in flight finish first — an acked op is on a quorum before
 // its issuer ever saw the ack, so nothing acked can be lost.
 func (r *Replicator) KillReplica(id int) error {

@@ -137,8 +137,7 @@ func TestStatsConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			r, w, a, p, _, _ := f.Stats().Snapshot()
-			if r < 0 || w < 0 || a < 0 || p < 0 {
+			if s := f.Stats().Snapshot(); s.Reads < 0 || s.Writes < 0 || s.Atomics < 0 || s.RPCs < 0 {
 				t.Error("negative counter in snapshot")
 				return
 			}
@@ -171,9 +170,8 @@ func TestStatsConcurrent(t *testing.T) {
 		_ = f.Write(1, "mem", 8, buf)
 		_, _ = f.Call(1, "echo", buf)
 	}
-	r, w, a, p, _, _ := f.Stats().Snapshot()
-	if r != n || w != n || a != 0 || p != n {
-		t.Fatalf("quiesced snapshot = (%d,%d,%d,%d), want (%d,%d,0,%d)", r, w, a, p, n, n, n)
+	if s := f.Stats().Snapshot(); s.Reads != n || s.Writes != n || s.Atomics != 0 || s.RPCs != n {
+		t.Fatalf("quiesced snapshot = %+v, want (%d,%d,0,%d)", s, n, n, n)
 	}
 }
 
@@ -210,7 +208,7 @@ func TestInjectorDirectives(t *testing.T) {
 	if err := f.Write64(1, "mem", 0, 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, w, _, _, _, _ := f.Stats().Snapshot(); w != 2 {
+	if w := f.Stats().Snapshot().Writes; w != 2 {
 		t.Fatalf("duplicated write counted %d times", w)
 	}
 	if v, _ := f.Read64(1, "mem", 0); v != 9 {

@@ -49,14 +49,44 @@ type Stats struct {
 	BytesWrite metrics.Counter
 }
 
-// Snapshot returns the current counter values. Vectored verbs (ReadV /
-// WriteV / CallBatch) count as ONE op in reads/writes/rpcs — the doorbell is
-// the unit the op-budget arguments are made in — while the byte counters
-// accumulate every segment.
-func (s *Stats) Snapshot() (reads, writes, atomics, rpcs, bytesRead, bytesWrite int64) {
-	return s.Reads.Load(), s.Writes.Load(), s.Atomics.Load(), s.RPCs.Load(),
-		s.BytesRead.Load(), s.BytesWrite.Load()
+// OpCounts is a fabric-operation footprint: a Stats snapshot, or the
+// difference of two. Vectored verbs (ReadV / WriteV / CallBatch) count as ONE
+// op in reads/writes/rpcs — the doorbell is the unit the op-budget arguments
+// are made in — while the byte counters accumulate every segment. The JSON
+// names are the stats surface's (ClusterStats "fabric", trace stage "ops").
+type OpCounts struct {
+	Reads      int64 `json:"reads"`
+	Writes     int64 `json:"writes"`
+	Atomics    int64 `json:"atomics"`
+	RPCs       int64 `json:"rpcs"`
+	BytesRead  int64 `json:"bytes_read"`
+	BytesWrite int64 `json:"bytes_write"`
 }
+
+// Snapshot returns the current counter values.
+func (s *Stats) Snapshot() OpCounts {
+	return OpCounts{s.Reads.Load(), s.Writes.Load(), s.Atomics.Load(), s.RPCs.Load(),
+		s.BytesRead.Load(), s.BytesWrite.Load()}
+}
+
+// Sub returns o - b, field by field.
+func (o OpCounts) Sub(b OpCounts) OpCounts {
+	return OpCounts{o.Reads - b.Reads, o.Writes - b.Writes, o.Atomics - b.Atomics,
+		o.RPCs - b.RPCs, o.BytesRead - b.BytesRead, o.BytesWrite - b.BytesWrite}
+}
+
+// Add accumulates b into o.
+func (o *OpCounts) Add(b OpCounts) {
+	o.Reads += b.Reads
+	o.Writes += b.Writes
+	o.Atomics += b.Atomics
+	o.RPCs += b.RPCs
+	o.BytesRead += b.BytesRead
+	o.BytesWrite += b.BytesWrite
+}
+
+// Total returns the verb count (ops, not bytes).
+func (o OpCounts) Total() int64 { return o.Reads + o.Writes + o.Atomics + o.RPCs }
 
 // Reset zeroes all counters.
 func (s *Stats) Reset() {
@@ -79,10 +109,13 @@ type Fabric struct {
 	mu        sync.RWMutex
 	endpoints map[common.NodeID]*Endpoint
 
-	// srcStats mirrors the fabric-wide counters per issuing node, so the
-	// tracer can attribute ops and bytes to the node that spent them.
-	srcMu    sync.Mutex
-	srcStats map[common.NodeID]*Stats
+	// sources holds what a Conn binds per issuing node: the mirror of the
+	// fabric-wide counters (so the tracer can attribute ops and bytes to the
+	// node that spent them) and the node's epoch stamp. retry is the policy
+	// every Conn starts with (zero value: common.DefaultRetryPolicy).
+	srcMu   sync.Mutex
+	sources map[common.NodeID]*source
+	retry   common.RetryPolicy
 
 	// local is the in-process transport (boxed once so the hot path never
 	// allocates); routes holds the optional remote routing table, nil in
@@ -101,6 +134,7 @@ func NewFabric(latency Latency) *Fabric {
 	f := &Fabric{
 		latency:   latency,
 		endpoints: make(map[common.NodeID]*Endpoint),
+		sources:   make(map[common.NodeID]*source),
 	}
 	f.local = &procTransport{f: f}
 	return f
@@ -109,6 +143,22 @@ func NewFabric(latency Latency) *Fabric {
 // Stats exposes the fabric's operation counters.
 func (f *Fabric) Stats() *Stats { return &f.stats }
 
+// source is one issuing node's per-fabric state.
+type source struct {
+	stats Stats
+	stamp *common.EpochStamp
+}
+
+// sourceLocked returns node's source, creating it; f.srcMu is held.
+func (f *Fabric) sourceLocked(node common.NodeID) *source {
+	s := f.sources[node]
+	if s == nil {
+		s = &source{}
+		f.sources[node] = s
+	}
+	return s
+}
+
 // SrcStats returns the per-source counters for ops issued as node. The
 // counters survive node crash/restart (they are cumulative per identity)
 // and are shared by every Conn bound to that source. Ops issued through the
@@ -116,15 +166,23 @@ func (f *Fabric) Stats() *Stats { return &f.stats }
 func (f *Fabric) SrcStats(node common.NodeID) *Stats {
 	f.srcMu.Lock()
 	defer f.srcMu.Unlock()
-	if f.srcStats == nil {
-		f.srcStats = make(map[common.NodeID]*Stats)
-	}
-	s := f.srcStats[node]
-	if s == nil {
-		s = &Stats{}
-		f.srcStats[node] = s
-	}
-	return s
+	return &f.sourceLocked(node).stats
+}
+
+// SetConnRetry sets the retry policy of every Conn a later From makes (until
+// then: common.DefaultRetryPolicy). A cluster process calls it once, first.
+func (f *Fabric) SetConnRetry(p common.RetryPolicy) {
+	f.srcMu.Lock()
+	f.retry = p
+	f.srcMu.Unlock()
+}
+
+// BindStamp makes every Conn a later From(node) returns append s's epoch —
+// the node's incarnation, which the fusion servers' gates check — to its RPCs.
+func (f *Fabric) BindStamp(node common.NodeID, s *common.EpochStamp) {
+	f.srcMu.Lock()
+	f.sourceLocked(node).stamp = s
+	f.srcMu.Unlock()
 }
 
 // SetInjector installs (or, with nil, removes) a fault injector consulted
@@ -154,92 +212,6 @@ func (f *Fabric) inject(class string, src, dst common.NodeID, name string, n int
 		return false, false, fmt.Errorf("rdma: %s %q @ node %d: %w", class, name, dst, d.Err)
 	}
 	return d.Duplicate, d.DropReply, nil
-}
-
-// Conn is a source-bound view of the fabric: the same verbs, but every op
-// carries the issuing node's identity so fault injection can model node↔node
-// partitions and slow links. Consumers that know their node should prefer a
-// Conn; the raw Fabric methods issue ops with an unbound (AnyNode) source.
-type Conn struct {
-	f   *Fabric
-	src common.NodeID
-	ss  *Stats // per-source mirror of the fabric counters
-	dl  common.Deadline
-}
-
-// From returns a Conn issuing ops as src.
-func (f *Fabric) From(src common.NodeID) Conn {
-	return Conn{f: f, src: src, ss: f.SrcStats(src)}
-}
-
-// Fabric returns the underlying fabric.
-func (c Conn) Fabric() *Fabric { return c.f }
-
-// WithDeadline returns a copy of the connection that refuses to issue NEW
-// verbs once dl expires, failing them with ErrDeadlineExceeded before they
-// reach the wire. Verbs already in flight are not interrupted (one-sided
-// RDMA has no cancel); the point is that a deadline-bounded caller stops
-// consuming fabric budget the moment its own budget is gone. Conn is a
-// value, so this is allocation-free and the base connection is unchanged.
-func (c Conn) WithDeadline(dl common.Deadline) Conn {
-	c.dl = dl
-	return c
-}
-
-// Read performs a one-sided read of len(dst) bytes from (node, region, off).
-func (c Conn) Read(node common.NodeID, region string, off int, dst []byte) error {
-	if err := c.dl.Err(); err != nil {
-		return err
-	}
-	return c.f.read(c.src, node, region, off, dst, c.ss)
-}
-
-// Write performs a one-sided write of src to (node, region, off).
-func (c Conn) Write(node common.NodeID, region string, off int, src []byte) error {
-	if err := c.dl.Err(); err != nil {
-		return err
-	}
-	return c.f.write(c.src, node, region, off, src, c.ss)
-}
-
-// Read64 reads an 8-byte little-endian word.
-func (c Conn) Read64(node common.NodeID, region string, off int) (uint64, error) {
-	var b [8]byte
-	if err := c.Read(node, region, off, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// Write64 writes an 8-byte little-endian word.
-func (c Conn) Write64(node common.NodeID, region string, off int, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return c.Write(node, region, off, b[:])
-}
-
-// CAS64 atomically compares-and-swaps the word at (node, region, off).
-func (c Conn) CAS64(node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
-	if err := c.dl.Err(); err != nil {
-		return 0, err
-	}
-	return c.f.cas64(c.src, node, region, off, old, new, c.ss)
-}
-
-// FetchAdd64 atomically adds delta to the word at (node, region, off).
-func (c Conn) FetchAdd64(node common.NodeID, region string, off int, delta uint64) (uint64, error) {
-	if err := c.dl.Err(); err != nil {
-		return 0, err
-	}
-	return c.f.fetchAdd64(c.src, node, region, off, delta, c.ss)
-}
-
-// Call invokes an RPC service method on node.
-func (c Conn) Call(node common.NodeID, service string, req []byte) ([]byte, error) {
-	if err := c.dl.Err(); err != nil {
-		return nil, err
-	}
-	return c.f.call(c.src, node, service, req, c.ss)
 }
 
 // Register creates (or revives) the endpoint for node. Registering an id

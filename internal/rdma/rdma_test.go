@@ -25,9 +25,8 @@ func TestOneSidedReadWrite(t *testing.T) {
 	if string(dst) != string(src) {
 		t.Fatalf("read back %q", dst)
 	}
-	r, w, _, _, _, _ := f.Stats().Snapshot()
-	if r != 1 || w != 1 {
-		t.Fatalf("stats reads=%d writes=%d", r, w)
+	if s := f.Stats().Snapshot(); s.Reads != 1 || s.Writes != 1 {
+		t.Fatalf("stats reads=%d writes=%d", s.Reads, s.Writes)
 	}
 }
 
@@ -162,9 +161,8 @@ func TestLocalAccess(t *testing.T) {
 		t.Fatalf("cas prev=%d err=%v", prev, err)
 	}
 	// Local access must not count as fabric traffic.
-	reads, writes, atomics, _, _, _ := f.Stats().Snapshot()
-	if reads+writes+atomics != 0 {
-		t.Fatalf("local ops counted as fabric traffic: %d/%d/%d", reads, writes, atomics)
+	if s := f.Stats().Snapshot(); s.Total() != 0 {
+		t.Fatalf("local ops counted as fabric traffic: %+v", s)
 	}
 }
 

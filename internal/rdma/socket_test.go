@@ -208,18 +208,15 @@ func TestSocketTransportStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Issuing fabric accounts globally and per-source, as in-process.
-	r, w, _, _, br, bw := fb.Stats().Snapshot()
-	if r != 1 || w != 1 || br != 16 || bw != 32 {
-		t.Fatalf("issuer fabric stats r=%d w=%d br=%d bw=%d", r, w, br, bw)
+	if s := fb.Stats().Snapshot(); s.Reads != 1 || s.Writes != 1 || s.BytesRead != 16 || s.BytesWrite != 32 {
+		t.Fatalf("issuer fabric stats %+v", s)
 	}
-	sr, sw, _, _, _, _ := fb.SrcStats(2).Snapshot()
-	if sr != 1 || sw != 1 {
-		t.Fatalf("per-source stats r=%d w=%d", sr, sw)
+	if s := fb.SrcStats(2).Snapshot(); s.Reads != 1 || s.Writes != 1 {
+		t.Fatalf("per-source stats %+v", s)
 	}
 	// The serving fabric accounts the executed verbs too (its own view).
-	ar, aw, _, _, _, _ := fa.Stats().Snapshot()
-	if ar != 1 || aw != 1 {
-		t.Fatalf("server fabric stats r=%d w=%d", ar, aw)
+	if s := fa.Stats().Snapshot(); s.Reads != 1 || s.Writes != 1 {
+		t.Fatalf("server fabric stats %+v", s)
 	}
 }
 
@@ -237,7 +234,7 @@ func TestSocketTransportInjectionAtIssuer(t *testing.T) {
 		}
 		return common.FaultDecision{}
 	})
-	conn := fb.From(2)
+	conn := fb.From(2).WithRetry(common.NoRetryPolicy())
 	err := conn.Read(1, "mem", 0, make([]byte, 8))
 	if !errors.Is(err, common.ErrInjected) {
 		t.Fatalf("issuer-side injection must fire before the wire: %v", err)

@@ -32,36 +32,6 @@ func segTotal(segs []Seg) int {
 	return n
 }
 
-// ReadV performs a doorbell-batched one-sided read of every segment from
-// (node, region). Empty batches are no-ops; a single-segment batch is
-// equivalent to Read.
-func (c Conn) ReadV(node common.NodeID, region string, segs []Seg) error {
-	if err := c.dl.Err(); err != nil {
-		return err
-	}
-	return c.f.readV(c.src, node, region, segs, c.ss)
-}
-
-// WriteV performs a doorbell-batched one-sided write of every segment to
-// (node, region).
-func (c Conn) WriteV(node common.NodeID, region string, segs []Seg) error {
-	if err := c.dl.Err(); err != nil {
-		return err
-	}
-	return c.f.writeV(c.src, node, region, segs, c.ss)
-}
-
-// CallBatch invokes service once per request in a single fabric round trip
-// (the RPC analogue of a doorbell chain). On success resp[i] answers
-// reqs[i]. A mid-batch handler error fails the whole call; callers must
-// treat the batch as one idempotent unit and retry it whole.
-func (c Conn) CallBatch(node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
-	if err := c.dl.Err(); err != nil {
-		return nil, err
-	}
-	return c.f.callBatch(c.src, node, service, reqs, c.ss)
-}
-
 // ReadV is the unbound-source form of Conn.ReadV.
 func (f *Fabric) ReadV(node common.NodeID, region string, segs []Seg) error {
 	return f.readV(common.AnyNode, node, region, segs, nil)

@@ -272,10 +272,11 @@ type Remote struct {
 
 // NewRemote returns a remote store speaking through conn (a satellite's
 // source-bound fabric conn; the service lives on the PMFS endpoint reached
-// via the conn's default route).
+// via the conn's default route). Storage requests are never epoch-stamped,
+// and the conn's own retry is off: call runs the uplink policy itself.
 func NewRemote(conn rdma.Conn) *Remote {
 	return &Remote{
-		conn: conn,
+		conn: conn.WithRetry(common.NoRetryPolicy()).WithStamp(nil),
 		// The uplink policy is much heavier than the fabric default: storage
 		// has almost no error paths, so riding out an outage beats surfacing
 		// a failure the engine cannot express. The budget (~12s of backoff)
@@ -319,7 +320,8 @@ func (r *Remote) stream(node common.NodeID) *remoteStream {
 }
 
 // call performs one storage RPC with transient-fault retries and decodes the
-// status header.
+// status header. The loop is ours, around a single-shot conn, because it runs
+// the uplink policy and a status decoded inside an attempt can be transient.
 func (r *Remote) call(req []byte) ([]byte, error) {
 	var result []byte
 	err := common.Retry(r.rp, func() error {

@@ -28,7 +28,6 @@ package trace
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"polardbmp/internal/common"
@@ -131,37 +130,8 @@ func (s Stage) String() string {
 // StageNames returns the full stage taxonomy in declaration order.
 func StageNames() []string { return append([]string(nil), stageNames[:]...) }
 
-// OpCounts is a fabric-operation footprint: verbs and bytes, matching the
-// rdma.Stats counters (vectored verbs count one op per doorbell).
-type OpCounts struct {
-	Reads      int64 `json:"reads"`
-	Writes     int64 `json:"writes"`
-	Atomics    int64 `json:"atomics"`
-	RPCs       int64 `json:"rpcs"`
-	BytesRead  int64 `json:"bytes_read"`
-	BytesWrite int64 `json:"bytes_write"`
-}
-
-func (o OpCounts) sub(b OpCounts) OpCounts {
-	return OpCounts{
-		Reads: o.Reads - b.Reads, Writes: o.Writes - b.Writes,
-		Atomics: o.Atomics - b.Atomics, RPCs: o.RPCs - b.RPCs,
-		BytesRead: o.BytesRead - b.BytesRead, BytesWrite: o.BytesWrite - b.BytesWrite,
-	}
-}
-
-// Add accumulates b into o.
-func (o *OpCounts) Add(b OpCounts) {
-	o.Reads += b.Reads
-	o.Writes += b.Writes
-	o.Atomics += b.Atomics
-	o.RPCs += b.RPCs
-	o.BytesRead += b.BytesRead
-	o.BytesWrite += b.BytesWrite
-}
-
-// Total returns the verb count (ops, not bytes).
-func (o OpCounts) Total() int64 { return o.Reads + o.Writes + o.Atomics + o.RPCs }
+// OpCounts is a fabric-operation footprint: the rdma.Stats snapshot type.
+type OpCounts = rdma.OpCounts
 
 // Config tunes a node's tracer. The zero value gives the defaults.
 type Config struct {
@@ -188,7 +158,7 @@ func (c *Config) fill() {
 // the fabric ops attributed to the stage.
 type stageAgg struct {
 	hist metrics.Histogram
-	ops  [6]atomic.Int64 // reads, writes, atomics, rpcs, bytesR, bytesW
+	ops  rdma.Stats
 }
 
 // Tracer is one node's span collector. A nil *Tracer is the valid disabled
@@ -253,8 +223,7 @@ func (t *Tracer) snapOps() OpCounts {
 	if t.fabric == nil {
 		return OpCounts{}
 	}
-	r, w, a, p, br, bw := t.fabric.Snapshot()
-	return OpCounts{Reads: r, Writes: w, Atomics: a, RPCs: p, BytesRead: br, BytesWrite: bw}
+	return t.fabric.Snapshot()
 }
 
 // Start opens a stage measurement. On a nil tracer it returns the inert
@@ -273,7 +242,7 @@ func (t *Tracer) Observe(stage Stage, tok Token) {
 	if t == nil || !tok.valid {
 		return
 	}
-	t.observe(stage, time.Since(tok.start), t.snapOps().sub(tok.ops))
+	t.observe(stage, time.Since(tok.start), t.snapOps().Sub(tok.ops))
 }
 
 // ObserveStage folds one externally measured duration into a stage's node
@@ -290,12 +259,12 @@ func (t *Tracer) ObserveStage(stage Stage, d time.Duration) {
 func (t *Tracer) observe(stage Stage, d time.Duration, ops OpCounts) {
 	agg := &t.stages[stage]
 	agg.hist.Observe(d)
-	agg.ops[0].Add(ops.Reads)
-	agg.ops[1].Add(ops.Writes)
-	agg.ops[2].Add(ops.Atomics)
-	agg.ops[3].Add(ops.RPCs)
-	agg.ops[4].Add(ops.BytesRead)
-	agg.ops[5].Add(ops.BytesWrite)
+	agg.ops.Reads.Add(ops.Reads)
+	agg.ops.Writes.Add(ops.Writes)
+	agg.ops.Atomics.Add(ops.Atomics)
+	agg.ops.RPCs.Add(ops.RPCs)
+	agg.ops.BytesRead.Add(ops.BytesRead)
+	agg.ops.BytesWrite.Add(ops.BytesWrite)
 }
 
 // --- per-transaction traces -------------------------------------------------
@@ -364,7 +333,7 @@ func (tt *TxTrace) Observe(stage Stage, tok Token) {
 		return
 	}
 	d := time.Since(tok.start)
-	tt.tr.observe(stage, d, tt.tr.snapOps().sub(tok.ops))
+	tt.tr.observe(stage, d, tt.tr.snapOps().Sub(tok.ops))
 	tt.addSpan(stage, tok, d)
 }
 
@@ -377,7 +346,7 @@ func (tt *TxTrace) addSpan(stage Stage, tok Token, d time.Duration) {
 		Stage: stage,
 		Start: tok.start.Sub(tt.Begin),
 		Dur:   d,
-		Ops:   tt.tr.snapOps().sub(tok.ops),
+		Ops:   tt.tr.snapOps().Sub(tok.ops),
 	})
 }
 
@@ -446,11 +415,7 @@ func (t *Tracer) Dump() *StagesDump {
 	for i := range t.stages {
 		agg := &t.stages[i]
 		d.Stages[i].Hist.Merge(&agg.hist)
-		d.Stages[i].Ops = OpCounts{
-			Reads: agg.ops[0].Load(), Writes: agg.ops[1].Load(),
-			Atomics: agg.ops[2].Load(), RPCs: agg.ops[3].Load(),
-			BytesRead: agg.ops[4].Load(), BytesWrite: agg.ops[5].Load(),
-		}
+		d.Stages[i].Ops = agg.ops.Snapshot()
 	}
 	return &d
 }

@@ -225,8 +225,6 @@ type Client struct {
 	fabric rdma.Conn
 	tit    *rdma.Region
 	cfg    Config
-	retry  common.RetryPolicy
-	stamp  *common.EpochStamp
 
 	mu      sync.Mutex
 	free    []uint32 // free slot ids
@@ -284,7 +282,6 @@ func NewClient(ep *rdma.Endpoint, fabric *rdma.Fabric, cfg Config) *Client {
 		fabric:   fabric.From(ep.Node()),
 		tit:      ep.RegisterRegion(RegionTIT, headerSize+cfg.TITSlots*SlotSize),
 		cfg:      cfg,
-		retry:    common.DefaultRetryPolicy(),
 		inUse:    make(map[uint32]common.TrxID),
 		views:    make(map[common.CSN]int),
 		lastGMV:  common.CSNMin,
@@ -301,14 +298,6 @@ func NewClient(ep *rdma.Endpoint, fabric *rdma.Fabric, cfg Config) *Client {
 
 // Node returns the owning node id.
 func (c *Client) Node() common.NodeID { return c.node }
-
-// SetRetryPolicy overrides the transient-fault retry policy for the
-// client's one-sided and RPC paths (chaos ablations disable it).
-func (c *Client) SetRetryPolicy(p common.RetryPolicy) { c.retry = p }
-
-// SetEpochStamp makes the client stamp its min-view reports with the node's
-// incarnation epoch so PMFS can fence evicted incarnations.
-func (c *Client) SetEpochStamp(s *common.EpochStamp) { c.stamp = s }
 
 // SetTracer attaches the node's commit-path tracer (nil disables). TSO
 // allocations are observed as StageTSOSolo or StageTSOGroup by whether the
@@ -572,16 +561,14 @@ func (c *Client) GetTrxCTS(g common.GTrxID) (common.CSN, error) {
 	// One-sided RDMA read of the remote slot (Algorithm 1 line 11), with the
 	// owner's header (recovery fence + recycle floor) riding the same
 	// doorbell batch: the mismatch rule needs the fence anyway, and the
-	// floor refreshes the speculative cache for free. Transient fabric
-	// faults are retried: the read chain is idempotent.
+	// floor refreshes the speculative cache for free. The read chain is
+	// idempotent, so the Conn retries it.
 	var hdr [headerSize]byte
 	segs := []rdma.Seg{
 		{Off: hdrFence, Buf: hdr[:]},
 		{Off: slotOff(g.Slot), Buf: buf[:]},
 	}
-	if err := common.Retry(c.retry, func() error {
-		return c.fabric.ReadV(g.Node, RegionTIT, segs)
-	}); err != nil {
+	if err := c.fabric.ReadV(g.Node, RegionTIT, segs); err != nil {
 		return 0, err
 	}
 	fenced := binary.LittleEndian.Uint64(hdr[hdrFence:]) == 1
@@ -664,9 +651,7 @@ func (c *Client) GetTrxCTSBatch(gs []common.GTrxID) map[common.GTrxID]common.CSN
 			segs = append(segs, rdma.Seg{Off: slotOff(g.Slot), Buf: bufs[i*SlotSize : (i+1)*SlotSize]})
 		}
 		// Idempotent one-sided read chain: retried whole on transient faults.
-		if err := common.Retry(c.retry, func() error {
-			return c.fabric.ReadV(node, RegionTIT, segs)
-		}); err != nil {
+		if err := c.fabric.ReadV(node, RegionTIT, segs); err != nil {
 			continue
 		}
 		fenced := binary.LittleEndian.Uint64(hdr[hdrFence:]) == 1
@@ -709,11 +694,7 @@ func (c *Client) readFence(node common.NodeID) (bool, error) {
 		v, err := c.tit.LocalRead64(hdrFence)
 		return v == 1, err
 	}
-	var v uint64
-	err := common.Retry(c.retry, func() (e error) {
-		v, e = c.fabric.Read64(node, RegionTIT, hdrFence)
-		return e
-	})
+	v, err := c.fabric.Read64(node, RegionTIT, hdrFence)
 	return v == 1, err
 }
 
@@ -759,9 +740,7 @@ func (c *Client) SetRefFlag(g common.GTrxID) (bool, error) {
 		return true, nil
 	}
 	var buf [SlotSize]byte
-	if err := common.Retry(c.retry, func() error {
-		return c.fabric.Read(g.Node, RegionTIT, off, buf[:])
-	}); err != nil {
+	if err := c.fabric.Read(g.Node, RegionTIT, off, buf[:]); err != nil {
 		return false, err
 	}
 	s := decodeSlot(buf[:])
@@ -770,10 +749,7 @@ func (c *Client) SetRefFlag(g common.GTrxID) (bool, error) {
 	}
 	// The 0->1 CAS is idempotent, so a retried attempt that already landed
 	// just observes ref=1 and reports success.
-	if err := common.Retry(c.retry, func() error {
-		_, e := c.fabric.CAS64(g.Node, RegionTIT, off+slotRef, 0, 1)
-		return e
-	}); err != nil {
+	if _, err := c.fabric.CAS64(g.Node, RegionTIT, off+slotRef, 0, 1); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -819,11 +795,7 @@ func (c *Client) NextCommitCSNEx() (common.CSN, bool, error) {
 	if !c.tsoLeader && len(c.tsoWaiters) == 0 && c.tsoSolos < tsoSoloLimit {
 		c.tsoSolos++
 		c.tsoMu.Unlock()
-		var prev uint64
-		err := common.Retry(c.retry, func() (e error) {
-			prev, e = c.fabric.FetchAdd64(common.PMFSNode, RegionTSO, 0, 1)
-			return e
-		})
+		prev, err := c.fabric.FetchAdd64(common.PMFSNode, RegionTSO, 0, 1)
 		c.tsoMu.Lock()
 		c.tsoSolos--
 		c.tsoMu.Unlock()
@@ -860,11 +832,7 @@ func (c *Client) NextCommitCSNEx() (common.CSN, bool, error) {
 		// they run), so retrying cannot double-advance the oracle; and even
 		// if it did, timestamps only need to be unique and monotonic, not
 		// dense.
-		var prev uint64
-		err := common.Retry(c.retry, func() (e error) {
-			prev, e = c.fabric.FetchAdd64(common.PMFSNode, RegionTSO, 0, uint64(len(batch)))
-			return e
-		})
+		prev, err := c.fabric.FetchAdd64(common.PMFSNode, RegionTSO, 0, uint64(len(batch)))
 		if err == nil {
 			c.noteTS(common.CSN(prev + uint64(len(batch))))
 		}
@@ -909,11 +877,7 @@ func (c *Client) CurrentReadCSN() (common.CSN, error) {
 		}
 		c.tsMu.Unlock()
 	}
-	var v uint64
-	err := common.Retry(c.retry, func() (e error) {
-		v, e = c.fabric.Read64(common.PMFSNode, RegionTSO, 0)
-		return e
-	})
+	v, err := c.fabric.Read64(common.PMFSNode, RegionTSO, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -992,14 +956,9 @@ func (c *Client) ReportMinView() (common.CSN, error) {
 	req[0] = opReportMinView
 	binary.LittleEndian.PutUint16(req[1:], uint16(c.node))
 	binary.LittleEndian.PutUint64(req[3:], uint64(c.MinLocalView()))
-	req = c.stamp.Stamp(req)
 	// Min-view reports are idempotent (the server folds an absolute value),
 	// so lost responses are safely retried.
-	var resp []byte
-	err := common.Retry(c.retry, func() (e error) {
-		resp, e = c.fabric.Call(common.PMFSNode, ServiceTxF, req)
-		return e
-	})
+	resp, err := c.fabric.Call(common.PMFSNode, ServiceTxF, req)
 	if err != nil {
 		return 0, err
 	}

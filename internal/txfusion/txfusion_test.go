@@ -246,15 +246,13 @@ func TestIdleMinViewReportIsOneOp(t *testing.T) {
 		t.Fatalf("fresh client's view bound = %d, want none", b)
 	}
 	ss := cs[0].fabric.Fabric().SrcStats(cs[0].Node())
-	r0, w0, a0, rpc0, _, _ := ss.Snapshot()
+	ops0 := ss.Snapshot()
 	gmv, err := cs[0].ReportMinView()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, w1, a1, rpc1, _, _ := ss.Snapshot()
-	if r1 != r0 || w1 != w0 || a1 != a0 || rpc1 != rpc0+1 {
-		t.Fatalf("idle report cost reads=%d writes=%d atomics=%d rpcs=%d, want exactly one RPC",
-			r1-r0, w1-w0, a1-a0, rpc1-rpc0)
+	if d := ss.Snapshot().Sub(ops0); d.Total() != 1 || d.RPCs != 1 {
+		t.Fatalf("idle report cost %+v, want exactly one RPC", d)
 	}
 	if gmv != tso {
 		t.Fatalf("gmv = %d with both nodes idle, want the TSO value %d", gmv, tso)
@@ -363,14 +361,14 @@ func TestGetTrxCTSCache(t *testing.T) {
 	if _, err := c2.GetTrxCTS(g); err != nil {
 		t.Fatal(err)
 	}
-	before, _, _, _, _, _ := fabric.Stats().Snapshot()
+	before := fabric.Stats().Snapshot().Reads
 	for i := 0; i < 10; i++ {
 		cts, err := c2.GetTrxCTS(g)
 		if err != nil || cts != 33 {
 			t.Fatalf("cts=%d err=%v", cts, err)
 		}
 	}
-	after, _, _, _, _, _ := fabric.Stats().Snapshot()
+	after := fabric.Stats().Snapshot().Reads
 	if after != before {
 		t.Fatalf("cached lookups still issued %d fabric reads", after-before)
 	}
