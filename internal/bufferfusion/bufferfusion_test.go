@@ -1,6 +1,7 @@
 package bufferfusion
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -33,6 +34,7 @@ func newBFCluster(t testing.TB, nodes, dbpFrames, lbpFrames int) *bfCluster {
 func makePage(id common.PageID, val string) *page.Page {
 	p := page.New(id, 1, page.TypeLeaf)
 	p.InsertVersion([]byte("k"), page.Version{Value: []byte(val)})
+	p.LLSN = 1
 	return p
 }
 
@@ -81,44 +83,79 @@ func TestGetFromStorageAndDBPRegistration(t *testing.T) {
 	}
 }
 
-func TestPushInvalidatesPeers(t *testing.T) {
-	c := newBFCluster(t, 2, 16, 16)
-	storePage(t, c.store, makePage(1, "v0"))
+// headValue reads key k's newest value from a cached frame.
+func headValue(f *Frame) string { return string(f.Pg.Find([]byte("k")).Head().Value) }
 
-	// Both nodes cache the page.
-	f1, _ := c.lbp[0].Get(1)
-	f2, _ := c.lbp[1].Get(1)
-	c.lbp[1].Unpin(f2)
-
-	// Node 1 modifies and pushes (engine would hold the X PLock here).
-	f1.Mu.Lock()
-	f1.Pg.InsertVersion([]byte("k"), page.Version{Value: []byte("v1")})
-	f1.Pg.LLSN = 2
-	f1.Dirty = true
-	if err := c.lbp[0].Push(f1); err != nil {
-		t.Fatal(err)
-	}
-	f1.Mu.Unlock()
-	c.lbp[0].Unpin(f1)
-
-	// Node 2's next Get must observe the invalidation and refresh.
-	f2b, err := c.lbp[1].Get(1)
+// writePage has client c change page pg to val at LLSN llsn and push it, as
+// an X holder does before its lock leaves the node.
+func writePage(t testing.TB, c *Client, pg common.PageID, val string, llsn common.LLSN) {
+	t.Helper()
+	f, err := c.Get(pg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := string(f2b.Pg.Find([]byte("k")).Head().Value); got != "v1" {
-		t.Fatalf("node 2 sees %q after push, want v1", got)
+	f.Mu.Lock()
+	f.Pg.InsertVersion([]byte("k"), page.Version{Value: []byte(val)})
+	f.Pg.LLSN = llsn
+	f.Dirty = true
+	err = c.Push(f)
+	f.Mu.Unlock()
+	c.Unpin(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.lbp[1].Unpin(f2b)
+}
+
+// getValue reads key k of page pg through client c.
+func getValue(t testing.TB, c *Client, pg common.PageID) string {
+	t.Helper()
+	f, err := c.Get(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Unpin(f)
+	return headValue(f)
+}
+
+// TestGrantRefreshesStaleCopy: a push changes nothing on a peer; the peer's
+// next grant names the pushed LLSN, and its copy refreshes from the DBP frame
+// it already knows, without a lookup or a storage read.
+func TestGrantRefreshesStaleCopy(t *testing.T) {
+	c := newBFCluster(t, 2, 16, 16)
+	storePage(t, c.store, makePage(1, "v0"))
+	if getValue(t, c.lbp[1], 1) != "v0" {
+		t.Fatal("node 2 first read")
+	}
+	writePage(t, c.lbp[0], 1, "v1", 2)
+
+	// Node 2's lock never left it: no other node can have written, so the
+	// copy is served as it is.
+	if got := getValue(t, c.lbp[1], 1); got != "v0" {
+		t.Fatalf("node 2 reads %q with no grant in between, want its copy v0", got)
+	}
+	// A grant naming a version the copy has already reached changes nothing.
+	c.lbp[1].Granted(1, 1)
+	if got := getValue(t, c.lbp[1], 1); got != "v0" || c.lbp[1].Refreshes.Load() != 0 {
+		t.Fatalf("node 2 reads %q after a grant at its own version (refreshes %d)", got, c.lbp[1].Refreshes.Load())
+	}
+
+	lookups := c.srv.Hits.Load() + c.srv.Misses.Load()
+	c.lbp[1].Granted(1, 2)
+	if got := getValue(t, c.lbp[1], 1); got != "v1" {
+		t.Fatalf("node 2 sees %q after a grant at LLSN 2, want v1", got)
+	}
 	if c.lbp[1].Refreshes.Load() != 1 {
 		t.Fatalf("refreshes = %d", c.lbp[1].Refreshes.Load())
 	}
-	if c.srv.Invalidations.Load() != 1 {
-		t.Fatalf("invalidations = %d", c.srv.Invalidations.Load())
+	if got := c.srv.Hits.Load() + c.srv.Misses.Load(); got != lookups {
+		t.Fatalf("the refresh looked the page up (%d lookups, want %d): its DBP frame still held it", got, lookups)
 	}
 	// Storage was never touched by the transfer.
 	if c.store.Stats().PageWrites.Load() != 1 { // only the initial storePage
 		t.Fatalf("page writes = %d", c.store.Stats().PageWrites.Load())
+	}
+	if llsn, ok := c.lbp[1].PageLLSN(1); !ok || llsn != 2 {
+		t.Fatalf("node 2 PageLLSN = %d, %v; want 2", llsn, ok)
 	}
 }
 
@@ -179,35 +216,103 @@ func TestDBPEvictionFlushesToStorage(t *testing.T) {
 	}
 }
 
-func TestDroppedFlagFullRefetch(t *testing.T) {
-	c := newBFCluster(t, 1, 2, 16)
-	// Cache page 1, then flood the DBP so page 1 is evicted (dropped).
+// TestGrantAfterDBPEvictionRefetches: a peer pushes a new version, the DBP
+// evicts the page to storage and hands its frame to another page. A grant
+// naming the new version finds the copy's old frame holding the wrong page
+// and fetches afresh from storage.
+func TestGrantAfterDBPEvictionRefetches(t *testing.T) {
+	c := newBFCluster(t, 2, 2, 16)
 	storePage(t, c.store, makePage(1, "v0"))
-	f, _ := c.lbp[0].Get(1)
-	c.lbp[0].Unpin(f)
+	if getValue(t, c.lbp[1], 1) != "v0" {
+		t.Fatal("node 2 first read")
+	}
+	writePage(t, c.lbp[0], 1, "v1", 2)
 	for i := 2; i <= 5; i++ {
-		p := makePage(common.PageID(i), "x")
-		nf, err := c.lbp[0].NewPage(p)
+		nf, err := c.lbp[0].NewPage(makePage(common.PageID(i), "x"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		nf.Mu.Lock()
-		c.lbp[0].Push(nf)
+		err = c.lbp[0].Push(nf)
 		nf.Mu.Unlock()
 		c.lbp[0].Unpin(nf)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c.srv.Contains(1) {
-		t.Skip("page 1 survived eviction; LRU kept it")
+		t.Fatal("page 1 survived a flood of a 2-frame DBP")
 	}
-	// Access after drop: full re-fetch (from storage) must succeed.
-	f2, err := c.lbp[0].Get(1)
-	if err != nil {
-		t.Fatal(err)
+	reads := c.lbp[1].StorageReads.Load()
+	c.lbp[1].Granted(1, 2)
+	if got := getValue(t, c.lbp[1], 1); got != "v1" {
+		t.Fatalf("node 2 refetched %q, want v1", got)
 	}
-	if string(f2.Pg.Find([]byte("k")).Head().Value) != "v0" {
-		t.Fatal("refetched wrong content")
+	if c.lbp[1].StorageReads.Load() != reads+1 {
+		t.Fatalf("storage reads %d, want %d", c.lbp[1].StorageReads.Load(), reads+1)
 	}
-	c.lbp[0].Unpin(f2)
+}
+
+// TestLBPOverflowIsLegal is ROADMAP 4(e): two getters on one node share a
+// 2-frame LBP. Eviction drops the LBP mutex while it pushes a dirty victim,
+// so both may be making room at once; neither may overfill the pool or
+// install a second frame for one page. A getter whose victims keep being
+// re-pinned is shed with ErrOverloaded, the class a transaction retries.
+func TestLBPOverflowIsLegal(t *testing.T) {
+	c := newBFCluster(t, 1, 64, 2)
+	const pages = 8
+	for i := 1; i <= pages; i++ {
+		storePage(t, c.store, makePage(common.PageID(i), "v"))
+	}
+	lbp := c.lbp[0]
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func(g int) {
+			for i := 0; i < 400; i++ {
+				pg := common.PageID((i*(g+3))%pages + 1)
+				f, err := lbp.Get(pg)
+				if errors.Is(err, common.ErrOverloaded) {
+					continue
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				f.Mu.Lock()
+				f.Dirty = true // the next eviction of this frame pushes it
+				f.Mu.Unlock()
+				lbp.Unpin(f)
+				if n := lbp.Len(); n > 2 {
+					errs <- fmt.Errorf("LBP holds %d frames with capacity 2", n)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLBPAllPinnedIsOverload: a full LBP whose every frame is pinned sheds
+// the getter with ErrOverloaded, the retryable class a transaction backs off
+// on, instead of failing it with a bare error string.
+func TestLBPAllPinnedIsOverload(t *testing.T) {
+	c := newBFCluster(t, 1, 64, 2)
+	for i := 1; i <= 3; i++ {
+		storePage(t, c.store, makePage(common.PageID(i), "v"))
+	}
+	for i := 1; i <= 2; i++ {
+		if _, err := c.lbp[0].Get(common.PageID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.lbp[0].Get(3); !errors.Is(err, common.ErrOverloaded) {
+		t.Fatalf("get with every frame pinned: %v, want ErrOverloaded", err)
+	}
 }
 
 func TestLBPEvictionPushesDirty(t *testing.T) {
@@ -321,7 +426,7 @@ func newStorageModeCluster(t testing.TB, nodes int) *bfCluster {
 	t.Helper()
 	fabric := rdma.NewFabric(rdma.Latency{})
 	store := storage.New(storage.Latency{})
-	srv := NewServerMode(fabric.Register(common.PMFSNode), fabric, store, 16, true)
+	srv := NewServer(fabric.Register(common.PMFSNode), fabric, store, 16)
 	c := &bfCluster{fabric: fabric, store: store, srv: srv}
 	for i := 0; i < nodes; i++ {
 		ep := fabric.Register(common.NodeID(i + 1))
@@ -368,33 +473,19 @@ func TestStorageModePushGoesToStorage(t *testing.T) {
 	}
 }
 
-func TestStorageModeInvalidationStillWorks(t *testing.T) {
+// TestStorageModeGrantRefreshes: in storage mode a stale copy has no DBP
+// frame to re-read; the grant's LLSN sends it to storage.
+func TestStorageModeGrantRefreshes(t *testing.T) {
 	c := newStorageModeCluster(t, 2)
 	storePage(t, c.store, makePage(1, "v0"))
-	f1, _ := c.lbp[0].Get(1)
-	c.lbp[0].Unpin(f1)
-	f2, _ := c.lbp[1].Get(1)
-	c.lbp[1].Unpin(f2)
-
-	// Node 1 updates and pushes through storage; node 2's copy must be
-	// invalidated and refreshed on next access.
-	f1b, _ := c.lbp[0].Get(1)
-	f1b.Mu.Lock()
-	f1b.Pg.InsertVersion([]byte("k"), page.Version{Value: []byte("v1")})
-	f1b.Pg.LLSN = 5
-	f1b.Dirty = true
-	if err := c.lbp[0].Push(f1b); err != nil {
-		t.Fatal(err)
+	if getValue(t, c.lbp[1], 1) != "v0" {
+		t.Fatal("node 2 first read")
 	}
-	f1b.Mu.Unlock()
-	c.lbp[0].Unpin(f1b)
-
-	f2b, err := c.lbp[1].Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(f2b.Pg.Find([]byte("k")).Head().Value); got != "v1" {
+	// Node 1 updates and pushes through storage; node 2's next grant names
+	// the new version.
+	writePage(t, c.lbp[0], 1, "v1", 5)
+	c.lbp[1].Granted(1, 5)
+	if got := getValue(t, c.lbp[1], 1); got != "v1" {
 		t.Fatalf("node 2 sees %q after storage-mode push", got)
 	}
-	c.lbp[1].Unpin(f2b)
 }

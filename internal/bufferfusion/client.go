@@ -28,8 +28,8 @@ import (
 type ForceLogFunc func(upTo common.LSN)
 
 // Frame is one LBP slot: the decoded page, its coherence metadata (the
-// valid flag lives in the node's RegionInval at index idx; r_addr is the
-// page's DBP frame), and the local latch used by the engine.
+// version the last PLock grant requires, and r_addr, the page's DBP frame),
+// and the local latch used by the engine.
 type Frame struct {
 	// Mu is the node-local page latch (intra-node concurrency; PLocks
 	// handle inter-node access).
@@ -47,10 +47,14 @@ type Frame struct {
 	FlushLSN common.LSN
 
 	id       common.PageID
-	idx      uint32 // invalid-flag index in RegionInval
-	dbpFrame int    // r_addr: the page's DBP frame; -1 if unknown
+	dbpFrame int // r_addr: the page's DBP frame; -1 if unknown
 	pins     int
 	lruEl    *list.Element
+	// want is the LLSN the page's last PLock grant carried, until the copy
+	// is seen to have reached it (then 0): a copy below it is stale and
+	// refreshes before the next Get returns it. It is the copy's only
+	// validity state.
+	want atomic.Uint64
 
 	// loading is closed once the initial fetch completes; loadErr is
 	// valid after that (the channel close is the happens-before edge).
@@ -65,7 +69,6 @@ func (f *Frame) ID() common.PageID { return f.id }
 type Client struct {
 	node        common.NodeID
 	fabric      rdma.Conn
-	inval       *rdma.Region
 	store       storage.API
 	capacity    int
 	forceLog    ForceLogFunc
@@ -95,8 +98,7 @@ type Client struct {
 	HedgeWins   metrics.Counter
 }
 
-// NewClient creates the node's LBP with the given frame capacity and
-// registers its invalid-flag region.
+// NewClient creates the node's LBP with the given frame capacity.
 func NewClient(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, capacity int) *Client {
 	if capacity <= 0 {
 		capacity = 1024
@@ -104,7 +106,6 @@ func NewClient(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, capaci
 	c := &Client{
 		node:     ep.Node(),
 		fabric:   fabric.From(ep.Node()),
-		inval:    ep.RegisterRegion(RegionInval, capacity*8),
 		store:    store,
 		capacity: capacity,
 		frames:   make(map[common.PageID]*Frame),
@@ -187,14 +188,15 @@ const (
 )
 
 // SetStorageMode switches the client to the log-ship baseline's page-sync
-// path: pushes write page images to shared storage, fetches read them back
-// (plus a log-read charge standing in for the replay Taurus-MM performs).
+// path (Taurus-MM, §2.3): pushes write page images to shared storage,
+// fetches read them back (plus a log-read charge standing in for the replay
+// Taurus-MM performs), and the DBP is not used.
 func (c *Client) SetStorageMode(on bool) { c.storageMode = on }
 
 // Get returns the frame for pg, pinned. The caller must Unpin it. The
-// caller must already hold the page's PLock in a covering mode: PLock
-// ordering is what makes the valid-flag check race-free (a writer cannot
-// push a new version while we hold S).
+// caller must already hold the page's PLock in a covering mode: the grant
+// that brought the lock is what validated the cached copy, and no other node
+// can write the page while the lock is held.
 func (c *Client) Get(pg common.PageID) (*Frame, error) {
 	f, _, err := c.GetDeadlineEx(pg, common.Deadline{})
 	return f, err
@@ -216,6 +218,14 @@ func (c *Client) GetDeadlineEx(pg common.PageID, dl common.Deadline) (*Frame, Fe
 	tok := c.tr.Start()
 	c.mu.Lock()
 	f := c.frames[pg]
+	if f == nil {
+		if err := c.makeRoomLocked(); err != nil {
+			c.mu.Unlock()
+			return nil, FetchHit, err
+		}
+		// Eviction drops c.mu: a concurrent getter may have installed pg.
+		f = c.frames[pg]
+	}
 	if f != nil {
 		f.pins++
 		c.lru.MoveToBack(f.lruEl)
@@ -225,7 +235,7 @@ func (c *Client) GetDeadlineEx(pg common.PageID, dl common.Deadline) (*Frame, Fe
 			c.Unpin(f)
 			return nil, FetchHit, f.loadErr
 		}
-		if err := c.ensureValid(f); err != nil {
+		if err := c.ensureValid(f, dl); err != nil {
 			c.Unpin(f)
 			return nil, FetchHit, err
 		}
@@ -237,25 +247,12 @@ func (c *Client) GetDeadlineEx(pg common.PageID, dl common.Deadline) (*Frame, Fe
 	// Install a placeholder so concurrent getters of the same page wait
 	// on one fetch instead of stampeding, and release c.mu across the
 	// fetch I/O.
-	if len(c.frames) >= c.capacity {
-		if err := c.evictOneLocked(); err != nil {
-			c.mu.Unlock()
-			return nil, FetchHit, err
-		}
-	}
-	f = &Frame{id: pg, idx: c.freeIdxLocked(), dbpFrame: -1, pins: 1, loading: make(chan struct{})}
+	f = &Frame{id: pg, dbpFrame: -1, pins: 1, loading: make(chan struct{})}
 	f.lruEl = c.lru.PushBack(f)
 	c.frames[pg] = f
 	c.mu.Unlock()
 
-	// Mark valid before registering as a copy holder so no invalidation
-	// window is lost (the PLock held by our caller excludes real writers
-	// anyway; only DBP eviction races this, and the ID check below
-	// handles it).
-	if err := c.inval.LocalWrite64(int(f.idx)*8, flagValid); err != nil {
-		return nil, FetchHit, c.failLoad(f, err)
-	}
-	p, dbpFrame, kind, err := c.fetch(pg, f.idx, dl)
+	p, dbpFrame, kind, err := c.fetch(pg, dl)
 	if err != nil {
 		return nil, kind, c.failLoad(f, err)
 	}
@@ -279,76 +276,114 @@ func (c *Client) failLoad(f *Frame, err error) error {
 	return err
 }
 
-// ensureValid checks the frame's invalid flag and refreshes the page from
-// the DBP (flag=stale) or re-fetches it entirely (flag=dropped).
-func (c *Client) ensureValid(f *Frame) error {
-	flag, err := c.inval.LocalRead64(int(f.idx) * 8)
-	if err != nil {
-		return err
+// Granted records the LLSN a PLock grant carried for pg (the PLock client's
+// PageVersions hook): a cached copy below it refreshes before its next Get
+// returns it. A page not cached needs nothing — its next Get fetches the
+// current image.
+func (c *Client) Granted(pg common.PageID, llsn common.LLSN) {
+	c.mu.Lock()
+	f := c.frames[pg]
+	c.mu.Unlock()
+	if f == nil {
+		return
 	}
-	if flag == flagValid {
+	for {
+		old := f.want.Load()
+		if uint64(llsn) <= old || f.want.CompareAndSwap(old, uint64(llsn)) {
+			return
+		}
+	}
+}
+
+// PageLLSN reports the version of pg's cached copy (the PLock client's
+// PageVersions hook, read when an X lock is released): the copy's LLSN, or
+// the version its last grant required if the copy has not been refreshed to
+// it yet. ok is false when pg is not cached.
+func (c *Client) PageLLSN(pg common.PageID) (common.LLSN, bool) {
+	c.mu.Lock()
+	f := c.frames[pg]
+	c.mu.Unlock()
+	if f == nil {
+		return 0, false
+	}
+	select {
+	case <-f.loading:
+	default:
+		return 0, false
+	}
+	if f.loadErr != nil {
+		return 0, false
+	}
+	f.Mu.RLock()
+	llsn := f.Pg.LLSN
+	f.Mu.RUnlock()
+	return max(llsn, common.LLSN(f.want.Load())), true
+}
+
+// ensureValid brings a cached copy up to the version its last PLock grant
+// required. The refresh re-reads the copy's DBP frame if that still holds an
+// image of the page at least that new; otherwise the frame was recycled or
+// the page left the DBP, and the page is fetched afresh.
+func (c *Client) ensureValid(f *Frame, dl common.Deadline) error {
+	want := f.want.Load()
+	if want == 0 {
 		return nil
 	}
 	f.Mu.Lock()
 	defer f.Mu.Unlock()
-	// Re-check under the latch; a concurrent getter may have refreshed.
-	flag, err = c.inval.LocalRead64(int(f.idx) * 8)
-	if err != nil {
-		return err
-	}
-	if flag == flagValid {
+	// A dirty copy holds changes made under this node's X lock after its
+	// grant, so no grant can name a newer version; it must never be
+	// overwritten.
+	if uint64(f.Pg.LLSN) >= want || f.Dirty {
+		f.want.CompareAndSwap(want, 0)
 		return nil
 	}
-	if f.Dirty {
-		panic(fmt.Sprintf("bufferfusion: node %d page %d invalidated while dirty (PLock protocol violation)",
-			c.node, f.id))
-	}
 	c.Refreshes.Inc()
-	if flag == flagStale && f.dbpFrame >= 0 && !c.storageMode {
+	if f.dbpFrame >= 0 && !c.storageMode {
 		tok := c.tr.Start()
-		if p, err := c.readDBPFrame(f.dbpFrame, common.Deadline{}); err == nil && p.ID == f.id {
+		if p, err := c.readDBPFrame(f.dbpFrame, dl); err == nil && p.ID == f.id && uint64(p.LLSN) >= want {
 			f.Pg = p
+			f.want.CompareAndSwap(want, 0)
 			c.tr.Observe(trace.StageFrameDBP, tok)
-			return c.inval.LocalWrite64(int(f.idx)*8, flagValid)
+			return nil
 		}
-		// Frame was recycled under us; fall through to a full fetch.
 	}
-	p, dbpFrame, _, err := c.fetch(f.id, f.idx, common.Deadline{})
+	// The fetched image is the page's newest, whatever its LLSN: the grant
+	// may have named a version no image carries (unknown, or an unlogged
+	// change lost with the DBP in a full-cluster crash).
+	p, dbpFrame, _, err := c.fetch(f.id, dl)
 	if err != nil {
 		return err
 	}
-	f.Pg = p
-	f.dbpFrame = dbpFrame
-	return c.inval.LocalWrite64(int(f.idx)*8, flagValid)
+	f.Pg, f.dbpFrame = p, dbpFrame
+	f.want.CompareAndSwap(want, 0)
+	return nil
 }
 
-// freeIdxLocked finds an unused invalid-flag index.
-func (c *Client) freeIdxLocked() uint32 {
-	used := make([]bool, c.capacity)
-	for _, f := range c.frames {
-		if int(f.idx) < len(used) {
-			used[f.idx] = true
-		}
-	}
-	for i, u := range used {
-		if !u {
-			return uint32(i)
-		}
-	}
-	panic("bufferfusion: no free invalid-flag index despite eviction")
-}
-
-// fetch implements the page-access path of §4.2: DBP lookup (registering
-// this node as a copy holder), one-sided read on hit (hedged against
-// fail-slow stalls); storage read then register+push on miss. A non-zero
-// dl bounds every verb, retry backoff, and storage read.
-func (c *Client) fetch(pg common.PageID, invalIdx uint32, dl common.Deadline) (*page.Page, int, FetchKind, error) {
+// fetch implements the page-access path of §4.2: DBP lookup, one-sided read
+// on hit (hedged against fail-slow stalls); storage read then push on miss,
+// so peers find the page in the DBP. In storage mode it is the storage read
+// alone. A non-zero dl bounds every verb, retry backoff, and storage read.
+func (c *Client) fetch(pg common.PageID, dl common.Deadline) (*page.Page, int, FetchKind, error) {
 	tok := c.tr.Start()
-	// Lookup is idempotent (re-registering the same copy holder is a
-	// no-op), so transient faults retry safely. A shed lookup
-	// (ErrOverloaded) is also transient: the retry backoff is the client's
-	// contribution to draining the overload.
-	resp, err := c.fabric.WithDeadline(dl).Call(common.PMFSNode, ServiceBuf, bufReq(opLookup, c.node, pg, 0, invalIdx))
+	if c.storageMode {
+		c.StorageReads.Inc()
+		p, err := c.readPageFromStorage(pg, dl)
+		if err != nil {
+			return nil, -1, FetchStorage, err
+		}
+		// Log-ship model: obtaining the latest page costs the page read
+		// plus fetching and applying the newer log records (Taurus-MM's
+		// page-store + log-replay path, §2.3).
+		var replay [512]byte
+		_, _ = c.store.LogRead(c.node, c.store.LogStartLSN(c.node), replay[:])
+		c.tr.Observe(trace.StageFrameStorage, tok)
+		return p, storagePseudoFrame, FetchStorage, nil
+	}
+	// Lookup is a pure locate, so transient faults retry safely. A shed
+	// lookup (ErrOverloaded) is also transient: the retry backoff is the
+	// client's contribution to draining the overload.
+	resp, err := c.fabric.WithDeadline(dl).Call(common.PMFSNode, ServiceBuf, bufReq(opLookup, c.node, pg, 0, 0))
 	if err != nil {
 		return nil, -1, FetchDBP, err
 	}
@@ -378,19 +413,10 @@ func (c *Client) fetch(pg common.PageID, invalIdx uint32, dl common.Deadline) (*
 	if err != nil {
 		return nil, -1, FetchStorage, err
 	}
-	if c.storageMode {
-		// Log-ship model: obtaining the latest page costs the page
-		// read plus fetching and applying the newer log records
-		// (Taurus-MM's page-store + log-replay path, §2.3).
-		var replay [512]byte
-		_, _ = c.store.LogRead(c.node, c.store.LogStartLSN(c.node), replay[:])
-		c.tr.Observe(trace.StageFrameStorage, tok)
-		return p, storagePseudoFrame, FetchStorage, nil
-	}
 	// Register the loaded page into the DBP so peers can reach it without
 	// storage I/O. The push is clean: the image came from storage, so the
 	// directory entry stays hedgeable.
-	frame, err := c.pushImage(p, invalIdx, true)
+	frame, err := c.pushImage(p, true)
 	if err != nil {
 		return nil, -1, FetchStorage, err
 	}
@@ -500,7 +526,7 @@ func (c *Client) readDBPFrameHedged(pg common.PageID, frame int, clean bool, dl 
 // clean marks a push whose image was just read from storage (fetch
 // registration); dirty pushes (modified frames) pass false so the server
 // marks the entry newer than its storage image.
-func (c *Client) pushImage(p *page.Page, invalIdx uint32, clean bool) (int, error) {
+func (c *Client) pushImage(p *page.Page, clean bool) (int, error) {
 	cleanAux := uint32(0)
 	if clean {
 		cleanAux = 1
@@ -527,18 +553,12 @@ func (c *Client) pushImage(p *page.Page, invalIdx uint32, clean bool) (int, erro
 		}); err != nil {
 			return -1, err
 		}
-		if err := c.callBuf(bufReq(opPreparePush, c.node, p.ID, 0, invalIdx)); err != nil {
-			return -1, err
-		}
-		if err := c.callBuf(bufReq(opPushed, c.node, p.ID, storagePseudoFrame, cleanAux)); err != nil {
-			return -1, err
-		}
 		return storagePseudoFrame, nil
 	}
 	// A repeated prepare for the same (node, page) re-pins the same push (the
 	// server keeps one pin per node), so a retry converges instead of leaking
 	// frames.
-	resp, err := c.fabric.Call(common.PMFSNode, ServiceBuf, bufReq(opPreparePush, c.node, p.ID, 0, invalIdx))
+	resp, err := c.fabric.Call(common.PMFSNode, ServiceBuf, bufReq(opPreparePush, c.node, p.ID, 0, 0))
 	if err != nil {
 		return -1, err
 	}
@@ -549,16 +569,10 @@ func (c *Client) pushImage(p *page.Page, invalIdx uint32, clean bool) (int, erro
 	if err := c.fabric.Write(common.PMFSNode, RegionDBP, frame*page.FrameSize, buf); err != nil {
 		return -1, err
 	}
-	if err := c.callBuf(bufReq(opPushed, c.node, p.ID, uint32(frame), cleanAux)); err != nil {
+	if _, err := c.fabric.Call(common.PMFSNode, ServiceBuf, bufReq(opPushed, c.node, p.ID, uint32(frame), cleanAux)); err != nil {
 		return -1, err
 	}
 	return frame, nil
-}
-
-// callBuf sends one Buffer Fusion RPC, discarding the response.
-func (c *Client) callBuf(req []byte) error {
-	_, err := c.fabric.Call(common.PMFSNode, ServiceBuf, req)
-	return err
 }
 
 // NewPage installs a freshly allocated page (engine-created, under X PLock)
@@ -566,20 +580,13 @@ func (c *Client) callBuf(req []byte) error {
 func (c *Client) NewPage(p *page.Page) (*Frame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.makeRoomLocked(); err != nil {
+		return nil, err
+	}
 	if c.frames[p.ID] != nil {
 		return nil, fmt.Errorf("bufferfusion: page %d already cached", p.ID)
 	}
-	if len(c.frames) >= c.capacity {
-		if err := c.evictOneLocked(); err != nil {
-			return nil, err
-		}
-	}
-	idx := c.freeIdxLocked()
-	if err := c.inval.LocalWrite64(int(idx)*8, flagValid); err != nil {
-		return nil, err
-	}
-	f := &Frame{id: p.ID, idx: idx, dbpFrame: -1, Pg: p, Dirty: true, pins: 1,
-		loading: closedChan}
+	f := &Frame{id: p.ID, dbpFrame: -1, Pg: p, Dirty: true, pins: 1, loading: closedChan}
 	f.lruEl = c.lru.PushBack(f)
 	c.frames[p.ID] = f
 	return f, nil
@@ -603,8 +610,8 @@ func (c *Client) Unpin(f *Frame) {
 	c.mu.Unlock()
 }
 
-// Push flushes f to the DBP (forcing redo first through the engine hook) and
-// invalidates peer copies. Caller holds f.Mu and the page's X PLock.
+// Push flushes f to the DBP (forcing redo first through the engine hook).
+// Caller holds f.Mu and the page's X PLock.
 func (c *Client) Push(f *Frame) error {
 	if !f.Dirty {
 		return nil
@@ -612,7 +619,7 @@ func (c *Client) Push(f *Frame) error {
 	if c.forceLog != nil {
 		c.forceLog(f.FlushLSN)
 	}
-	frame, err := c.pushImage(f.Pg, f.idx, false)
+	frame, err := c.pushImage(f.Pg, false)
 	if err != nil {
 		return err
 	}
@@ -711,7 +718,7 @@ func (c *Client) PushMany(ids []common.PageID) error {
 	// Phase 1: one batched prepare-push pins every target frame.
 	reqs := make([][]byte, len(dirty))
 	for i, f := range dirty {
-		reqs[i] = bufReq(opPreparePush, c.node, f.id, 0, f.idx)
+		reqs[i] = bufReq(opPreparePush, c.node, f.id, 0, 0)
 	}
 	resps, err := c.fabric.CallBatch(common.PMFSNode, ServiceBuf, reqs)
 	if err != nil {
@@ -782,24 +789,27 @@ func (c *Client) PushMany(ids []common.PageID) error {
 	return perr
 }
 
-// evictOneLocked evicts the coldest unpinned frame, pushing it first if
-// dirty (a page may leave the LBP only once it is in the DBP, §4.2).
-// Called with c.mu held; c.mu is held on return but released internally.
-func (c *Client) evictOneLocked() error {
-	for attempt := 0; attempt < 8; attempt++ {
-		// Pick a victim under the lock: coldest unpinned, fully loaded
-		// frame.
+// makeRoomLocked evicts the coldest unpinned frames until the LBP is below
+// capacity, pushing each first if dirty (a page may leave the LBP only once
+// it is in the DBP, §4.2). c.mu is dropped around each push, so concurrent
+// installers re-check the room after every eviction. A full LBP whose frames
+// are all pinned is overload: the caller's transaction backs off and
+// retries. Called with c.mu held; c.mu is held on return.
+func (c *Client) makeRoomLocked() error {
+	for wasted := 0; len(c.frames) >= c.capacity; {
+		if wasted == 8 {
+			return fmt.Errorf("bufferfusion: node %d eviction livelock: %w", c.node, common.ErrOverloaded)
+		}
 		var victim *Frame
 		for el := c.lru.Front(); el != nil; el = el.Next() {
-			f := el.Value.(*Frame)
-			if f.pins == 0 {
+			if f := el.Value.(*Frame); f.pins == 0 {
 				victim = f
 				break
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("bufferfusion: node %d LBP full with all %d frames pinned",
-				c.node, c.capacity)
+			return fmt.Errorf("bufferfusion: node %d LBP full with all %d frames pinned: %w",
+				c.node, len(c.frames), common.ErrOverloaded)
 		}
 		victim.pins++ // guard against concurrent eviction while we flush
 		c.mu.Unlock()
@@ -812,19 +822,13 @@ func (c *Client) evictOneLocked() error {
 			return err
 		}
 		if victim.pins > 0 || c.frames[victim.id] != victim {
-			continue // re-pinned or already gone; pick another victim
+			wasted++ // re-pinned or already gone; pick another victim
+			continue
 		}
 		delete(c.frames, victim.id)
 		c.lru.Remove(victim.lruEl)
-		pg, idx := victim.id, victim.idx
-		c.mu.Unlock()
-		// A lost unregister would leave PMFS invalidating a recycled flag
-		// slot forever; retried, and idempotent on re-delivery.
-		_ = c.callBuf(bufReq(opUnregister, c.node, pg, 0, idx))
-		c.mu.Lock()
-		return nil
 	}
-	return fmt.Errorf("bufferfusion: node %d eviction livelock", c.node)
+	return nil
 }
 
 // FlushAll pushes every dirty frame (checkpoint / clean shutdown).

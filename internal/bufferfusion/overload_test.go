@@ -11,7 +11,7 @@ import (
 )
 
 // delayDBPReads installs a fabric injector stalling every one-sided DBP
-// frame read by d (lookup RPCs and invalidation writes stay fast).
+// frame read by d (lookup RPCs stay fast).
 func delayDBPReads(c *bfCluster, d time.Duration) {
 	c.fabric.SetInjector(func(op common.FaultOp) common.FaultDecision {
 		if op.Class == common.FaultRead && op.Name == RegionDBP {

@@ -1,20 +1,23 @@
 // Package bufferfusion implements Buffer Fusion (§4.2): a distributed
 // buffer pool (DBP) in PMFS disaggregated shared memory plus per-node local
-// buffer pools (LBP) kept coherent through remote invalidation.
+// buffer pools (LBP) whose copies are validated when a PLock is granted.
 //
 // Data pages move between nodes through the DBP: a node pushes a modified
 // page into a DBP frame with a one-sided RDMA write (after forcing its redo
-// to storage) and Buffer Fusion invalidates every other node's copy by
-// one-sided writes to their invalid flags; a node that later needs the page
-// pulls the frame with a one-sided read. Storage I/O happens only on a DBP
-// miss or background flush, which is the architectural difference from
+// to storage) before its X PLock leaves the node; a node that later needs
+// the page pulls the frame with a one-sided read. Validity travels with the
+// lock: the X release carries the page's LLSN, the next grant hands it to
+// the grantee, and a cached copy whose LLSN is below it refreshes before it
+// is read (DESIGN.md §4). The paper's remote invalid flags are not needed:
+// a copy can only be read under a PLock, and a lock that was never given
+// back means no other node wrote the page. Storage I/O happens only on a
+// DBP miss or background flush, which is the architectural difference from
 // log-replay designs like Taurus-MM (§2.3).
 package bufferfusion
 
 import (
 	"container/list"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -28,56 +31,44 @@ import (
 
 // Fabric names.
 const (
-	RegionDBP   = "pmfs.dbp"     // frame array on PMFS
-	RegionInval = "lbp.inval"    // per-node invalid-flag array
-	ServiceBuf  = "bufferfusion" // PMFS RPC service
+	RegionDBP  = "pmfs.dbp"     // frame array on PMFS
+	ServiceBuf = "bufferfusion" // PMFS RPC service
 )
 
-// Invalid-flag word values (written remotely by PMFS).
-const (
-	flagValid   = 0 // local copy is current
-	flagStale   = 1 // newer version in the DBP: re-read via r_addr
-	flagDropped = 2 // page left the DBP: full re-fetch via RPC
-)
-
-// storagePseudoFrame marks a push that bypassed the DBP (storage mode).
+// storagePseudoFrame marks a copy that came from storage in storage mode,
+// where no DBP frame exists.
 const storagePseudoFrame = 0x7FFFFFFF
 
 // RPC ops.
 const (
-	opLookup      = 1 // node, page -> found?, frame
+	opLookup      = 1 // node, page -> found?, frame, clean?
 	opPreparePush = 2 // node, page -> frame (pinned)
-	opPushed      = 3 // node, page, frame -> ok (unpin, invalidate others)
-	opUnregister  = 4 // node, page
+	opPushed      = 3 // node, page, frame -> ok (unpin)
 )
 
 // Server is the PMFS side of Buffer Fusion: the DBP frames and the page
-// directory tracking, per page, its frame, the nodes holding copies, and the
-// addresses of their invalid flags (§4.2, Figure 4). The directory is
+// directory locating, per page, its frame (§4.2, Figure 4). The directory is
 // striped by page id, each stripe owning a disjoint share of the DBP frames
 // (its own free list and LRU), so concurrent pushes and lookups from
 // different nodes only contend when they touch the same stripe.
 type Server struct {
-	fabric      rdma.Conn
-	gate        common.EpochGate
-	dbp         *rdma.Region
-	store       storage.API
-	frames      int
-	storageMode bool
+	gate   common.EpochGate
+	dbp    *rdma.Region
+	store  storage.API
+	frames int
 
 	stripes []*bufStripe
 
 	// admit bounds concurrently admitted lookups per stripe (<=0 disables
-	// shedding). Only lookups shed: push completions and unregisters are
-	// cleanup whose rejection would leak pins or flag slots.
+	// shedding). Only lookups shed: a rejected push completion would leak
+	// its pin.
 	admit atomic.Int64
 
 	// Stats for the figure harnesses and ablations.
-	Hits          metrics.Counter
-	Misses        metrics.Counter
-	Pushes        metrics.Counter
-	Invalidations metrics.Counter
-	Evictions     metrics.Counter
+	Hits      metrics.Counter
+	Misses    metrics.Counter
+	Pushes    metrics.Counter
+	Evictions metrics.Counter
 	// Sheds counts lookups rejected by admission control.
 	Sheds metrics.Counter
 }
@@ -124,20 +115,7 @@ type dirEntry struct {
 	// never evicted.
 	pinned map[common.NodeID]struct{}
 	dirty  bool // newer than the storage image
-	// copies: node -> invalid-flag index in that node's RegionInval.
-	copies map[common.NodeID]uint32
 	lruEl  *list.Element
-}
-
-// NewServerMode attaches Buffer Fusion with an explicit page-sync mode.
-// With storageMode=true the DBP is bypassed: pushes write the page image to
-// shared storage and fetches read it back, while the directory still tracks
-// copies for invalidation — the log-ship/page-store synchronization model of
-// Taurus-MM (§2.3), used by the baseline and the DBP ablation.
-func NewServerMode(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, frames int, storageMode bool) *Server {
-	s := NewServer(ep, fabric, store, frames)
-	s.storageMode = storageMode
-	return s
 }
 
 // NewServer attaches Buffer Fusion to the PMFS endpoint with the given
@@ -147,7 +125,6 @@ func NewServer(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, frames
 		frames = 4096
 	}
 	s := &Server{
-		fabric: fabric.From(ep.Node()),
 		dbp:    ep.RegisterRegion(RegionDBP, frames*page.FrameSize),
 		store:  store,
 		frames: frames,
@@ -185,7 +162,7 @@ func (s *Server) initStripes() {
 
 // SetEpochGate installs the membership epoch gate: stamped requests from
 // evicted incarnations are rejected with ErrStaleEpoch before they can
-// push, pin, or unregister pages.
+// push or pin pages.
 func (s *Server) SetEpochGate(g common.EpochGate) { s.gate = g }
 
 // SetAdmissionLimit bounds concurrently admitted lookups per directory
@@ -218,10 +195,10 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 	}
 	switch req[0] {
 	case opLookup:
-		// Admission control: only lookups are shed. Push completions and
-		// unregisters are cleanup whose rejection would leak pins or copy
-		// registrations, and preparePush is coherence-critical (a node must
-		// be able to flush a dirty frame before releasing its PLock).
+		// Admission control: only lookups are shed. A rejected push
+		// completion would leak its pin, and preparePush is
+		// coherence-critical (a node must be able to flush a dirty frame
+		// before releasing its PLock).
 		if lim := s.admit.Load(); lim > 0 {
 			st := s.stripeFor(pg)
 			if st.inflight.Add(1) > lim {
@@ -232,7 +209,7 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 			}
 			defer st.inflight.Add(-1)
 		}
-		fr, ok, clean := s.lookup(node, pg, aux)
+		fr, ok, clean := s.lookup(pg)
 		resp := make([]byte, 6)
 		if ok {
 			resp[0] = 1
@@ -243,7 +220,7 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 		}
 		return resp, nil
 	case opPreparePush:
-		fr, err := s.preparePush(node, pg, aux)
+		fr, err := s.preparePush(node, pg)
 		if err != nil {
 			return nil, err
 		}
@@ -252,78 +229,51 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 		binary.LittleEndian.PutUint32(resp[1:], uint32(fr))
 		return resp, nil
 	case opPushed:
-		return nil, s.pushed(node, pg, int(frame), aux == 1)
-	case opUnregister:
-		s.unregister(node, pg)
+		s.pushed(node, pg, int(frame), aux == 1)
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("bufferfusion: unknown op %d", req[0])
 	}
 }
 
-// lookup registers node (with its invalid-flag index) as a copy holder and
-// returns the page's frame, if present. clean reports that the storage
-// image is as new as the DBP frame (the frame was pushed from a storage
-// read, or has been flushed since its last dirty push), which lets the
-// client hedge a slow DBP read with a storage read without risking a stale
-// image. The bit is stable for the caller: it holds a covering PLock, so no
-// other node can push a newer image while the fetch is in flight.
-func (s *Server) lookup(node common.NodeID, pg common.PageID, invalIdx uint32) (int, bool, bool) {
+// lookup locates the page's frame, if present. clean reports that the
+// storage image is as new as the DBP frame (the frame was pushed from a
+// storage read, or has been flushed since its last dirty push), which lets
+// the client hedge a slow DBP read with a storage read without risking a
+// stale image. The bit is stable for the caller: it holds a covering PLock,
+// so no other node can push a newer image while the fetch is in flight.
+func (s *Server) lookup(pg common.PageID) (int, bool, bool) {
 	st := s.stripeFor(pg)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.dir[pg]
 	if e == nil {
-		if s.storageMode {
-			// Track the copy for future invalidation even though
-			// the data itself travels through storage.
-			e = &dirEntry{page: pg, frame: -1, copies: make(map[common.NodeID]uint32)}
-			e.lruEl = st.lru.PushBack(e)
-			st.dir[pg] = e
-			e.copies[node] = invalIdx
-		}
 		s.Misses.Inc()
 		return 0, false, false
 	}
-	e.copies[node] = invalIdx
 	st.lru.MoveToBack(e.lruEl)
-	if s.storageMode {
-		s.Misses.Inc()
-		return 0, false, false
-	}
 	s.Hits.Inc()
 	return e.frame, true, !e.dirty
 }
 
 // preparePush pins (allocating if needed) the page's frame so the caller can
 // one-sided-write the image without racing eviction.
-func (s *Server) preparePush(node common.NodeID, pg common.PageID, invalIdx uint32) (int, error) {
+func (s *Server) preparePush(node common.NodeID, pg common.PageID) (int, error) {
 	st := s.stripeFor(pg)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.dir[pg]
-	if s.storageMode {
-		if e == nil {
-			e = &dirEntry{page: pg, frame: -1, copies: make(map[common.NodeID]uint32)}
-			e.lruEl = st.lru.PushBack(e)
-			st.dir[pg] = e
-		}
-		e.pin(node)
-		e.copies[node] = invalIdx
-		return storagePseudoFrame, nil
-	}
 	if e == nil {
 		fr, err := s.allocFrameLocked(st)
 		if err != nil {
 			return 0, err
 		}
-		e = &dirEntry{page: pg, frame: fr, copies: make(map[common.NodeID]uint32)}
+		e = &dirEntry{page: pg, frame: fr}
 		e.lruEl = st.lru.PushBack(e)
 		st.dir[pg] = e
 		st.byFr[fr-st.base] = e
 	}
 	e.pin(node)
-	e.copies[node] = invalIdx
 	st.lru.MoveToBack(e.lruEl)
 	return e.frame, nil
 }
@@ -335,67 +285,24 @@ func (e *dirEntry) pin(node common.NodeID) {
 	e.pinned[node] = struct{}{}
 }
 
-// pushed completes a push: unpin, mark dirty, and remotely invalidate every
-// other node's copy through the stored invalid-flag addresses. clean marks
-// a push whose image was just read from storage (a fetch registering the
-// page in the DBP): it never downgrades an already-dirty entry — it only
-// refrains from dirtying one, keeping the storage-hedge bit conservative.
-func (s *Server) pushed(node common.NodeID, pg common.PageID, frame int, clean bool) error {
+// pushed completes a push: unpin and mark dirty. clean marks a push whose
+// image was just read from storage (a fetch registering the page in the
+// DBP): it never downgrades an already-dirty entry — it only refrains from
+// dirtying one, keeping the storage-hedge bit conservative. A repeated
+// completion finds no pin to drop and changes nothing.
+func (s *Server) pushed(node common.NodeID, pg common.PageID, frame int, clean bool) {
 	st := s.stripeFor(pg)
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	e := st.dir[pg]
-	if e == nil || (!s.storageMode && e.frame != frame) {
-		st.mu.Unlock()
-		return nil
+	if e == nil || e.frame != frame {
+		return
 	}
 	delete(e.pinned, node)
-	if !s.storageMode && !clean {
+	if !clean {
 		e.dirty = true
 	}
-	type target struct {
-		node common.NodeID
-		idx  uint32
-	}
-	var targets []target
-	for n, idx := range e.copies {
-		if n != node {
-			targets = append(targets, target{n, idx})
-		}
-	}
-	st.mu.Unlock()
 	s.Pushes.Inc()
-	// The invalidation write is the coherence-critical op of §4.2: a copy
-	// holder's only validity check is its local flag. The Conn retries the
-	// idempotent write; if it is still undelivered the push fails, so the
-	// pusher keeps the page dirty and its PLock (flush before release) until
-	// a revoke resend retries the push: no node is granted the page while its
-	// copy is stale. Only a holder whose cache died with it (down, or dropped
-	// from the copy set the retry reads) may miss one; a clean push changed
-	// no content.
-	var undelivered error
-	for _, t := range targets {
-		s.Invalidations.Inc()
-		err := s.writeInval(t.node, t.idx, flagStale)
-		if err != nil && !clean && undelivered == nil && !errors.Is(err, common.ErrNodeDown) {
-			// %v, not %w: the push is retried, not this completion.
-			undelivered = fmt.Errorf("bufferfusion: page %d: invalidation of node %d undelivered: %v", pg, t.node, err)
-		}
-	}
-	return undelivered
-}
-
-// writeInval sets a copy holder's invalid flag.
-func (s *Server) writeInval(node common.NodeID, idx uint32, flag uint64) error {
-	return s.fabric.Write64(node, RegionInval, int(idx)*8, flag)
-}
-
-func (s *Server) unregister(node common.NodeID, pg common.PageID) {
-	st := s.stripeFor(pg)
-	st.mu.Lock()
-	if e := st.dir[pg]; e != nil {
-		delete(e.copies, node)
-	}
-	st.mu.Unlock()
 }
 
 // allocFrameLocked returns a free frame from st, evicting the stripe's
@@ -419,7 +326,9 @@ func (s *Server) allocFrameLocked(st *bufStripe) (int, error) {
 }
 
 // evictLocked removes e from the directory, flushing its image to storage if
-// dirty and notifying copy holders that the page left the DBP.
+// dirty. Copy holders need no notice: the next grant of the page tells them
+// whether their copy is current, and the storage image is the page's
+// newest once the frame is gone.
 func (s *Server) evictLocked(st *bufStripe, e *dirEntry) {
 	s.Evictions.Inc()
 	if e.dirty {
@@ -429,9 +338,6 @@ func (s *Server) evictLocked(st *bufStripe, e *dirEntry) {
 				_ = s.store.WritePage(e.page, img[4:n])
 			}
 		}
-	}
-	for n, idx := range e.copies {
-		_ = s.writeInval(n, idx, flagDropped)
 	}
 	delete(st.dir, e.page)
 	st.byFr[e.frame-st.base] = nil
@@ -488,25 +394,12 @@ func (s *Server) FlushAll() error {
 	return nil
 }
 
-// DropNode removes node from every page's copy set (crash cleanup). The DBP
-// content itself survives: that is what makes node restarts fast (§5.5).
-func (s *Server) DropNode(node uint16) {
-	n := common.NodeID(node)
-	for _, st := range s.stripes {
-		st.mu.Lock()
-		for _, e := range st.dir {
-			delete(e.copies, n)
-		}
-		st.mu.Unlock()
-	}
-}
-
 // Reclaim force-evicts the given pages from the DBP during takeover: dirty
-// images are flushed to storage, every cached copy is invalidated with
-// flagDropped, pins are cleared (only the crashed node could have held
-// them — callers pass pages the dead node held exclusively), and the frames
-// return to the free list. Survivors re-fetch from storage after the
-// takeover replay rebuilds the images there.
+// images are flushed to storage, pins are cleared (only the crashed node
+// could have held them — callers pass pages the dead node held exclusively),
+// and the frames return to the free list. Survivors re-fetch from storage
+// after the takeover replay rebuilds the images there: the fence lift makes
+// every cached copy of these pages stale (lockfusion's dropNode).
 func (s *Server) Reclaim(pages []common.PageID) {
 	for _, pg := range pages {
 		st := s.stripeFor(pg)
@@ -517,15 +410,6 @@ func (s *Server) Reclaim(pages []common.PageID) {
 			continue
 		}
 		e.pinned = nil
-		if s.storageMode {
-			for n, idx := range e.copies {
-				_ = s.writeInval(n, idx, flagDropped)
-			}
-			delete(st.dir, pg)
-			st.lru.Remove(e.lruEl)
-			st.mu.Unlock()
-			continue
-		}
 		s.evictLocked(st, e)
 		st.free = append(st.free, e.frame)
 		st.mu.Unlock()

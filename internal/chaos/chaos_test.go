@@ -230,9 +230,9 @@ func TestPartition(t *testing.T) {
 // TestPlanValidation rejects malformed plans.
 func TestPlanValidation(t *testing.T) {
 	bad := []Plan{
-		{Name: "p", Rules: []Rule{{Prob: 0.5, Action: Action{Kind: ActDrop}}}},            // no name
-		{Name: "p", Rules: []Rule{{Name: "r", Prob: 1.5, Action: Action{Kind: ActDrop}}}}, // prob > 1
-		{Name: "p", Rules: []Rule{{Name: "r", Prob: 0.5}}},                                // no action
+		{Name: "p", Rules: []Rule{{Prob: 0.5, Action: Action{Kind: ActDrop}}}},             // no name
+		{Name: "p", Rules: []Rule{{Name: "r", Prob: 1.5, Action: Action{Kind: ActDrop}}}},  // prob > 1
+		{Name: "p", Rules: []Rule{{Name: "r", Prob: 0.5}}},                                 // no action
 		{Name: "p", Rules: []Rule{{Name: "r", Prob: 0.5, Action: Action{Kind: ActDelay}}}}, // delay without duration
 		{Name: "p", Partitions: []Partition{{Groups: [][]common.NodeID{{1}}}}},             // one group
 	}

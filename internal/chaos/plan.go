@@ -229,7 +229,7 @@ func LossyPlan(prob float64) Plan {
 				Action: Action{Kind: ActDrop}},
 			{Name: "lose-plock-reply", Layer: common.FaultLayerRDMA,
 				Classes: []string{common.FaultRPC}, Target: "lockfusion.plock",
-				Prob:    prob / 2, Action: Action{Kind: ActDropReply}},
+				Prob: prob / 2, Action: Action{Kind: ActDropReply}},
 			{Name: "dup", Layer: common.FaultLayerRDMA,
 				Classes: []string{common.FaultRead, common.FaultWrite},
 				Prob:    prob, Action: Action{Kind: ActDuplicate}},

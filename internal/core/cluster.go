@@ -241,7 +241,7 @@ func (c *Cluster) startPMFS() {
 	ep := c.fabric.Register(common.PMFSNode)
 	c.txSrv = txfusion.NewServer(ep, c.fabric)
 	c.lockSrv = lockfusion.NewServer(ep, c.fabric)
-	c.bufSrv = bufferfusion.NewServerMode(ep, c.fabric, c.store, c.cfg.DBPFrames, c.cfg.StoragePageSync)
+	c.bufSrv = bufferfusion.NewServer(ep, c.fabric, c.store, c.cfg.DBPFrames)
 	c.members = membership.NewTable(ep)
 	gate := c.members.Gate()
 	c.txSrv.SetEpochGate(gate)
@@ -460,8 +460,7 @@ func (c *Cluster) CrashNode(id common.NodeID) error {
 // takeover of an undeclared one, and per node by a full-cluster crash: kill
 // the process (n is nil when it is already gone), discard the un-synced log
 // tail, keep the node's PLocks up as the §4.4 fence, clear its row-lock wait
-// edges so blocked peers retry, drop its DBP registrations and unblock the
-// min view.
+// edges so blocked peers retry, and unblock the min view.
 func (c *Cluster) nodeDied(n *Node, id common.NodeID) {
 	if n != nil {
 		n.crash()
@@ -469,7 +468,6 @@ func (c *Cluster) nodeDied(n *Node, id common.NodeID) {
 	c.store.LogCrashVolatile(id)
 	c.lockSrv.PLock.MarkDead(id)
 	c.lockSrv.DropNodeRLock(uint16(id))
-	c.bufSrv.DropNode(uint16(id))
 	c.removeMinView(id)
 }
 
@@ -621,14 +619,14 @@ type OverloadStats struct {
 
 // MembershipStats is a snapshot of the lease/online-recovery counters.
 type MembershipStats struct {
-	Epoch           uint64        `json:"epoch"`            // current cluster epoch
-	EpochBumps      int64         `json:"epoch_bumps"`      // evictions won (each bumps the epoch)
-	FalseSuspicions int64         `json:"false_suspicions"` // evictions refused by a racing renewal
-	LeaseRenewals   int64         `json:"lease_renewals"`   // heartbeat writes by live nodes
-	Takeovers       int64         `json:"takeovers"`        // completed surviving-node takeovers
-	TakeoverFails   int64         `json:"takeover_fails"`   // takeover attempts abandoned: recovery error or wedged takeover lock
+	Epoch           uint64        `json:"epoch"`                  // current cluster epoch
+	EpochBumps      int64         `json:"epoch_bumps"`            // evictions won (each bumps the epoch)
+	FalseSuspicions int64         `json:"false_suspicions"`       // evictions refused by a racing renewal
+	LeaseRenewals   int64         `json:"lease_renewals"`         // heartbeat writes by live nodes
+	Takeovers       int64         `json:"takeovers"`              // completed surviving-node takeovers
+	TakeoverFails   int64         `json:"takeover_fails"`         // takeover attempts abandoned: recovery error or wedged takeover lock
 	TakeoverErr     string        `json:"takeover_err,omitempty"` // last failed-takeover diagnostic
-	TakeoverMean    time.Duration `json:"takeover_mean_ns"` // mean takeover duration
+	TakeoverMean    time.Duration `json:"takeover_mean_ns"`       // mean takeover duration
 	// FailSlowSuspicions counts fail-slow marks raised across all agents: a
 	// peer whose heartbeat-gap EWMA grew well past the renewal cadence while
 	// its lease stayed valid (gray failure — too slow to trust, too alive to

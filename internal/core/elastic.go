@@ -212,7 +212,7 @@ func (c *Cluster) DrainNode(id common.NodeID) error {
 	}
 
 	// Server-side cleanup is orderly bookkeeping, not crash recovery: drop
-	// the node from lock tables and DBP copy-sets. Everything it owned is
+	// the node from the lock tables. Everything it owned is
 	// already flushed and released, so this is reclamation of empty
 	// tracking state — MarkDead/LogCrashVolatile (the crash path) never run.
 	if err := c.drainCleanup(id); err != nil {
@@ -234,7 +234,6 @@ func (c *Cluster) DrainNode(id common.NodeID) error {
 func (c *Cluster) drainCleanup(id common.NodeID) error {
 	if !c.remote {
 		c.lockSrv.DropNode(uint16(id))
-		c.bufSrv.DropNode(uint16(id))
 		return nil
 	}
 	return c.drainCleanupRemote(id)

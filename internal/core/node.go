@@ -186,6 +186,9 @@ func (c *Cluster) newNode(id common.NodeID, recovering bool) (*Node, error) {
 		}
 		return nil
 	})
+	// Validity travels with the lock: X releases name the page version they
+	// leave behind, and grants mark older cached copies stale.
+	n.pl.SetPageVersions(n.lbp)
 
 	// Resume transaction ids above the persisted watermark, and seed the
 	// speculative-CTS recycle floor there: every id at or below it is
@@ -444,6 +447,18 @@ func (n *Node) batchResolver(pg *page.Page) func(*page.Version) common.CSN {
 	}
 }
 
+// unloggedChange records a change that writes no redo record — a purge or a
+// CTS stamp — on a page the node holds in X: the page still takes a fresh
+// LLSN, because its LLSN is the version a PLock grant checks cached copies
+// against (DESIGN.md §4, "Validity travels with the lock"). Redo stays exact:
+// the fresh LLSN is above every record already in the image, and every later
+// record for the page is drawn above it.
+func (n *Node) unloggedChange(pg *page.Page, f *bufferfusion.Frame) {
+	n.llsn.Observe(pg.LLSN)
+	pg.LLSN = n.llsn.Next()
+	f.Dirty = true
+}
+
 // PurgeSpace trims version chains across a space using the current global
 // minimum view (the purge/vacuum path). Returns versions removed.
 func (n *Node) PurgeSpace(space common.SpaceID) (int, error) {
@@ -466,7 +481,7 @@ func (n *Node) PurgeSpace(space common.SpaceID) (int, error) {
 		}
 		removed += ref.Page.Purge(gmv, n.batchResolver(ref.Page))
 		if removed != before {
-			ref.Opaque.(*bufferfusion.Frame).Dirty = true
+			n.unloggedChange(ref.Page, ref.Opaque.(*bufferfusion.Frame))
 		}
 		if len(ref.Page.Rows) == 0 && lastKey != nil {
 			emptied = append(emptied, append([]byte(nil), lastKey...))

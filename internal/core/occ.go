@@ -243,12 +243,12 @@ func (e occEngine) Prepare(tx *Tx) error {
 			// Room for the prepend (same purge/split dance as 2PL).
 			if ref.Page.SizeEstimate()+need > page.SplitThreshold {
 				if ref.Page.Purge(tx.n.tf.LastGMV(), tx.n.batchResolver(ref.Page)) > 0 {
-					frame.Dirty = true
+					tx.n.unloggedChange(ref.Page, frame)
 				}
 				if ref.Page.SizeEstimate()+need > page.SplitThreshold {
 					if _, err := tx.n.tf.ReportMinView(); err == nil {
 						if ref.Page.Purge(tx.n.tf.LastGMV(), tx.n.batchResolver(ref.Page)) > 0 {
-							frame.Dirty = true
+							tx.n.unloggedChange(ref.Page, frame)
 						}
 					}
 				}

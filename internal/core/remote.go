@@ -70,7 +70,6 @@ func (c *Cluster) adminOp(req []byte) ([]byte, error) {
 			return nil, err
 		}
 		c.lockSrv.DropNode(node)
-		c.bufSrv.DropNode(node)
 		return nil, nil
 	case aopTopology:
 		return c.TopologyJSON()

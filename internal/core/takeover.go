@@ -176,7 +176,8 @@ func (n *Node) recoverPeer(dead common.NodeID) (*analysis, error) {
 	n.llsn.Observe(a.maxLLSN)
 
 	// Publish the repaired pages; peers fault them in from storage once the
-	// fence lifts.
+	// fence lifts, which marks their versions unknown so that copies cached
+	// before the dead node's last write refetch.
 	imgs.settle(a, n.tf.LastGMV(), n.batchResolver)
 	if err := imgs.writeBack(); err != nil {
 		return nil, err
@@ -203,7 +204,7 @@ func (n *Node) stampPeerCTS(st *trxFate) {
 			continue
 		}
 		if ref.Page.StampCTS(st.g, st.cts) > 0 {
-			ref.Opaque.(*bufferfusion.Frame).Dirty = true
+			n.unloggedChange(ref.Page, ref.Opaque.(*bufferfusion.Frame))
 		}
 		n.releasePager(ref)
 	}

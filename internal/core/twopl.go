@@ -63,12 +63,12 @@ func (twoPL) Write(tx *Tx, space common.SpaceID, key, value []byte, op writeOp) 
 		// and retry.
 		if ref.Page.SizeEstimate()+need > page.SplitThreshold {
 			if ref.Page.Purge(tx.n.tf.LastGMV(), tx.n.batchResolver(ref.Page)) > 0 {
-				frame.Dirty = true
+				tx.n.unloggedChange(ref.Page, frame)
 			}
 			if ref.Page.SizeEstimate()+need > page.SplitThreshold {
 				if _, err := tx.n.tf.ReportMinView(); err == nil {
 					if ref.Page.Purge(tx.n.tf.LastGMV(), tx.n.batchResolver(ref.Page)) > 0 {
-						frame.Dirty = true
+						tx.n.unloggedChange(ref.Page, frame)
 					}
 				}
 			}

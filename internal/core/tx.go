@@ -695,7 +695,7 @@ func (tx *Tx) stampCTS(cts common.CSN) {
 		}
 		f.Mu.Lock()
 		if f.Pg.StampCTS(tx.g, cts) > 0 {
-			f.Dirty = true
+			n.unloggedChange(f.Pg, f)
 		}
 		dirty := f.Dirty
 		f.Mu.Unlock()

@@ -111,5 +111,6 @@ func (s *Server) DropNode(node uint16) {
 func (s *Server) DropNodeRLock(node uint16) { s.RLock.dropNode(node) }
 
 // DropNodePLock releases a node's remaining PLocks; called at the end of
-// node recovery to lift the fence.
+// node recovery to lift the fence. Each page it still held in X becomes
+// version-unknown, so every cached copy of it is refetched.
 func (s *Server) DropNodePLock(node uint16) { s.PLock.dropNode(node) }

@@ -518,3 +518,96 @@ func TestPLockMarkDeadWakesQueuedWaiters(t *testing.T) {
 // helpers keeping the test body readable
 func lockfusion_ModeX() Mode { return ModeX }
 func lockfusion_ModeS() Mode { return ModeS }
+
+// fakePages is a buffer pool that reports set page versions and records the
+// LLSN of every grant.
+type fakePages struct {
+	mu      sync.Mutex
+	cached  map[common.PageID]common.LLSN
+	granted []common.LLSN
+}
+
+func (f *fakePages) PageLLSN(pg common.PageID) (common.LLSN, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	v, ok := f.cached[pg]
+	return v, ok
+}
+
+func (f *fakePages) Granted(_ common.PageID, llsn common.LLSN) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.granted = append(f.granted, llsn)
+}
+
+func (f *fakePages) set(pg common.PageID, llsn common.LLSN, cached bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if cached {
+		f.cached[pg] = llsn
+	} else {
+		delete(f.cached, pg)
+	}
+}
+
+func (f *fakePages) last() common.LLSN {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.granted) == 0 {
+		return 0
+	}
+	return f.granted[len(f.granted)-1]
+}
+
+// TestGrantCarriesReleasedLLSN: an X release names its page's version, and
+// the next grant hands it to the grantee's pool. A holder whose copy left its
+// pool, or who never released because it died, leaves the version unknown.
+func TestGrantCarriesReleasedLLSN(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+	pages := make([]*fakePages, 3)
+	for i, c := range tc.pl {
+		pages[i] = &fakePages{cached: make(map[common.PageID]common.LLSN)}
+		c.SetPageVersions(pages[i])
+		c.SetRevokeHandler(func(common.PageID, Mode) error { return nil })
+	}
+	const pg = 5
+	acquire := func(i int, m Mode) {
+		t.Helper()
+		if err := tc.pl[i].Acquire(pg, m); err != nil {
+			t.Fatal(err)
+		}
+		tc.pl[i].Release(pg) // lazily retained until revoked
+	}
+
+	acquire(0, ModeX)
+	pages[0].set(pg, 7, true)
+	acquire(1, ModeS) // queued behind node 1's X, which the revoke releases
+	if got := pages[1].last(); got != 7 {
+		t.Fatalf("node 2's grant carried LLSN %d, want node 1's released 7", got)
+	}
+	acquire(0, ModeX) // an S release names no version
+	if got := pages[0].last(); got != 7 {
+		t.Fatalf("node 1's grant carried LLSN %d, want 7", got)
+	}
+	pages[0].set(pg, 0, false) // node 1's copy leaves its pool
+	acquire(2, ModeS)
+	if got := pages[2].last(); got != llsnUnknown {
+		t.Fatalf("grant after an evicted holder's release carried %d, want unknown", got)
+	}
+
+	acquire(0, ModeX)
+	pages[0].set(pg, 9, true)
+	acquire(1, ModeS)
+	if got := pages[1].last(); got != 9 {
+		t.Fatalf("node 2's grant carried LLSN %d, want 9", got)
+	}
+	if err := tc.pl[0].Acquire(pg, ModeX); err != nil {
+		t.Fatal(err)
+	}
+	tc.srv.PLock.MarkDead(1) // node 1 dies holding X
+	tc.srv.DropNodePLock(1)
+	acquire(2, ModeS)
+	if got := pages[2].last(); got != llsnUnknown {
+		t.Fatalf("grant after a dead holder's fence lifted carried %d, want unknown", got)
+	}
+}

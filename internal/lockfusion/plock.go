@@ -3,6 +3,7 @@ package lockfusion
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,12 +16,17 @@ import (
 
 // PLock RPC wire ops.
 const (
-	opPLockAcquire  = 1 // node, page, mode -> grant (blocks until granted)
-	opPLockRelease  = 2 // node, page
+	opPLockAcquire  = 1 // node, page, mode -> grant: the page's released LLSN (blocks until granted)
+	opPLockRelease  = 2 // node, page, mode, LLSN
 	opRevoke        = 3 // (node service) page, wanted mode
-	opPLockReleaseN = 4 // node, count, count × (page, mode): batched release
+	opPLockReleaseN = 4 // node, count, count × (page, mode, LLSN): batched release
 	opRevokeN       = 5 // (node service) count, count × (page, wantNode, wantMode)
 )
+
+// llsnUnknown is the released LLSN of a page whose last X holder could not
+// name the version it left (its image had left the buffer pool, or it died
+// holding the page): above every real LLSN, so every cached copy is stale.
+const llsnUnknown = common.LLSN(math.MaxUint64)
 
 func plockReqBuf(op byte, node common.NodeID, pg common.PageID, mode Mode) []byte {
 	b := make([]byte, 12)
@@ -67,22 +73,35 @@ func deadlineBudgetMicros(dl common.Deadline) uint32 {
 	return uint32(us)
 }
 
-// relPage is one (page, held mode) element of a batched release.
+// relPage is one element of a release; S releases carry llsn 0.
 type relPage struct {
 	pg   common.PageID
 	mode Mode
+	llsn common.LLSN
 }
+
+// plockReleaseLen is the single-release request size: header plus LLSN.
+const plockReleaseLen = 20
+
+func plockReleaseBuf(node common.NodeID, p relPage) []byte {
+	b := plockReqBuf(opPLockRelease, node, p.pg, p.mode)
+	return binary.LittleEndian.AppendUint64(b, uint64(p.llsn))
+}
+
+// relElemLen is the size of one batched-release element: page, mode, LLSN.
+const relElemLen = 17
 
 // plockReleaseNBuf encodes a batched release: header (op, node, count)
 // followed by count fixed-size elements, with room left for the epoch stamp.
 func plockReleaseNBuf(node common.NodeID, pages []relPage) []byte {
-	b := make([]byte, 5, 5+9*len(pages)+8)
+	b := make([]byte, 5, 5+relElemLen*len(pages)+8)
 	b[0] = opPLockReleaseN
 	binary.LittleEndian.PutUint16(b[1:], uint16(node))
 	binary.LittleEndian.PutUint16(b[3:], uint16(len(pages)))
 	for _, p := range pages {
 		b = binary.LittleEndian.AppendUint64(b, uint64(p.pg))
 		b = append(b, byte(p.mode))
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.llsn))
 	}
 	return b
 }
@@ -145,6 +164,9 @@ type PLockServer struct {
 type plockStripe struct {
 	mu      sync.Mutex
 	entries map[common.PageID]*plockEntry
+	// released is, per page, the LLSN its last X holder released: the
+	// version every grant returns. It outlives the page's lock entry.
+	released map[common.PageID]common.LLSN
 	// inflight counts admitted acquire requests currently inside the
 	// stripe (queued or granting); the admission bound compares against it.
 	inflight atomic.Int64
@@ -173,7 +195,8 @@ type plockWaiter struct {
 	node    common.NodeID
 	mode    Mode
 	granted chan struct{}
-	err     error // set before granted is closed on failure
+	err     error       // set before granted is closed on failure
+	llsn    common.LLSN // the page's released LLSN, set before granted is closed on a grant
 }
 
 // plockAdmitDefault is the per-stripe admission bound: far above the bench
@@ -189,6 +212,7 @@ func newPLockServer(ep *rdma.Endpoint, fabric *rdma.Fabric) *PLockServer {
 	s.admit.Store(plockAdmitDefault)
 	for i := range s.stripes {
 		s.stripes[i].entries = make(map[common.PageID]*plockEntry)
+		s.stripes[i].released = make(map[common.PageID]common.LLSN)
 	}
 	ep.Serve(ServicePLock, s.handle)
 	return s
@@ -232,19 +256,27 @@ func (s *PLockServer) handle(req []byte) ([]byte, error) {
 				return nil, err
 			}
 		}
-		return nil, s.acquire(node, pg, mode, budget)
+		llsn, err := s.acquire(node, pg, mode, budget)
+		if err != nil {
+			return nil, err
+		}
+		return binary.LittleEndian.AppendUint64(nil, uint64(llsn)), nil
 	case opPLockRelease:
-		if len(req) < 12 {
+		if len(req) < plockReleaseLen {
 			return nil, common.ErrShortBuffer
 		}
 		node := common.NodeID(binary.LittleEndian.Uint16(req[1:]))
-		pg := common.PageID(binary.LittleEndian.Uint64(req[3:]))
+		p := relPage{
+			pg:   common.PageID(binary.LittleEndian.Uint64(req[3:])),
+			mode: Mode(req[11]),
+			llsn: common.LLSN(binary.LittleEndian.Uint64(req[12:])),
+		}
 		if s.gate != nil {
-			if err := s.gate(node, common.TrailingEpoch(req, 12)); err != nil {
+			if err := s.gate(node, common.TrailingEpoch(req, plockReleaseLen)); err != nil {
 				return nil, err
 			}
 		}
-		s.release(node, pg)
+		s.releaseN(node, []relPage{p})
 		return nil, nil
 	case opPLockReleaseN:
 		if len(req) < 5 {
@@ -252,7 +284,7 @@ func (s *PLockServer) handle(req []byte) ([]byte, error) {
 		}
 		node := common.NodeID(binary.LittleEndian.Uint16(req[1:]))
 		count := int(binary.LittleEndian.Uint16(req[3:]))
-		base := 5 + 9*count
+		base := 5 + relElemLen*count
 		if len(req) < base {
 			return nil, common.ErrShortBuffer
 		}
@@ -261,9 +293,14 @@ func (s *PLockServer) handle(req []byte) ([]byte, error) {
 				return nil, err
 			}
 		}
-		pages := make([]common.PageID, count)
-		for i := 0; i < count; i++ {
-			pages[i] = common.PageID(binary.LittleEndian.Uint64(req[5+9*i:]))
+		pages := make([]relPage, count)
+		for i := range pages {
+			el := req[5+relElemLen*i:]
+			pages[i] = relPage{
+				pg:   common.PageID(binary.LittleEndian.Uint64(el)),
+				mode: Mode(el[8]),
+				llsn: common.LLSN(binary.LittleEndian.Uint64(el[9:])),
+			}
 		}
 		s.releaseN(node, pages)
 		return nil, nil
@@ -295,13 +332,15 @@ func (st *plockStripe) entry(pg common.PageID) *plockEntry {
 // returns ErrDeadlineExceeded — non-retryable, unlike the backstop's
 // ErrLockTimeout — so the transaction's end-to-end bound holds even while
 // it is queued here.
-func (s *PLockServer) acquire(node common.NodeID, pg common.PageID, mode Mode, budgetMicros uint32) error {
+//
+// A grant returns the page's released LLSN.
+func (s *PLockServer) acquire(node common.NodeID, pg common.PageID, mode Mode, budgetMicros uint32) (common.LLSN, error) {
 	st := s.stripeOf(pg)
 	if lim := s.admit.Load(); lim > 0 {
 		if st.inflight.Add(1) > lim {
 			st.inflight.Add(-1)
 			s.Sheds.Inc()
-			return fmt.Errorf("plock: stripe of page %d over admission bound %d: %w",
+			return 0, fmt.Errorf("plock: stripe of page %d over admission bound %d: %w",
 				pg, lim, common.ErrOverloaded)
 		}
 		defer st.inflight.Add(-1)
@@ -311,8 +350,9 @@ func (s *PLockServer) acquire(node common.NodeID, pg common.PageID, mode Mode, b
 	if held, ok := e.holders[node]; ok && held.Covers(mode) {
 		// Idempotent re-grant (e.g. the release raced a new acquire,
 		// or a recovering incarnation reclaiming its fenced lock).
+		llsn := st.released[pg]
 		st.mu.Unlock()
-		return nil
+		return llsn, nil
 	}
 	for holder, held := range e.holders {
 		// A fence only ever blocks OTHER nodes: the crashed holder's own
@@ -320,13 +360,13 @@ func (s *PLockServer) acquire(node common.NodeID, pg common.PageID, mode Mode, b
 		// above, and two dead nodes must not wait on each other.
 		if holder != node && s.isDead(holder) && !compatible(held, mode) {
 			st.mu.Unlock()
-			return fmt.Errorf("plock: page %d held by crashed node %d: %w",
+			return 0, fmt.Errorf("plock: page %d held by crashed node %d: %w",
 				pg, holder, common.ErrFenced)
 		}
 	}
 	w := &plockWaiter{node: node, mode: mode, granted: make(chan struct{})}
 	e.queue = append(e.queue, w)
-	revokees := s.tryGrantLocked(e)
+	revokees := s.tryGrantLocked(st, pg, e)
 	st.mu.Unlock()
 	s.sendRevokes([]pendingRevokes{{pg, revokees}})
 
@@ -346,7 +386,7 @@ func (s *PLockServer) acquire(node common.NodeID, pg common.PageID, mode Mode, b
 		}
 		select {
 		case <-w.granted:
-			return w.err
+			return w.llsn, w.err
 		case <-time.After(tick):
 		}
 		if time.Now().Before(deadline) {
@@ -372,16 +412,16 @@ func (s *PLockServer) acquire(node common.NodeID, pg common.PageID, mode Mode, b
 				e.queue = append(e.queue[:i], e.queue[i+1:]...)
 				st.mu.Unlock()
 				if deadlineBound {
-					return fmt.Errorf("plock: page %d mode %v for node %d: wait budget spent: %w",
+					return 0, fmt.Errorf("plock: page %d mode %v for node %d: wait budget spent: %w",
 						pg, mode, node, common.ErrDeadlineExceeded)
 				}
-				return fmt.Errorf("plock: page %d mode %v for node %d: %w",
+				return 0, fmt.Errorf("plock: page %d mode %v for node %d: %w",
 					pg, mode, node, common.ErrLockTimeout)
 			}
 		}
 		st.mu.Unlock()
 		<-w.granted
-		return w.err
+		return w.llsn, w.err
 	}
 }
 
@@ -412,7 +452,7 @@ func (s *PLockServer) MarkDead(node common.NodeID) {
 				kept = append(kept, w)
 			}
 			e.queue = kept
-			pending = append(pending, pendingRevokes{pg, s.tryGrantLocked(e)})
+			pending = append(pending, pendingRevokes{pg, s.tryGrantLocked(st, pg, e)})
 		}
 		st.mu.Unlock()
 	}
@@ -500,8 +540,9 @@ func (s *PLockServer) collectRevokeesLocked(e *plockEntry, head *plockWaiter) []
 // messages the caller must send after unlocking — computed HERE, on every
 // state change, because a waiter that becomes head only after earlier
 // grants would otherwise never trigger negotiation and the queue would
-// wedge behind a lazy holder. Callers hold the entry's stripe mutex.
-func (s *PLockServer) tryGrantLocked(e *plockEntry) []revokeTarget {
+// wedge behind a lazy holder. Each grant hands the waiter the page's
+// released LLSN. Callers hold the stripe mutex of pg's entry e.
+func (s *PLockServer) tryGrantLocked(st *plockStripe, pg common.PageID, e *plockEntry) []revokeTarget {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
 		ok := true
@@ -529,31 +570,28 @@ func (s *PLockServer) tryGrantLocked(e *plockEntry) []revokeTarget {
 		delete(e.revoked, w.node)
 		e.queue = e.queue[1:]
 		s.Grants.Inc()
+		w.llsn = st.released[pg]
 		close(w.granted)
 	}
 	return nil
 }
 
-// release removes node's hold on pg and grants any unblocked waiters.
-func (s *PLockServer) release(node common.NodeID, pg common.PageID) {
-	st := s.stripeOf(pg)
-	st.mu.Lock()
-	revokees := s.releaseOneLocked(st, node, pg)
-	st.mu.Unlock()
-	s.sendRevokes([]pendingRevokes{{pg, revokees}})
-}
-
-// releaseOneLocked is the stripe-locked body of release.
-func (s *PLockServer) releaseOneLocked(st *plockStripe, node common.NodeID, pg common.PageID) []revokeTarget {
-	e := st.entries[pg]
+// releaseOneLocked removes node's hold on p.pg and grants any unblocked
+// waiters, after recording an X holder's released LLSN. Only a current X
+// holder sets it: a re-delivered release must not roll the version back.
+func (s *PLockServer) releaseOneLocked(st *plockStripe, node common.NodeID, p relPage) []revokeTarget {
+	e := st.entries[p.pg]
 	if e == nil {
 		return nil
 	}
+	if e.holders[node] == ModeX {
+		st.released[p.pg] = p.llsn
+	}
 	delete(e.holders, node)
 	delete(e.revoked, node)
-	revokees := s.tryGrantLocked(e)
+	revokees := s.tryGrantLocked(st, p.pg, e)
 	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(st.entries, pg)
+		delete(st.entries, p.pg)
 	}
 	return revokees
 }
@@ -561,17 +599,17 @@ func (s *PLockServer) releaseOneLocked(st *plockStripe, node common.NodeID, pg c
 // releaseN removes node's hold on every page in one table pass, grouping
 // pages by stripe so each stripe mutex is taken once, then sends all
 // resulting negotiation messages coalesced per holder.
-func (s *PLockServer) releaseN(node common.NodeID, pages []common.PageID) {
-	byStripe := make(map[*plockStripe][]common.PageID)
-	for _, pg := range pages {
-		st := s.stripeOf(pg)
-		byStripe[st] = append(byStripe[st], pg)
+func (s *PLockServer) releaseN(node common.NodeID, pages []relPage) {
+	byStripe := make(map[*plockStripe][]relPage)
+	for _, p := range pages {
+		st := s.stripeOf(p.pg)
+		byStripe[st] = append(byStripe[st], p)
 	}
 	var pending []pendingRevokes
-	for st, pgs := range byStripe {
+	for st, ps := range byStripe {
 		st.mu.Lock()
-		for _, pg := range pgs {
-			pending = append(pending, pendingRevokes{pg, s.releaseOneLocked(st, node, pg)})
+		for _, p := range ps {
+			pending = append(pending, pendingRevokes{p.pg, s.releaseOneLocked(st, node, p)})
 		}
 		st.mu.Unlock()
 	}
@@ -579,6 +617,8 @@ func (s *PLockServer) releaseN(node common.NodeID, pages []common.PageID) {
 }
 
 // dropNode force-releases everything node holds or awaits (crash cleanup).
+// The node never released its X pages, whose newest changes may exist only in
+// its log until recovery replays them: their version becomes llsnUnknown.
 func (s *PLockServer) dropNode(node uint16) {
 	n := common.NodeID(node)
 	s.deadMu.Lock()
@@ -589,6 +629,9 @@ func (s *PLockServer) dropNode(node uint16) {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		for pg, e := range st.entries {
+			if e.holders[n] == ModeX {
+				st.released[pg] = llsnUnknown
+			}
 			delete(e.holders, n)
 			delete(e.revoked, n)
 			filtered := e.queue[:0]
@@ -600,7 +643,7 @@ func (s *PLockServer) dropNode(node uint16) {
 				filtered = append(filtered, w)
 			}
 			e.queue = filtered
-			pending = append(pending, pendingRevokes{pg, s.tryGrantLocked(e)})
+			pending = append(pending, pendingRevokes{pg, s.tryGrantLocked(st, pg, e)})
 			if len(e.holders) == 0 && len(e.queue) == 0 {
 				delete(st.entries, pg)
 			}
@@ -685,13 +728,22 @@ func (s *PLockServer) HolderCount() int {
 // logs first) before the lock leaves the node (§4.2/§4.3.1). It runs before
 // the release RPC is sent. A non-nil error vetoes the release of that page:
 // the hold is retained server-side, because handing the lock to a peer whose
-// DBP image is missing the flush — or a peer whose cached copy's invalidation
-// is still undelivered — would fork the page's lineage. A live node keeps the
-// lock and the next revoke resend retries the flush; the one non-transient
-// source of flush failure is this node crashing mid-revoke — retaining the
-// hold is then exactly what keeps the page fenced until the restarted
-// incarnation replays it.
+// DBP image is missing the flush would fork the page's lineage. A live node
+// keeps the lock and the next revoke resend retries the flush; the one
+// non-transient source of flush failure is this node crashing mid-revoke —
+// retaining the hold is then exactly what keeps the page fenced until the
+// restarted incarnation replays it.
 type RevokeFunc func(pg common.PageID, held Mode) error
+
+// PageVersions is the node's buffer pool as the PLock client sees it. A
+// page's version is its LLSN (§4.4), which every change advances.
+type PageVersions interface {
+	// PageLLSN reports the LLSN of pg's cached image (ok false: not cached).
+	PageLLSN(pg common.PageID) (llsn common.LLSN, ok bool)
+	// Granted hands over a grant's LLSN before any local thread can use the
+	// lock: a cached copy below it is stale.
+	Granted(pg common.PageID, llsn common.LLSN)
+}
 
 // PLockClient is a node's PLock manager: it tracks locks the node holds,
 // reference counts from local threads, lazy retention, and pending revokes.
@@ -701,6 +753,7 @@ type PLockClient struct {
 	cfg    Config
 
 	onRevoke RevokeFunc
+	pages    PageVersions
 	closed   atomic.Bool
 	tr       *trace.Tracer
 
@@ -745,6 +798,10 @@ func NewPLockClient(ep *rdma.Endpoint, fabric *rdma.Fabric, cfg Config) *PLockCl
 // SetRevokeHandler installs the engine's flush-before-release hook. Must be
 // called before the node serves traffic.
 func (c *PLockClient) SetRevokeHandler(f RevokeFunc) { c.onRevoke = f }
+
+// SetPageVersions connects the client to the node's buffer pool before it
+// serves traffic; without it X releases report their version unknown.
+func (c *PLockClient) SetPageVersions(v PageVersions) { c.pages = v }
 
 // SetTracer attaches the node's commit-path tracer (nil disables). Every
 // successful acquire is observed as StagePLockLocal (lazy-retention grant)
@@ -792,7 +849,7 @@ func (c *PLockClient) handleRevoke(req []byte) ([]byte, error) {
 		if l.refs > 0 || l.acquiring {
 			continue
 		}
-		idle = append(idle, relPage{pg, l.mode})
+		idle = append(idle, relPage{pg: pg, mode: l.mode})
 		delete(c.locks, pg)
 		c.releasing[pg] = true
 	}
@@ -889,10 +946,19 @@ func (c *PLockClient) AcquireDeadlineEx(pg common.PageID, mode Mode, dl common.D
 		// budget is re-derived per attempt: a retry after backoff must tell
 		// the server how much budget is actually left.
 		one := c.fabric.WithDeadline(dl).WithRetry(common.NoRetryPolicy())
+		llsn := llsnUnknown
 		err := common.RetryDeadline(c.fabric.RetryPolicy(), dl, func() error {
-			_, e := one.Call(common.PMFSNode, ServicePLock, plockAcquireReqBuf(c.node, pg, mode, deadlineBudgetMicros(dl)))
+			resp, e := one.Call(common.PMFSNode, ServicePLock, plockAcquireReqBuf(c.node, pg, mode, deadlineBudgetMicros(dl)))
+			if e == nil && len(resp) >= 8 {
+				llsn = common.LLSN(binary.LittleEndian.Uint64(resp))
+			}
 			return e
 		})
+		if err == nil && c.pages != nil {
+			// Before l.mode is set: once it is, a sibling thread can take
+			// the local fast path and read the cached copy.
+			c.pages.Granted(pg, llsn)
+		}
 		c.mu.Lock()
 		l.acquiring = false
 		if err != nil {
@@ -949,7 +1015,7 @@ func (c *PLockClient) Release(pg common.PageID) {
 
 // releaseToServer runs the engine flush hook and returns one lock to PMFS.
 func (c *PLockClient) releaseToServer(pg common.PageID, mode Mode) {
-	c.releaseToServerN([]relPage{{pg, mode}})
+	c.releaseToServerN([]relPage{{pg: pg, mode: mode}})
 }
 
 // releaseToServerN runs the engine flush hook for every page, then returns
@@ -1008,13 +1074,18 @@ func (c *PLockClient) releaseToServerN(pages []relPage) {
 			return
 		}
 	}
+	for i := range pages {
+		if pages[i].mode == ModeX {
+			pages[i].llsn = c.releasedLLSN(pages[i].pg)
+		}
+	}
 	// A dropped release would leave PMFS believing we still hold the locks,
 	// stalling every waiter until the backstop: retry until delivered. The
 	// batch is idempotent (releasing an un-held page is a no-op), so a
 	// duplicate delivery after a lost response is harmless.
 	var req []byte
 	if len(pages) == 1 {
-		req = plockReqBuf(opPLockRelease, c.node, pages[0].pg, pages[0].mode)
+		req = plockReleaseBuf(c.node, pages[0])
 	} else {
 		req = plockReleaseNBuf(c.node, pages)
 	}
@@ -1030,6 +1101,18 @@ func (c *PLockClient) releaseToServerN(pages []relPage) {
 	c.mu.Unlock()
 }
 
+// releasedLLSN is the version an X release of pg leaves behind: its cached
+// image's LLSN, or llsnUnknown once the image has left the buffer pool.
+func (c *PLockClient) releasedLLSN(pg common.PageID) common.LLSN {
+	if c.pages == nil {
+		return llsnUnknown
+	}
+	if llsn, ok := c.pages.PageLLSN(pg); ok {
+		return llsn
+	}
+	return llsnUnknown
+}
+
 // ReleaseAll force-releases every retained lock (shutdown / ablation /
 // cache-drop) in one batched RPC. Locks with live references are skipped,
 // and so are entries a local thread is mid-acquisition on: that thread holds
@@ -1041,7 +1124,7 @@ func (c *PLockClient) ReleaseAll() {
 	var idle []relPage
 	for pg, l := range c.locks {
 		if l.refs == 0 && !l.acquiring {
-			idle = append(idle, relPage{pg, l.mode})
+			idle = append(idle, relPage{pg: pg, mode: l.mode})
 			delete(c.locks, pg)
 			c.releasing[pg] = true
 		}

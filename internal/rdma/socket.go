@@ -13,8 +13,8 @@ import (
 // Socket transport: fabric verbs between OS processes over TCP, speaking the
 // wire frame codec. The protocol is symmetric after the handshake — either
 // end may issue verb requests — so a satellite's dialed uplink doubles as the
-// seed's reverse route to the satellite's endpoints (TIT reads, revoke RPCs,
-// invalidation pushes) without a listener on the satellite.
+// seed's reverse route to the satellite's endpoints (TIT reads, revoke RPCs)
+// without a listener on the satellite.
 //
 // Handshake: the dialer opens N connections and sends a hello control frame
 // on each (protocol version, a process-unique peer id, its process name and

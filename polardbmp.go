@@ -7,7 +7,8 @@
 // transactions locally — no distributed transactions — while PMFS
 // coordinates global transaction visibility (TSO + per-node transaction
 // information tables read over one-sided RDMA), cache coherence (a
-// distributed buffer pool with remote invalidation), and cross-node locking
+// distributed buffer pool whose cached copies are validated when a page
+// lock is granted), and cross-node locking
 // (page locks with lazy release, row locks embedded in the rows).
 //
 // Quick start:
