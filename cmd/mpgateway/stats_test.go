@@ -159,8 +159,6 @@ nodes[].fabric.bytes_write
 nodes[].fabric.reads
 nodes[].fabric.rpcs
 nodes[].fabric.writes
-nodes[].hedge_wins
-nodes[].hedges_fired
 nodes[].node
 nodes[].stages
 nodes[].stages[].count
@@ -183,8 +181,6 @@ nodes[].tx_p99_ns
 overload
 overload.buf_sheds
 overload.deadline_aborts
-overload.hedge_wins
-overload.hedges_fired
 overload.plock_sheds
 pmfs
 pmfs.degraded_ops

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"polardbmp/internal/common"
 	"polardbmp/internal/metrics"
@@ -76,12 +75,6 @@ type Client struct {
 	closed      atomic.Bool
 	tr          *trace.Tracer
 
-	// dbpReadEWMA tracks typical one-sided DBP read latency (ns) so the
-	// hedge delay derives from the node's observed latency profile.
-	dbpReadEWMA atomic.Int64
-	// hedgeFloor is the minimum hedge delay in ns (-1 disables hedging).
-	hedgeFloor atomic.Int64
-
 	mu     sync.Mutex
 	frames map[common.PageID]*Frame
 	lru    *list.List // *Frame, most-recent at back
@@ -92,10 +85,6 @@ type Client struct {
 	StorageReads metrics.Counter
 	PushesOut    metrics.Counter
 	Refreshes    metrics.Counter
-	// HedgesFired counts fetches whose primary DBP read outlived the hedge
-	// delay; HedgeWins counts those where the hedge responded first.
-	HedgesFired metrics.Counter
-	HedgeWins   metrics.Counter
 }
 
 // NewClient creates the node's LBP with the given frame capacity.
@@ -103,7 +92,7 @@ func NewClient(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, capaci
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	c := &Client{
+	return &Client{
 		node:     ep.Node(),
 		fabric:   fabric.From(ep.Node()),
 		store:    store,
@@ -111,54 +100,6 @@ func NewClient(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, capaci
 		frames:   make(map[common.PageID]*Frame),
 		lru:      list.New(),
 	}
-	c.hedgeFloor.Store(int64(hedgeFloorDefault))
-	return c
-}
-
-// hedgeFloorDefault is the minimum hedge delay: far above a healthy
-// simulated-fabric read (sub-microsecond) so hedges only fire on genuine
-// fail-slow stalls, yet far below a storage round trip's worth of stall.
-const hedgeFloorDefault = time.Millisecond
-
-// SetHedgeDelayFloor overrides the minimum hedge delay for fail-slow DBP
-// reads. The effective delay is max(floor, 8x the node's DBP-read latency
-// EWMA). d <= 0 disables hedging entirely.
-func (c *Client) SetHedgeDelayFloor(d time.Duration) {
-	if d <= 0 {
-		c.hedgeFloor.Store(-1)
-		return
-	}
-	c.hedgeFloor.Store(int64(d))
-}
-
-// hedgeDelay returns the current hedge delay, or ok=false when hedging is
-// disabled.
-func (c *Client) hedgeDelay() (time.Duration, bool) {
-	floor := c.hedgeFloor.Load()
-	if floor < 0 {
-		return 0, false
-	}
-	d := 8 * c.dbpReadEWMA.Load()
-	if d < floor {
-		d = floor
-	}
-	return time.Duration(d), true
-}
-
-// noteDBPRead folds one successful DBP read latency into the EWMA
-// (weight 1/8). Races between concurrent readers lose samples, never
-// corrupt: the value is always some recent sample mix.
-func (c *Client) noteDBPRead(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns <= 0 {
-		ns = 1
-	}
-	old := c.dbpReadEWMA.Load()
-	if old == 0 {
-		c.dbpReadEWMA.Store(ns)
-		return
-	}
-	c.dbpReadEWMA.Store(old + (ns-old)/8)
 }
 
 // SetForceLog installs the engine's log-force hook (must be set before the
@@ -360,10 +301,10 @@ func (c *Client) ensureValid(f *Frame, dl common.Deadline) error {
 	return nil
 }
 
-// fetch implements the page-access path of §4.2: DBP lookup, one-sided read
-// on hit (hedged against fail-slow stalls); storage read then push on miss,
-// so peers find the page in the DBP. In storage mode it is the storage read
-// alone. A non-zero dl bounds every verb, retry backoff, and storage read.
+// fetch implements the page-access path of §4.2: DBP lookup, then one
+// one-sided read on hit; storage read then push on miss, so peers find the
+// page in the DBP. In storage mode it is the storage read alone. A non-zero
+// dl bounds every verb, retry backoff, and storage read.
 func (c *Client) fetch(pg common.PageID, dl common.Deadline) (*page.Page, int, FetchKind, error) {
 	tok := c.tr.Start()
 	if c.storageMode {
@@ -389,11 +330,7 @@ func (c *Client) fetch(pg common.PageID, dl common.Deadline) (*page.Page, int, F
 	}
 	if len(resp) >= 5 && resp[0] == 1 {
 		frame := int(binary.LittleEndian.Uint32(resp[1:]))
-		clean := len(resp) >= 6 && resp[5] == 1
-		p, hedged, err := c.readDBPFrameHedged(pg, frame, clean, dl)
-		if hedged {
-			c.tr.Observe(trace.StageHedgeFired, tok)
-		}
+		p, err := c.readDBPFrame(frame, dl)
 		if err == nil && p.ID == pg {
 			c.DBPReads.Inc()
 			c.tr.Observe(trace.StageFrameDBP, tok)
@@ -414,8 +351,8 @@ func (c *Client) fetch(pg common.PageID, dl common.Deadline) (*page.Page, int, F
 		return nil, -1, FetchStorage, err
 	}
 	// Register the loaded page into the DBP so peers can reach it without
-	// storage I/O. The push is clean: the image came from storage, so the
-	// directory entry stays hedgeable.
+	// storage I/O. The push is clean: the image came from storage, so
+	// eviction need not write it back.
 	frame, err := c.pushImage(p, true)
 	if err != nil {
 		return nil, -1, FetchStorage, err
@@ -436,11 +373,9 @@ func (c *Client) readDBPFrame(frame int, dl common.Deadline) (*page.Page, error)
 	bp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(bp)
 	buf := (*bp)[:page.FrameSize]
-	start := time.Now()
 	if err := c.fabric.WithDeadline(dl).Read(common.PMFSNode, RegionDBP, frame*page.FrameSize, buf); err != nil {
 		return nil, err
 	}
-	c.noteDBPRead(time.Since(start))
 	n := imageLen(buf)
 	if n == 0 {
 		return nil, fmt.Errorf("bufferfusion: empty DBP frame %d: %w", frame, common.ErrNotFound)
@@ -460,66 +395,6 @@ func (c *Client) readPageFromStorage(pg common.PageID, dl common.Deadline) (*pag
 		return nil, err
 	}
 	return page.Unmarshal(img)
-}
-
-// readDBPFrameHedged is the fail-slow-mitigated DBP read of the fetch path:
-// if the primary one-sided read outlives the hedge delay (derived from the
-// node's latency EWMA), a fallback is issued and the first usable response
-// wins. The fallback reads shared storage when the server reported the
-// frame clean (storage image provably as new as the frame), else it re-reads
-// the DBP frame — a stale storage image must never be served. The loser
-// cannot be cancelled on the simulated fabric; it drains into the buffered
-// channel and is dropped, its cost visible through HedgesFired/HedgeWins.
-func (c *Client) readDBPFrameHedged(pg common.PageID, frame int, clean bool, dl common.Deadline) (p *page.Page, hedged bool, err error) {
-	delay, ok := c.hedgeDelay()
-	if !ok {
-		p, err = c.readDBPFrame(frame, dl)
-		return p, false, err
-	}
-	type res struct {
-		p        *page.Page
-		err      error
-		fallback bool
-	}
-	ch := make(chan res, 2)
-	go func() {
-		p, err := c.readDBPFrame(frame, dl)
-		ch <- res{p: p, err: err}
-	}()
-	timer := time.NewTimer(delay)
-	select {
-	case r := <-ch:
-		timer.Stop()
-		return r.p, false, r.err
-	case <-timer.C:
-	}
-	c.HedgesFired.Inc()
-	go func() {
-		r := res{fallback: true}
-		if clean && !c.storageMode {
-			r.p, r.err = c.readPageFromStorage(pg, dl)
-		} else {
-			r.p, r.err = c.readDBPFrame(frame, dl)
-		}
-		ch <- r
-	}()
-	first := <-ch
-	if first.err == nil && first.p != nil && first.p.ID == pg {
-		if first.fallback {
-			c.HedgeWins.Inc()
-		}
-		return first.p, true, nil
-	}
-	// The first response was unusable (error, or a recycled frame holding
-	// another page); give the straggler its chance before reporting.
-	second := <-ch
-	if second.err == nil && second.p != nil && second.p.ID == pg {
-		if second.fallback {
-			c.HedgeWins.Inc()
-		}
-		return second.p, true, nil
-	}
-	return first.p, true, first.err
 }
 
 // pushImage writes p into its (pinned) DBP frame and completes the push.

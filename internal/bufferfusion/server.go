@@ -41,7 +41,7 @@ const storagePseudoFrame = 0x7FFFFFFF
 
 // RPC ops.
 const (
-	opLookup      = 1 // node, page -> found?, frame, clean?
+	opLookup      = 1 // node, page -> found?, frame
 	opPreparePush = 2 // node, page -> frame (pinned)
 	opPushed      = 3 // node, page, frame -> ok (unpin)
 )
@@ -114,8 +114,11 @@ type dirEntry struct {
 	// retried completion neither leaks nor steals a pin. A pinned frame is
 	// never evicted.
 	pinned map[common.NodeID]struct{}
-	dirty  bool // newer than the storage image
-	lruEl  *list.Element
+	// dirty marks a frame newer than the storage image: eviction and
+	// FlushAll write back only dirty frames, so an image that came from
+	// storage (a clean push) is never written back.
+	dirty bool
+	lruEl *list.Element
 }
 
 // NewServer attaches Buffer Fusion to the PMFS endpoint with the given
@@ -209,14 +212,11 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 			}
 			defer st.inflight.Add(-1)
 		}
-		fr, ok, clean := s.lookup(pg)
-		resp := make([]byte, 6)
+		fr, ok := s.lookup(pg)
+		resp := make([]byte, 5)
 		if ok {
 			resp[0] = 1
 			binary.LittleEndian.PutUint32(resp[1:], uint32(fr))
-			if clean {
-				resp[5] = 1
-			}
 		}
 		return resp, nil
 	case opPreparePush:
@@ -236,24 +236,19 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 	}
 }
 
-// lookup locates the page's frame, if present. clean reports that the
-// storage image is as new as the DBP frame (the frame was pushed from a
-// storage read, or has been flushed since its last dirty push), which lets
-// the client hedge a slow DBP read with a storage read without risking a
-// stale image. The bit is stable for the caller: it holds a covering PLock,
-// so no other node can push a newer image while the fetch is in flight.
-func (s *Server) lookup(pg common.PageID) (int, bool, bool) {
+// lookup locates the page's frame, if present.
+func (s *Server) lookup(pg common.PageID) (int, bool) {
 	st := s.stripeFor(pg)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.dir[pg]
 	if e == nil {
 		s.Misses.Inc()
-		return 0, false, false
+		return 0, false
 	}
 	st.lru.MoveToBack(e.lruEl)
 	s.Hits.Inc()
-	return e.frame, true, !e.dirty
+	return e.frame, true
 }
 
 // preparePush pins (allocating if needed) the page's frame so the caller can
@@ -287,9 +282,10 @@ func (e *dirEntry) pin(node common.NodeID) {
 
 // pushed completes a push: unpin and mark dirty. clean marks a push whose
 // image was just read from storage (a fetch registering the page in the
-// DBP): it never downgrades an already-dirty entry — it only refrains from
-// dirtying one, keeping the storage-hedge bit conservative. A repeated
-// completion finds no pin to drop and changes nothing.
+// DBP): storage already holds that image, so it refrains from dirtying the
+// entry and eviction skips the write-back. It never downgrades an
+// already-dirty entry, whose newer image storage does not have yet. A
+// repeated completion finds no pin to drop and changes nothing.
 func (s *Server) pushed(node common.NodeID, pg common.PageID, frame int, clean bool) {
 	st := s.stripeFor(pg)
 	st.mu.Lock()

@@ -74,8 +74,8 @@ var plans = map[string]planRow{
 	// A shared-memory replica dies a third of the way in.
 	"pmfsfailover": {faults: func(_ int, window uint64) chaos.Plan { return chaos.PmfsFailoverPlan(window / 3) }},
 	// Everything slows, nothing dies: the last node's link crawls, 20% of
-	// storage I/O stalls 2ms, 5% of DBP frame reads stall 10ms (the hedgeable
-	// tail). SelfHeal arms fail-slow suspicion; the tight renew cadence trips
+	// storage I/O stalls 2ms, 5% of DBP frame reads stall 10ms (a bimodal
+	// tail the deadline budgets must absorb). SelfHeal arms fail-slow suspicion; the tight renew cadence trips
 	// the EWMA far under the lease timeout — suspected, never evicted.
 	"brownout": {
 		minNodes: 2,

@@ -186,8 +186,8 @@ func verdict(o *observations, tr traits) (report, violations []string) {
 		goodput := 100 * float64(done) / float64(len(o.lats))
 		note("brownout: goodput %.1f%% (%d/%d), p50 %v, p99 %v, %d deadline aborts (worst overrun %v)", goodput, done, len(o.lats),
 			q(0.50).Round(time.Millisecond), q(0.99).Round(time.Millisecond), t.deadline, o.worstOver.Round(time.Millisecond))
-		note("overload: plock sheds=%d buf sheds=%d hedges fired=%d won=%d deadline aborts=%d",
-			ov.PLockSheds, ov.BufSheds, ov.HedgesFired, ov.HedgeWins, ov.DeadlineAborts)
+		note("overload: plock sheds=%d buf sheds=%d deadline aborts=%d",
+			ov.PLockSheds, ov.BufSheds, ov.DeadlineAborts)
 		note("fail-slow: %d suspicions, slow peers %v", mem.FailSlowSuspicions, mem.SlowPeers)
 		if goodput < goodputFloorPct {
 			fail("goodput %.1f%% under the %d%% floor — degradation is not graceful", goodput, goodputFloorPct)

@@ -108,7 +108,7 @@ func TestWorkloadUnderLossyPlan(t *testing.T) {
 // end: a crawling node and a browning-out store. Nothing crashes, so nothing
 // may leak to the app; the cluster must converge once the faults stop; and
 // closing the cluster (Spec.Run does) must release every goroutine the
-// degraded run parked (hedge losers, retry sleepers, lease loops) — a
+// degraded run parked (retry sleepers, lease loops) — a
 // fail-slow window must not strand workers.
 func TestWorkloadUnderFailSlowPlans(t *testing.T) {
 	txPerNode := 60

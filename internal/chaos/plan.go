@@ -274,11 +274,11 @@ func StalledStoragePlan(stall time.Duration, dropProb float64) Plan {
 // partitions — everything just gets slow. A fraction of storage I/O stalls,
 // every fabric op touching one node crawls (a degraded NIC; heartbeats keep
 // flowing, so the node is fail-slow, never fail-stopped), and a small
-// fraction of one-sided DBP frame reads stall hard (the bimodal tail that
-// makes hedged reads pay off — a uniform slowdown would just raise the
-// latency EWMA and with it the hedge delay). The graceful-degradation
-// machinery (deadline budgets, admission control, hedging, fail-slow
-// suspicion) must keep goodput up and tail latency bounded under this plan.
+// fraction of one-sided DBP frame reads stall hard (a bimodal tail: a DBP
+// read is never raced, so a stalled one costs its transaction the stall and
+// the deadline budget must absorb it). The graceful-degradation machinery
+// (deadline budgets, admission control, fail-slow suspicion) must keep
+// goodput up and tail latency bounded under this plan.
 func BrownoutPlan(slow common.NodeID, linkDelay, storageStall, dbpStall time.Duration) Plan {
 	return Plan{
 		Name: "brownout",

@@ -602,17 +602,13 @@ type LockStats struct {
 }
 
 // OverloadStats is a snapshot of the graceful-degradation counters:
-// admission-control sheds on the fusion servers, fail-slow read hedges, and
-// transaction latency-budget aborts.
+// admission-control sheds on the fusion servers and transaction
+// latency-budget aborts.
 type OverloadStats struct {
 	// PLockSheds / BufSheds count requests the fusion servers rejected with
 	// the retryable ErrOverloaded (per-stripe admission control).
 	PLockSheds int64 `json:"plock_sheds"`
 	BufSheds   int64 `json:"buf_sheds"`
-	// HedgesFired counts DBP frame reads that outlived the hedge delay;
-	// HedgeWins counts those where the fallback answered first.
-	HedgesFired int64 `json:"hedges_fired"`
-	HedgeWins   int64 `json:"hedge_wins"`
 	// DeadlineAborts counts transactions aborted on a spent latency budget.
 	DeadlineAborts int64 `json:"deadline_aborts"`
 }
@@ -653,11 +649,8 @@ type NodeStats struct {
 	// DeferredAborts counts rollbacks finished in the background because a
 	// page was unreachable (partition, peer crash fence) at abort time.
 	DeferredAborts int64 `json:"deferred_aborts,omitempty"`
-	// DeadlineAborts counts this node's latency-budget aborts; HedgesFired/
-	// HedgeWins its fail-slow DBP read hedges.
+	// DeadlineAborts counts this node's latency-budget aborts.
 	DeadlineAborts int64         `json:"deadline_aborts"`
-	HedgesFired    int64         `json:"hedges_fired"`
-	HedgeWins      int64         `json:"hedge_wins"`
 	TxP50          time.Duration `json:"tx_p50_ns"`
 	TxP99          time.Duration `json:"tx_p99_ns"`
 	// Fabric counts ops issued BY this node (per-source attribution).
@@ -742,8 +735,6 @@ func (c *Cluster) Stats() ClusterStats {
 			Conflicts:      n.Conflicts.Load(),
 			DeferredAborts: n.DeferredAborts.Load(),
 			DeadlineAborts: n.DeadlineAborts.Load(),
-			HedgesFired:    n.lbp.HedgesFired.Load(),
-			HedgeWins:      n.lbp.HedgeWins.Load(),
 			TxP50:          n.TxLatency.Quantile(0.50),
 			TxP99:          n.TxLatency.Quantile(0.99),
 			Fabric:         c.fabric.SrcStats(n.id).Snapshot(),
@@ -766,8 +757,6 @@ func (c *Cluster) Stats() ClusterStats {
 		s.Commit.SpecCTSHits += specHits
 		s.Commit.SpecCTSReads += specReads
 		s.Overload.DeadlineAborts += ns.DeadlineAborts
-		s.Overload.HedgesFired += ns.HedgesFired
-		s.Overload.HedgeWins += ns.HedgeWins
 		s.Membership.LeaseRenewals += n.agent.Renewals.Load()
 		s.Membership.FailSlowSuspicions += n.agent.FailSlowSuspicions.Load()
 		for _, p := range n.agent.SlowPeers() {

@@ -276,10 +276,8 @@ func TestLazyViewTSOReadCounts(t *testing.T) {
 // the global minimum view back for as long as the statement runs, exactly
 // like a fetched view would, and lets go when it ends.
 func TestLazyViewHoldsMinView(t *testing.T) {
-	// No hedged DBP reads: the test parks node 1's one read of the page.
 	c, sp := lazyViewCluster(t, Config{RecycleInterval: -1})
 	n1, n2 := c.Node(1), c.Node(2)
-	n1.LBP().SetHedgeDelayFloor(-1)
 	put(t, n1, sp, "k", "old")
 	// Node 2 takes the page and moves the TSO well past node 1's bound.
 	for i := 0; i < 5; i++ {

@@ -56,7 +56,7 @@ type Agent struct {
 	// fail-slow: still renewing (so never evictable) but with a smoothed
 	// heartbeat gap well past the renewal cadence. Fail-slow nodes are the
 	// gray-failure case lease timeouts cannot see; the mark is advisory —
-	// it steers hedging/alerting, never eviction.
+	// it steers gateway routing (SlowPeers) and alerting, never eviction.
 	FailSlowSuspicions metrics.Counter
 
 	epoch   atomic.Uint64

@@ -78,10 +78,6 @@ const (
 	// ErrOverloaded (the duration is the time spent reaching the verdict,
 	// backoff included).
 	StageShed
-	// StageHedgeFired counts DBP frame reads whose primary one-sided read
-	// outlived the hedge delay, triggering a fallback read (§ fail-slow
-	// mitigation). The duration is the whole hedged fetch.
-	StageHedgeFired
 	// StageDeadlineAbort is a transaction aborted because its Deadline
 	// budget expired; the duration is begin-to-abort, i.e. how much budget
 	// the transaction burned before the abort checkpoint caught it.
@@ -115,7 +111,7 @@ var stageNames = [numStages]string{
 	"frame_local", "frame_dbp", "frame_storage",
 	"log_append", "log_sync", "tso_solo", "tso_group",
 	"cts_stamp", "commit",
-	"shed", "hedge_fired", "deadline_abort", "pmfs_replicate",
+	"shed", "deadline_abort", "pmfs_replicate",
 	"log_pipeline", "cts_spec",
 }
 
