@@ -41,8 +41,8 @@ smoke:
 # Graceful-degradation smoke: a deadline-bounded workload under simultaneous
 # storage stalls, a crawling node, and a stalled-DBP-read tail must keep
 # goodput above the floor, p99 bounded, zero transactions past budget+grace,
-# and zero transactions permanently shed with ErrOverloaded (see DESIGN.md
-# §7; non-zero exit on violation).
+# and zero transactions still ErrOverloaded after backoff (see DESIGN.md
+# §7 and §11; non-zero exit on violation).
 brownout-smoke:
 	$(GO) run ./cmd/mpchaos -plan brownout -seed 7 -ops 60
 
@@ -130,6 +130,8 @@ bench-snapshot:
 # Non-test, non-bench Go source lines: the number every diet PR quotes
 # (29,271 before PR 13, 28,743 after it, 28,398 after PR 14, 27,632 after
 # PR 16, 27,381 after PR 22, 27,240 after PR 24, 27,150 after PR 25, 27,135
-# after validity-on-grant replaced the invalid flags; CI fails above that).
+# after validity-on-grant replaced the invalid flags, 26,991 after read
+# hedging went, 26,790 after admission control and fail-slow suspicion went;
+# CI fails above that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

@@ -140,7 +140,6 @@ type backend struct {
 
 	mu       sync.Mutex
 	healthy  bool
-	slow     bool    // its own membership stats suspect a fail-slow peer
 	failEWMA float64 // recent failure rate, decayed by idle probes
 	active   int     // live proxied sessions
 	sessions uint64
@@ -180,8 +179,7 @@ type gateway struct {
 }
 
 // probeLoop keeps one backend's health fresh: a ping each tick, and every
-// few ticks its stats document, whose membership section carries the
-// fail-slow suspicions used to deprioritize it.
+// few ticks its topology state (which node it fronts, whether it drains).
 func (gw *gateway) probeLoop(b *backend, interval time.Duration) {
 	defer gw.wg.Done()
 	var cl *wire.Client
@@ -199,15 +197,8 @@ func (gw *gateway) probeLoop(b *backend, interval time.Duration) {
 		if err == nil {
 			err = cl.Ping()
 		}
-		slow := false
 		var state core.NodeState
 		if err == nil && tick%5 == 0 {
-			if raw, serr := cl.StatsJSON(); serr == nil {
-				var doc core.ClusterStats
-				if json.Unmarshal(raw, &doc) == nil {
-					slow = len(doc.Membership.SlowPeers) > 0
-				}
-			}
 			// Topology probe (admin ops): which node does this backend
 			// front, and is it draining? A backend without them answers
 			// ErrNoService and simply never gets a topology state.
@@ -251,9 +242,6 @@ func (gw *gateway) probeLoop(b *backend, interval time.Duration) {
 			// Idle-probe decay: a clean probe pays down the failure average
 			// even when the backend carries no sessions.
 			b.failEWMA *= failEWMADecay
-			if tick%5 == 0 {
-				b.slow = slow
-			}
 		}
 		b.mu.Unlock()
 		if err != nil && cl != nil {
@@ -269,11 +257,10 @@ func (gw *gateway) probeLoop(b *backend, interval time.Duration) {
 	}
 }
 
-// pick returns the best backend other than exclude: healthy and unsuspected
-// first, then draining, then healthy-but-flaky (recent failures or fail-slow
-// suspicion), unhealthy last, fewest live sessions within a tier. Drained
-// backends are excluded outright — that node left the topology for good and
-// never receives another session.
+// pick returns the best backend other than exclude: healthy first, then
+// healthy-but-flaky (recent failures), then draining, unhealthy last, fewest
+// live sessions within a tier. Drained backends are excluded outright — that
+// node left the topology for good and never receives another session.
 func (gw *gateway) pick(exclude *backend) *backend {
 	var best *backend
 	bestScore := 1 << 30
@@ -291,8 +278,6 @@ func (gw *gateway) pick(exclude *backend) *backend {
 			score += 1 << 19
 		case b.failEWMA >= failEWMAShun:
 			score += 1 << 15
-		case b.slow:
-			score += 1 << 10
 		}
 		b.mu.Unlock()
 		if !routable {
@@ -627,20 +612,7 @@ func (s *session) failover(gen int) bool {
 		_ = s.client.Close()
 		return false
 	}
-	s.gw.nc.ConnClosed()
-	s.gw.nc.ConnOpened(true)
-	old.mu.Lock()
-	old.active--
-	old.mu.Unlock()
-	nb.mu.Lock()
-	nb.active++
-	nb.sessions++
-	nb.mu.Unlock()
-
-	s.b, s.upstream = nb, conn
-	s.gen++
-	s.pumpDone = make(chan struct{})
-	go s.pump(conn, s.pumpDone, s.gen)
+	s.repinLocked(nb, conn)
 	return true
 }
 
@@ -674,9 +646,16 @@ func (s *session) migrate() {
 	_ = s.upstream.Close()
 	<-s.pumpDone
 	s.migrating.Store(false)
+	s.repinLocked(nb, conn)
+}
+
+// repinLocked moves the session onto conn, freshly dialed at nb, once the
+// old upstream's pump has exited: the connection counters, both backends'
+// session counts, the upstream swap, and a new pump under the next
+// generation. Caller holds s.umu.
+func (s *session) repinLocked(nb *backend, conn net.Conn) {
 	s.gw.nc.ConnClosed()
 	s.gw.nc.ConnOpened(true)
-
 	s.b.mu.Lock()
 	s.b.active--
 	s.b.mu.Unlock()
@@ -767,7 +746,6 @@ func (gw *gateway) stats() any {
 		Healthy  bool           `json:"healthy"`
 		Node     int            `json:"node,omitempty"`
 		State    core.NodeState `json:"state,omitempty"`
-		Slow     bool           `json:"slow,omitempty"`
 		FailEWMA float64        `json:"fail_ewma,omitempty"`
 		Active   int            `json:"active_sessions"`
 		Sessions uint64         `json:"total_sessions"`
@@ -782,8 +760,7 @@ func (gw *gateway) stats() any {
 		b.mu.Lock()
 		doc.Backends = append(doc.Backends, backendStats{
 			Addr: b.addr, Healthy: b.healthy, Node: b.node, State: b.state,
-			Slow: b.slow, FailEWMA: b.failEWMA,
-			Active: b.active, Sessions: b.sessions, LastErr: b.lastErr,
+			FailEWMA: b.failEWMA, Active: b.active, Sessions: b.sessions, LastErr: b.lastErr,
 		})
 		b.mu.Unlock()
 	}

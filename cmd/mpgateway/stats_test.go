@@ -83,7 +83,7 @@ func TestStatsJSONNames(t *testing.T) {
 	fillNonZero(reflect.ValueOf(&cs).Elem())
 
 	gw := &gateway{nc: &wire.NetCounters{}, backends: []*backend{{
-		addr: "a", healthy: true, slow: true, failEWMA: 0.5, active: 1, sessions: 1, lastErr: "e", node: 1, state: "draining",
+		addr: "a", healthy: true, failEWMA: 0.5, active: 1, sessions: 1, lastErr: "e", node: 1, state: "draining",
 	}}}
 
 	for name, tc := range map[string]struct {
@@ -112,6 +112,7 @@ commit.tso_group
 commit.tso_solo
 commits
 dbp_resident_pages
+deadline_aborts
 deadlocks
 fabric
 fabric.atomics
@@ -127,10 +128,8 @@ locks.rlock_waits
 membership
 membership.epoch
 membership.epoch_bumps
-membership.fail_slow_suspicions
 membership.false_suspicions
 membership.lease_renewals
-membership.slow_peers
 membership.takeover_err
 membership.takeover_fails
 membership.takeover_mean_ns
@@ -178,10 +177,6 @@ nodes[].stages[].stage
 nodes[].stages[].total_ns
 nodes[].tx_p50_ns
 nodes[].tx_p99_ns
-overload
-overload.buf_sheds
-overload.deadline_aborts
-overload.plock_sheds
 pmfs
 pmfs.degraded_ops
 pmfs.dup_suppressed
@@ -245,7 +240,6 @@ backends[].fail_ewma
 backends[].healthy
 backends[].last_err
 backends[].node
-backends[].slow
 backends[].state
 backends[].total_sessions
 net

@@ -321,9 +321,7 @@ func (c *Client) fetch(pg common.PageID, dl common.Deadline) (*page.Page, int, F
 		c.tr.Observe(trace.StageFrameStorage, tok)
 		return p, storagePseudoFrame, FetchStorage, nil
 	}
-	// Lookup is a pure locate, so transient faults retry safely. A shed
-	// lookup (ErrOverloaded) is also transient: the retry backoff is the
-	// client's contribution to draining the overload.
+	// Lookup is a pure locate, so transient faults retry safely.
 	resp, err := c.fabric.WithDeadline(dl).Call(common.PMFSNode, ServiceBuf, bufReq(opLookup, c.node, pg, 0, 0))
 	if err != nil {
 		return nil, -1, FetchDBP, err

@@ -2,7 +2,6 @@ package bufferfusion
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,45 +77,6 @@ func TestDBPHitFetchAllocs(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("DBP-hit fetch: %.0f allocs/op, want <= %d", allocs, budget)
 	}
-}
-
-// TestLookupSheddingRecovers drives a stripe over its admission bound and
-// verifies the shed surfaces as retryable ErrOverloaded, then that the
-// client's transient-retry backoff absorbs a shed that drains mid-flight.
-func TestLookupSheddingRecovers(t *testing.T) {
-	c := newBFCluster(t, 1, 16, 16)
-	storePage(t, c.store, makePage(1, "v0"))
-	c.srv.SetAdmissionLimit(1)
-	c.lbp[0].SetRetryPolicy(common.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond})
-
-	// Saturate the stripe: every lookup now overflows the bound.
-	st := c.srv.stripeFor(1)
-	st.inflight.Add(1)
-	_, err := c.lbp[0].Get(1)
-	if !errors.Is(err, common.ErrOverloaded) {
-		t.Fatalf("saturated lookup err = %v, want ErrOverloaded", err)
-	}
-	if c.srv.Sheds.Load() == 0 {
-		t.Fatal("shed not counted")
-	}
-
-	// Drain the stripe while the client is backing off: the retry must
-	// absorb the shed and the fetch succeed.
-	var cleared atomic.Bool
-	go func() {
-		time.Sleep(200 * time.Microsecond)
-		st.inflight.Add(-1)
-		cleared.Store(true)
-	}()
-	c.lbp[0].SetRetryPolicy(common.RetryPolicy{MaxAttempts: 50, BaseDelay: 200 * time.Microsecond, MaxDelay: time.Millisecond})
-	f, err := c.lbp[0].Get(1)
-	if err != nil {
-		t.Fatalf("fetch after drain: %v", err)
-	}
-	if !cleared.Load() {
-		t.Fatal("fetch succeeded before the stripe drained")
-	}
-	c.lbp[0].Unpin(f)
 }
 
 // TestGetDeadline verifies the budget bounds the fetch path: an expired

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"polardbmp/internal/common"
 	"polardbmp/internal/metrics"
@@ -59,18 +58,11 @@ type Server struct {
 
 	stripes []*bufStripe
 
-	// admit bounds concurrently admitted lookups per stripe (<=0 disables
-	// shedding). Only lookups shed: a rejected push completion would leak
-	// its pin.
-	admit atomic.Int64
-
 	// Stats for the figure harnesses and ablations.
 	Hits      metrics.Counter
 	Misses    metrics.Counter
 	Pushes    metrics.Counter
 	Evictions metrics.Counter
-	// Sheds counts lookups rejected by admission control.
-	Sheds metrics.Counter
 }
 
 // bufStripe is one directory shard. Frames in [base, base+count) belong to
@@ -83,14 +75,7 @@ type bufStripe struct {
 	byFr  []*dirEntry // frame-base -> entry (nil = free)
 	free  []int
 	lru   *list.List // *dirEntry, most-recent at back
-
-	// inflight counts lookups currently admitted to this stripe (queued on
-	// mu or executing) for load shedding.
-	inflight atomic.Int64
 }
-
-// bufAdmitDefault bounds concurrently admitted lookups per stripe.
-const bufAdmitDefault = 64
 
 // bufStripeCount picks the shard count: tiny pools (unit tests sized to
 // force eviction) keep a single stripe so global LRU order is preserved;
@@ -132,7 +117,6 @@ func NewServer(ep *rdma.Endpoint, fabric *rdma.Fabric, store storage.API, frames
 		store:  store,
 		frames: frames,
 	}
-	s.admit.Store(bufAdmitDefault)
 	s.initStripes()
 	ep.Serve(ServiceBuf, s.handle)
 	return s
@@ -168,11 +152,6 @@ func (s *Server) initStripes() {
 // push or pin pages.
 func (s *Server) SetEpochGate(g common.EpochGate) { s.gate = g }
 
-// SetAdmissionLimit bounds concurrently admitted lookups per directory
-// stripe; over-limit lookups are shed with ErrOverloaded instead of queuing
-// on the stripe mutex. n <= 0 disables shedding.
-func (s *Server) SetAdmissionLimit(n int) { s.admit.Store(int64(n)) }
-
 func bufReq(op byte, node common.NodeID, pg common.PageID, frame uint32, aux uint32) []byte {
 	b := make([]byte, 19)
 	b[0] = op
@@ -198,20 +177,6 @@ func (s *Server) handle(req []byte) ([]byte, error) {
 	}
 	switch req[0] {
 	case opLookup:
-		// Admission control: only lookups are shed. A rejected push
-		// completion would leak its pin, and preparePush is
-		// coherence-critical (a node must be able to flush a dirty frame
-		// before releasing its PLock).
-		if lim := s.admit.Load(); lim > 0 {
-			st := s.stripeFor(pg)
-			if st.inflight.Add(1) > lim {
-				st.inflight.Add(-1)
-				s.Sheds.Inc()
-				return nil, fmt.Errorf("bufferfusion: lookup stripe of page %d over admission bound %d: %w",
-					pg, lim, common.ErrOverloaded)
-			}
-			defer st.inflight.Add(-1)
-		}
 		fr, ok := s.lookup(pg)
 		resp := make([]byte, 5)
 		if ok {

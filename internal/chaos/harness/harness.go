@@ -75,8 +75,9 @@ var plans = map[string]planRow{
 	"pmfsfailover": {faults: func(_ int, window uint64) chaos.Plan { return chaos.PmfsFailoverPlan(window / 3) }},
 	// Everything slows, nothing dies: the last node's link crawls, 20% of
 	// storage I/O stalls 2ms, 5% of DBP frame reads stall 10ms (a bimodal
-	// tail the deadline budgets must absorb). SelfHeal arms fail-slow suspicion; the tight renew cadence trips
-	// the EWMA far under the lease timeout — suspected, never evicted.
+	// tail the deadline budgets must absorb). SelfHeal runs the lease
+	// agents at a tight renew cadence: the crawling node keeps renewing, so
+	// it must keep its lease — slow, never evicted.
 	"brownout": {
 		minNodes: 2,
 		faults: func(nodes int, _ uint64) chaos.Plan {

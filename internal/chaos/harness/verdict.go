@@ -45,7 +45,7 @@ func traitsOf(p chaos.Plan, pol policy) traits {
 // tally sorts a run's failed attempts into what its plan tolerates and what
 // it does not.
 type tally struct {
-	retryable     int // deadlock, conflict, lock timeout, shed: workload noise
+	retryable     int // deadlock, conflict, lock timeout, overload: workload noise
 	severed       int // talking to a fail-stopped or fenced node
 	tolerated     int // unreachable inside a partition window
 	deadline      int // transactions that ended on a spent budget
@@ -86,7 +86,7 @@ func verdict(o *observations, tr traits) (report, violations []string) {
 	note := func(format string, args ...any) { report = append(report, fmt.Sprintf(format, args...)) }
 	fail := func(format string, args ...any) { violations = append(violations, fmt.Sprintf(format, args...)) }
 	t := o.tally(tr)
-	mem, pm, ov := o.stats.Membership, o.stats.Pmfs, o.stats.Overload
+	mem, pm := o.stats.Membership, o.stats.Pmfs
 	note("workload: %v, %d committed, %d rolled back, %d aborted-retryable, %d severed",
 		o.elapsed.Round(time.Millisecond), len(o.committed), len(o.rolledBack), t.retryable, t.severed)
 
@@ -178,7 +178,7 @@ func verdict(o *observations, tr traits) (report, violations []string) {
 	}
 
 	// Graceful degradation (plans with a budget): a goodput floor, a bounded
-	// tail, no transaction outliving budget+grace or shed for good.
+	// tail, no transaction outliving budget+grace or overloaded for good.
 	if tr.budget > 0 && len(o.lats) > 0 {
 		sort.Slice(o.lats, func(i, j int) bool { return o.lats[i] < o.lats[j] })
 		q := func(p float64) time.Duration { return o.lats[int(p*float64(len(o.lats)-1))] }
@@ -186,9 +186,7 @@ func verdict(o *observations, tr traits) (report, violations []string) {
 		goodput := 100 * float64(done) / float64(len(o.lats))
 		note("brownout: goodput %.1f%% (%d/%d), p50 %v, p99 %v, %d deadline aborts (worst overrun %v)", goodput, done, len(o.lats),
 			q(0.50).Round(time.Millisecond), q(0.99).Round(time.Millisecond), t.deadline, o.worstOver.Round(time.Millisecond))
-		note("overload: plock sheds=%d buf sheds=%d deadline aborts=%d",
-			ov.PLockSheds, ov.BufSheds, ov.DeadlineAborts)
-		note("fail-slow: %d suspicions, slow peers %v", mem.FailSlowSuspicions, mem.SlowPeers)
+		note("overload: deadline aborts=%d", o.stats.DeadlineAborts)
 		if goodput < goodputFloorPct {
 			fail("goodput %.1f%% under the %d%% floor — degradation is not graceful", goodput, goodputFloorPct)
 		}
@@ -201,7 +199,7 @@ func verdict(o *observations, tr traits) (report, violations []string) {
 		}
 	}
 	if t.overloadFinal > 0 {
-		fail("%d transactions still ErrOverloaded after %d backoff rounds — shedding must be transient",
+		fail("%d transactions still ErrOverloaded after %d backoff rounds — overload must be transient",
 			t.overloadFinal, tr.tries-1)
 	}
 

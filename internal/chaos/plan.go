@@ -276,8 +276,7 @@ func StalledStoragePlan(stall time.Duration, dropProb float64) Plan {
 // flowing, so the node is fail-slow, never fail-stopped), and a small
 // fraction of one-sided DBP frame reads stall hard (a bimodal tail: a DBP
 // read is never raced, so a stalled one costs its transaction the stall and
-// the deadline budget must absorb it). The graceful-degradation machinery
-// (deadline budgets, admission control, fail-slow suspicion) must keep
+// the deadline budget must absorb it). The deadline budgets must keep
 // goodput up and tail latency bounded under this plan.
 func BrownoutPlan(slow common.NodeID, linkDelay, storageStall, dbpStall time.Duration) Plan {
 	return Plan{

@@ -125,12 +125,14 @@ var (
 	// its locks, and the caller decides with a fresh budget.
 	ErrDeadlineExceeded = errors.New("polardbmp: transaction deadline exceeded")
 
-	// ErrOverloaded means a fusion server shed the request at admission
-	// because the target stripe's queue was full. It is transient (the
+	// ErrOverloaded means a node's local buffer pool could not make room for
+	// a page: every frame was pinned by in-flight statements, or eviction
+	// kept losing its victims to concurrent installers. It is transient (the
 	// communication layer retries it with jittered backoff, by which time
-	// the queue has usually drained) and retryable (a transaction that
-	// still fails after backoff may be retried whole by the application).
-	ErrOverloaded = errors.New("polardbmp: fusion server overloaded")
+	// statements have usually unpinned frames) and retryable (a transaction
+	// that still fails after backoff may be retried whole by the
+	// application).
+	ErrOverloaded = errors.New("polardbmp: buffer pool overloaded")
 
 	// Fabric/storage addressing errors (typed so retry logic can classify
 	// them with errors.Is instead of string matching).
@@ -168,7 +170,7 @@ var (
 
 // IsRetryable reports whether err represents a transient transaction failure
 // the application is expected to retry (deadlock / OCC conflict / lock
-// timeout / admission-control shed), matching how Aurora-MM surfaces write
+// timeout / buffer pool overload), matching how Aurora-MM surfaces write
 // conflicts (§2.3). ErrDeadlineExceeded is deliberately absent: the budget
 // was the application's own bound, so retrying inside it is meaningless.
 func IsRetryable(err error) bool {

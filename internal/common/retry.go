@@ -57,8 +57,8 @@ func (p RetryPolicy) fill() RetryPolicy {
 
 // IsTransient reports whether err is a transient fabric/storage fault that
 // the communication layer itself should retry: an injected fault, a
-// partition, or an admission-control shed (the jittered backoff below IS
-// the overload back-pressure mechanism). Crash fences (ErrNodeDown,
+// partition, or a buffer pool with every frame pinned (the jittered backoff
+// below gives in-flight statements time to unpin). Crash fences (ErrNodeDown,
 // ErrFenced), deadlocks, deadline expiry, and protocol errors are
 // deliberately excluded — those must fail fast so the engine's
 // crash-recovery and abort paths keep their semantics.

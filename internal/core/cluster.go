@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -601,18 +600,6 @@ type LockStats struct {
 	RLockDeadlocks    int64 `json:"rlock_deadlocks"`
 }
 
-// OverloadStats is a snapshot of the graceful-degradation counters:
-// admission-control sheds on the fusion servers and transaction
-// latency-budget aborts.
-type OverloadStats struct {
-	// PLockSheds / BufSheds count requests the fusion servers rejected with
-	// the retryable ErrOverloaded (per-stripe admission control).
-	PLockSheds int64 `json:"plock_sheds"`
-	BufSheds   int64 `json:"buf_sheds"`
-	// DeadlineAborts counts transactions aborted on a spent latency budget.
-	DeadlineAborts int64 `json:"deadline_aborts"`
-}
-
 // MembershipStats is a snapshot of the lease/online-recovery counters.
 type MembershipStats struct {
 	Epoch           uint64        `json:"epoch"`                  // current cluster epoch
@@ -623,12 +610,6 @@ type MembershipStats struct {
 	TakeoverFails   int64         `json:"takeover_fails"`         // takeover attempts abandoned: recovery error or wedged takeover lock
 	TakeoverErr     string        `json:"takeover_err,omitempty"` // last failed-takeover diagnostic
 	TakeoverMean    time.Duration `json:"takeover_mean_ns"`       // mean takeover duration
-	// FailSlowSuspicions counts fail-slow marks raised across all agents: a
-	// peer whose heartbeat-gap EWMA grew well past the renewal cadence while
-	// its lease stayed valid (gray failure — too slow to trust, too alive to
-	// evict). SlowPeers is the union of peers currently under suspicion.
-	FailSlowSuspicions int64 `json:"fail_slow_suspicions"`
-	SlowPeers          []int `json:"slow_peers,omitempty"`
 }
 
 // PmfsStats is the replicated shared-memory tier's section of the stats
@@ -696,6 +677,8 @@ type ClusterStats struct {
 	Commits   int64 `json:"commits"`
 	Aborts    int64 `json:"aborts"`
 	Deadlocks int64 `json:"deadlocks"`
+	// DeadlineAborts counts transactions aborted on a spent latency budget.
+	DeadlineAborts int64 `json:"deadline_aborts"`
 
 	Commit CommitPipeStats `json:"commit"`
 
@@ -704,7 +687,6 @@ type ClusterStats struct {
 	DBPResident int             `json:"dbp_resident_pages"`
 	Locks       LockStats       `json:"locks"`
 	Membership  MembershipStats `json:"membership"`
-	Overload    OverloadStats   `json:"overload"`
 	Pmfs        PmfsStats       `json:"pmfs"`
 	// Net is present only in processes that speak the socket transport or
 	// serve client sessions (mpserver, mpgateway).
@@ -749,6 +731,7 @@ func (c *Cluster) Stats() ClusterStats {
 		s.Commits += ns.Commits
 		s.Aborts += ns.Aborts
 		s.Deadlocks += ns.Deadlocks
+		s.DeadlineAborts += ns.DeadlineAborts
 		s.Commit.OCCConflicts += ns.Conflicts
 		s.Commit.TSOSolo += n.TSOSolo.Load()
 		s.Commit.TSOGroup += n.TSOGroup.Load()
@@ -756,17 +739,9 @@ func (c *Cluster) Stats() ClusterStats {
 		specHits, specReads := n.tf.SpecCTSStats()
 		s.Commit.SpecCTSHits += specHits
 		s.Commit.SpecCTSReads += specReads
-		s.Overload.DeadlineAborts += ns.DeadlineAborts
 		s.Membership.LeaseRenewals += n.agent.Renewals.Load()
-		s.Membership.FailSlowSuspicions += n.agent.FailSlowSuspicions.Load()
-		for _, p := range n.agent.SlowPeers() {
-			if !slices.Contains(s.Membership.SlowPeers, int(p)) {
-				s.Membership.SlowPeers = append(s.Membership.SlowPeers, int(p))
-			}
-		}
 		s.Nodes = append(s.Nodes, ns)
 	}
-	slices.Sort(s.Membership.SlowPeers)
 	s.Commit.Engine = c.cc.Name()
 	s.Commit.PipelineRounds = c.pipeRounds.Load()
 	if traced {
@@ -779,13 +754,11 @@ func (c *Cluster) Stats() ClusterStats {
 	// sections belong to the seed process's snapshot.
 	if c.bufSrv != nil {
 		s.DBPResident = c.bufSrv.Len()
-		s.Overload.BufSheds = c.bufSrv.Sheds.Load()
 	}
 	if c.lockSrv != nil {
 		s.Locks.PLockNegotiations = c.lockSrv.PLock.Negotiations.Load()
 		s.Locks.RLockWaits = c.lockSrv.RLock.Waits.Load()
 		s.Locks.RLockDeadlocks = c.lockSrv.RLock.Deadlocks.Load()
-		s.Overload.PLockSheds = c.lockSrv.PLock.Sheds.Load()
 	}
 	if c.members != nil {
 		s.Membership.Epoch = uint64(c.members.CurrentEpoch())

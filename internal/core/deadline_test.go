@@ -12,7 +12,7 @@ import (
 // TestTxDeadlineRowLockAbort: a deadline-bounded transaction parked behind
 // another transaction's row lock must give up with ErrDeadlineExceeded when
 // its budget runs out — well before the cluster-wide LockWaitTimeout
-// backstop — and the abort must be visible in the overload stats.
+// backstop — and the abort must be visible in the cluster stats.
 func TestTxDeadlineRowLockAbort(t *testing.T) {
 	c, sp := testCluster(t, 2)
 	n0, n1 := c.Node(1), c.Node(2)
@@ -28,7 +28,7 @@ func TestTxDeadlineRowLockAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := c.Stats().Overload.DeadlineAborts
+	before := c.Stats().DeadlineAborts
 
 	tx2, err := n1.BeginDeadline(ReadCommitted, common.DeadlineAfter(60*time.Millisecond))
 	if err != nil {
@@ -46,8 +46,8 @@ func TestTxDeadlineRowLockAbort(t *testing.T) {
 	}
 	tx2.Rollback()
 
-	if after := c.Stats().Overload.DeadlineAborts; after <= before {
-		t.Errorf("Overload.DeadlineAborts = %d, want > %d", after, before)
+	if after := c.Stats().DeadlineAborts; after <= before {
+		t.Errorf("DeadlineAborts = %d, want > %d", after, before)
 	}
 
 	// The held lock is still good: tx1 commits, and a fresh bounded tx with

@@ -8,54 +8,53 @@ import (
 	"polardbmp/internal/common"
 )
 
-// TestPLockAdmissionShedsOverLimit drives one stripe past its admission
-// bound and verifies the overflow request is rejected with ErrOverloaded
-// (after the client's transient-retry backoff) while the admitted waiter is
-// unaffected, and that the shed is counted.
-func TestPLockAdmissionShedsOverLimit(t *testing.T) {
+// TestPLockQueueHasNoLengthBound: a PLock queue is bounded in time (the
+// acquirer's budget, the backstop), never in length. Node 1 holds X on 65
+// pages of one stripe; node 2 queues a single-shot acquire on each, so a
+// rejection would surface instead of being retried away. None may be turned
+// away, and all are granted once node 1 releases.
+func TestPLockQueueHasNoLengthBound(t *testing.T) {
+	const n = 65
 	tc := newTestCluster(t, 2, Config{})
-	tc.srv.PLock.SetAdmissionLimit(1)
-
-	// Node 1 holds X on two pages of the SAME stripe (stripeOf = pg % 16)
-	// with live references, so remote requests queue behind revokes that
-	// cannot complete until the references drop.
-	if err := tc.pl[0].Acquire(1, ModeX); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.pl[0].Acquire(17, ModeX); err != nil {
-		t.Fatal(err)
+	pages := make([]common.PageID, n)
+	for i := range pages {
+		pages[i] = common.PageID(1 + i*plockStripes) // all in stripe 1
+		if err := tc.pl[0].Acquire(pages[i], ModeX); err != nil {
+			t.Fatal(err) // refs=1: the revoke cannot complete
+		}
 	}
 
-	// First remote acquire fills the stripe's single admission slot.
-	first := make(chan error, 1)
-	go func() { first <- tc.pl[1].Acquire(1, ModeX) }()
-	deadlineWait := time.Now().Add(2 * time.Second)
-	for tc.srv.PLock.QueuedWaiters() == 0 && time.Now().Before(deadlineWait) {
+	one := tc.fabric.From(2).WithRetry(common.NoRetryPolicy())
+	errs := make(chan error, n)
+	for _, pg := range pages {
+		go func() {
+			_, err := one.Call(common.PMFSNode, ServicePLock, plockAcquireReqBuf(2, pg, ModeX, 0))
+			errs <- err
+		}()
+	}
+	wait := time.Now().Add(5 * time.Second)
+	for tc.srv.PLock.QueuedWaiters() < n && len(errs) == 0 && time.Now().Before(wait) {
 		time.Sleep(time.Millisecond)
 	}
-
-	// Second acquire on the same stripe must be shed, not queued.
-	err := tc.pl[1].Acquire(17, ModeX)
-	if !errors.Is(err, common.ErrOverloaded) {
-		t.Fatalf("over-limit acquire err = %v, want ErrOverloaded", err)
+	if len(errs) > 0 {
+		t.Fatalf("acquire returned while its page was still held: %v", <-errs)
 	}
-	if tc.srv.PLock.Sheds.Load() == 0 {
-		t.Fatal("shed not counted")
+	if q := tc.srv.PLock.QueuedWaiters(); q != n {
+		t.Fatalf("queued waiters = %d, want %d", q, n)
 	}
 
-	// Draining the stripe lets both pages through again.
-	tc.pl[0].Release(1)
-	tc.pl[0].Release(17)
-	select {
-	case err := <-first:
-		if err != nil {
-			t.Fatalf("admitted waiter failed: %v", err)
+	for _, pg := range pages {
+		tc.pl[0].Release(pg)
+	}
+	for range pages {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("queued acquire failed: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("queued acquire never granted after release")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("admitted waiter never granted after release")
-	}
-	if err := tc.pl[1].Acquire(17, ModeX); err != nil {
-		t.Fatalf("acquire after drain: %v", err)
 	}
 }
 

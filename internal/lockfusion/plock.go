@@ -146,19 +146,11 @@ type PLockServer struct {
 	deadMu sync.RWMutex
 	dead   map[common.NodeID]bool
 
-	// admit bounds concurrently admitted acquire requests per stripe
-	// (<=0 disables shedding). Requests over the bound are rejected with
-	// ErrOverloaded instead of queueing, so a hot stripe's queue — and the
-	// latency of everything behind it — stays bounded under overload.
-	admit atomic.Int64
-
 	// Grants counts lock grants; Negotiations counts revoke RPCs sent (a
 	// coalesced multi-page revoke counts once — it IS one message; the
 	// message-overhead metric behind lazy release, §4.3.1).
 	Grants       metrics.Counter
 	Negotiations metrics.Counter
-	// Sheds counts acquires rejected by admission control.
-	Sheds metrics.Counter
 }
 
 type plockStripe struct {
@@ -167,9 +159,6 @@ type plockStripe struct {
 	// released is, per page, the LLSN its last X holder released: the
 	// version every grant returns. It outlives the page's lock entry.
 	released map[common.PageID]common.LLSN
-	// inflight counts admitted acquire requests currently inside the
-	// stripe (queued or granting); the admission bound compares against it.
-	inflight atomic.Int64
 }
 
 type plockEntry struct {
@@ -199,17 +188,11 @@ type plockWaiter struct {
 	llsn    common.LLSN // the page's released LLSN, set before granted is closed on a grant
 }
 
-// plockAdmitDefault is the per-stripe admission bound: far above the bench
-// peak (8 nodes × 3 threads across 16 stripes), so shedding only engages
-// under genuine overload.
-const plockAdmitDefault = 64
-
 func newPLockServer(ep *rdma.Endpoint, fabric *rdma.Fabric) *PLockServer {
 	s := &PLockServer{
 		fabric: fabric.From(ep.Node()),
 		dead:   make(map[common.NodeID]bool),
 	}
-	s.admit.Store(plockAdmitDefault)
 	for i := range s.stripes {
 		s.stripes[i].entries = make(map[common.PageID]*plockEntry)
 		s.stripes[i].released = make(map[common.PageID]common.LLSN)
@@ -217,10 +200,6 @@ func newPLockServer(ep *rdma.Endpoint, fabric *rdma.Fabric) *PLockServer {
 	ep.Serve(ServicePLock, s.handle)
 	return s
 }
-
-// SetAdmissionLimit bounds concurrently admitted acquires per stripe;
-// n <= 0 disables load shedding.
-func (s *PLockServer) SetAdmissionLimit(n int) { s.admit.Store(int64(n)) }
 
 func (s *PLockServer) stripeOf(pg common.PageID) *plockStripe {
 	return &s.stripes[uint64(pg)%plockStripes]
@@ -336,15 +315,6 @@ func (st *plockStripe) entry(pg common.PageID) *plockEntry {
 // A grant returns the page's released LLSN.
 func (s *PLockServer) acquire(node common.NodeID, pg common.PageID, mode Mode, budgetMicros uint32) (common.LLSN, error) {
 	st := s.stripeOf(pg)
-	if lim := s.admit.Load(); lim > 0 {
-		if st.inflight.Add(1) > lim {
-			st.inflight.Add(-1)
-			s.Sheds.Inc()
-			return 0, fmt.Errorf("plock: stripe of page %d over admission bound %d: %w",
-				pg, lim, common.ErrOverloaded)
-		}
-		defer st.inflight.Add(-1)
-	}
 	st.mu.Lock()
 	e := st.entry(pg)
 	if held, ok := e.holders[node]; ok && held.Covers(mode) {
@@ -691,7 +661,7 @@ func (s *PLockServer) HeldBy(node common.NodeID) map[common.PageID]Mode {
 }
 
 // QueuedWaiters returns the number of blocked acquire waiters across all
-// stripes (tests and overload diagnostics).
+// stripes (tests).
 func (s *PLockServer) QueuedWaiters() int {
 	n := 0
 	for i := range s.stripes {

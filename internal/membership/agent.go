@@ -3,7 +3,6 @@ package membership
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,12 +51,6 @@ type Agent struct {
 	Renewals metrics.Counter
 	// Suspicions counts eviction attempts this agent made.
 	Suspicions metrics.Counter
-	// FailSlowSuspicions counts peers this agent has newly marked as
-	// fail-slow: still renewing (so never evictable) but with a smoothed
-	// heartbeat gap well past the renewal cadence. Fail-slow nodes are the
-	// gray-failure case lease timeouts cannot see; the mark is advisory —
-	// it steers gateway routing (SlowPeers) and alerting, never eviction.
-	FailSlowSuspicions metrics.Counter
 
 	epoch   atomic.Uint64
 	hb      atomic.Uint64
@@ -70,61 +63,6 @@ type Agent struct {
 	started bool
 	stop    chan struct{}
 	wg      sync.WaitGroup
-
-	slowMu sync.Mutex
-	slow   map[common.NodeID]bool
-}
-
-// Fail-slow hysteresis, in units of RenewInterval: a peer is suspected
-// fail-slow once its heartbeat-gap EWMA exceeds 5/2× the renewal cadence
-// (sampling aliasing alone can push the observed gap to ~2×, so the bar
-// sits above that) and cleared once it falls back under 3/2×. Both bounds
-// sit far below LeaseTimeout: a fail-slow peer still holds its lease.
-const (
-	failSlowSuspectNum = 5
-	failSlowSuspectDen = 2
-	failSlowClearNum   = 3
-	failSlowClearDen   = 2
-)
-
-// SlowPeers returns the peers currently suspected fail-slow, ascending.
-func (a *Agent) SlowPeers() []common.NodeID {
-	a.slowMu.Lock()
-	defer a.slowMu.Unlock()
-	out := make([]common.NodeID, 0, len(a.slow))
-	for n := range a.slow {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// noteGap folds one smoothed heartbeat gap into the fail-slow state
-// machine for peer n.
-func (a *Agent) noteGap(n common.NodeID, ewma time.Duration) {
-	ri := a.cfg.RenewInterval
-	a.slowMu.Lock()
-	defer a.slowMu.Unlock()
-	if a.slow[n] {
-		if ewma*failSlowClearDen <= ri*failSlowClearNum {
-			delete(a.slow, n)
-		}
-		return
-	}
-	if ewma*failSlowSuspectDen > ri*failSlowSuspectNum {
-		if a.slow == nil {
-			a.slow = make(map[common.NodeID]bool)
-		}
-		a.slow[n] = true
-		a.FailSlowSuspicions.Inc()
-	}
-}
-
-// clearSlow drops any fail-slow mark for a peer that left the live set.
-func (a *Agent) clearSlow(n common.NodeID) {
-	a.slowMu.Lock()
-	delete(a.slow, n)
-	a.slowMu.Unlock()
 }
 
 // NewAgent creates the agent for node, heartbeating against the membership
@@ -307,16 +245,12 @@ func (a *Agent) renewLoop() {
 
 // detectLoop watches every peer's heartbeat. A heartbeat that stands still
 // past the lease timeout triggers an eviction attempt; winning it runs the
-// takeover callback inline (renewals continue on their own goroutine). It
-// also keeps an EWMA of each peer's inter-heartbeat gap: a gap that grows
-// well past the renewal cadence while staying under the lease timeout marks
-// the peer fail-slow (see noteGap) without ever evicting it.
+// takeover callback inline (renewals continue on their own goroutine).
 func (a *Agent) detectLoop() {
 	defer a.wg.Done()
 	type track struct {
-		hb      uint64
-		seen    time.Time
-		gapEWMA time.Duration
+		hb   uint64
+		seen time.Time
 	}
 	peers := make(map[common.NodeID]track)
 	fenced := make(map[common.NodeID]time.Time)
@@ -338,10 +272,7 @@ func (a *Agent) detectLoop() {
 			off := SlotOff(n)
 			state := binary.LittleEndian.Uint64(buf[off+offState:])
 			if n == a.node || state != StateLive {
-				if _, known := peers[n]; known {
-					delete(peers, n)
-					a.clearSlow(n)
-				}
+				delete(peers, n)
 				// A slot stuck Fenced means the eviction winner never ran
 				// the recovery: it was an agent with no takeover pipeline
 				// (a satellite process detecting a peer it cannot repair),
@@ -365,17 +296,7 @@ func (a *Agent) detectLoop() {
 			hb := binary.LittleEndian.Uint64(buf[off+offHB:])
 			tr, known := peers[n]
 			if !known || hb != tr.hb {
-				nt := track{hb: hb, seen: now}
-				if known {
-					gap := now.Sub(tr.seen)
-					if tr.gapEWMA == 0 {
-						nt.gapEWMA = gap
-					} else {
-						nt.gapEWMA = tr.gapEWMA + (gap-tr.gapEWMA)/4
-					}
-					a.noteGap(n, nt.gapEWMA)
-				}
-				peers[n] = nt
+				peers[n] = track{hb: hb, seen: now}
 				continue
 			}
 			if now.Sub(tr.seen) <= a.cfg.LeaseTimeout {

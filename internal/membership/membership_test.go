@@ -226,61 +226,6 @@ func TestEvictedAgentLeavesOwnSlotAlone(t *testing.T) {
 	}
 }
 
-// TestAgentFailSlowSuspicion models a gray failure: agent 2 keeps renewing
-// (its lease never lapses) but every heartbeat write stalls well past the
-// renewal cadence. The survivor must raise a fail-slow suspicion — without
-// ever attempting an eviction — and clear it once the peer speeds back up.
-func TestAgentFailSlowSuspicion(t *testing.T) {
-	fab, tbl := newTestTable(t)
-	cfg := Config{RenewInterval: 3 * time.Millisecond, LeaseTimeout: 300 * time.Millisecond}
-
-	a1 := NewAgent(1, common.PMFSNode, fab, nil, cfg)
-	a2 := NewAgent(2, common.PMFSNode, fab, nil, cfg)
-	for _, a := range []*Agent{a1, a2} {
-		if err := a.Join(); err != nil {
-			t.Fatal(err)
-		}
-		a.Start()
-		defer a.Stop()
-	}
-
-	// Stall only node 2's heartbeat writes: ~4x the renewal cadence, far
-	// below the lease timeout.
-	fab.SetInjector(func(op common.FaultOp) common.FaultDecision {
-		if op.Class == common.FaultWrite && op.Src == 2 && op.Name == Region {
-			return common.FaultDecision{Delay: 4 * cfg.RenewInterval}
-		}
-		return common.FaultDecision{}
-	})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for a1.FailSlowSuspicions.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if a1.FailSlowSuspicions.Load() == 0 {
-		t.Fatal("survivor never suspected the fail-slow peer")
-	}
-	if got := a1.SlowPeers(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("SlowPeers = %v, want [2]", got)
-	}
-	// Fail-slow is advisory: the peer kept its lease the whole time.
-	if tbl.State(2) != StateLive {
-		t.Fatalf("fail-slow peer state = %s, want live", StateName(tbl.State(2)))
-	}
-	if tbl.EpochBumps.Load() != 0 {
-		t.Fatal("fail-slow suspicion must not evict")
-	}
-
-	// Peer recovers; the gap EWMA decays and the mark clears.
-	fab.SetInjector(nil)
-	for len(a1.SlowPeers()) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := a1.SlowPeers(); len(got) != 0 {
-		t.Fatalf("SlowPeers = %v after recovery, want empty", got)
-	}
-}
-
 // TestDrainLifecycle walks a slot through the graceful-drain state machine
 // and checks the epoch, gate, and reuse semantics at each step.
 func TestDrainLifecycle(t *testing.T) {

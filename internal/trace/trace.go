@@ -73,11 +73,6 @@ const (
 	StageCTSStamp
 	// StageCommit is the whole transaction, begin to finish.
 	StageCommit
-	// StageShed is an admission-control rejection observed by a client: a
-	// fusion-server stripe was over its queue bound and returned
-	// ErrOverloaded (the duration is the time spent reaching the verdict,
-	// backoff included).
-	StageShed
 	// StageDeadlineAbort is a transaction aborted because its Deadline
 	// budget expired; the duration is begin-to-abort, i.e. how much budget
 	// the transaction burned before the abort checkpoint caught it.
@@ -111,7 +106,7 @@ var stageNames = [numStages]string{
 	"frame_local", "frame_dbp", "frame_storage",
 	"log_append", "log_sync", "tso_solo", "tso_group",
 	"cts_stamp", "commit",
-	"shed", "deadline_abort", "pmfs_replicate",
+	"deadline_abort", "pmfs_replicate",
 	"log_pipeline", "cts_spec",
 }
 

@@ -56,10 +56,10 @@ var (
 	// end-to-end SLO, so retrying inside it makes no sense — the caller
 	// must roll back and decide at its own layer.
 	ErrDeadlineExceeded = common.ErrDeadlineExceeded
-	// ErrOverloaded rejects a request a fusion server shed under admission
-	// control. Retryable: backing off and retrying is the intended
-	// response, and the built-in retry policies already absorb brief
-	// overloads transparently.
+	// ErrOverloaded fails a page fetch whose node's local buffer pool has
+	// every frame pinned by in-flight statements. Retryable: backing off
+	// and retrying is the intended response, and the built-in retry
+	// policies already absorb brief pin pile-ups transparently.
 	ErrOverloaded = common.ErrOverloaded
 	// ErrDraining refuses a Begin on a node that is gracefully leaving the
 	// cluster (Cluster.Drain). Deliberately NOT retryable: the node will
@@ -73,7 +73,7 @@ var (
 )
 
 // IsRetryable reports whether err is a transient transaction failure
-// (deadlock, lock timeout, fenced page during recovery, server overload)
+// (deadlock, lock timeout, fenced page during recovery, buffer pool overload)
 // that the application should retry. ErrDeadlineExceeded is deliberately
 // not retryable.
 func IsRetryable(err error) bool { return common.IsRetryable(err) }
