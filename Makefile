@@ -80,12 +80,14 @@ elastic-smoke:
 crash-smoke:
 	./scripts/crash_smoke.sh
 
-# Fuzz the wire frame codec (round-trip + truncated/oversized rejection) and
+# Fuzz the wire frame codec (round-trip + truncated/oversized rejection),
 # the pmfs replication record codec (same contract: errors consume nothing,
-# decoded records re-encode byte-identically).
+# decoded records re-encode byte-identically) and the page decoder (inputs
+# sealed with a valid CRC; accepted images re-marshal byte-identically).
 wire-fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/pmfsrep -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s
+	$(GO) test ./internal/page -run '^$$' -fuzz FuzzPageUnmarshal -fuzztime 10s
 
 # Second-engine chaos smokes: the OCC engine must survive the same fault
 # plans as the default 2PL path — undeclared node kill with takeover,

@@ -316,86 +316,99 @@ func (p *Page) AppendTo(b []byte) ([]byte, error) {
 }
 
 // Unmarshal parses a page image produced by Marshal, verifying the checksum.
+// It validates every length before allocating anything sized by the image,
+// then copies the image once: keys and values are capacity-capped sub-slices
+// of that copy, all rows share one []Row and all versions one []Version. The
+// page owns its bytes, so b is reusable on return, and an append to one key
+// or value reallocates instead of overwriting its neighbour.
 func Unmarshal(b []byte) (*Page, error) {
 	if len(b) < headerSize {
 		return nil, fmt.Errorf("page image of %d bytes: %w", len(b), common.ErrShortBuffer)
 	}
+	if len(b) > FrameSize {
+		return nil, fmt.Errorf("page image of %d bytes exceeds frame size: %w", len(b), common.ErrCorrupt)
+	}
 	if crc32.Checksum(b[4:], crcTable) != binary.LittleEndian.Uint32(b) {
 		return nil, fmt.Errorf("page checksum mismatch: %w", common.ErrCorrupt)
 	}
-	p := &Page{}
-	rd := b[4:]
-	p.ID = common.PageID(binary.LittleEndian.Uint64(rd))
-	p.Space = common.SpaceID(binary.LittleEndian.Uint32(rd[8:]))
-	p.Type = Type(rd[12])
-	p.Level = rd[13]
-	p.LLSN = common.LLSN(binary.LittleEndian.Uint64(rd[14:]))
-	p.Next = common.PageID(binary.LittleEndian.Uint64(rd[22:]))
-	nRows := int(binary.LittleEndian.Uint32(rd[30:]))
-	rd = rd[34:]
-	p.Rows = make([]Row, 0, nRows)
-	for r := 0; r < nRows; r++ {
-		var row Row
-		var err error
-		if row.Key, rd, err = readBytes(rd); err != nil {
-			return nil, err
-		}
-		if len(rd) < 4 {
-			return nil, common.ErrShortBuffer
-		}
-		nVers := int(binary.LittleEndian.Uint32(rd))
-		rd = rd[4:]
-		row.Versions = make([]Version, 0, nVers)
-		for v := 0; v < nVers; v++ {
-			var ver Version
-			if ver.Trx, rd, err = common.UnmarshalGTrxID(rd); err != nil {
-				return nil, err
-			}
-			if len(rd) < 9 {
-				return nil, common.ErrShortBuffer
-			}
-			ver.CTS = common.CSN(binary.LittleEndian.Uint64(rd))
-			ver.Deleted = rd[8] == 1
-			rd = rd[9:]
-			if ver.Value, rd, err = readBytes(rd); err != nil {
-				return nil, err
-			}
-			row.Versions = append(row.Versions, ver)
-		}
-		p.Rows = append(p.Rows, row)
+	nRows := int(binary.LittleEndian.Uint32(b[headerSize-4:]))
+	nVers, err := decodeRows(b, nRows, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	img := append([]byte(nil), b...)
+	p := &Page{
+		ID:    common.PageID(binary.LittleEndian.Uint64(img[4:])),
+		Space: common.SpaceID(binary.LittleEndian.Uint32(img[12:])),
+		Type:  Type(img[16]),
+		Level: img[17],
+		LLSN:  common.LLSN(binary.LittleEndian.Uint64(img[18:])),
+		Next:  common.PageID(binary.LittleEndian.Uint64(img[26:])),
+		Rows:  make([]Row, nRows),
+	}
+	_, err = decodeRows(img, nRows, p.Rows, make([]Version, nVers))
+	return p, err
 }
 
-func readBytes(b []byte) ([]byte, []byte, error) {
+// decodeRows walks the nRows rows of a checksummed image and returns their
+// total version count. It rejects a length running past the image, a
+// tombstone flag other than 0 or 1, and trailing bytes, so every image it
+// accepts re-marshals to itself. With rows nil it only validates; otherwise
+// it fills rows and vers with sub-slices of img.
+func decodeRows(img []byte, nRows int, rows []Row, vers []Version) (int, error) {
+	rd, nv := img[headerSize:], 0
+	for r := 0; r < nRows; r++ {
+		key, rest, err := field(rd)
+		if err != nil {
+			return 0, err
+		}
+		if len(rest) < 4 {
+			return 0, common.ErrShortBuffer
+		}
+		first, n := nv, int(binary.LittleEndian.Uint32(rest))
+		rd = rest[4:]
+		for v := 0; v < n; v++ {
+			const fixed = common.GTrxIDSize + 9 // trx, cts, tombstone flag
+			if len(rd) < fixed {
+				return 0, common.ErrShortBuffer
+			}
+			if rd[fixed-1] > 1 {
+				return 0, fmt.Errorf("page tombstone flag %d: %w", rd[fixed-1], common.ErrCorrupt)
+			}
+			val, rest, err := field(rd[fixed:])
+			if err != nil {
+				return 0, err
+			}
+			if vers != nil {
+				trx, _, _ := common.UnmarshalGTrxID(rd)
+				vers[nv] = Version{Trx: trx, CTS: common.CSN(binary.LittleEndian.Uint64(rd[common.GTrxIDSize:])),
+					Deleted: rd[fixed-1] == 1, Value: val}
+			}
+			nv++
+			rd = rest
+		}
+		if rows != nil {
+			rows[r] = Row{Key: key, Versions: vers[first:nv:nv]}
+		}
+	}
+	if len(rd) != 0 {
+		return 0, fmt.Errorf("page image: %d trailing bytes: %w", len(rd), common.ErrCorrupt)
+	}
+	return nv, nil
+}
+
+// field splits a length-prefixed byte string off the front of b as a
+// capacity-capped sub-slice, nil when empty.
+func field(b []byte) (v, rest []byte, err error) {
 	if len(b) < 4 {
 		return nil, b, common.ErrShortBuffer
 	}
 	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) < n {
+	if b = b[4:]; len(b) < n {
 		return nil, b, common.ErrShortBuffer
 	}
 	if n == 0 {
 		return nil, b, nil
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out, b[n:], nil
-}
-
-// Clone deep-copies the page.
-func (p *Page) Clone() *Page {
-	cp := &Page{ID: p.ID, Space: p.Space, Type: p.Type, Level: p.Level, LLSN: p.LLSN, Next: p.Next}
-	cp.Rows = make([]Row, len(p.Rows))
-	for i := range p.Rows {
-		cp.Rows[i].Key = append([]byte(nil), p.Rows[i].Key...)
-		cp.Rows[i].Versions = make([]Version, len(p.Rows[i].Versions))
-		for j := range p.Rows[i].Versions {
-			v := p.Rows[i].Versions[j]
-			v.Value = append([]byte(nil), v.Value...)
-			cp.Rows[i].Versions[j] = v
-		}
-	}
-	return cp
+	return b[:n:n], b[n:], nil
 }

@@ -2,8 +2,13 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -190,22 +195,29 @@ func TestMarshalChecksum(t *testing.T) {
 	}
 }
 
+// randomPage builds the page TestMarshalRoundTripProperty checks: up to 39
+// versions over 30 keys, random values, tombstones and stamps.
+func randomPage(seed int64, n uint8) *Page {
+	rng := rand.New(rand.NewSource(seed))
+	p := New(common.PageID(rng.Uint64()%1e6+1), common.SpaceID(rng.Uint32()%100), TypeLeaf)
+	p.LLSN = common.LLSN(rng.Uint64() % 1e9)
+	for i := 0; i < int(n%40); i++ {
+		key := []byte(fmt.Sprintf("key-%d", rng.Intn(30)))
+		val := make([]byte, rng.Intn(50))
+		rng.Read(val)
+		p.InsertVersion(key, Version{
+			Trx:     trx(rng.Intn(4), rng.Intn(1000)),
+			CTS:     common.CSN(rng.Uint64() % 1000),
+			Deleted: rng.Intn(5) == 0,
+			Value:   val,
+		})
+	}
+	return p
+}
+
 func TestMarshalRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := New(common.PageID(rng.Uint64()%1e6+1), common.SpaceID(rng.Uint32()%100), TypeLeaf)
-		p.LLSN = common.LLSN(rng.Uint64() % 1e9)
-		for i := 0; i < int(n%40); i++ {
-			key := []byte(fmt.Sprintf("key-%d", rng.Intn(30)))
-			val := make([]byte, rng.Intn(50))
-			rng.Read(val)
-			p.InsertVersion(key, Version{
-				Trx:     trx(rng.Intn(4), rng.Intn(1000)),
-				CTS:     common.CSN(rng.Uint64() % 1000),
-				Deleted: rng.Intn(5) == 0,
-				Value:   val,
-			})
-		}
+		p := randomPage(seed, n)
 		img, err := p.Marshal()
 		if err != nil {
 			return false
@@ -286,17 +298,6 @@ func TestInternalPageRouting(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := New(1, 1, TypeLeaf)
-	p.InsertVersion([]byte("k"), Version{Trx: trx(1, 1), Value: []byte("v")})
-	q := p.Clone()
-	q.Rows[0].Versions[0].Value[0] = 'X'
-	q.InsertVersion([]byte("z"), Version{})
-	if string(p.Find([]byte("k")).Head().Value) != "v" || len(p.Rows) != 1 {
-		t.Fatal("clone aliases original")
-	}
-}
-
 func TestSearchProperty(t *testing.T) {
 	p := New(1, 1, TypeLeaf)
 	var keys []string
@@ -316,5 +317,170 @@ func TestSearchProperty(t *testing.T) {
 		if bytes.Compare(p.Rows[i-1].Key, p.Rows[i].Key) >= 0 {
 			t.Fatal("rows not strictly sorted")
 		}
+	}
+}
+
+// fullLeaf builds a leaf of n rows shaped like the benchmark's: ten-byte
+// keys, 100-byte values, one stamped version each.
+func fullLeaf(n int) *Page {
+	p := New(3, 1, TypeLeaf)
+	for i := 0; i < n; i++ {
+		p.InsertVersion([]byte(fmt.Sprintf("k%09d", i)),
+			Version{Trx: trx(1, i), CTS: common.CSN(i + 1), Value: bytes.Repeat([]byte{byte(i)}, 100)})
+	}
+	return p
+}
+
+// seal stamps b's CRC32C so the decoder's checks past the checksum run.
+func seal(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], crcTable))
+	return b
+}
+
+// FuzzPageUnmarshal seals every input with a valid checksum so the fuzzer
+// reaches the parser: no input may panic it, and an image it accepts must
+// re-marshal to the identical bytes.
+func FuzzPageUnmarshal(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		img, err := randomPage(seed, uint8(seed*5)).Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 4 {
+			return
+		}
+		b = seal(append([]byte(nil), b...))
+		p, err := Unmarshal(b)
+		if err != nil {
+			return
+		}
+		out, err := p.Marshal()
+		if err != nil || !bytes.Equal(out, b) {
+			t.Fatalf("decoded image re-marshals to %x, %v; want %x", out, err, b)
+		}
+	})
+}
+
+// TestUnmarshalHugeRowCount: a sealed 64-byte image claiming 2^32-1 rows is
+// refused as short before anything sized by the claim is allocated.
+func TestUnmarshalHugeRowCount(t *testing.T) {
+	b := make([]byte, 64)
+	binary.LittleEndian.PutUint32(b[headerSize-4:], math.MaxUint32)
+	seal(b)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(b)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, common.ErrShortBuffer) {
+		t.Fatalf("err = %v, want ErrShortBuffer", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("refusing the image allocated %d bytes, want < 1 MiB", d)
+	}
+}
+
+// TestUnmarshalAllocs: a decode is the page, one copy of the image, one row
+// array and one version array, whatever the row count.
+func TestUnmarshalAllocs(t *testing.T) {
+	for _, n := range []int{1, 44} {
+		img, err := fullLeaf(n).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Unmarshal(img); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Fatalf("%d-row leaf: %.0f allocs per decode, want <= 4", n, allocs)
+		}
+	}
+}
+
+// TestDecodedPageOwnsItsBytes pins what the shared arena must not change: a
+// decoded page is independent of its source buffer, an edit to one row never
+// reaches another, and edits marshal exactly as on a page built from scratch.
+func TestDecodedPageOwnsItsBytes(t *testing.T) {
+	build := func() *Page {
+		p := fullLeaf(6)
+		p.InsertVersion([]byte("k000000002"), Version{Trx: trx(2, 9), Value: []byte("newer")})
+		return p
+	}
+	src, err := build().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]byte(nil), src...)
+	p, err := Unmarshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		src[i] = 0xEE
+	}
+	if out, err := p.Marshal(); err != nil || !bytes.Equal(out, orig) {
+		t.Fatalf("overwriting the source buffer changed the decoded page (%v)", err)
+	}
+
+	rowImage := func(r Row) []byte {
+		q := New(0, 0, TypeLeaf)
+		q.Rows = []Row{r}
+		img, _ := q.Marshal()
+		return img
+	}
+	// Each edit names the one row it may change.
+	edits := []struct {
+		key  string
+		edit func(p *Page)
+	}{
+		{"k000000001", func(p *Page) {
+			p.InsertVersion([]byte("k000000001"), Version{Trx: trx(3, 1), CTS: 100, Value: []byte("x")})
+		}},
+		{"k000000002", func(p *Page) { p.RollbackVersion([]byte("k000000002"), trx(2, 9)) }},
+		{"k000000001", func(p *Page) { p.Purge(200, resolvePlain) }},
+		{"k000000005", func(p *Page) { p.SetChild([]byte("k000000005"), 77) }},
+		{"k000000003", func(p *Page) {
+			// Long enough to reach the next row's bytes in the image.
+			r := p.Find([]byte("k000000003"))
+			r.Key = append(r.Key, bytes.Repeat([]byte("z"), 200)...)
+			r.Head().Value = append(r.Head().Value, bytes.Repeat([]byte("t"), 200)...)
+			r.Versions = append(r.Versions, Version{Trx: trx(4, 4), Value: []byte("oldest")})
+		}},
+	}
+	for _, e := range edits {
+		before := make(map[string][]byte)
+		for _, r := range p.Rows {
+			before[string(r.Key)] = rowImage(r)
+		}
+		e.edit(p)
+		for k, img := range before {
+			if k == e.key {
+				continue
+			}
+			r := p.Find([]byte(k))
+			if r == nil || !bytes.Equal(rowImage(*r), img) {
+				t.Fatalf("editing row %s changed row %s", e.key, k)
+			}
+		}
+	}
+
+	fresh := build()
+	for _, e := range edits {
+		e.edit(fresh)
+	}
+	got, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("edits on the decoded page marshal differently from the same edits on a fresh page")
 	}
 }

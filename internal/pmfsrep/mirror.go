@@ -19,18 +19,50 @@ type word struct {
 	val uint64
 }
 
-// chunk is one mirrored 256-byte extent plus its version word.
-type chunk struct {
-	seq  uint64
-	data []byte
+// blockChunks is the mirror index's allocation unit: a block indexes 256
+// chunks, 64 KiB of region, and is allocated when a write first touches it.
+const blockChunks = 256
+
+// block holds the version words of 256 consecutive chunks and their bytes,
+// each chunk allocated on its first write; a nil chunk has not been written
+// since the last resync.
+type block struct {
+	seq  [blockChunks]uint64
+	data [blockChunks]*[chunkSize]byte
 }
 
-// mregion is one region's sparse mirror: only extents that replicated since
-// the last resync are materialized. An absent chunk means "unchanged since
-// the resync baseline", which by construction equals the leader copy.
+// mregion is one region's sparse mirror, its chunks indexed by number in two
+// levels: dir[ci/blockChunks] is the chunk's block, nil while untouched. The
+// directory of a 128 MiB region is 16 KiB and the rest of the memory follows
+// what was written. An absent chunk means "unchanged since the resync
+// baseline", which by construction equals the leader copy.
 type mregion struct {
-	chunks map[int]*chunk
-	words  map[int]*word
+	dir   []*block
+	words map[int]*word
+}
+
+// chunk returns chunk ci's version word and bytes. An untouched chunk is
+// nil, nil unless alloc, which allocates it.
+func (mr *mregion) chunk(ci int, alloc bool) (*uint64, []byte) {
+	bi, i := ci/blockChunks, ci%blockChunks
+	if bi >= len(mr.dir) {
+		if !alloc {
+			return nil, nil
+		}
+		mr.dir = append(mr.dir, make([]*block, bi+1-len(mr.dir))...)
+	}
+	b := mr.dir[bi]
+	if b == nil || b.data[i] == nil {
+		if !alloc {
+			return nil, nil
+		}
+		if b == nil {
+			b = new(block)
+			mr.dir[bi] = b
+		}
+		b.data[i] = new([chunkSize]byte)
+	}
+	return &b.seq[i], b.data[i][:]
 }
 
 // mirror is one follower replica's copy of the replicated tier. All applies
@@ -50,7 +82,7 @@ func newMirror() *mirror {
 func (m *mirror) region(name string) *mregion {
 	mr := m.regions[name]
 	if mr == nil {
-		mr = &mregion{chunks: make(map[int]*chunk), words: make(map[int]*word)}
+		mr = &mregion{words: make(map[int]*word)}
 		m.regions[name] = mr
 	}
 	return mr
@@ -85,18 +117,14 @@ func (m *mirror) apply(rec Record) bool {
 			break
 		}
 		for ci := off / chunkSize; ci <= (off+n-1)/chunkSize; ci++ {
-			c := mr.chunks[ci]
-			if c == nil {
-				c = &chunk{data: make([]byte, chunkSize)}
-				mr.chunks[ci] = c
-			}
-			if rec.Seq <= c.seq {
+			seq, data := mr.chunk(ci, true)
+			if rec.Seq <= *seq {
 				continue
 			}
 			base := ci * chunkSize
 			lo, hi := max(off, base), min(off+n, base+chunkSize)
-			copy(c.data[lo-base:hi-base], rec.Data[lo-off:hi-off])
-			c.seq = rec.Seq
+			copy(data[lo-base:hi-base], rec.Data[lo-off:hi-off])
+			*seq = rec.Seq
 			fresh = true
 		}
 	}
@@ -111,8 +139,8 @@ func (m *mirror) chunkSeq(region string, ci int) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if mr := m.regions[region]; mr != nil {
-		if c := mr.chunks[ci]; c != nil {
-			return c.seq
+		if seq, _ := mr.chunk(ci, false); seq != nil {
+			return *seq
 		}
 	}
 	return 0
@@ -130,61 +158,6 @@ func (m *mirror) wordSeq(region string, off int) uint64 {
 	return 0
 }
 
-// wordVal returns a mirrored atomic cell's value (0, false if absent).
-func (m *mirror) wordVal(region string, off int) (uint64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mr := m.regions[region]; mr != nil {
-		if w := mr.words[off]; w != nil {
-			return w.val, true
-		}
-	}
-	return 0, false
-}
-
-// repairChunk force-installs chunk bytes read from the leader copy at the
-// leader's version word — the read-repair path for a lagging follower.
-func (m *mirror) repairChunk(region string, ci int, data []byte, seq uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mr := m.region(region)
-	c := mr.chunks[ci]
-	if c == nil {
-		c = &chunk{data: make([]byte, chunkSize)}
-		mr.chunks[ci] = c
-	}
-	if seq <= c.seq {
-		return // a concurrent apply already caught it up
-	}
-	copy(c.data, data)
-	c.seq = seq
-	if seq > m.lastSeq {
-		m.lastSeq = seq
-	}
-}
-
-// repairWord force-installs a word read from the leader copy (max-merged).
-func (m *mirror) repairWord(region string, off int, val, seq uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mr := m.region(region)
-	w := mr.words[off]
-	if w == nil {
-		w = &word{}
-		mr.words[off] = w
-	}
-	if seq <= w.seq {
-		return
-	}
-	w.seq = seq
-	if val > w.val {
-		w.val = val
-	}
-	if seq > m.lastSeq {
-		m.lastSeq = seq
-	}
-}
-
 // reset drops every mirrored extent, re-establishing "absent = in sync with
 // the leader copy" as the baseline (post-failover resync, CrashAll).
 func (m *mirror) reset() {
@@ -200,10 +173,11 @@ func (m *mirror) last() uint64 {
 	return m.lastSeq
 }
 
-// seqTrack is the leader-side version-word table: for every replicated
-// chunk/word it records the sequence of the newest record the leader
-// shipped. Quorum reads compare follower version words against it to find
-// divergence worth repairing.
+// seqTrack is the leader-side version-word table: for every chunk and word
+// of a quorum-read region it records the sequence of the newest record the
+// leader shipped. Quorum reads compare follower version words against it to
+// find divergence worth repairing; readRepair is its only reader, so other
+// regions are not tracked.
 type seqTrack struct {
 	mu      sync.Mutex
 	regions map[string]*trackRegion

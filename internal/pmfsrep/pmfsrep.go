@@ -172,9 +172,10 @@ func (r *Replicator) liveLocked() int {
 
 // mirrorRecord encodes one record through the replication codec (the wire
 // image a socket-hosted replica would receive) and applies the decoded form
-// to every live follower. Callers hold mu.RLock. It returns the ack count
+// to every live follower. The leader's version table notes it only for a
+// quorum-read region. Callers hold mu.RLock. It returns the ack count
 // including the leader.
-func (r *Replicator) mirrorRecord(kind uint8, region string, off int, val uint64, data []byte) int {
+func (r *Replicator) mirrorRecord(info regionInfo, kind uint8, region string, off int, val uint64, data []byte) int {
 	seq := r.seq.Add(1)
 	rec := Record{Kind: kind, Epoch: r.epoch.Load(), Seq: seq,
 		Region: region, Off: uint32(off), Val: val, Data: data}
@@ -199,11 +200,15 @@ func (r *Replicator) mirrorRecord(kind uint8, region string, off int, val uint64
 	r.encPool.Put(bufp)
 	switch kind {
 	case RecWrite:
-		r.track.noteWrite(region, off, len(data), seq)
+		if info.quorumRead {
+			r.track.noteWrite(region, off, len(data), seq)
+		}
 		r.mirroredWrites.Inc()
 		r.mirroredBytes.Add(int64(len(data)) * int64(max(acks-1, 0)))
 	case RecWord:
-		r.track.noteWord(region, off, seq)
+		if info.quorumRead {
+			r.track.noteWord(region, off, seq)
+		}
 		r.grants.Inc()
 	}
 	return acks
@@ -252,7 +257,9 @@ func (r *Replicator) readRepair(region string, off, n int) {
 					break
 				}
 			}
-			rep.m.repairChunk(region, ci, img, lseq)
+			// Read-repair is a record at the leader's version word:
+			// the same seq gate keeps a concurrent apply from regressing.
+			rep.m.apply(Record{Kind: RecWrite, Seq: lseq, Region: region, Off: uint32(ci * chunkSize), Data: img})
 			r.readRepairs.Inc()
 		}
 	}
@@ -270,7 +277,7 @@ func (r *Replicator) readRepair(region string, off, n int) {
 				}
 				val, have = binary.LittleEndian.Uint64(b[:]), true
 			}
-			rep.m.repairWord(region, wo, val, lseq)
+			rep.m.apply(Record{Kind: RecWord, Seq: lseq, Region: region, Off: uint32(wo), Val: val})
 			r.readRepairs.Inc()
 		}
 	}
@@ -319,7 +326,8 @@ func (r *Replicator) ReadV(src, node common.NodeID, region string, segs []rdma.S
 }
 
 func (r *Replicator) Write(src, node common.NodeID, region string, off int, data []byte, dup bool, ss *rdma.Stats) error {
-	if _, ok := r.regions[region]; !ok {
+	info, ok := r.regions[region]
+	if !ok {
 		return r.inner.Write(src, node, region, off, data, dup, ss)
 	}
 	if r.gate.Load() {
@@ -331,13 +339,14 @@ func (r *Replicator) Write(src, node common.NodeID, region string, off int, data
 	if err := r.inner.Write(src, node, region, off, data, dup, ss); err != nil {
 		return err
 	}
-	acks := r.mirrorRecord(RecWrite, region, off, 0, data)
+	acks := r.mirrorRecord(info, RecWrite, region, off, 0, data)
 	r.finishQuorum(src, start, acks)
 	return nil
 }
 
 func (r *Replicator) WriteV(src, node common.NodeID, region string, segs []rdma.Seg, dup bool, ss *rdma.Stats) error {
-	if _, ok := r.regions[region]; !ok {
+	info, ok := r.regions[region]
+	if !ok {
 		return r.inner.WriteV(src, node, region, segs, dup, ss)
 	}
 	if r.gate.Load() {
@@ -353,7 +362,7 @@ func (r *Replicator) WriteV(src, node common.NodeID, region string, segs []rdma.
 	// is accounted as one quorum round.
 	acks := r.k
 	for _, s := range segs {
-		if a := r.mirrorRecord(RecWrite, region, s.Off, 0, s.Buf); a < acks {
+		if a := r.mirrorRecord(info, RecWrite, region, s.Off, 0, s.Buf); a < acks {
 			acks = a
 		}
 	}
@@ -362,7 +371,8 @@ func (r *Replicator) WriteV(src, node common.NodeID, region string, segs []rdma.
 }
 
 func (r *Replicator) CAS64(src, node common.NodeID, region string, off int, old, new uint64, ss *rdma.Stats) (uint64, error) {
-	if _, ok := r.regions[region]; !ok {
+	info, ok := r.regions[region]
+	if !ok {
 		return r.inner.CAS64(src, node, region, off, old, new, ss)
 	}
 	if r.gate.Load() {
@@ -376,14 +386,15 @@ func (r *Replicator) CAS64(src, node common.NodeID, region string, off int, old,
 		return 0, err
 	}
 	if prev == old { // the swap happened — replicate the post-image
-		acks := r.mirrorRecord(RecWord, region, off, new, nil)
+		acks := r.mirrorRecord(info, RecWord, region, off, new, nil)
 		r.finishQuorum(src, start, acks)
 	}
 	return prev, nil
 }
 
 func (r *Replicator) FetchAdd64(src, node common.NodeID, region string, off int, delta uint64, ss *rdma.Stats) (uint64, error) {
-	if _, ok := r.regions[region]; !ok {
+	info, ok := r.regions[region]
+	if !ok {
 		return r.inner.FetchAdd64(src, node, region, off, delta, ss)
 	}
 	if r.gate.Load() {
@@ -399,7 +410,7 @@ func (r *Replicator) FetchAdd64(src, node common.NodeID, region string, off int,
 	// The grant record carries the counter's post-image; followers learn it
 	// through the versioned in-band ack, and the seq gate plus max merge
 	// make a retried grant unable to double-advance any mirror.
-	acks := r.mirrorRecord(RecWord, region, off, prev+delta, nil)
+	acks := r.mirrorRecord(info, RecWord, region, off, prev+delta, nil)
 	r.finishQuorum(src, start, acks)
 	return prev, nil
 }
@@ -497,13 +508,14 @@ func (r *Replicator) promoteLocked() {
 			continue
 		}
 		var segs []rdma.Seg
-		for ci, c := range mr.chunks {
+		for ci := 0; ci < len(mr.dir)*blockChunks; ci++ {
+			_, data := mr.chunk(ci, false)
 			base := ci * chunkSize
 			cnt := min(chunkSize, info.size-base)
-			if cnt <= 0 {
+			if data == nil || cnt <= 0 {
 				continue
 			}
-			segs = append(segs, rdma.Seg{Off: base, Buf: c.data[:cnt]})
+			segs = append(segs, rdma.Seg{Off: base, Buf: data[:cnt]})
 		}
 		if len(segs) > 0 {
 			// One doorbell batch per region; promotion-time ops are not

@@ -2,7 +2,9 @@ package pmfsrep
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,21 +17,46 @@ const (
 	testNode = common.PMFSNode
 	tsoReg   = "pmfs.tso"
 	memReg   = "pmfs.members"
+	dbpReg   = "pmfs.dbp"
+	dbpSize  = 64 << 10
 )
 
-// newTestTier builds a fabric with a PMFS endpoint hosting a TSO word and a
-// small quorum-read region, fronted by a K-way replicator.
+// newTestTier builds a fabric with a PMFS endpoint hosting a TSO word, a
+// small quorum-read region and a DBP-like frame region, fronted by a K-way
+// replicator.
 func newTestTier(t *testing.T, k int) (*rdma.Fabric, *Replicator) {
+	f, r, _ := newTestTierDBP(t, k)
+	return f, r
+}
+
+// newTestTierDBP is newTestTier that also returns the leader copy of the
+// frame region, for writes behind the replicator's back.
+func newTestTierDBP(t *testing.T, k int) (*rdma.Fabric, *Replicator, *rdma.Region) {
 	t.Helper()
 	f := rdma.NewFabric(rdma.Latency{})
 	ep := f.Register(testNode)
 	ep.RegisterRegion(tsoReg, 8)
 	ep.RegisterRegion(memReg, 1024)
+	dbp := ep.RegisterRegion(dbpReg, dbpSize)
 	r := New(f, testNode, k)
 	r.AddRegion(tsoReg, 8, false)
 	r.AddRegion(memReg, 1024, true)
+	r.AddRegion(dbpReg, dbpSize, false)
 	r.Attach(f)
-	return f, r
+	return f, r, dbp
+}
+
+// mirrorWord reads a mirrored atomic cell under the mirror's lock (0, false
+// if absent).
+func mirrorWord(m *mirror, region string, off int) (uint64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if mr := m.regions[region]; mr != nil {
+		if w := mr.words[off]; w != nil {
+			return w.val, true
+		}
+	}
+	return 0, false
 }
 
 // TestReplicatedFetchAddNeverDoubleAdvances is the TSO safety property under
@@ -108,7 +135,7 @@ func TestReplicatedFetchAddNeverDoubleAdvances(t *testing.T) {
 		if rep.m == nil {
 			continue
 		}
-		if v, ok := rep.m.wordVal(tsoReg, 0); !ok || v != uint64(total) {
+		if v, ok := mirrorWord(rep.m, tsoReg, 0); !ok || v != uint64(total) {
 			t.Fatalf("follower %d mirror TSO = %d (present=%v), want %d", rep.id, v, ok, total)
 		}
 	}
@@ -129,14 +156,14 @@ func TestDuplicateRecordSuppressed(t *testing.T) {
 	if m.apply(grant) {
 		t.Fatal("duplicate apply accepted — retried grant could double-advance")
 	}
-	if v, _ := m.wordVal(tsoReg, 0); v != 42 {
+	if v, _ := mirrorWord(m, tsoReg, 0); v != 42 {
 		t.Fatalf("word = %d after duplicate, want 42", v)
 	}
 	// A stale grant (older seq, lower value) must not regress the word.
 	if m.apply(Record{Kind: RecWord, Epoch: 1, Seq: 3, Region: tsoReg, Off: 0, Val: 17}) {
 		t.Fatal("stale grant accepted")
 	}
-	if v, _ := m.wordVal(tsoReg, 0); v != 42 {
+	if v, _ := mirrorWord(m, tsoReg, 0); v != 42 {
 		t.Fatalf("word regressed to %d", v)
 	}
 
@@ -249,7 +276,7 @@ func TestReadRepair(t *testing.T) {
 		t.Fatalf("follower chunk seq %d, want leader's %d", lag.m.chunkSeq(memReg, ci), lseq)
 	}
 	lag.m.mu.Lock()
-	data := lag.m.regions[memReg].chunks[ci].data
+	_, data := lag.m.regions[memReg].chunk(ci, false)
 	repaired := bytes.Equal(data[32:32+len(payload)], payload)
 	lag.m.mu.Unlock()
 	if !repaired {
@@ -291,5 +318,92 @@ func TestUnregisteredRegionPassthrough(t *testing.T) {
 	}
 	if got := r.Snapshot().MirroredWrites; got != 0 {
 		t.Fatalf("unregistered region was mirrored (%d records)", got)
+	}
+}
+
+// TestLeaderTracksOnlyQuorumReadRegions: the leader's version table serves
+// read-repair alone, so TSO grants and DBP pushes leave it empty while the
+// followers still mirror them, and lease-table writes are tracked.
+func TestLeaderTracksOnlyQuorumReadRegions(t *testing.T) {
+	f, r := newTestTier(t, 3)
+	if _, err := f.FetchAdd64(testNode, tsoReg, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(testNode, dbpReg, 16<<10, bytes.Repeat([]byte{7}, 10<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.track.regions); n != 0 {
+		t.Fatalf("TSO and DBP writes left %d regions in the leader's version table", n)
+	}
+	for _, rep := range r.replicas[1:] {
+		if rep.m.chunkSeq(dbpReg, 16<<10/chunkSize) == 0 || rep.m.wordSeq(tsoReg, 0) == 0 {
+			t.Fatalf("follower %d did not mirror the untracked writes", rep.id)
+		}
+	}
+	if err := f.Write(testNode, memReg, 64, []byte("lease")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.CAS64(testNode, memReg, 128, 0, 9); err != nil {
+		t.Fatal(err)
+	}
+	if r.track.chunkSeq(memReg, 0) == 0 || len(r.track.wordsIn(memReg, 128, 8)) != 1 {
+		t.Fatal("lease-table write or CAS not tracked")
+	}
+}
+
+// TestMirrorMemoryFollowsWrites: one frame pushed to the far end of a
+// 128 MiB DBP region costs a follower its block and the index directory,
+// not memory proportional to the region.
+func TestMirrorMemoryFollowsWrites(t *testing.T) {
+	const size = 128 << 20
+	frame := bytes.Repeat([]byte{0xA5}, 16<<10)
+	m := newMirror()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.apply(Record{Kind: RecWrite, Epoch: 1, Seq: 1, Region: dbpReg, Off: size - 16<<10, Data: frame})
+	runtime.ReadMemStats(&after)
+	d := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one 16 KiB far-end write: %d bytes", d)
+	if d >= 64<<10 {
+		t.Fatalf("one 16 KiB write grew the mirror by %d bytes, want < 64 KiB", d)
+	}
+	if m.chunkSeq(dbpReg, (size-1)/chunkSize) != 1 {
+		t.Fatal("far-end chunk not mirrored")
+	}
+}
+
+// TestPromotionCopiesWrittenChunks: promotion installs exactly the chunks the
+// new leader mirrored. The leader copy is scribbled on behind the
+// replicator's back; the scribble is overwritten in written chunks and
+// survives everywhere else, including unwritten chunks of a touched block.
+func TestPromotionCopiesWrittenChunks(t *testing.T) {
+	f, r, dbp := newTestTierDBP(t, 3)
+	written := map[int]bool{3: true, 130: true}
+	for ci := range written {
+		if err := f.Write(testNode, dbpReg, ci*chunkSize, bytes.Repeat([]byte{byte(ci)}, chunkSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const scribble = 0xDEAD
+	probe := []int{0, 2, 3, 4, 63, 64, 129, 130, 131, 255}
+	for _, ci := range probe {
+		if err := dbp.LocalWrite64(ci*chunkSize+8, scribble); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.KillReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, ci := range probe {
+		v, err := dbp.LocalRead64(ci*chunkSize + 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := binary.LittleEndian.Uint64(bytes.Repeat([]byte{byte(ci)}, 8)); written[ci] && v != want {
+			t.Fatalf("written chunk %d = %#x after promotion, want %#x", ci, v, want)
+		}
+		if !written[ci] && v != scribble {
+			t.Fatalf("unwritten chunk %d was overwritten by promotion (%#x)", ci, v)
+		}
 	}
 }
