@@ -82,12 +82,14 @@ crash-smoke:
 
 # Fuzz the wire frame codec (round-trip + truncated/oversized rejection),
 # the pmfs replication record codec (same contract: errors consume nothing,
-# decoded records re-encode byte-identically) and the page decoder (inputs
-# sealed with a valid CRC; accepted images re-marshal byte-identically).
+# decoded records re-encode byte-identically), the page decoder (inputs
+# sealed with a valid CRC; accepted images re-marshal byte-identically) and
+# the WAL record decoder (accepted records re-marshal byte-identically).
 wire-fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/pmfsrep -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s
 	$(GO) test ./internal/page -run '^$$' -fuzz FuzzPageUnmarshal -fuzztime 10s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordDecode -fuzztime 10s
 
 # Second-engine chaos smokes: the OCC engine must survive the same fault
 # plans as the default 2PL path — undeclared node kill with takeover,
@@ -133,7 +135,8 @@ bench-snapshot:
 # (29,271 before PR 13, 28,743 after it, 28,398 after PR 14, 27,632 after
 # PR 16, 27,381 after PR 22, 27,240 after PR 24, 27,150 after PR 25, 27,135
 # after validity-on-grant replaced the invalid flags, 26,991 after read
-# hedging went, 26,790 after admission control and fail-slow suspicion went;
-# CI fails above that).
+# hedging went, 26,790 after admission control and fail-slow suspicion went,
+# 26,789 after the one-arena page decode, 26,415 after the Aurora-MM model
+# went; CI fails above that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

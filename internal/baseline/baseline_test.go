@@ -10,91 +10,6 @@ import (
 	"polardbmp/internal/workload"
 )
 
-func TestOCCBasicCommit(t *testing.T) {
-	db := NewOCCMM(2, OCCLatency{})
-	tab, err := db.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, _ := db.Begin(0)
-	if err := tx.Insert(tab, []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Visible from the other node.
-	tx2, _ := db.Begin(1)
-	v, err := tx2.Get(tab, []byte("k"))
-	if err != nil || string(v) != "v" {
-		t.Fatalf("get = %q, %v", v, err)
-	}
-	tx2.Rollback()
-}
-
-func TestOCCConflictAborts(t *testing.T) {
-	db := NewOCCMM(2, OCCLatency{})
-	tab, _ := db.CreateTable("t")
-	seed, _ := db.Begin(0)
-	seed.Insert(tab, []byte("k"), []byte("v0"))
-	if err := seed.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Two nodes stage writes to the same key concurrently; the second
-	// committer must get a write conflict ("deadlock error", §2.3).
-	t1, _ := db.Begin(0)
-	t2, _ := db.Begin(1)
-	if err := t1.Update(tab, []byte("k"), []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Update(tab, []byte("k"), []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	err := t2.Commit()
-	if !errors.Is(err, common.ErrWriteConflict) {
-		t.Fatalf("second committer err = %v, want ErrWriteConflict", err)
-	}
-	if !common.IsRetryable(err) {
-		t.Fatal("conflict must be retryable")
-	}
-	if db.Conflicts != 1 {
-		t.Fatalf("conflicts = %d", db.Conflicts)
-	}
-}
-
-func TestOCCPageGranularityConflict(t *testing.T) {
-	db := NewOCCMM(2, OCCLatency{})
-	tab, _ := db.CreateTable("t")
-	// Find two distinct keys in the same bucket.
-	var k1, k2 []byte
-	base := []byte("key-000000")
-	b0 := bucketOf(base, occBuckets)
-	for i := 1; i < 100000; i++ {
-		k := []byte(string(rune('a'+i%26)) + string(base[1:]) + string(rune('0'+i%10)))
-		if bucketOf(k, occBuckets) == b0 && string(k) != string(base) {
-			k1, k2 = base, k
-			break
-		}
-	}
-	if k2 == nil {
-		t.Skip("no bucket collision found")
-	}
-	t1, _ := db.Begin(0)
-	t2, _ := db.Begin(1)
-	t1.Insert(tab, k1, []byte("a"))
-	t2.Insert(tab, k2, []byte("b"))
-	if err := t1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Different rows, same "page": still a conflict.
-	if err := t2.Commit(); !errors.Is(err, common.ErrWriteConflict) {
-		t.Fatalf("same-page different-row commit err = %v", err)
-	}
-}
-
 func TestShardedSinglePartitionOnePhase(t *testing.T) {
 	db := NewSharded(2, ShardedLatency{})
 	tab, _ := db.CreateTable("t")
@@ -192,23 +107,6 @@ func TestShardedGSICommitCosts(t *testing.T) {
 	}
 }
 
-func TestOCCUnderWorkloadRunner(t *testing.T) {
-	db := NewOCCMM(2, OCCLatency{})
-	sb := workload.DefaultSysbench(workload.SysbenchWriteOnly, 2, 100)
-	sb.TablesPerGroup = 1
-	sb.RowsPerTable = 50 // tiny: force page conflicts
-	if err := sb.Load(db); err != nil {
-		t.Fatal(err)
-	}
-	res := workload.Runner{Threads: 2, Duration: 150 * time.Millisecond, MaxRetries: 5}.Run(db, sb.TxFunc)
-	if res.Commits == 0 {
-		t.Fatal("no commits")
-	}
-	if db.Conflicts == 0 {
-		t.Fatal("fully-shared write-only workload produced no OCC conflicts")
-	}
-}
-
 func TestShardedConcurrentStress(t *testing.T) {
 	db := NewSharded(4, ShardedLatency{})
 	tab, _ := db.CreateTable("t")
@@ -240,27 +138,22 @@ func TestShardedConcurrentStress(t *testing.T) {
 	}
 }
 
-// Upsert completes wire.Tx on both models: insert when absent, overwrite
-// when present.
+// Upsert completes wire.Tx: insert when absent, overwrite when present.
 func TestBaselineUpsert(t *testing.T) {
-	for name, db := range map[string]workload.DB{
-		"occmm":   NewOCCMM(2, OCCLatency{}),
-		"sharded": NewSharded(2, ShardedLatency{}),
-	} {
-		tab, _ := db.CreateTable("t")
-		for _, want := range []string{"v1", "v2"} {
-			tx, _ := db.Begin(0)
-			if err := tx.Upsert(tab, []byte("k"), []byte(want)); err != nil {
-				t.Fatalf("%s: upsert %s: %v", name, want, err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatalf("%s: commit: %v", name, err)
-			}
-			rd, _ := db.Begin(1)
-			if v, err := rd.Get(tab, []byte("k")); err != nil || string(v) != want {
-				t.Fatalf("%s: get = %q, %v; want %q", name, v, err, want)
-			}
-			rd.Rollback()
+	db := NewSharded(2, ShardedLatency{})
+	tab, _ := db.CreateTable("t")
+	for _, want := range []string{"v1", "v2"} {
+		tx, _ := db.Begin(0)
+		if err := tx.Upsert(tab, []byte("k"), []byte(want)); err != nil {
+			t.Fatalf("upsert %s: %v", want, err)
 		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+		rd, _ := db.Begin(1)
+		if v, err := rd.Get(tab, []byte("k")); err != nil || string(v) != want {
+			t.Fatalf("get = %q, %v; want %q", v, err, want)
+		}
+		rd.Rollback()
 	}
 }

@@ -1,3 +1,9 @@
+// Package baseline implements Figure 13's comparison system (§5.4) as a
+// behavioural model sharing this repository's workload and latency
+// substrates (DESIGN.md substitution S7): Sharded, a shared-nothing 2PC
+// engine (TiDB/CockroachDB/OceanBase-like) with hash-partitioned data and
+// partitioned global secondary indexes, where cross-partition transactions
+// pay two-phase commit.
 package baseline
 
 import (
@@ -54,6 +60,12 @@ type partition struct {
 	mu    sync.Mutex
 	rows  map[string][]byte
 	locks map[string]uint64 // key -> owning tx id
+}
+
+func lsleep(d time.Duration) {
+	if d > 0 {
+		time.Sleep(d)
+	}
 }
 
 // NewSharded builds an n-node shared-nothing cluster.

@@ -48,7 +48,8 @@ func Fig11(o Options) []SweepPoint {
 }
 
 // Fig12 reproduces Figure 12: the light-conflict comparison (10% shared)
-// against both Aurora-MM-like OCC and the Taurus-MM-like baseline. Paper
+// against both Aurora-MM-like OCC and the Taurus-MM-like baseline, each a
+// configuration of the real engine (newAurora, newLogShip). Paper
 // shape: even at 10% shared, Aurora-MM's write-only 2/4-node clusters are
 // at or below single-node throughput; MP scales near-linearly.
 func Fig12(o Options) []SweepPoint {
@@ -68,7 +69,7 @@ func Fig12(o Options) []SweepPoint {
 			points = append(points, SweepPoint{System: "log-ship(taurus)", Kind: kind.String(),
 				Shared: 10, Nodes: n, TPS: tps, Aborts: res.Aborts})
 			if n <= 4 { // Aurora-MM supported at most 4 nodes
-				tps, res = o.runOCC(kind, 10, n)
+				tps, res = o.runSysbench("occ(aurora)", kind, 10, n, o.newAurora)
 				points = append(points, SweepPoint{System: "occ(aurora)", Kind: kind.String(),
 					Shared: 10, Nodes: n, TPS: tps, Aborts: res.Aborts})
 			}
@@ -80,31 +81,6 @@ func Fig12(o Options) []SweepPoint {
 		o.printf("%-18s %-12s %6d %12.0f %7.2fx %8d\n", p.System, p.Kind, p.Nodes, p.TPS, p.Scaling, p.Aborts)
 	}
 	return points
-}
-
-// runOCC measures the Aurora-MM-like baseline on one sysbench config.
-func (o Options) runOCC(kind workload.SysbenchKind, shared, n int) (float64, workload.Result) {
-	lat := baseline.DefaultOCCLatency()
-	s := time.Duration(o.Scale)
-	lat.StorageRead *= s
-	lat.VersionCheck = 0 // sub-µs at scale; below sleep granularity
-	lat.CommitRound *= s
-	db := baseline.NewOCCMM(n, lat)
-	sb := workload.DefaultSysbench(kind, n, shared)
-	sb.TablesPerGroup = 2
-	sb.RowsPerTable = 800
-	// Page-granular conflicts: a 16KB page holds ~100 sysbench rows, so
-	// 800 rows span ~8 "pages" per table — Aurora-MM's page-conflict
-	// behaviour at realistic density.
-	db.Buckets = sb.RowsPerTable / 100
-	sb.StatementDelay = o.stmtDelay()
-	if err := sb.Load(db); err != nil {
-		panic(err)
-	}
-	r := o.runner()
-	r.MaxRetries = 16 // applications retry "deadlock errors"
-	res := r.Run(db, sb.TxFunc)
-	return o.simTPS(res), res
 }
 
 // Fig13 reproduces Figure 13: insert throughput and single-thread latency

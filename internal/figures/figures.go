@@ -147,6 +147,16 @@ func (o Options) newLogShip(n int) (*netsrv.DB, error) {
 	return netsrv.NewDB(cfg, n)
 }
 
+// newAurora builds the Aurora-MM-like baseline: the log-ship engine under
+// optimistic concurrency control, so write conflicts surface at commit as
+// the retryable errors §2.3 describes. It validates rows, not pages.
+func (o Options) newAurora(n int) (*netsrv.DB, error) {
+	cfg := o.clusterConfig()
+	cfg.CC = core.CCOCC
+	cfg.StoragePageSync = true
+	return netsrv.NewDB(cfg, n)
+}
+
 func (o Options) runner() workload.Runner {
 	return workload.Runner{
 		Threads:  o.Threads,

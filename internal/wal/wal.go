@@ -148,32 +148,27 @@ func unmarshalOne(b []byte) (*Record, int, error) {
 		}
 		r.Page = common.PageID(binary.LittleEndian.Uint64(body))
 		r.Space = common.SpaceID(binary.LittleEndian.Uint32(body[8:]))
-		body = body[12:]
-		if r.Key, body, err = readBytes(body); err != nil {
+		if r.Key, body, err = readBytes(body[12:]); err != nil {
 			return nil, 0, err
 		}
-		if len(body) < 1 {
-			return nil, 0, common.ErrCorrupt
+		if len(body) < 1 || body[0] > 1 {
+			return nil, 0, fmt.Errorf("wal: bad tombstone byte: %w", common.ErrCorrupt)
 		}
 		r.Deleted = body[0] == 1
-		body = body[1:]
-		if r.Value, _, err = readBytes(body); err != nil {
-			return nil, 0, err
-		}
+		r.Value, body, err = readBytes(body[1:])
 	case RecPageImage:
 		if len(body) < 12 {
 			return nil, 0, common.ErrCorrupt
 		}
 		r.Page = common.PageID(binary.LittleEndian.Uint64(body))
 		r.Space = common.SpaceID(binary.LittleEndian.Uint32(body[8:]))
-		if r.Image, _, err = readBytes(body[12:]); err != nil {
-			return nil, 0, err
-		}
+		r.Image, body, err = readBytes(body[12:])
 	case RecCommit:
 		if len(body) < 8 {
 			return nil, 0, common.ErrCorrupt
 		}
 		r.CTS = common.CSN(binary.LittleEndian.Uint64(body))
+		body = body[8:]
 	case RecAbort:
 	case RecRollback:
 		if len(body) < 12 {
@@ -181,11 +176,15 @@ func unmarshalOne(b []byte) (*Record, int, error) {
 		}
 		r.Page = common.PageID(binary.LittleEndian.Uint64(body))
 		r.Space = common.SpaceID(binary.LittleEndian.Uint32(body[8:]))
-		if r.Key, _, err = readBytes(body[12:]); err != nil {
-			return nil, 0, err
-		}
+		r.Key, body, err = readBytes(body[12:])
 	default:
 		return nil, 0, fmt.Errorf("wal: unknown record type %d: %w", r.Type, common.ErrCorrupt)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(body) != 0 {
+		return nil, 0, fmt.Errorf("wal: %d bytes after type %d record: %w", len(body), r.Type, common.ErrCorrupt)
 	}
 	return r, total, nil
 }
