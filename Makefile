@@ -83,13 +83,16 @@ crash-smoke:
 # Fuzz the wire frame codec (round-trip + truncated/oversized rejection),
 # the pmfs replication record codec (same contract: errors consume nothing,
 # decoded records re-encode byte-identically), the page decoder (inputs
-# sealed with a valid CRC; accepted images re-marshal byte-identically) and
-# the WAL record decoder (accepted records re-marshal byte-identically).
+# sealed with a valid CRC; accepted images re-marshal byte-identically), the
+# WAL record decoder (accepted records re-marshal byte-identically) and the
+# storage uplink's request decoder (a short request, or one with bytes past
+# its last field, is refused as corrupt and changes nothing).
 wire-fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/pmfsrep -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s
 	$(GO) test ./internal/page -run '^$$' -fuzz FuzzPageUnmarshal -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordDecode -fuzztime 10s
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzStorageServeOp -fuzztime 10s
 
 # Second-engine chaos smokes: the OCC engine must survive the same fault
 # plans as the default 2PL path — undeclared node kill with takeover,
@@ -137,6 +140,8 @@ bench-snapshot:
 # after validity-on-grant replaced the invalid flags, 26,991 after read
 # hedging went, 26,790 after admission control and fail-slow suspicion went,
 # 26,789 after the one-arena page decode, 26,415 after the Aurora-MM model
-# went; CI fails above that).
+# went, 26,461 after reused link workers replaced a goroutine per request and
+# one open WAL handle per stream replaced an open per sync; CI fails above
+# that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

@@ -24,8 +24,9 @@ import (
 // after dialing (a satellite learns its id from the seed) are announced late
 // via an announce control frame.
 //
-// Requests are pipelined by wire.Link — a correlation id on every frame, a
-// goroutine per request served, waiters matched by id — so one connection
+// Requests are pipelined by wire.Link — a correlation id on every frame,
+// each request served concurrently on a reused worker goroutine, waiters
+// matched by id — so one connection
 // sustains many in-flight verbs like a QP with a deep send queue.
 
 // FabricProtoVersion is the peer-link protocol version. The handshake

@@ -14,16 +14,19 @@ import (
 
 // Directory layout for a persistent store:
 //
-//	<dir>/pages/<id>.pg    one file per page image (write-through)
-//	<dir>/logs/<node>.wal  one append-mostly file per redo stream
-//	<dir>/meta/<hexkey>    metadata blobs
-//	<dir>/alloc            page-id allocation watermark
+//	<dir>/pages/<id>.pg     one file per page image (write-through)
+//	<dir>/logs/<node>.wal   one append-mostly file per redo stream
+//	<dir>/logs/<node>.base  the LSN of the .wal file's first byte, once truncated
+//	<dir>/meta/<hexkey>     metadata blobs
+//	<dir>/alloc             page-id allocation watermark
 //
 // Persistence is write-through at durability points: page writes, log syncs
-// and metadata puts hit the filesystem before returning. Files are written
-// via create-then-rename so a torn process leaves whole files behind (the
-// store trusts the OS page cache; it does not fsync — simulation-grade
-// durability across process restarts, not power loss).
+// and metadata puts hit the filesystem before returning. A log sync appends
+// the stream's newly durable bytes through one O_APPEND handle the stream
+// keeps open; every other file, a truncated log included, is written via
+// create-then-rename so a torn process leaves whole files behind (the store
+// trusts the OS page cache; it does not fsync — simulation-grade durability
+// across process restarts, not power loss).
 
 const (
 	allocInterval = 256
@@ -34,11 +37,17 @@ const (
 type persister struct {
 	dir string
 
-	mu sync.Mutex
-	// logPersisted tracks how many durable bytes of each stream are on
-	// disk (relative to the stream base at last full rewrite).
-	logPersisted map[common.NodeID]common.LSN
-	allocMark    uint64
+	mu        sync.Mutex
+	allocMark uint64
+}
+
+// logFile is one stream's .wal file. Its lock is taken before the stream's
+// and held across the write, so concurrent syncs of the stream land each
+// durable byte on disk exactly once, in order.
+type logFile struct {
+	mu        sync.Mutex
+	f         *os.File   // O_APPEND handle, opened by the first sync after open or truncation
+	persisted common.LSN // the stream LSN up to which the file holds its bytes
 }
 
 // OpenDir opens (or creates) a persistent store rooted at dir.
@@ -49,7 +58,7 @@ func OpenDir(dir string, latency Latency) (*Store, error) {
 		}
 	}
 	s := New(latency)
-	p := &persister{dir: dir, logPersisted: make(map[common.NodeID]common.LSN)}
+	p := &persister{dir: dir}
 	if err := p.load(s); err != nil {
 		return nil, err
 	}
@@ -82,10 +91,9 @@ func (p *persister) load(s *Store) error {
 			maxPage = id
 		}
 	}
-	// Logs: the whole file is durable content; its base is stored in the
-	// first 16 bytes as "base:<16 hex>\n" is overkill — we persist base 0
-	// streams only after truncation rewrites, so a sidecar carries the
-	// base.
+	// Logs: the whole .wal file is durable content. A stream never
+	// truncated starts at LSN 0; a truncation rewrite records the new start
+	// in the .base sidecar.
 	lentries, err := os.ReadDir(filepath.Join(p.dir, "logs"))
 	if err != nil {
 		return err
@@ -115,8 +123,8 @@ func (p *persister) load(s *Store) error {
 		ls.base = base
 		ls.buf = data
 		ls.durable = len(data)
+		ls.file.persisted = base + common.LSN(len(data))
 		ls.mu.Unlock()
-		p.logPersisted[node] = base + common.LSN(len(data))
 	}
 	// Metadata.
 	mentries, err := os.ReadDir(filepath.Join(p.dir, "meta"))
@@ -181,48 +189,54 @@ func (p *persister) persistMeta(key string, val []byte) {
 	_ = writeAtomic(filepath.Join(p.dir, "meta", hex.EncodeToString([]byte(key))), val)
 }
 
-// persistLog appends the newly-durable suffix of node's stream.
+// persistLog appends the newly-durable suffix of node's stream. Bytes below
+// the durable frontier never change in place, so the slice taken under the
+// stream lock may be written after releasing it.
 func (p *persister) persistLog(node common.NodeID, ls *logStream) {
+	lf := &ls.file
+	lf.mu.Lock()
+	defer lf.mu.Unlock()
 	ls.mu.Lock()
-	base := ls.base
-	durableEnd := base + common.LSN(ls.durable)
+	end := ls.base + common.LSN(ls.durable)
+	from := max(lf.persisted, ls.base)
 	var tail []byte
-	p.mu.Lock()
-	from := p.logPersisted[node]
-	if from < base {
-		from = base
+	if end > from {
+		tail = ls.buf[from-ls.base : ls.durable]
 	}
-	if durableEnd > from {
-		tail = append([]byte(nil), ls.buf[from-base:ls.durable]...)
-	}
-	p.mu.Unlock()
 	ls.mu.Unlock()
 	if len(tail) == 0 {
 		return
 	}
-	f, err := os.OpenFile(p.logPath(node), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
+	if lf.f == nil {
+		f, err := os.OpenFile(p.logPath(node), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return
+		}
+		lf.f = f
 	}
-	if _, err := f.Write(tail); err == nil {
-		p.mu.Lock()
-		p.logPersisted[node] = durableEnd
-		p.mu.Unlock()
+	if _, err := lf.f.Write(tail); err == nil {
+		lf.persisted = end
 	}
-	f.Close()
 }
 
-// persistTruncate rewrites node's log file after truncation.
+// persistTruncate rewrites node's log file after truncation. The append
+// handle is closed first: it would otherwise write into the file the rename
+// replaces.
 func (p *persister) persistTruncate(node common.NodeID, ls *logStream) {
+	lf := &ls.file
+	lf.mu.Lock()
+	defer lf.mu.Unlock()
+	if lf.f != nil {
+		_ = lf.f.Close() // nothing is buffered; a failed close loses no write
+		lf.f = nil
+	}
 	ls.mu.Lock()
 	base := ls.base
-	data := append([]byte(nil), ls.buf[:ls.durable]...)
+	data := ls.buf[:ls.durable]
 	ls.mu.Unlock()
 	_ = writeAtomic(p.logPath(node), data)
 	_ = writeAtomic(p.basePath(node), []byte(strconv.FormatUint(uint64(base), 10)))
-	p.mu.Lock()
-	p.logPersisted[node] = base + common.LSN(len(data))
-	p.mu.Unlock()
+	lf.persisted = base + common.LSN(len(data))
 }
 
 // persistAlloc advances the on-disk allocation watermark when needed.

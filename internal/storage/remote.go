@@ -77,127 +77,126 @@ func Serve(ep *rdma.Endpoint, s API) {
 	})
 }
 
+// serveOp decodes one storage request, checks it, and only then runs it: a
+// request that is short, or has bytes after its last field, is refused as
+// corrupt and changes nothing.
 func serveOp(s API, req []byte) ([]byte, error) {
 	rd := wire.NewReader(req)
 	op := rd.U8()
+	var run func() ([]byte, error)
 	switch op {
 	case sopAllocPage:
-		return wire.AppendU64(nil, uint64(s.AllocPage())), nil
+		run = func() ([]byte, error) { return wire.AppendU64(nil, uint64(s.AllocPage())), nil }
 	case sopReadPage:
-		img, err := s.ReadPage(common.PageID(rd.U64()))
-		if err != nil {
-			return nil, err
-		}
-		return img, nil
-	case sopWritePage:
 		id := common.PageID(rd.U64())
-		img := rd.Bytes()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		return nil, s.WritePage(id, img)
+		run = func() ([]byte, error) { return s.ReadPage(id) }
+	case sopWritePage:
+		id, img := common.PageID(rd.U64()), rd.Bytes()
+		run = func() ([]byte, error) { return nil, s.WritePage(id, img) }
 	case sopHasPage:
-		if s.HasPage(common.PageID(rd.U64())) {
-			return []byte{1}, nil
-		}
-		return []byte{0}, nil
+		id := common.PageID(rd.U64())
+		run = func() ([]byte, error) { return appendFlags(nil, s.HasPage(id)), nil }
 	case sopPageIDs:
-		ids := s.PageIDs()
-		out := wire.AppendU32(nil, uint32(len(ids)))
-		for _, id := range ids {
-			out = wire.AppendU64(out, uint64(id))
+		run = func() ([]byte, error) {
+			ids := s.PageIDs()
+			out := wire.AppendU32(nil, uint32(len(ids)))
+			for _, id := range ids {
+				out = wire.AppendU64(out, uint64(id))
+			}
+			return out, nil
 		}
-		return out, nil
 	case sopPageCount:
-		return wire.AppendU32(nil, uint32(s.PageCount())), nil
+		run = func() ([]byte, error) { return wire.AppendU32(nil, uint32(s.PageCount())), nil }
 	case sopPutMeta:
-		key := rd.Str()
-		val := rd.Bytes()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		s.PutMeta(key, val)
-		return nil, nil
+		key, val := rd.Str(), rd.Bytes()
+		run = func() ([]byte, error) { s.PutMeta(key, val); return nil, nil }
 	case sopGetMeta:
-		v := s.GetMeta(rd.Str())
-		if v == nil {
+		key := rd.Str()
+		run = func() ([]byte, error) {
+			if v := s.GetMeta(key); v != nil {
+				return append([]byte{1}, v...), nil
+			}
 			return []byte{0}, nil
 		}
-		return append([]byte{1}, v...), nil
 	case sopLogAppendAt:
-		node := common.NodeID(rd.U16())
-		expect := common.LSN(rd.U64())
-		data := rd.Bytes()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		return serveLogAppendAt(s, node, expect, data), nil
+		node, expect, data := common.NodeID(rd.U16()), common.LSN(rd.U64()), rd.Bytes()
+		run = func() ([]byte, error) { return serveLogAppendAt(s, node, expect, data), nil }
 	case sopLogSync:
 		// [node] forces the stream; [node][expect][tail] first appends the
 		// client's buffered tail at expect. Response: [durable u64][fenced
 		// u8][applied u8].
 		node := common.NodeID(rd.U16())
-		applied := true
-		if len(rd.Rest()) > 0 {
-			expect := common.LSN(rd.U64())
-			data := rd.Bytes()
-			if err := rd.Err(); err != nil {
+		tail := len(rd.Rest()) > 0
+		var expect common.LSN
+		var data []byte
+		if tail {
+			expect, data = common.LSN(rd.U64()), rd.Bytes()
+		}
+		run = func() ([]byte, error) {
+			applied := true
+			if tail {
+				_, applied = logAppendAt(s, node, expect, data)
+			}
+			out := wire.AppendU64(nil, uint64(s.LogSync(node)))
+			return appendFlags(out, s.LogFenced(node), applied), nil
+		}
+	case sopLogEnd:
+		node := common.NodeID(rd.U16())
+		run = func() ([]byte, error) { return wire.AppendU64(nil, uint64(s.LogEndLSN(node))), nil }
+	case sopLogDurable:
+		node := common.NodeID(rd.U16())
+		run = func() ([]byte, error) { return wire.AppendU64(nil, uint64(s.LogDurableLSN(node))), nil }
+	case sopLogStart:
+		node := common.NodeID(rd.U16())
+		run = func() ([]byte, error) { return wire.AppendU64(nil, uint64(s.LogStartLSN(node))), nil }
+	case sopLogRead:
+		node, lsn, n := common.NodeID(rd.U16()), common.LSN(rd.U64()), int(rd.U32())
+		run = func() ([]byte, error) {
+			if n < 0 || n > wire.MaxFrame/2 {
+				n = wire.MaxFrame / 2
+			}
+			buf := make([]byte, n)
+			got, err := s.LogRead(node, lsn, buf)
+			if err != nil {
 				return nil, err
 			}
-			_, applied = logAppendAt(s, node, expect, data)
+			return buf[:got], nil
 		}
-		out := wire.AppendU64(nil, uint64(s.LogSync(node)))
-		return appendFlags(out, s.LogFenced(node), applied), nil
-	case sopLogEnd:
-		return wire.AppendU64(nil, uint64(s.LogEndLSN(common.NodeID(rd.U16())))), nil
-	case sopLogDurable:
-		return wire.AppendU64(nil, uint64(s.LogDurableLSN(common.NodeID(rd.U16())))), nil
-	case sopLogStart:
-		return wire.AppendU64(nil, uint64(s.LogStartLSN(common.NodeID(rd.U16())))), nil
-	case sopLogRead:
-		node := common.NodeID(rd.U16())
-		lsn := common.LSN(rd.U64())
-		n := int(rd.U32())
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		if n < 0 || n > wire.MaxFrame/2 {
-			n = wire.MaxFrame / 2
-		}
-		buf := make([]byte, n)
-		got, err := s.LogRead(node, lsn, buf)
-		if err != nil {
-			return nil, err
-		}
-		return buf[:got], nil
 	case sopLogCrash:
-		s.LogCrashVolatile(common.NodeID(rd.U16()))
-		return nil, nil
-	case sopLogFence:
-		s.FenceLog(common.NodeID(rd.U16()))
-		return nil, nil
-	case sopLogUnfence:
-		s.UnfenceLog(common.NodeID(rd.U16()))
-		return nil, nil
-	case sopLogFenced:
-		if s.LogFenced(common.NodeID(rd.U16())) {
-			return []byte{1}, nil
-		}
-		return []byte{0}, nil
-	case sopLogTruncate:
 		node := common.NodeID(rd.U16())
-		s.LogTruncate(node, common.LSN(rd.U64()))
-		return nil, nil
+		run = func() ([]byte, error) { s.LogCrashVolatile(node); return nil, nil }
+	case sopLogFence:
+		node := common.NodeID(rd.U16())
+		run = func() ([]byte, error) { s.FenceLog(node); return nil, nil }
+	case sopLogUnfence:
+		node := common.NodeID(rd.U16())
+		run = func() ([]byte, error) { s.UnfenceLog(node); return nil, nil }
+	case sopLogFenced:
+		node := common.NodeID(rd.U16())
+		run = func() ([]byte, error) { return appendFlags(nil, s.LogFenced(node)), nil }
+	case sopLogTruncate:
+		node, lsn := common.NodeID(rd.U16()), common.LSN(rd.U64())
+		run = func() ([]byte, error) { s.LogTruncate(node, lsn); return nil, nil }
 	case sopLogNodes:
-		ids := s.LogNodes()
-		out := wire.AppendU32(nil, uint32(len(ids)))
-		for _, id := range ids {
-			out = wire.AppendU16(out, uint16(id))
+		run = func() ([]byte, error) {
+			ids := s.LogNodes()
+			out := wire.AppendU32(nil, uint32(len(ids)))
+			for _, id := range ids {
+				out = wire.AppendU16(out, uint16(id))
+			}
+			return out, nil
 		}
-		return out, nil
-	default:
+	}
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("storage: rpc request: %v: %w", err, common.ErrCorrupt)
+	}
+	if run == nil {
 		return nil, fmt.Errorf("storage: rpc op %d: %w", op, common.ErrNoService)
 	}
+	if n := len(rd.Rest()); n > 0 {
+		return nil, fmt.Errorf("storage: rpc op %d: %d bytes past the last field: %w", op, n, common.ErrCorrupt)
+	}
+	return run()
 }
 
 // logAppendAt implements idempotent append-at-expected-LSN: data is applied

@@ -236,6 +236,8 @@ type logStream struct {
 	// this node, so nothing the (possibly still running) owner appends may
 	// become durable. Appends and syncs become no-ops until UnfenceLog.
 	fenced bool
+	// file mirrors the durable prefix to disk in a persistent store.
+	file logFile
 }
 
 func (s *Store) stream(node common.NodeID) *logStream {
@@ -358,12 +360,10 @@ func (s *Store) LogRead(node common.NodeID, lsn common.LSN, buf []byte) (int, er
 		return 0, fmt.Errorf("storage: log read at %d below retained base %d: %w",
 			lsn, ls.base, common.ErrCorrupt)
 	}
-	off := int(lsn - ls.base)
-	if off >= ls.durable {
+	if lsn-ls.base >= common.LSN(ls.durable) { // compared as LSNs: one far past the end overflows an int
 		return 0, nil
 	}
-	n := copy(buf, ls.buf[off:ls.durable])
-	return n, nil
+	return copy(buf, ls.buf[lsn-ls.base:ls.durable]), nil
 }
 
 // LogCrashVolatile discards node's un-synced log tail, simulating the loss
@@ -408,7 +408,7 @@ func (s *Store) LogFenced(node common.NodeID) bool {
 func (s *Store) LogTruncate(node common.NodeID, lsn common.LSN) {
 	ls := s.stream(node)
 	ls.mu.Lock()
-	if lsn <= ls.base || int(lsn-ls.base) > ls.durable {
+	if lsn <= ls.base || lsn-ls.base > common.LSN(ls.durable) {
 		ls.mu.Unlock()
 		return
 	}

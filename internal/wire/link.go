@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"polardbmp/internal/common"
@@ -16,10 +17,11 @@ import (
 // fabric's peer links are each a Link plus what is their own. Either end may
 // issue requests. Writes are serialized and reuse one scratch buffer; Call
 // parks its caller in a waiter table keyed by frame id; Run, the one read
-// loop, wakes the waiter a response names, runs Serve in its own goroutine
-// for a request and answers [status][result] under the request's op and id,
-// and hands control frames to Control. The first failure of any kind closes
-// the connection, wakes every waiter with the cause and closes Done.
+// loop, wakes the waiter a response names, hands a request to a parked worker
+// goroutine (starting one only when none is parked) that runs Serve and
+// answers [status][result] under the request's op and id, and hands control
+// frames to Control. The first failure of any kind closes the connection,
+// wakes every waiter with the cause and closes Done.
 //
 // Serve and the two hooks are set by the owner before Run and never change.
 type Link struct {
@@ -47,9 +49,20 @@ type Link struct {
 	waiters map[uint64]chan linkResult
 	dead    error
 
-	done     chan struct{}
-	handlers sync.WaitGroup
+	done chan struct{}
+	// work hands a request to a parked worker; unbuffered, so a send
+	// succeeds only when a worker is waiting for it.
+	work    chan Frame
+	parked  atomic.Int32
+	started int // workers Run has started (read by tests)
+	workers sync.WaitGroup
 }
+
+// maxParkedWorkers caps the workers a link keeps parked between requests. A
+// worker keeps the stack it grew serving, so a reused one serves the next
+// request without growing it again; a worker finishing while the cap is full
+// exits, so a burst of pipelined requests does not leave a goroutine each.
+const maxParkedWorkers = 4
 
 // linkResult carries one response, or the cause of death, out to a waiter.
 type linkResult struct {
@@ -61,7 +74,7 @@ type linkResult struct {
 // Nothing is read until Run.
 func NewLink(conn net.Conn, nc *NetCounters, accepted bool) *Link {
 	nc.ConnOpened(accepted)
-	return &Link{conn: conn, nc: nc, waiters: make(map[uint64]chan linkResult), done: make(chan struct{})}
+	return &Link{conn: conn, nc: nc, waiters: make(map[uint64]chan linkResult), done: make(chan struct{}), work: make(chan Frame)}
 }
 
 // IsCodecError reports whether a framed read ended because the stream itself
@@ -183,10 +196,10 @@ func (l *Link) Fail(cause error) {
 }
 
 // Run is the read loop. It returns once the link has failed and every
-// handler it started has returned, so an owner that cleans up after Run
-// (the session server rolling back open transactions) races no request.
+// worker it started has exited, so an owner that cleans up after Run (the
+// session server rolling back open transactions) races no request.
 func (l *Link) Run() {
-	defer l.handlers.Wait()
+	defer l.workers.Wait()
 	br := bufio.NewReader(l.conn) // one read(2) per frame, not one per prefix and body
 	var buf []byte
 	for {
@@ -214,8 +227,14 @@ func (l *Link) Run() {
 			}
 		case f.Kind == KindRequest && l.Serve != nil:
 			l.nc.EnterOp()
-			l.handlers.Add(1)
-			go l.serve(f.Op, f.ID, append([]byte(nil), f.Payload...))
+			req := Frame{Op: f.Op, ID: f.ID, Payload: append([]byte(nil), f.Payload...)}
+			select {
+			case l.work <- req:
+			default: // every worker is busy: no request waits for one
+				l.started++
+				l.workers.Add(1)
+				go l.worker(req)
+			}
 		case f.Kind == KindControl && l.Control != nil:
 			l.Control(f)
 		default:
@@ -228,11 +247,24 @@ func (l *Link) Run() {
 	}
 }
 
-// serve runs one request through the owner's handler and answers it.
-func (l *Link) serve(op uint8, id uint64, payload []byte) {
-	defer l.handlers.Done()
-	result, err := l.Serve(op, payload)
-	l.nc.LeaveOp()
-	resp := AppendStatus(make([]byte, 0, 6+len(result)), err)
-	_ = l.Send(Frame{Kind: KindResponse, Op: op, ID: id, Payload: append(resp, result...)})
+// worker serves req, then parks for the next request the read loop hands it,
+// until the link fails or the parked cap is full.
+func (l *Link) worker(req Frame) {
+	defer l.workers.Done()
+	for {
+		result, err := l.Serve(req.Op, req.Payload)
+		l.nc.LeaveOp()
+		resp := AppendStatus(make([]byte, 0, 6+len(result)), err)
+		_ = l.Send(Frame{Kind: KindResponse, Op: req.Op, ID: req.ID, Payload: append(resp, result...)})
+		if l.parked.Add(1) > maxParkedWorkers {
+			l.parked.Add(-1)
+			return
+		}
+		select {
+		case req = <-l.work:
+			l.parked.Add(-1)
+		case <-l.done:
+			return
+		}
+	}
 }

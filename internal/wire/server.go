@@ -10,9 +10,9 @@ import (
 )
 
 // Server accepts client sessions on a listener and executes their requests
-// against a Backend. Requests on one connection are pipelined: each runs in
-// its own goroutine and responses return in completion order, correlated by
-// frame id. Operations on the same transaction serialize on a per-tx mutex;
+// against a Backend. Requests on one connection are pipelined: each runs on
+// one of the link's worker goroutines, concurrently with the others, and
+// responses return in completion order, correlated by frame id. Operations on the same transaction serialize on a per-tx mutex;
 // a connection that drops with transactions open has them rolled back, so a
 // dying client cannot leak row locks or TIT slots.
 type Server struct {
