@@ -84,15 +84,18 @@ crash-smoke:
 # the pmfs replication record codec (same contract: errors consume nothing,
 # decoded records re-encode byte-identically), the page decoder (inputs
 # sealed with a valid CRC; accepted images re-marshal byte-identically), the
-# WAL record decoder (accepted records re-marshal byte-identically) and the
+# WAL record decoder (accepted records re-marshal byte-identically), the
 # storage uplink's request decoder (a short request, or one with bytes past
-# its last field, is refused as corrupt and changes nothing).
+# its last field, is refused as corrupt and changes nothing) and the fabric
+# verb decoder (same contract, plus no element count the request cannot
+# hold).
 wire-fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 	$(GO) test ./internal/pmfsrep -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s
 	$(GO) test ./internal/page -run '^$$' -fuzz FuzzPageUnmarshal -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordDecode -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzStorageServeOp -fuzztime 10s
+	$(GO) test ./internal/rdma -run '^$$' -fuzz FuzzFabricExecute -fuzztime 10s
 
 # Second-engine chaos smokes: the OCC engine must survive the same fault
 # plans as the default 2PL path — undeclared node kill with takeover,
@@ -141,7 +144,8 @@ bench-snapshot:
 # hedging went, 26,790 after admission control and fail-slow suspicion went,
 # 26,789 after the one-arena page decode, 26,415 after the Aurora-MM model
 # went, 26,461 after reused link workers replaced a goroutine per request and
-# one open WAL handle per stream replaced an open per sync; CI fails above
-# that).
+# one open WAL handle per stream replaced an open per sync, 26,317 after the
+# fabric's one issue path took faults and op counts out of every transport;
+# CI fails above that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

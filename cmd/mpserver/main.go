@@ -177,7 +177,7 @@ func run(listen, fabricAddr, join, data, httpAddr, name string, cfg core.Config)
 			fmt.Fprintf(w, "node %d drained\n", id)
 		})
 		// POST /netfault injects connection-level faults on this process's
-		// fabric links (JSON {"peer":"","mode":"partition|blackhole|flap|heal",
+		// fabric links (JSON {"peer":"","mode":"partition|blackhole|heal",
 		// "ms":5000}); GET lists the active rules. The chaos harness cuts and
 		// heals specific peer pairs here while the cluster is under load.
 		mux.HandleFunc("/netfault", func(w http.ResponseWriter, r *http.Request) {

@@ -60,10 +60,14 @@ type FaultDecision struct {
 	// partitions so hardened clients classify them as retryable.
 	Err error
 	// DropReply (RPC only) executes the handler but fails the response,
-	// exercising retry idempotency. Ignored when Err is set.
+	// exercising retry idempotency. Ignored when Err is set. The issuing
+	// rdma.Fabric applies it after the call succeeded and was charged, the
+	// same way whichever transport carried the call.
 	DropReply bool
 	// Duplicate executes an idempotent one-sided READ/WRITE twice,
-	// simulating duplicate delivery. Ignored for atomics and RPCs.
+	// simulating duplicate delivery. Ignored for atomics and RPCs. The
+	// issuing rdma.Fabric applies it by running the verb a second time on
+	// its transport, and charges each run.
 	Duplicate bool
 }
 

@@ -39,12 +39,15 @@ type replica struct {
 // Replicator mirrors the PMFS shared-memory regions across K replicas. It
 // implements rdma.Transport and is attached as the fabric route for the
 // PMFS node, so every verb from every node — in-process or over the socket
-// fabric — funnels through it: the leader copy executes the verb with
-// unchanged accounting, then the record fans out to the follower mirrors
-// in-process (the acks ride the same doorbell batch — no extra fabric ops,
-// which is what keeps the CI-pinned commit budget intact with K=3).
+// fabric — funnels through it: the leader copy executes the verb, then the
+// record fans out to the follower mirrors in-process (the acks ride the same
+// doorbell batch — no extra fabric ops, which is what keeps the CI-pinned
+// commit budget intact with K=3). Like every transport it only executes:
+// the issuing fabric has already faulted the verb and charges it once it
+// returns. Its own reads of the leader copy (read-repair, promotion) go to
+// the inner transport directly; no node issued them, so nothing charges them.
 type Replicator struct {
-	inner rdma.Transport // the fabric's in-process transport (no recursion)
+	inner rdma.Transport // the fabric's in-process transport (no recursion, no charge)
 	node  common.NodeID  // the PMFS node id this replicator fronts
 	k     int
 	need  int // quorum: majority of k
@@ -253,7 +256,7 @@ func (r *Replicator) readRepair(region string, off, n int) {
 					break
 				}
 				img = make([]byte, cnt)
-				if err := r.inner.Read(common.AnyNode, r.node, region, base, img, false, nil); err != nil {
+				if err := r.inner.Read(common.AnyNode, r.node, region, base, img); err != nil {
 					break
 				}
 			}
@@ -272,7 +275,7 @@ func (r *Replicator) readRepair(region string, off, n int) {
 			}
 			if !have {
 				var b [8]byte
-				if err := r.inner.Read(common.AnyNode, r.node, region, wo, b[:], false, nil); err != nil {
+				if err := r.inner.Read(common.AnyNode, r.node, region, wo, b[:]); err != nil {
 					break
 				}
 				val, have = binary.LittleEndian.Uint64(b[:]), true
@@ -285,17 +288,17 @@ func (r *Replicator) readRepair(region string, off, n int) {
 
 // --- rdma.Transport ---------------------------------------------------------
 
-func (r *Replicator) Read(src, node common.NodeID, region string, off int, dst []byte, dup bool, ss *rdma.Stats) error {
+func (r *Replicator) Read(src, node common.NodeID, region string, off int, dst []byte) error {
 	info, ok := r.regions[region]
 	if !ok {
-		return r.inner.Read(src, node, region, off, dst, dup, ss)
+		return r.inner.Read(src, node, region, off, dst)
 	}
 	if r.gate.Load() {
 		return errFailover
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if err := r.inner.Read(src, node, region, off, dst, dup, ss); err != nil {
+	if err := r.inner.Read(src, node, region, off, dst); err != nil {
 		return err
 	}
 	if info.quorumRead {
@@ -304,17 +307,17 @@ func (r *Replicator) Read(src, node common.NodeID, region string, off int, dst [
 	return nil
 }
 
-func (r *Replicator) ReadV(src, node common.NodeID, region string, segs []rdma.Seg, dup bool, ss *rdma.Stats) error {
+func (r *Replicator) ReadV(src, node common.NodeID, region string, segs []rdma.Seg) error {
 	info, ok := r.regions[region]
 	if !ok {
-		return r.inner.ReadV(src, node, region, segs, dup, ss)
+		return r.inner.ReadV(src, node, region, segs)
 	}
 	if r.gate.Load() {
 		return errFailover
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if err := r.inner.ReadV(src, node, region, segs, dup, ss); err != nil {
+	if err := r.inner.ReadV(src, node, region, segs); err != nil {
 		return err
 	}
 	if info.quorumRead {
@@ -325,10 +328,10 @@ func (r *Replicator) ReadV(src, node common.NodeID, region string, segs []rdma.S
 	return nil
 }
 
-func (r *Replicator) Write(src, node common.NodeID, region string, off int, data []byte, dup bool, ss *rdma.Stats) error {
+func (r *Replicator) Write(src, node common.NodeID, region string, off int, data []byte) error {
 	info, ok := r.regions[region]
 	if !ok {
-		return r.inner.Write(src, node, region, off, data, dup, ss)
+		return r.inner.Write(src, node, region, off, data)
 	}
 	if r.gate.Load() {
 		return errFailover
@@ -336,7 +339,7 @@ func (r *Replicator) Write(src, node common.NodeID, region string, off int, data
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	start := time.Now()
-	if err := r.inner.Write(src, node, region, off, data, dup, ss); err != nil {
+	if err := r.inner.Write(src, node, region, off, data); err != nil {
 		return err
 	}
 	acks := r.mirrorRecord(info, RecWrite, region, off, 0, data)
@@ -344,10 +347,10 @@ func (r *Replicator) Write(src, node common.NodeID, region string, off int, data
 	return nil
 }
 
-func (r *Replicator) WriteV(src, node common.NodeID, region string, segs []rdma.Seg, dup bool, ss *rdma.Stats) error {
+func (r *Replicator) WriteV(src, node common.NodeID, region string, segs []rdma.Seg) error {
 	info, ok := r.regions[region]
 	if !ok {
-		return r.inner.WriteV(src, node, region, segs, dup, ss)
+		return r.inner.WriteV(src, node, region, segs)
 	}
 	if r.gate.Load() {
 		return errFailover
@@ -355,7 +358,7 @@ func (r *Replicator) WriteV(src, node common.NodeID, region string, segs []rdma.
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	start := time.Now()
-	if err := r.inner.WriteV(src, node, region, segs, dup, ss); err != nil {
+	if err := r.inner.WriteV(src, node, region, segs); err != nil {
 		return err
 	}
 	// One record per segment; the whole vector shares one doorbell batch and
@@ -370,10 +373,10 @@ func (r *Replicator) WriteV(src, node common.NodeID, region string, segs []rdma.
 	return nil
 }
 
-func (r *Replicator) CAS64(src, node common.NodeID, region string, off int, old, new uint64, ss *rdma.Stats) (uint64, error) {
+func (r *Replicator) CAS64(src, node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
 	info, ok := r.regions[region]
 	if !ok {
-		return r.inner.CAS64(src, node, region, off, old, new, ss)
+		return r.inner.CAS64(src, node, region, off, old, new)
 	}
 	if r.gate.Load() {
 		return 0, errFailover
@@ -381,7 +384,7 @@ func (r *Replicator) CAS64(src, node common.NodeID, region string, off int, old,
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	start := time.Now()
-	prev, err := r.inner.CAS64(src, node, region, off, old, new, ss)
+	prev, err := r.inner.CAS64(src, node, region, off, old, new)
 	if err != nil {
 		return 0, err
 	}
@@ -392,10 +395,10 @@ func (r *Replicator) CAS64(src, node common.NodeID, region string, off int, old,
 	return prev, nil
 }
 
-func (r *Replicator) FetchAdd64(src, node common.NodeID, region string, off int, delta uint64, ss *rdma.Stats) (uint64, error) {
+func (r *Replicator) FetchAdd64(src, node common.NodeID, region string, off int, delta uint64) (uint64, error) {
 	info, ok := r.regions[region]
 	if !ok {
-		return r.inner.FetchAdd64(src, node, region, off, delta, ss)
+		return r.inner.FetchAdd64(src, node, region, off, delta)
 	}
 	if r.gate.Load() {
 		return 0, errFailover
@@ -403,7 +406,7 @@ func (r *Replicator) FetchAdd64(src, node common.NodeID, region string, off int,
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	start := time.Now()
-	prev, err := r.inner.FetchAdd64(src, node, region, off, delta, ss)
+	prev, err := r.inner.FetchAdd64(src, node, region, off, delta)
 	if err != nil {
 		return 0, err
 	}
@@ -418,16 +421,13 @@ func (r *Replicator) FetchAdd64(src, node common.NodeID, region string, off int,
 // Call and CallBatch pass through: RPC services are compute on the PMFS
 // host, not replicated memory — their durable side effects land in the
 // regions (and replicate there) or in the shared store.
-func (r *Replicator) Call(src, node common.NodeID, service string, req []byte, dropReply bool, ss *rdma.Stats) ([]byte, error) {
-	return r.inner.Call(src, node, service, req, dropReply, ss)
+func (r *Replicator) Call(src, node common.NodeID, service string, req []byte) ([]byte, error) {
+	return r.inner.Call(src, node, service, req)
 }
 
-func (r *Replicator) CallBatch(src, node common.NodeID, service string, reqs [][]byte, dropReply bool, ss *rdma.Stats) ([][]byte, error) {
-	return r.inner.CallBatch(src, node, service, reqs, dropReply, ss)
+func (r *Replicator) CallBatch(src, node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
+	return r.inner.CallBatch(src, node, service, reqs)
 }
-
-// Close detaches nothing: the fabric owns the inner transport.
-func (r *Replicator) Close() error { return nil }
 
 var _ rdma.Transport = (*Replicator)(nil)
 
@@ -518,21 +518,21 @@ func (r *Replicator) promoteLocked() {
 			segs = append(segs, rdma.Seg{Off: base, Buf: data[:cnt]})
 		}
 		if len(segs) > 0 {
-			// One doorbell batch per region; promotion-time ops are not
-			// charged to any issuing node.
-			_ = r.inner.WriteV(common.AnyNode, r.node, name, segs, false, nil)
+			// One doorbell batch per region; no node issued it, so it is
+			// not charged.
+			_ = r.inner.WriteV(common.AnyNode, r.node, name, segs)
 		}
 		for off, w := range mr.words {
 			// Max-merge against the surviving copy so monotonic counters
 			// (the TSO) can never move backwards across a failover.
 			var b [8]byte
 			cur := uint64(0)
-			if err := r.inner.Read(common.AnyNode, r.node, name, off, b[:], false, nil); err == nil {
+			if err := r.inner.Read(common.AnyNode, r.node, name, off, b[:]); err == nil {
 				cur = binary.LittleEndian.Uint64(b[:])
 			}
 			if w.val > cur {
 				binary.LittleEndian.PutUint64(b[:], w.val)
-				_ = r.inner.Write(common.AnyNode, r.node, name, off, b[:], false, nil)
+				_ = r.inner.Write(common.AnyNode, r.node, name, off, b[:])
 			}
 		}
 	}

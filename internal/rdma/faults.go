@@ -16,8 +16,7 @@ import (
 // individual operations, LinkFaults models the network between processes:
 // partitions that refuse connections, black holes that swallow frames on a
 // live TCP connection (the classic half-open failure a crashed switch
-// leaves behind), and flapping links that die and redial in a loop. Rules
-// are installed at runtime — mpserver exposes them over POST /netfault — so
+// leaves behind). Rules are installed at runtime — mpserver exposes them over POST /netfault — so
 // a chaos harness can cut, degrade, and heal specific peer pairs while the
 // cluster is under load.
 //
@@ -36,16 +35,7 @@ const (
 	// both directions, without closing the connection — a half-open link.
 	// Keepalive idle detection is what eventually tears it down.
 	FaultBlackhole = "blackhole"
-	// FaultFlap kills matching live links every flapInterval while the rule
-	// is active; redials succeed, so the link oscillates.
-	FaultFlap = "flap"
 )
-
-// flapIntervalNs is the kill cadence of FaultFlap rules (atomic so tests
-// can shorten it without racing live flap loops).
-var flapIntervalNs atomic.Int64
-
-func init() { flapIntervalNs.Store(int64(500 * time.Millisecond)) }
 
 type linkFaultRule struct {
 	peer  string // substring pattern; "" matches all
@@ -79,7 +69,7 @@ type LinkFaultState struct {
 	RemainSec float64 `json:"remain_sec"`
 }
 
-// register tracks a live link so partition/flap rules can kill it.
+// register tracks a live link so partition rules can kill it.
 // Immediately applies any standing partition to it.
 func (lf *LinkFaults) register(l *peerLink) {
 	if lf == nil {
@@ -107,12 +97,12 @@ func (lf *LinkFaults) deregister(l *peerLink) {
 }
 
 // Set installs (or refreshes) one rule for d. Partition rules kill matching
-// live links immediately; flap rules start their kill loop.
+// live links immediately.
 func (lf *LinkFaults) Set(peer, mode string, d time.Duration) error {
 	switch mode {
-	case FaultPartition, FaultBlackhole, FaultFlap:
+	case FaultPartition, FaultBlackhole:
 	default:
-		return fmt.Errorf("rdma: link-fault mode %q (want partition|blackhole|flap): %w", mode, common.ErrCorrupt)
+		return fmt.Errorf("rdma: link-fault mode %q (want partition|blackhole): %w", mode, common.ErrCorrupt)
 	}
 	if d <= 0 {
 		return fmt.Errorf("rdma: link-fault duration %v: %w", d, common.ErrCorrupt)
@@ -136,9 +126,6 @@ func (lf *LinkFaults) Set(peer, mode string, d time.Duration) error {
 	lf.mu.Unlock()
 	for _, l := range victims {
 		l.Fail(errPeerUnreachable(l.name + " (injected " + mode + ")"))
-	}
-	if mode == FaultFlap && !replaced {
-		go lf.flapLoop(peer, now.Add(d))
 	}
 	return nil
 }
@@ -208,7 +195,7 @@ func (lf *LinkFaults) matchLocked(detail, mode string, now time.Time) bool {
 	return false
 }
 
-// victimsLocked collects live links a freshly installed partition/flap rule
+// victimsLocked collects live links a freshly installed partition rule
 // should kill now (blackhole keeps links alive — that is its point).
 func (lf *LinkFaults) victimsLocked(peer, mode string) []*peerLink {
 	if mode == FaultBlackhole {
@@ -222,36 +209,6 @@ func (lf *LinkFaults) victimsLocked(peer, mode string) []*peerLink {
 		}
 	}
 	return out
-}
-
-// flapLoop kills matching links every flap interval until the rule expires
-// or is cleared. The cadence is captured once at start.
-func (lf *LinkFaults) flapLoop(peer string, until time.Time) {
-	cadence := time.Duration(flapIntervalNs.Load())
-	for {
-		time.Sleep(cadence)
-		now := time.Now()
-		lf.mu.Lock()
-		live := lf.matchRuleLocked(peer, FaultFlap, now)
-		victims := lf.victimsLocked(peer, FaultFlap)
-		lf.mu.Unlock()
-		if !live || now.After(until) {
-			return
-		}
-		for _, l := range victims {
-			l.Fail(errPeerUnreachable(l.name + " (injected flap)"))
-		}
-	}
-}
-
-func (lf *LinkFaults) matchRuleLocked(peer, mode string, now time.Time) bool {
-	for i := range lf.rules {
-		r := &lf.rules[i]
-		if r.peer == peer && r.mode == mode && !r.expired(now) {
-			return true
-		}
-	}
-	return false
 }
 
 func (lf *LinkFaults) pruneLocked(now time.Time) {
@@ -269,7 +226,7 @@ func (lf *LinkFaults) pruneLocked(now time.Time) {
 func (f *Fabric) Faults() *LinkFaults { return &f.faults }
 
 // SetLinkFault installs a connection-level fault rule on this fabric's
-// socket links: mode is partition|blackhole|flap (see the Fault* constants)
+// socket links: mode is partition|blackhole (see the Fault* constants)
 // or "heal" to clear rules matching peer. This is the programmatic surface
 // behind mpserver's POST /netfault.
 func (f *Fabric) SetLinkFault(peer, mode string, d time.Duration) error {

@@ -92,7 +92,7 @@ func DialPeer(f *Fabric, addr string, cfg PeerConfig) (*Peer, error) {
 		backoff:  make([]time.Duration, cfg.Conns),
 		hosted:   append([]common.NodeID(nil), cfg.Hosted...),
 	}
-	p.netTransport = netTransport{links: p, fstats: &f.stats}
+	p.netTransport = netTransport{links: p}
 	p.mu.Lock()
 	_, err := p.dialSlotLocked(0)
 	p.mu.Unlock()
@@ -375,7 +375,7 @@ func (s *FabricServer) handshake(c net.Conn) {
 	rp := s.peers[peerID]
 	if rp == nil {
 		rp = &remotePeer{srv: s, id: peerID, name: peerName, nodes: make(map[common.NodeID]bool)}
-		rp.netTransport = netTransport{links: rp, fstats: &s.f.stats}
+		rp.netTransport = netTransport{links: rp}
 		s.peers[peerID] = rp
 	}
 	l := newPeerLink(s.f, c, s.nc, true, peerName)

@@ -88,6 +88,24 @@ func (o *OpCounts) Add(b OpCounts) {
 // Total returns the verb count (ops, not bytes).
 func (o OpCounts) Total() int64 { return o.Reads + o.Writes + o.Atomics + o.RPCs }
 
+// charge counts one successfully executed verb of class moving n bytes
+// (bytes are counted for one-sided READ/WRITE only). It is the only place
+// the counters advance.
+func (s *Stats) charge(class string, n int) {
+	switch class {
+	case common.FaultRead:
+		s.Reads.Inc()
+		s.BytesRead.Add(int64(n))
+	case common.FaultWrite:
+		s.Writes.Inc()
+		s.BytesWrite.Add(int64(n))
+	case common.FaultAtomic:
+		s.Atomics.Inc()
+	case common.FaultRPC:
+		s.RPCs.Inc()
+	}
+}
+
 // Reset zeroes all counters.
 func (s *Stats) Reset() {
 	s.Reads.Reset()
@@ -189,29 +207,45 @@ func (f *Fabric) BindStamp(node common.NodeID, s *common.EpochStamp) {
 // before every fabric verb. Safe to call while ops are in flight.
 func (f *Fabric) SetInjector(inj common.FaultInjector) { f.inj.Store(inj) }
 
-// inject consults the installed injector for one op. It sleeps injected
-// delays, returns a non-nil error for dropped/unreachable ops, and reports
-// the duplicate/drop-reply directives for the caller to apply.
-func (f *Fabric) inject(class string, src, dst common.NodeID, name string, n int) (dup, dropReply bool, err error) {
-	v := f.inj.Load()
-	if v == nil {
-		return false, false, nil
+// issue is the one path every verb takes. It asks the injector for a
+// verdict (sleeping an injected delay, failing a dropped op before anything
+// executes), runs exec on the transport that owns node — twice for a
+// duplicated one-sided READ/WRITE, as a NIC re-executing an idempotent verb
+// would — and charges every successful execution once, op and n bytes, to
+// the fabric's counters and the source mirror ss (nil: unbound). An RPC
+// whose reply the verdict drops ran, so it is charged, and then fails.
+func (f *Fabric) issue(class string, src, node common.NodeID, name string, n int, ss *Stats, exec func(Transport) error) error {
+	var d common.FaultDecision
+	if inj, _ := f.inj.Load().(common.FaultInjector); inj != nil {
+		d = inj(common.FaultOp{
+			Layer: common.FaultLayerRDMA, Class: class,
+			Src: src, Dst: node, Name: name, Len: n,
+		})
+		if d.Delay > 0 {
+			time.Sleep(d.Delay)
+		}
+		if d.Err != nil {
+			return fmt.Errorf("rdma: %s %q @ node %d: %w", class, name, node, d.Err)
+		}
 	}
-	inj, _ := v.(common.FaultInjector)
-	if inj == nil {
-		return false, false, nil
+	t := f.transportFor(node)
+	runs := 1
+	if d.Duplicate && (class == common.FaultRead || class == common.FaultWrite) {
+		runs = 2 // atomics and RPCs are not idempotent, so never duplicated
 	}
-	d := inj(common.FaultOp{
-		Layer: common.FaultLayerRDMA, Class: class,
-		Src: src, Dst: dst, Name: name, Len: n,
-	})
-	if d.Delay > 0 {
-		time.Sleep(d.Delay)
+	for ; runs > 0; runs-- {
+		if err := exec(t); err != nil {
+			return err
+		}
+		f.stats.charge(class, n)
+		if ss != nil {
+			ss.charge(class, n)
+		}
 	}
-	if d.Err != nil {
-		return false, false, fmt.Errorf("rdma: %s %q @ node %d: %w", class, name, dst, d.Err)
+	if d.DropReply && class == common.FaultRPC {
+		return errReplyLost(name, node)
 	}
-	return d.Duplicate, d.DropReply, nil
+	return nil
 }
 
 // Register creates (or revives) the endpoint for node. Registering an id
@@ -249,11 +283,9 @@ func (f *Fabric) Read(node common.NodeID, region string, off int, dst []byte) er
 }
 
 func (f *Fabric) read(src, node common.NodeID, region string, off int, dst []byte, ss *Stats) error {
-	dup, _, err := f.inject(common.FaultRead, src, node, region, len(dst))
-	if err != nil {
-		return err
-	}
-	return f.transportFor(node).Read(src, node, region, off, dst, dup, ss)
+	return f.issue(common.FaultRead, src, node, region, len(dst), ss, func(t Transport) error {
+		return t.Read(src, node, region, off, dst)
+	})
 }
 
 // Write performs a one-sided write of src to (node, region, off).
@@ -262,11 +294,9 @@ func (f *Fabric) Write(node common.NodeID, region string, off int, src []byte) e
 }
 
 func (f *Fabric) write(src, node common.NodeID, region string, off int, data []byte, ss *Stats) error {
-	dup, _, err := f.inject(common.FaultWrite, src, node, region, len(data))
-	if err != nil {
-		return err
-	}
-	return f.transportFor(node).Write(src, node, region, off, data, dup, ss)
+	return f.issue(common.FaultWrite, src, node, region, len(data), ss, func(t Transport) error {
+		return t.Write(src, node, region, off, data)
+	})
 }
 
 // Read64 reads an 8-byte little-endian word.
@@ -292,12 +322,12 @@ func (f *Fabric) CAS64(node common.NodeID, region string, off int, old, new uint
 	return f.cas64(common.AnyNode, node, region, off, old, new, nil)
 }
 
-func (f *Fabric) cas64(src, node common.NodeID, region string, off int, old, new uint64, ss *Stats) (uint64, error) {
-	// Atomics are never duplicated: they are not idempotent.
-	if _, _, err := f.inject(common.FaultAtomic, src, node, region, 8); err != nil {
-		return 0, err
-	}
-	return f.transportFor(node).CAS64(src, node, region, off, old, new, ss)
+func (f *Fabric) cas64(src, node common.NodeID, region string, off int, old, new uint64, ss *Stats) (prev uint64, err error) {
+	err = f.issue(common.FaultAtomic, src, node, region, 8, ss, func(t Transport) (e error) {
+		prev, e = t.CAS64(src, node, region, off, old, new)
+		return e
+	})
+	return prev, err
 }
 
 // FetchAdd64 atomically adds delta to the word at (node, region, off) and
@@ -306,11 +336,12 @@ func (f *Fabric) FetchAdd64(node common.NodeID, region string, off int, delta ui
 	return f.fetchAdd64(common.AnyNode, node, region, off, delta, nil)
 }
 
-func (f *Fabric) fetchAdd64(src, node common.NodeID, region string, off int, delta uint64, ss *Stats) (uint64, error) {
-	if _, _, err := f.inject(common.FaultAtomic, src, node, region, 8); err != nil {
-		return 0, err
-	}
-	return f.transportFor(node).FetchAdd64(src, node, region, off, delta, ss)
+func (f *Fabric) fetchAdd64(src, node common.NodeID, region string, off int, delta uint64, ss *Stats) (prev uint64, err error) {
+	err = f.issue(common.FaultAtomic, src, node, region, 8, ss, func(t Transport) (e error) {
+		prev, e = t.FetchAdd64(src, node, region, off, delta)
+		return e
+	})
+	return prev, err
 }
 
 // Call invokes an RPC service method on node. The response buffer is owned
@@ -320,11 +351,15 @@ func (f *Fabric) Call(node common.NodeID, service string, req []byte) ([]byte, e
 }
 
 func (f *Fabric) call(src, node common.NodeID, service string, req []byte, ss *Stats) ([]byte, error) {
-	_, dropReply, err := f.inject(common.FaultRPC, src, node, service, len(req))
+	var resp []byte
+	err := f.issue(common.FaultRPC, src, node, service, len(req), ss, func(t Transport) (e error) {
+		resp, e = t.Call(src, node, service, req)
+		return e
+	})
 	if err != nil {
-		return nil, err
+		return nil, err // resp may hold a reply the injector dropped
 	}
-	return f.transportFor(node).Call(src, node, service, req, dropReply, ss)
+	return resp, nil
 }
 
 func errNodeDiedDuringCall(node common.NodeID) error {
@@ -418,7 +453,7 @@ func (r *Region) Size() int {
 }
 
 func (r *Region) check(off, n int) error {
-	if off < 0 || n < 0 || off+n > len(r.buf) {
+	if off < 0 || n < 0 || off > len(r.buf)-n { // off+n may overflow
 		return fmt.Errorf("rdma: access [%d,%d) outside region of %d bytes: %w",
 			off, off+n, len(r.buf), common.ErrOutOfBounds)
 	}

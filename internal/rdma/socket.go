@@ -193,7 +193,10 @@ func (l *peerLink) srcStats(src common.NodeID) *Stats {
 
 // execute runs one incoming verb against the local fabric. Injection,
 // latency and stats apply at this fabric exactly as for a locally issued
-// verb, with the op attributed to the original source.
+// verb, with the op attributed to the original source. A request that does
+// not fit its op's layout — a field cut short, an element count the payload
+// cannot hold, bytes past the last field — is refused as corrupt before
+// anything is sized from it or executed.
 func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 	rd := wire.NewReader(payload)
 	src := common.NodeID(rd.U16())
@@ -204,10 +207,10 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 	case fopRead:
 		off := int(rd.U64())
 		n := int(rd.U32())
-		if err := rd.Err(); err != nil {
+		if err := decoded(op, rd); err != nil {
 			return nil, err
 		}
-		if n < 0 || n > wire.MaxFrame {
+		if n > wire.MaxFrame {
 			return nil, fmt.Errorf("wire: read of %d bytes: %w", n, common.ErrOutOfBounds)
 		}
 		dst := make([]byte, n)
@@ -218,42 +221,49 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 	case fopWrite:
 		off := int(rd.U64())
 		data := rd.Bytes()
-		if err := rd.Err(); err != nil {
+		if err := decoded(op, rd); err != nil {
 			return nil, err
 		}
 		return nil, l.f.write(src, node, name, off, data, ss)
 	case fopReadV:
-		k := int(rd.U32())
-		segs := make([]Seg, 0, k)
-		total := 0
-		for i := 0; i < k; i++ {
-			off := int(rd.U64())
-			n := int(rd.U32())
-			if n < 0 || total+n > wire.MaxFrame {
-				return nil, fmt.Errorf("wire: readv of %d bytes: %w", total+n, common.ErrOutOfBounds)
-			}
-			total += n
-			segs = append(segs, Seg{Off: off, Buf: make([]byte, n)})
-		}
-		if err := rd.Err(); err != nil {
+		// The segment table is walked twice: sizes first, then the
+		// segments, each a slice of the one response buffer.
+		k, err := decodeCount(op, rd, 12)
+		if err != nil {
 			return nil, err
+		}
+		table, total := *rd, 0
+		for i := 0; i < k; i++ {
+			rd.U64()
+			total += int(rd.U32())
+		}
+		if err := decoded(op, rd); err != nil {
+			return nil, err
+		}
+		if total > wire.MaxFrame {
+			return nil, fmt.Errorf("wire: readv of %d bytes: %w", total, common.ErrOutOfBounds)
+		}
+		out := make([]byte, total)
+		segs := make([]Seg, k)
+		for i, rest := 0, out; i < k; i++ {
+			off, n := int(table.U64()), int(table.U32())
+			segs[i], rest = Seg{Off: off, Buf: rest[:n:n]}, rest[n:]
 		}
 		if err := l.f.readV(src, node, name, segs, ss); err != nil {
 			return nil, err
 		}
-		out := make([]byte, 0, total)
-		for _, s := range segs {
-			out = append(out, s.Buf...)
-		}
 		return out, nil
 	case fopWriteV:
-		k := int(rd.U32())
-		segs := make([]Seg, 0, k)
-		for i := 0; i < k; i++ {
-			off := int(rd.U64())
-			segs = append(segs, Seg{Off: off, Buf: rd.Bytes()})
+		k, err := decodeCount(op, rd, 12)
+		if err != nil {
+			return nil, err
 		}
-		if err := rd.Err(); err != nil {
+		segs := make([]Seg, k)
+		for i := range segs {
+			segs[i].Off = int(rd.U64())
+			segs[i].Buf = rd.Bytes()
+		}
+		if err := decoded(op, rd); err != nil {
 			return nil, err
 		}
 		return nil, l.f.writeV(src, node, name, segs, ss)
@@ -261,7 +271,7 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 		off := int(rd.U64())
 		a := rd.U64()
 		b := rd.U64()
-		if err := rd.Err(); err != nil {
+		if err := decoded(op, rd); err != nil {
 			return nil, err
 		}
 		var prev uint64
@@ -277,17 +287,13 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 		return wire.AppendU64(nil, prev), nil
 	case fopCall:
 		req := rd.Bytes()
-		if err := rd.Err(); err != nil {
+		if err := decoded(op, rd); err != nil {
 			return nil, err
 		}
 		return l.f.call(src, node, name, req, ss)
 	case fopCallBatch:
-		k := int(rd.U32())
-		reqs := make([][]byte, 0, k)
-		for i := 0; i < k; i++ {
-			reqs = append(reqs, rd.Bytes())
-		}
-		if err := rd.Err(); err != nil {
+		reqs, err := decodeBatch(op, rd)
+		if err != nil {
 			return nil, err
 		}
 		resps, err := l.f.callBatch(src, node, name, reqs, ss)
@@ -302,6 +308,44 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: fabric op %d: %w", op, common.ErrNoService)
 	}
+}
+
+// decodeCount decodes a u32 element count and refuses one the rest of the payload
+// cannot hold at min bytes an element, before anything is sized from it.
+func decodeCount(op uint8, rd *wire.Reader, min int) (int, error) {
+	k := int(rd.U32())
+	if rest := len(rd.Rest()); k > rest/min {
+		return 0, fmt.Errorf("wire: fabric op %d: %d elements in %d bytes: %w", op, k, rest, common.ErrCorrupt)
+	}
+	return k, nil
+}
+
+// decodeBatch decodes a count-prefixed list of byte strings: a CallBatch's
+// requests, or its responses. The strings alias the payload, each capped at
+// its own length so an append to one cannot overwrite the next.
+func decodeBatch(op uint8, rd *wire.Reader) ([][]byte, error) {
+	k, err := decodeCount(op, rd, 4)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, k)
+	for i := range out {
+		b := rd.Bytes()
+		out[i] = b[:len(b):len(b)]
+	}
+	return out, decoded(op, rd)
+}
+
+// decoded refuses a payload whose fields did not all decode, or that
+// carries bytes past its last field.
+func decoded(op uint8, rd *wire.Reader) error {
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("wire: fabric op %d: %v: %w", op, err, common.ErrCorrupt)
+	}
+	if n := len(rd.Rest()); n > 0 {
+		return fmt.Errorf("wire: fabric op %d: %d bytes past the last field: %w", op, n, common.ErrCorrupt)
+	}
+	return nil
 }
 
 // --- verb encoding (issuer side) --------------------------------------------
@@ -320,14 +364,7 @@ type linkPicker interface {
 }
 
 // netTransport implements Transport over a linkPicker.
-type netTransport struct {
-	links linkPicker
-	// fstats points at the issuing fabric's global counters so remote verbs
-	// account exactly like local ones.
-	fstats *Stats
-}
-
-func (t *netTransport) Close() error { return nil }
+type netTransport struct{ links linkPicker }
 
 func (t *netTransport) do(op uint8, payload []byte) ([]byte, error) {
 	l, err := t.links.pick()
@@ -337,86 +374,61 @@ func (t *netTransport) do(op uint8, payload []byte) ([]byte, error) {
 	return l.call(op, payload)
 }
 
-func (t *netTransport) Read(src, node common.NodeID, region string, off int, dst []byte, dup bool, ss *Stats) error {
+func (t *netTransport) Read(src, node common.NodeID, region string, off int, dst []byte) error {
 	p := verbHeader(src, node, region)
 	p = wire.AppendU64(p, uint64(off))
 	p = wire.AppendU32(p, uint32(len(dst)))
-	for pass := 0; ; pass++ {
-		out, err := t.do(fopRead, p)
-		if err != nil {
-			return err
-		}
-		if len(out) != len(dst) {
-			return fmt.Errorf("wire: read returned %d of %d bytes: %w", len(out), len(dst), common.ErrShortBuffer)
-		}
-		copy(dst, out)
-		t.account(ss, func(s *Stats) { s.Reads.Inc(); s.BytesRead.Add(int64(len(dst))) })
-		if !dup || pass == 1 {
-			return nil
-		}
+	out, err := t.do(fopRead, p)
+	if err != nil {
+		return err
 	}
+	if len(out) != len(dst) {
+		return fmt.Errorf("wire: read returned %d of %d bytes: %w", len(out), len(dst), common.ErrShortBuffer)
+	}
+	copy(dst, out)
+	return nil
 }
 
-func (t *netTransport) Write(src, node common.NodeID, region string, off int, data []byte, dup bool, ss *Stats) error {
+func (t *netTransport) Write(src, node common.NodeID, region string, off int, data []byte) error {
 	p := verbHeader(src, node, region)
 	p = wire.AppendU64(p, uint64(off))
 	p = wire.AppendBytes(p, data)
-	for pass := 0; ; pass++ {
-		if _, err := t.do(fopWrite, p); err != nil {
-			return err
-		}
-		t.account(ss, func(s *Stats) { s.Writes.Inc(); s.BytesWrite.Add(int64(len(data))) })
-		if !dup || pass == 1 {
-			return nil
-		}
-	}
+	_, err := t.do(fopWrite, p)
+	return err
 }
 
-func (t *netTransport) ReadV(src, node common.NodeID, region string, segs []Seg, dup bool, ss *Stats) error {
+func (t *netTransport) ReadV(src, node common.NodeID, region string, segs []Seg) error {
 	p := verbHeader(src, node, region)
 	p = wire.AppendU32(p, uint32(len(segs)))
 	for _, s := range segs {
 		p = wire.AppendU64(p, uint64(s.Off))
 		p = wire.AppendU32(p, uint32(len(s.Buf)))
 	}
-	for pass := 0; ; pass++ {
-		out, err := t.do(fopReadV, p)
-		if err != nil {
-			return err
-		}
-		if len(out) != segTotal(segs) {
-			return fmt.Errorf("wire: readv returned %d of %d bytes: %w", len(out), segTotal(segs), common.ErrShortBuffer)
-		}
-		for _, s := range segs {
-			copy(s.Buf, out[:len(s.Buf)])
-			out = out[len(s.Buf):]
-		}
-		t.account(ss, func(s *Stats) { s.Reads.Inc(); s.BytesRead.Add(int64(segTotal(segs))) })
-		if !dup || pass == 1 {
-			return nil
-		}
+	out, err := t.do(fopReadV, p)
+	if err != nil {
+		return err
 	}
+	if len(out) != segTotal(segs) {
+		return fmt.Errorf("wire: readv returned %d of %d bytes: %w", len(out), segTotal(segs), common.ErrShortBuffer)
+	}
+	for _, s := range segs {
+		out = out[copy(s.Buf, out):]
+	}
+	return nil
 }
 
-func (t *netTransport) WriteV(src, node common.NodeID, region string, segs []Seg, dup bool, ss *Stats) error {
+func (t *netTransport) WriteV(src, node common.NodeID, region string, segs []Seg) error {
 	p := verbHeader(src, node, region)
 	p = wire.AppendU32(p, uint32(len(segs)))
 	for _, s := range segs {
 		p = wire.AppendU64(p, uint64(s.Off))
 		p = wire.AppendBytes(p, s.Buf)
 	}
-	for pass := 0; ; pass++ {
-		if _, err := t.do(fopWriteV, p); err != nil {
-			return err
-		}
-		t.account(ss, func(s *Stats) { s.Writes.Inc(); s.BytesWrite.Add(int64(segTotal(segs))) })
-		if !dup || pass == 1 {
-			return nil
-		}
-	}
+	_, err := t.do(fopWriteV, p)
+	return err
 }
 
-func (t *netTransport) atomic64(op uint8, src, node common.NodeID, region string, off int, a, b uint64, ss *Stats) (uint64, error) {
+func (t *netTransport) atomic64(op uint8, src, node common.NodeID, region string, off int, a, b uint64) (uint64, error) {
 	p := verbHeader(src, node, region)
 	p = wire.AppendU64(p, uint64(off))
 	p = wire.AppendU64(p, a)
@@ -427,36 +439,27 @@ func (t *netTransport) atomic64(op uint8, src, node common.NodeID, region string
 	}
 	rd := wire.NewReader(out)
 	prev := rd.U64()
-	if err := rd.Err(); err != nil {
+	if err := decoded(op, rd); err != nil {
 		return 0, err
 	}
-	t.account(ss, func(s *Stats) { s.Atomics.Inc() })
 	return prev, nil
 }
 
-func (t *netTransport) CAS64(src, node common.NodeID, region string, off int, old, new uint64, ss *Stats) (uint64, error) {
-	return t.atomic64(fopCAS, src, node, region, off, old, new, ss)
+func (t *netTransport) CAS64(src, node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
+	return t.atomic64(fopCAS, src, node, region, off, old, new)
 }
 
-func (t *netTransport) FetchAdd64(src, node common.NodeID, region string, off int, delta uint64, ss *Stats) (uint64, error) {
-	return t.atomic64(fopFAA, src, node, region, off, delta, 0, ss)
+func (t *netTransport) FetchAdd64(src, node common.NodeID, region string, off int, delta uint64) (uint64, error) {
+	return t.atomic64(fopFAA, src, node, region, off, delta, 0)
 }
 
-func (t *netTransport) Call(src, node common.NodeID, service string, req []byte, dropReply bool, ss *Stats) ([]byte, error) {
+func (t *netTransport) Call(src, node common.NodeID, service string, req []byte) ([]byte, error) {
 	p := verbHeader(src, node, service)
 	p = wire.AppendBytes(p, req)
-	out, err := t.do(fopCall, p)
-	if err != nil {
-		return nil, err
-	}
-	t.account(ss, func(s *Stats) { s.RPCs.Inc() })
-	if dropReply {
-		return nil, errReplyLost(service, node)
-	}
-	return out, nil
+	return t.do(fopCall, p)
 }
 
-func (t *netTransport) CallBatch(src, node common.NodeID, service string, reqs [][]byte, dropReply bool, ss *Stats) ([][]byte, error) {
+func (t *netTransport) CallBatch(src, node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
 	p := verbHeader(src, node, service)
 	p = wire.AppendU32(p, uint32(len(reqs)))
 	for _, r := range reqs {
@@ -466,33 +469,6 @@ func (t *netTransport) CallBatch(src, node common.NodeID, service string, reqs [
 	if err != nil {
 		return nil, err
 	}
-	rd := wire.NewReader(out)
-	k := int(rd.U32())
-	resps := make([][]byte, 0, k)
-	for i := 0; i < k; i++ {
-		r := rd.Bytes()
-		cp := make([]byte, len(r))
-		copy(cp, r)
-		resps = append(resps, cp)
-	}
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	t.account(ss, func(s *Stats) { s.RPCs.Inc() })
-	if dropReply {
-		return nil, errReplyLost(service, node)
-	}
-	return resps, nil
-}
-
-// account applies fn to the issuing fabric's global counters and, when the
-// op is source-bound, the per-source mirror — the same double bookkeeping
-// the in-process transport does, applied on verb success.
-func (t *netTransport) account(ss *Stats, fn func(*Stats)) {
-	if t.fstats != nil {
-		fn(t.fstats)
-	}
-	if ss != nil {
-		fn(ss)
-	}
+	// out is the response frame's own payload, so the responses may alias it.
+	return decodeBatch(fopCallBatch, wire.NewReader(out))
 }

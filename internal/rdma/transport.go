@@ -6,29 +6,27 @@ import (
 	"polardbmp/internal/common"
 )
 
-// Transport executes fabric verbs against a set of endpoints. The issuing
-// Fabric consults its fault injector first and then hands the op (plus the
-// injector's duplicate/drop-reply directives) to the transport that owns the
-// destination node:
+// Transport executes fabric verbs against the endpoints it reaches, and
+// only executes them. Faults and counts are the issuing Fabric's (issue):
+// it consults the injector before the transport runs, runs a duplicated
+// one-sided READ/WRITE twice, charges each successful execution once and
+// loses an RPC reply the injector dropped — so every transport faults and
+// counts alike. The transports are:
 //
-//   - procTransport reaches endpoints registered in this process directly —
-//     the original in-process fabric, unchanged semantics and cost.
-//   - Peer (socket.go) reaches endpoints hosted by another OS process over a
-//     length-prefixed binary frame protocol.
-//
-// Stats accounting lives inside the transport so the op/byte counters keep
-// their exact in-process semantics (an op is counted only once destination
-// checks pass; remote transports count on a successful response).
+//   - procTransport reaches endpoints registered in this process directly.
+//   - Peer and remotePeer (socket.go, peer.go) reach endpoints hosted by
+//     another OS process over a length-prefixed binary frame protocol.
+//   - pmfsrep.Replicator fronts the PMFS node's route and mirrors its
+//     writes to the follower replicas.
 type Transport interface {
-	Read(src, node common.NodeID, region string, off int, dst []byte, dup bool, ss *Stats) error
-	Write(src, node common.NodeID, region string, off int, data []byte, dup bool, ss *Stats) error
-	ReadV(src, node common.NodeID, region string, segs []Seg, dup bool, ss *Stats) error
-	WriteV(src, node common.NodeID, region string, segs []Seg, dup bool, ss *Stats) error
-	CAS64(src, node common.NodeID, region string, off int, old, new uint64, ss *Stats) (uint64, error)
-	FetchAdd64(src, node common.NodeID, region string, off int, delta uint64, ss *Stats) (uint64, error)
-	Call(src, node common.NodeID, service string, req []byte, dropReply bool, ss *Stats) ([]byte, error)
-	CallBatch(src, node common.NodeID, service string, reqs [][]byte, dropReply bool, ss *Stats) ([][]byte, error)
-	Close() error
+	Read(src, node common.NodeID, region string, off int, dst []byte) error
+	Write(src, node common.NodeID, region string, off int, data []byte) error
+	ReadV(src, node common.NodeID, region string, segs []Seg) error
+	WriteV(src, node common.NodeID, region string, segs []Seg) error
+	CAS64(src, node common.NodeID, region string, off int, old, new uint64) (uint64, error)
+	FetchAdd64(src, node common.NodeID, region string, off int, delta uint64) (uint64, error)
+	Call(src, node common.NodeID, service string, req []byte) ([]byte, error)
+	CallBatch(src, node common.NodeID, service string, reqs [][]byte) ([][]byte, error)
 }
 
 // routeTable is the fabric's immutable routing snapshot, swapped atomically
@@ -118,199 +116,103 @@ func (f *Fabric) LocalTransport() Transport { return f.local }
 // starts with and the only one single-process deployments ever touch.
 type procTransport struct{ f *Fabric }
 
-// Close is a no-op: the in-process transport owns no connections.
-func (t *procTransport) Close() error { return nil }
-
-func (t *procTransport) Read(src, node common.NodeID, region string, off int, dst []byte, dup bool, ss *Stats) error {
-	f := t.f
-	ep, err := f.lookup(node)
+// region resolves a live endpoint's registered region and sleeps the
+// one-sided latency; a vectored verb's segments are all checked first, so a
+// bad segment fails the chain before any element executes.
+func (t *procTransport) region(node common.NodeID, name string, segs []Seg) (*Region, error) {
+	ep, err := t.f.lookup(node)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r, err := ep.region(region)
+	r, err := ep.region(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	f.latency.sleep(f.latency.OneSided)
-	f.stats.Reads.Inc()
-	f.stats.BytesRead.Add(int64(len(dst)))
-	if ss != nil {
-		ss.Reads.Inc()
-		ss.BytesRead.Add(int64(len(dst)))
-	}
-	if dup {
-		// Duplicate delivery: the NIC re-executes the idempotent read.
-		f.stats.Reads.Inc()
-		if ss != nil {
-			ss.Reads.Inc()
+	for _, s := range segs {
+		if err := r.check(s.Off, len(s.Buf)); err != nil {
+			return nil, err
 		}
-		_ = r.read(off, dst)
+	}
+	t.f.latency.sleep(t.f.latency.OneSided)
+	return r, nil
+}
+
+// service resolves a live endpoint's RPC handler and sleeps the RPC latency.
+func (t *procTransport) service(node common.NodeID, name string) (*Endpoint, Handler, error) {
+	ep, err := t.f.lookup(node)
+	if err != nil {
+		return nil, nil, err
+	}
+	h, err := ep.service(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	t.f.latency.sleep(t.f.latency.RPC)
+	return ep, h, nil
+}
+
+func (t *procTransport) Read(_, node common.NodeID, region string, off int, dst []byte) error {
+	r, err := t.region(node, region, nil)
+	if err != nil {
+		return err
 	}
 	return r.read(off, dst)
 }
 
-func (t *procTransport) Write(src, node common.NodeID, region string, off int, data []byte, dup bool, ss *Stats) error {
-	f := t.f
-	ep, err := f.lookup(node)
+func (t *procTransport) Write(_, node common.NodeID, region string, off int, data []byte) error {
+	r, err := t.region(node, region, nil)
 	if err != nil {
 		return err
-	}
-	r, err := ep.region(region)
-	if err != nil {
-		return err
-	}
-	f.latency.sleep(f.latency.OneSided)
-	f.stats.Writes.Inc()
-	f.stats.BytesWrite.Add(int64(len(data)))
-	if ss != nil {
-		ss.Writes.Inc()
-		ss.BytesWrite.Add(int64(len(data)))
-	}
-	if dup {
-		// Duplicate delivery: writing the same bytes twice is idempotent.
-		f.stats.Writes.Inc()
-		if ss != nil {
-			ss.Writes.Inc()
-		}
-		_ = r.write(off, data)
 	}
 	return r.write(off, data)
 }
 
-func (t *procTransport) ReadV(src, node common.NodeID, region string, segs []Seg, dup bool, ss *Stats) error {
-	f := t.f
-	ep, err := f.lookup(node)
-	if err != nil {
-		return err
-	}
-	r, err := ep.region(region)
-	if err != nil {
-		return err
-	}
-	// Validate the whole chain before executing any element: a bad segment
-	// fails the batch atomically.
-	for _, s := range segs {
-		if err := r.check(s.Off, len(s.Buf)); err != nil {
-			return err
-		}
-	}
-	f.latency.sleep(f.latency.OneSided)
-	f.stats.Reads.Inc()
-	f.stats.BytesRead.Add(int64(segTotal(segs)))
-	if ss != nil {
-		ss.Reads.Inc()
-		ss.BytesRead.Add(int64(segTotal(segs)))
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, s := range segs {
-			if err := r.read(s.Off, s.Buf); err != nil {
-				return err
-			}
-		}
-		if !dup {
-			break
-		}
-		// Duplicate delivery: the NIC re-executes the idempotent chain.
-		f.stats.Reads.Inc()
-		if ss != nil {
-			ss.Reads.Inc()
-		}
-		dup = false
-	}
-	return nil
-}
-
-func (t *procTransport) WriteV(src, node common.NodeID, region string, segs []Seg, dup bool, ss *Stats) error {
-	f := t.f
-	ep, err := f.lookup(node)
-	if err != nil {
-		return err
-	}
-	r, err := ep.region(region)
+func (t *procTransport) ReadV(_, node common.NodeID, region string, segs []Seg) error {
+	r, err := t.region(node, region, segs)
 	if err != nil {
 		return err
 	}
 	for _, s := range segs {
-		if err := r.check(s.Off, len(s.Buf)); err != nil {
+		if err := r.read(s.Off, s.Buf); err != nil {
 			return err
 		}
-	}
-	f.latency.sleep(f.latency.OneSided)
-	f.stats.Writes.Inc()
-	f.stats.BytesWrite.Add(int64(segTotal(segs)))
-	if ss != nil {
-		ss.Writes.Inc()
-		ss.BytesWrite.Add(int64(segTotal(segs)))
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, s := range segs {
-			if err := r.write(s.Off, s.Buf); err != nil {
-				return err
-			}
-		}
-		if !dup {
-			break
-		}
-		// Duplicate delivery: writing the same bytes twice is idempotent.
-		f.stats.Writes.Inc()
-		if ss != nil {
-			ss.Writes.Inc()
-		}
-		dup = false
 	}
 	return nil
 }
 
-func (t *procTransport) CAS64(src, node common.NodeID, region string, off int, old, new uint64, ss *Stats) (uint64, error) {
-	f := t.f
-	ep, err := f.lookup(node)
+func (t *procTransport) WriteV(_, node common.NodeID, region string, segs []Seg) error {
+	r, err := t.region(node, region, segs)
+	if err != nil {
+		return err
+	}
+	for _, s := range segs {
+		if err := r.write(s.Off, s.Buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *procTransport) CAS64(_, node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
+	r, err := t.region(node, region, nil)
 	if err != nil {
 		return 0, err
-	}
-	r, err := ep.region(region)
-	if err != nil {
-		return 0, err
-	}
-	f.latency.sleep(f.latency.OneSided)
-	f.stats.Atomics.Inc()
-	if ss != nil {
-		ss.Atomics.Inc()
 	}
 	return r.cas64(off, old, new)
 }
 
-func (t *procTransport) FetchAdd64(src, node common.NodeID, region string, off int, delta uint64, ss *Stats) (uint64, error) {
-	f := t.f
-	ep, err := f.lookup(node)
+func (t *procTransport) FetchAdd64(_, node common.NodeID, region string, off int, delta uint64) (uint64, error) {
+	r, err := t.region(node, region, nil)
 	if err != nil {
 		return 0, err
-	}
-	r, err := ep.region(region)
-	if err != nil {
-		return 0, err
-	}
-	f.latency.sleep(f.latency.OneSided)
-	f.stats.Atomics.Inc()
-	if ss != nil {
-		ss.Atomics.Inc()
 	}
 	return r.fetchAdd64(off, delta)
 }
 
-func (t *procTransport) Call(src, node common.NodeID, service string, req []byte, dropReply bool, ss *Stats) ([]byte, error) {
-	f := t.f
-	ep, err := f.lookup(node)
+func (t *procTransport) Call(_, node common.NodeID, service string, req []byte) ([]byte, error) {
+	ep, h, err := t.service(node, service)
 	if err != nil {
 		return nil, err
-	}
-	h, err := ep.service(service)
-	if err != nil {
-		return nil, err
-	}
-	f.latency.sleep(f.latency.RPC)
-	f.stats.RPCs.Inc()
-	if ss != nil {
-		ss.RPCs.Inc()
 	}
 	resp, err := h(req)
 	if err != nil {
@@ -321,28 +223,13 @@ func (t *procTransport) Call(src, node common.NodeID, service string, req []byte
 	if ep.isDown() {
 		return nil, errNodeDiedDuringCall(node)
 	}
-	if dropReply {
-		// The handler ran but the response was lost; the caller sees a
-		// transient failure and must retry idempotently.
-		return nil, errReplyLost(service, node)
-	}
 	return resp, nil
 }
 
-func (t *procTransport) CallBatch(src, node common.NodeID, service string, reqs [][]byte, dropReply bool, ss *Stats) ([][]byte, error) {
-	f := t.f
-	ep, err := f.lookup(node)
+func (t *procTransport) CallBatch(_, node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
+	ep, h, err := t.service(node, service)
 	if err != nil {
 		return nil, err
-	}
-	h, err := ep.service(service)
-	if err != nil {
-		return nil, err
-	}
-	f.latency.sleep(f.latency.RPC)
-	f.stats.RPCs.Inc()
-	if ss != nil {
-		ss.RPCs.Inc()
 	}
 	resps := make([][]byte, len(reqs))
 	for i, req := range reqs {
@@ -354,9 +241,6 @@ func (t *procTransport) CallBatch(src, node common.NodeID, service string, reqs 
 	}
 	if ep.isDown() {
 		return nil, errNodeDiedDuringCall(node)
-	}
-	if dropReply {
-		return nil, errReplyLost(service, node)
 	}
 	return resps, nil
 }

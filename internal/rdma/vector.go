@@ -14,8 +14,8 @@ import (
 // executes, so a dropped/errored batch fails atomically — no segment lands,
 // exactly like a chain whose doorbell write never reached the NIC. Segment
 // bounds are also validated up front so a malformed element cannot leave a
-// partially-applied batch behind. Stats count one op per batch (the doorbell
-// is the op-budget unit) while byte counters accumulate every segment.
+// partially-applied batch behind. A batch is charged as one op (the doorbell
+// is the op-budget unit) with every segment's bytes.
 
 // Seg is one scatter/gather element of a vectored one-sided verb: Buf is
 // read into (ReadV) or written from (WriteV) at Off within the region.
@@ -51,22 +51,18 @@ func (f *Fabric) readV(src, node common.NodeID, region string, segs []Seg, ss *S
 	if len(segs) == 0 {
 		return nil
 	}
-	dup, _, err := f.inject(common.FaultRead, src, node, region, segTotal(segs))
-	if err != nil {
-		return err
-	}
-	return f.transportFor(node).ReadV(src, node, region, segs, dup, ss)
+	return f.issue(common.FaultRead, src, node, region, segTotal(segs), ss, func(t Transport) error {
+		return t.ReadV(src, node, region, segs)
+	})
 }
 
 func (f *Fabric) writeV(src, node common.NodeID, region string, segs []Seg, ss *Stats) error {
 	if len(segs) == 0 {
 		return nil
 	}
-	dup, _, err := f.inject(common.FaultWrite, src, node, region, segTotal(segs))
-	if err != nil {
-		return err
-	}
-	return f.transportFor(node).WriteV(src, node, region, segs, dup, ss)
+	return f.issue(common.FaultWrite, src, node, region, segTotal(segs), ss, func(t Transport) error {
+		return t.WriteV(src, node, region, segs)
+	})
 }
 
 func (f *Fabric) callBatch(src, node common.NodeID, service string, reqs [][]byte, ss *Stats) ([][]byte, error) {
@@ -77,9 +73,13 @@ func (f *Fabric) callBatch(src, node common.NodeID, service string, reqs [][]byt
 	for _, req := range reqs {
 		total += len(req)
 	}
-	_, dropReply, err := f.inject(common.FaultRPC, src, node, service, total)
+	var resps [][]byte
+	err := f.issue(common.FaultRPC, src, node, service, total, ss, func(t Transport) (e error) {
+		resps, e = t.CallBatch(src, node, service, reqs)
+		return e
+	})
 	if err != nil {
 		return nil, err
 	}
-	return f.transportFor(node).CallBatch(src, node, service, reqs, dropReply, ss)
+	return resps, nil
 }
