@@ -96,6 +96,7 @@ wire-fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordDecode -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzStorageServeOp -fuzztime 10s
 	$(GO) test ./internal/rdma -run '^$$' -fuzz FuzzFabricExecute -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzServices -fuzztime 10s
 
 # Second-engine chaos smokes: the OCC engine must survive the same fault
 # plans as the default 2PL path — undeclared node kill with takeover,
@@ -145,7 +146,8 @@ bench-snapshot:
 # 26,789 after the one-arena page decode, 26,415 after the Aurora-MM model
 # went, 26,461 after reused link workers replaced a goroutine per request and
 # one open WAL handle per stream replaced an open per sync, 26,317 after the
-# fabric's one issue path took faults and op counts out of every transport;
-# CI fails above that).
+# fabric's one issue path took faults and op counts out of every transport,
+# 26,310 after every fabric service but txfusion's moved to the one checked
+# wire.Reader and the hand-offset decoders went; CI fails above that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

@@ -326,8 +326,7 @@ func (c *Client) fetch(pg common.PageID, dl common.Deadline) (*page.Page, int, F
 	if err != nil {
 		return nil, -1, FetchDBP, err
 	}
-	if len(resp) >= 5 && resp[0] == 1 {
-		frame := int(binary.LittleEndian.Uint32(resp[1:]))
+	if frame, ok := frameOf(resp); ok {
 		p, err := c.readDBPFrame(frame, dl)
 		if err == nil && p.ID == pg {
 			c.DBPReads.Inc()
@@ -435,10 +434,10 @@ func (c *Client) pushImage(p *page.Page, clean bool) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if len(resp) < 5 || resp[0] != 1 {
+	frame, ok := frameOf(resp)
+	if !ok {
 		return -1, fmt.Errorf("bufferfusion: prepare-push of page %d failed", p.ID)
 	}
-	frame := int(binary.LittleEndian.Uint32(resp[1:]))
 	if err := c.fabric.Write(common.PMFSNode, RegionDBP, frame*page.FrameSize, buf); err != nil {
 		return -1, err
 	}
@@ -608,11 +607,12 @@ func (c *Client) PushMany(ids []common.PageID) error {
 	}
 	frameNos := make([]int, len(dirty))
 	for i, f := range dirty {
-		if len(resps[i]) < 5 || resps[i][0] != 1 {
+		fr, ok := frameOf(resps[i])
+		if !ok {
 			done()
 			return fmt.Errorf("bufferfusion: prepare-push of page %d failed", f.id)
 		}
-		frameNos[i] = int(binary.LittleEndian.Uint32(resps[i][1:]))
+		frameNos[i] = fr
 	}
 	// Phase 2: one vectored write lands every image in its pinned frame.
 	// Images are built in pooled buffers; the doorbell copies synchronously,

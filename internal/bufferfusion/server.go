@@ -26,6 +26,7 @@ import (
 	"polardbmp/internal/page"
 	"polardbmp/internal/rdma"
 	"polardbmp/internal/storage"
+	"polardbmp/internal/wire"
 )
 
 // Fabric names.
@@ -153,51 +154,59 @@ func (s *Server) initStripes() {
 func (s *Server) SetEpochGate(g common.EpochGate) { s.gate = g }
 
 func bufReq(op byte, node common.NodeID, pg common.PageID, frame uint32, aux uint32) []byte {
-	b := make([]byte, 19)
-	b[0] = op
-	binary.LittleEndian.PutUint16(b[1:], uint16(node))
-	binary.LittleEndian.PutUint64(b[3:], uint64(pg))
-	binary.LittleEndian.PutUint32(b[11:], frame)
-	binary.LittleEndian.PutUint32(b[15:], aux)
-	return b
+	b := wire.AppendU16(append(make([]byte, 0, 19), op), uint16(node))
+	return wire.AppendU32(wire.AppendU32(wire.AppendU64(b, uint64(pg)), frame), aux)
+}
+
+// frameResp answers a lookup or a prepare-push: [found u8][frame u32].
+func frameResp(fr int, found bool) []byte {
+	if !found {
+		return make([]byte, 5)
+	}
+	return wire.AppendU32(append(make([]byte, 0, 5), 1), uint32(fr))
+}
+
+// frameOf decodes a frameResp: the frame, and whether there is one.
+func frameOf(resp []byte) (int, bool) {
+	rd := wire.NewReader(resp)
+	found, fr := rd.U8() == 1, int(rd.U32())
+	return fr, found && rd.Done() == nil
 }
 
 func (s *Server) handle(req []byte) ([]byte, error) {
-	if len(req) < 19 {
-		return nil, common.ErrShortBuffer
+	rd := wire.NewReader(req)
+	op := rd.U8()
+	node := common.NodeID(rd.U16())
+	pg := common.PageID(rd.U64())
+	frame, aux := rd.U32(), rd.U32()
+	if op < opLookup || op > opPushed {
+		return nil, fmt.Errorf("bufferfusion: op %d: %w", op, common.ErrNoService)
 	}
-	node := common.NodeID(binary.LittleEndian.Uint16(req[1:]))
-	pg := common.PageID(binary.LittleEndian.Uint64(req[3:]))
-	frame := binary.LittleEndian.Uint32(req[11:])
-	aux := binary.LittleEndian.Uint32(req[15:])
+	if aux > 1 {
+		return nil, fmt.Errorf("bufferfusion: push-clean flag %d: %w", aux, common.ErrCorrupt)
+	}
+	epoch := rd.Epoch()
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("bufferfusion: %w", err)
+	}
 	if s.gate != nil {
-		if err := s.gate(node, common.TrailingEpoch(req, 19)); err != nil {
+		if err := s.gate(node, epoch); err != nil {
 			return nil, err
 		}
 	}
-	switch req[0] {
+	switch op {
 	case opLookup:
 		fr, ok := s.lookup(pg)
-		resp := make([]byte, 5)
-		if ok {
-			resp[0] = 1
-			binary.LittleEndian.PutUint32(resp[1:], uint32(fr))
-		}
-		return resp, nil
+		return frameResp(fr, ok), nil
 	case opPreparePush:
 		fr, err := s.preparePush(node, pg)
 		if err != nil {
 			return nil, err
 		}
-		resp := make([]byte, 5)
-		resp[0] = 1
-		binary.LittleEndian.PutUint32(resp[1:], uint32(fr))
-		return resp, nil
-	case opPushed:
+		return frameResp(fr, true), nil
+	default: // opPushed
 		s.pushed(node, pg, int(frame), aux == 1)
 		return nil, nil
-	default:
-		return nil, fmt.Errorf("bufferfusion: unknown op %d", req[0])
 	}
 }
 

@@ -28,8 +28,8 @@ var ErrStaleEpoch = errors.New("polardbmp: stale cluster epoch")
 type EpochGate func(node NodeID, e Epoch) error
 
 // EpochStamp is a node's current incarnation epoch, shared by all of its
-// fusion clients. A nil *EpochStamp is valid and stamps nothing, so
-// clients built outside a cluster (unit tests) keep the legacy wire format.
+// fusion clients. A nil *EpochStamp is valid and stamps nothing: the
+// request then ends at its last field, which servers read as epoch 0.
 type EpochStamp struct{ v atomic.Uint64 }
 
 // Load returns the current epoch (0 until the node joins).
@@ -43,9 +43,9 @@ func (s *EpochStamp) Load() Epoch {
 // Store publishes a new incarnation epoch.
 func (s *EpochStamp) Store(e Epoch) { s.v.Store(uint64(e)) }
 
-// Stamp appends the current epoch to a fusion request. Requests keep their
-// fixed-size prefix, so servers that predate stamping parse them unchanged;
-// stamped servers read the 8 trailing bytes with TrailingEpoch.
+// Stamp appends the current epoch to a fusion request as an optional
+// trailing field: exactly 8 bytes after the request's last field, which
+// servers read with wire.Reader.Epoch. A cut stamp is a corrupt request.
 func (s *EpochStamp) Stamp(req []byte) []byte {
 	if s == nil {
 		return req
@@ -54,7 +54,10 @@ func (s *EpochStamp) Stamp(req []byte) []byte {
 }
 
 // TrailingEpoch extracts the epoch stamped after a request's fixed base
-// length, or 0 when the request is unstamped.
+// length, or 0 when fewer than 8 bytes follow it — so a cut stamp reads as
+// unstamped. Only the txfusion handler still decodes by hand offsets and
+// calls it; every other fusion service reads its stamp with
+// wire.Reader.Epoch, and this goes when txfusion does too.
 func TrailingEpoch(req []byte, base int) Epoch {
 	if len(req) < base+8 {
 		return 0

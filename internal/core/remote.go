@@ -44,7 +44,27 @@ func (c *Cluster) handleAdmin(req []byte) ([]byte, error) {
 
 func (c *Cluster) adminOp(req []byte) ([]byte, error) {
 	rd := wire.NewReader(req)
-	switch op := rd.U8(); op {
+	op := rd.U8()
+	var name string
+	var node uint16
+	var g common.GTrxID
+	switch op {
+	case aopAllocNode, aopTopology:
+	case aopCreateSpace:
+		name = rd.Str()
+	case aopDrainCleanup, aopFreeNode:
+		node = rd.U16()
+	case aopTxStatus:
+		g = rd.GTrx()
+	default: // an unknown op is unserved; an empty request is corrupt
+		if rd.Err() == nil {
+			return nil, fmt.Errorf("core: admin op %d: %w", op, common.ErrNoService)
+		}
+	}
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("core: admin op %d: %w", op, err)
+	}
+	switch op {
 	case aopAllocNode:
 		id, err := c.allocNodeID()
 		if err != nil {
@@ -52,20 +72,12 @@ func (c *Cluster) adminOp(req []byte) ([]byte, error) {
 		}
 		return wire.AppendU16(nil, uint16(id)), nil
 	case aopCreateSpace:
-		name := rd.Str()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
 		space, err := c.CreateSpace(name)
 		if err != nil {
 			return nil, err
 		}
 		return wire.AppendU32(nil, uint32(space)), nil
 	case aopDrainCleanup:
-		node := rd.U16()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
 		if err := membership.CheckNode(common.NodeID(node)); err != nil {
 			return nil, err
 		}
@@ -74,26 +86,13 @@ func (c *Cluster) adminOp(req []byte) ([]byte, error) {
 	case aopTopology:
 		return c.TopologyJSON()
 	case aopTxStatus:
-		g, _, err := common.UnmarshalGTrxID(rd.Rest())
-		if err != nil {
-			return nil, err
-		}
 		out, cts, err := c.TxStatus(g)
 		if err != nil {
 			return nil, err
 		}
 		return wire.AppendU64(append([]byte(nil), uint8(out)), uint64(cts)), nil
-	case aopFreeNode:
-		node := rd.U16()
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		if err := c.members.Free(common.NodeID(node)); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("core: admin op %d: %w", op, common.ErrNoService)
+	default: // aopFreeNode
+		return nil, c.members.Free(common.NodeID(node))
 	}
 }
 

@@ -191,12 +191,14 @@ func (n *Node) txStatusTIT(g common.GTrxID) (TxOutcome, common.CSN, error) {
 // handleTxStatus serves ServiceTxStatus for one hosted node: journal first
 // (the cluster journal holds this process's outcomes), then the TIT.
 func (n *Node) handleTxStatus(req []byte) ([]byte, error) {
-	g, _, err := common.UnmarshalGTrxID(req)
-	if err != nil {
-		return wire.AppendStatus(nil, err), nil
+	rd := wire.NewReader(req)
+	g := rd.GTrx()
+	if err := rd.Done(); err != nil {
+		return wire.AppendStatus(nil, fmt.Errorf("core: tx status request: %w", err)), nil
 	}
 	var out TxOutcome
 	var cts common.CSN
+	var err error
 	if jcts, ok := n.c.txlog.lookup(g); ok {
 		out, cts = journalOutcome(jcts)
 	} else if out, cts, err = n.txStatusTIT(g); err != nil {

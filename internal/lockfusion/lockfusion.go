@@ -51,6 +51,9 @@ func (m Mode) String() string {
 	return "?"
 }
 
+// valid reports whether m is one of the two modes.
+func (m Mode) valid() bool { return m == ModeS || m == ModeX }
+
 // Covers reports whether holding m satisfies a request for want.
 func (m Mode) Covers(want Mode) bool { return m >= want }
 

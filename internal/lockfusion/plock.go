@@ -1,7 +1,6 @@
 package lockfusion
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -12,6 +11,7 @@ import (
 	"polardbmp/internal/metrics"
 	"polardbmp/internal/rdma"
 	"polardbmp/internal/trace"
+	"polardbmp/internal/wire"
 )
 
 // PLock RPC wire ops.
@@ -28,30 +28,20 @@ const (
 // holding the page): above every real LLSN, so every cached copy is stale.
 const llsnUnknown = common.LLSN(math.MaxUint64)
 
-func plockReqBuf(op byte, node common.NodeID, pg common.PageID, mode Mode) []byte {
-	b := make([]byte, 12)
-	b[0] = op
-	binary.LittleEndian.PutUint16(b[1:], uint16(node))
-	binary.LittleEndian.PutUint64(b[3:], uint64(pg))
-	b[11] = byte(mode)
-	return b
+// plockReqBuf encodes the 12-byte header every single-page request starts
+// with, into a buffer of capacity size.
+func plockReqBuf(op byte, node common.NodeID, pg common.PageID, mode Mode, size int) []byte {
+	b := wire.AppendU16(append(make([]byte, 0, size), op), uint16(node))
+	return append(wire.AppendU64(b, uint64(pg)), byte(mode))
 }
 
-// plockAcquireReqLen is the acquire request size: the 12-byte common header
-// plus a uint32 wait budget in microseconds (0 = unbounded). The budget
-// rides the wire so the SERVER can bound the waiter's queue time: a
-// client-side timer alone would leave the abandoned waiter queued, holding
-// its FIFO slot against peers, until the backstop fired.
-const plockAcquireReqLen = 16
-
+// plockAcquireReqBuf encodes an acquire: the header plus a uint32 wait budget
+// in microseconds (0 = unbounded). The budget rides the wire so the SERVER
+// can bound the waiter's queue time: a client-side timer alone would leave
+// the abandoned waiter queued, holding its FIFO slot against peers, until the
+// backstop fired.
 func plockAcquireReqBuf(node common.NodeID, pg common.PageID, mode Mode, budgetMicros uint32) []byte {
-	b := make([]byte, plockAcquireReqLen)
-	b[0] = opPLockAcquire
-	binary.LittleEndian.PutUint16(b[1:], uint16(node))
-	binary.LittleEndian.PutUint64(b[3:], uint64(pg))
-	b[11] = byte(mode)
-	binary.LittleEndian.PutUint32(b[12:], budgetMicros)
-	return b
+	return wire.AppendU32(plockReqBuf(opPLockAcquire, node, pg, mode, 16), budgetMicros)
 }
 
 // deadlineBudgetMicros converts a deadline's remaining time to the uint32
@@ -80,12 +70,8 @@ type relPage struct {
 	llsn common.LLSN
 }
 
-// plockReleaseLen is the single-release request size: header plus LLSN.
-const plockReleaseLen = 20
-
 func plockReleaseBuf(node common.NodeID, p relPage) []byte {
-	b := plockReqBuf(opPLockRelease, node, p.pg, p.mode)
-	return binary.LittleEndian.AppendUint64(b, uint64(p.llsn))
+	return wire.AppendU64(plockReqBuf(opPLockRelease, node, p.pg, p.mode, 12), uint64(p.llsn))
 }
 
 // relElemLen is the size of one batched-release element: page, mode, LLSN.
@@ -94,14 +80,11 @@ const relElemLen = 17
 // plockReleaseNBuf encodes a batched release: header (op, node, count)
 // followed by count fixed-size elements, with room left for the epoch stamp.
 func plockReleaseNBuf(node common.NodeID, pages []relPage) []byte {
-	b := make([]byte, 5, 5+relElemLen*len(pages)+8)
-	b[0] = opPLockReleaseN
-	binary.LittleEndian.PutUint16(b[1:], uint16(node))
-	binary.LittleEndian.PutUint16(b[3:], uint16(len(pages)))
+	b := append(make([]byte, 0, 5+relElemLen*len(pages)+8), opPLockReleaseN)
+	b = wire.AppendU16(wire.AppendU16(b, uint16(node)), uint16(len(pages)))
 	for _, p := range pages {
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.pg))
-		b = append(b, byte(p.mode))
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.llsn))
+		b = append(wire.AppendU64(b, uint64(p.pg)), byte(p.mode))
+		b = wire.AppendU64(b, uint64(p.llsn))
 	}
 	return b
 }
@@ -113,13 +96,15 @@ type revokeItem struct {
 	wantMode Mode
 }
 
+// revokeElemLen is the size of one batched-revoke element: page, wantNode,
+// wantMode.
+const revokeElemLen = 11
+
 func revokeNBuf(items []revokeItem) []byte {
-	b := make([]byte, 3, 3+11*len(items))
-	b[0] = opRevokeN
-	binary.LittleEndian.PutUint16(b[1:], uint16(len(items)))
+	b := append(make([]byte, 0, 3+revokeElemLen*len(items)), opRevokeN)
+	b = wire.AppendU16(b, uint16(len(items)))
 	for _, it := range items {
-		b = binary.LittleEndian.AppendUint64(b, uint64(it.pg))
-		b = binary.LittleEndian.AppendUint16(b, uint16(it.wantNode))
+		b = wire.AppendU16(wire.AppendU64(b, uint64(it.pg)), uint16(it.wantNode))
 		b = append(b, byte(it.wantMode))
 	}
 	return b
@@ -218,74 +203,62 @@ func (s *PLockServer) isDead(node common.NodeID) bool {
 func (s *PLockServer) SetEpochGate(g common.EpochGate) { s.gate = g }
 
 func (s *PLockServer) handle(req []byte) ([]byte, error) {
-	if len(req) < 1 {
-		return nil, common.ErrShortBuffer
-	}
-	switch req[0] {
-	case opPLockAcquire:
-		if len(req) < plockAcquireReqLen {
-			return nil, common.ErrShortBuffer
+	rd := wire.NewReader(req)
+	op := rd.U8()
+	node := common.NodeID(rd.U16())
+	switch op {
+	case opPLockAcquire, opPLockRelease:
+		p := relPage{pg: common.PageID(rd.U64()), mode: Mode(rd.U8())}
+		var budget uint32
+		if op == opPLockAcquire {
+			budget = rd.U32()
+		} else {
+			p.llsn = common.LLSN(rd.U64())
 		}
-		node := common.NodeID(binary.LittleEndian.Uint16(req[1:]))
-		pg := common.PageID(binary.LittleEndian.Uint64(req[3:]))
-		mode := Mode(req[11])
-		budget := binary.LittleEndian.Uint32(req[12:])
-		if s.gate != nil {
-			if err := s.gate(node, common.TrailingEpoch(req, plockAcquireReqLen)); err != nil {
-				return nil, err
-			}
+		if err := s.admit(rd, node, p.mode.valid()); err != nil {
+			return nil, err
 		}
-		llsn, err := s.acquire(node, pg, mode, budget)
+		if op == opPLockRelease {
+			s.releaseN(node, []relPage{p})
+			return nil, nil
+		}
+		llsn, err := s.acquire(node, p.pg, p.mode, budget)
 		if err != nil {
 			return nil, err
 		}
-		return binary.LittleEndian.AppendUint64(nil, uint64(llsn)), nil
-	case opPLockRelease:
-		if len(req) < plockReleaseLen {
-			return nil, common.ErrShortBuffer
-		}
-		node := common.NodeID(binary.LittleEndian.Uint16(req[1:]))
-		p := relPage{
-			pg:   common.PageID(binary.LittleEndian.Uint64(req[3:])),
-			mode: Mode(req[11]),
-			llsn: common.LLSN(binary.LittleEndian.Uint64(req[12:])),
-		}
-		if s.gate != nil {
-			if err := s.gate(node, common.TrailingEpoch(req, plockReleaseLen)); err != nil {
-				return nil, err
-			}
-		}
-		s.releaseN(node, []relPage{p})
-		return nil, nil
+		return wire.AppendU64(nil, uint64(llsn)), nil
 	case opPLockReleaseN:
-		if len(req) < 5 {
-			return nil, common.ErrShortBuffer
-		}
-		node := common.NodeID(binary.LittleEndian.Uint16(req[1:]))
-		count := int(binary.LittleEndian.Uint16(req[3:]))
-		base := 5 + relElemLen*count
-		if len(req) < base {
-			return nil, common.ErrShortBuffer
-		}
-		if s.gate != nil {
-			if err := s.gate(node, common.TrailingEpoch(req, base)); err != nil {
-				return nil, err
-			}
-		}
-		pages := make([]relPage, count)
+		pages := make([]relPage, rd.Count(uint32(rd.U16()), relElemLen))
+		valid := true
 		for i := range pages {
-			el := req[5+relElemLen*i:]
-			pages[i] = relPage{
-				pg:   common.PageID(binary.LittleEndian.Uint64(el)),
-				mode: Mode(el[8]),
-				llsn: common.LLSN(binary.LittleEndian.Uint64(el[9:])),
-			}
+			pages[i] = relPage{pg: common.PageID(rd.U64()), mode: Mode(rd.U8()), llsn: common.LLSN(rd.U64())}
+			valid = valid && pages[i].mode.valid()
+		}
+		if err := s.admit(rd, node, valid); err != nil {
+			return nil, err
 		}
 		s.releaseN(node, pages)
 		return nil, nil
 	default:
-		return nil, fmt.Errorf("plock: unknown op %d", req[0])
+		return nil, fmt.Errorf("plock: op %d: %w", op, common.ErrNoService)
 	}
+}
+
+// admit ends a decoded request before it touches the lock table: it refuses
+// a mode outside {S, X}, then a payload that is not consumed exactly by its
+// fields and the optional epoch stamp, then a stale stamp.
+func (s *PLockServer) admit(rd *wire.Reader, node common.NodeID, modesValid bool) error {
+	if !modesValid {
+		return fmt.Errorf("plock: mode outside {S, X}: %w", common.ErrCorrupt)
+	}
+	epoch := rd.Epoch()
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("plock: %w", err)
+	}
+	if s.gate != nil {
+		return s.gate(node, epoch)
+	}
+	return nil
 }
 
 func (st *plockStripe) entry(pg common.PageID) *plockEntry {
@@ -478,7 +451,7 @@ func (s *PLockServer) sendRevokes(pending []pendingRevokes) {
 		s.Negotiations.Inc()
 		var req []byte
 		if len(items) == 1 {
-			req = plockReqBuf(opRevoke, items[0].wantNode, items[0].pg, items[0].wantMode)
+			req = plockReqBuf(opRevoke, items[0].wantNode, items[0].pg, items[0].wantMode, 12)
 		} else {
 			req = revokeNBuf(items)
 		}
@@ -779,37 +752,36 @@ func (c *PLockClient) SetPageVersions(v PageVersions) { c.pages = v }
 func (c *PLockClient) SetTracer(t *trace.Tracer) { c.tr = t }
 
 func (c *PLockClient) handleRevoke(req []byte) ([]byte, error) {
-	if len(req) < 1 {
-		return nil, common.ErrShortBuffer
-	}
-	var pages []common.PageID
-	switch req[0] {
+	rd := wire.NewReader(req)
+	var items []revokeItem
+	switch op := rd.U8(); op {
 	case opRevoke:
-		if len(req) < 12 {
-			return nil, common.ErrShortBuffer
-		}
-		pages = []common.PageID{common.PageID(binary.LittleEndian.Uint64(req[3:]))}
+		wantNode, pg := common.NodeID(rd.U16()), common.PageID(rd.U64())
+		items = []revokeItem{{pg: pg, wantNode: wantNode, wantMode: Mode(rd.U8())}}
 	case opRevokeN:
-		if len(req) < 3 {
-			return nil, common.ErrShortBuffer
-		}
-		count := int(binary.LittleEndian.Uint16(req[1:]))
-		if len(req) < 3+11*count {
-			return nil, common.ErrShortBuffer
-		}
-		pages = make([]common.PageID, count)
-		for i := 0; i < count; i++ {
-			pages[i] = common.PageID(binary.LittleEndian.Uint64(req[3+11*i:]))
+		items = make([]revokeItem, rd.Count(uint32(rd.U16()), revokeElemLen))
+		for i := range items {
+			pg, wantNode := common.PageID(rd.U64()), common.NodeID(rd.U16())
+			items[i] = revokeItem{pg: pg, wantNode: wantNode, wantMode: Mode(rd.U8())}
 		}
 	default:
-		return nil, fmt.Errorf("plock: unknown revoke op %d", req[0])
+		return nil, fmt.Errorf("plock: revoke op %d: %w", op, common.ErrNoService)
+	}
+	for _, it := range items {
+		if !it.wantMode.valid() {
+			return nil, fmt.Errorf("plock: revoke of page %d for mode %d: %w", it.pg, it.wantMode, common.ErrCorrupt)
+		}
+	}
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("plock: revoke: %w", err)
 	}
 	// Mark every page's revoke pending under ONE mutex hold, collecting the
 	// idle ones we must hand back ourselves; busy pages (refs>0 or a local
 	// thread mid-acquisition) hand over at their next unref.
 	c.mu.Lock()
 	var idle []relPage
-	for _, pg := range pages {
+	for _, it := range items {
+		pg := it.pg
 		l := c.locks[pg]
 		if l == nil {
 			// Already released (race with our own release): nothing to do.
@@ -919,8 +891,10 @@ func (c *PLockClient) AcquireDeadlineEx(pg common.PageID, mode Mode, dl common.D
 		llsn := llsnUnknown
 		err := common.RetryDeadline(c.fabric.RetryPolicy(), dl, func() error {
 			resp, e := one.Call(common.PMFSNode, ServicePLock, plockAcquireReqBuf(c.node, pg, mode, deadlineBudgetMicros(dl)))
-			if e == nil && len(resp) >= 8 {
-				llsn = common.LLSN(binary.LittleEndian.Uint64(resp))
+			if rd := wire.NewReader(resp); e == nil {
+				if v := common.LLSN(rd.U64()); rd.Done() == nil {
+					llsn = v
+				}
 			}
 			return e
 		})

@@ -9,6 +9,7 @@ import (
 	"polardbmp/internal/metrics"
 	"polardbmp/internal/rdma"
 	"polardbmp/internal/txfusion"
+	"polardbmp/internal/wire"
 )
 
 // RLock RPC wire ops (ServiceRLock on PMFS, ServiceWake on nodes).
@@ -62,39 +63,35 @@ func marshalTwoG(op byte, a, b common.GTrxID) []byte {
 }
 
 func (s *RLockServer) handle(req []byte) ([]byte, error) {
-	if len(req) < 1+common.GTrxIDSize {
-		return nil, common.ErrShortBuffer
-	}
-	a, rest, err := common.UnmarshalGTrxID(req[1:])
-	if err != nil {
-		return nil, err
-	}
+	rd := wire.NewReader(req)
+	op := rd.U8()
 	// The first gtrx always belongs to the calling node (the waiter for
 	// waitFor/cancelWait, the holder for committed).
+	a, b := rd.GTrx(), rd.GTrx()
+	if op < opWaitFor || op > opCommitted {
+		return nil, fmt.Errorf("rlock: op %d: %w", op, common.ErrNoService)
+	}
+	epoch := rd.Epoch()
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("rlock: %w", err)
+	}
 	if s.gate != nil {
-		if err := s.gate(a.Node, common.TrailingEpoch(req, 1+2*common.GTrxIDSize)); err != nil {
+		if err := s.gate(a.Node, epoch); err != nil {
 			return nil, err
 		}
 	}
-	switch req[0] {
+	switch op {
 	case opWaitFor:
-		holder, _, err := common.UnmarshalGTrxID(rest)
-		if err != nil {
-			return nil, err
-		}
-		if s.waitFor(a, holder) {
+		if s.waitFor(a, b) {
 			return []byte{1}, nil // registered
 		}
 		return []byte{0}, nil // deadlock: caller is the victim
 	case opCancelWait:
 		s.cancelWait(a)
-		return nil, nil
-	case opCommitted:
+	default: // opCommitted
 		s.committed(a)
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("rlock: unknown op %d", req[0])
 	}
+	return nil, nil
 }
 
 // waitFor registers waiter->holder unless it would close a cycle, in which
@@ -234,12 +231,13 @@ func NewRLockClient(ep *rdma.Endpoint, fabric *rdma.Fabric, tf *txfusion.Client,
 }
 
 func (c *RLockClient) handleWake(req []byte) ([]byte, error) {
-	if len(req) < 1+common.GTrxIDSize {
-		return nil, common.ErrShortBuffer
+	rd := wire.NewReader(req)
+	op, waiter, _ := rd.U8(), rd.GTrx(), rd.GTrx()
+	if op != opWake {
+		return nil, fmt.Errorf("rlock: wake op %d: %w", op, common.ErrNoService)
 	}
-	waiter, _, err := common.UnmarshalGTrxID(req[1:])
-	if err != nil {
-		return nil, err
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("rlock: wake: %w", err)
 	}
 	c.mu.Lock()
 	ch := c.parked[waiter]

@@ -10,6 +10,7 @@ import (
 	"polardbmp/internal/common"
 	"polardbmp/internal/metrics"
 	"polardbmp/internal/rdma"
+	"polardbmp/internal/wire"
 )
 
 // Config tunes an Agent's lease cadence.
@@ -91,19 +92,17 @@ func (a *Agent) SetOnTakeover(fn func(dead common.NodeID, epoch common.Epoch)) {
 // transient faults but surfaces ErrFenced (takeover of the previous
 // incarnation still running) to the caller, who should back off and retry.
 func (a *Agent) Join() error {
-	req := make([]byte, 3)
-	req[0] = opJoin
-	binary.LittleEndian.PutUint16(req[1:3], uint16(a.node))
-	resp, err := a.conn.Call(a.pmfs, Service, req)
+	resp, err := a.conn.Call(a.pmfs, Service, wire.AppendU16([]byte{opJoin}, uint16(a.node)))
 	if err != nil {
 		return fmt.Errorf("membership: node %d join: %w", a.node, err)
 	}
-	if len(resp) < 16 {
-		return fmt.Errorf("membership: node %d join: %w", a.node, common.ErrShortBuffer)
+	rd := wire.NewReader(resp)
+	epoch, hb := rd.U64(), rd.U64()
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("membership: node %d join: %w", a.node, err)
 	}
-	epoch := binary.LittleEndian.Uint64(resp[0:8])
 	a.epoch.Store(epoch)
-	a.hb.Store(binary.LittleEndian.Uint64(resp[8:16]))
+	a.hb.Store(hb)
 	a.evicted.Store(false)
 	a.lastOK.Store(time.Now().UnixNano())
 	if a.stamp != nil {
@@ -204,10 +203,7 @@ func (a *Agent) FinishDrain() error {
 }
 
 func (a *Agent) drainOp(op byte) error {
-	req := make([]byte, 3)
-	req[0] = op
-	binary.LittleEndian.PutUint16(req[1:3], uint16(a.node))
-	if _, err := a.conn.Call(a.pmfs, Service, req); err != nil {
+	if _, err := a.conn.Call(a.pmfs, Service, wire.AppendU16([]byte{op}, uint16(a.node))); err != nil {
 		return fmt.Errorf("membership: node %d drain op %d: %w", a.node, op, err)
 	}
 	return nil
@@ -314,15 +310,16 @@ func (a *Agent) detectLoop() {
 
 // evict asks the table to fence suspect; returns whether this agent won.
 func (a *Agent) evict(suspect common.NodeID, observedHB uint64, from common.Epoch) (bool, common.Epoch) {
-	req := make([]byte, 21)
-	req[0] = opEvict
-	binary.LittleEndian.PutUint16(req[1:3], uint16(a.node))
-	binary.LittleEndian.PutUint16(req[3:5], uint16(suspect))
-	binary.LittleEndian.PutUint64(req[5:13], observedHB)
-	binary.LittleEndian.PutUint64(req[13:21], uint64(from))
+	req := wire.AppendU16(wire.AppendU16([]byte{opEvict}, uint16(a.node)), uint16(suspect))
+	req = wire.AppendU64(wire.AppendU64(req, observedHB), uint64(from))
 	resp, err := a.conn.Call(a.pmfs, Service, req)
-	if err != nil || len(resp) < 9 {
+	if err != nil {
 		return false, 0
 	}
-	return resp[0] == 1, common.Epoch(binary.LittleEndian.Uint64(resp[1:9]))
+	rd := wire.NewReader(resp)
+	won, epoch := rd.U8() == 1, common.Epoch(rd.U64())
+	if rd.Done() != nil {
+		return false, 0
+	}
+	return won, epoch
 }

@@ -25,13 +25,13 @@
 package membership
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"polardbmp/internal/common"
 	"polardbmp/internal/metrics"
 	"polardbmp/internal/rdma"
+	"polardbmp/internal/wire"
 )
 
 const (
@@ -110,14 +110,12 @@ func CheckNode(node common.NodeID) error {
 	return nil
 }
 
-// Membership service ops.
+// Membership service ops. Every request starts [op u8][node u16].
 const (
-	opJoin    = 1 // [op u8][node u16] -> [epoch u64][hb u64]
-	opEvict   = 2 // [op u8][reporter u16][suspect u16][observedHB u64][fromEpoch u64] -> [won u8][epoch u64]
-	opDrain   = 3 // [op u8][node u16] -> [epoch u64]
-	opDrained = 4 // [op u8][node u16] -> [epoch u64]
-	opAlloc   = 5 // [op u8] -> [node u16]
-	opFree    = 6 // [op u8][node u16] -> []
+	opJoin    = 1 // [op][node] -> [epoch u64][hb u64]
+	opEvict   = 2 // [op][reporter][suspect u16][observedHB u64][fromEpoch u64] -> [won u8][epoch u64]
+	opDrain   = 3 // [op][node] -> [epoch u64]
+	opDrained = 4 // [op][node] -> [epoch u64]
 )
 
 // Table is the PMFS-side membership state. The fabric region is the
@@ -147,71 +145,45 @@ func NewTable(ep *rdma.Endpoint) *Table {
 }
 
 func (t *Table) handle(req []byte) ([]byte, error) {
-	if len(req) < 1 {
-		return nil, common.ErrShortBuffer
+	rd := wire.NewReader(req)
+	op, node := rd.U8(), common.NodeID(rd.U16())
+	var suspect common.NodeID
+	var hb uint64
+	var from common.Epoch
+	if op == opEvict {
+		suspect, hb, from = common.NodeID(rd.U16()), rd.U64(), common.Epoch(rd.U64())
 	}
-	switch req[0] {
+	if op < opJoin || op > opDrained {
+		return nil, fmt.Errorf("membership: op %d: %w", op, common.ErrNoService)
+	}
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("membership: %w", err)
+	}
+	var epoch common.Epoch
+	var err error
+	switch op {
 	case opJoin:
-		if len(req) < 3 {
-			return nil, common.ErrShortBuffer
-		}
-		node := common.NodeID(binary.LittleEndian.Uint16(req[1:3]))
-		epoch, hb, err := t.Join(node)
+		epoch, hb, err = t.Join(node)
 		if err != nil {
 			return nil, err
 		}
-		resp := make([]byte, 16)
-		binary.LittleEndian.PutUint64(resp[0:8], uint64(epoch))
-		binary.LittleEndian.PutUint64(resp[8:16], hb)
-		return resp, nil
+		return wire.AppendU64(wire.AppendU64(nil, uint64(epoch)), hb), nil
 	case opEvict:
-		if len(req) < 21 {
-			return nil, common.ErrShortBuffer
-		}
-		reporter := common.NodeID(binary.LittleEndian.Uint16(req[1:3]))
-		suspect := common.NodeID(binary.LittleEndian.Uint16(req[3:5]))
-		hb := binary.LittleEndian.Uint64(req[5:13])
-		from := common.Epoch(binary.LittleEndian.Uint64(req[13:21]))
-		won, epoch := t.Evict(reporter, suspect, hb, from)
-		resp := make([]byte, 9)
+		won, epoch := t.Evict(node, suspect, hb, from)
+		resp := []byte{0}
 		if won {
 			resp[0] = 1
 		}
-		binary.LittleEndian.PutUint64(resp[1:9], uint64(epoch))
-		return resp, nil
-	case opDrain, opDrained:
-		if len(req) < 3 {
-			return nil, common.ErrShortBuffer
-		}
-		node := common.NodeID(binary.LittleEndian.Uint16(req[1:3]))
-		var epoch common.Epoch
-		var err error
-		if req[0] == opDrain {
-			epoch, err = t.Drain(node)
-		} else {
-			epoch, err = t.Drained(node)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(nil, uint64(epoch)), nil
-	case opAlloc:
-		node, err := t.Alloc()
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint16(nil, uint16(node)), nil
-	case opFree:
-		if len(req) < 3 {
-			return nil, common.ErrShortBuffer
-		}
-		node := common.NodeID(binary.LittleEndian.Uint16(req[1:3]))
-		if err := t.Free(node); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return wire.AppendU64(resp, uint64(epoch)), nil
+	case opDrain:
+		epoch, err = t.Drain(node)
+	default: // opDrained
+		epoch, err = t.Drained(node)
 	}
-	return nil, fmt.Errorf("membership: op %d: %w", req[0], common.ErrNoService)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendU64(nil, uint64(epoch)), nil
 }
 
 // Join admits node (fresh or restarting) under a new incarnation epoch and

@@ -25,10 +25,15 @@ type Conn struct {
 }
 
 // From returns a Conn issuing ops as src, under the fabric's Conn retry
-// policy (SetConnRetry) and src's bound epoch stamp (BindStamp).
+// policy (SetConnRetry) and src's bound epoch stamp (BindStamp). An AnyNode
+// Conn is unbound, as the raw Fabric methods are: its verbs are charged to
+// the fabric-wide Stats only, and it stamps nothing.
 func (f *Fabric) From(src common.NodeID) Conn {
 	f.srcMu.Lock()
 	defer f.srcMu.Unlock()
+	if src == common.AnyNode {
+		return Conn{f: f, src: src, retry: f.retry}
+	}
 	s := f.sourceLocked(src)
 	return Conn{f: f, src: src, ss: &s.stats, retry: f.retry, stamp: s.stamp}
 }

@@ -168,3 +168,29 @@ func TestConnStampsOncePerVerb(t *testing.T) {
 		}
 	}
 }
+
+// TestAnyNodeConnIsUnbound: a Conn issued as AnyNode is charged to the
+// fabric-wide Stats only, as the raw Fabric methods are — no per-source
+// counter exists for it to count into — and it stamps nothing.
+func TestAnyNodeConnIsUnbound(t *testing.T) {
+	f, _ := connFabrics(t, false)
+	stamp := &common.EpochStamp{}
+	f.BindStamp(common.AnyNode, stamp)
+	var last []byte
+	f.Register(3).Serve("rec", func(req []byte) ([]byte, error) { last = req; return nil, nil })
+	conn := f.From(common.AnyNode)
+	for _, v := range connVerbs {
+		if err := v.do(conn); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+	}
+	if _, err := conn.Call(3, "rec", []byte{1}); err != nil || len(last) != 1 {
+		t.Fatalf("AnyNode Call delivered %x (%v), want the unstamped request", last, err)
+	}
+	if got, want := f.Stats().Snapshot().Total(), int64(len(connVerbs)+1); got != want {
+		t.Errorf("fabric Stats counted %d ops, want %d", got, want)
+	}
+	if got := f.SrcStats(common.AnyNode).Snapshot().Total(); got != 0 {
+		t.Errorf("AnyNode per-source counter counted %d ops, want 0", got)
+	}
+}

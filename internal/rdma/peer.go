@@ -162,7 +162,8 @@ func (p *Peer) handshake(c net.Conn) (string, error) {
 	if v := rd.U16(); v != FabricProtoVersion {
 		return "", fmt.Errorf("rdma: peer %s speaks protocol v%d, want v%d", p.addr, v, FabricProtoVersion)
 	}
-	return p.addr + "/" + rd.Str(), rd.Err()
+	name := rd.Str()
+	return p.addr + "/" + name, rd.Done()
 }
 
 // pick returns a live link, redialing one slot if the pool is empty.
@@ -340,12 +341,11 @@ func (s *FabricServer) handshake(c net.Conn) {
 	version := rd.U16()
 	peerID := rd.U64()
 	peerName := rd.Str()
-	k := int(rd.U16())
-	nodes := make([]common.NodeID, 0, k)
-	for i := 0; i < k; i++ {
-		nodes = append(nodes, common.NodeID(rd.U16()))
+	nodes := make([]common.NodeID, rd.Count(uint32(rd.U16()), 2))
+	for i := range nodes {
+		nodes[i] = common.NodeID(rd.U16())
 	}
-	if rd.Err() != nil {
+	if rd.Done() != nil {
 		s.nc.CodecError()
 		_ = c.Close()
 		return

@@ -167,9 +167,15 @@ func (l *peerLink) control(fr wire.Frame) {
 		return
 	}
 	rd := wire.NewReader(fr.Payload)
-	k := int(rd.U16())
-	for i := 0; i < k && rd.Err() == nil; i++ {
-		l.rp.addNode(common.NodeID(rd.U16()))
+	nodes := make([]common.NodeID, rd.Count(uint32(rd.U16()), 2))
+	for i := range nodes {
+		nodes[i] = common.NodeID(rd.U16())
+	}
+	if rd.Done() != nil {
+		return // a malformed announce routes nothing
+	}
+	for _, n := range nodes {
+		l.rp.addNode(n)
 	}
 }
 
@@ -207,7 +213,7 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 	case fopRead:
 		off := int(rd.U64())
 		n := int(rd.U32())
-		if err := decoded(op, rd); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		if n > wire.MaxFrame {
@@ -221,23 +227,20 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 	case fopWrite:
 		off := int(rd.U64())
 		data := rd.Bytes()
-		if err := decoded(op, rd); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		return nil, l.f.write(src, node, name, off, data, ss)
 	case fopReadV:
 		// The segment table is walked twice: sizes first, then the
 		// segments, each a slice of the one response buffer.
-		k, err := decodeCount(op, rd, 12)
-		if err != nil {
-			return nil, err
-		}
+		k := rd.Count(rd.U32(), 12)
 		table, total := *rd, 0
 		for i := 0; i < k; i++ {
 			rd.U64()
 			total += int(rd.U32())
 		}
-		if err := decoded(op, rd); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		if total > wire.MaxFrame {
@@ -254,16 +257,12 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 		}
 		return out, nil
 	case fopWriteV:
-		k, err := decodeCount(op, rd, 12)
-		if err != nil {
-			return nil, err
-		}
-		segs := make([]Seg, k)
+		segs := make([]Seg, rd.Count(rd.U32(), 12))
 		for i := range segs {
 			segs[i].Off = int(rd.U64())
 			segs[i].Buf = rd.Bytes()
 		}
-		if err := decoded(op, rd); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		return nil, l.f.writeV(src, node, name, segs, ss)
@@ -271,7 +270,7 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 		off := int(rd.U64())
 		a := rd.U64()
 		b := rd.U64()
-		if err := decoded(op, rd); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		var prev uint64
@@ -287,12 +286,12 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 		return wire.AppendU64(nil, prev), nil
 	case fopCall:
 		req := rd.Bytes()
-		if err := decoded(op, rd); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		return l.f.call(src, node, name, req, ss)
 	case fopCallBatch:
-		reqs, err := decodeBatch(op, rd)
+		reqs, err := decodeBatch(rd)
 		if err != nil {
 			return nil, err
 		}
@@ -310,42 +309,16 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 	}
 }
 
-// decodeCount decodes a u32 element count and refuses one the rest of the payload
-// cannot hold at min bytes an element, before anything is sized from it.
-func decodeCount(op uint8, rd *wire.Reader, min int) (int, error) {
-	k := int(rd.U32())
-	if rest := len(rd.Rest()); k > rest/min {
-		return 0, fmt.Errorf("wire: fabric op %d: %d elements in %d bytes: %w", op, k, rest, common.ErrCorrupt)
-	}
-	return k, nil
-}
-
 // decodeBatch decodes a count-prefixed list of byte strings: a CallBatch's
 // requests, or its responses. The strings alias the payload, each capped at
 // its own length so an append to one cannot overwrite the next.
-func decodeBatch(op uint8, rd *wire.Reader) ([][]byte, error) {
-	k, err := decodeCount(op, rd, 4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, k)
+func decodeBatch(rd *wire.Reader) ([][]byte, error) {
+	out := make([][]byte, rd.Count(rd.U32(), 4))
 	for i := range out {
 		b := rd.Bytes()
 		out[i] = b[:len(b):len(b)]
 	}
-	return out, decoded(op, rd)
-}
-
-// decoded refuses a payload whose fields did not all decode, or that
-// carries bytes past its last field.
-func decoded(op uint8, rd *wire.Reader) error {
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("wire: fabric op %d: %v: %w", op, err, common.ErrCorrupt)
-	}
-	if n := len(rd.Rest()); n > 0 {
-		return fmt.Errorf("wire: fabric op %d: %d bytes past the last field: %w", op, n, common.ErrCorrupt)
-	}
-	return nil
+	return out, rd.Done()
 }
 
 // --- verb encoding (issuer side) --------------------------------------------
@@ -439,7 +412,7 @@ func (t *netTransport) atomic64(op uint8, src, node common.NodeID, region string
 	}
 	rd := wire.NewReader(out)
 	prev := rd.U64()
-	if err := decoded(op, rd); err != nil {
+	if err := rd.Done(); err != nil {
 		return 0, err
 	}
 	return prev, nil
@@ -470,5 +443,5 @@ func (t *netTransport) CallBatch(src, node common.NodeID, service string, reqs [
 		return nil, err
 	}
 	// out is the response frame's own payload, so the responses may alias it.
-	return decodeBatch(fopCallBatch, wire.NewReader(out))
+	return decodeBatch(wire.NewReader(out))
 }

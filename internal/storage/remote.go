@@ -187,14 +187,11 @@ func serveOp(s API, req []byte) ([]byte, error) {
 			return out, nil
 		}
 	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("storage: rpc request: %v: %w", err, common.ErrCorrupt)
-	}
-	if run == nil {
+	if run == nil && rd.Err() == nil {
 		return nil, fmt.Errorf("storage: rpc op %d: %w", op, common.ErrNoService)
 	}
-	if n := len(rd.Rest()); n > 0 {
-		return nil, fmt.Errorf("storage: rpc op %d: %d bytes past the last field: %w", op, n, common.ErrCorrupt)
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("storage: rpc op %d: %w", op, err)
 	}
 	return run()
 }

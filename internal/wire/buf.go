@@ -37,7 +37,10 @@ func u64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // Reader is a sticky-error cursor over a payload: decode methods return zero
 // values once the payload is exhausted and Err reports the failure, so
-// handlers can decode a whole message and check once.
+// handlers can decode a whole message and check once. It is the one decoder
+// of every fabric and session message: a handler reads its fields, checks
+// its closed-set values, calls Done, and only then acts. NewReader inlines,
+// so a Reader that does not escape lives on the caller's stack.
 type Reader struct {
 	b   []byte
 	err error
@@ -100,6 +103,58 @@ func (r *Reader) U64() uint64 {
 	v := u64(r.b)
 	r.b = r.b[8:]
 	return v
+}
+
+// Count checks the element count k just decoded (a u32 or a u16 prefix):
+// the rest of the payload must hold k elements of at least minElem bytes
+// each. A count it cannot hold fails the reader and yields 0, before the
+// caller sizes anything from it.
+func (r *Reader) Count(k uint32, minElem int) int {
+	if r.err != nil {
+		return 0
+	}
+	if rest := len(r.b); int64(k) > int64(rest/minElem) {
+		r.err = fmt.Errorf("wire: %d elements in %d bytes", k, rest)
+		return 0
+	}
+	return int(k)
+}
+
+// Epoch decodes the optional trailing fusion stamp (common.EpochStamp):
+// nothing left is an unstamped request, epoch 0; exactly 8 bytes are the
+// epoch; anything else is a cut or overlong stamp and fails the reader.
+func (r *Reader) Epoch() common.Epoch {
+	switch {
+	case r.err != nil || len(r.b) == 0:
+		return 0
+	case len(r.b) != 8:
+		r.err = fmt.Errorf("wire: %d-byte epoch stamp", len(r.b))
+		return 0
+	}
+	return common.Epoch(r.U64())
+}
+
+// GTrx decodes a global transaction id in common.GTrxID.Marshal's layout.
+func (r *Reader) GTrx() common.GTrxID {
+	var g common.GTrxID
+	g.Node = common.NodeID(r.U16())
+	g.Trx = common.TrxID(r.U64())
+	g.Slot = r.U32()
+	g.Version = r.U32()
+	return g
+}
+
+// Done ends a message: it returns common.ErrCorrupt when a field failed to
+// decode or bytes are left past the last one, and nil when the payload was
+// consumed exactly.
+func (r *Reader) Done() error {
+	if r.err != nil {
+		return fmt.Errorf("%v: %w", r.err, common.ErrCorrupt)
+	}
+	if len(r.b) > 0 {
+		return fmt.Errorf("wire: %d bytes past the last field: %w", len(r.b), common.ErrCorrupt)
+	}
+	return nil
 }
 
 // Bytes decodes a u32-length-prefixed byte string. The result aliases the

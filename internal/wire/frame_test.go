@@ -124,6 +124,46 @@ func TestReaderSticky(t *testing.T) {
 	}
 }
 
+// TestReaderDone: Done refuses a failed field, an element count the rest
+// cannot hold, a cut or overlong epoch stamp, and bytes past the last field,
+// all as ErrCorrupt; a message consumed exactly passes.
+func TestReaderDone(t *testing.T) {
+	g := common.GTrxID{Node: 3, Trx: 4, Slot: 5, Version: 6}
+	msg := AppendU16(g.Marshal(nil), 2)
+	msg = AppendU16(AppendU16(msg, 7), 8)
+	decode := func(b []byte) (common.GTrxID, []uint16, common.Epoch, error) {
+		rd := NewReader(b)
+		got := rd.GTrx()
+		elems := make([]uint16, rd.Count(uint32(rd.U16()), 2))
+		for i := range elems {
+			elems[i] = rd.U16()
+		}
+		e := rd.Epoch()
+		return got, elems, e, rd.Done()
+	}
+	if got, elems, e, err := decode(msg); err != nil || got != g || len(elems) != 2 || elems[1] != 8 || e != 0 {
+		t.Fatalf("unstamped: %v %v %d %v", got, elems, e, err)
+	}
+	if _, _, e, err := decode(AppendU64(msg, 9)); err != nil || e != 9 {
+		t.Fatalf("stamped: epoch %d, %v", e, err)
+	}
+	for name, b := range map[string][]byte{
+		"cut field":      msg[:5],
+		"overlong count": append(AppendU16(g.Marshal(nil), 3), 0, 7, 0, 8),
+		"cut stamp":      AppendU64(msg, 9)[:len(msg)+7],
+		"overlong stamp": append(AppendU64(msg, 9), 0),
+	} {
+		if _, _, _, err := decode(b); !errors.Is(err, common.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	rd := NewReader([]byte{1, 2})
+	rd.U8()
+	if err := rd.Done(); !errors.Is(err, common.ErrCorrupt) {
+		t.Errorf("a byte past the last field: err = %v, want ErrCorrupt", err)
+	}
+}
+
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Kind: KindRequest, Op: 1, ID: 7, Payload: []byte("seed")}))
 	f.Add([]byte{0, 0, 0, 0})

@@ -223,7 +223,7 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 	case OpBegin:
 		iso := rd.U8()
 		budget := time.Duration(rd.U64()) * time.Microsecond
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		tx, err := ss.srv.be.Begin(iso, budget)
@@ -241,7 +241,7 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		return g.Marshal(AppendU64(nil, ss.registerTx(tx))), nil
 	case OpGet, OpGetForUpdate:
 		id, space, key := rd.U64(), rd.U32(), rd.Bytes()
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		var val []byte
@@ -260,7 +260,7 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		return AppendBytes(nil, val), nil
 	case OpInsert, OpUpdate, OpUpsert:
 		id, space, key, val := rd.U64(), rd.U32(), rd.Bytes(), rd.Bytes()
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		return nil, ss.withTx(id, false, func(tx Tx) error {
@@ -275,13 +275,13 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		})
 	case OpDelete:
 		id, space, key := rd.U64(), rd.U32(), rd.Bytes()
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		return nil, ss.withTx(id, false, func(tx Tx) error { return tx.Delete(space, key) })
 	case OpScan:
 		id, space, from, to, limit := rd.U64(), rd.U32(), rd.Bytes(), rd.Bytes(), rd.U32()
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		// The codec cannot distinguish nil from empty; a zero-length bound
@@ -310,19 +310,19 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		return out, nil
 	case OpCommit:
 		id := rd.U64()
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		return nil, ss.withTx(id, true, func(tx Tx) error { return tx.Commit() })
 	case OpRollback:
 		id := rd.U64()
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		return nil, ss.withTx(id, true, func(tx Tx) error { return tx.Rollback() })
 	case OpCreateSpace:
 		name := rd.Str()
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		space, err := ss.srv.be.CreateSpace(name)
@@ -332,7 +332,7 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		return AppendU32(nil, space), nil
 	case OpSpaceID:
 		name := rd.Str()
-		if err := rd.Err(); err != nil {
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		space, err := ss.srv.be.SpaceID(name)
@@ -341,13 +341,23 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		}
 		return AppendU32(nil, space), nil
 	case OpStats:
+		if err := rd.Done(); err != nil {
+			return nil, err
+		}
 		return ss.srv.be.StatsJSON()
 	case OpPing:
-		return nil, nil
+		return nil, rd.Done()
 	case OpTopology, OpDrain, OpJoinInfo:
 		ab, ok := ss.srv.be.(AdminBackend)
 		if !ok {
 			return nil, fmt.Errorf("wire: session op %d: no admin backend: %w", op, common.ErrNoService)
+		}
+		var node uint16
+		if op == OpDrain {
+			node = rd.U16()
+		}
+		if err := rd.Done(); err != nil {
+			return nil, err
 		}
 		switch op {
 		case OpTopology:
@@ -355,10 +365,6 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		case OpJoinInfo:
 			return ab.JoinInfoJSON()
 		default: // OpDrain
-			node := rd.U16()
-			if err := rd.Err(); err != nil {
-				return nil, err
-			}
 			return nil, ab.Drain(node)
 		}
 	case OpTxStatus:
@@ -366,8 +372,8 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("wire: session op %d: no status backend: %w", op, common.ErrNoService)
 		}
-		g, _, err := common.UnmarshalGTrxID(rd.Rest())
-		if err != nil {
+		g := rd.GTrx()
+		if err := rd.Done(); err != nil {
 			return nil, err
 		}
 		outcome, cts, err := sb.TxStatus(g)
