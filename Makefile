@@ -4,11 +4,11 @@ RACE_PKGS = ./internal/core ./internal/lockfusion ./internal/bufferfusion \
             ./internal/txfusion ./internal/chaos ./internal/chaos/harness ./internal/rdma \
             ./internal/membership ./internal/trace ./internal/wire \
             ./internal/netsrv ./internal/storage ./internal/pmfsrep \
-            ./internal/metrics ./internal/workload
+            ./internal/metrics ./internal/workload ./internal/gateway
 
 .PHONY: all build test test-full race vet smoke brownout-smoke proto-smoke \
         pmfs-smoke cc-smoke elastic-smoke crash-smoke wire-fuzz check \
-        bench-snapshot alloc-budget rt-budget trace-smoke loc
+        alloc-budget rt-budget trace-smoke loc
 
 all: check
 
@@ -131,13 +131,6 @@ trace-smoke:
 	$(GO) run ./cmd/mpbench -trace trace_smoke.json -nodes 2 -quick
 	rm -f trace_smoke.json
 
-# Perf snapshot: the Figure-7 read-write sweep + verb micro benches at the
-# canonical settings (scale=25, 2s/config, 3 threads/node), written as JSON
-# with per-commit fabric op counts and the pre-batching baseline numbers.
-# Each cell runs 3 times; the JSON records the median with min/max spread.
-bench-snapshot:
-	$(GO) run ./cmd/mpbench -snapshot BENCH_pr10.json -dur 2s -threads 3 -repeats 3
-
 # Non-test, non-bench Go source lines: the number every diet PR quotes
 # (29,271 before PR 13, 28,743 after it, 28,398 after PR 14, 27,632 after
 # PR 16, 27,381 after PR 22, 27,240 after PR 24, 27,150 after PR 25, 27,135
@@ -148,6 +141,9 @@ bench-snapshot:
 # one open WAL handle per stream replaced an open per sync, 26,317 after the
 # fabric's one issue path took faults and op counts out of every transport,
 # 26,310 after every fabric service but txfusion's moved to the one checked
-# wire.Reader and the hand-offset decoders went; CI fails above that).
+# wire.Reader and the hand-offset decoders went, 26,105 after the gateway
+# moved to internal/gateway with one session ledger, the optional session
+# backend interfaces folded into wire.Backend and wire.Tx, and the tps_sim
+# snapshot tool went; CI fails above that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

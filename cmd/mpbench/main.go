@@ -37,8 +37,6 @@ func main() {
 	scale := flag.Int("scale", 0, "latency time-scale factor (default 25)")
 	nodes := flag.String("nodes", "", "comma-separated node counts (default 1,2,4,8)")
 	cc := flag.String("cc", "", "concurrency-control engine: 2pl (default) or occ")
-	repeats := flag.Int("repeats", 0, "with -snapshot: measurements per cell, median reported (default 3)")
-	snapshot := flag.String("snapshot", "", "run the Fig7 read-write sweep + micro benches and write a JSON snapshot (with per-commit fabric op counts and the pre-batching baseline) to this path")
 	tracePath := flag.String("trace", "", "run the rw/50 cell with the commit-path tracer on and write the per-stage latency/fabric-op decomposition as JSON to this path (honors -nodes; default 8)")
 	slowTx := flag.Duration("slowtx", 0, "with -trace: also log transactions slower than this into the snapshot")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
@@ -87,7 +85,6 @@ func main() {
 		Threads:  *threads,
 		Scale:    *scale,
 		CC:       *cc,
-		Repeats:  *repeats,
 	}
 	if *nodes != "" {
 		for _, part := range strings.Split(*nodes, ",") {
@@ -108,16 +105,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("[trace done in %v]\n", time.Since(start).Round(time.Second))
-		return
-	}
-
-	if *snapshot != "" {
-		start := time.Now()
-		if _, err := figures.Snapshot(o, *snapshot); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[snapshot done in %v]\n", time.Since(start).Round(time.Second))
 		return
 	}
 

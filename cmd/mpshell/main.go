@@ -208,7 +208,7 @@ with -connect only:
 		}
 		return printStats(raw)
 	case "topology":
-		raw, err := be.(wire.AdminBackend).TopologyJSON()
+		raw, err := be.TopologyJSON()
 		if err != nil {
 			return err
 		}
@@ -234,7 +234,7 @@ with -connect only:
 		if err != nil {
 			return err
 		}
-		if err := be.(wire.AdminBackend).Drain(uint16(n)); err != nil {
+		if err := be.Drain(uint16(n)); err != nil {
 			return err
 		}
 		fmt.Printf("node %d drained\n", n)

@@ -257,6 +257,10 @@ func (t *shardedTx) Update(space uint32, key, value []byte) error {
 	return t.stage(space, key, value, false, false)
 }
 
+// GTrxID completes wire.Tx; a baseline transaction is never served over a
+// session, so it has no global id.
+func (t *shardedTx) GTrxID() common.GTrxID { return common.GTrxID{} }
+
 // Upsert completes wire.Tx; no generator run against the baselines calls it.
 func (t *shardedTx) Upsert(space uint32, key, value []byte) error {
 	return t.stage(space, key, value, false, !t.exists(space, key))

@@ -154,7 +154,7 @@ func (s *Server) initStripes() {
 func (s *Server) SetEpochGate(g common.EpochGate) { s.gate = g }
 
 func bufReq(op byte, node common.NodeID, pg common.PageID, frame uint32, aux uint32) []byte {
-	b := wire.AppendU16(append(make([]byte, 0, 19), op), uint16(node))
+	b := wire.AppendU16(append(make([]byte, 0, 19+common.StampLen), op), uint16(node))
 	return wire.AppendU32(wire.AppendU32(wire.AppendU64(b, uint64(pg)), frame), aux)
 }
 

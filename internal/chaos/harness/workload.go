@@ -126,8 +126,8 @@ func (r *run) worker(ni int) {
 			if err := tx.Commit(); err != nil {
 				return err
 			}
-			g := tx.(wire.GlobalTx).GTrxID()
-			out, cts, err := be.(wire.StatusBackend).TxStatus(g)
+			g := tx.GTrxID()
+			out, cts, err := be.TxStatus(g)
 			r.mu.Lock()
 			defer r.mu.Unlock()
 			o.committed[string(key)] = val

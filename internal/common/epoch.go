@@ -43,9 +43,15 @@ func (s *EpochStamp) Load() Epoch {
 // Store publishes a new incarnation epoch.
 func (s *EpochStamp) Store(e Epoch) { s.v.Store(uint64(e)) }
 
+// StampLen is the length of the epoch stamp. An encoder of a stamped request
+// reserves it in the buffer's capacity, so that Stamp appends in place.
+const StampLen = 8
+
 // Stamp appends the current epoch to a fusion request as an optional
-// trailing field: exactly 8 bytes after the request's last field, which
-// servers read with wire.Reader.Epoch. A cut stamp is a corrupt request.
+// trailing field: exactly StampLen bytes after the request's last field,
+// which servers read with wire.Reader.Epoch. A cut stamp is a corrupt
+// request. Stamp writes into req's spare capacity, so one request buffer
+// must not be stamped by two calls at once.
 func (s *EpochStamp) Stamp(req []byte) []byte {
 	if s == nil {
 		return req
@@ -59,7 +65,7 @@ func (s *EpochStamp) Stamp(req []byte) []byte {
 // calls it; every other fusion service reads its stamp with
 // wire.Reader.Epoch, and this goes when txfusion does too.
 func TrailingEpoch(req []byte, base int) Epoch {
-	if len(req) < base+8 {
+	if len(req) < base+StampLen {
 		return 0
 	}
 	return Epoch(binary.LittleEndian.Uint64(req[base:]))

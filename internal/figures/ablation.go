@@ -171,7 +171,6 @@ func Micro(o Options) (tsoFetch, titRead time.Duration) {
 	tx.Rollback()
 
 	st := db.Cluster.Stats()
-	microLastBytes.read, microLastBytes.written = st.Fabric.BytesRead, st.Fabric.BytesWrite
 	o.printf("TSO fetch (one-sided fetch-add): %v/op\n", tsoFetch)
 	o.printf("remote TIT read (one-sided read): %v/op\n", titRead)
 	o.printf("fabric bytes moved: read %d, written %d (%d reads, %d writes, %d atomics, %d rpcs)\n",

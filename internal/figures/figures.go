@@ -63,9 +63,6 @@ type Options struct {
 	// CC selects the concurrency-control engine for every cluster the run
 	// builds ("2pl" default, "occ" optimistic; see core.Config.CC).
 	CC string
-	// Repeats is how many times Snapshot measures each cell (default 3);
-	// the reported tps_sim is the median, with min/max recorded as spread.
-	Repeats int
 }
 
 func (o *Options) fill() {

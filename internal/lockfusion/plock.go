@@ -29,9 +29,9 @@ const (
 const llsnUnknown = common.LLSN(math.MaxUint64)
 
 // plockReqBuf encodes the 12-byte header every single-page request starts
-// with, into a buffer of capacity size.
+// with, into a buffer with room for size bytes and the epoch stamp.
 func plockReqBuf(op byte, node common.NodeID, pg common.PageID, mode Mode, size int) []byte {
-	b := wire.AppendU16(append(make([]byte, 0, size), op), uint16(node))
+	b := wire.AppendU16(append(make([]byte, 0, size+common.StampLen), op), uint16(node))
 	return append(wire.AppendU64(b, uint64(pg)), byte(mode))
 }
 
@@ -71,7 +71,7 @@ type relPage struct {
 }
 
 func plockReleaseBuf(node common.NodeID, p relPage) []byte {
-	return wire.AppendU64(plockReqBuf(opPLockRelease, node, p.pg, p.mode, 12), uint64(p.llsn))
+	return wire.AppendU64(plockReqBuf(opPLockRelease, node, p.pg, p.mode, 20), uint64(p.llsn))
 }
 
 // relElemLen is the size of one batched-release element: page, mode, LLSN.
@@ -80,7 +80,7 @@ const relElemLen = 17
 // plockReleaseNBuf encodes a batched release: header (op, node, count)
 // followed by count fixed-size elements, with room left for the epoch stamp.
 func plockReleaseNBuf(node common.NodeID, pages []relPage) []byte {
-	b := append(make([]byte, 0, 5+relElemLen*len(pages)+8), opPLockReleaseN)
+	b := append(make([]byte, 0, 5+relElemLen*len(pages)+common.StampLen), opPLockReleaseN)
 	b = wire.AppendU16(wire.AppendU16(b, uint16(node)), uint16(len(pages)))
 	for _, p := range pages {
 		b = append(wire.AppendU64(b, uint64(p.pg)), byte(p.mode))

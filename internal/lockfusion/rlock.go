@@ -55,7 +55,7 @@ func newRLockServer(ep *rdma.Endpoint, fabric *rdma.Fabric) *RLockServer {
 func (s *RLockServer) SetEpochGate(g common.EpochGate) { s.gate = g }
 
 func marshalTwoG(op byte, a, b common.GTrxID) []byte {
-	buf := make([]byte, 0, 1+2*common.GTrxIDSize)
+	buf := make([]byte, 0, 1+2*common.GTrxIDSize+common.StampLen)
 	buf = append(buf, op)
 	buf = a.Marshal(buf)
 	buf = b.Marshal(buf)

@@ -28,16 +28,11 @@ type Backend struct {
 // New returns the wire backend for node n of cluster c.
 func New(c *core.Cluster, n *core.Node) *Backend { return &Backend{c: c, n: n} }
 
-var (
-	_ wire.Backend       = (*Backend)(nil)
-	_ wire.AdminBackend  = (*Backend)(nil)
-	_ wire.StatusBackend = (*Backend)(nil)
-	_ wire.GlobalTx      = (*netTx)(nil)
-)
+var _ wire.Backend = (*Backend)(nil)
 
 // TxStatus resolves a transaction's outcome from its global id
-// (wire.StatusBackend; OpTxStatus). The resolution chain —
-// journal, TIT, owner fabric call, membership fate rule — lives in core.
+// (OpTxStatus). The resolution chain — journal, TIT, owner fabric call,
+// membership fate rule — lives in core.
 func (b *Backend) TxStatus(g common.GTrxID) (uint8, uint64, error) {
 	out, cts, err := b.c.TxStatus(g)
 	return uint8(out), uint64(cts), err
@@ -65,17 +60,17 @@ func (b *Backend) SetJoinInfo(ji JoinInfo) {
 	b.join = ji
 }
 
-// TopologyJSON serves the cluster topology snapshot (wire.AdminBackend).
+// TopologyJSON serves the cluster topology snapshot (OpTopology).
 func (b *Backend) TopologyJSON() ([]byte, error) {
 	return b.c.TopologyJSON()
 }
 
-// Drain gracefully drains a node hosted by this process (wire.AdminBackend).
+// Drain gracefully drains a node hosted by this process (OpDrain).
 func (b *Backend) Drain(node uint16) error {
 	return b.c.DrainNode(common.NodeID(node))
 }
 
-// JoinInfoJSON serves the join coordinates (wire.AdminBackend).
+// JoinInfoJSON serves the join coordinates (OpJoinInfo).
 func (b *Backend) JoinInfoJSON() ([]byte, error) {
 	ji := b.join
 	ji.Node = int(b.n.ID())
@@ -155,8 +150,8 @@ func (t *netTx) Scan(space uint32, from, to []byte, limit int) ([]wire.KV, error
 func (t *netTx) Commit() error   { return t.tx().Commit() }
 func (t *netTx) Rollback() error { return t.tx().Rollback() }
 
-// GTrxID exposes the engine's global transaction id (wire.GlobalTx): the
-// OpBegin response carries it so the client can resolve ambiguous commits.
+// GTrxID exposes the engine's global transaction id: the OpBegin response
+// carries it so the client can resolve ambiguous commits.
 func (t *netTx) GTrxID() common.GTrxID { return t.tx().GTrxID() }
 
 // DB is an in-process cluster as the workload generators drive it

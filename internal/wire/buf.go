@@ -121,13 +121,14 @@ func (r *Reader) Count(k uint32, minElem int) int {
 }
 
 // Epoch decodes the optional trailing fusion stamp (common.EpochStamp):
-// nothing left is an unstamped request, epoch 0; exactly 8 bytes are the
-// epoch; anything else is a cut or overlong stamp and fails the reader.
+// nothing left is an unstamped request, epoch 0; exactly common.StampLen
+// bytes are the epoch; anything else is a cut or overlong stamp and fails the
+// reader.
 func (r *Reader) Epoch() common.Epoch {
 	switch {
 	case r.err != nil || len(r.b) == 0:
 		return 0
-	case len(r.b) != 8:
+	case len(r.b) != common.StampLen:
 		r.err = fmt.Errorf("wire: %d-byte epoch stamp", len(r.b))
 		return 0
 	}

@@ -159,8 +159,7 @@ func (c *Client) StatsJSON() ([]byte, error) {
 	return c.call(OpStats, nil)
 }
 
-// TopologyJSON fetches the cluster topology snapshot (a server without an
-// admin backend answers ErrNoService).
+// TopologyJSON fetches the cluster topology snapshot.
 func (c *Client) TopologyJSON() ([]byte, error) {
 	return c.call(OpTopology, nil)
 }
@@ -271,9 +270,9 @@ func (c *Client) Begin(iso uint8, budget time.Duration) (*ClientTx, error) {
 	return tx, nil
 }
 
-// ClientBackend presents a Client as a Backend and an AdminBackend, so code
-// written against those interfaces runs unchanged over the network. Every
-// method is the Client's own; Begin alone needs its result widened to Tx.
+// ClientBackend presents a Client as a Backend, so code written against that
+// interface runs unchanged over the network. Every method is the Client's
+// own; Begin alone needs its result widened to Tx.
 type ClientBackend struct{ *Client }
 
 // Begin is Client.Begin returning the interface type.
@@ -289,12 +288,11 @@ func (c ClientBackend) Begin(iso uint8, budget time.Duration) (Tx, error) {
 type ClientTx struct {
 	sc   *sessionConn
 	id   uint64
-	gtrx common.GTrxID // global id (zero when the backend has none)
+	gtrx common.GTrxID // global id, from the OpBegin response
 }
 
-// GTrx returns the transaction's global id (zero when the backend has no
-// global ids).
-func (tx *ClientTx) GTrx() common.GTrxID { return tx.gtrx }
+// GTrxID returns the transaction's global id.
+func (tx *ClientTx) GTrxID() common.GTrxID { return tx.gtrx }
 
 func (tx *ClientTx) keyReq(space uint32, key []byte) []byte {
 	b := AppendU64(nil, tx.id)

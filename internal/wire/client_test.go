@@ -15,10 +15,10 @@ import (
 	"polardbmp/internal/common"
 )
 
-// stubBackend is an in-memory Backend + StatusBackend for exercising the
-// client's reconnect and ambiguity paths without an engine: committed writes
-// land in data, rollbacks are observable on a channel, and hooks let tests
-// block or fail a commit at the exact moment a connection dies.
+// stubBackend is an in-memory Backend for exercising the client's reconnect
+// and ambiguity paths without an engine: committed writes land in data,
+// rollbacks are observable on a channel, and hooks let tests block or fail a
+// commit at the exact moment a connection dies.
 type stubBackend struct {
 	mu      sync.Mutex
 	data    map[string][]byte
@@ -54,6 +54,9 @@ func (b *stubBackend) Begin(iso uint8, budget time.Duration) (Tx, error) {
 func (b *stubBackend) CreateSpace(name string) (uint32, error) { return 1, nil }
 func (b *stubBackend) SpaceID(name string) (uint32, error)     { return 1, nil }
 func (b *stubBackend) StatsJSON() ([]byte, error)              { return []byte("{}"), nil }
+func (b *stubBackend) TopologyJSON() ([]byte, error)           { return []byte("{}"), nil }
+func (b *stubBackend) Drain(node uint16) error                 { return nil }
+func (b *stubBackend) JoinInfoJSON() ([]byte, error)           { return []byte("{}"), nil }
 
 func (b *stubBackend) TxStatus(g common.GTrxID) (uint8, uint64, error) {
 	if b.statusHook != nil {
@@ -255,7 +258,7 @@ func TestCommitAmbiguousWhenConnDiesMidCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tx.GTrx().Zero() {
+	if tx.GTrxID().Zero() {
 		t.Fatal("v3 begin returned a zero global transaction id")
 	}
 	if err := tx.Insert(1, []byte("k"), []byte("v")); err != nil {
@@ -281,8 +284,8 @@ func TestCommitAmbiguousWhenConnDiesMidCommit(t *testing.T) {
 	if !errors.Is(err, common.ErrCommitAmbiguous) {
 		t.Fatalf("ambiguous commit error does not match ErrCommitAmbiguous: %v", err)
 	}
-	if amb.GTrx != tx.GTrx() {
-		t.Fatalf("ambiguous commit carries gtrx %v; want %v", amb.GTrx, tx.GTrx())
+	if amb.GTrx != tx.GTrxID() {
+		t.Fatalf("ambiguous commit carries gtrx %v; want %v", amb.GTrx, tx.GTrxID())
 	}
 	// The commit DID land server-side — exactly why the client must not
 	// guess "aborted".
@@ -312,8 +315,8 @@ func TestCommitAmbiguousSentinelRoundTrip(t *testing.T) {
 	}
 	err = tx.Commit()
 	var amb *AmbiguousCommitError
-	if !errors.As(err, &amb) || amb.GTrx != tx.GTrx() {
-		t.Fatalf("server-reported ambiguity = %v; want *AmbiguousCommitError with gtrx %v", err, tx.GTrx())
+	if !errors.As(err, &amb) || amb.GTrx != tx.GTrxID() {
+		t.Fatalf("server-reported ambiguity = %v; want *AmbiguousCommitError with gtrx %v", err, tx.GTrxID())
 	}
 }
 
@@ -360,7 +363,7 @@ func TestServerRollsBackOrphanedTxOnDisconnect(t *testing.T) {
 	if err := tx.Insert(1, []byte("orphan"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	g := tx.GTrx()
+	g := tx.GTrxID()
 	cl.Close() // vanish without commit or rollback
 
 	select {

@@ -231,14 +231,8 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		// The response carries the engine's global transaction id so the
-		// client can resolve an ambiguous commit. A backend without global
-		// ids sends the zero id (the client then cannot resolve, only report
-		// ambiguity).
-		var g common.GTrxID
-		if gt, ok := tx.(GlobalTx); ok {
-			g = gt.GTrxID()
-		}
-		return g.Marshal(AppendU64(nil, ss.registerTx(tx))), nil
+		// client can resolve an ambiguous commit.
+		return tx.GTrxID().Marshal(AppendU64(nil, ss.registerTx(tx))), nil
 	case OpGet, OpGetForUpdate:
 		id, space, key := rd.U64(), rd.U32(), rd.Bytes()
 		if err := rd.Done(); err != nil {
@@ -347,36 +341,26 @@ func (ss *session) serve(op uint8, payload []byte) ([]byte, error) {
 		return ss.srv.be.StatsJSON()
 	case OpPing:
 		return nil, rd.Done()
-	case OpTopology, OpDrain, OpJoinInfo:
-		ab, ok := ss.srv.be.(AdminBackend)
-		if !ok {
-			return nil, fmt.Errorf("wire: session op %d: no admin backend: %w", op, common.ErrNoService)
-		}
-		var node uint16
-		if op == OpDrain {
-			node = rd.U16()
-		}
+	case OpTopology, OpJoinInfo:
 		if err := rd.Done(); err != nil {
 			return nil, err
 		}
-		switch op {
-		case OpTopology:
-			return ab.TopologyJSON()
-		case OpJoinInfo:
-			return ab.JoinInfoJSON()
-		default: // OpDrain
-			return nil, ab.Drain(node)
+		if op == OpTopology {
+			return ss.srv.be.TopologyJSON()
 		}
+		return ss.srv.be.JoinInfoJSON()
+	case OpDrain:
+		node := rd.U16()
+		if err := rd.Done(); err != nil {
+			return nil, err
+		}
+		return nil, ss.srv.be.Drain(node)
 	case OpTxStatus:
-		sb, ok := ss.srv.be.(StatusBackend)
-		if !ok {
-			return nil, fmt.Errorf("wire: session op %d: no status backend: %w", op, common.ErrNoService)
-		}
 		g := rd.GTrx()
 		if err := rd.Done(); err != nil {
 			return nil, err
 		}
-		outcome, cts, err := sb.TxStatus(g)
+		outcome, cts, err := ss.srv.be.TxStatus(g)
 		if err != nil {
 			return nil, err
 		}

@@ -35,14 +35,13 @@ const (
 	OpStats        uint8 = 13 // [] -> [stats JSON bytes]
 	OpPing         uint8 = 14 // [] -> []
 
-	// Admin ops. Refused (ErrNoService) on backends without the admin surface.
+	// Admin ops.
 	OpTopology uint8 = 15 // [] -> [topology JSON bytes]
 	OpDrain    uint8 = 16 // [node u16] -> []
 	OpJoinInfo uint8 = 17 // [] -> [join-info JSON bytes]
 
 	// Resolve a transaction's outcome from its global id (the token the
-	// OpBegin response carries). Refused (ErrNoService) on backends without
-	// the status surface.
+	// OpBegin response carries).
 	OpTxStatus uint8 = 18 // [gtrx] -> [outcome u8][cts u64]
 )
 
@@ -68,10 +67,10 @@ type KV struct {
 	Value []byte
 }
 
-// Backend is the database surface a session server exposes. The netsrv
-// package adapts *core.Cluster to it; keeping the interface here (in
-// primitive types) lets wire stay free of engine imports so rdma and core
-// can both build on it.
+// Backend is the database surface a session server exposes; every backend
+// serves every session op. The netsrv package adapts *core.Cluster to it;
+// keeping the interface here (in primitive types) lets wire stay free of
+// engine imports so rdma and core can both build on it.
 type Backend interface {
 	// Begin opens a transaction. budget > 0 propagates the client's
 	// end-to-end deadline into the engine (ErrDeadlineExceeded on expiry).
@@ -82,14 +81,6 @@ type Backend interface {
 	SpaceID(name string) (uint32, error)
 	// StatsJSON returns the process's stats snapshot as JSON.
 	StatsJSON() ([]byte, error)
-}
-
-// AdminBackend is the optional cluster-administration surface behind the
-// admin session ops. A Backend that also implements it serves topology snapshots,
-// graceful drains, and join info; one that does not answers the admin ops
-// with ErrNoService. Kept separate from Backend so existing adapters stay
-// source-compatible.
-type AdminBackend interface {
 	// TopologyJSON returns the cluster topology snapshot as JSON.
 	TopologyJSON() ([]byte, error)
 	// Drain gracefully drains node (blocking until it finished or the drain
@@ -98,28 +89,18 @@ type AdminBackend interface {
 	// JoinInfoJSON describes how a new process joins this cluster (fabric
 	// address, cluster name, this daemon's node ids) as JSON.
 	JoinInfoJSON() ([]byte, error)
-}
-
-// StatusBackend is the optional transaction-status surface behind the
-// OpTxStatus op: resolve the outcome of a (possibly foreign) transaction
-// from its global id. Backends without it answer OpTxStatus with
-// ErrNoService.
-type StatusBackend interface {
-	// TxStatus reports one of the TxStatus* outcomes and, for committed
+	// TxStatus resolves the outcome of a (possibly foreign) transaction from
+	// its global id: one of the TxStatus* outcomes and, for committed
 	// transactions, the commit timestamp.
 	TxStatus(g common.GTrxID) (outcome uint8, cts uint64, err error)
-}
-
-// GlobalTx is the optional Tx extension exposing the engine's global
-// transaction id. When the backend's transactions implement it, the OpBegin
-// response carries the id so the client can resolve an ambiguous commit.
-type GlobalTx interface {
-	GTrxID() common.GTrxID
 }
 
 // Tx is one open transaction on the backend. The server serializes calls on
 // a single Tx; distinct transactions proceed concurrently.
 type Tx interface {
+	// GTrxID is the engine's global transaction id. The OpBegin response
+	// carries it so the client can resolve an ambiguous commit.
+	GTrxID() common.GTrxID
 	Get(space uint32, key []byte) ([]byte, error)
 	GetForUpdate(space uint32, key []byte) ([]byte, error)
 	Insert(space uint32, key, value []byte) error
