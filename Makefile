@@ -144,6 +144,8 @@ trace-smoke:
 # wire.Reader and the hand-offset decoders went, 26,105 after the gateway
 # moved to internal/gateway with one session ledger, the optional session
 # backend interfaces folded into wire.Backend and wire.Tx, and the tps_sim
-# snapshot tool went; CI fails above that).
+# snapshot tool went, 26,090 after the gateway relay gave each fact one
+# owner and its failover goroutine and generation check went; CI fails above
+# that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"polardbmp/internal/core"
+	"polardbmp/internal/gateway"
 	"polardbmp/internal/wire"
 	"polardbmp/internal/workload"
 )
@@ -332,7 +333,7 @@ func (h *procHarness) run(seed int64) error {
 	if _, err := h.spawn("sat1b", "mpserver", sat1Sess, append(lease, "-name", "sat1b", "-join", seedFab)...); err != nil {
 		h.fail("replacement satellite never served: %v", err)
 	}
-	var gw gatewayStats
+	var gw gateway.Stats
 	if !waitUntil(10*time.Second, 100*time.Millisecond, func() bool {
 		stats(gwHTTP, &gw)
 		for _, b := range gw.Backends {
@@ -421,7 +422,8 @@ func httpGet(port int, path string) ([]byte, error) {
 }
 
 // stats decodes a daemon's /stats document into v, left as it is while the
-// daemon is unreachable: the seed's is a core.ClusterStats.
+// daemon is unreachable: the seed's is a core.ClusterStats, mpgateway's a
+// gateway.Stats.
 func stats(port int, v any) {
 	if body, err := httpGet(port, "/stats"); err == nil {
 		_ = json.Unmarshal(body, v)
@@ -432,15 +434,6 @@ func seedMembership(port int) core.MembershipStats {
 	var s core.ClusterStats
 	stats(port, &s)
 	return s.Membership
-}
-
-// gatewayStats is what the harness reads of mpgateway's /stats document.
-type gatewayStats struct {
-	Backends []struct {
-		Addr    string `json:"addr"`
-		Healthy bool   `json:"healthy"`
-		Active  int    `json:"active_sessions"`
-	} `json:"backends"`
 }
 
 func readGoroutines(port int) int {

@@ -87,12 +87,16 @@ type Gateway struct {
 	nc       *wire.NetCounters
 	stop     chan struct{}
 	wg       sync.WaitGroup // probers and sessions
+
+	mu      sync.Mutex
+	clients map[net.Conn]struct{} // live sessions' client conns, closed by Close
+	closed  bool
 }
 
 // New returns a gateway over the mpserver session addresses addrs, each
 // probed for health every probe interval from now until Close.
 func New(addrs []string, probe time.Duration) *Gateway {
-	gw := &Gateway{nc: &wire.NetCounters{}, stop: make(chan struct{})}
+	gw := &Gateway{nc: &wire.NetCounters{}, stop: make(chan struct{}), clients: make(map[net.Conn]struct{})}
 	for _, a := range addrs {
 		gw.backends = append(gw.backends, &backend{addr: a})
 	}
@@ -111,15 +115,38 @@ func (gw *Gateway) Serve(lis net.Listener) {
 		if err != nil {
 			return
 		}
+		gw.mu.Lock()
+		if gw.closed {
+			gw.mu.Unlock()
+			_ = conn.Close()
+			continue
+		}
+		gw.clients[conn] = struct{}{}
 		gw.wg.Add(1)
+		gw.mu.Unlock()
 		go gw.serve(conn)
 	}
 }
 
-// Close stops the probers and waits for them and for every session to end.
-// Close the listeners first, so that no new session starts.
+// untrack closes a session's client conn and forgets it.
+func (gw *Gateway) untrack(conn net.Conn) {
+	_ = conn.Close()
+	gw.mu.Lock()
+	delete(gw.clients, conn)
+	gw.mu.Unlock()
+}
+
+// Close stops the probers, ends every live session by closing its client
+// conn, and waits for all of them. Close the listeners first, so that no
+// new session starts.
 func (gw *Gateway) Close() {
 	close(gw.stop)
+	gw.mu.Lock()
+	gw.closed = true
+	for conn := range gw.clients {
+		_ = conn.Close()
+	}
+	gw.mu.Unlock()
 	gw.wg.Wait()
 }
 

@@ -312,3 +312,38 @@ func TestGatewayNoGoroutineLeakUnderRepeatedKills(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 }
+
+// TestGatewayCloseEndsIdleSessions: Close must not wait for clients to hang
+// up. It ends every live session, so a daemon with an idle client connected
+// still shuts down, and that client's next call fails typed.
+func TestGatewayCloseEndsIdleSessions(t *testing.T) {
+	addr, stop := startFake(t, &fakeBackend{}, "backend-a")
+	defer stop()
+	gw, gwAddr, gwStop := startGateway(t, addr)
+	waitHealthy(t, gw, addr)
+
+	cl, err := wire.DialSession(gwAddr, wire.SessionConfig{Name: "close-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		gwStop()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		cl.Close() // let Close return before the test ends
+		<-closed
+		t.Fatal("Close had not returned 2s after it was called with an idle client connected")
+	}
+	if err := cl.Ping(); !errors.Is(err, common.ErrUnreachable) {
+		t.Fatalf("ping after Close = %v; want ErrUnreachable", err)
+	}
+}

@@ -38,7 +38,7 @@ func newMigrationRig(t *testing.T) *migrationRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cl.Close) // runs before gwStop, which waits for the session
+	t.Cleanup(cl.Close)
 	r.cl = cl
 	return r
 }

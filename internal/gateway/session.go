@@ -12,50 +12,54 @@ import (
 )
 
 // session is one proxied client connection, pinned to a backend but
-// migratable: the request loop owns the client->upstream direction and the
-// migration decision, the pump goroutine owns upstream->client. A session
-// only moves when its ledger holds no request in flight and no open
-// transaction handle, so the swap never strands a response.
+// movable. Each fact has one owner. The request loop owns the pin (b,
+// upstream, pumpDone): it alone re-pins, enters requests in the ledger and
+// writes them upstream, each at most once, to the upstream pinned when it
+// was entered. A session only migrates when its ledger holds no request in
+// flight and no open transaction handle, so the swap never strands a
+// response.
 //
-// When the pinned backend dies mid-session (SIGKILL, partition), the session
-// does not die with it: failover() answers every in-flight request with a
-// typed status — ErrCommitAmbiguous for an OpCommit whose outcome the dead
-// backend took with it (the client resolves it via OpTxStatus/ResolveTx
-// against a survivor), ErrUnreachable for everything else — then re-pins the
-// session to a healthy backend. Transaction handles opened on the dead
-// backend are remembered as stale so later requests against them fail typed
-// at the gateway instead of confusing the new backend.
+// The pump owns its upstream's death. However it ends — the backend died
+// (SIGKILL, partition), a cutover or the session's end closed the
+// upstream, a client write failed — it answers every request still in the
+// ledger with a typed status (ErrCommitAmbiguous for an OpCommit whose
+// outcome the backend may have taken with it; the client resolves it via
+// OpTxStatus/ResolveTx against a survivor. ErrUnreachable for everything
+// else), marks the transaction handles opened on that upstream stale, so
+// later requests against them fail typed at the gateway instead of
+// confusing the next backend, and marks the session down. The request loop
+// re-pins a down session at the next client frame.
 type session struct {
 	gw     *Gateway
 	client net.Conn
-	hello  []byte // client hello payload, replayed at the new backend on migration
+	hello  []byte // client hello payload, replayed at every re-pin
 
-	// umu guards the pinned-upstream state (b, upstream, pumpDone, gen,
-	// dead) across migration and failover; gen stamps each pinning, so a
-	// death report for an upstream that was already replaced — by a
-	// failover or by a migration's cutover — is recognised and dropped.
-	umu      sync.Mutex
+	// The pin: touched by the request loop only.
 	b        *backend
 	upstream net.Conn
 	pumpDone chan struct{}
-	gen      int
-	dead     bool
 
 	// cmu serializes writes to the client between the pump and the
 	// stale-transaction synthesizer in the request loop.
 	cmu sync.Mutex
 
-	// pmu guards the session ledger. pending remembers enough of each
-	// forwarded request to synthesize its response if the upstream dies
-	// first; liveTx holds handles opened on the current upstream, staleTx
-	// those stranded on dead ones.
+	// pmu guards the session ledger and the down mark. pending remembers
+	// enough of each forwarded request to synthesize its response if its
+	// upstream dies first; liveTx holds handles opened on the current
+	// upstream, staleTx those stranded on dead ones. down is nil while the
+	// pinned upstream's pump runs, and what ended it after.
 	pmu     sync.Mutex
 	pending map[uint64]pendingReq
 	liveTx  map[uint64]bool
 	staleTx map[uint64]bool
+	down    error
 }
 
-// pendingReq is what failover needs to answer one in-flight request: the op
+// errClientGone marks a session whose pump could not write to the client:
+// the session ends rather than re-pin, and no backend is blamed.
+var errClientGone = errors.New("gateway: client write failed")
+
+// pendingReq is what the pump needs to answer one in-flight request: the op
 // (an OpCommit becomes ErrCommitAmbiguous, anything else ErrUnreachable) and
 // the transaction handle it referenced, if any.
 type pendingReq struct {
@@ -92,13 +96,13 @@ func (gw *Gateway) dialBackend(b *backend, hello []byte) (net.Conn, []byte, erro
 }
 
 // serve pins one client session to one backend and proxies frames both ways
-// until either side hangs up. The gateway terminates the handshake read so it
-// can replay the client's hello on migration, but relays the backend's ack
-// verbatim — the client still sees the backend's name and the negotiated
-// protocol version end to end.
+// until the client hangs up or no backend is left. The gateway terminates
+// the handshake read so it can replay the client's hello on a re-pin, but
+// relays the backend's ack verbatim — the client still sees the backend's
+// name and the negotiated protocol version end to end.
 func (gw *Gateway) serve(client net.Conn) {
 	defer gw.wg.Done()
-	defer client.Close()
+	defer gw.untrack(client)
 
 	hf, _, err := wire.ReadFrame(client, nil)
 	if err != nil || hf.Kind != wire.KindControl || hf.Op != wire.SessHello {
@@ -136,25 +140,23 @@ func (gw *Gateway) serve(client net.Conn) {
 		liveTx:   make(map[uint64]bool),
 		staleTx:  make(map[uint64]bool),
 	}
-	go s.pump(upstream, s.pumpDone, 0)
+	go s.pump(upstream, s.pumpDone)
 	s.requestLoop()
 
-	s.umu.Lock()
-	s.dead = true // end of session: a late death report must not re-pin
-	up, done, last := s.upstream, s.pumpDone, s.b
-	s.umu.Unlock()
-	_ = up.Close()
-	<-done
-	last.mu.Lock()
-	last.active--
-	last.mu.Unlock()
+	_ = s.upstream.Close()
+	<-s.pumpDone
+	s.b.mu.Lock()
+	s.b.active--
+	s.b.mu.Unlock()
 }
 
-// requestLoop reads client frames and forwards them upstream, entering each
-// request in the ledger and, when the pinned backend starts draining,
-// moving the session at the next transaction boundary: an OpBegin
-// arriving with nothing pending and no live handle is preceded by a silent
-// re-handshake against a healthier backend.
+// requestLoop reads client frames and forwards them upstream. An OpBegin
+// at a transaction boundary on a draining backend first moves the session
+// (migrate). Every frame then enters in one pmu section that finds the
+// session up, re-pinning a down session first: a request against a stale
+// handle is answered here, any other request enters the ledger, and the
+// frame is written once to the upstream it entered on. A failed write
+// closes that upstream and waits for its pump, which answers the request.
 func (s *session) requestLoop() {
 	br := bufio.NewReader(s.client) // one read(2) per frame, not one per prefix and body
 	var rbuf, wbuf []byte
@@ -168,74 +170,58 @@ func (s *session) requestLoop() {
 		}
 		rbuf = buf
 		s.gw.nc.FrameIn(f.WireSize())
+		if f.Kind == wire.KindRequest && f.Op == wire.OpBegin {
+			s.migrate()
+		}
+		s.pmu.Lock()
+		for s.down != nil {
+			down := s.down
+			s.pmu.Unlock()
+			if !s.rescue(down) {
+				return
+			}
+			s.pmu.Lock()
+		}
+		stale := false
 		if f.Kind == wire.KindRequest {
 			var tx uint64
 			if txHandleOp(f.Op) {
 				tx = wire.NewReader(f.Payload).U64()
-				s.pmu.Lock()
-				stale := s.staleTx[tx]
-				s.pmu.Unlock()
-				if stale {
-					// The handle belongs to a backend that died: answer here
-					// instead of confusing the new backend with a foreign id.
-					// The dead backend rolled the transaction back when the
-					// gateway's connection to it dropped, so a rollback is
-					// trivially satisfied and anything else failed transient —
-					// a commit for a stale handle was never sent anywhere, so
-					// it is a plain failure, not an ambiguous one.
-					if f.Op == wire.OpRollback {
-						s.synthesize(f.ID, f.Op, nil)
-					} else {
-						s.synthesize(f.ID, f.Op, common.ErrUnreachable)
-					}
-					continue
-				}
+				stale = s.staleTx[tx]
 			}
-			if f.Op == wire.OpBegin && s.idle() {
-				s.migrate()
+			if !stale {
+				s.pending[f.ID] = pendingReq{op: f.Op, tx: tx}
 			}
-			s.pmu.Lock()
-			s.pending[f.ID] = pendingReq{op: f.Op, tx: tx}
-			s.pmu.Unlock()
 		}
-		for {
-			up, gen := s.up()
-			if up == nil {
-				return
+		s.pmu.Unlock()
+		if stale {
+			// The handle belongs to a backend that died: answer here
+			// instead of confusing the new backend with a foreign id. The
+			// dead backend rolled the transaction back when the gateway's
+			// connection to it dropped, so a rollback is trivially
+			// satisfied and anything else failed transient — a commit for
+			// a stale handle was never sent anywhere, so it is a plain
+			// failure, not an ambiguous one.
+			if f.Op == wire.OpRollback {
+				s.synthesize(f.ID, f.Op, nil)
+			} else {
+				s.synthesize(f.ID, f.Op, common.ErrUnreachable)
 			}
-			wbuf, err = wire.WriteFrame(up, wbuf, f)
-			if err == nil {
-				break
-			}
-			if !s.failover(gen) {
-				return
-			}
-			if f.Kind == wire.KindRequest {
-				// failover answered every pending request — including this
-				// one — so there is nothing left to forward.
-				break
-			}
+			continue
+		}
+		if wbuf, err = wire.WriteFrame(s.upstream, wbuf, f); err != nil {
+			_ = s.upstream.Close()
+			<-s.pumpDone
 		}
 	}
 }
 
-// idle reports a transaction boundary: no request in flight and no
-// transaction handle open on the current upstream.
+// idle reports a transaction boundary: the session is up, with no request
+// in flight and no transaction handle open on the current upstream.
 func (s *session) idle() bool {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	return len(s.pending) == 0 && len(s.liveTx) == 0
-}
-
-// up snapshots the pinned upstream and its generation (nil once the session
-// is dead).
-func (s *session) up() (net.Conn, int) {
-	s.umu.Lock()
-	defer s.umu.Unlock()
-	if s.dead {
-		return nil, s.gen
-	}
-	return s.upstream, s.gen
+	return s.down == nil && len(s.pending) == 0 && len(s.liveTx) == 0
 }
 
 // synthesize answers one client request at the gateway with a typed status.
@@ -249,74 +235,40 @@ func (s *session) synthesize(id uint64, op uint8, err error) {
 	}
 }
 
-// failover handles the death of the upstream pinned at generation gen:
-// answer everything in flight with a typed status (an OpCommit's outcome
-// died with the backend — ErrCommitAmbiguous tells the client to resolve it
-// via OpTxStatus on a survivor; anything else failed transient), mark the
-// open transaction handles stale, and re-pin the session to a healthy
-// backend with a replayed hello. Idempotent per generation: a late death
-// report for an upstream already replaced, by a failover or a migration, is
-// a no-op. Returns false when the session is over (no backend left; the
-// client connection is closed).
-func (s *session) failover(gen int) bool {
-	s.umu.Lock()
-	defer s.umu.Unlock()
-	if s.dead {
+// rescue re-pins a session whose pump ended with down, once that pump has
+// answered the ledger: it marks the old backend failed and moves to the
+// best other one with a replayed hello. It returns false when the session
+// is over: the client is gone, or no backend is left (the client's next
+// connect lands on whatever the gateway has then).
+func (s *session) rescue(down error) bool {
+	<-s.pumpDone
+	if down == errClientGone {
 		return false
-	}
-	if s.gen != gen {
-		return true // this upstream was already replaced
 	}
 	_ = s.upstream.Close()
-	<-s.pumpDone // pump exited: client writes are ours until a new pump runs
-
-	s.pmu.Lock()
-	pend := s.pending
-	s.pending = make(map[uint64]pendingReq)
-	for tx := range s.liveTx {
-		s.staleTx[tx] = true
-	}
-	s.liveTx = make(map[uint64]bool)
-	s.pmu.Unlock()
-	for id, pr := range pend {
-		if pr.op == wire.OpCommit {
-			s.synthesize(id, pr.op, common.ErrCommitAmbiguous)
-		} else {
-			s.synthesize(id, pr.op, common.ErrUnreachable)
-		}
-	}
-
-	old := s.b
-	old.mu.Lock()
-	old.failLocked(errors.New("session upstream died"))
-	old.mu.Unlock()
-
-	nb := s.gw.pick(old)
-	var conn net.Conn
-	var err error
-	if nb != nil {
-		conn, _, err = s.gw.dialBackend(nb, s.hello)
-	}
-	if nb == nil || err != nil {
-		// Nowhere to go: end the session; the client's next connect lands on
-		// whatever the gateway has then.
-		s.dead = true
-		_ = s.client.Close()
+	s.b.mu.Lock()
+	s.b.failLocked(errors.New("session upstream died"))
+	s.b.mu.Unlock()
+	nb := s.gw.pick(s.b)
+	if nb == nil {
 		return false
 	}
-	s.repinLocked(nb, conn)
+	conn, _, err := s.gw.dialBackend(nb, s.hello)
+	if err != nil {
+		return false
+	}
+	s.repin(nb, conn)
 	return true
 }
 
-// migrate moves the session off a draining backend to a better one: dial
-// and handshake first, and only on success stop the old pump, swap the
-// upstream, and restart. Any failure leaves the session where it was — the
-// draining backend keeps serving in-flight work, so staying put is always
-// safe. The caller has checked that the session is idle.
+// migrate moves an idle session off a draining backend to a better one:
+// dial and handshake first, and only on success close the old upstream,
+// wait for its pump, and re-pin. The pump finds the ledger empty, so it
+// answers nothing, and no backend is marked failed. Any failure leaves the
+// session where it was — the draining backend keeps serving in-flight
+// work, so staying put is always safe.
 func (s *session) migrate() {
-	s.umu.Lock()
-	defer s.umu.Unlock()
-	if s.dead || !s.b.draining() {
+	if !s.idle() || !s.b.draining() {
 		return
 	}
 	nb := s.gw.pick(s.b)
@@ -333,19 +285,15 @@ func (s *session) migrate() {
 	if err != nil {
 		return
 	}
-	// Cut over. The old upstream owes no response; closing it stops the
-	// pump, whose exit confirms nobody is writing to the client. Its death
-	// report names the old generation, which repinLocked retires.
 	_ = s.upstream.Close()
 	<-s.pumpDone
-	s.repinLocked(nb, conn)
+	s.repin(nb, conn)
 }
 
-// repinLocked moves the session onto conn, freshly dialed at nb, once the
-// old upstream's pump has exited: the connection counters, both backends'
-// session counts, the upstream swap, and a new pump under the next
-// generation. Caller holds s.umu.
-func (s *session) repinLocked(nb *backend, conn net.Conn) {
+// repin moves the session onto conn, freshly dialed at nb, once the old
+// upstream's pump has exited: the connection counters, both backends'
+// session counts, the pin, and a new pump.
+func (s *session) repin(nb *backend, conn net.Conn) {
 	s.gw.nc.ConnClosed()
 	s.gw.nc.ConnOpened(true)
 	s.b.mu.Lock()
@@ -357,34 +305,31 @@ func (s *session) repinLocked(nb *backend, conn net.Conn) {
 	nb.mu.Unlock()
 
 	s.b, s.upstream = nb, conn
-	s.gen++
 	s.pumpDone = make(chan struct{})
-	go s.pump(conn, s.pumpDone, s.gen)
+	s.pmu.Lock()
+	s.down = nil
+	s.pmu.Unlock()
+	go s.pump(conn, s.pumpDone)
 }
 
 // pump relays upstream responses to the client, settling each in the ledger
 // before the client can see it. Responses echo the request's op, so no
-// request/response correlation state is needed beyond the ledger.
-func (s *session) pump(upstream net.Conn, done chan struct{}, gen int) {
-	defer close(done)
+// request/response correlation state is needed beyond the ledger. Its one
+// exit answers for the upstream (see session).
+func (s *session) pump(upstream net.Conn, done chan struct{}) {
 	br := bufio.NewReader(upstream) // one read(2) per frame, not one per prefix and body
 	var rbuf, wbuf []byte
+	var down error
 	for {
 		f, buf, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
-			// The backend died, or a migration closed this upstream to cut
-			// over; IsCodecError is false for a cutover's closed-connection
-			// error, so only a garbled stream counts as a codec error.
-			// Either way hand the death to failover from a fresh goroutine
-			// (it waits for this one's exit): after a cutover s.gen has moved
-			// on and it returns at once, answering nothing and marking no
-			// backend failed; after a real death it answers the in-flight
-			// window and re-pins the session instead of killing it.
+			// IsCodecError is false for a closed or reset connection, so
+			// only a garbled stream counts as a codec error.
 			if wire.IsCodecError(err) {
 				s.gw.nc.CodecError()
 			}
-			go s.failover(gen)
-			return
+			down = err
+			break
 		}
 		rbuf = buf
 		if f.Kind == wire.KindResponse {
@@ -394,11 +339,31 @@ func (s *session) pump(upstream net.Conn, done chan struct{}, gen int) {
 		wbuf, err = wire.WriteFrame(s.client, wbuf, f)
 		s.cmu.Unlock()
 		if err != nil {
-			_ = upstream.Close()
-			return
+			// The client conn, not the upstream: the request loop's next
+			// read fails and ends the session.
+			_ = s.client.Close()
+			down = errClientGone
+			break
 		}
 		s.gw.nc.FrameOut(f.WireSize())
 	}
+
+	s.pmu.Lock()
+	for id, pr := range s.pending {
+		if pr.op == wire.OpCommit {
+			s.synthesize(id, pr.op, common.ErrCommitAmbiguous)
+		} else {
+			s.synthesize(id, pr.op, common.ErrUnreachable)
+		}
+	}
+	clear(s.pending)
+	for tx := range s.liveTx {
+		s.staleTx[tx] = true
+	}
+	clear(s.liveTx)
+	s.down = down
+	s.pmu.Unlock()
+	close(done)
 }
 
 // settle retires a response's request from the ledger: its pending entry
