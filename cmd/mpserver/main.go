@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"polardbmp"
-	"polardbmp/internal/common"
 	"polardbmp/internal/core"
 	"polardbmp/internal/netsrv"
 	"polardbmp/internal/rdma"
@@ -155,26 +154,6 @@ func run(listen, fabricAddr, join, data, httpAddr, name string, cfg core.Config)
 			}
 			w.Header().Set("Content-Type", "application/json")
 			_, _ = w.Write(b)
-		})
-		// POST /drain?node=N gracefully drains a node hosted here; with no
-		// node parameter it drains this daemon's own node.
-		mux.HandleFunc("/drain", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				http.Error(w, "POST only", http.StatusMethodNotAllowed)
-				return
-			}
-			id := int(n.ID())
-			if q := r.URL.Query().Get("node"); q != "" {
-				if _, err := fmt.Sscanf(q, "%d", &id); err != nil {
-					http.Error(w, "bad node parameter", http.StatusBadRequest)
-					return
-				}
-			}
-			if err := c.DrainNode(common.NodeID(id)); err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			fmt.Fprintf(w, "node %d drained\n", id)
 		})
 		// POST /netfault injects connection-level faults on this process's
 		// fabric links (JSON {"peer":"","mode":"partition|blackhole|heal",

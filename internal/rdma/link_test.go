@@ -44,12 +44,12 @@ func writeHex(t *testing.T, conn net.Conn, h string) {
 // TestSessionGoldenFrames does the session's: the dialer's hello, the
 // acceptor's hello-ack, one fopRead request and its response, one announce.
 // The bytes are what this test read at the commit before peerLink moved onto
-// wire.Link (the hello's random peer id zeroed); FabricProtoVersion 1 means
-// exactly these.
+// wire.Link (the hello's random peer id zeroed), with the hello and the
+// hello-ack carrying FabricProtoVersion 2.
 func TestFabricGoldenFrames(t *testing.T) {
 	const (
-		helloHex    = "22000000030100000000000000000100000000000000000006000000676f6c64656e01000700"
-		ackHex      = "1a0000000302000000000000000000000000000001000400000073656564"
+		helloHex    = "22000000030100000000000000000200000000000000000006000000676f6c64656e01000700"
+		ackHex      = "1a0000000302000000000000000000000000000002000400000073656564"
 		readReqHex  = "210000000101010000000000000002000100030000006d656d100000000000000008000000"
 		readRespHex = "18000000020101000000000000000000000000001011121314151617"
 		announceHex = "0e0000000303000000000000000001000900"
@@ -130,7 +130,7 @@ func TestFabricGoldenFrames(t *testing.T) {
 // leaves the counter at 0, a length prefix below the frame header or above
 // MaxFrame makes it 1.
 func TestFabricLinkCodecErrors(t *testing.T) {
-	hello, _ := hex.DecodeString("22000000030100000000000000000100000000000000000006000000676f6c64656e01000700")
+	hello, _ := hex.DecodeString("22000000030100000000000000000200000000000000000006000000676f6c64656e01000700")
 	for name, tc := range map[string]struct {
 		after func(c net.Conn)
 		want  int64

@@ -32,7 +32,7 @@ import (
 // FabricProtoVersion is the peer-link protocol version. The handshake
 // refuses mismatched peers so frame-format changes fail loudly at connect
 // time rather than corrupting verbs mid-stream.
-const FabricProtoVersion uint16 = 1
+const FabricProtoVersion uint16 = 2
 
 // Fabric-peer opcodes (wire.KindRequest).
 const (

@@ -18,9 +18,7 @@ type API interface {
 	AllocPage() common.PageID
 	ReadPage(id common.PageID) ([]byte, error)
 	WritePage(id common.PageID, img []byte) error
-	HasPage(id common.PageID) bool
 	PageIDs() []common.PageID
-	PageCount() int
 
 	// Metadata area.
 	PutMeta(key string, val []byte)

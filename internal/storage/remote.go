@@ -17,12 +17,16 @@
 // append-AT: the client sends the end LSN it expects, and the server applies
 // only if the stream still ends there — observing end == expect+len(data)
 // instead means the lost reply's append DID land and the retry is
-// acknowledged without re-applying. Every ship/sync response piggybacks the
-// stream's fenced flag so the writer's LogFenced check sees fencing without
-// an extra RPC; a tail the server refused (the stream was fenced, or moved,
-// under it) and an uplink that died for good both fail LogFenced safe to
-// true, which makes wal.Writer close itself — its Durable() never reaches the
-// refused records, so no commit in them is acknowledged.
+// acknowledged without re-applying.
+//
+// The fence is never polled. LogFenced reads a flag that only the client's
+// own calls and replies write: its FenceLog and UnfenceLog, the fence bit
+// every ship reply carries, a tail the seed refused (the stream was fenced,
+// or moved, under it) and an uplink that died for good. The last three fail
+// the flag safe to true, which makes wal.Writer close itself — its Durable()
+// never reaches the refused records, so no commit in them is acknowledged. A
+// fence set by another process is learned at the next ship, at the latest
+// the commit's LogSync, before anything in the tail is acknowledged.
 package storage
 
 import (
@@ -39,14 +43,15 @@ import (
 // the PMFS endpoint.
 const ServiceStorage = "pmfs.storage"
 
-// Storage proxy opcodes (first payload byte).
+// Storage proxy opcodes (first payload byte). A deleted op leaves a _, so
+// every op keeps its number and no number is reused.
 const (
 	sopAllocPage uint8 = iota + 1
 	sopReadPage
 	sopWritePage
-	sopHasPage
+	_
 	sopPageIDs
-	sopPageCount
+	_
 	sopPutMeta
 	sopGetMeta
 	sopLogAppendAt
@@ -58,14 +63,10 @@ const (
 	sopLogCrash
 	sopLogFence
 	sopLogUnfence
-	sopLogFenced
+	_
 	sopLogTruncate
 	sopLogNodes
 )
-
-// fenceTTL bounds how stale a cached fenced=false may get before LogFenced
-// re-asks the seed. Append/sync responses refresh the cache for free.
-const fenceTTL = 100 * time.Millisecond
 
 // Serve registers the storage RPC service for s on ep (the seed does this on
 // the PMFS endpoint). Responses are [status][result]; all integers LE.
@@ -93,9 +94,6 @@ func serveOp(s API, req []byte) ([]byte, error) {
 	case sopWritePage:
 		id, img := common.PageID(rd.U64()), rd.Bytes()
 		run = func() ([]byte, error) { return nil, s.WritePage(id, img) }
-	case sopHasPage:
-		id := common.PageID(rd.U64())
-		run = func() ([]byte, error) { return appendFlags(nil, s.HasPage(id)), nil }
 	case sopPageIDs:
 		run = func() ([]byte, error) {
 			ids := s.PageIDs()
@@ -105,8 +103,6 @@ func serveOp(s API, req []byte) ([]byte, error) {
 			}
 			return out, nil
 		}
-	case sopPageCount:
-		run = func() ([]byte, error) { return wire.AppendU32(nil, uint32(s.PageCount())), nil }
 	case sopPutMeta:
 		key, val := rd.Str(), rd.Bytes()
 		run = func() ([]byte, error) { s.PutMeta(key, val); return nil, nil }
@@ -171,9 +167,6 @@ func serveOp(s API, req []byte) ([]byte, error) {
 	case sopLogUnfence:
 		node := common.NodeID(rd.U16())
 		run = func() ([]byte, error) { s.UnfenceLog(node); return nil, nil }
-	case sopLogFenced:
-		node := common.NodeID(rd.U16())
-		run = func() ([]byte, error) { return appendFlags(nil, s.LogFenced(node)), nil }
 	case sopLogTruncate:
 		node, lsn := common.NodeID(rd.U16()), common.LSN(rd.U64())
 		run = func() ([]byte, error) { s.LogTruncate(node, lsn); return nil, nil }
@@ -237,7 +230,7 @@ func appendFlags(out []byte, flags ...bool) []byte {
 const maxLogTail = 256 << 10
 
 // remoteStream is the client-side shadow of one log stream: its end LSN, the
-// un-shipped tail ending there, and the fenced cache.
+// un-shipped tail ending there, and the fence as the client last learned it.
 type remoteStream struct {
 	// shipMu serializes ships of the tail (at most one append-at in flight
 	// per stream, so expected LSNs stay contiguous) and guards req. It is
@@ -251,7 +244,6 @@ type remoteStream struct {
 	endKnown bool
 	tail     []byte // appended but not yet shipped: the bytes [end-len(tail), end)
 	fenced   bool
-	fencedAt time.Time
 }
 
 // Remote implements API over the fabric storage service. It is safe for
@@ -283,8 +275,8 @@ func NewRemote(conn rdma.Conn) *Remote {
 		// fenced, which permanently closes the node's wal.Writer: a node
 		// that still holds its lease would be bricked, committing nothing
 		// ever again. If retries DO exhaust, the uplink has been dead far
-		// longer than any lease, the seed has evicted us, and the sticky
-		// fence below converges with the server-side truth.
+		// longer than any lease, the seed has evicted us, and the fail-safe
+		// fence converges with the server-side truth.
 		rp:      common.RetryPolicy{MaxAttempts: 40, BaseDelay: time.Millisecond, MaxDelay: 400 * time.Millisecond},
 		streams: make(map[common.NodeID]*remoteStream),
 	}
@@ -374,12 +366,6 @@ func (r *Remote) WritePage(id common.PageID, img []byte) error {
 	return err
 }
 
-// HasPage reports page existence.
-func (r *Remote) HasPage(id common.PageID) bool {
-	out := r.mustCall("has page", wire.AppendU64(reqOp(sopHasPage), uint64(id)))
-	return len(out) == 1 && out[0] == 1
-}
-
 // PageIDs lists every stored page id.
 func (r *Remote) PageIDs() []common.PageID {
 	out := r.mustCall("page ids", reqOp(sopPageIDs))
@@ -390,12 +376,6 @@ func (r *Remote) PageIDs() []common.PageID {
 		ids = append(ids, common.PageID(rd.U64()))
 	}
 	return ids
-}
-
-// PageCount returns the stored page count.
-func (r *Remote) PageCount() int {
-	out := r.mustCall("page count", reqOp(sopPageCount))
-	return int(wire.NewReader(out).U32())
 }
 
 // PutMeta stores a metadata blob.
@@ -426,7 +406,7 @@ func (r *Remote) LogAppend(node common.NodeID, data []byte) common.LSN {
 		if err != nil {
 			// Uplink gone: report the stream fenced so wal.Writer closes
 			// cleanly; nothing was durably acknowledged.
-			st.markFencedLocked()
+			st.fenced = true
 		} else {
 			st.end = common.LSN(wire.NewReader(out).U64())
 			st.endKnown = true
@@ -485,19 +465,18 @@ func (r *Remote) ship(node common.NodeID, op uint8) common.LSN {
 	if err != nil {
 		// Uplink gone: report the stream fenced so wal.Writer closes
 		// cleanly; nothing in the tail was durably acknowledged.
-		st.markFencedLocked()
+		st.fenced = true
 		return 0
 	}
 	rd := wire.NewReader(out)
 	lsn := common.LSN(rd.U64())
 	st.fenced = rd.U8() == 1
-	st.fencedAt = time.Now()
 	if applied := rd.U8() == 1; !applied {
 		// The seed refused the tail: the stream was fenced, or no longer
 		// ends where this client tracked it. The records are gone, and the
 		// seed's durable LSN may cover another incarnation's: this one's
 		// writer must stop, and must not take that LSN for its own.
-		st.markFencedLocked()
+		st.fenced = true
 		return 0
 	}
 	return lsn
@@ -513,14 +492,6 @@ func (r *Remote) dropTail(node common.NodeID) {
 	st.endKnown = false
 	st.mu.Unlock()
 	st.shipMu.Unlock()
-}
-
-// markFencedLocked fails the stream safe after a dead uplink or a refused
-// tail: the writer sees fenced and closes instead of panicking on a misplaced
-// LSN.
-func (st *remoteStream) markFencedLocked() {
-	st.fenced = true
-	st.fencedAt = time.Now().Add(time.Hour) // sticky: no TTL refresh
 }
 
 func (r *Remote) logLSN(op uint8, node common.NodeID) common.LSN {
@@ -574,7 +545,6 @@ func (r *Remote) FenceLog(node common.NodeID) {
 	st := r.stream(node)
 	st.mu.Lock()
 	st.fenced = true
-	st.fencedAt = time.Now()
 	st.mu.Unlock()
 }
 
@@ -584,32 +554,17 @@ func (r *Remote) UnfenceLog(node common.NodeID) {
 	st := r.stream(node)
 	st.mu.Lock()
 	st.fenced = false
-	st.fencedAt = time.Now()
 	st.mu.Unlock()
 }
 
-// LogFenced reports the stream's fenced flag: from cache while fresh
-// (append/sync responses refresh it for free), by RPC otherwise, and
-// fail-safe true when the uplink is unreachable.
+// LogFenced reports the stream's fence as this client last learned it, from
+// its own FenceLog/UnfenceLog and its ships' replies; it sends nothing. A
+// dead uplink or a refused tail reads as fenced.
 func (r *Remote) LogFenced(node common.NodeID) bool {
 	st := r.stream(node)
 	st.mu.Lock()
-	if st.fenced || time.Since(st.fencedAt) < fenceTTL {
-		f := st.fenced
-		st.mu.Unlock()
-		return f
-	}
-	st.mu.Unlock()
-	out, err := r.call(reqNode(sopLogFenced, node))
-	if err != nil {
-		return true
-	}
-	fenced := len(out) == 1 && out[0] == 1
-	st.mu.Lock()
-	st.fenced = fenced
-	st.fencedAt = time.Now()
-	st.mu.Unlock()
-	return fenced
+	defer st.mu.Unlock()
+	return st.fenced
 }
 
 // LogTruncate discards the stream prefix below lsn. The tail ships first, so

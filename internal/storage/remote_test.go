@@ -55,8 +55,8 @@ func TestRemotePageAndMetaOps(t *testing.T) {
 	r := h.rem
 
 	id := r.AllocPage()
-	if r.HasPage(id) {
-		t.Fatal("page exists before write")
+	if ids := r.PageIDs(); len(ids) != 0 {
+		t.Fatalf("page ids %v before the write", ids)
 	}
 	if _, err := r.ReadPage(id); !errors.Is(err, common.ErrNotFound) {
 		t.Fatalf("read missing page: %v", err)
@@ -68,9 +68,6 @@ func TestRemotePageAndMetaOps(t *testing.T) {
 	got, err := r.ReadPage(id)
 	if err != nil || !bytes.Equal(got, img) {
 		t.Fatalf("read back: %v %d bytes", err, len(got))
-	}
-	if !r.HasPage(id) || r.PageCount() != 1 {
-		t.Fatalf("has=%v count=%d", r.HasPage(id), r.PageCount())
 	}
 	if ids := r.PageIDs(); len(ids) != 1 || ids[0] != id {
 		t.Fatalf("page ids %v", ids)
@@ -231,8 +228,7 @@ func TestRemoteFencedPiggyback(t *testing.T) {
 	}
 	// Another process fences the stream at the seed while the satellite holds
 	// an un-shipped tail. The sync's response carries the flag, so the
-	// satellite's cached view flips without waiting out the TTL or issuing a
-	// LogFenced RPC.
+	// satellite learns the fence from the one RPC it sends anyway.
 	r.LogAppend(node, []byte("dropped"))
 	h.seed.FenceLog(node)
 	before := h.rpcs()
@@ -572,13 +568,68 @@ func TestRemoteUplinkLossFailsSafe(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Error-less ops on the log path fail SAFE: the stream reports fenced
-	// and appends stop acknowledging, so a wal.Writer closes cleanly.
+	// Error-less ops on the log path fail SAFE: the sync that finds the
+	// uplink dead acknowledges nothing and the stream reports fenced from
+	// then on, so a wal.Writer closes cleanly. The fence is learned at the
+	// sync, which is what gates every commit.
 	if got := r.LogAppend(node, []byte("lost")); got != 3 {
 		t.Fatalf("dead-uplink append placed at %d", got)
+	}
+	if d := r.LogSync(node); d != 0 {
+		t.Fatalf("dead-uplink sync returned durable %d, want 0", d)
 	}
 	if !r.LogFenced(node) {
 		t.Fatal("dead uplink must report fenced")
 	}
-	r.LogSync(node) // must not hang or panic
+}
+
+// An idle writer's next Append must not wait on the uplink: the fence is
+// learned from the replies of what the client sends anyway, so an Append
+// after an idle spell sends nothing and cannot block under the writer's lock
+// while the uplink is cut. The Sync that follows rides the cut out, and the
+// writer stays open.
+func TestIdleAppendRidesOutUplinkBlip(t *testing.T) {
+	h := newRemoteHarness(t)
+	const node = common.NodeID(17)
+
+	w := wal.NewWriter(h.rem, node)
+	end := w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: 1})
+	w.Sync(end)
+	time.Sleep(150 * time.Millisecond)
+
+	var cut atomic.Bool
+	var rpcs atomic.Int64
+	cut.Store(true)
+	h.fb.SetInjector(func(op common.FaultOp) common.FaultDecision {
+		if op.Class != common.FaultRPC {
+			return common.FaultDecision{}
+		}
+		rpcs.Add(1)
+		if cut.Load() {
+			return common.FaultDecision{Err: common.ErrInjected}
+		}
+		return common.FaultDecision{}
+	})
+	heal := time.AfterFunc(time.Second, func() { cut.Store(false) })
+	defer heal.Stop()
+
+	start := time.Now()
+	end = w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: 2})
+	if took, n := time.Since(start), rpcs.Load(); took > 50*time.Millisecond || n != 0 {
+		t.Fatalf("Append after an idle spell took %v and sent %d uplink RPCs, want < 50ms and 0", took, n)
+	}
+	w.Sync(end)
+	if d := h.seed.LogDurableLSN(node); d != end {
+		t.Fatalf("durable %d want %d: the commit did not ride out the cut", d, end)
+	}
+	if w.Durable() != end {
+		t.Fatalf("writer durable %d want %d", w.Durable(), end)
+	}
+
+	// The writer is still open: the next commit lands too.
+	end = w.Append(&wal.Record{Type: wal.RecCommit, Node: node, LLSN: 3})
+	w.Sync(end)
+	if d := h.seed.LogDurableLSN(node); d != end {
+		t.Fatalf("durable %d want %d: writer closed after the cut", d, end)
+	}
 }

@@ -303,8 +303,8 @@ func (w *Writer) Append(rec *Record) common.LSN {
 	}
 	rec.LSN = w.nextLSN
 	lsn := w.store.LogAppend(w.node, buf)
-	if lsn != w.nextLSN || w.store.LogFenced(w.node) {
-		if w.store.LogFenced(w.node) {
+	if fenced := w.store.LogFenced(w.node); lsn != w.nextLSN || fenced {
+		if fenced {
 			// A survivor fenced the stream for takeover: the append was
 			// dropped at the storage layer (or raced LogCrashVolatile).
 			// This writer belongs to an evicted incarnation — close it.
