@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -345,5 +346,40 @@ func TestGatewayCloseEndsIdleSessions(t *testing.T) {
 	}
 	if err := cl.Ping(); !errors.Is(err, common.ErrUnreachable) {
 		t.Fatalf("ping after Close = %v; want ErrUnreachable", err)
+	}
+}
+
+// TestGatewayDropsSilentClient: a client that connects and never sends its
+// hello holds nothing past backendTimeout. The gateway closes the
+// connection and the session goroutine ends, taking its clients entry with
+// it, while the gateway itself stays up.
+func TestGatewayDropsSilentClient(t *testing.T) {
+	t.Parallel()
+	addr, stop := startFake(t, &fakeBackend{}, "backend-a")
+	defer stop()
+	gw, gwAddr, gwStop := startGateway(t, addr)
+	defer gwStop()
+
+	conn, err := net.Dial("tcp", gwAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetReadDeadline(time.Now().Add(backendTimeout + 5*time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read on a silent client connection = %v; want EOF from the gateway closing it", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		gw.mu.Lock()
+		n := len(gw.clients)
+		gw.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still tracked after the silent client was closed", n)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

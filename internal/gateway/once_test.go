@@ -71,15 +71,12 @@ func serveDying(conn net.Conn, probeAddr string) {
 // each id got and how many of them succeeded.
 func pipelineOnce(t *testing.T, gwAddr string, op uint8, payload []byte, n int) (answers map[uint64]int, ok int) {
 	t.Helper()
-	conn, err := net.Dial("tcp", gwAddr)
+	hello := wire.Frame{Kind: wire.KindControl, Op: wire.SessHello, Payload: wire.AppendHello(nil, wire.SessionProtoVersion, "once-test")}
+	conn, _, _, err := wire.Dial(gwAddr, nil, hello, wire.SessHelloAck, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := wire.Frame{Kind: wire.KindControl, Op: wire.SessHello, Payload: wire.AppendHello(nil, wire.SessionProtoVersion, "once-test")}
-	if _, _, err := wire.Hello(conn, nil, hello, wire.SessHelloAck, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
 	var out []byte
 	for id := uint64(1); id <= uint64(n); id++ {
 		out = wire.AppendFrame(out, wire.Frame{Kind: wire.KindRequest, Op: op, ID: id, Payload: payload})

@@ -70,7 +70,8 @@ type pendingReq struct {
 // txHandleOp reports requests whose payload leads with a transaction handle.
 func txHandleOp(op uint8) bool { return op >= wire.OpGet && op <= wire.OpRollback }
 
-// backendTimeout bounds a backend dial and, separately, its hello exchange.
+// backendTimeout bounds a backend dial and, separately, its hello exchange;
+// it also bounds the wait for a client's hello.
 const backendTimeout = 3 * time.Second
 
 // dialBackend dials b and runs the session handshake with the given client
@@ -79,17 +80,18 @@ const backendTimeout = 3 * time.Second
 // and handshake are each bounded, so a backend that accepts and then says
 // nothing costs a timeout, not the session.
 func (gw *Gateway) dialBackend(b *backend, hello []byte) (net.Conn, []byte, error) {
-	conn, err := net.DialTimeout("tcp", b.addr, backendTimeout)
-	if err != nil {
+	hf := wire.Frame{Kind: wire.KindControl, Op: wire.SessHello, Payload: hello}
+	conn, ack, _, err := wire.Dial(b.addr, nil, hf, wire.SessHelloAck, backendTimeout)
+	// Only a failed TCP dial, the one error wire.Dial wraps a *net.OpError
+	// in, counts against the backend; a hello it refused or never answered
+	// does not.
+	var dialErr *net.OpError
+	if errors.As(err, &dialErr) {
 		b.mu.Lock()
 		b.failLocked(err)
 		b.mu.Unlock()
-		return nil, nil, err
 	}
-	hf := wire.Frame{Kind: wire.KindControl, Op: wire.SessHello, Payload: hello}
-	ack, _, err := wire.Hello(conn, nil, hf, wire.SessHelloAck, backendTimeout)
 	if err != nil {
-		_ = conn.Close()
 		return nil, nil, err
 	}
 	return conn, ack, nil
@@ -104,10 +106,14 @@ func (gw *Gateway) serve(client net.Conn) {
 	defer gw.wg.Done()
 	defer gw.untrack(client)
 
+	// A client that connects and says nothing must not hold a goroutine,
+	// an fd and a clients entry until Close.
+	_ = client.SetReadDeadline(time.Now().Add(backendTimeout))
 	hf, _, err := wire.ReadFrame(client, nil)
 	if err != nil || hf.Kind != wire.KindControl || hf.Op != wire.SessHello {
 		return
 	}
+	_ = client.SetReadDeadline(time.Time{})
 	gw.nc.FrameIn(hf.WireSize())
 	hello := append([]byte(nil), hf.Payload...)
 

@@ -42,7 +42,7 @@ func sessionServer(t *testing.T, cfg core.Config) (*core.Cluster, *wire.Server, 
 
 func TestSessionEndToEnd(t *testing.T) {
 	_, _, addr := sessionServer(t, core.Config{RecycleInterval: -1})
-	cl, err := wire.DialSession(addr, wire.SessionConfig{Name: "e2e", Conns: 2})
+	cl, err := wire.DialSession(addr, wire.SessionConfig{Name: "e2e"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSessionEndToEnd(t *testing.T) {
 	if stats.Commits == 0 {
 		t.Fatal("stats lost the commit counter")
 	}
-	if stats.Net == nil || stats.Net.FramesIn == 0 || stats.Net.ConnsAccepted != 2 {
+	if stats.Net == nil || stats.Net.FramesIn == 0 || stats.Net.ConnsAccepted != 1 {
 		t.Fatalf("net stats section: %+v", stats.Net)
 	}
 }
@@ -238,7 +238,7 @@ func TestSessionGoroutineLeakUnderChaos(t *testing.T) {
 			wg.Add(1)
 			go func(ci int) {
 				defer wg.Done()
-				cl, err := wire.DialSession(addr, wire.SessionConfig{Name: fmt.Sprintf("c%d", ci), Conns: 2})
+				cl, err := wire.DialSession(addr, wire.SessionConfig{Name: fmt.Sprintf("c%d", ci)})
 				if err != nil {
 					t.Errorf("dial: %v", err)
 					return

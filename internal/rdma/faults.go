@@ -2,7 +2,6 @@ package rdma
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,38 +234,4 @@ func (f *Fabric) SetLinkFault(peer, mode string, d time.Duration) error {
 		return nil
 	}
 	return f.faults.Set(peer, mode, d)
-}
-
-// --- reconnect backoff -------------------------------------------------------
-
-// Redial backoff bounds: a dead slot's first redial waits redialBackoffMin,
-// doubling per consecutive failure to redialBackoffMax, with ±25% jitter so
-// a cluster of clients does not thundering-herd a restarted peer. Success
-// resets the slot to zero (the next failure starts over at the minimum).
-var (
-	redialBackoffMin = 50 * time.Millisecond
-	redialBackoffMax = 2 * time.Second
-)
-
-// nextBackoff returns the undithered backoff that follows cur: min on the
-// first failure, doubling up to max. Jitter is applied separately (jittered)
-// when the wait deadline is computed, so repeated doubling never compounds
-// the dither.
-func nextBackoff(cur time.Duration) time.Duration {
-	if cur < redialBackoffMin {
-		return redialBackoffMin
-	}
-	next := cur * 2
-	if next > redialBackoffMax {
-		return redialBackoffMax
-	}
-	return next
-}
-
-// jittered spreads d by ±25%.
-func jittered(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
 }

@@ -64,7 +64,7 @@ func TestFabricGoldenFrames(t *testing.T) {
 	fb := NewFabric(Latency{})
 	dialed := make(chan *Peer, 1)
 	go func() {
-		p, err := DialPeer(fb, lis.Addr().String(), PeerConfig{Name: "golden", Conns: 1, Hosted: []common.NodeID{7}})
+		p, err := DialPeer(fb, lis.Addr().String(), PeerConfig{Name: "golden", Hosted: []common.NodeID{7}})
 		if err != nil {
 			t.Error(err)
 		}
@@ -190,5 +190,39 @@ func TestPeerLinkRoundTripAllocs(t *testing.T) {
 		}
 	}); a > 8 {
 		t.Fatalf("zero-length fabric read: %.1f allocs per round trip, parent 8", a)
+	}
+}
+
+// The acceptor counts the dialer's hello as the dialer counted it: one frame
+// out at the dialer is one frame in at the acceptor. A first frame that is
+// not a hello is a codec error, as it is for the session server.
+func TestFabricAcceptorCountsHello(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snc, dnc := &wire.NetCounters{}, &wire.NetCounters{}
+	srv := ServeFabric(NewFabric(Latency{}), lis, "seed", snc)
+	defer srv.Close()
+	peer, err := DialPeer(NewFabric(Latency{}), lis.Addr().String(), PeerConfig{Name: "sat", Counters: dnc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if out, in := dnc.Snapshot().FramesOut, snc.Snapshot().FramesIn; out != 1 || in != out {
+		t.Fatalf("dialer counted %d frames out, acceptor %d in; want the hello on both", out, in)
+	}
+
+	c, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	writeHex(t, c, "210000000101010000000000000002000100030000006d656d100000000000000008000000")
+	if _, _, err := wire.ReadFrame(c, nil); err == nil {
+		t.Fatal("acceptor answered a request sent in place of the hello")
+	}
+	if got := snc.Snapshot(); got.FramesIn != 2 || got.CodecErrors != 1 {
+		t.Fatalf("after a request in place of the hello: frames in %d, codec errors %d; want 2 and 1", got.FramesIn, got.CodecErrors)
 	}
 }

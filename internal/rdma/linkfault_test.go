@@ -18,15 +18,7 @@ func shortKeepalive(t *testing.T, interval time.Duration, misses int) {
 	t.Cleanup(func() { keepaliveIntervalNs.Store(oi); keepaliveMisses.Store(om) })
 }
 
-func shortBackoff(t *testing.T, min, max time.Duration) {
-	t.Helper()
-	omin, omax := redialBackoffMin, redialBackoffMax
-	redialBackoffMin, redialBackoffMax = min, max
-	t.Cleanup(func() { redialBackoffMin, redialBackoffMax = omin, omax })
-}
-
 func TestLinkFaultPartitionAndHeal(t *testing.T) {
-	shortBackoff(t, 5*time.Millisecond, 50*time.Millisecond)
 	fa, fb, _, _ := twoProcessFabric(t)
 	fa.Register(1).RegisterRegion("mem", 64)
 	conn := fb.From(2)
@@ -46,8 +38,8 @@ func TestLinkFaultPartitionAndHeal(t *testing.T) {
 		t.Fatalf("partitioned verb must stay transient: %v", err)
 	}
 
-	// Healing restores service: redials go through once the backoff window
-	// of the slot round-robin picks expires.
+	// Healing restores service: the redial goes through once the backoff
+	// window of the last refused dial expires.
 	if err := fb.SetLinkFault("", "heal", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +49,6 @@ func TestLinkFaultPartitionAndHeal(t *testing.T) {
 }
 
 func TestLinkFaultPartitionKillsAcceptorSide(t *testing.T) {
-	shortBackoff(t, 5*time.Millisecond, 50*time.Millisecond)
 	fa, fb, peer, _ := twoProcessFabric(t)
 	fa.Register(1).RegisterRegion("mem", 64)
 	fb.Register(2).RegisterRegion("tit", 64)
@@ -88,7 +79,6 @@ func TestLinkFaultPartitionKillsAcceptorSide(t *testing.T) {
 
 func TestLinkFaultBlackholeDetectedByKeepalive(t *testing.T) {
 	shortKeepalive(t, 20*time.Millisecond, 2)
-	shortBackoff(t, 5*time.Millisecond, 50*time.Millisecond)
 	fa, fb, _, _ := twoProcessFabric(t)
 	fa.Register(1).RegisterRegion("mem", 64)
 	conn := fb.From(2)
@@ -141,36 +131,5 @@ func TestLinkFaultValidation(t *testing.T) {
 	}
 	if len(f.Faults().Snapshot()) != 0 {
 		t.Fatal("rules survived clear")
-	}
-}
-
-func TestRedialBackoffBounds(t *testing.T) {
-	// Doubling from the floor, clamped at the ceiling.
-	cur := time.Duration(0)
-	var seq []time.Duration
-	for i := 0; i < 10; i++ {
-		cur = nextBackoff(cur)
-		seq = append(seq, cur)
-	}
-	if seq[0] != redialBackoffMin {
-		t.Fatalf("first backoff %v, want %v", seq[0], redialBackoffMin)
-	}
-	for i := 1; i < len(seq); i++ {
-		if seq[i] < seq[i-1] {
-			t.Fatalf("backoff not monotone: %v", seq)
-		}
-		if seq[i] > redialBackoffMax {
-			t.Fatalf("backoff exceeded max: %v", seq)
-		}
-	}
-	if seq[len(seq)-1] != redialBackoffMax {
-		t.Fatalf("backoff never reached max: %v", seq)
-	}
-	// Jitter stays within ±25%.
-	for i := 0; i < 1000; i++ {
-		d := jittered(time.Second)
-		if d < 750*time.Millisecond || d > 1250*time.Millisecond {
-			t.Fatalf("jitter out of bounds: %v", d)
-		}
 	}
 }

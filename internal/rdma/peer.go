@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"polardbmp/internal/common"
@@ -15,13 +14,6 @@ import (
 
 // dialTimeout bounds connection establishment and the handshake round trip.
 const dialTimeout = 3 * time.Second
-
-// Reconnect pacing is per link slot and exponential: the first redial after
-// a failure waits redialBackoffMin, doubling per consecutive failure up to
-// redialBackoffMax with ±25% jitter (see faults.go), so a dead uplink costs
-// one failed dial per backoff window instead of one per verb, and a fleet
-// of clients does not stampede a freshly restarted peer. A successful dial
-// resets the slot.
 
 func newPeerID() uint64 {
 	var b [8]byte
@@ -36,9 +28,6 @@ type PeerConfig struct {
 	// Name identifies this process in the remote's error messages and
 	// stats ("mpserver-2"). Defaults to "peer".
 	Name string
-	// Conns is the connection-pool size (default 2): verbs are pipelined
-	// on every connection and spread round-robin across the pool.
-	Conns int
 	// Hosted lists node ids this process already hosts; announced in the
 	// handshake so the remote can route verbs back. Nodes registered later
 	// are announced via Announce.
@@ -47,106 +36,52 @@ type PeerConfig struct {
 	Counters *wire.NetCounters
 }
 
-func (c *PeerConfig) fill() {
-	if c.Name == "" {
-		c.Name = "peer"
-	}
-	if c.Conns <= 0 {
-		c.Conns = 2
-	}
-}
-
-// Peer is a dialed connection pool to one remote fabric process,
-// implementing Transport. Dead connections redial lazily with backoff; while
-// no connection is live, verbs fail with the transient ErrUnreachable so the
-// engine's existing retry machinery rides out restarts.
+// Peer is a dialed link to one remote fabric process, implementing
+// Transport. Every verb is pipelined on the one link; a dead link redials
+// lazily with backoff (wire.Redial), and while none is live, verbs fail
+// with the transient ErrUnreachable so the engine's existing retry
+// machinery rides out restarts.
 type Peer struct {
 	netTransport
 	f    *Fabric
 	addr string
 	id   uint64
 	cfg  PeerConfig
+	link *wire.Redial[*peerLink]
 
-	mu       sync.Mutex
-	links    []*peerLink // slot-indexed; nil or dead slots redial on demand
-	notUntil []time.Time // per-slot redial gate (now+jittered backoff)
-	backoff  []time.Duration
-	hosted   []common.NodeID
-	closed   bool
-
-	rr atomic.Uint32
+	mu     sync.Mutex
+	hosted []common.NodeID
 }
 
-// DialPeer connects f to the fabric process listening at addr. At least one
-// connection must hand-shake for the dial to succeed; the rest of the pool
-// fills lazily.
+// DialPeer connects f to the fabric process listening at addr; the dial
+// fails unless the link hand-shakes.
 func DialPeer(f *Fabric, addr string, cfg PeerConfig) (*Peer, error) {
-	cfg.fill()
+	if cfg.Name == "" {
+		cfg.Name = "peer"
+	}
 	p := &Peer{
-		f:        f,
-		addr:     addr,
-		id:       newPeerID(),
-		cfg:      cfg,
-		links:    make([]*peerLink, cfg.Conns),
-		notUntil: make([]time.Time, cfg.Conns),
-		backoff:  make([]time.Duration, cfg.Conns),
-		hosted:   append([]common.NodeID(nil), cfg.Hosted...),
+		f:      f,
+		addr:   addr,
+		id:     newPeerID(),
+		cfg:    cfg,
+		hosted: append([]common.NodeID(nil), cfg.Hosted...),
 	}
 	p.netTransport = netTransport{links: p}
-	p.mu.Lock()
-	_, err := p.dialSlotLocked(0)
-	p.mu.Unlock()
-	if err != nil {
+	p.link = wire.NewRedial("peer "+addr, p.dial)
+	if _, err := p.link.Get(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Addr returns the remote address.
-func (p *Peer) Addr() string { return p.addr }
-
-func (p *Peer) detail() string { return p.addr }
-
-// dialSlotLocked (re)connects pool slot i and runs the dialer handshake.
-// Failures arm the slot's exponential backoff; success resets it.
-func (p *Peer) dialSlotLocked(i int) (*peerLink, error) {
-	if p.closed {
-		return nil, errPeerUnreachable(p.addr + " (peer closed)")
-	}
-	if time.Now().Before(p.notUntil[i]) {
-		return nil, errPeerUnreachable(p.addr + " (redial backoff)")
-	}
+// dial connects a new link and runs the dialer's hello exchange, which
+// names the link: the address plus what the remote called itself. An
+// injected partition refuses the dial before it reaches the network.
+func (p *Peer) dial() (*peerLink, error) {
 	if p.f.faults.denyDial(p.addr) {
-		p.armBackoffLocked(i)
 		return nil, errPeerUnreachable(p.addr + " (injected partition)")
 	}
-	p.armBackoffLocked(i)
-	c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
-	if err != nil {
-		return nil, errPeerUnreachable(p.addr + ": " + err.Error())
-	}
-	name, err := p.handshake(c)
-	if err != nil {
-		_ = c.Close()
-		return nil, err
-	}
-	p.backoff[i] = 0
-	p.notUntil[i] = time.Time{}
-	l := newPeerLink(p.f, c, p.cfg.Counters, false, name)
-	p.links[i] = l
-	l.start()
-	return l, nil
-}
-
-// armBackoffLocked advances slot i's backoff and gates the next attempt.
-func (p *Peer) armBackoffLocked(i int) {
-	p.backoff[i] = nextBackoff(p.backoff[i])
-	p.notUntil[i] = time.Now().Add(jittered(p.backoff[i]))
-}
-
-// handshake runs the dialer's hello exchange and returns the link's name:
-// the address plus what the remote called itself.
-func (p *Peer) handshake(c net.Conn) (string, error) {
+	p.mu.Lock()
 	hello := wire.AppendU16(nil, FabricProtoVersion)
 	hello = wire.AppendU64(hello, p.id)
 	hello = wire.AppendString(hello, p.cfg.Name)
@@ -154,108 +89,83 @@ func (p *Peer) handshake(c net.Conn) (string, error) {
 	for _, n := range p.hosted {
 		hello = wire.AppendU16(hello, uint16(n))
 	}
-	_, body, err := wire.Hello(c, p.cfg.Counters, wire.Frame{Kind: wire.KindControl, Op: copHello, Payload: hello}, copHelloAck, dialTimeout)
+	p.mu.Unlock()
+	c, _, body, err := wire.Dial(p.addr, p.cfg.Counters, wire.Frame{Kind: wire.KindControl, Op: copHello, Payload: hello}, copHelloAck, dialTimeout)
 	if err != nil {
-		return "", fmt.Errorf("rdma: peer %s: %w", p.addr, err)
+		return nil, fmt.Errorf("rdma: peer %s: %w", p.addr, err)
 	}
 	rd := wire.NewReader(body)
 	if v := rd.U16(); v != FabricProtoVersion {
-		return "", fmt.Errorf("rdma: peer %s speaks protocol v%d, want v%d", p.addr, v, FabricProtoVersion)
+		_ = c.Close()
+		return nil, fmt.Errorf("rdma: peer %s speaks protocol v%d, want v%d", p.addr, v, FabricProtoVersion)
 	}
-	name := rd.Str()
-	return p.addr + "/" + name, rd.Done()
+	name := p.addr + "/" + rd.Str()
+	if err := rd.Done(); err != nil {
+		_ = c.Close()
+		return nil, err
+	}
+	l := newPeerLink(p.f, c, p.cfg.Counters, false, name)
+	l.start()
+	return l, nil
 }
 
-// pick returns a live link, redialing one slot if the pool is empty.
-func (p *Peer) pick() (*peerLink, error) {
-	n := uint32(len(p.links))
-	start := p.rr.Add(1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for off := uint32(0); off < n; off++ {
-		if l := p.links[(start+off)%n]; l != nil && l.Alive() {
-			return l, nil
-		}
-	}
-	// Nothing live: try to revive the slot round-robin chose.
-	return p.dialSlotLocked(int(start % n))
-}
+// pick returns the live link, redialing it if it died.
+func (p *Peer) pick() (*peerLink, error) { return p.link.Get() }
 
 // Announce advertises nodes now hosted by this process to the remote, so it
-// can route verbs for them back over this peer. Remembered for redials.
+// can route verbs for them back over this peer. Remembered for redials; a
+// dial already in flight may have missed them, so the announce goes on
+// whatever link Get hands out, even a fresh one.
 func (p *Peer) Announce(nodes ...common.NodeID) error {
 	p.mu.Lock()
 	p.hosted = append(p.hosted, nodes...)
-	links := append([]*peerLink(nil), p.links...)
 	p.mu.Unlock()
 	payload := wire.AppendU16(nil, uint16(len(nodes)))
 	for _, n := range nodes {
 		payload = wire.AppendU16(payload, uint16(n))
 	}
-	sent := false
-	for _, l := range links {
-		if l == nil || !l.Alive() {
-			continue
-		}
-		if err := l.Send(wire.Frame{Kind: wire.KindControl, Op: copAnnounce, Payload: payload}); err == nil {
-			sent = true
-		}
+	l, err := p.link.Get()
+	if err != nil {
+		return err
 	}
-	if !sent {
-		return errPeerUnreachable(p.addr + " (announce)")
-	}
-	return nil
+	return l.Send(wire.Frame{Kind: wire.KindControl, Op: copAnnounce, Payload: payload})
 }
 
-// Close tears down the pool; subsequent verbs fail with ErrUnreachable.
+// Close tears down the link; subsequent verbs fail with ErrUnreachable.
 func (p *Peer) Close() error {
-	p.mu.Lock()
-	p.closed = true
-	links := append([]*peerLink(nil), p.links...)
-	p.mu.Unlock()
-	for _, l := range links {
-		if l != nil {
-			l.Fail(errPeerUnreachable(p.addr + " (peer closed)"))
-		}
-	}
+	p.link.Close(errPeerUnreachable(p.addr + " (peer closed)"))
 	return nil
 }
 
 var _ Transport = (*Peer)(nil)
 
-// remotePeer groups the accepted connections of one dialing process (one
-// peer id) and implements Transport for reverse routing to the nodes it
-// announced. It never dials: when the dialer reconnects, fresh links join
-// the same group.
+// remotePeer is the acceptor's view of one dialing process (one peer id),
+// implementing Transport for reverse routing to the nodes it announced. It
+// never dials: it keeps the dialer's newest link, and when the dialer
+// reconnects, the fresh link takes the old one's place.
 type remotePeer struct {
 	netTransport
 	srv  *FabricServer
-	id   uint64
 	name string
 
 	mu    sync.Mutex
-	links []*peerLink
+	link  *peerLink // nil once the dialer's link died
 	nodes map[common.NodeID]bool
-	rr    atomic.Uint32
 }
-
-func (rp *remotePeer) detail() string { return rp.name }
 
 func (rp *remotePeer) pick() (*peerLink, error) {
 	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	// A dead link leaves the group a moment after it fails (its keepalive
-	// loop drops it), so skip any that are still listed.
-	start := int(rp.rr.Add(1))
-	for off := range rp.links {
-		if l := rp.links[(start+off)%len(rp.links)]; l.Alive() {
-			return l, nil
-		}
+	l := rp.link
+	rp.mu.Unlock()
+	// A dead link is forgotten a moment after it fails (its keepalive loop
+	// drops it), so check it is still live.
+	if l == nil || !l.Alive() {
+		return nil, errPeerUnreachable(rp.name + " (no live connection)")
 	}
-	return nil, errPeerUnreachable(rp.name + " (no live connections)")
+	return l, nil
 }
 
-// addNode routes verbs for node through this peer group.
+// addNode routes verbs for node through this peer.
 func (rp *remotePeer) addNode(node common.NodeID) {
 	rp.mu.Lock()
 	known := rp.nodes[node]
@@ -266,19 +176,23 @@ func (rp *remotePeer) addNode(node common.NodeID) {
 	}
 }
 
-func (rp *remotePeer) addLink(l *peerLink) {
+// setLink makes l the dialer's link. A dialer redials only once its own
+// link is dead, so the link l replaces has been abandoned: it is failed.
+func (rp *remotePeer) setLink(l *peerLink) {
 	rp.mu.Lock()
-	rp.links = append(rp.links, l)
+	old := rp.link
+	rp.link = l
 	rp.mu.Unlock()
+	if old != nil {
+		old.Fail(errPeerUnreachable(rp.name + " (replaced by a newer link)"))
+	}
 }
 
+// dropLink forgets l once it died, unless a newer link already replaced it.
 func (rp *remotePeer) dropLink(l *peerLink) {
 	rp.mu.Lock()
-	for i, x := range rp.links {
-		if x == l {
-			rp.links = append(rp.links[:i], rp.links[i+1:]...)
-			break
-		}
+	if rp.link == l {
+		rp.link = nil
 	}
 	rp.mu.Unlock()
 }
@@ -296,7 +210,6 @@ type FabricServer struct {
 
 	mu     sync.Mutex
 	peers  map[uint64]*remotePeer
-	conns  map[*peerLink]struct{}
 	closed bool
 }
 
@@ -309,7 +222,6 @@ func ServeFabric(f *Fabric, lis net.Listener, name string, nc *wire.NetCounters)
 		name:  name,
 		nc:    nc,
 		peers: make(map[uint64]*remotePeer),
-		conns: make(map[*peerLink]struct{}),
 	}
 	go s.acceptLoop()
 	return s
@@ -328,12 +240,18 @@ func (s *FabricServer) acceptLoop() {
 	}
 }
 
-// handshake validates a dialer's hello, joins the link to its peer group and
+// handshake validates a dialer's hello, makes the link its peer's and
 // starts serving it.
 func (s *FabricServer) handshake(c net.Conn) {
 	_ = c.SetDeadline(time.Now().Add(dialTimeout))
 	fr, _, err := wire.ReadFrame(c, nil)
-	if err != nil || fr.Kind != wire.KindControl || fr.Op != copHello {
+	if err != nil {
+		_ = c.Close()
+		return
+	}
+	s.nc.FrameIn(fr.WireSize())
+	if fr.Kind != wire.KindControl || fr.Op != copHello {
+		s.nc.CodecError()
 		_ = c.Close()
 		return
 	}
@@ -374,30 +292,24 @@ func (s *FabricServer) handshake(c net.Conn) {
 	}
 	rp := s.peers[peerID]
 	if rp == nil {
-		rp = &remotePeer{srv: s, id: peerID, name: peerName, nodes: make(map[common.NodeID]bool)}
+		rp = &remotePeer{srv: s, name: peerName, nodes: make(map[common.NodeID]bool)}
 		rp.netTransport = netTransport{links: rp}
 		s.peers[peerID] = rp
 	}
+	// Set under s.mu, so Close finds every live link in its peer.
 	l := newPeerLink(s.f, c, s.nc, true, peerName)
-	s.conns[l] = struct{}{}
+	l.rp = rp
+	rp.setLink(l)
 	s.mu.Unlock()
 
-	l.rp = rp
-	l.onClose = func(dead *peerLink) {
-		rp.dropLink(dead)
-		s.mu.Lock()
-		delete(s.conns, dead)
-		s.mu.Unlock()
-	}
-	rp.addLink(l)
 	for _, n := range nodes {
 		rp.addNode(n)
 	}
 	l.start()
 }
 
-// Close stops accepting and tears down every peer connection. Routes the
-// peers installed are detached so local lookups fail fast again.
+// Close stops accepting and tears down every peer's link. Routes the peers
+// installed are detached so local lookups fail fast again.
 func (s *FabricServer) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -405,24 +317,21 @@ func (s *FabricServer) Close() {
 		return
 	}
 	s.closed = true
-	conns := make([]*peerLink, 0, len(s.conns))
-	for l := range s.conns {
-		conns = append(conns, l)
-	}
 	peers := s.peers
 	s.peers = make(map[uint64]*remotePeer)
 	s.mu.Unlock()
 	_ = s.lis.Close()
-	for _, l := range conns {
-		l.Fail(errPeerUnreachable("server closed"))
-	}
 	for _, rp := range peers {
 		rp.mu.Lock()
+		l := rp.link
 		nodes := make([]common.NodeID, 0, len(rp.nodes))
 		for n := range rp.nodes {
 			nodes = append(nodes, n)
 		}
 		rp.mu.Unlock()
+		if l != nil {
+			l.Fail(errPeerUnreachable("server closed"))
+		}
 		for _, n := range nodes {
 			s.f.DetachRemote(n)
 		}

@@ -16,13 +16,13 @@ import (
 // seed's reverse route to the satellite's endpoints (TIT reads, revoke RPCs)
 // without a listener on the satellite.
 //
-// Handshake: the dialer opens N connections and sends a hello control frame
-// on each (protocol version, a process-unique peer id, its process name and
-// the node ids it hosts); the acceptor verifies the version, groups the
-// connections of one peer id into a single logical peer, answers with a
-// hello-ack and attaches a route for every announced node. Nodes registered
-// after dialing (a satellite learns its id from the seed) are announced late
-// via an announce control frame.
+// Handshake: the dialer opens one connection and sends a hello control frame
+// on it (protocol version, a process-unique peer id, its process name and
+// the node ids it hosts); the acceptor verifies the version, makes the
+// connection the one link of that peer id (a redial replaces the last one),
+// answers with a hello-ack and attaches a route for every announced node.
+// Nodes registered after dialing (a satellite learns its id from the seed)
+// are announced late via an announce control frame.
 //
 // Requests are pipelined by wire.Link — a correlation id on every frame,
 // each request served concurrently on a reused worker goroutine, waiters
@@ -89,10 +89,9 @@ type peerLink struct {
 	// (any kind); the keepalive loop fails the link when it goes stale.
 	lastRecv atomic.Int64
 
-	// rp is the acceptor-side connection group this link belongs to (nil on
-	// dialed links); onClose removes the link from its owner.
-	rp      *remotePeer
-	onClose func(*peerLink)
+	// rp is the acceptor-side peer this link belongs to (nil on dialed
+	// links), which forgets the link once it died.
+	rp *remotePeer
 }
 
 // newPeerLink wraps a connection whose handshake is done.
@@ -108,8 +107,8 @@ func newPeerLink(f *Fabric, c net.Conn, nc *wire.NetCounters, accepted bool, nam
 }
 
 // start registers the link with the fabric's fault registry and runs its
-// read and keepalive loops. Called once per link, by the owner that has it
-// in its pool.
+// read and keepalive loops. Called once per link, by the owner that holds
+// it.
 func (l *peerLink) start() {
 	l.f.faults.register(l)
 	go l.Run()
@@ -117,7 +116,7 @@ func (l *peerLink) start() {
 }
 
 // keepaliveLoop pings the remote and enforces the idle bound until the link
-// dies, then takes it out of the fault registry and its owner's pool. The
+// dies, then takes it out of the fault registry and its owner. The
 // interval and miss budget are captured once at start.
 func (l *peerLink) keepaliveLoop() {
 	interval := time.Duration(keepaliveIntervalNs.Load())
@@ -126,8 +125,8 @@ func (l *peerLink) keepaliveLoop() {
 	defer t.Stop()
 	defer func() {
 		l.f.faults.deregister(l)
-		if l.onClose != nil {
-			l.onClose(l)
+		if l.rp != nil {
+			l.rp.dropLink(l)
 		}
 	}()
 	for {
@@ -329,11 +328,10 @@ func verbHeader(src, node common.NodeID, name string) []byte {
 	return wire.AppendString(b, name)
 }
 
-// linkPicker abstracts "give me a live link" over the dialer-side pool and
-// the acceptor-side connection group, so both share one verb implementation.
+// linkPicker abstracts "give me a live link" over the dialer's Peer and the
+// acceptor's remotePeer, so both share one verb implementation.
 type linkPicker interface {
 	pick() (*peerLink, error)
-	detail() string
 }
 
 // netTransport implements Transport over a linkPicker.

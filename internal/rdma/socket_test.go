@@ -25,7 +25,7 @@ func twoProcessFabric(t *testing.T) (fa, fb *Fabric, peer *Peer, srv *FabricServ
 		t.Fatal(err)
 	}
 	srv = ServeFabric(fa, lis, "seed", &wire.NetCounters{})
-	peer, err = DialPeer(fb, lis.Addr().String(), PeerConfig{Name: "sat", Conns: 2, Counters: &wire.NetCounters{}})
+	peer, err = DialPeer(fb, lis.Addr().String(), PeerConfig{Name: "sat", Counters: &wire.NetCounters{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,5 +241,50 @@ func TestSocketTransportInjectionAtIssuer(t *testing.T) {
 	}
 	if err := conn.Read(1, "mem", 0, make([]byte, 8)); err != nil {
 		t.Fatalf("after injection: %v", err)
+	}
+}
+
+// A satellite whose link died redials, and the seed's acceptor makes the new
+// link the satellite's one link: a seed→satellite verb is served on it, and
+// the link it replaced is dead.
+func TestSocketTransportReverseVerbAfterRedial(t *testing.T) {
+	fa, fb, peer, srv := twoProcessFabric(t)
+	fa.Register(1).RegisterRegion("mem", 64)
+	fb.Register(2).RegisterRegion("tit", 64)
+	if err := peer.Announce(2); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "reverse route", func() bool { return fa.transportFor(2) != fa.local })
+	if err := fa.From(1).Write64(2, "tit", 0, 7); err != nil {
+		t.Fatalf("seed->satellite write: %v", err)
+	}
+	srv.mu.Lock()
+	rp := srv.peers[peer.id]
+	srv.mu.Unlock()
+	accepted, err := rp.pick()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dialed := peer.link.Last()
+	dialed.Fail(errors.New("test: link cut"))
+	if err := fb.From(2).Read(1, "mem", 0, make([]byte, 8)); err != nil {
+		t.Fatalf("satellite verb after the cut: %v", err)
+	}
+	if peer.link.Last() == dialed {
+		t.Fatal("the satellite's verb did not redial")
+	}
+	waitFor(t, "the acceptor to take the new link", func() bool {
+		l, err := rp.pick()
+		return err == nil && l != accepted
+	})
+	if accepted.Alive() {
+		t.Fatal("the replaced accepted link is still alive")
+	}
+	if err := fa.From(1).Write64(2, "tit", 0, 9); err != nil {
+		t.Fatalf("seed->satellite write after the redial: %v", err)
+	}
+	if v, err := fb.From(2).Read64(2, "tit", 0); err != nil || v != 9 {
+		t.Fatalf("satellite local read: %v %d", err, v)
 	}
 }

@@ -3,33 +3,26 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"polardbmp/internal/common"
 )
 
-// Client is a session-protocol client: a small pool of framed connections to
-// one server (or gateway), each pipelining requests from any number of
-// goroutines. Transactions are pinned to the connection they began on, so a
-// gateway can route per-connection without tracking transaction state.
+// Client is a session-protocol client: one framed connection to one server
+// (or gateway), pipelining requests from any number of goroutines and
+// redialed when it dies. Transactions are pinned to the connection they
+// began on, so a gateway can route per-connection without tracking
+// transaction state.
 type Client struct {
 	addr string
 	cfg  SessionConfig
-
-	mu     sync.Mutex
-	conns  []*sessionConn
-	next   int
-	closed bool
+	link *Redial[*sessionConn]
 }
 
 // SessionConfig tunes DialSession.
 type SessionConfig struct {
 	// Name identifies this client in the server's hello handshake.
 	Name string
-	// Conns is the pool size (default 1).
-	Conns int
 	// Counters receives this client's frame accounting (may be nil).
 	Counters *NetCounters
 	// DialTimeout bounds each connection attempt (default 3s).
@@ -40,95 +33,41 @@ func (c *SessionConfig) fill() {
 	if c.Name == "" {
 		c.Name = "client"
 	}
-	if c.Conns <= 0 {
-		c.Conns = 1
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 3 * time.Second
 	}
 }
 
-// DialSession connects the pool and runs the hello handshake on every
-// connection. ServerName reports what the far end called itself.
+// DialSession connects and runs the hello handshake. ServerName reports
+// what the far end called itself.
 func DialSession(addr string, cfg SessionConfig) (*Client, error) {
 	cfg.fill()
 	c := &Client{addr: addr, cfg: cfg}
-	for i := 0; i < cfg.Conns; i++ {
-		sc, err := c.dialOne()
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.conns = append(c.conns, sc)
+	c.link = NewRedial("session to "+addr, c.dial)
+	if _, err := c.link.Get(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
 // ServerName returns the name the server presented in the handshake.
 func (c *Client) ServerName() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.conns) == 0 {
-		return ""
+	if sc := c.link.Last(); sc != nil {
+		return sc.serverName
 	}
-	return c.conns[0].serverName
+	return ""
 }
 
-// Close tears down every pooled connection. In-flight calls fail with
+// Close tears down the connection. In-flight and later calls fail with
 // ErrUnreachable.
 func (c *Client) Close() {
-	c.mu.Lock()
-	c.closed = true
-	conns := c.conns
-	c.conns = nil
-	c.mu.Unlock()
-	for _, sc := range conns {
-		sc.Fail(errSessionClosed(c.addr))
-	}
+	c.link.Close(fmt.Errorf("wire: session to %s closed: %w", c.addr, common.ErrUnreachable))
 }
 
-func errSessionClosed(addr string) error {
-	return fmt.Errorf("wire: session to %s closed: %w", addr, common.ErrUnreachable)
-}
-
-// pick returns a live pooled connection (round-robin), redialing slots whose
-// connection died.
-func (c *Client) pick() (*sessionConn, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errSessionClosed(c.addr)
-	}
-	for range c.conns {
-		sc := c.conns[c.next%len(c.conns)]
-		c.next++
-		if sc.Alive() {
-			return sc, nil
-		}
-	}
-	// Every pooled conn is dead: redial one slot inline.
-	sc, err := c.dialOne()
-	if err != nil {
-		return nil, err
-	}
-	if len(c.conns) == 0 {
-		c.conns = append(c.conns, sc)
-	} else {
-		c.conns[c.next%len(c.conns)] = sc
-		c.next++
-	}
-	return sc, nil
-}
-
-func (c *Client) dialOne() (*sessionConn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %v: %w", c.addr, err, common.ErrUnreachable)
-	}
+func (c *Client) dial() (*sessionConn, error) {
 	hello := Frame{Kind: KindControl, Op: SessHello, Payload: AppendHello(nil, SessionProtoVersion, c.cfg.Name)}
-	_, body, err := Hello(conn, c.cfg.Counters, hello, SessHelloAck, c.cfg.DialTimeout)
+	conn, _, body, err := Dial(c.addr, c.cfg.Counters, hello, SessHelloAck, c.cfg.DialTimeout)
 	if err != nil {
-		_ = conn.Close()
 		return nil, err
 	}
 	sc := &sessionConn{Link: NewLink(conn, c.cfg.Counters, false)}
@@ -139,9 +78,9 @@ func (c *Client) dialOne() (*sessionConn, error) {
 	return sc, nil
 }
 
-// call runs one request/response on any pooled connection.
+// call runs one request/response on the connection.
 func (c *Client) call(op uint8, payload []byte) ([]byte, error) {
-	sc, err := c.pick()
+	sc, err := c.link.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -248,10 +187,10 @@ func (c *Client) SpaceID(name string) (uint32, error) {
 	return NewReader(out).U32(), nil
 }
 
-// Begin opens a transaction pinned to one pooled connection. budget > 0
+// Begin opens a transaction pinned to the connection it began on. budget > 0
 // ships the end-to-end deadline to the server.
 func (c *Client) Begin(iso uint8, budget time.Duration) (*ClientTx, error) {
-	sc, err := c.pick()
+	sc, err := c.link.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +352,7 @@ func (tx *ClientTx) Rollback() error {
 	return err
 }
 
-// sessionConn is one pooled connection: a Link plus what the hello learned.
+// sessionConn is the client's connection: a Link plus what the hello learned.
 type sessionConn struct {
 	*Link
 	serverName string

@@ -185,8 +185,8 @@ func TestDialHalfOpenServerTimesOut(t *testing.T) {
 
 // When the server goes away under an established session, in-flight and
 // subsequent calls fail with ErrUnreachable; once a server is back on the
-// same address, the next call must redial transparently (pick's inline
-// redial of dead slots) instead of wedging the pool forever.
+// same address, the next call must redial transparently instead of wedging
+// the client forever.
 func TestClientRedialsAfterServerRestart(t *testing.T) {
 	be := newStubBackend()
 	srv, addr := serveStub(t, be)

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"polardbmp/internal/common"
 )
@@ -82,32 +81,6 @@ func NewLink(conn net.Conn, nc *NetCounters, accepted bool) *Link {
 // produced no codec error, however abruptly it left.
 func IsCodecError(err error) bool {
 	return errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooLarge)
-}
-
-// Hello is the dial side of every handshake: on a connection no read loop
-// owns yet, write the hello control frame and read the ack, both under one
-// deadline. It returns the ack's whole payload and the part after its
-// status; a refusal is returned as the typed error the acceptor sent.
-func Hello(conn net.Conn, nc *NetCounters, hello Frame, ackOp uint8, timeout time.Duration) (ack, body []byte, err error) {
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	defer conn.SetDeadline(time.Time{})
-	if _, err := WriteFrame(conn, nil, hello); err != nil {
-		return nil, nil, fmt.Errorf("wire: hello: %v: %w", err, common.ErrUnreachable)
-	}
-	nc.FrameOut(hello.WireSize())
-	f, _, err := ReadFrame(conn, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: hello ack: %v: %w", err, common.ErrUnreachable)
-	}
-	nc.FrameIn(f.WireSize())
-	if f.Kind != KindControl || f.Op != ackOp {
-		return nil, nil, fmt.Errorf("wire: hello ack kind %d op %d: %w", f.Kind, f.Op, ErrBadFrame)
-	}
-	rd := NewReader(f.Payload)
-	if err := DecodeStatus(rd); err != nil {
-		return nil, nil, fmt.Errorf("wire: handshake refused: %w", err)
-	}
-	return f.Payload, rd.Rest(), nil
 }
 
 // Done is closed once the link has failed.
