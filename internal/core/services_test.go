@@ -66,16 +66,16 @@ func (r *recorder) add(service string, node common.NodeID, req []byte) {
 	r.mu.Unlock()
 }
 
-func (r *recorder) Call(src, node common.NodeID, service string, req []byte) ([]byte, error) {
-	r.add(service, node, req)
-	return r.Transport.Call(src, node, service, req)
-}
-
-func (r *recorder) CallBatch(src, node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
-	for _, req := range reqs {
-		r.add(service, node, req)
+func (r *recorder) Exec(v rdma.Verb) (rdma.Result, error) {
+	switch v.Op {
+	case rdma.OpCall:
+		r.add(v.Name, v.Node, v.Buf)
+	case rdma.OpCallBatch:
+		for _, req := range v.Reqs {
+			r.add(v.Name, v.Node, req)
+		}
 	}
-	return r.Transport.CallBatch(src, node, service, reqs)
+	return r.Transport.Exec(v)
 }
 
 // seeds returns the first request of each (service, op), the op being a

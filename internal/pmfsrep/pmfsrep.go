@@ -256,7 +256,7 @@ func (r *Replicator) readRepair(region string, off, n int) {
 					break
 				}
 				img = make([]byte, cnt)
-				if err := r.inner.Read(common.AnyNode, r.node, region, base, img); err != nil {
+				if err := r.onLeader(rdma.Verb{Op: rdma.OpRead, Name: region, Off: base, Buf: img}); err != nil {
 					break
 				}
 			}
@@ -275,7 +275,7 @@ func (r *Replicator) readRepair(region string, off, n int) {
 			}
 			if !have {
 				var b [8]byte
-				if err := r.inner.Read(common.AnyNode, r.node, region, wo, b[:]); err != nil {
+				if err := r.onLeader(rdma.Verb{Op: rdma.OpRead, Name: region, Off: wo, Buf: b[:]}); err != nil {
 					break
 				}
 				val, have = binary.LittleEndian.Uint64(b[:]), true
@@ -288,145 +288,75 @@ func (r *Replicator) readRepair(region string, off, n int) {
 
 // --- rdma.Transport ---------------------------------------------------------
 
-func (r *Replicator) Read(src, node common.NodeID, region string, off int, dst []byte) error {
-	info, ok := r.regions[region]
-	if !ok {
-		return r.inner.Read(src, node, region, off, dst)
-	}
-	if r.gate.Load() {
-		return errFailover
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if err := r.inner.Read(src, node, region, off, dst); err != nil {
-		return err
-	}
-	if info.quorumRead {
-		r.readRepair(region, off, len(dst))
-	}
-	return nil
-}
-
-func (r *Replicator) ReadV(src, node common.NodeID, region string, segs []rdma.Seg) error {
-	info, ok := r.regions[region]
-	if !ok {
-		return r.inner.ReadV(src, node, region, segs)
-	}
-	if r.gate.Load() {
-		return errFailover
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if err := r.inner.ReadV(src, node, region, segs); err != nil {
-		return err
-	}
-	if info.quorumRead {
-		for _, s := range segs {
-			r.readRepair(region, s.Off, len(s.Buf))
-		}
-	}
-	return nil
-}
-
-func (r *Replicator) Write(src, node common.NodeID, region string, off int, data []byte) error {
-	info, ok := r.regions[region]
-	if !ok {
-		return r.inner.Write(src, node, region, off, data)
-	}
-	if r.gate.Load() {
-		return errFailover
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	start := time.Now()
-	if err := r.inner.Write(src, node, region, off, data); err != nil {
-		return err
-	}
-	acks := r.mirrorRecord(info, RecWrite, region, off, 0, data)
-	r.finishQuorum(src, start, acks)
-	return nil
-}
-
-func (r *Replicator) WriteV(src, node common.NodeID, region string, segs []rdma.Seg) error {
-	info, ok := r.regions[region]
-	if !ok {
-		return r.inner.WriteV(src, node, region, segs)
-	}
-	if r.gate.Load() {
-		return errFailover
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	start := time.Now()
-	if err := r.inner.WriteV(src, node, region, segs); err != nil {
-		return err
-	}
-	// One record per segment; the whole vector shares one doorbell batch and
-	// is accounted as one quorum round.
-	acks := r.k
-	for _, s := range segs {
-		if a := r.mirrorRecord(info, RecWrite, region, s.Off, 0, s.Buf); a < acks {
-			acks = a
-		}
-	}
-	r.finishQuorum(src, start, acks)
-	return nil
-}
-
-func (r *Replicator) CAS64(src, node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
-	info, ok := r.regions[region]
-	if !ok {
-		return r.inner.CAS64(src, node, region, off, old, new)
-	}
-	if r.gate.Load() {
-		return 0, errFailover
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	start := time.Now()
-	prev, err := r.inner.CAS64(src, node, region, off, old, new)
-	if err != nil {
-		return 0, err
-	}
-	if prev == old { // the swap happened — replicate the post-image
-		acks := r.mirrorRecord(info, RecWord, region, off, new, nil)
-		r.finishQuorum(src, start, acks)
-	}
-	return prev, nil
-}
-
-func (r *Replicator) FetchAdd64(src, node common.NodeID, region string, off int, delta uint64) (uint64, error) {
-	info, ok := r.regions[region]
-	if !ok {
-		return r.inner.FetchAdd64(src, node, region, off, delta)
-	}
-	if r.gate.Load() {
-		return 0, errFailover
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	start := time.Now()
-	prev, err := r.inner.FetchAdd64(src, node, region, off, delta)
-	if err != nil {
-		return 0, err
-	}
-	// The grant record carries the counter's post-image; followers learn it
-	// through the versioned in-band ack, and the seq gate plus max merge
-	// make a retried grant unable to double-advance any mirror.
-	acks := r.mirrorRecord(info, RecWord, region, off, prev+delta, nil)
-	r.finishQuorum(src, start, acks)
-	return prev, nil
-}
-
-// Call and CallBatch pass through: RPC services are compute on the PMFS
+// Exec executes v on the leader copy. On a replicated region it first waits
+// out a failover, and holds the tier's read lock until v is on a quorum: a
+// write mirrors one record per segment, a successful CAS and an FAA each
+// mirror the word's post-image, a failed CAS mirrors nothing, and a read of
+// a quorum-read region repairs the followers it covers. RPCs, and verbs on
+// undeclared regions, pass through: RPC services are compute on the PMFS
 // host, not replicated memory — their durable side effects land in the
 // regions (and replicate there) or in the shared store.
-func (r *Replicator) Call(src, node common.NodeID, service string, req []byte) ([]byte, error) {
-	return r.inner.Call(src, node, service, req)
+func (r *Replicator) Exec(v rdma.Verb) (rdma.Result, error) {
+	info, ok := r.regions[v.Name]
+	if !ok || v.Op == rdma.OpCall || v.Op == rdma.OpCallBatch {
+		return r.inner.Exec(v)
+	}
+	if r.gate.Load() {
+		return rdma.Result{}, errFailover
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if v.Op == rdma.OpRead || v.Op == rdma.OpReadV {
+		res, err := r.inner.Exec(v)
+		if err == nil && info.quorumRead {
+			if v.Op == rdma.OpRead {
+				r.readRepair(v.Name, v.Off, len(v.Buf))
+			}
+			for _, s := range v.Segs {
+				r.readRepair(v.Name, s.Off, len(s.Buf))
+			}
+		}
+		return res, err
+	}
+	start := time.Now()
+	res, err := r.inner.Exec(v)
+	if err != nil {
+		return res, err
+	}
+	var acks int
+	switch v.Op {
+	case rdma.OpWrite:
+		acks = r.mirrorRecord(info, RecWrite, v.Name, v.Off, 0, v.Buf)
+	case rdma.OpWriteV:
+		// One record per segment; the whole vector shares one doorbell
+		// batch and is accounted as one quorum round.
+		acks = r.k
+		for _, s := range v.Segs {
+			acks = min(acks, r.mirrorRecord(info, RecWrite, v.Name, s.Off, 0, s.Buf))
+		}
+	case rdma.OpCAS:
+		if res.Prev != v.A {
+			return res, nil // no swap, nothing to replicate
+		}
+		acks = r.mirrorRecord(info, RecWord, v.Name, v.Off, v.B, nil)
+	case rdma.OpFAA:
+		// The grant record carries the counter's post-image; followers
+		// learn it through the versioned in-band ack, and the seq gate
+		// plus max merge make a retried grant unable to double-advance
+		// any mirror.
+		acks = r.mirrorRecord(info, RecWord, v.Name, v.Off, res.Prev+v.A, nil)
+	}
+	r.finishQuorum(v.Src, start, acks)
+	return res, nil
 }
 
-func (r *Replicator) CallBatch(src, node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
-	return r.inner.CallBatch(src, node, service, reqs)
+// onLeader executes a verb no node issued — read-repair and promotion
+// reading or writing the leader copy — on the inner transport directly, so
+// nothing charges it.
+func (r *Replicator) onLeader(v rdma.Verb) error {
+	v.Src, v.Node = common.AnyNode, r.node
+	_, err := r.inner.Exec(v)
+	return err
 }
 
 var _ rdma.Transport = (*Replicator)(nil)
@@ -520,19 +450,19 @@ func (r *Replicator) promoteLocked() {
 		if len(segs) > 0 {
 			// One doorbell batch per region; no node issued it, so it is
 			// not charged.
-			_ = r.inner.WriteV(common.AnyNode, r.node, name, segs)
+			_ = r.onLeader(rdma.Verb{Op: rdma.OpWriteV, Name: name, Segs: segs})
 		}
 		for off, w := range mr.words {
 			// Max-merge against the surviving copy so monotonic counters
 			// (the TSO) can never move backwards across a failover.
 			var b [8]byte
 			cur := uint64(0)
-			if err := r.inner.Read(common.AnyNode, r.node, name, off, b[:]); err == nil {
+			if err := r.onLeader(rdma.Verb{Op: rdma.OpRead, Name: name, Off: off, Buf: b[:]}); err == nil {
 				cur = binary.LittleEndian.Uint64(b[:])
 			}
 			if w.val > cur {
 				binary.LittleEndian.PutUint64(b[:], w.val)
-				_ = r.inner.Write(common.AnyNode, r.node, name, off, b[:])
+				_ = r.onLeader(rdma.Verb{Op: rdma.OpWrite, Name: name, Off: off, Buf: b[:]})
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,17 +34,24 @@ func newTestTier(t *testing.T, k int) (*rdma.Fabric, *Replicator) {
 // frame region, for writes behind the replicator's back.
 func newTestTierDBP(t *testing.T, k int) (*rdma.Fabric, *Replicator, *rdma.Region) {
 	t.Helper()
-	f := rdma.NewFabric(rdma.Latency{})
-	ep := f.Register(testNode)
-	ep.RegisterRegion(tsoReg, 8)
-	ep.RegisterRegion(memReg, 1024)
-	dbp := ep.RegisterRegion(dbpReg, dbpSize)
+	f, dbp := newPMFSFabric()
 	r := New(f, testNode, k)
 	r.AddRegion(tsoReg, 8, false)
 	r.AddRegion(memReg, 1024, true)
 	r.AddRegion(dbpReg, dbpSize, false)
 	r.Attach(f)
 	return f, r, dbp
+}
+
+// newPMFSFabric is a bare fabric whose PMFS endpoint hosts the test
+// regions and an echo service; it returns the frame region.
+func newPMFSFabric() (*rdma.Fabric, *rdma.Region) {
+	f := rdma.NewFabric(rdma.Latency{})
+	ep := f.Register(testNode)
+	ep.RegisterRegion(tsoReg, 8)
+	ep.RegisterRegion(memReg, 1024)
+	ep.Serve("echo", func(req []byte) ([]byte, error) { return append([]byte("re:"), req...), nil })
+	return f, ep.RegisterRegion(dbpReg, dbpSize)
 }
 
 // mirrorWord reads a mirrored atomic cell under the mirror's lock (0, false
@@ -404,6 +412,108 @@ func TestPromotionCopiesWrittenChunks(t *testing.T) {
 		}
 		if !written[ci] && v != scribble {
 			t.Fatalf("unwritten chunk %d was overwritten by promotion (%#x)", ci, v)
+		}
+	}
+}
+
+// mirrorBytes reads n mirrored bytes at off, within one chunk, under the
+// mirror's lock (nil if the chunk is absent).
+func mirrorBytes(m *mirror, region string, off, n int) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if mr := m.regions[region]; mr != nil {
+		if _, data := mr.chunk(off/chunkSize, false); data != nil {
+			return append([]byte(nil), data[off%chunkSize:off%chunkSize+n]...)
+		}
+	}
+	return nil
+}
+
+// TestReplicatorVerbTable runs all eight verbs, in turn, through a 3-way
+// tier and on a bare fabric. Every result is the bare fabric's; each verb
+// mirrors its records to every follower — one per write segment, one
+// post-image per successful atomic, none for a read, a failed CAS or an
+// RPC; a vectored read of the quorum-read region repairs a diverged
+// follower; and RPCs pass through while the failover gate is set.
+func TestReplicatorVerbTable(t *testing.T) {
+	bare, _ := newPMFSFabric()
+	tier, r := newTestTier(t, 3)
+	for _, f := range []*rdma.Fabric{bare, tier} {
+		if err := f.Write(testNode, memReg, 32, []byte("lease-slot")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	followers := func(check func(m *mirror) bool) bool {
+		for _, rep := range r.replicas {
+			if rep.m != nil && !check(rep.m) {
+				return false
+			}
+		}
+		return true
+	}
+	mirrored := func(region string, off int, want string) func() bool {
+		return func() bool {
+			return followers(func(m *mirror) bool { return string(mirrorBytes(m, region, off, len(want))) == want })
+		}
+	}
+	word := func(want uint64) func() bool {
+		return func() bool {
+			return followers(func(m *mirror) bool { v, ok := mirrorWord(m, tsoReg, 0); return ok && v == want })
+		}
+	}
+	verbs := []struct {
+		name    string
+		do      func(f *rdma.Fabric) (any, error)
+		records uint64
+		prep    func() // on the tier, before the verb
+		holds   func() bool
+	}{
+		{name: "Write", records: 1, holds: mirrored(dbpReg, 300, "write"),
+			do: func(f *rdma.Fabric) (any, error) { return nil, f.Write(testNode, dbpReg, 300, []byte("write")) }},
+		{name: "WriteV", records: 2, holds: func() bool { return mirrored(dbpReg, 1024, "ab")() && mirrored(dbpReg, 4096, "cd")() },
+			do: func(f *rdma.Fabric) (any, error) {
+				return nil, f.WriteV(testNode, dbpReg, []rdma.Seg{{Off: 1024, Buf: []byte("ab")}, {Off: 4096, Buf: []byte("cd")}})
+			}},
+		{name: "Read",
+			do: func(f *rdma.Fabric) (any, error) { b := make([]byte, 5); return b, f.Read(testNode, dbpReg, 300, b) }},
+		{name: "CAS64 swaps", records: 1, holds: word(41),
+			do: func(f *rdma.Fabric) (any, error) { return f.CAS64(testNode, tsoReg, 0, 0, 41) }},
+		{name: "CAS64 fails", holds: word(41),
+			do: func(f *rdma.Fabric) (any, error) { return f.CAS64(testNode, tsoReg, 0, 0, 99) }},
+		{name: "FetchAdd64", records: 1, holds: word(46),
+			do: func(f *rdma.Fabric) (any, error) { return f.FetchAdd64(testNode, tsoReg, 0, 5) }},
+		{name: "ReadV", prep: func() { r.replicas[1].m.reset() },
+			holds: func() bool {
+				return r.Snapshot().ReadRepairs > 0 && r.replicas[1].m.chunkSeq(memReg, 0) == r.track.chunkSeq(memReg, 0)
+			},
+			do: func(f *rdma.Fabric) (any, error) {
+				segs := []rdma.Seg{{Off: 32, Buf: make([]byte, 10)}, {Off: 512, Buf: make([]byte, 8)}}
+				return segs, f.ReadV(testNode, memReg, segs)
+			}},
+		{name: "Call", prep: func() { r.gate.Store(true) },
+			do: func(f *rdma.Fabric) (any, error) { return f.Call(testNode, "echo", []byte("x")) }},
+		{name: "CallBatch", prep: func() { r.gate.Store(true) },
+			do: func(f *rdma.Fabric) (any, error) { return f.CallBatch(testNode, "echo", [][]byte{{'a'}, {'b'}}) }},
+	}
+	for _, v := range verbs {
+		want, err := v.do(bare)
+		if err != nil {
+			t.Fatalf("%s on the bare fabric: %v", v.name, err)
+		}
+		if v.prep != nil {
+			v.prep()
+		}
+		seq := r.seq.Load()
+		got, err := v.do(tier)
+		r.gate.Store(false)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s through the tier = %v, %v; the bare fabric's %v", v.name, got, err, want)
+		}
+		if n := r.seq.Load() - seq; n != v.records {
+			t.Errorf("%s mirrored %d records, want %d", v.name, n, v.records)
+		}
+		if v.holds != nil && !v.holds() {
+			t.Errorf("%s: the followers do not hold its effect", v.name)
 		}
 	}
 }

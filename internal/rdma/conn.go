@@ -68,24 +68,30 @@ func (c Conn) WithStamp(s *common.EpochStamp) Conn {
 // RetryPolicy returns the policy the connection's verbs retry under.
 func (c Conn) RetryPolicy() common.RetryPolicy { return c.retry }
 
-// do runs one verb's attempts; each first checks the deadline.
-func (c Conn) do(attempt func() error) error {
-	return common.RetryDeadline(c.retry, c.dl, func() error {
-		if err := c.dl.Err(); err != nil {
-			return err
+// exec issues v from the connection's source: each attempt first checks
+// the deadline, and a transient fault retries under the policy.
+func (c Conn) exec(v *Verb) (res Result, err error) {
+	v.Src = c.src
+	err = common.RetryDeadline(c.retry, c.dl, func() (e error) {
+		if e = c.dl.Err(); e != nil {
+			return e
 		}
-		return attempt()
+		res, e = c.f.issue(v, c.ss)
+		return e
 	})
+	return res, err
 }
 
 // Read performs a one-sided read of len(dst) bytes from (node, region, off).
 func (c Conn) Read(node common.NodeID, region string, off int, dst []byte) error {
-	return c.do(func() error { return c.f.read(c.src, node, region, off, dst, c.ss) })
+	_, err := c.exec(&Verb{Op: OpRead, Node: node, Name: region, Off: off, Buf: dst})
+	return err
 }
 
 // Write performs a one-sided write of data to (node, region, off).
 func (c Conn) Write(node common.NodeID, region string, off int, data []byte) error {
-	return c.do(func() error { return c.f.write(c.src, node, region, off, data, c.ss) })
+	_, err := c.exec(&Verb{Op: OpWrite, Node: node, Name: region, Off: off, Buf: data})
+	return err
 }
 
 // Read64 reads an 8-byte little-endian word.
@@ -105,36 +111,37 @@ func (c Conn) Write64(node common.NodeID, region string, off int, v uint64) erro
 }
 
 // CAS64 atomically compares-and-swaps the word at (node, region, off).
-func (c Conn) CAS64(node common.NodeID, region string, off int, old, new uint64) (prev uint64, err error) {
-	err = c.do(func() (e error) { prev, e = c.f.cas64(c.src, node, region, off, old, new, c.ss); return e })
-	return prev, err
+func (c Conn) CAS64(node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
+	res, err := c.exec(&Verb{Op: OpCAS, Node: node, Name: region, Off: off, A: old, B: new})
+	return res.Prev, err
 }
 
 // FetchAdd64 atomically adds delta to the word at (node, region, off).
-func (c Conn) FetchAdd64(node common.NodeID, region string, off int, delta uint64) (prev uint64, err error) {
-	err = c.do(func() (e error) { prev, e = c.f.fetchAdd64(c.src, node, region, off, delta, c.ss); return e })
-	return prev, err
+func (c Conn) FetchAdd64(node common.NodeID, region string, off int, delta uint64) (uint64, error) {
+	res, err := c.exec(&Verb{Op: OpFAA, Node: node, Name: region, Off: off, A: delta})
+	return res.Prev, err
 }
 
 // Call invokes an RPC service method on node. The request is stamped once,
 // so every attempt carries the same epoch.
-func (c Conn) Call(node common.NodeID, service string, req []byte) (resp []byte, err error) {
-	req = c.stamp.Stamp(req)
-	err = c.do(func() (e error) { resp, e = c.f.call(c.src, node, service, req, c.ss); return e })
-	return resp, err
+func (c Conn) Call(node common.NodeID, service string, req []byte) ([]byte, error) {
+	res, err := c.exec(&Verb{Op: OpCall, Node: node, Name: service, Buf: c.stamp.Stamp(req)})
+	return res.Resp, err
 }
 
 // ReadV performs a doorbell-batched one-sided read of every segment from
 // (node, region). Empty batches are no-ops; a single-segment batch is
 // equivalent to Read.
 func (c Conn) ReadV(node common.NodeID, region string, segs []Seg) error {
-	return c.do(func() error { return c.f.readV(c.src, node, region, segs, c.ss) })
+	_, err := c.exec(&Verb{Op: OpReadV, Node: node, Name: region, Segs: segs})
+	return err
 }
 
 // WriteV performs a doorbell-batched one-sided write of every segment to
 // (node, region).
 func (c Conn) WriteV(node common.NodeID, region string, segs []Seg) error {
-	return c.do(func() error { return c.f.writeV(c.src, node, region, segs, c.ss) })
+	_, err := c.exec(&Verb{Op: OpWriteV, Node: node, Name: region, Segs: segs})
+	return err
 }
 
 // CallBatch invokes service once per request in a single fabric round trip
@@ -142,7 +149,7 @@ func (c Conn) WriteV(node common.NodeID, region string, segs []Seg) error {
 // it. On success resp[i] answers reqs[i]. A mid-batch handler error fails the
 // whole call, and a retry re-runs the whole batch: it must be idempotent as a
 // unit.
-func (c Conn) CallBatch(node common.NodeID, service string, reqs [][]byte) (resps [][]byte, err error) {
+func (c Conn) CallBatch(node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
 	if c.stamp != nil {
 		stamped := make([][]byte, len(reqs))
 		for i, req := range reqs {
@@ -150,6 +157,9 @@ func (c Conn) CallBatch(node common.NodeID, service string, reqs [][]byte) (resp
 		}
 		reqs = stamped
 	}
-	err = c.do(func() (e error) { resps, e = c.f.callBatch(c.src, node, service, reqs, c.ss); return e })
-	return resps, err
+	resps := make([][]byte, len(reqs))
+	if _, err := c.exec(&Verb{Op: OpCallBatch, Node: node, Name: service, Reqs: reqs, Resps: resps}); err != nil {
+		return nil, err
+	}
+	return resps, nil
 }

@@ -16,11 +16,11 @@ import (
 // under test: the fixed fields, then — when the second string is set — a
 // u32 count and that many repeated elements. 'n' is a u16, 'q' a u64, 'w' a
 // u32 and 'b' a u32-length-prefixed byte string.
-var verbLayouts = map[uint8][2]string{
-	fopRead: {"nnbqw"}, fopWrite: {"nnbqb"},
-	fopReadV: {"nnb", "qw"}, fopWriteV: {"nnb", "qb"},
-	fopCAS: {"nnbqqq"}, fopFAA: {"nnbqqq"},
-	fopCall: {"nnbb"}, fopCallBatch: {"nnb", "b"},
+var verbLayouts = map[Op][2]string{
+	OpRead: {"nnbqw"}, OpWrite: {"nnbqb"},
+	OpReadV: {"nnb", "qw"}, OpWriteV: {"nnb", "qb"},
+	OpCAS: {"nnbqqq"}, OpFAA: {"nnbqqq"},
+	OpCall: {"nnbb"}, OpCallBatch: {"nnb", "b"},
 }
 
 var fieldBytes = map[rune]int{'n': 2, 'q': 8, 'w': 4, 'b': 4}
@@ -41,7 +41,7 @@ func walk(p []byte, layout string) ([]byte, bool) {
 }
 
 // fitsVerb reports whether p is exactly op's layout.
-func fitsVerb(op uint8, p []byte) bool {
+func fitsVerb(op Op, p []byte) bool {
 	l := verbLayouts[op]
 	p, ok := walk(p, l[0])
 	if ok && l[1] != "" {
@@ -58,19 +58,19 @@ func fitsVerb(op uint8, p []byte) bool {
 
 // sampleVerbs is one well-formed request per fabric op, issued by node 2
 // against the region and service verbFabric hosts on node 1.
-func sampleVerbs() map[uint8][]byte {
+func sampleVerbs() map[Op][]byte {
 	h := func() []byte { return verbHeader(2, 1, "mem") }
 	seg := func(b []byte, off uint64) []byte { return wire.AppendU64(b, off) }
 	call := func() []byte { return verbHeader(2, 1, "echo") }
-	return map[uint8][]byte{
-		fopRead:      wire.AppendU32(seg(h(), 8), 16),
-		fopWrite:     wire.AppendBytes(seg(h(), 8), []byte("written")),
-		fopReadV:     wire.AppendU32(seg(wire.AppendU32(seg(wire.AppendU32(h(), 2), 0), 8), 32), 4),
-		fopWriteV:    wire.AppendBytes(seg(wire.AppendBytes(seg(wire.AppendU32(h(), 2), 0), []byte("ab")), 32), []byte("cd")),
-		fopCAS:       wire.AppendU64(wire.AppendU64(seg(h(), 40), 0), 7),
-		fopFAA:       wire.AppendU64(wire.AppendU64(seg(h(), 48), 3), 0),
-		fopCall:      wire.AppendBytes(call(), []byte("ping")),
-		fopCallBatch: wire.AppendBytes(wire.AppendBytes(wire.AppendU32(call(), 2), []byte("a")), []byte("b")),
+	return map[Op][]byte{
+		OpRead:      wire.AppendU32(seg(h(), 8), 16),
+		OpWrite:     wire.AppendBytes(seg(h(), 8), []byte("written")),
+		OpReadV:     wire.AppendU32(seg(wire.AppendU32(seg(wire.AppendU32(h(), 2), 0), 8), 32), 4),
+		OpWriteV:    wire.AppendBytes(seg(wire.AppendBytes(seg(wire.AppendU32(h(), 2), 0), []byte("ab")), 32), []byte("cd")),
+		OpCAS:       wire.AppendU64(wire.AppendU64(seg(h(), 40), 0), 7),
+		OpFAA:       wire.AppendU64(wire.AppendU64(seg(h(), 48), 3), 0),
+		OpCall:      wire.AppendBytes(call(), []byte("ping")),
+		OpCallBatch: wire.AppendBytes(wire.AppendBytes(wire.AppendU32(call(), 2), []byte("a")), []byte("b")),
 	}
 }
 
@@ -101,7 +101,7 @@ func TestVerbSamplesAreWellFormed(t *testing.T) {
 			t.Errorf("op %d sample %x does not fit its layout", op, p)
 		}
 		l, _ := verbFabric()
-		if _, err := l.execute(op, p); err != nil {
+		if _, err := l.execute(uint8(op), p); err != nil {
 			t.Errorf("op %d sample %x: %v", op, p, err)
 		}
 	}
@@ -111,12 +111,12 @@ func TestVerbSamplesAreWellFormed(t *testing.T) {
 // element count its payload cannot hold is refused as corrupt before
 // anything is sized from the count.
 func TestFabricExecuteRefusesOverclaimedCount(t *testing.T) {
-	for _, op := range []uint8{fopReadV, fopWriteV, fopCallBatch} {
+	for _, op := range []Op{OpReadV, OpWriteV, OpCallBatch} {
 		l, _ := verbFabric()
 		p := wire.AppendU32(verbHeader(2, 1, "m"), 1<<20)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		_, err := l.execute(op, p)
+		_, err := l.execute(uint8(op), p)
 		runtime.ReadMemStats(&m1)
 		if !errors.Is(err, common.ErrCorrupt) {
 			t.Errorf("op %d claiming 2^20 elements in %d bytes: err = %v, want ErrCorrupt", op, len(p), err)
@@ -132,19 +132,19 @@ func TestFabricExecuteRefusesOverclaimedCount(t *testing.T) {
 // not; and a verb that fails leaves every region byte as it was.
 func FuzzFabricExecute(f *testing.F) {
 	for op, p := range sampleVerbs() {
-		f.Add(op, p)
+		f.Add(uint8(op), p)
 	}
 	// An offset whose end overflows int once panicked the bounds check.
-	f.Add(fopRead, wire.AppendU32(wire.AppendU64(verbHeader(2, 1, "mem"), 1<<63-1), 16))
+	f.Add(uint8(OpRead), wire.AppendU32(wire.AppendU64(verbHeader(2, 1, "mem"), 1<<63-1), 16))
 	f.Fuzz(func(t *testing.T, op uint8, p []byte) {
 		l, r := verbFabric()
 		before := regionBytes(r)
 		_, err := l.execute(op, p)
-		if _, known := verbLayouts[op]; !known {
+		if _, known := verbLayouts[Op(op)]; !known {
 			if !errors.Is(err, common.ErrNoService) {
 				t.Fatalf("unknown op %d: err = %v, want ErrNoService", op, err)
 			}
-		} else if fits := fitsVerb(op, p); fits == errors.Is(err, common.ErrCorrupt) {
+		} else if fits := fitsVerb(Op(op), p); fits == errors.Is(err, common.ErrCorrupt) {
 			t.Fatalf("op %d request %x (fits its layout: %v): err = %v", op, p, fits, err)
 		}
 		if err != nil && !bytes.Equal(regionBytes(r), before) {

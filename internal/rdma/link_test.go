@@ -42,7 +42,7 @@ func writeHex(t *testing.T, conn net.Conn, h string) {
 
 // TestFabricGoldenFrames pins the socket fabric's frames byte for byte, as
 // TestSessionGoldenFrames does the session's: the dialer's hello, the
-// acceptor's hello-ack, one fopRead request and its response, one announce.
+// acceptor's hello-ack, one OpRead request and its response, one announce.
 // The bytes are what this test read at the commit before peerLink moved onto
 // wire.Link (the hello's random peer id zeroed), with the hello and the
 // hello-ack carrying FabricProtoVersion 2.
@@ -89,7 +89,7 @@ func TestFabricGoldenFrames(t *testing.T) {
 	fb.AttachDefault(peer)
 	go func() { _ = fb.From(2).Read(1, "mem", 16, make([]byte, 8)) }()
 	if got := readRawFrame(t, conn); got != readReqHex {
-		t.Fatalf("fopRead request frame\n got %s\nwant %s", got, readReqHex)
+		t.Fatalf("OpRead request frame\n got %s\nwant %s", got, readReqHex)
 	}
 	if err := peer.Announce(9); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestFabricGoldenFrames(t *testing.T) {
 	}
 	writeHex(t, raw, readReqHex)
 	if got := readRawFrame(t, raw); got != readRespHex {
-		t.Fatalf("fopRead response frame\n got %s\nwant %s", got, readRespHex)
+		t.Fatalf("OpRead response frame\n got %s\nwant %s", got, readRespHex)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestPeerLinkRoundTripAllocs(t *testing.T) {
 	}
 	p := wire.AppendU32(wire.AppendU64(verbHeader(2, 1, "m"), 0), 0)
 	if a := testing.AllocsPerRun(1000, func() {
-		if _, err := l.call(fopRead, p); err != nil {
+		if _, err := l.call(OpRead, p); err != nil {
 			t.Fatal(err)
 		}
 	}); a > 8 {

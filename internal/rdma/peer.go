@@ -146,11 +146,13 @@ var _ Transport = (*Peer)(nil)
 type remotePeer struct {
 	netTransport
 	srv  *FabricServer
+	id   uint64
 	name string
 
-	mu    sync.Mutex
-	link  *peerLink // nil once the dialer's link died
-	nodes map[common.NodeID]bool
+	mu   sync.Mutex
+	link *peerLink // nil once the dialer's link died
+
+	nodes int // nodes routed through this peer; guarded by srv.mu
 }
 
 func (rp *remotePeer) pick() (*peerLink, error) {
@@ -165,17 +167,6 @@ func (rp *remotePeer) pick() (*peerLink, error) {
 	return l, nil
 }
 
-// addNode routes verbs for node through this peer.
-func (rp *remotePeer) addNode(node common.NodeID) {
-	rp.mu.Lock()
-	known := rp.nodes[node]
-	rp.nodes[node] = true
-	rp.mu.Unlock()
-	if !known {
-		rp.srv.f.AttachRemote(node, rp)
-	}
-}
-
 // setLink makes l the dialer's link. A dialer redials only once its own
 // link is dead, so the link l replaces has been abandoned: it is failed.
 func (rp *remotePeer) setLink(l *peerLink) {
@@ -188,20 +179,12 @@ func (rp *remotePeer) setLink(l *peerLink) {
 	}
 }
 
-// dropLink forgets l once it died, unless a newer link already replaced it.
-func (rp *remotePeer) dropLink(l *peerLink) {
-	rp.mu.Lock()
-	if rp.link == l {
-		rp.link = nil
-	}
-	rp.mu.Unlock()
-}
-
 var _ Transport = (*remotePeer)(nil)
 
 // FabricServer accepts socket-transport peers on behalf of a fabric: it
 // serves their verbs against local endpoints and installs reverse routes for
-// the nodes each peer hosts.
+// the nodes each peer hosts. A node routes to the peer that announced it
+// last; a peer that routes no node and has no live link is forgotten.
 type FabricServer struct {
 	f    *Fabric
 	lis  net.Listener
@@ -210,6 +193,7 @@ type FabricServer struct {
 
 	mu     sync.Mutex
 	peers  map[uint64]*remotePeer
+	routed map[common.NodeID]*remotePeer // each announced node's route
 	closed bool
 }
 
@@ -217,11 +201,12 @@ type FabricServer struct {
 // advertised identity.
 func ServeFabric(f *Fabric, lis net.Listener, name string, nc *wire.NetCounters) *FabricServer {
 	s := &FabricServer{
-		f:     f,
-		lis:   lis,
-		name:  name,
-		nc:    nc,
-		peers: make(map[uint64]*remotePeer),
+		f:      f,
+		lis:    lis,
+		name:   name,
+		nc:     nc,
+		peers:  make(map[uint64]*remotePeer),
+		routed: make(map[common.NodeID]*remotePeer),
 	}
 	go s.acceptLoop()
 	return s
@@ -240,8 +225,8 @@ func (s *FabricServer) acceptLoop() {
 	}
 }
 
-// handshake validates a dialer's hello, makes the link its peer's and
-// starts serving it.
+// handshake validates a dialer's hello, makes the link its peer's, routes
+// the nodes it announced and starts serving it.
 func (s *FabricServer) handshake(c net.Conn) {
 	_ = c.SetDeadline(time.Now().Add(dialTimeout))
 	fr, _, err := wire.ReadFrame(c, nil)
@@ -268,21 +253,12 @@ func (s *FabricServer) handshake(c net.Conn) {
 		_ = c.Close()
 		return
 	}
-	var hsErr error
 	if version != FabricProtoVersion {
-		hsErr = fmt.Errorf("wire: protocol v%d not supported, want v%d: %w",
-			version, FabricProtoVersion, common.ErrCorrupt)
-	}
-	ack := wire.AppendStatus(nil, hsErr)
-	ack = wire.AppendU16(ack, FabricProtoVersion)
-	ack = wire.AppendString(ack, s.name)
-	af := wire.Frame{Kind: wire.KindControl, Op: copHelloAck, Payload: ack}
-	if _, err := wire.WriteFrame(c, nil, af); err != nil || hsErr != nil {
+		_ = s.ack(c, fmt.Errorf("wire: protocol v%d not supported, want v%d: %w",
+			version, FabricProtoVersion, common.ErrCorrupt))
 		_ = c.Close()
 		return
 	}
-	s.nc.FrameOut(af.WireSize())
-	_ = c.SetDeadline(time.Time{})
 
 	s.mu.Lock()
 	if s.closed {
@@ -292,7 +268,7 @@ func (s *FabricServer) handshake(c net.Conn) {
 	}
 	rp := s.peers[peerID]
 	if rp == nil {
-		rp = &remotePeer{srv: s, name: peerName, nodes: make(map[common.NodeID]bool)}
+		rp = &remotePeer{srv: s, id: peerID, name: peerName}
 		rp.netTransport = netTransport{links: rp}
 		s.peers[peerID] = rp
 	}
@@ -302,10 +278,71 @@ func (s *FabricServer) handshake(c net.Conn) {
 	rp.setLink(l)
 	s.mu.Unlock()
 
-	for _, n := range nodes {
-		rp.addNode(n)
+	// Routed before the ack: of two dialers that announce one node, the
+	// one that saw its ack last has the route.
+	s.route(rp, nodes)
+	if err := s.ack(c, nil); err != nil {
+		l.Fail(err) // its keepalive loop forgets it
 	}
+	_ = c.SetDeadline(time.Time{})
 	l.start()
+}
+
+// ack writes the hello-ack carrying hsErr's status.
+func (s *FabricServer) ack(c net.Conn, hsErr error) error {
+	ack := wire.AppendStatus(nil, hsErr)
+	ack = wire.AppendU16(ack, FabricProtoVersion)
+	ack = wire.AppendString(ack, s.name)
+	af := wire.Frame{Kind: wire.KindControl, Op: copHelloAck, Payload: ack}
+	if _, err := wire.WriteFrame(c, nil, af); err != nil {
+		return err
+	}
+	s.nc.FrameOut(af.WireSize())
+	return nil
+}
+
+// route routes verbs for nodes through rp, their newest announcer. A peer
+// rp displaces no longer routes the node, and is forgotten if that leaves
+// it nothing.
+func (s *FabricServer) route(rp *remotePeer, nodes []common.NodeID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, n := range nodes {
+		old := s.routed[n]
+		if s.closed || old == rp {
+			continue
+		}
+		s.routed[n] = rp
+		rp.nodes++
+		s.f.AttachRemote(n, rp)
+		if old != nil {
+			old.nodes--
+			s.forgetIdleLocked(old)
+		}
+	}
+}
+
+// dropLink forgets rp's link l once it died, unless a newer link already
+// replaced it, and then rp itself if it routes no node.
+func (s *FabricServer) dropLink(rp *remotePeer, l *peerLink) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rp.mu.Lock()
+	if rp.link == l {
+		rp.link = nil
+	}
+	rp.mu.Unlock()
+	s.forgetIdleLocked(rp)
+}
+
+// forgetIdleLocked deletes rp from s.peers once it routes no node and has
+// no live link: nothing can reach it, and a redial of its dialer makes a
+// fresh one. A peer that still routes a node keeps it, so verbs for the
+// node fail as unreachable until its dialer redials. s.mu is held.
+func (s *FabricServer) forgetIdleLocked(rp *remotePeer) {
+	if _, err := rp.pick(); rp.nodes == 0 && err != nil && s.peers[rp.id] == rp {
+		delete(s.peers, rp.id)
+	}
 }
 
 // Close stops accepting and tears down every peer's link. Routes the peers
@@ -317,23 +354,20 @@ func (s *FabricServer) Close() {
 		return
 	}
 	s.closed = true
-	peers := s.peers
+	peers, routed := s.peers, s.routed
 	s.peers = make(map[uint64]*remotePeer)
+	s.routed = make(map[common.NodeID]*remotePeer)
 	s.mu.Unlock()
 	_ = s.lis.Close()
 	for _, rp := range peers {
 		rp.mu.Lock()
 		l := rp.link
-		nodes := make([]common.NodeID, 0, len(rp.nodes))
-		for n := range rp.nodes {
-			nodes = append(nodes, n)
-		}
 		rp.mu.Unlock()
 		if l != nil {
 			l.Fail(errPeerUnreachable("server closed"))
 		}
-		for _, n := range nodes {
-			s.f.DetachRemote(n)
-		}
+	}
+	for n := range routed {
+		s.f.DetachRemote(n)
 	}
 }

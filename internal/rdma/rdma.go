@@ -208,34 +208,41 @@ func (f *Fabric) BindStamp(node common.NodeID, s *common.EpochStamp) {
 func (f *Fabric) SetInjector(inj common.FaultInjector) { f.inj.Store(inj) }
 
 // issue is the one path every verb takes. It asks the injector for a
-// verdict (sleeping an injected delay, failing a dropped op before anything
-// executes), runs exec on the transport that owns node — twice for a
-// duplicated one-sided READ/WRITE, as a NIC re-executing an idempotent verb
-// would — and charges every successful execution once, op and n bytes, to
-// the fabric's counters and the source mirror ss (nil: unbound). An RPC
-// whose reply the verdict drops ran, so it is charged, and then fails.
-func (f *Fabric) issue(class string, src, node common.NodeID, name string, n int, ss *Stats, exec func(Transport) error) error {
+// verdict on v's class and byte count (sleeping an injected delay, failing
+// a dropped op before anything executes), executes v on the transport that
+// owns v.Node — twice for a duplicated one-sided READ/WRITE, as a NIC
+// re-executing an idempotent verb would — and charges every successful
+// execution once to the fabric's counters and the source mirror ss (nil:
+// unbound). An RPC whose reply the verdict drops ran, so it is charged, and
+// then fails. A vectored verb with no elements is a no-op.
+func (f *Fabric) issue(v *Verb, ss *Stats) (Result, error) {
+	if (v.Op == OpReadV || v.Op == OpWriteV) && len(v.Segs) == 0 || v.Op == OpCallBatch && len(v.Reqs) == 0 {
+		return Result{}, nil
+	}
+	class, n := v.class()
 	var d common.FaultDecision
 	if inj, _ := f.inj.Load().(common.FaultInjector); inj != nil {
 		d = inj(common.FaultOp{
 			Layer: common.FaultLayerRDMA, Class: class,
-			Src: src, Dst: node, Name: name, Len: n,
+			Src: v.Src, Dst: v.Node, Name: v.Name, Len: n,
 		})
 		if d.Delay > 0 {
 			time.Sleep(d.Delay)
 		}
 		if d.Err != nil {
-			return fmt.Errorf("rdma: %s %q @ node %d: %w", class, name, node, d.Err)
+			return Result{}, fmt.Errorf("rdma: %s %q @ node %d: %w", class, v.Name, v.Node, d.Err)
 		}
 	}
-	t := f.transportFor(node)
+	t := f.transportFor(v.Node)
 	runs := 1
 	if d.Duplicate && (class == common.FaultRead || class == common.FaultWrite) {
 		runs = 2 // atomics and RPCs are not idempotent, so never duplicated
 	}
+	var res Result
 	for ; runs > 0; runs-- {
-		if err := exec(t); err != nil {
-			return err
+		var err error
+		if res, err = t.Exec(*v); err != nil {
+			return Result{}, err
 		}
 		f.stats.charge(class, n)
 		if ss != nil {
@@ -243,9 +250,9 @@ func (f *Fabric) issue(class string, src, node common.NodeID, name string, n int
 		}
 	}
 	if d.DropReply && class == common.FaultRPC {
-		return errReplyLost(name, node)
+		return Result{}, errReplyLost(v.Name, v.Node)
 	}
-	return nil
+	return res, nil
 }
 
 // Register creates (or revives) the endpoint for node. Registering an id
@@ -277,89 +284,49 @@ func (f *Fabric) lookup(node common.NodeID) (*Endpoint, error) {
 	return ep, nil
 }
 
-// Read performs a one-sided read of len(dst) bytes from (node, region, off).
-func (f *Fabric) Read(node common.NodeID, region string, off int, dst []byte) error {
-	return f.read(common.AnyNode, node, region, off, dst, nil)
+// raw is the Conn the raw Fabric verbs issue through: unbound, unstamped
+// and single-shot.
+func (f *Fabric) raw() Conn {
+	return Conn{f: f, src: common.AnyNode, retry: common.NoRetryPolicy()}
 }
 
-func (f *Fabric) read(src, node common.NodeID, region string, off int, dst []byte, ss *Stats) error {
-	return f.issue(common.FaultRead, src, node, region, len(dst), ss, func(t Transport) error {
-		return t.Read(src, node, region, off, dst)
-	})
+// Read performs a one-sided read of len(dst) bytes from (node, region, off).
+func (f *Fabric) Read(node common.NodeID, region string, off int, dst []byte) error {
+	return f.raw().Read(node, region, off, dst)
 }
 
 // Write performs a one-sided write of src to (node, region, off).
 func (f *Fabric) Write(node common.NodeID, region string, off int, src []byte) error {
-	return f.write(common.AnyNode, node, region, off, src, nil)
-}
-
-func (f *Fabric) write(src, node common.NodeID, region string, off int, data []byte, ss *Stats) error {
-	return f.issue(common.FaultWrite, src, node, region, len(data), ss, func(t Transport) error {
-		return t.Write(src, node, region, off, data)
-	})
+	return f.raw().Write(node, region, off, src)
 }
 
 // Read64 reads an 8-byte little-endian word.
 func (f *Fabric) Read64(node common.NodeID, region string, off int) (uint64, error) {
-	var b [8]byte
-	if err := f.Read(node, region, off, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return f.raw().Read64(node, region, off)
 }
 
 // Write64 writes an 8-byte little-endian word.
 func (f *Fabric) Write64(node common.NodeID, region string, off int, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return f.Write(node, region, off, b[:])
+	return f.raw().Write64(node, region, off, v)
 }
 
 // CAS64 atomically compares-and-swaps the word at (node, region, off).
 // It returns the value observed before the operation; the swap happened iff
 // that equals old.
 func (f *Fabric) CAS64(node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
-	return f.cas64(common.AnyNode, node, region, off, old, new, nil)
-}
-
-func (f *Fabric) cas64(src, node common.NodeID, region string, off int, old, new uint64, ss *Stats) (prev uint64, err error) {
-	err = f.issue(common.FaultAtomic, src, node, region, 8, ss, func(t Transport) (e error) {
-		prev, e = t.CAS64(src, node, region, off, old, new)
-		return e
-	})
-	return prev, err
+	return f.raw().CAS64(node, region, off, old, new)
 }
 
 // FetchAdd64 atomically adds delta to the word at (node, region, off) and
 // returns the previous value.
 func (f *Fabric) FetchAdd64(node common.NodeID, region string, off int, delta uint64) (uint64, error) {
-	return f.fetchAdd64(common.AnyNode, node, region, off, delta, nil)
-}
-
-func (f *Fabric) fetchAdd64(src, node common.NodeID, region string, off int, delta uint64, ss *Stats) (prev uint64, err error) {
-	err = f.issue(common.FaultAtomic, src, node, region, 8, ss, func(t Transport) (e error) {
-		prev, e = t.FetchAdd64(src, node, region, off, delta)
-		return e
-	})
-	return prev, err
+	return f.raw().FetchAdd64(node, region, off, delta)
 }
 
 // Call invokes an RPC service method on node. The response buffer is owned
 // by the caller.
 func (f *Fabric) Call(node common.NodeID, service string, req []byte) ([]byte, error) {
-	return f.call(common.AnyNode, node, service, req, nil)
-}
-
-func (f *Fabric) call(src, node common.NodeID, service string, req []byte, ss *Stats) ([]byte, error) {
-	var resp []byte
-	err := f.issue(common.FaultRPC, src, node, service, len(req), ss, func(t Transport) (e error) {
-		resp, e = t.Call(src, node, service, req)
-		return e
-	})
-	if err != nil {
-		return nil, err // resp may hold a reply the injector dropped
-	}
-	return resp, nil
+	return f.raw().Call(node, service, req)
 }
 
 func errNodeDiedDuringCall(node common.NodeID) error {

@@ -34,18 +34,6 @@ import (
 // time rather than corrupting verbs mid-stream.
 const FabricProtoVersion uint16 = 2
 
-// Fabric-peer opcodes (wire.KindRequest).
-const (
-	fopRead uint8 = iota + 1
-	fopWrite
-	fopReadV
-	fopWriteV
-	fopCAS
-	fopFAA
-	fopCall
-	fopCallBatch
-)
-
 // Control opcodes (wire.KindControl).
 const (
 	copHello uint8 = iota + 1
@@ -126,7 +114,7 @@ func (l *peerLink) keepaliveLoop() {
 	defer func() {
 		l.f.faults.deregister(l)
 		if l.rp != nil {
-			l.rp.dropLink(l)
+			l.rp.srv.dropLink(l.rp, l)
 		}
 	}()
 	for {
@@ -173,16 +161,14 @@ func (l *peerLink) control(fr wire.Frame) {
 	if rd.Done() != nil {
 		return // a malformed announce routes nothing
 	}
-	for _, n := range nodes {
-		l.rp.addNode(n)
-	}
+	l.rp.srv.route(l.rp, nodes)
 }
 
 // call issues one verb. A link that died under it (or before it) is the
 // transient ErrUnreachable, named; a status the remote answered is returned
 // as it is.
-func (l *peerLink) call(op uint8, payload []byte) ([]byte, error) {
-	out, responded, err := l.Call(op, payload)
+func (l *peerLink) call(op Op, payload []byte) ([]byte, error) {
+	out, responded, err := l.Call(uint8(op), payload)
 	if err != nil && !responded {
 		return nil, fmt.Errorf("rdma: peer %s: %w", l.name, err)
 	}
@@ -198,39 +184,56 @@ func (l *peerLink) srcStats(src common.NodeID) *Stats {
 
 // execute runs one incoming verb against the local fabric. Injection,
 // latency and stats apply at this fabric exactly as for a locally issued
-// verb, with the op attributed to the original source. A request that does
-// not fit its op's layout — a field cut short, an element count the payload
-// cannot hold, bytes past the last field — is refused as corrupt before
-// anything is sized from it or executed.
+// verb, with the op attributed to the original source.
 func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
+	v, read, err := decodeVerb(Op(op), payload)
+	if err != nil {
+		return nil, err
+	}
+	res, err := l.f.issue(&v, l.srcStats(v.Src))
+	if err != nil {
+		return nil, err
+	}
+	switch v.Op {
+	case OpRead, OpReadV:
+		return read, nil
+	case OpCAS, OpFAA:
+		return wire.AppendU64(nil, res.Prev), nil
+	case OpCall:
+		return res.Resp, nil
+	case OpCallBatch:
+		return appendBatch(nil, v.Resps), nil
+	}
+	return nil, nil
+}
+
+// decodeVerb decodes a request into the verb it asks for, with the slots a
+// batch answers in and, for a read, the one buffer it lands in. A request
+// that does not fit its op's layout — a field cut short, an element count
+// the payload cannot hold, bytes past the last field — is refused as
+// corrupt before anything is sized from it.
+func decodeVerb(op Op, payload []byte) (v Verb, read []byte, err error) {
 	rd := wire.NewReader(payload)
-	src := common.NodeID(rd.U16())
-	node := common.NodeID(rd.U16())
-	name := rd.Str()
-	ss := l.srcStats(src)
+	v.Op = op
+	v.Src = common.NodeID(rd.U16())
+	v.Node = common.NodeID(rd.U16())
+	v.Name = rd.Str()
 	switch op {
-	case fopRead:
-		off := int(rd.U64())
+	case OpRead:
+		v.Off = int(rd.U64())
 		n := int(rd.U32())
 		if err := rd.Done(); err != nil {
-			return nil, err
+			return v, nil, err
 		}
 		if n > wire.MaxFrame {
-			return nil, fmt.Errorf("wire: read of %d bytes: %w", n, common.ErrOutOfBounds)
+			return v, nil, fmt.Errorf("wire: read of %d bytes: %w", n, common.ErrOutOfBounds)
 		}
-		dst := make([]byte, n)
-		if err := l.f.read(src, node, name, off, dst, ss); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	case fopWrite:
-		off := int(rd.U64())
-		data := rd.Bytes()
-		if err := rd.Done(); err != nil {
-			return nil, err
-		}
-		return nil, l.f.write(src, node, name, off, data, ss)
-	case fopReadV:
+		v.Buf = make([]byte, n)
+		return v, v.Buf, nil
+	case OpWrite:
+		v.Off = int(rd.U64())
+		v.Buf = rd.Bytes()
+	case OpReadV:
 		// The segment table is walked twice: sizes first, then the
 		// segments, each a slice of the one response buffer.
 		k := rd.Count(rd.U32(), 12)
@@ -240,84 +243,57 @@ func (l *peerLink) execute(op uint8, payload []byte) ([]byte, error) {
 			total += int(rd.U32())
 		}
 		if err := rd.Done(); err != nil {
-			return nil, err
+			return v, nil, err
 		}
 		if total > wire.MaxFrame {
-			return nil, fmt.Errorf("wire: readv of %d bytes: %w", total, common.ErrOutOfBounds)
+			return v, nil, fmt.Errorf("wire: readv of %d bytes: %w", total, common.ErrOutOfBounds)
 		}
-		out := make([]byte, total)
-		segs := make([]Seg, k)
-		for i, rest := 0, out; i < k; i++ {
+		read, v.Segs = make([]byte, total), make([]Seg, k)
+		for i, rest := 0, read; i < k; i++ {
 			off, n := int(table.U64()), int(table.U32())
-			segs[i], rest = Seg{Off: off, Buf: rest[:n:n]}, rest[n:]
+			v.Segs[i], rest = Seg{Off: off, Buf: rest[:n:n]}, rest[n:]
 		}
-		if err := l.f.readV(src, node, name, segs, ss); err != nil {
-			return nil, err
+		return v, read, nil
+	case OpWriteV:
+		v.Segs = make([]Seg, rd.Count(rd.U32(), 12))
+		for i := range v.Segs {
+			v.Segs[i].Off = int(rd.U64())
+			v.Segs[i].Buf = rd.Bytes()
 		}
-		return out, nil
-	case fopWriteV:
-		segs := make([]Seg, rd.Count(rd.U32(), 12))
-		for i := range segs {
-			segs[i].Off = int(rd.U64())
-			segs[i].Buf = rd.Bytes()
-		}
-		if err := rd.Done(); err != nil {
-			return nil, err
-		}
-		return nil, l.f.writeV(src, node, name, segs, ss)
-	case fopCAS, fopFAA:
-		off := int(rd.U64())
-		a := rd.U64()
-		b := rd.U64()
-		if err := rd.Done(); err != nil {
-			return nil, err
-		}
-		var prev uint64
-		var err error
-		if op == fopCAS {
-			prev, err = l.f.cas64(src, node, name, off, a, b, ss)
-		} else {
-			prev, err = l.f.fetchAdd64(src, node, name, off, a, ss)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendU64(nil, prev), nil
-	case fopCall:
-		req := rd.Bytes()
-		if err := rd.Done(); err != nil {
-			return nil, err
-		}
-		return l.f.call(src, node, name, req, ss)
-	case fopCallBatch:
-		reqs, err := decodeBatch(rd)
-		if err != nil {
-			return nil, err
-		}
-		resps, err := l.f.callBatch(src, node, name, reqs, ss)
-		if err != nil {
-			return nil, err
-		}
-		out := wire.AppendU32(nil, uint32(len(resps)))
-		for _, r := range resps {
-			out = wire.AppendBytes(out, r)
-		}
-		return out, nil
+	case OpCAS, OpFAA:
+		v.Off = int(rd.U64())
+		v.A = rd.U64()
+		v.B = rd.U64()
+	case OpCall:
+		v.Buf = rd.Bytes()
+	case OpCallBatch:
+		v.Reqs = readBatch(rd, make([][]byte, rd.Count(rd.U32(), 4)))
+		v.Resps = make([][]byte, len(v.Reqs))
 	default:
-		return nil, fmt.Errorf("wire: fabric op %d: %w", op, common.ErrNoService)
+		return v, nil, fmt.Errorf("wire: fabric op %d: %w", op, common.ErrNoService)
 	}
+	return v, nil, rd.Done()
 }
 
-// decodeBatch decodes a count-prefixed list of byte strings: a CallBatch's
-// requests, or its responses. The strings alias the payload, each capped at
-// its own length so an append to one cannot overwrite the next.
-func decodeBatch(rd *wire.Reader) ([][]byte, error) {
-	out := make([][]byte, rd.Count(rd.U32(), 4))
-	for i := range out {
-		b := rd.Bytes()
-		out[i] = b[:len(b):len(b)]
+// appendBatch appends a count-prefixed list of byte strings: a CallBatch's
+// requests, or its responses.
+func appendBatch(p []byte, bs [][]byte) []byte {
+	p = wire.AppendU32(p, uint32(len(bs)))
+	for _, b := range bs {
+		p = wire.AppendBytes(p, b)
 	}
-	return out, rd.Done()
+	return p
+}
+
+// readBatch reads len(into) byte strings of a batch into into. The strings
+// alias the payload, each capped at its own length so an append to one
+// cannot overwrite the next.
+func readBatch(rd *wire.Reader, into [][]byte) [][]byte {
+	for i := range into {
+		b := rd.Bytes()
+		into[i] = b[:len(b):len(b)]
+	}
+	return into
 }
 
 // --- verb encoding (issuer side) --------------------------------------------
@@ -326,6 +302,70 @@ func verbHeader(src, node common.NodeID, name string) []byte {
 	b := wire.AppendU16(nil, uint16(src))
 	b = wire.AppendU16(b, uint16(node))
 	return wire.AppendString(b, name)
+}
+
+// encodeVerb is the request decodeVerb reads: the header, then the op's
+// operands — a read's length in place of its buffer.
+func encodeVerb(v *Verb) []byte {
+	p := verbHeader(v.Src, v.Node, v.Name)
+	switch v.Op {
+	case OpRead:
+		p = wire.AppendU64(p, uint64(v.Off))
+		p = wire.AppendU32(p, uint32(len(v.Buf)))
+	case OpWrite:
+		p = wire.AppendU64(p, uint64(v.Off))
+		p = wire.AppendBytes(p, v.Buf)
+	case OpReadV, OpWriteV:
+		p = wire.AppendU32(p, uint32(len(v.Segs)))
+		for _, s := range v.Segs {
+			p = wire.AppendU64(p, uint64(s.Off))
+			if v.Op == OpReadV {
+				p = wire.AppendU32(p, uint32(len(s.Buf)))
+			} else {
+				p = wire.AppendBytes(p, s.Buf)
+			}
+		}
+	case OpCAS, OpFAA:
+		p = wire.AppendU64(p, uint64(v.Off))
+		p = wire.AppendU64(p, v.A)
+		p = wire.AppendU64(p, v.B)
+	case OpCall:
+		p = wire.AppendBytes(p, v.Buf)
+	case OpCallBatch:
+		p = appendBatch(p, v.Reqs)
+	}
+	return p
+}
+
+// decodeResult takes a verb's response: a read's bytes into its buffers,
+// an atomic's previous word, a call's response, a batch's into v.Resps.
+// out is the response frame's own payload, so responses may alias it.
+func decodeResult(v *Verb, out []byte) (Result, error) {
+	switch v.Op {
+	case OpRead, OpReadV:
+		if want := len(v.Buf) + segTotal(v.Segs); len(out) != want {
+			return Result{}, fmt.Errorf("wire: read returned %d of %d bytes: %w", len(out), want, common.ErrShortBuffer)
+		}
+		out = out[copy(v.Buf, out):]
+		for _, s := range v.Segs {
+			out = out[copy(s.Buf, out):]
+		}
+		return Result{}, nil
+	case OpCAS, OpFAA:
+		rd := wire.NewReader(out)
+		prev := rd.U64()
+		return Result{Prev: prev}, rd.Done()
+	case OpCall:
+		return Result{Resp: out}, nil
+	case OpCallBatch:
+		rd := wire.NewReader(out)
+		if n := int(rd.U32()); n != len(v.Resps) {
+			return Result{}, fmt.Errorf("wire: %d responses to a batch of %d: %w", n, len(v.Resps), common.ErrCorrupt)
+		}
+		readBatch(rd, v.Resps)
+		return Result{}, rd.Done()
+	}
+	return Result{}, nil
 }
 
 // linkPicker abstracts "give me a live link" over the dialer's Peer and the
@@ -337,109 +377,15 @@ type linkPicker interface {
 // netTransport implements Transport over a linkPicker.
 type netTransport struct{ links linkPicker }
 
-func (t *netTransport) do(op uint8, payload []byte) ([]byte, error) {
+// Exec sends v as one request on a live link and takes its response.
+func (t *netTransport) Exec(v Verb) (Result, error) {
 	l, err := t.links.pick()
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	return l.call(op, payload)
-}
-
-func (t *netTransport) Read(src, node common.NodeID, region string, off int, dst []byte) error {
-	p := verbHeader(src, node, region)
-	p = wire.AppendU64(p, uint64(off))
-	p = wire.AppendU32(p, uint32(len(dst)))
-	out, err := t.do(fopRead, p)
+	out, err := l.call(v.Op, encodeVerb(&v))
 	if err != nil {
-		return err
+		return Result{}, err
 	}
-	if len(out) != len(dst) {
-		return fmt.Errorf("wire: read returned %d of %d bytes: %w", len(out), len(dst), common.ErrShortBuffer)
-	}
-	copy(dst, out)
-	return nil
-}
-
-func (t *netTransport) Write(src, node common.NodeID, region string, off int, data []byte) error {
-	p := verbHeader(src, node, region)
-	p = wire.AppendU64(p, uint64(off))
-	p = wire.AppendBytes(p, data)
-	_, err := t.do(fopWrite, p)
-	return err
-}
-
-func (t *netTransport) ReadV(src, node common.NodeID, region string, segs []Seg) error {
-	p := verbHeader(src, node, region)
-	p = wire.AppendU32(p, uint32(len(segs)))
-	for _, s := range segs {
-		p = wire.AppendU64(p, uint64(s.Off))
-		p = wire.AppendU32(p, uint32(len(s.Buf)))
-	}
-	out, err := t.do(fopReadV, p)
-	if err != nil {
-		return err
-	}
-	if len(out) != segTotal(segs) {
-		return fmt.Errorf("wire: readv returned %d of %d bytes: %w", len(out), segTotal(segs), common.ErrShortBuffer)
-	}
-	for _, s := range segs {
-		out = out[copy(s.Buf, out):]
-	}
-	return nil
-}
-
-func (t *netTransport) WriteV(src, node common.NodeID, region string, segs []Seg) error {
-	p := verbHeader(src, node, region)
-	p = wire.AppendU32(p, uint32(len(segs)))
-	for _, s := range segs {
-		p = wire.AppendU64(p, uint64(s.Off))
-		p = wire.AppendBytes(p, s.Buf)
-	}
-	_, err := t.do(fopWriteV, p)
-	return err
-}
-
-func (t *netTransport) atomic64(op uint8, src, node common.NodeID, region string, off int, a, b uint64) (uint64, error) {
-	p := verbHeader(src, node, region)
-	p = wire.AppendU64(p, uint64(off))
-	p = wire.AppendU64(p, a)
-	p = wire.AppendU64(p, b)
-	out, err := t.do(op, p)
-	if err != nil {
-		return 0, err
-	}
-	rd := wire.NewReader(out)
-	prev := rd.U64()
-	if err := rd.Done(); err != nil {
-		return 0, err
-	}
-	return prev, nil
-}
-
-func (t *netTransport) CAS64(src, node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
-	return t.atomic64(fopCAS, src, node, region, off, old, new)
-}
-
-func (t *netTransport) FetchAdd64(src, node common.NodeID, region string, off int, delta uint64) (uint64, error) {
-	return t.atomic64(fopFAA, src, node, region, off, delta, 0)
-}
-
-func (t *netTransport) Call(src, node common.NodeID, service string, req []byte) ([]byte, error) {
-	p := verbHeader(src, node, service)
-	p = wire.AppendBytes(p, req)
-	return t.do(fopCall, p)
-}
-
-func (t *netTransport) CallBatch(src, node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
-	p := verbHeader(src, node, service)
-	p = wire.AppendU32(p, uint32(len(reqs)))
-	for _, r := range reqs {
-		p = wire.AppendBytes(p, r)
-	}
-	out, err := t.do(fopCallBatch, p)
-	if err != nil {
-		return nil, err
-	}
-	// out is the response frame's own payload, so the responses may alias it.
-	return decodeBatch(wire.NewReader(out))
+	return decodeResult(&v, out)
 }

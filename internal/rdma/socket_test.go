@@ -288,3 +288,76 @@ func TestSocketTransportReverseVerbAfterRedial(t *testing.T) {
 		t.Fatalf("satellite local read: %v %d", err, v)
 	}
 }
+
+// Six dialers in turn announce node 7, each hosting it with its own number
+// in word 0, and the first five close. Node 7 routes to the last dialer —
+// each dialer attached before its ack, so after the ones before it — and
+// the acceptor forgets the five it no longer routes to.
+func TestAcceptorRoutesNodeToNewestDialer(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := NewFabric(Latency{})
+	srv := ServeFabric(fa, lis, "seed", &wire.NetCounters{})
+	defer srv.Close()
+	var peers []*Peer
+	for i := 0; i < 6; i++ {
+		fb := NewFabric(Latency{})
+		_ = fb.Register(7).RegisterRegion("mem", 64).LocalWrite64(0, uint64(i))
+		p, err := DialPeer(fb, lis.Addr().String(), PeerConfig{Name: fmt.Sprint("sat", i), Hosted: []common.NodeID{7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		peers = append(peers, p)
+	}
+	for _, p := range peers[:5] {
+		_ = p.Close()
+	}
+	waitFor(t, "the acceptor to forget the closed dialers", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.peers) == 1
+	})
+	if v, err := fa.Read64(7, "mem", 0); err != nil || v != 5 {
+		t.Fatalf("node 7 word 0 = %d, %v; want the newest dialer's 5", v, err)
+	}
+}
+
+// A dialer whose node nobody else announced keeps the node's route after
+// its link died: verbs to the node fail as unreachable, a transient fault a
+// redial heals.
+func TestAcceptorKeepsRouteOfDeadDialer(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := NewFabric(Latency{})
+	srv := ServeFabric(fa, lis, "seed", &wire.NetCounters{})
+	defer srv.Close()
+	fb := NewFabric(Latency{})
+	fb.Register(7).RegisterRegion("mem", 64)
+	p, err := DialPeer(fb, lis.Addr().String(), PeerConfig{Name: "sat", Hosted: []common.NodeID{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	rp := srv.peers[p.id]
+	srv.mu.Unlock()
+	_ = p.Close()
+	waitFor(t, "the acceptor to drop the dead link", func() bool {
+		rp.mu.Lock()
+		defer rp.mu.Unlock()
+		return rp.link == nil
+	})
+	srv.mu.Lock()
+	kept := srv.peers[p.id] == rp
+	srv.mu.Unlock()
+	if !kept || fa.transportFor(7) != Transport(rp) {
+		t.Fatal("the dead dialer lost node 7's route")
+	}
+	if _, err := fa.Read64(7, "mem", 0); !errors.Is(err, common.ErrUnreachable) {
+		t.Fatalf("verb to the dead dialer's node: %v, want ErrUnreachable", err)
+	}
+}

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"polardbmp/internal/common"
@@ -11,7 +12,9 @@ import (
 // it consults the injector before the transport runs, runs a duplicated
 // one-sided READ/WRITE twice, charges each successful execution once and
 // loses an RPC reply the injector dropped — so every transport faults and
-// counts alike. The transports are:
+// counts alike. Exec takes the verb by value, so it does not escape to the
+// heap: the issuing layers pass *Verb, and only an interface call copies
+// it. The transports are:
 //
 //   - procTransport reaches endpoints registered in this process directly.
 //   - Peer and remotePeer (socket.go, peer.go) reach endpoints hosted by
@@ -19,14 +22,64 @@ import (
 //   - pmfsrep.Replicator fronts the PMFS node's route and mirrors its
 //     writes to the follower replicas.
 type Transport interface {
-	Read(src, node common.NodeID, region string, off int, dst []byte) error
-	Write(src, node common.NodeID, region string, off int, data []byte) error
-	ReadV(src, node common.NodeID, region string, segs []Seg) error
-	WriteV(src, node common.NodeID, region string, segs []Seg) error
-	CAS64(src, node common.NodeID, region string, off int, old, new uint64) (uint64, error)
-	FetchAdd64(src, node common.NodeID, region string, off int, delta uint64) (uint64, error)
-	Call(src, node common.NodeID, service string, req []byte) ([]byte, error)
-	CallBatch(src, node common.NodeID, service string, reqs [][]byte) ([][]byte, error)
+	Exec(v Verb) (Result, error)
+}
+
+// Op is a verb's opcode. The socket transport sends it as the request
+// frame's op, so the values are wire format.
+type Op uint8
+
+// The verbs. A READ, WRITE or atomic addresses Off in region Name; an RPC
+// invokes service Name.
+const (
+	OpRead      Op = iota + 1 // read len(Buf) bytes into Buf
+	OpWrite                   // write Buf
+	OpReadV                   // read every segment of Segs, one doorbell
+	OpWriteV                  // write every segment of Segs, one doorbell
+	OpCAS                     // compare the word with A, swap in B
+	OpFAA                     // add A to the word
+	OpCall                    // call with request Buf
+	OpCallBatch               // call once per Reqs, in one round trip
+)
+
+// Verb is one work request, as an RNIC takes it through one post: the op,
+// its source and target, and the operands the op reads. Result carries what
+// comes back besides the bytes a read lands in Buf or Segs.
+type Verb struct {
+	Op        Op
+	Src, Node common.NodeID // issuing node (AnyNode: unbound) and target
+	Name      string        // region, or service for an RPC
+	Off       int
+	Buf       []byte // a Read's destination, a Write's data, a Call's request
+	Segs      []Seg
+	A, B      uint64 // CAS: old, new; FAA: delta
+	// Reqs are a CallBatch's requests; Exec fills Resps, the caller's
+	// len(Reqs) slots, with their responses.
+	Reqs, Resps [][]byte
+}
+
+// Result is a verb's return: an atomic's previous word, or a Call's
+// response.
+type Result struct {
+	Prev uint64
+	Resp []byte
+}
+
+// class returns the verb's fault and charge class and the bytes it moves.
+func (v *Verb) class() (string, int) {
+	switch v.Op {
+	case OpRead, OpReadV:
+		return common.FaultRead, len(v.Buf) + segTotal(v.Segs)
+	case OpWrite, OpWriteV:
+		return common.FaultWrite, len(v.Buf) + segTotal(v.Segs)
+	case OpCAS, OpFAA:
+		return common.FaultAtomic, 8
+	}
+	n := len(v.Buf)
+	for _, req := range v.Reqs {
+		n += len(req)
+	}
+	return common.FaultRPC, n
 }
 
 // routeTable is the fabric's immutable routing snapshot, swapped atomically
@@ -151,98 +204,63 @@ func (t *procTransport) service(node common.NodeID, name string) (*Endpoint, Han
 	return ep, h, nil
 }
 
-func (t *procTransport) Read(_, node common.NodeID, region string, off int, dst []byte) error {
-	r, err := t.region(node, region, nil)
-	if err != nil {
-		return err
+// Exec runs v against this process's endpoints.
+func (t *procTransport) Exec(v Verb) (Result, error) {
+	if v.Op == OpCall || v.Op == OpCallBatch {
+		return t.call(&v)
 	}
-	return r.read(off, dst)
+	r, err := t.region(v.Node, v.Name, v.Segs)
+	if err != nil {
+		return Result{}, err
+	}
+	var prev uint64
+	switch v.Op {
+	case OpRead:
+		err = r.read(v.Off, v.Buf)
+	case OpWrite:
+		err = r.write(v.Off, v.Buf)
+	case OpReadV:
+		for _, s := range v.Segs {
+			_ = r.read(s.Off, s.Buf) // region checked every segment
+		}
+	case OpWriteV:
+		for _, s := range v.Segs {
+			_ = r.write(s.Off, s.Buf)
+		}
+	case OpCAS:
+		prev, err = r.cas64(v.Off, v.A, v.B)
+	case OpFAA:
+		prev, err = r.fetchAdd64(v.Off, v.A)
+	default:
+		err = fmt.Errorf("rdma: verb op %d: %w", v.Op, common.ErrNoService)
+	}
+	return Result{Prev: prev}, err
 }
 
-func (t *procTransport) Write(_, node common.NodeID, region string, off int, data []byte) error {
-	r, err := t.region(node, region, nil)
+// call runs an RPC verb: the handler once, or once per request of a batch,
+// where a handler error fails the whole batch.
+func (t *procTransport) call(v *Verb) (Result, error) {
+	ep, h, err := t.service(v.Node, v.Name)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
-	return r.write(off, data)
-}
-
-func (t *procTransport) ReadV(_, node common.NodeID, region string, segs []Seg) error {
-	r, err := t.region(node, region, segs)
-	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		if err := r.read(s.Off, s.Buf); err != nil {
-			return err
+	var res Result
+	if v.Op == OpCall {
+		res.Resp, err = h(v.Buf)
+	} else {
+		for i := 0; i < len(v.Reqs) && err == nil; i++ {
+			v.Resps[i], err = h(v.Reqs[i])
 		}
 	}
-	return nil
-}
-
-func (t *procTransport) WriteV(_, node common.NodeID, region string, segs []Seg) error {
-	r, err := t.region(node, region, segs)
 	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		if err := r.write(s.Off, s.Buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *procTransport) CAS64(_, node common.NodeID, region string, off int, old, new uint64) (uint64, error) {
-	r, err := t.region(node, region, nil)
-	if err != nil {
-		return 0, err
-	}
-	return r.cas64(off, old, new)
-}
-
-func (t *procTransport) FetchAdd64(_, node common.NodeID, region string, off int, delta uint64) (uint64, error) {
-	r, err := t.region(node, region, nil)
-	if err != nil {
-		return 0, err
-	}
-	return r.fetchAdd64(off, delta)
-}
-
-func (t *procTransport) Call(_, node common.NodeID, service string, req []byte) ([]byte, error) {
-	ep, h, err := t.service(node, service)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := h(req)
-	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	// Re-check liveness: an RPC completed against a node that died
 	// mid-call is reported as a network failure, like a torn QP.
 	if ep.isDown() {
-		return nil, errNodeDiedDuringCall(node)
+		return Result{}, errNodeDiedDuringCall(v.Node)
 	}
-	return resp, nil
-}
-
-func (t *procTransport) CallBatch(_, node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
-	ep, h, err := t.service(node, service)
-	if err != nil {
-		return nil, err
-	}
-	resps := make([][]byte, len(reqs))
-	for i, req := range reqs {
-		resp, err := h(req)
-		if err != nil {
-			return nil, err
-		}
-		resps[i] = resp
-	}
-	if ep.isDown() {
-		return nil, errNodeDiedDuringCall(node)
-	}
-	return resps, nil
+	return res, nil
 }
 
 var _ Transport = (*procTransport)(nil)

@@ -34,52 +34,15 @@ func segTotal(segs []Seg) int {
 
 // ReadV is the unbound-source form of Conn.ReadV.
 func (f *Fabric) ReadV(node common.NodeID, region string, segs []Seg) error {
-	return f.readV(common.AnyNode, node, region, segs, nil)
+	return f.raw().ReadV(node, region, segs)
 }
 
 // WriteV is the unbound-source form of Conn.WriteV.
 func (f *Fabric) WriteV(node common.NodeID, region string, segs []Seg) error {
-	return f.writeV(common.AnyNode, node, region, segs, nil)
+	return f.raw().WriteV(node, region, segs)
 }
 
 // CallBatch is the unbound-source form of Conn.CallBatch.
 func (f *Fabric) CallBatch(node common.NodeID, service string, reqs [][]byte) ([][]byte, error) {
-	return f.callBatch(common.AnyNode, node, service, reqs, nil)
-}
-
-func (f *Fabric) readV(src, node common.NodeID, region string, segs []Seg, ss *Stats) error {
-	if len(segs) == 0 {
-		return nil
-	}
-	return f.issue(common.FaultRead, src, node, region, segTotal(segs), ss, func(t Transport) error {
-		return t.ReadV(src, node, region, segs)
-	})
-}
-
-func (f *Fabric) writeV(src, node common.NodeID, region string, segs []Seg, ss *Stats) error {
-	if len(segs) == 0 {
-		return nil
-	}
-	return f.issue(common.FaultWrite, src, node, region, segTotal(segs), ss, func(t Transport) error {
-		return t.WriteV(src, node, region, segs)
-	})
-}
-
-func (f *Fabric) callBatch(src, node common.NodeID, service string, reqs [][]byte, ss *Stats) ([][]byte, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	total := 0
-	for _, req := range reqs {
-		total += len(req)
-	}
-	var resps [][]byte
-	err := f.issue(common.FaultRPC, src, node, service, total, ss, func(t Transport) (e error) {
-		resps, e = t.CallBatch(src, node, service, reqs)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resps, nil
+	return f.raw().CallBatch(node, service, reqs)
 }
