@@ -147,7 +147,8 @@ trace-smoke:
 # the storage uplink stopped polling the log fence and lost the ops no build
 # sends, 26,000 after the session client and the fabric peer each kept one
 # redialed link in place of their connection pools, 25,868 after every
-# transport executed one rdma.Verb through a one-method rdma.Transport; CI
-# fails above that).
+# transport executed one rdma.Verb through a one-method rdma.Transport,
+# 25,774 after a single page became a batch of one for the DBP push, the
+# PLock release and the revoke; CI fails above that).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

@@ -489,3 +489,56 @@ func TestStorageModeGrantRefreshes(t *testing.T) {
 		t.Fatalf("node 2 sees %q after storage-mode push", got)
 	}
 }
+
+// TestFailedPushLeavesNoPin: with one DBP frame and retries off, a push whose
+// one-sided write fails returns the error and leaves the frame unpinned, so
+// a later push of another page can take it; the frame, which still holds
+// the image of the page it last held, is never written back to storage
+// under the failed page's id. It holds for PushByID and PushMany alike.
+func TestFailedPushLeavesNoPin(t *testing.T) {
+	for name, push := range map[string]func(*Client, common.PageID) error{
+		"PushByID": (*Client).PushByID,
+		"PushMany": func(c *Client, pg common.PageID) error { return c.PushMany([]common.PageID{pg}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := newBFCluster(t, 1, 1, 16)
+			lbp := c.lbp[0]
+			lbp.SetRetryPolicy(common.NoRetryPolicy())
+			for _, pg := range []common.PageID{3, 1, 2} {
+				f, err := lbp.NewPage(makePage(pg, fmt.Sprintf("v%d", pg)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lbp.Unpin(f)
+			}
+			if err := push(lbp, 3); err != nil {
+				t.Fatal(err)
+			}
+			c.fabric.SetInjector(func(op common.FaultOp) common.FaultDecision {
+				if op.Class == common.FaultWrite && op.Name == RegionDBP {
+					return common.FaultDecision{Err: common.ErrInjected}
+				}
+				return common.FaultDecision{}
+			})
+			if err := push(lbp, 1); !errors.Is(err, common.ErrInjected) {
+				t.Fatalf("push with a failing DBP write: err = %v, want ErrInjected", err)
+			}
+			c.fabric.SetInjector(nil)
+			if err := push(lbp, 2); err != nil {
+				t.Fatalf("push of another page after the failed one: %v", err)
+			}
+			if img, err := c.store.ReadPage(1); err == nil {
+				if p, err := page.Unmarshal(img); err != nil || p.ID != 1 {
+					t.Fatalf("storage holds a foreign image under page 1 (%v)", err)
+				}
+			}
+			// Page 1 is still dirty on the node, and its next push lands.
+			if err := push(lbp, 1); err != nil {
+				t.Fatal(err)
+			}
+			if got := getValue(t, c.lbp[0], 1); got != "v1" {
+				t.Fatalf("page 1 reads %q, want v1", got)
+			}
+		})
+	}
+}

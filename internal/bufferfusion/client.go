@@ -1,11 +1,12 @@
 package bufferfusion
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -350,12 +351,12 @@ func (c *Client) fetch(pg common.PageID, dl common.Deadline) (*page.Page, int, F
 	// Register the loaded page into the DBP so peers can reach it without
 	// storage I/O. The push is clean: the image came from storage, so
 	// eviction need not write it back.
-	frame, err := c.pushImage(p, true)
+	frames, err := c.push([]*page.Page{p}, true)
 	if err != nil {
 		return nil, -1, FetchStorage, err
 	}
 	c.tr.Observe(trace.StageFrameStorage, tok)
-	return p, frame, FetchStorage, nil
+	return p, frames[0], FetchStorage, nil
 }
 
 // frameBufPool recycles frame-sized scratch buffers for DBP reads and
@@ -394,57 +395,101 @@ func (c *Client) readPageFromStorage(pg common.PageID, dl common.Deadline) (*pag
 	return page.Unmarshal(img)
 }
 
-// pushImage writes p into its (pinned) DBP frame and completes the push.
-// clean marks a push whose image was just read from storage (fetch
-// registration); dirty pushes (modified frames) pass false so the server
-// marks the entry newer than its storage image.
-func (c *Client) pushImage(p *page.Page, clean bool) (int, error) {
-	cleanAux := uint32(0)
-	if clean {
-		cleanAux = 1
+// push is the one push path (§4.2): it writes every image of ps to the
+// DBP — one batched prepare-push pinning each page's frame, one vectored
+// write landing every image, one batched completion unpinning them — and
+// returns each page's frame, -1 where its push failed. In storage mode it
+// writes each image to storage instead. clean marks images just read from
+// storage (fetch registration): the server need not write them back. The
+// completion goes out even after a failed write, so a pin never outlives
+// its push; it then only unpins, and the caller's copy stays dirty.
+func (c *Client) push(ps []*page.Page, clean bool) ([]int, error) {
+	frames := make([]int, len(ps))
+	for i := range frames {
+		frames[i] = -1
 	}
 	if c.closed.Load() {
 		// A zombie goroutine of a crashed node must never publish its
 		// stale pages over the restarted incarnation's recovery.
-		return -1, fmt.Errorf("bufferfusion: node %d LBP: %w", c.node, common.ErrClosed)
+		return frames, fmt.Errorf("bufferfusion: node %d LBP: %w", c.node, common.ErrClosed)
 	}
-	// Build [imageLen u32][image] in one pooled buffer: the frame layout
-	// the DBP expects, with no intermediate copy.
-	bp := frameBufPool.Get().(*[]byte)
-	defer frameBufPool.Put(bp)
-	buf, err := p.AppendTo(append((*bp)[:0], 0, 0, 0, 0))
-	if err != nil {
-		return -1, err
-	}
-	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
-	img := buf[4:]
-	if c.storageMode {
-		// A storage.API call, retried here under the Conn's policy.
-		if err := common.Retry(c.fabric.RetryPolicy(), func() error {
-			return c.store.WritePage(p.ID, img)
-		}); err != nil {
-			return -1, err
+	// Each image is built as [imageLen u32][image] in a pooled buffer, the
+	// frame layout the DBP expects; every write copies synchronously, so
+	// the buffers return to the pool when the push ends.
+	segs := make([]rdma.Seg, len(ps))
+	for i, p := range ps {
+		bp := frameBufPool.Get().(*[]byte)
+		defer frameBufPool.Put(bp)
+		buf, err := p.AppendTo(append((*bp)[:0], 0, 0, 0, 0))
+		if err != nil {
+			return frames, err
 		}
-		return storagePseudoFrame, nil
+		binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
+		segs[i].Buf = buf
+	}
+	if c.storageMode {
+		var firstErr error
+		for i, p := range ps {
+			// A storage.API call, retried here under the Conn's policy.
+			if err := common.Retry(c.fabric.RetryPolicy(), func() error {
+				return c.store.WritePage(p.ID, segs[i].Buf[4:])
+			}); err != nil {
+				firstErr = cmp.Or(firstErr, err)
+				continue
+			}
+			frames[i] = storagePseudoFrame
+		}
+		return frames, firstErr
 	}
 	// A repeated prepare for the same (node, page) re-pins the same push (the
 	// server keeps one pin per node), so a retry converges instead of leaking
 	// frames.
-	resp, err := c.fabric.Call(common.PMFSNode, ServiceBuf, bufReq(opPreparePush, c.node, p.ID, 0, 0))
+	reqs := make([][]byte, len(ps))
+	for i, p := range ps {
+		reqs[i] = bufReq(opPreparePush, c.node, p.ID, 0, 0)
+	}
+	resps, err := c.fabric.CallBatch(common.PMFSNode, ServiceBuf, reqs)
 	if err != nil {
-		return -1, err
+		if len(ps) == 1 {
+			return frames, err
+		}
+		// One page's failure (e.g. its stripe's frames all pinned) fails the
+		// whole batch; give each page its own chance.
+		var firstErr error
+		for i, p := range ps {
+			fr, err := c.push([]*page.Page{p}, clean)
+			frames[i] = fr[0]
+			firstErr = cmp.Or(firstErr, err)
+		}
+		return frames, firstErr
 	}
-	frame, ok := frameOf(resp)
-	if !ok {
-		return -1, fmt.Errorf("bufferfusion: prepare-push of page %d failed", p.ID)
+	for i, p := range ps {
+		fr, ok := frameOf(resps[i])
+		if !ok {
+			return frames, fmt.Errorf("bufferfusion: prepare-push of page %d failed", p.ID)
+		}
+		segs[i].Off = fr * page.FrameSize
 	}
-	if err := c.fabric.Write(common.PMFSNode, RegionDBP, frame*page.FrameSize, buf); err != nil {
-		return -1, err
+	werr := c.fabric.WriteV(common.PMFSNode, RegionDBP, segs)
+	// After a failed write a frame may hold another page's image, which the
+	// server must not write back as this page's: the completion only unpins.
+	aux := uint32(0)
+	if clean || werr != nil {
+		aux = 1
 	}
-	if _, err := c.fabric.Call(common.PMFSNode, ServiceBuf, bufReq(opPushed, c.node, p.ID, uint32(frame), cleanAux)); err != nil {
-		return -1, err
+	for i, p := range ps {
+		reqs[i] = bufReq(opPushed, c.node, p.ID, uint32(segs[i].Off/page.FrameSize), aux)
 	}
-	return frame, nil
+	if _, err := c.fabric.CallBatch(common.PMFSNode, ServiceBuf, reqs); werr == nil {
+		werr = err
+	}
+	if werr != nil {
+		return frames, werr
+	}
+	for i, s := range segs {
+		frames[i] = s.Off / page.FrameSize
+	}
+	return frames, nil
 }
 
 // NewPage installs a freshly allocated page (engine-created, under X PLock)
@@ -484,182 +529,71 @@ func (c *Client) Unpin(f *Frame) {
 
 // Push flushes f to the DBP (forcing redo first through the engine hook).
 // Caller holds f.Mu and the page's X PLock.
-func (c *Client) Push(f *Frame) error {
-	if !f.Dirty {
-		return nil
-	}
-	if c.forceLog != nil {
-		c.forceLog(f.FlushLSN)
-	}
-	frame, err := c.pushImage(f.Pg, false)
-	if err != nil {
-		return err
-	}
-	f.dbpFrame = frame
-	f.Dirty = false
-	c.PushesOut.Inc()
-	return nil
-}
+func (c *Client) Push(f *Frame) error { return c.pushLatched([]*Frame{f}) }
 
 // PushByID flushes the named page if it is cached and dirty (the PLock
 // revoke path: flush before the lock leaves the node).
-func (c *Client) PushByID(pg common.PageID) error {
-	c.mu.Lock()
-	f := c.frames[pg]
-	if f != nil {
-		f.pins++
-	}
-	c.mu.Unlock()
-	if f == nil {
-		return nil
-	}
-	defer c.Unpin(f)
-	f.Mu.Lock()
-	defer f.Mu.Unlock()
-	return c.Push(f)
-}
+func (c *Client) PushByID(pg common.PageID) error { return c.PushMany([]common.PageID{pg}) }
 
-// PushMany flushes every named page that is cached and dirty through ONE
-// doorbell-batched fabric exchange: a single log force covering the newest
-// record on any of the pages, one CallBatch of prepare-push RPCs, one
-// vectored write carrying every image, and one CallBatch of push
-// completions — 2 RPCs + 1 one-sided write for the whole set instead of
-// 2 RPCs + 1 write per page. Callers must hold a covering X PLock on every
-// page (the commit-time stamp path does). Frames are latched in sorted page
-// order for the whole exchange; that cannot deadlock engine paths because
-// leaf-to-leaf btree transitions release before re-acquiring and
-// latch-coupled descents only ever pair an internal page with one child.
+// PushMany flushes every named page that is cached and dirty in one push
+// exchange: one log force covering the newest record on any of the pages,
+// then 2 batched RPCs and 1 vectored write for the whole set. Callers must
+// hold a covering X PLock on every page (the commit-time stamp path and the
+// revoke flush do). Frames are latched in sorted page order for the whole
+// exchange; that cannot deadlock engine paths because leaf-to-leaf btree
+// transitions release before re-acquiring and latch-coupled descents only
+// ever pair an internal page with one child.
 func (c *Client) PushMany(ids []common.PageID) error {
-	if c.storageMode {
-		// The log-ship baseline has no DBP frames to batch into.
-		var firstErr error
-		for _, pg := range ids {
-			if err := c.PushByID(pg); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
 	c.mu.Lock()
 	fs := make([]*Frame, 0, len(ids))
-	seen := make(map[common.PageID]bool, len(ids))
 	for _, pg := range ids {
-		if seen[pg] {
-			continue
-		}
-		seen[pg] = true
-		if f := c.frames[pg]; f != nil {
+		if f := c.frames[pg]; f != nil && !slices.Contains(fs, f) {
 			f.pins++
 			fs = append(fs, f)
 		}
 	}
 	c.mu.Unlock()
-	sort.Slice(fs, func(i, j int) bool { return fs[i].id < fs[j].id })
+	slices.SortFunc(fs, func(a, b *Frame) int { return cmp.Compare(a.id, b.id) })
 	for _, f := range fs {
 		f.Mu.Lock()
 	}
-	done := func() {
-		for _, f := range fs {
-			f.Mu.Unlock()
-		}
-		for _, f := range fs {
-			c.Unpin(f)
-		}
+	err := c.pushLatched(fs)
+	for _, f := range fs {
+		f.Mu.Unlock()
+		c.Unpin(f)
 	}
+	return err
+}
+
+// pushLatched pushes the dirty frames of fs, whose latches the caller
+// holds, after forcing the log up to the newest record on any of them. A
+// frame whose push failed stays dirty; the revoke-time flush redoes it.
+func (c *Client) pushLatched(fs []*Frame) error {
 	var dirty []*Frame
+	var ps []*page.Page
 	var upTo common.LSN
 	for _, f := range fs {
 		if f.Dirty {
 			dirty = append(dirty, f)
-			if f.FlushLSN > upTo {
-				upTo = f.FlushLSN
-			}
+			ps = append(ps, f.Pg)
+			upTo = max(upTo, f.FlushLSN)
 		}
 	}
 	if len(dirty) == 0 {
-		done()
 		return nil
-	}
-	if c.closed.Load() {
-		done()
-		return fmt.Errorf("bufferfusion: node %d LBP: %w", c.node, common.ErrClosed)
 	}
 	if c.forceLog != nil {
 		c.forceLog(upTo)
 	}
-	// Phase 1: one batched prepare-push pins every target frame.
-	reqs := make([][]byte, len(dirty))
+	frames, err := c.push(ps, false)
 	for i, f := range dirty {
-		reqs[i] = bufReq(opPreparePush, c.node, f.id, 0, 0)
-	}
-	resps, err := c.fabric.CallBatch(common.PMFSNode, ServiceBuf, reqs)
-	if err != nil {
-		// One page's failure (e.g. all frames pinned) fails a whole batch;
-		// give each page an independent chance on the per-page path.
-		var firstErr error
-		for _, f := range dirty {
-			if e := c.Push(f); e != nil && firstErr == nil {
-				firstErr = e
-			}
-		}
-		done()
-		return firstErr
-	}
-	frameNos := make([]int, len(dirty))
-	for i, f := range dirty {
-		fr, ok := frameOf(resps[i])
-		if !ok {
-			done()
-			return fmt.Errorf("bufferfusion: prepare-push of page %d failed", f.id)
-		}
-		frameNos[i] = fr
-	}
-	// Phase 2: one vectored write lands every image in its pinned frame.
-	// Images are built in pooled buffers; the doorbell copies synchronously,
-	// so they all return to the pool right after the verb.
-	segs := make([]rdma.Seg, len(dirty))
-	bufs := make([]*[]byte, 0, len(dirty))
-	werr := error(nil)
-	for i, f := range dirty {
-		bp := frameBufPool.Get().(*[]byte)
-		bufs = append(bufs, bp)
-		buf, merr := f.Pg.AppendTo(append((*bp)[:0], 0, 0, 0, 0))
-		if merr != nil {
-			werr = merr
-			break
-		}
-		binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
-		segs[i] = rdma.Seg{Off: frameNos[i] * page.FrameSize, Buf: buf}
-	}
-	if werr == nil {
-		werr = c.fabric.WriteV(common.PMFSNode, RegionDBP, segs)
-	}
-	for _, bp := range bufs {
-		frameBufPool.Put(bp)
-	}
-	// Phase 3: one batched completion — sent even after a failed write so
-	// the server-side pins taken in phase 1 never leak. A failed write
-	// leaves Dirty set; the revoke-time flush redoes the page later (the
-	// stale frame content is unreachable: we still hold the X PLock, and
-	// imageLen guards eviction against a never-written frame).
-	preqs := make([][]byte, len(dirty))
-	for i, f := range dirty {
-		// aux=0: batched pushes carry modified images, never clean ones.
-		preqs[i] = bufReq(opPushed, c.node, f.id, uint32(frameNos[i]), 0)
-	}
-	_, perr := c.fabric.CallBatch(common.PMFSNode, ServiceBuf, preqs)
-	if werr == nil && perr == nil {
-		for i, f := range dirty {
-			f.dbpFrame = frameNos[i]
+		if frames[i] >= 0 {
+			f.dbpFrame = frames[i]
 			f.Dirty = false
 			c.PushesOut.Inc()
 		}
 	}
-	done()
-	if werr != nil {
-		return werr
-	}
-	return perr
+	return err
 }
 
 // makeRoomLocked evicts the coldest unpinned frames until the LBP is below

@@ -31,8 +31,8 @@ var fabricServices = []struct {
 	{bufferfusion.ServiceBuf, 3, false},
 	{lockfusion.ServiceRLock, 3, false},
 	{lockfusion.ServiceWake, 1, false},
-	{lockfusion.ServicePLock, 3, false},
-	{lockfusion.ServiceRevoke, 2, false},
+	{lockfusion.ServicePLock, 2, false},
+	{lockfusion.ServiceRevoke, 1, false},
 	{storage.ServiceStorage, 17, true},
 	{ServiceCluster, 6, true},
 	{ServiceTxStatus, 1, true},
@@ -155,51 +155,17 @@ func recordServiceSeeds(t testing.TB) []serviceSeed {
 	}
 	pg := func(i int) common.PageID { return common.PageID(1<<40 + i) }
 
-	// PLock: an acquire; a batched and a single release of lazily held
-	// pages; a revoke of a lazily held page node 2 wants.
+	// PLock: an acquire; a release of two lazily held pages; a revoke of a
+	// lazily held page node 2 wants.
 	must(pl[0].Acquire(pg(0), lockfusion.ModeS))
 	pl[0].Release(pg(0))
 	must(pl[0].Acquire(pg(1), lockfusion.ModeS))
 	pl[0].Release(pg(1))
 	pl[0].ReleaseAll()
-	must(pl[0].Acquire(pg(2), lockfusion.ModeS))
-	pl[0].Release(pg(2))
-	pl[0].ReleaseAll()
 	must(pl[0].Acquire(pg(3), lockfusion.ModeX))
 	pl[0].Release(pg(3))
 	must(pl[1].Acquire(pg(3), lockfusion.ModeX))
 	pl[1].Release(pg(3))
-	// A batched revoke: node 3 holds two pages in X that node 2 waits to
-	// share and node 1 then waits to write. Dropping node 3 grants both to
-	// node 2 and asks for both back in one message.
-	must(pl[2].Acquire(pg(4), lockfusion.ModeX))
-	must(pl[2].Acquire(pg(5), lockfusion.ModeX))
-	var shared, written sync.WaitGroup
-	for _, p := range []common.PageID{pg(4), pg(5)} {
-		shared.Add(1)
-		go func() {
-			defer shared.Done()
-			if err := pl[1].Acquire(p, lockfusion.ModeS); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	waitUntil(t, "two S waiters", func() bool { return locks.PLock.QueuedWaiters() == 2 })
-	for _, p := range []common.PageID{pg(4), pg(5)} {
-		written.Add(1)
-		go func() {
-			defer written.Done()
-			if err := pl[0].Acquire(p, lockfusion.ModeX); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	waitUntil(t, "two X waiters", func() bool { return locks.PLock.QueuedWaiters() == 4 })
-	locks.DropNodePLock(3)
-	shared.Wait()
-	pl[1].Release(pg(4))
-	pl[1].Release(pg(5))
-	written.Wait()
 
 	// RLock: a wait that runs out of budget retracts its edge; a wait the
 	// holder's commit ends is woken.
@@ -420,12 +386,21 @@ func FuzzServices(f *testing.F) {
 		}
 	}
 	// The storage ops a client built before their deletion still sends
-	// (HasPage, PageCount, LogFenced): refused, never served.
+	// (HasPage, PageCount, LogFenced), and the single-page PLock release
+	// and revoke of fabric protocol v2: refused, never served.
 	for i, svc := range fabricServices {
 		if svc.name == storage.ServiceStorage {
 			f.Add(uint8(i), wire.AppendU64([]byte{4}, 1))
 			f.Add(uint8(i), []byte{6})
 			f.Add(uint8(i), wire.AppendU16([]byte{18}, 1))
+		}
+	}
+	for i, svc := range fabricServices {
+		switch svc.name {
+		case lockfusion.ServicePLock:
+			f.Add(uint8(i), wire.AppendU64(append(wire.AppendU64(wire.AppendU16([]byte{2}, 1), 1<<40), byte(lockfusion.ModeX)), 9))
+		case lockfusion.ServiceRevoke:
+			f.Add(uint8(i), append(wire.AppendU64(wire.AppendU16([]byte{3}, 2), 1<<40), byte(lockfusion.ModeS)))
 		}
 	}
 	f.Fuzz(func(t *testing.T, svc uint8, req []byte) {

@@ -14,12 +14,14 @@ import (
 	"polardbmp/internal/wire"
 )
 
-// PLock RPC wire ops.
+// PLock RPC wire ops. Ops 2 and 3, the single-page release and revoke a
+// protocol v2 peer sent, are gone: a release or a revoke of one page is a
+// batch of one.
 const (
 	opPLockAcquire  = 1 // node, page, mode -> grant: the page's released LLSN (blocks until granted)
-	opPLockRelease  = 2 // node, page, mode, LLSN
-	opRevoke        = 3 // (node service) page, wanted mode
-	opPLockReleaseN = 4 // node, count, count × (page, mode, LLSN): batched release
+	_               = 2
+	_               = 3
+	opPLockReleaseN = 4 // node, count, count × (page, mode, LLSN)
 	opRevokeN       = 5 // (node service) count, count × (page, wantNode, wantMode)
 )
 
@@ -28,20 +30,15 @@ const (
 // holding the page): above every real LLSN, so every cached copy is stale.
 const llsnUnknown = common.LLSN(math.MaxUint64)
 
-// plockReqBuf encodes the 12-byte header every single-page request starts
-// with, into a buffer with room for size bytes and the epoch stamp.
-func plockReqBuf(op byte, node common.NodeID, pg common.PageID, mode Mode, size int) []byte {
-	b := wire.AppendU16(append(make([]byte, 0, size+common.StampLen), op), uint16(node))
-	return append(wire.AppendU64(b, uint64(pg)), byte(mode))
-}
-
-// plockAcquireReqBuf encodes an acquire: the header plus a uint32 wait budget
-// in microseconds (0 = unbounded). The budget rides the wire so the SERVER
+// plockAcquireReqBuf encodes an acquire — op, node, page, mode — plus a
+// uint32 wait budget in microseconds (0 = unbounded), into a buffer with
+// room for the epoch stamp. The budget rides the wire so the SERVER
 // can bound the waiter's queue time: a client-side timer alone would leave
 // the abandoned waiter queued, holding its FIFO slot against peers, until the
 // backstop fired.
 func plockAcquireReqBuf(node common.NodeID, pg common.PageID, mode Mode, budgetMicros uint32) []byte {
-	return wire.AppendU32(plockReqBuf(opPLockAcquire, node, pg, mode, 16), budgetMicros)
+	b := wire.AppendU16(append(make([]byte, 0, 16+common.StampLen), opPLockAcquire), uint16(node))
+	return wire.AppendU32(append(wire.AppendU64(b, uint64(pg)), byte(mode)), budgetMicros)
 }
 
 // deadlineBudgetMicros converts a deadline's remaining time to the uint32
@@ -70,14 +67,10 @@ type relPage struct {
 	llsn common.LLSN
 }
 
-func plockReleaseBuf(node common.NodeID, p relPage) []byte {
-	return wire.AppendU64(plockReqBuf(opPLockRelease, node, p.pg, p.mode, 20), uint64(p.llsn))
-}
-
-// relElemLen is the size of one batched-release element: page, mode, LLSN.
+// relElemLen is the size of one release element: page, mode, LLSN.
 const relElemLen = 17
 
-// plockReleaseNBuf encodes a batched release: header (op, node, count)
+// plockReleaseNBuf encodes a release: header (op, node, count)
 // followed by count fixed-size elements, with room left for the epoch stamp.
 func plockReleaseNBuf(node common.NodeID, pages []relPage) []byte {
 	b := append(make([]byte, 0, 5+relElemLen*len(pages)+common.StampLen), opPLockReleaseN)
@@ -89,14 +82,14 @@ func plockReleaseNBuf(node common.NodeID, pages []relPage) []byte {
 	return b
 }
 
-// revokeItem is one page's negotiation element inside a batched revoke.
+// revokeItem is one page's negotiation element inside a revoke.
 type revokeItem struct {
 	pg       common.PageID
 	wantNode common.NodeID
 	wantMode Mode
 }
 
-// revokeElemLen is the size of one batched-revoke element: page, wantNode,
+// revokeElemLen is the size of one revoke element: page, wantNode,
 // wantMode.
 const revokeElemLen = 11
 
@@ -207,22 +200,12 @@ func (s *PLockServer) handle(req []byte) ([]byte, error) {
 	op := rd.U8()
 	node := common.NodeID(rd.U16())
 	switch op {
-	case opPLockAcquire, opPLockRelease:
-		p := relPage{pg: common.PageID(rd.U64()), mode: Mode(rd.U8())}
-		var budget uint32
-		if op == opPLockAcquire {
-			budget = rd.U32()
-		} else {
-			p.llsn = common.LLSN(rd.U64())
-		}
-		if err := s.admit(rd, node, p.mode.valid()); err != nil {
+	case opPLockAcquire:
+		pg, mode, budget := common.PageID(rd.U64()), Mode(rd.U8()), rd.U32()
+		if err := s.admit(rd, node, mode.valid()); err != nil {
 			return nil, err
 		}
-		if op == opPLockRelease {
-			s.releaseN(node, []relPage{p})
-			return nil, nil
-		}
-		llsn, err := s.acquire(node, p.pg, p.mode, budget)
+		llsn, err := s.acquire(node, pg, mode, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -430,7 +413,7 @@ type revokeTarget struct {
 
 // sendRevokes delivers negotiation messages outside the table locks (the
 // holder's revoke handler may synchronously call back with a release). All
-// pages bound for the same holder coalesce into ONE opRevokeN RPC — the
+// pages bound for the same holder coalesce into ONE revoke RPC — the
 // doorbell-batching analogue for negotiation traffic, which matters when a
 // release or crash cleanup unblocks waiters on many pages at once.
 // Revoke delivery is retried on transient fabric faults: a lost revoke
@@ -449,13 +432,7 @@ func (s *PLockServer) sendRevokes(pending []pendingRevokes) {
 	}
 	for holder, items := range byHolder {
 		s.Negotiations.Inc()
-		var req []byte
-		if len(items) == 1 {
-			req = plockReqBuf(opRevoke, items[0].wantNode, items[0].pg, items[0].wantMode, 12)
-		} else {
-			req = revokeNBuf(items)
-		}
-		_, _ = s.fabric.Call(holder, ServiceRevoke, req)
+		_, _ = s.fabric.Call(holder, ServiceRevoke, revokeNBuf(items))
 	}
 }
 
@@ -753,19 +730,13 @@ func (c *PLockClient) SetTracer(t *trace.Tracer) { c.tr = t }
 
 func (c *PLockClient) handleRevoke(req []byte) ([]byte, error) {
 	rd := wire.NewReader(req)
-	var items []revokeItem
-	switch op := rd.U8(); op {
-	case opRevoke:
-		wantNode, pg := common.NodeID(rd.U16()), common.PageID(rd.U64())
-		items = []revokeItem{{pg: pg, wantNode: wantNode, wantMode: Mode(rd.U8())}}
-	case opRevokeN:
-		items = make([]revokeItem, rd.Count(uint32(rd.U16()), revokeElemLen))
-		for i := range items {
-			pg, wantNode := common.PageID(rd.U64()), common.NodeID(rd.U16())
-			items[i] = revokeItem{pg: pg, wantNode: wantNode, wantMode: Mode(rd.U8())}
-		}
-	default:
+	if op := rd.U8(); op != opRevokeN {
 		return nil, fmt.Errorf("plock: revoke op %d: %w", op, common.ErrNoService)
+	}
+	items := make([]revokeItem, rd.Count(uint32(rd.U16()), revokeElemLen))
+	for i := range items {
+		pg, wantNode := common.PageID(rd.U64()), common.NodeID(rd.U16())
+		items[i] = revokeItem{pg: pg, wantNode: wantNode, wantMode: Mode(rd.U8())}
 	}
 	for _, it := range items {
 		if !it.wantMode.valid() {
@@ -860,7 +831,7 @@ func (c *PLockClient) AcquireDeadlineEx(pg common.PageID, mode Mode, dl common.D
 				delete(c.locks, pg)
 				c.releasing[pg] = true
 				c.mu.Unlock()
-				c.releaseToServer(pg, mode0)
+				c.releaseToServerN([]relPage{{pg: pg, mode: mode0}})
 				c.mu.Lock()
 				continue
 			}
@@ -871,7 +842,7 @@ func (c *PLockClient) AcquireDeadlineEx(pg common.PageID, mode Mode, dl common.D
 				delete(c.locks, pg)
 				c.releasing[pg] = true
 				c.mu.Unlock()
-				c.releaseToServer(pg, mode0)
+				c.releaseToServerN([]relPage{{pg: pg, mode: mode0}})
 				c.mu.Lock()
 				continue
 			}
@@ -954,11 +925,6 @@ func (c *PLockClient) Release(pg common.PageID) {
 	c.releasing[pg] = true
 	l.cond.Broadcast()
 	c.mu.Unlock()
-	c.releaseToServer(pg, mode)
-}
-
-// releaseToServer runs the engine flush hook and returns one lock to PMFS.
-func (c *PLockClient) releaseToServer(pg common.PageID, mode Mode) {
 	c.releaseToServerN([]relPage{{pg: pg, mode: mode}})
 }
 
@@ -1027,13 +993,7 @@ func (c *PLockClient) releaseToServerN(pages []relPage) {
 	// stalling every waiter until the backstop: retry until delivered. The
 	// batch is idempotent (releasing an un-held page is a no-op), so a
 	// duplicate delivery after a lost response is harmless.
-	var req []byte
-	if len(pages) == 1 {
-		req = plockReleaseBuf(c.node, pages[0])
-	} else {
-		req = plockReleaseNBuf(c.node, pages)
-	}
-	_, _ = c.fabric.Call(common.PMFSNode, ServicePLock, req)
+	_, _ = c.fabric.Call(common.PMFSNode, ServicePLock, plockReleaseNBuf(c.node, pages))
 	c.mu.Lock()
 	for _, p := range pages {
 		delete(c.releasing, p.pg)

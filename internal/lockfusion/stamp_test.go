@@ -18,10 +18,10 @@ func TestStampedRequestsAllocateOnce(t *testing.T) {
 	g := common.GTrxID{Node: 1, Trx: 2, Slot: 3, Version: 1}
 	pages := []relPage{{pg: 2, mode: ModeX, llsn: 9}, {pg: 3, mode: ModeS}}
 	for name, encode := range map[string]func() []byte{
-		"plock acquire":  func() []byte { return plockAcquireReqBuf(1, 2, ModeX, 100) },
-		"plock release":  func() []byte { return plockReleaseBuf(1, pages[0]) },
-		"plock releaseN": func() []byte { return plockReleaseNBuf(1, pages) },
-		"rlock wait-for": func() []byte { return marshalTwoG(opWaitFor, g, g) },
+		"plock acquire":        func() []byte { return plockAcquireReqBuf(1, 2, ModeX, 100) },
+		"plock release of one": func() []byte { return plockReleaseNBuf(1, pages[:1]) },
+		"plock release of two": func() []byte { return plockReleaseNBuf(1, pages) },
+		"rlock wait-for":       func() []byte { return marshalTwoG(opWaitFor, g, g) },
 	} {
 		plain := testing.AllocsPerRun(100, func() { stampSink = encode() })
 		stamped := testing.AllocsPerRun(100, func() { stampSink = stamp.Stamp(encode()) })

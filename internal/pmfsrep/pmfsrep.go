@@ -26,6 +26,11 @@ type Observer func(src common.NodeID, quorum time.Duration)
 type regionInfo struct {
 	size       int
 	quorumRead bool // quorum-verify + read-repair on one-sided reads
+	// order is held while a record of the region draws its seq and reaches
+	// every mirror, and across a read-repair: each mirror then applies the
+	// region's records in seq order, so the version-word gate refuses no
+	// live record and a repair never lands over a newer one.
+	order *sync.Mutex
 }
 
 // replica is one copy of the PMFS tier. The current leader's copy is the
@@ -114,7 +119,7 @@ func (r *Replicator) AddRegion(name string, size int, quorumRead bool) {
 	if r.attached.Load() {
 		panic("pmfsrep: AddRegion after Attach")
 	}
-	r.regions[name] = regionInfo{size: size, quorumRead: quorumRead}
+	r.regions[name] = regionInfo{size: size, quorumRead: quorumRead, order: new(sync.Mutex)}
 }
 
 // OnFailover registers a hook run (under the failover lock) after a replica
@@ -175,10 +180,12 @@ func (r *Replicator) liveLocked() int {
 
 // mirrorRecord encodes one record through the replication codec (the wire
 // image a socket-hosted replica would receive) and applies the decoded form
-// to every live follower. The leader's version table notes it only for a
-// quorum-read region. Callers hold mu.RLock. It returns the ack count
-// including the leader.
+// to every live follower, all under the region's order lock. The leader's
+// version table notes it only for a quorum-read region. Callers hold
+// mu.RLock. It returns the ack count including the leader.
 func (r *Replicator) mirrorRecord(info regionInfo, kind uint8, region string, off int, val uint64, data []byte) int {
+	info.order.Lock()
+	defer info.order.Unlock()
 	seq := r.seq.Add(1)
 	rec := Record{Kind: kind, Epoch: r.epoch.Load(), Seq: seq,
 		Region: region, Off: uint32(off), Val: val, Data: data}
@@ -231,13 +238,18 @@ func (r *Replicator) finishQuorum(src common.NodeID, start time.Time, acks int) 
 }
 
 // readRepair quorum-verifies the version words covering [off, off+n) on
-// every live follower and repairs laggards from the leader copy.
-// Callers hold mu.RLock.
+// every live follower and repairs laggards from the leader copy. It holds
+// the region's order lock, so no record newer than the leader's version
+// word reaches a mirror before the repair does; the leader copy already
+// holds every record up to that word, since a record executes on the
+// leader before it draws its seq. Callers hold mu.RLock.
 func (r *Replicator) readRepair(region string, off, n int) {
 	info := r.regions[region]
 	if n <= 0 {
 		return
 	}
+	info.order.Lock()
+	defer info.order.Unlock()
 	words := r.track.wordsIn(region, off, n)
 	for ci := off / chunkSize; ci <= (off+n-1)/chunkSize; ci++ {
 		lseq := r.track.chunkSeq(region, ci)
