@@ -345,6 +345,37 @@ func TestTakeoverWaitsOutSecondFence(t *testing.T) {
 	}
 }
 
+// TestRestartReplaysOnlyItsFence: a restart replays only the pages its crashed
+// incarnation still held in X. R's insert reached its leaf, then a live peer
+// took the leaf in S, so R pushed and released it; the peer keeps holding it.
+// The leaf is outside R's fence, so the restart has nothing to replay there
+// and must not wait on the peer.
+func TestRestartReplaysOnlyItsFence(t *testing.T) {
+	c, sp := testCluster(t, 2)
+	nR, nL := c.Node(1), c.Node(2)
+	put(t, nR, sp, "k", "v")
+	leaf := leafOf(t, nR, sp, "k")
+	if err := nL.pl.Acquire(leaf, lockfusion.ModeS); err != nil {
+		t.Fatal(err)
+	}
+	release := sync.OnceFunc(func() { nL.pl.Release(leaf) })
+	defer release()
+	if err := c.CrashNode(1); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	nR, err := c.RestartNode(1)
+	if d := time.Since(start); err != nil || d > 2*time.Second {
+		t.Fatalf("restart with a live peer holding a released page: %v after %v", err, d)
+	}
+	release()
+	for _, n := range []*Node{nR, nL} {
+		if v, err := get(t, n, sp, "k"); err != nil || v != "v" {
+			t.Fatalf("node %d read %q, %v; want v", n.id, v, err)
+		}
+	}
+}
+
 // TestCommitOnClosedWriterRefused: a commit whose log writer closes between
 // the lease check and the append (the node's STONITH racing it) has no commit
 // record anywhere. It must fail, even when everything before the record was

@@ -116,11 +116,41 @@ func trim(pg *page.Page, horizon common.CSN, resolver func(*page.Page) func(*pag
 	return pg.SizeEstimate() > page.SplitThreshold && pg.Purge(horizon, resolver(pg)) > 0
 }
 
-// recoverSelf is the single-node restart driver (§5.5): with the TIT recovery
-// fence up and the node's pre-crash PLocks still fencing its pages, replay
-// the node's own redo stream — most pages are still in the DBP, so this
-// rarely touches storage — roll back its uncommitted transactions, then
-// lift the fences and start serving.
+// fence returns the pages node's crashed incarnation still holds in X: the
+// only pages whose latest change may exist solely in its log, because
+// flush-before-release pushed every other page before its X left the node.
+// Restart and takeover replay exactly these.
+func (c *Cluster) fence(node common.NodeID) []common.PageID {
+	var out []common.PageID
+	for pg, mode := range c.lockSrv.PLock.HeldBy(node) {
+		if mode == lockfusion.ModeX {
+			out = append(out, pg)
+		}
+	}
+	return out
+}
+
+// replay folds a's node's durable redo stream into a, handing redo only the
+// records on fence pages.
+func (a *analysis) replay(store storage.API, fence []common.PageID, redo func(*wal.Record) error) error {
+	in := make(map[common.PageID]bool, len(fence))
+	for _, pg := range fence {
+		in[pg] = true
+	}
+	sr := wal.NewStreamReader(store, a.node, store.LogStartLSN(a.node), 0)
+	return a.fold(sr.Next, func(rec *wal.Record) error {
+		if !in[rec.Page] {
+			return nil
+		}
+		return redo(rec)
+	})
+}
+
+// recoverSelf is the single-node restart driver (§5.5), in takeover's order:
+// with the TIT recovery fence up and the node's pre-crash PLocks still
+// fencing its pages, replay the fence set — most of it still in the DBP, so
+// this rarely touches storage — publish it, lift the page fence, then roll
+// back the node's uncommitted transactions and start serving.
 func (n *Node) recoverSelf() error {
 	// Refresh the global minimum view so replay-time purges have a real
 	// bound (a fresh client still holds the initial sentinel).
@@ -128,8 +158,7 @@ func (n *Node) recoverSelf() error {
 		return err
 	}
 	a := newAnalysis(n.id)
-	sr := wal.NewStreamReader(n.c.store, n.id, n.c.store.LogStartLSN(n.id), 0)
-	if err := a.fold(sr.Next, func(rec *wal.Record) error { return n.replayPage(rec, a) }); err != nil {
+	if err := a.replay(n.c.store, n.c.fence(n.id), func(rec *wal.Record) error { return n.replayPage(rec, a) }); err != nil {
 		return err
 	}
 	n.llsn.Observe(a.maxLLSN)
@@ -140,26 +169,21 @@ func (n *Node) recoverSelf() error {
 			n.trxCtr.Store(uint64(t.g.Trx) + 1)
 		}
 	}
-	// Publish every recovered page before peers regain access.
+	// Publish every recovered page, then lift the page fence: the pages are
+	// consistent, and from here they move by the normal protocol.
 	if err := n.lbp.FlushAll(); err != nil {
 		return err
 	}
+	n.pl.ReleaseAll()
+	n.c.lockSrv.DropNodePLock(uint16(n.id))
 
 	// Compensate through the normal engine path (rows may have migrated to
 	// other pages since). Rows on pages fenced by ANOTHER crashed node cannot
-	// be reached yet; they are retried in the background once the page
-	// fences are down, and our TIT fence stays up so the affected
-	// transactions keep resolving as active in the meantime.
+	// be reached yet; they are retried in the background, and our TIT fence
+	// stays up so the affected transactions keep resolving as active in the
+	// meantime.
 	left := n.compensate(a.unfinished())
 	n.wal.Sync(n.wal.End())
-	if err := n.lbp.FlushAll(); err != nil {
-		return err
-	}
-
-	// Lift the page fences (our pages are consistent and published).
-	n.pl.ReleaseAll()
-	n.c.lockSrv.DropNodePLock(uint16(n.id))
-	n.c.lockSrv.PLock.ClearDead(n.id)
 	// Re-seed the recycle floor in case the log scan bumped the id counter
 	// past the persisted watermark: pre-crash ids below the counter are all
 	// resolved by this recovery and would otherwise pin the floor forever.
@@ -174,21 +198,13 @@ func (n *Node) recoverSelf() error {
 	return nil
 }
 
-// replayPage is the restart replay target: rec is applied to its page if the
-// page's LLSN shows the change is missing. Pages are reached through the
-// normal PLock + LBP path: the crashed incarnation's PLocks are idempotently
-// re-granted to us, preserving the fence against other nodes.
+// replayPage is the restart replay target: rec, a record on a fence page, is
+// applied to its page if the page's LLSN shows the change is missing. The
+// page is reached through the normal PLock + LBP path: the crashed
+// incarnation's X is idempotently re-granted to us at once, and keeps
+// fencing the page against other nodes.
 func (n *Node) replayPage(rec *wal.Record, a *analysis) error {
-	// A record that applies is on a page the crashed incarnation held X
-	// on — so the grant is an instant reclaim.
 	if err := n.pl.Acquire(rec.Page, lockfusion.ModeX); err != nil {
-		if errors.Is(err, common.ErrFenced) {
-			// The page is fenced by ANOTHER crashed node, so our own
-			// incarnation did not hold it at crash time — which means
-			// this record was pushed (flush-before-release) and is
-			// already reflected in the DBP/storage image. Skip.
-			return nil
-		}
 		return err
 	}
 	defer n.pl.Release(rec.Page)

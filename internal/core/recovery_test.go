@@ -393,8 +393,15 @@ func TestCrashStorm(t *testing.T) {
 				}
 				time.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
 				for _, v := range victims {
+					// A restart replays only its own fence set, so it never
+					// waits on a live node: 2 s is a fifth of the PLock
+					// server's wait backstop.
+					start := time.Now()
 					if _, err := c.RestartNode(v); err != nil {
 						t.Fatalf("round %d: restart node %d: %v", round, v, err)
+					}
+					if d := time.Since(start); d > 2*time.Second {
+						t.Fatalf("round %d: restart node %d took %v", round, v, d)
 					}
 				}
 			}

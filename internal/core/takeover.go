@@ -8,7 +8,6 @@ import (
 	"polardbmp/internal/common"
 	"polardbmp/internal/lockfusion"
 	"polardbmp/internal/membership"
-	"polardbmp/internal/wal"
 )
 
 // noteTakeoverErr records the latest failed-takeover diagnostic for stats
@@ -92,7 +91,6 @@ func (c *Cluster) takeover(dead common.NodeID, epoch common.Epoch, survivor *Nod
 	// The fenced pages are repaired in storage; lift the fence so the
 	// engine paths below — and every peer — can reach them again.
 	c.lockSrv.DropNodePLock(uint16(dead))
-	c.lockSrv.PLock.ClearDead(dead)
 
 	// Settle the dead node's transactions outside the fence set through the
 	// normal engine paths (rows may have migrated across pages since they
@@ -141,34 +139,19 @@ func (c *Cluster) takeover(dead common.NodeID, epoch common.Epoch, survivor *Nod
 }
 
 // recoverPeer is the takeover replay: a fenced dead node's durable redo
-// stream is folded while its PLock fence is still up. The fence set — pages
-// the dead node held X PLocks on — is exactly where its latest changes may
-// exist only in its log (flush-before-release pushed every released page), so
-// those pages are rebuilt as storage images: stale DBP frames reclaimed, redo
-// applied, the dead node's own versions settled by the fate rule. Returns the
-// analysis for the engine-path finish.
+// stream is folded while its PLock fence is still up, and its fence set is
+// rebuilt as storage images: stale DBP frames reclaimed, redo applied, the
+// dead node's own versions settled by the fate rule. Returns the analysis
+// for the engine-path finish.
 func (n *Node) recoverPeer(dead common.NodeID) (*analysis, error) {
 	c := n.c
-	var fence []common.PageID
-	inFence := make(map[common.PageID]bool)
-	for pg, mode := range c.lockSrv.PLock.HeldBy(dead) {
-		if mode == lockfusion.ModeX {
-			inFence[pg] = true
-			fence = append(fence, pg)
-		}
-	}
 	// Reclaim the fenced pages' DBP frames (flushing non-stale dirty state)
 	// so the storage image is the single base the replay builds on.
+	fence := c.fence(dead)
 	c.bufSrv.Reclaim(fence)
 
 	a, imgs := newAnalysis(dead), newPageImages(c.store)
-	sr := wal.NewStreamReader(c.store, dead, c.store.LogStartLSN(dead), 0)
-	if err := a.fold(sr.Next, func(rec *wal.Record) error {
-		if !inFence[rec.Page] {
-			return nil
-		}
-		return imgs.redo(rec)
-	}); err != nil {
+	if err := a.replay(c.store, fence, imgs.redo); err != nil {
 		return nil, err
 	}
 	// Folding the dead node's LLSNs into our counter keeps our future

@@ -487,7 +487,6 @@ func TestPLockFencedFailFast(t *testing.T) {
 	}
 	// Recovery lifts the fence.
 	tc.srv.PLock.dropNode(1)
-	tc.srv.PLock.ClearDead(1)
 	if err := tc.pl[1].Acquire(11, lockfusion_ModeX()); err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ type PLockServer struct {
 
 	// dead is read under every stripe's grant path, so it lives behind its
 	// own RWMutex. Lock order: stripe.mu, then deadMu (read side only);
-	// writers (MarkDead/ClearDead/dropNode) take deadMu alone.
+	// writers (MarkDead/dropNode) take deadMu alone.
 	deadMu sync.RWMutex
 	dead   map[common.NodeID]bool
 
@@ -391,13 +391,6 @@ type pendingRevokes struct {
 	targets []revokeTarget
 }
 
-// ClearDead lifts the dead mark after the node's recovery completed.
-func (s *PLockServer) ClearDead(node common.NodeID) {
-	s.deadMu.Lock()
-	delete(s.dead, common.NodeID(node))
-	s.deadMu.Unlock()
-}
-
 // plockWaitBackstop bounds server-side waits. It is intentionally generous:
 // engine-level acquisition order makes PLock deadlocks impossible, so this
 // only fires on bugs or crashed holders not yet dropped.
@@ -442,7 +435,11 @@ func (s *PLockServer) collectRevokeesLocked(e *plockEntry, head *plockWaiter) []
 	var out []revokeTarget
 	for holder, held := range e.holders {
 		if holder == head.node || s.isDead(holder) {
-			continue // dead holders cannot respond; the fence handles them
+			// A dead-marked node holds only what its crashed incarnation
+			// held (its recovery re-grants that fence set and acquires
+			// nothing else before dropNode lifts the mark), and nobody
+			// answers for it: the fence handles those pages.
+			continue
 		}
 		if !compatible(held, head.mode) {
 			if last, sent := e.revoked[holder]; !sent || time.Since(last) > plockRevokeResend {
@@ -536,9 +533,10 @@ func (s *PLockServer) releaseN(node common.NodeID, pages []relPage) {
 	s.sendRevokes(pending)
 }
 
-// dropNode force-releases everything node holds or awaits (crash cleanup).
-// The node never released its X pages, whose newest changes may exist only in
-// its log until recovery replays them: their version becomes llsnUnknown.
+// dropNode force-releases everything node holds or awaits and lifts its dead
+// mark: the fence comes down once recovery has repaired it. Any X page still
+// held was never released, so its newest changes may exist only in the log
+// recovery replayed: its version becomes llsnUnknown.
 func (s *PLockServer) dropNode(node uint16) {
 	n := common.NodeID(node)
 	s.deadMu.Lock()
@@ -591,10 +589,10 @@ func (s *PLockServer) DebugDump() string {
 	return out
 }
 
-// HeldBy returns every page node currently holds and in which mode. During
-// takeover this is the fence set: the only pages whose latest contents may
-// exist solely in the dead node's log (flush-before-release guarantees
-// everything else was pushed before its lock left the node).
+// HeldBy returns every page node currently holds and in which mode. A crashed
+// node's X pages are its fence set, all its recovery replays: the only pages
+// whose latest contents may exist solely in its log (flush-before-release
+// pushed everything else before its lock left the node).
 func (s *PLockServer) HeldBy(node common.NodeID) map[common.PageID]Mode {
 	out := make(map[common.PageID]Mode)
 	for i := range s.stripes {
