@@ -51,14 +51,13 @@ func main() {
 }
 
 func run(listen string, addrs []string, httpAddr string, probe time.Duration) error {
-	gw := gateway.New(addrs, probe)
 	lis, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
-	go gw.Serve(lis)
+	gw := gateway.New(lis, addrs, probe)
 	fmt.Printf("mpgateway %s: %d backends, serving sessions on %s\n",
-		polardbmp.Version, len(addrs), lis.Addr())
+		polardbmp.Version, len(addrs), gw.Addr())
 
 	if httpAddr != "" {
 		mux := http.NewServeMux()
@@ -88,7 +87,6 @@ func run(listen string, addrs []string, httpAddr string, probe time.Duration) er
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Printf("mpgateway: %v, shutting down\n", s)
-	_ = lis.Close()
 	gw.Close()
 	return nil
 }

@@ -26,9 +26,7 @@ import (
 	"polardbmp/internal/wire"
 )
 
-// Config tunes a cluster. The zero value is a sensible test-scale cluster;
-// DefaultConfig returns benchmark-scale defaults with realistic storage
-// latency.
+// Config tunes a cluster. The zero value is a sensible test-scale cluster.
 type Config struct {
 	// LBPFrames is each node's local buffer pool capacity in pages.
 	LBPFrames int
@@ -38,8 +36,6 @@ type Config struct {
 	TITSlots int
 	// StorageLatency injects shared-storage I/O delays.
 	StorageLatency storage.Latency
-	// FabricLatency injects RDMA verb delays.
-	FabricLatency rdma.Latency
 	// LockWaitTimeout bounds RLock waits (backstop behind deadlock
 	// detection). Default 2s.
 	LockWaitTimeout time.Duration
@@ -126,16 +122,6 @@ func (c *Config) fill() {
 	}
 	if c.CC == "" {
 		c.CC = CC2PL
-	}
-}
-
-// DefaultConfig returns benchmark defaults: realistic storage latency and
-// production-shaped pool sizes (scaled to a single machine).
-func DefaultConfig() Config {
-	return Config{
-		LBPFrames:      4096,
-		DBPFrames:      16384,
-		StorageLatency: storage.DefaultLatency(),
 	}
 }
 
@@ -228,7 +214,7 @@ func NewClusterWithStore(cfg Config, store storage.API) *Cluster {
 // one retry policy every Conn its components build starts with: the default,
 // or none under DisableRetry.
 func newFabric(cfg Config) *rdma.Fabric {
-	f := rdma.NewFabric(cfg.FabricLatency)
+	f := rdma.NewFabric(rdma.Latency{})
 	if cfg.DisableRetry {
 		f.SetConnRetry(common.NoRetryPolicy())
 	}

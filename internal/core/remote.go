@@ -24,8 +24,7 @@ import (
 // server-side half of a graceful drain, and the cluster topology snapshot.
 const ServiceCluster = "pmfs.cluster"
 
-// Cluster admin opcodes (first payload byte). Append-only: satellites of
-// mixed builds share the wire.
+// Cluster admin opcodes (first payload byte).
 const (
 	aopAllocNode    uint8 = 1 // [] -> [id u16]
 	aopCreateSpace  uint8 = 2 // [name str] -> [space u32]
@@ -35,14 +34,8 @@ const (
 	aopTxStatus     uint8 = 6 // [gtrx] -> [outcome u8, cts u64]
 )
 
-// handleAdmin serves ServiceCluster on the seed. Responses are
-// [status][result] in the wire status encoding.
+// handleAdmin serves ServiceCluster on the seed.
 func (c *Cluster) handleAdmin(req []byte) ([]byte, error) {
-	result, err := c.adminOp(req)
-	return append(wire.AppendStatus(nil, err), result...), nil
-}
-
-func (c *Cluster) adminOp(req []byte) ([]byte, error) {
 	rd := wire.NewReader(req)
 	op := rd.U8()
 	var name string
@@ -98,29 +91,7 @@ func (c *Cluster) adminOp(req []byte) ([]byte, error) {
 
 // adminCall performs one admin RPC from a satellite.
 func (c *Cluster) adminCall(req []byte) ([]byte, error) {
-	return c.statusCall(common.PMFSNode, ServiceCluster, req)
-}
-
-// statusCall performs one unbound RPC answered [status][result], retrying
-// transient fabric faults and transient statuses. The loop is ours, around a
-// single-shot Conn, because the status is decoded inside an attempt.
-func (c *Cluster) statusCall(node common.NodeID, service string, req []byte) ([]byte, error) {
-	conn := c.fabric.From(common.AnyNode)
-	one := conn.WithRetry(common.NoRetryPolicy())
-	var result []byte
-	err := common.Retry(conn.RetryPolicy(), func() error {
-		resp, err := one.Call(node, service, req)
-		if err != nil {
-			return err
-		}
-		rd := wire.NewReader(resp)
-		if err := wire.DecodeStatus(rd); err != nil {
-			return err
-		}
-		result = append([]byte(nil), rd.Rest()...)
-		return nil
-	})
-	return result, err
+	return c.fabric.From(common.AnyNode).Call(common.PMFSNode, ServiceCluster, req)
 }
 
 // createSpaceRemote forwards CreateSpace to the seed, which runs it under

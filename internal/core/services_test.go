@@ -20,22 +20,20 @@ import (
 )
 
 // fabricServices is every Endpoint.Serve service but txfusion's, with the
-// number of ops each decodes and whether it answers in the wire status
-// encoding rather than with a handler error.
+// number of ops each decodes.
 var fabricServices = []struct {
-	name   string
-	ops    int
-	status bool
+	name string
+	ops  int
 }{
-	{membership.Service, 4, false},
-	{bufferfusion.ServiceBuf, 3, false},
-	{lockfusion.ServiceRLock, 3, false},
-	{lockfusion.ServiceWake, 1, false},
-	{lockfusion.ServicePLock, 2, false},
-	{lockfusion.ServiceRevoke, 1, false},
-	{storage.ServiceStorage, 17, true},
-	{ServiceCluster, 6, true},
-	{ServiceTxStatus, 1, true},
+	{membership.Service, 4},
+	{bufferfusion.ServiceBuf, 3},
+	{lockfusion.ServiceRLock, 3},
+	{lockfusion.ServiceWake, 1},
+	{lockfusion.ServicePLock, 2},
+	{lockfusion.ServiceRevoke, 1},
+	{storage.ServiceStorage, 17},
+	{ServiceCluster, 6},
+	{ServiceTxStatus, 1},
 }
 
 // gatedServices read a trailing epoch stamp and check it at the membership
@@ -129,7 +127,7 @@ func recordServiceSeeds(t testing.TB) []serviceSeed {
 	bufferfusion.NewServer(pmfs, f, store, 16)
 	membership.NewTable(pmfs)
 	storage.Serve(pmfs, store)
-	canned := func([]byte) ([]byte, error) { return wire.AppendStatus(nil, nil), nil }
+	canned := func([]byte) ([]byte, error) { return nil, nil }
 	pmfs.Serve(ServiceCluster, canned)
 	var (
 		tf []*txfusion.Client
@@ -282,19 +280,10 @@ func newServicesCluster(t testing.TB) *Cluster {
 	return c
 }
 
-// callService sends req to the service's handler on node, decoding a
-// status answer into its error.
+// callService sends req to the service's handler on node.
 func callService(c *Cluster, service string, node common.NodeID, req []byte) error {
-	resp, err := c.fabric.Call(node, service, req)
-	if err != nil {
-		return err
-	}
-	for _, svc := range fabricServices {
-		if svc.name == service && svc.status {
-			return wire.DecodeStatus(wire.NewReader(resp))
-		}
-	}
-	return nil
+	_, err := c.fabric.Call(node, service, req)
+	return err
 }
 
 // servicesState is what the nine services keep that a request may change.
@@ -430,4 +419,35 @@ func FuzzServices(f *testing.F) {
 			t.Fatalf("%s refused %x after allocating %d bytes", service, req, alloc)
 		}
 	})
+}
+
+// TestServicesAnswerWithHandlerError: every fabric service answers a request
+// it refuses with its handler error, in one process and across a socket
+// link. An unknown storage or cluster-admin op is ErrNoService, a tx-status
+// request cut short is ErrCorrupt, and none comes back as a successful reply
+// carrying the status inside it.
+func TestServicesAnswerWithHandlerError(t *testing.T) {
+	inProc := newServicesCluster(t)
+	defer inProc.Close()
+	_, sats := multiProcess(t, Config{RecycleInterval: -1}, 1)
+	for _, c := range []struct {
+		name string
+		c    *Cluster
+	}{{"in-process", inProc}, {"satellite", sats[0]}} {
+		conn := c.c.fabric.From(common.AnyNode)
+		for _, call := range []struct {
+			service string
+			node    common.NodeID
+			req     []byte
+			want    error
+		}{
+			{storage.ServiceStorage, common.PMFSNode, []byte{0xee}, common.ErrNoService},
+			{ServiceCluster, common.PMFSNode, []byte{0xee}, common.ErrNoService},
+			{ServiceTxStatus, 1, []byte{1}, common.ErrCorrupt},
+		} {
+			if resp, err := conn.Call(call.node, call.service, call.req); !errors.Is(err, call.want) {
+				t.Errorf("%s: %s %x: reply %x, err %v; want %v", c.name, call.service, call.req, resp, err, call.want)
+			}
+		}
+	}
 }

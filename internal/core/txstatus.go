@@ -194,7 +194,7 @@ func (n *Node) handleTxStatus(req []byte) ([]byte, error) {
 	rd := wire.NewReader(req)
 	g := rd.GTrx()
 	if err := rd.Done(); err != nil {
-		return wire.AppendStatus(nil, fmt.Errorf("core: tx status request: %w", err)), nil
+		return nil, fmt.Errorf("core: tx status request: %w", err)
 	}
 	var out TxOutcome
 	var cts common.CSN
@@ -202,16 +202,14 @@ func (n *Node) handleTxStatus(req []byte) ([]byte, error) {
 	if jcts, ok := n.c.txlog.lookup(g); ok {
 		out, cts = journalOutcome(jcts)
 	} else if out, cts, err = n.txStatusTIT(g); err != nil {
-		return wire.AppendStatus(nil, err), nil
+		return nil, err
 	}
-	resp := wire.AppendStatus(nil, nil)
-	resp = append(resp, uint8(out))
-	return wire.AppendU64(resp, uint64(cts)), nil
+	return wire.AppendU64([]byte{uint8(out)}, uint64(cts)), nil
 }
 
 // txStatusRemote asks the owning node's process over the fabric.
 func (c *Cluster) txStatusRemote(g common.GTrxID) (TxOutcome, common.CSN, error) {
-	out, err := c.statusCall(g.Node, ServiceTxStatus, g.Marshal(nil))
+	out, err := c.fabric.From(common.AnyNode).Call(g.Node, ServiceTxStatus, g.Marshal(nil))
 	if err != nil {
 		return TxOutcomeUnknown, 0, err
 	}

@@ -83,77 +83,44 @@ func (b *backend) failLocked(err error) {
 
 // Gateway relays client sessions to a fixed set of backends.
 type Gateway struct {
+	acc      *wire.Acceptor
 	backends []*backend
 	nc       *wire.NetCounters
 	stop     chan struct{}
-	wg       sync.WaitGroup // probers and sessions
-
-	mu      sync.Mutex
-	clients map[net.Conn]struct{} // live sessions' client conns, closed by Close
-	closed  bool
+	probers  sync.WaitGroup
 }
 
-// New returns a gateway over the mpserver session addresses addrs, each
-// probed for health every probe interval from now until Close.
-func New(addrs []string, probe time.Duration) *Gateway {
-	gw := &Gateway{nc: &wire.NetCounters{}, stop: make(chan struct{}), clients: make(map[net.Conn]struct{})}
+// New returns a gateway accepting client sessions on lis, each served on
+// its own goroutine, and relaying them to the mpserver session addresses
+// addrs, each probed for health every probe interval from now until Close.
+func New(lis net.Listener, addrs []string, probe time.Duration) *Gateway {
+	gw := &Gateway{nc: &wire.NetCounters{}, stop: make(chan struct{})}
 	for _, a := range addrs {
 		gw.backends = append(gw.backends, &backend{addr: a})
 	}
 	for _, b := range gw.backends {
-		gw.wg.Add(1)
+		gw.probers.Add(1)
 		go gw.probeLoop(b, probe)
 	}
+	gw.acc = wire.Accept(lis, gw.nc, wire.SessHello, wire.SessHelloAck, gw.serve)
 	return gw
 }
 
-// Serve accepts client sessions on lis, each served on its own goroutine,
-// until lis is closed.
-func (gw *Gateway) Serve(lis net.Listener) {
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		gw.mu.Lock()
-		if gw.closed {
-			gw.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		gw.clients[conn] = struct{}{}
-		gw.wg.Add(1)
-		gw.mu.Unlock()
-		go gw.serve(conn)
-	}
-}
+// Addr returns the address the gateway accepts sessions on.
+func (gw *Gateway) Addr() net.Addr { return gw.acc.Addr() }
 
-// untrack closes a session's client conn and forgets it.
-func (gw *Gateway) untrack(conn net.Conn) {
-	_ = conn.Close()
-	gw.mu.Lock()
-	delete(gw.clients, conn)
-	gw.mu.Unlock()
-}
-
-// Close stops the probers, ends every live session by closing its client
-// conn, and waits for all of them. Close the listeners first, so that no
-// new session starts.
+// Close stops accepting, ends every live session by closing its client
+// conn, stops the probers, and waits for all of them.
 func (gw *Gateway) Close() {
+	gw.acc.Close()
 	close(gw.stop)
-	gw.mu.Lock()
-	gw.closed = true
-	for conn := range gw.clients {
-		_ = conn.Close()
-	}
-	gw.mu.Unlock()
-	gw.wg.Wait()
+	gw.probers.Wait()
 }
 
 // probeLoop keeps one backend's health fresh: a ping each tick, and every
 // few ticks its topology state (which node it fronts, whether it drains).
 func (gw *Gateway) probeLoop(b *backend, interval time.Duration) {
-	defer gw.wg.Done()
+	defer gw.probers.Done()
 	var cl *wire.Client
 	defer func() {
 		if cl != nil {

@@ -85,12 +85,8 @@ func startGateway(t *testing.T, addrs ...string) (gw *Gateway, addr string, stop
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw = New(addrs, 50*time.Millisecond)
-	go gw.Serve(lis)
-	return gw, lis.Addr().String(), func() {
-		_ = lis.Close()
-		gw.Close()
-	}
+	gw = New(lis, addrs, 50*time.Millisecond)
+	return gw, gw.Addr().String(), gw.Close
 }
 
 // waitHealthy blocks until the prober has marked addr healthy.
@@ -350,8 +346,8 @@ func TestGatewayCloseEndsIdleSessions(t *testing.T) {
 }
 
 // TestGatewayDropsSilentClient: a client that connects and never sends its
-// hello holds nothing past backendTimeout. The gateway closes the
-// connection and the session goroutine ends, taking its clients entry with
+// hello holds nothing past wire.HelloTimeout. The gateway closes the
+// connection and the session goroutine ends, taking its acceptor entry with
 // it, while the gateway itself stays up.
 func TestGatewayDropsSilentClient(t *testing.T) {
 	t.Parallel()
@@ -365,15 +361,13 @@ func TestGatewayDropsSilentClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_ = conn.SetReadDeadline(time.Now().Add(backendTimeout + 5*time.Second))
+	_ = conn.SetReadDeadline(time.Now().Add(wire.HelloTimeout + 5*time.Second))
 	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
 		t.Fatalf("read on a silent client connection = %v; want EOF from the gateway closing it", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		gw.mu.Lock()
-		n := len(gw.clients)
-		gw.mu.Unlock()
+		n := gw.acc.Live()
 		if n == 0 {
 			return
 		}

@@ -70,8 +70,7 @@ type pendingReq struct {
 // txHandleOp reports requests whose payload leads with a transaction handle.
 func txHandleOp(op uint8) bool { return op >= wire.OpGet && op <= wire.OpRollback }
 
-// backendTimeout bounds a backend dial and, separately, its hello exchange;
-// it also bounds the wait for a client's hello.
+// backendTimeout bounds a backend dial and, separately, its hello exchange.
 const backendTimeout = 3 * time.Second
 
 // dialBackend dials b and runs the session handshake with the given client
@@ -102,21 +101,8 @@ func (gw *Gateway) dialBackend(b *backend, hello []byte) (net.Conn, []byte, erro
 // the handshake read so it can replay the client's hello on a re-pin, but
 // relays the backend's ack verbatim — the client still sees the backend's
 // name and the negotiated protocol version end to end.
-func (gw *Gateway) serve(client net.Conn) {
-	defer gw.wg.Done()
-	defer gw.untrack(client)
-
-	// A client that connects and says nothing must not hold a goroutine,
-	// an fd and a clients entry until Close.
-	_ = client.SetReadDeadline(time.Now().Add(backendTimeout))
-	hf, _, err := wire.ReadFrame(client, nil)
-	if err != nil || hf.Kind != wire.KindControl || hf.Op != wire.SessHello {
-		return
-	}
-	_ = client.SetReadDeadline(time.Time{})
-	gw.nc.FrameIn(hf.WireSize())
-	hello := append([]byte(nil), hf.Payload...)
-
+func (gw *Gateway) serve(client net.Conn, hf wire.Frame) {
+	hello := hf.Payload
 	b := gw.pick(nil)
 	if b == nil {
 		return
@@ -127,12 +113,10 @@ func (gw *Gateway) serve(client net.Conn) {
 	}
 	gw.nc.ConnOpened(true)
 	defer gw.nc.ConnClosed()
-	af := wire.Frame{Kind: wire.KindControl, Op: wire.SessHelloAck, Payload: ack}
-	if _, err := wire.WriteFrame(client, nil, af); err != nil {
+	if err := gw.acc.WriteAck(client, hf, ack); err != nil {
 		_ = upstream.Close()
 		return
 	}
-	gw.nc.FrameOut(af.WireSize())
 
 	b.mu.Lock()
 	b.active++

@@ -77,9 +77,6 @@ func (c *Config) fill() {
 	}
 }
 
-// DefaultConfig returns production defaults (lazy release on).
-func DefaultConfig() Config { return Config{WaitTimeout: 2 * time.Second} }
-
 // Server bundles the PMFS-side PLock and RLock services.
 type Server struct {
 	PLock *PLockServer

@@ -94,18 +94,16 @@ func (p *Peer) dial() (*peerLink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rdma: peer %s: %w", p.addr, err)
 	}
-	rd := wire.NewReader(body)
-	if v := rd.U16(); v != FabricProtoVersion {
-		_ = c.Close()
-		return nil, fmt.Errorf("rdma: peer %s speaks protocol v%d, want v%d", p.addr, v, FabricProtoVersion)
+	v, name, err := wire.DecodeHello(body)
+	if err == nil && v != FabricProtoVersion {
+		err = fmt.Errorf("rdma: peer %s speaks protocol v%d, want v%d", p.addr, v, FabricProtoVersion)
 	}
-	name := p.addr + "/" + rd.Str()
-	if err := rd.Done(); err != nil {
+	if err != nil {
 		_ = c.Close()
 		return nil, err
 	}
-	l := newPeerLink(p.f, c, p.cfg.Counters, false, name)
-	l.start()
+	l := newPeerLink(p.f, c, p.cfg.Counters, false, p.addr+"/"+name)
+	go l.run()
 	return l, nil
 }
 
@@ -186,15 +184,14 @@ var _ Transport = (*remotePeer)(nil)
 // the nodes each peer hosts. A node routes to the peer that announced it
 // last; a peer that routes no node and has no live link is forgotten.
 type FabricServer struct {
+	acc  *wire.Acceptor
 	f    *Fabric
-	lis  net.Listener
 	name string
 	nc   *wire.NetCounters
 
 	mu     sync.Mutex
 	peers  map[uint64]*remotePeer
 	routed map[common.NodeID]*remotePeer // each announced node's route
-	closed bool
 }
 
 // ServeFabric starts accepting fabric peers on lis. name is this process's
@@ -202,45 +199,22 @@ type FabricServer struct {
 func ServeFabric(f *Fabric, lis net.Listener, name string, nc *wire.NetCounters) *FabricServer {
 	s := &FabricServer{
 		f:      f,
-		lis:    lis,
 		name:   name,
 		nc:     nc,
 		peers:  make(map[uint64]*remotePeer),
 		routed: make(map[common.NodeID]*remotePeer),
 	}
-	go s.acceptLoop()
+	s.acc = wire.Accept(lis, nc, copHello, copHelloAck, s.serve)
 	return s
 }
 
 // Addr returns the listener address.
-func (s *FabricServer) Addr() string { return s.lis.Addr().String() }
+func (s *FabricServer) Addr() string { return s.acc.Addr().String() }
 
-func (s *FabricServer) acceptLoop() {
-	for {
-		c, err := s.lis.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go s.handshake(c)
-	}
-}
-
-// handshake validates a dialer's hello, makes the link its peer's, routes
-// the nodes it announced and starts serving it.
-func (s *FabricServer) handshake(c net.Conn) {
-	_ = c.SetDeadline(time.Now().Add(dialTimeout))
-	fr, _, err := wire.ReadFrame(c, nil)
-	if err != nil {
-		_ = c.Close()
-		return
-	}
-	s.nc.FrameIn(fr.WireSize())
-	if fr.Kind != wire.KindControl || fr.Op != copHello {
-		s.nc.CodecError()
-		_ = c.Close()
-		return
-	}
-	rd := wire.NewReader(fr.Payload)
+// serve validates a dialer's hello, makes the link its peer's, routes the
+// nodes it announced and runs the link until it dies.
+func (s *FabricServer) serve(c net.Conn, hello wire.Frame) {
+	rd := wire.NewReader(hello.Payload)
 	version := rd.U16()
 	peerID := rd.U64()
 	peerName := rd.Str()
@@ -250,29 +224,21 @@ func (s *FabricServer) handshake(c net.Conn) {
 	}
 	if rd.Done() != nil {
 		s.nc.CodecError()
-		_ = c.Close()
 		return
 	}
 	if version != FabricProtoVersion {
-		_ = s.ack(c, fmt.Errorf("wire: protocol v%d not supported, want v%d: %w",
+		_ = s.ack(c, hello, fmt.Errorf("wire: protocol v%d not supported, want v%d: %w",
 			version, FabricProtoVersion, common.ErrCorrupt))
-		_ = c.Close()
 		return
 	}
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = c.Close()
-		return
-	}
 	rp := s.peers[peerID]
 	if rp == nil {
 		rp = &remotePeer{srv: s, id: peerID, name: peerName}
 		rp.netTransport = netTransport{links: rp}
 		s.peers[peerID] = rp
 	}
-	// Set under s.mu, so Close finds every live link in its peer.
 	l := newPeerLink(s.f, c, s.nc, true, peerName)
 	l.rp = rp
 	rp.setLink(l)
@@ -281,24 +247,15 @@ func (s *FabricServer) handshake(c net.Conn) {
 	// Routed before the ack: of two dialers that announce one node, the
 	// one that saw its ack last has the route.
 	s.route(rp, nodes)
-	if err := s.ack(c, nil); err != nil {
+	if err := s.ack(c, hello, nil); err != nil {
 		l.Fail(err) // its keepalive loop forgets it
 	}
-	_ = c.SetDeadline(time.Time{})
-	l.start()
+	l.run()
 }
 
 // ack writes the hello-ack carrying hsErr's status.
-func (s *FabricServer) ack(c net.Conn, hsErr error) error {
-	ack := wire.AppendStatus(nil, hsErr)
-	ack = wire.AppendU16(ack, FabricProtoVersion)
-	ack = wire.AppendString(ack, s.name)
-	af := wire.Frame{Kind: wire.KindControl, Op: copHelloAck, Payload: ack}
-	if _, err := wire.WriteFrame(c, nil, af); err != nil {
-		return err
-	}
-	s.nc.FrameOut(af.WireSize())
-	return nil
+func (s *FabricServer) ack(c net.Conn, hello wire.Frame, hsErr error) error {
+	return s.acc.WriteAck(c, hello, wire.AppendHello(wire.AppendStatus(nil, hsErr), FabricProtoVersion, s.name))
 }
 
 // route routes verbs for nodes through rp, their newest announcer. A peer
@@ -309,7 +266,7 @@ func (s *FabricServer) route(rp *remotePeer, nodes []common.NodeID) {
 	defer s.mu.Unlock()
 	for _, n := range nodes {
 		old := s.routed[n]
-		if s.closed || old == rp {
+		if old == rp {
 			continue
 		}
 		s.routed[n] = rp
@@ -345,28 +302,16 @@ func (s *FabricServer) forgetIdleLocked(rp *remotePeer) {
 	}
 }
 
-// Close stops accepting and tears down every peer's link. Routes the peers
-// installed are detached so local lookups fail fast again.
+// Close stops accepting, closes every peer's link and waits for each to
+// die. Routes the peers installed are detached so local lookups fail fast
+// again.
 func (s *FabricServer) Close() {
+	s.acc.Close()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	peers, routed := s.peers, s.routed
+	routed := s.routed
 	s.peers = make(map[uint64]*remotePeer)
 	s.routed = make(map[common.NodeID]*remotePeer)
 	s.mu.Unlock()
-	_ = s.lis.Close()
-	for _, rp := range peers {
-		rp.mu.Lock()
-		l := rp.link
-		rp.mu.Unlock()
-		if l != nil {
-			l.Fail(errPeerUnreachable("server closed"))
-		}
-	}
 	for n := range routed {
 		s.f.DetachRemote(n)
 	}

@@ -32,7 +32,7 @@ import (
 // FabricProtoVersion is the peer-link protocol version. The handshake
 // refuses mismatched peers so frame-format changes fail loudly at connect
 // time rather than corrupting verbs mid-stream.
-const FabricProtoVersion uint16 = 3
+const FabricProtoVersion uint16 = 4
 
 // Control opcodes (wire.KindControl).
 const (
@@ -94,13 +94,13 @@ func newPeerLink(f *Fabric, c net.Conn, nc *wire.NetCounters, accepted bool, nam
 	return l
 }
 
-// start registers the link with the fabric's fault registry and runs its
-// read and keepalive loops. Called once per link, by the owner that holds
-// it.
-func (l *peerLink) start() {
+// run registers the link with the fabric's fault registry, starts its read
+// loop and runs its keepalive loop until the link dies. Called once per
+// link, by the owner that holds it.
+func (l *peerLink) run() {
 	l.f.faults.register(l)
 	go l.Run()
-	go l.keepaliveLoop()
+	l.keepaliveLoop()
 }
 
 // keepaliveLoop pings the remote and enforces the idle bound until the link

@@ -69,13 +69,10 @@ const (
 )
 
 // Serve registers the storage RPC service for s on ep (the seed does this on
-// the PMFS endpoint). Responses are [status][result]; all integers LE.
+// the PMFS endpoint). An op answers with its result or its error; all
+// integers LE.
 func Serve(ep *rdma.Endpoint, s API) {
-	ep.Serve(ServiceStorage, func(req []byte) ([]byte, error) {
-		result, err := serveOp(s, req)
-		out := wire.AppendStatus(nil, err)
-		return append(out, result...), nil
-	})
+	ep.Serve(ServiceStorage, func(req []byte) ([]byte, error) { return serveOp(s, req) })
 }
 
 // serveOp decodes one storage request, checks it, and only then runs it: a
@@ -261,10 +258,10 @@ type Remote struct {
 // NewRemote returns a remote store speaking through conn (a satellite's
 // source-bound fabric conn; the service lives on the PMFS endpoint reached
 // via the conn's default route). Storage requests are never epoch-stamped,
-// and the conn's own retry is off: call runs the uplink policy itself.
+// and they retry under the uplink policy, not the conn's.
 func NewRemote(conn rdma.Conn) *Remote {
 	return &Remote{
-		conn: conn.WithRetry(common.NoRetryPolicy()).WithStamp(nil),
+		conn: conn.WithStamp(nil),
 		// The uplink policy is much heavier than the fabric default: storage
 		// has almost no error paths, so riding out an outage beats surfacing
 		// a failure the engine cannot express. The budget (~12s of backoff)
@@ -307,24 +304,10 @@ func (r *Remote) stream(node common.NodeID) *remoteStream {
 	return st
 }
 
-// call performs one storage RPC with transient-fault retries and decodes the
-// status header. The loop is ours, around a single-shot conn, because it runs
-// the uplink policy and a status decoded inside an attempt can be transient.
+// call performs one storage RPC, retrying transient faults under the uplink
+// policy.
 func (r *Remote) call(req []byte) ([]byte, error) {
-	var result []byte
-	err := common.Retry(r.rp, func() error {
-		resp, err := r.conn.Call(common.PMFSNode, ServiceStorage, req)
-		if err != nil {
-			return err
-		}
-		rd := wire.NewReader(resp)
-		if err := wire.DecodeStatus(rd); err != nil {
-			return err
-		}
-		result = append([]byte(nil), rd.Rest()...)
-		return nil
-	})
-	return result, err
+	return r.conn.WithRetry(r.rp).Call(common.PMFSNode, ServiceStorage, req)
 }
 
 // mustCall backs the API methods that have no error path (AllocPage,

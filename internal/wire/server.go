@@ -16,83 +16,24 @@ import (
 // a connection that drops with transactions open has them rolled back, so a
 // dying client cannot leak row locks or TIT slots.
 type Server struct {
+	*Acceptor
 	name string
 	be   Backend
-	nc   *NetCounters
-	lis  net.Listener
-
-	mu       sync.Mutex
-	sessions map[*session]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // ServeSessions starts serving the session protocol for be on lis. name is
-// echoed in the hello ack (observability). Close stops the listener and
-// tears down every live session.
+// echoed in the hello ack (observability). Close stops the listener, closes
+// every session connection, rolls their open transactions back, and waits
+// for all session goroutines to exit.
 func ServeSessions(lis net.Listener, name string, be Backend, nc *NetCounters) *Server {
-	s := &Server{name: name, be: be, nc: nc, lis: lis, sessions: make(map[*session]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{name: name, be: be}
+	s.Acceptor = Accept(lis, nc, SessHello, SessHelloAck, s.run)
 	return s
 }
 
-// Addr returns the listener address.
-func (s *Server) Addr() net.Addr { return s.lis.Addr() }
-
-// Close stops accepting, closes every session connection, rolls their open
-// transactions back, and waits for all session goroutines to exit.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	_ = s.lis.Close()
-	for _, sess := range sessions {
-		_ = sess.conn.Close()
-	}
-	s.wg.Wait()
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		sess := &session{srv: s, conn: conn, txs: make(map[uint64]*sessionTx)}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.sessions[sess] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go sess.run()
-	}
-}
-
-func (s *Server) dropSession(sess *session) {
-	s.mu.Lock()
-	delete(s.sessions, sess)
-	s.mu.Unlock()
-}
-
 // session is one accepted client connection: the transactions it has open.
-// The framed link under it is run, not kept — conn is here for Close.
 type session struct {
-	srv  *Server
-	conn net.Conn
+	srv *Server
 
 	txMu   sync.Mutex
 	txs    map[uint64]*sessionTx
@@ -107,17 +48,15 @@ type sessionTx struct {
 	done bool
 }
 
-// run serves the session until its connection dies. Link.Run returns only
+// run serves one session until its connection dies. Link.Run returns only
 // after every request in flight has answered, so the rollback that follows
 // races none of them.
-func (ss *session) run() {
-	defer ss.srv.wg.Done()
-	defer ss.srv.dropSession(ss)
-	if err := ss.handshake(); err != nil {
-		_ = ss.conn.Close()
+func (s *Server) run(conn net.Conn, hello Frame) {
+	if s.answerHello(conn, hello) != nil {
 		return
 	}
-	link := NewLink(ss.conn, ss.srv.nc, true)
+	ss := &session{srv: s, txs: make(map[uint64]*sessionTx)}
+	link := NewLink(conn, s.nc, true)
 	link.Serve = ss.serve
 	link.Run()
 	ss.rollbackOpen()
@@ -142,19 +81,9 @@ func (ss *session) rollbackOpen() {
 	}
 }
 
-func (ss *session) handshake() error {
-	_ = ss.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, _, err := ReadFrame(ss.conn, nil)
-	if err != nil {
-		return err
-	}
-	_ = ss.conn.SetReadDeadline(time.Time{})
-	ss.srv.nc.FrameIn(f.WireSize())
-	if f.Kind != KindControl || f.Op != SessHello {
-		ss.srv.nc.CodecError()
-		return fmt.Errorf("wire: session opened with frame kind %d op %d: %w", f.Kind, f.Op, ErrBadFrame)
-	}
-	version, _, status := DecodeHello(f.Payload)
+// answerHello acks the client's hello with its version, or refuses it.
+func (s *Server) answerHello(conn net.Conn, hello Frame) error {
+	version, _, status := DecodeHello(hello.Payload)
 	if status == nil && version != SessionProtoVersion {
 		// This server cannot promise the semantics another version's client
 		// expects, so refuse at connect time.
@@ -164,11 +93,9 @@ func (ss *session) handshake() error {
 	if status == nil {
 		acked = SessionProtoVersion
 	}
-	ack := Frame{Kind: KindControl, Op: SessHelloAck, ID: f.ID, Payload: AppendHello(AppendStatus(nil, status), acked, ss.srv.name)}
-	if _, err := WriteFrame(ss.conn, nil, ack); err != nil {
+	if err := s.WriteAck(conn, hello, AppendHello(AppendStatus(nil, status), acked, s.name)); err != nil {
 		return err
 	}
-	ss.srv.nc.FrameOut(ack.WireSize())
 	return status
 }
 

@@ -112,16 +112,18 @@ type Tx interface {
 	Rollback() error
 }
 
-// AppendHello encodes a SessHello payload.
+// AppendHello encodes [version u16][name str]: a SessHello payload, and
+// what the session and fabric hello-acks carry after their status.
 func AppendHello(b []byte, version uint16, name string) []byte {
 	b = AppendU16(b, version)
 	return AppendString(b, name)
 }
 
-// DecodeHello decodes a SessHello payload.
+// DecodeHello decodes what AppendHello encodes; a byte past the name is
+// corrupt.
 func DecodeHello(payload []byte) (version uint16, name string, err error) {
 	rd := NewReader(payload)
 	version = rd.U16()
 	name = rd.Str()
-	return version, name, rd.Err()
+	return version, name, rd.Done()
 }

@@ -181,7 +181,7 @@ func Open(opts Options, extra ...Option) (*Cluster, error) {
 		Trace:           oc.trace,
 	}
 	if opts.RealisticStorageLatency {
-		cfg.StorageLatency = core.DefaultConfig().StorageLatency
+		cfg.StorageLatency = storage.DefaultLatency()
 	}
 	var c *core.Cluster
 	if opts.DataDir != "" {
